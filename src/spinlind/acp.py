@@ -12,6 +12,8 @@ Y^(n)(i beta) is evaluated along the imaginary axis, where it reduces to
 ``(-1)^n`` times the ordered simplex integral of products of
 ``X(iu) = exp(u Z0) X exp(-u Z0)`` over ``beta >= u_1 >= ... >= u_n >= 0``;
 summing ``exp(-beta Z0) Y^(n)`` over n reproduces the full Gibbs operator.
+All orders up to n come exactly from one matrix exponential of a
+block-bidiagonal matrix (Van Loan's construction), with no quadrature.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
-_NODE_LADDER = (4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,13 @@ class ZetaCoefficients:
         return len(self.zetas) - 1
 
 
+def _levels(system: SpinSystem, b_o: float) -> np.ndarray:
+    """Diagonal of Z0, after rejecting a non-finite field."""
+    if not np.isfinite(b_o):
+        raise ValidationError(f"b_o must be finite, got {b_o}")
+    return np.real(np.diag(build_zo(system, b_o)))
+
+
 def x_interaction(system: SpinSystem, b_o: float, s: complex) -> np.ndarray:
     """X(s) = exp(-i s Z0) X exp(i s Z0), exact via diagonal phases.
 
@@ -82,95 +90,53 @@ def x_interaction(system: SpinSystem, b_o: float, s: complex) -> np.ndarray:
     real conjugation exp(u Z0) X exp(-u Z0).
     """
     x = build_x(system)
-    eps = np.real(np.diag(build_zo(system, b_o)))
+    eps = _levels(system, b_o)
     gaps = eps[:, None] - eps[None, :]
     return x * np.exp(-1j * complex(s) * gaps)
 
 
-def _simplex_tensor(x_mat: np.ndarray, eps: np.ndarray, beta: float, n: int,
-                    m: int) -> np.ndarray:
-    """Tensor-product Gauss-Legendre value of the ordered simplex integral.
+def _y_ladder(system: SpinSystem, b_o: float, order: int, beta: float) -> list:
+    """[Y^(0), ..., Y^(order)] at i beta from one block-bidiagonal exponential.
 
-    Integrates X(i u_1) ... X(i u_n) over beta >= u_1 >= ... >= u_n >= 0 via
-    the prefix-product substitution u_k = beta v_1 ... v_k onto [0, 1]^n.
+    The matrix has -beta Z0 in every diagonal block and -beta X in every block
+    above the diagonal; block (0, n) of its exponential is
+    exp(-beta Z0) Y^(n) (Van Loan, IEEE TAC 23 (1978) 395).  Z0 is shifted to
+    the middle of its spectrum, which leaves Y^(n) unchanged and keeps both
+    exponentials in range.
     """
-    dim = x_mat.shape[0]
-    v, w = np.polynomial.legendre.leggauss(m)
-    v = 0.5 * (v + 1.0)
-    w = 0.5 * w
-    gaps = eps[:, None] - eps[None, :]
-
-    def x_at(u: np.ndarray) -> np.ndarray:
-        # stacked X(i u) for a flat array of u values
-        return x_mat[None, :, :] * np.exp(u[:, None, None] * gaps[None, :, :])
-
-    chunk_limit = 1 << 17  # bound on prefix * node count per batch
-
-    def level(prefix: np.ndarray, depth: int) -> np.ndarray:
-        """Sum over the remaining levels for a flat array of prefix values."""
-        if prefix.size * m > chunk_limit and prefix.size > 1:
-            half = prefix.size // 2
-            return np.concatenate([level(prefix[:half], depth),
-                                   level(prefix[half:], depth)])
-        u = np.repeat(prefix, m) * np.tile(v, prefix.size)
-        mats = x_at(u).reshape(prefix.size, m, dim, dim)
-        power = n - depth - 1  # Jacobian exponent of this level's v
-        lw = w * v ** power
-        if depth == n - 1:
-            return np.einsum("j,pjab->pab", lw, mats)
-        inner = level(u, depth + 1).reshape(prefix.size, m, dim, dim)
-        return np.einsum("j,pjab,pjbc->pac", lw, mats, inner)
-
-    if n == 0:
-        return np.eye(dim, dtype=complex)
-    top = level(np.array([beta]), 0)[0]
-    return (beta ** n) * top
+    if order > MAX_ORDER:
+        raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
+    if not np.isfinite(beta):
+        raise ValidationError(f"beta must be finite, got {beta}")
+    eps = _levels(system, b_o)
+    eps = eps - 0.5 * (eps.max() + eps.min())
+    dim, k = system.dim, order + 1
+    x = -beta * build_x(system)
+    gen = np.kron(np.eye(k), np.diag(-beta * eps)) + np.kron(np.eye(k, k=1), x)
+    top = np.exp(beta * eps)[:, None] * numutil.expm(gen)[:dim]
+    return [np.eye(dim, dtype=complex)] + [top[:, n * dim:(n + 1) * dim]
+                                           for n in range(1, k)]
 
 
-def y_nested(system: SpinSystem, b_o: float, n: int, beta: float, *,
-             rtol: float = 1e-8) -> np.ndarray:
-    """Matrix of Y^(n)(i beta), converged under quadrature-node doubling."""
+def y_nested(system: SpinSystem, b_o: float, n: int, beta: float) -> np.ndarray:
+    """Matrix of Y^(n)(i beta), exact to rounding."""
     if n < 0:
         raise ValidationError("order must be nonnegative")
-    if n > MAX_ORDER:
-        raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
-    dim = system.dim
-    if n == 0:
-        return np.eye(dim, dtype=complex)
-    if not np.isfinite(beta):
-        raise ValidationError("beta must be finite")
-    x_mat = build_x(system)
-    if numutil.max_abs(x_mat) == 0.0:
-        return np.zeros((dim, dim), dtype=complex)
-    eps = np.real(np.diag(build_zo(system, b_o)))
-
-    prev = None
-    for m in _NODE_LADDER:
-        cur = (-1.0) ** n * _simplex_tensor(x_mat, eps, beta, n, m)
-        if prev is not None:
-            scale = max(numutil.max_abs(cur), 1e-300)
-            if numutil.max_abs(cur - prev) <= rtol * scale:
-                return cur
-        prev = cur
-    raise AccuracyError(
-        f"order-{n} nested integral did not converge at {_NODE_LADDER[-1]} nodes per level"
-    )
+    return _y_ladder(system, b_o, n, beta)[n]
 
 
-def y_moment(system: SpinSystem, b_o: float, n: int, beta: float, *,
-             rtol: float = 1e-8) -> complex:
+def y_moment(system: SpinSystem, b_o: float, n: int, beta: float) -> complex:
     """<Y^(n)(i beta)>_0, the thermal average against the order-0 state."""
-    if n < 1:
-        raise ValidationError("moments are defined for n >= 1")
-    y = y_nested(system, b_o, n, beta, rtol=rtol)
-    rho0 = boltzmann_state(np.real(np.diag(build_zo(system, b_o))), beta)
-    return complex(np.trace(rho0 @ y))
+    return moments_up_to(system, b_o, n, beta).values[-1]
 
 
-def moments_up_to(system: SpinSystem, b_o: float, order: int, beta: float, *,
-                  rtol: float = 1e-8) -> AcpMoments:
-    return AcpMoments([y_moment(system, b_o, n, beta, rtol=rtol)
-                       for n in range(1, order + 1)])
+def moments_up_to(system: SpinSystem, b_o: float, order: int,
+                  beta: float) -> AcpMoments:
+    if order < 1:
+        raise ValidationError(f"moments are defined for order >= 1, got {order}")
+    ys = _y_ladder(system, b_o, order, beta)
+    rho0 = boltzmann_state(_levels(system, b_o), beta)
+    return AcpMoments([np.trace(rho0 @ y) for y in ys[1:]])
 
 
 def zeta_recursive(moments: AcpMoments) -> ZetaCoefficients:
@@ -199,7 +165,7 @@ def zeta_determinant(moments: AcpMoments, n: int) -> complex:
 
 
 def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
-                       rtol: float = 1e-8, herm_report: list | None = None) -> np.ndarray:
+                       herm_report: list | None = None) -> np.ndarray:
     """Order-n initial-state correction; the order-0 term is the Boltzmann state.
 
     For n >= 1 the result is traceless by construction of the zeta
@@ -208,12 +174,11 @@ def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
     """
     if n < 0:
         raise ValidationError("order must be nonnegative")
-    eps = np.real(np.diag(build_zo(system, b_o)))
-    rho0 = boltzmann_state(eps, beta)
+    rho0 = boltzmann_state(_levels(system, b_o), beta)
     if n == 0:
         return rho0
-    ys = [y_nested(system, b_o, k, beta, rtol=rtol) for k in range(n + 1)]
-    moments = AcpMoments([complex(np.trace(rho0 @ ys[k])) for k in range(1, n + 1)])
+    ys = _y_ladder(system, b_o, n, beta)
+    moments = AcpMoments([np.trace(rho0 @ y) for y in ys[1:]])
     zetas = zeta_recursive(moments).zetas
     out = np.zeros_like(rho0)
     for n_prime in range(n + 1):
@@ -233,8 +198,7 @@ def propagate_order_n(model: MasterEquationModel, n: int,
                       g_callback: Callable[[float], np.ndarray],
                       t_end: float, dt: float | None = None, *,
                       store_every: int | None = None,
-                      rho_n0: np.ndarray | None = None,
-                      quad_rtol: float = 1e-8) -> Trajectory:
+                      rho_n0: np.ndarray | None = None) -> Trajectory:
     """Integrate d rho^(n)/dt = A(t) rho^(n)(0) + L rho^(n)(t) + G(t).
 
     ``g_callback`` supplies the order-n inhomogeneity; its output must be
@@ -244,8 +208,7 @@ def propagate_order_n(model: MasterEquationModel, n: int,
     if n < 1:
         raise ValidationError("use the order-0 propagator for n = 0")
     if rho_n0 is None:
-        rho_n0 = initial_correction(model.system, model.field.b_o, n, model.beta,
-                                    rtol=quad_rtol)
+        rho_n0 = initial_correction(model.system, model.field.b_o, n, model.beta)
     rho_n0 = np.array(rho_n0, dtype=complex)
     if abs(complex(np.trace(rho_n0))) > 1e-9 * max(1.0, numutil.max_abs(rho_n0)):
         raise ValidationError("order-n initial corrections must be traceless")

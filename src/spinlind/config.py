@@ -190,6 +190,8 @@ def load_config(path) -> RunConfig:
             cfg.tolerance = float(sec["tolerance"])
     if "acp" in parser:
         cfg.acp_order = int(parser["acp"].get("order", "2"))
+        if cfg.acp_order < 1:
+            raise ValidationError(f"[acp] order must be at least 1, got {cfg.acp_order}")
     if "output" in parser:
         cfg.basename = parser["output"].get("basename", "run").strip()
 

@@ -16,6 +16,46 @@ def two_spin_system(t12=6.0, gammas=(-2.0e2, -3.0e2)):
     return sc.SpinSystem([0.5, 0.5], gammas, couplings)
 
 
+def simplex_oracle(x_mat, eps, beta, n, m):
+    """Tensor-product Gauss-Legendre value of the ordered simplex integral.
+
+    Integrates X(i u_1) ... X(i u_n) over beta >= u_1 >= ... >= u_n >= 0 via
+    the prefix-product substitution u_k = beta v_1 ... v_k onto [0, 1]^n, with
+    ``m`` nodes per level.  An independent route to (-1)^n Y^(n)(i beta).
+    """
+    dim = x_mat.shape[0]
+    v, w = np.polynomial.legendre.leggauss(m)
+    v = 0.5 * (v + 1.0)
+    w = 0.5 * w
+    gaps = eps[:, None] - eps[None, :]
+
+    def x_at(u):
+        # stacked X(i u) for a flat array of u values
+        return x_mat[None, :, :] * np.exp(u[:, None, None] * gaps[None, :, :])
+
+    chunk_limit = 1 << 17  # bound on prefix * node count per batch
+
+    def level(prefix, depth):
+        """Sum over the remaining levels for a flat array of prefix values."""
+        if prefix.size * m > chunk_limit and prefix.size > 1:
+            half = prefix.size // 2
+            return np.concatenate([level(prefix[:half], depth),
+                                   level(prefix[half:], depth)])
+        u = np.repeat(prefix, m) * np.tile(v, prefix.size)
+        mats = x_at(u).reshape(prefix.size, m, dim, dim)
+        power = n - depth - 1  # Jacobian exponent of this level's v
+        lw = w * v ** power
+        if depth == n - 1:
+            return np.einsum("j,pjab->pab", lw, mats)
+        inner = level(u, depth + 1).reshape(prefix.size, m, dim, dim)
+        return np.einsum("j,pjab,pjbc->pac", lw, mats, inner)
+
+    if n == 0:
+        return np.eye(dim, dtype=complex)
+    top = level(np.array([beta]), 0)[0]
+    return (beta ** n) * top
+
+
 class TestInteractionPicture:
     def test_zero_argument_is_identity_rotation(self):
         system = two_spin_system()
@@ -77,7 +117,7 @@ class TestNestedIntegrals:
 
         def moment_of(c, n):
             rho0 = sc.boltzmann_state(eps, beta)
-            y = (-1.0) ** n * acp._simplex_tensor(c * x0, eps, beta, n, 32)
+            y = (-1.0) ** n * simplex_oracle(c * x0, eps, beta, n, 32)
             return complex(np.trace(rho0 @ y))
 
         for n in (1, 2, 3):
@@ -95,6 +135,46 @@ class TestNestedIntegrals:
         system = two_spin_system()
         with pytest.raises(ValidationError):
             acp.y_nested(system, 1.0, 5, 1e-3)
+
+    def test_ladder_matches_simplex_oracle(self):
+        # three strongly coupled spins at beta * (eps_max - eps_min) = 45, where
+        # exp(+-beta Z0) spans twenty decades
+        couplings = np.array([[0.0, 0.9, -0.7], [0.9, 0.0, 0.8], [-0.7, 0.8, 0.0]])
+        system = sc.SpinSystem([0.5] * 3, [-2.0, -2.5, -3.0], couplings)
+        b_o, beta = 3.0, 2.0
+        eps = np.real(np.diag(sc.build_zo(system, b_o)))
+        assert beta * (eps.max() - eps.min()) >= 40.0
+        ys = acp._y_ladder(system, b_o, 4, beta)
+        assert len(ys) == 5
+        assert np.array_equal(ys[0], np.eye(8))
+        x0 = sc.build_x(system)
+        for n in (1, 2, 3, 4):
+            oracle = (-1.0) ** n * simplex_oracle(x0, eps, beta, n, 16)
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(ys[n] - oracle)) <= 1e-12 * scale
+            alone = acp.y_nested(system, b_o, n, beta)
+            assert np.max(np.abs(alone - ys[n])) <= 1e-14 * scale
+
+    def test_moments_need_order_at_least_one(self):
+        system = two_spin_system()
+        for order in (0, -1):
+            with pytest.raises(ValidationError):
+                acp.moments_up_to(system, 1.0, order, 1e-3)
+        with pytest.raises(ValidationError):
+            acp.moments_up_to(system, 1.0, acp.MAX_ORDER + 1, 1e-3)
+
+    @pytest.mark.parametrize("b_o", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, b_o):
+        system = two_spin_system()
+        calls = (lambda: acp.x_interaction(system, b_o, 0.5j),
+                 lambda: acp.y_nested(system, b_o, 2, 1e-3),
+                 lambda: acp.y_moment(system, b_o, 1, 1e-3),
+                 lambda: acp.moments_up_to(system, b_o, 2, 1e-3),
+                 lambda: acp.initial_correction(system, b_o, 0, 1e-3),
+                 lambda: acp.initial_correction(system, b_o, 2, 1e-3))
+        for call in calls:
+            with pytest.raises(ValidationError, match="b_o"):
+                call()
 
 
 class TestZetaCoefficients:

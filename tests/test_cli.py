@@ -121,6 +121,27 @@ class TestMatrixModes:
             assert rec[0] == pytest.approx(det[0], abs=1e-10)
             assert rec[1] == pytest.approx(det[1], abs=1e-10)
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_acp_order_below_one_rejected(self, tmp_path, monkeypatch, order):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "acp_two_spin.cfg").read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace("order = 3", f"order = {order}"))
+        with pytest.raises(ValidationError, match="order"):
+            load_config(bad)
+        assert run_cli(["--config", bad, "--out", tmp_path]) == cli.EXIT_VALIDATION
+        assert not (tmp_path / "acp_two_spin_zeta.json").exists()
+
+    @pytest.mark.parametrize("b_o", ["nan", "inf"])
+    def test_acp_non_finite_field_rejected(self, tmp_path, monkeypatch, capsys, b_o):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "acp_two_spin.cfg").read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace("b_o = 3.0", f"b_o = {b_o}"))
+        assert run_cli(["--config", bad, "--out", tmp_path]) == cli.EXIT_VALIDATION
+        assert "b_o" in capsys.readouterr().err
+        assert not (tmp_path / "acp_two_spin_zeta.json").exists()
+
     def test_verify_mode_passes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         code = run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,
