@@ -18,6 +18,7 @@ from . import acp, mastereq, qubit, spectrum
 from .config import RunConfig, load_config
 from .errors import AccuracyError, SpinLindError, ValidationError
 from .mastereq import FieldConfig, build_model
+from .numutil import fmt12
 from .spincore import (
     build_x,
     build_zo,
@@ -63,7 +64,7 @@ def run_propagate(cfg: RunConfig, out: Path, verbose: bool) -> int:
     mastereq.export_trajectory_csv(model, traj, csv_path)
     if verbose:
         print(f"{traj.times.size} stored frames, final trace "
-              f"{np.trace(traj.final).real:.12g}")
+              + fmt12(np.trace(traj.final).real))
     print(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -94,7 +95,7 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
         fh.write("t,num_sigma_1,num_sigma_2,num_sigma_3,"
                  "ana_sigma_1,ana_sigma_2,ana_sigma_3\n")
         for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+            fh.write(",".join(fmt12(v) for v in row) + "\n")
     report = {
         "max_abs_deviation": max_dev,
         "rate": params.rate,
@@ -216,8 +217,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a run config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--mode", default=None, help="override the configured mode")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved for future stochastic features")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 

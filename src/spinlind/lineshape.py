@@ -4,8 +4,12 @@ The drive is a superposition of rotating fields whose frequencies follow a
 normalized probability density rho_f centered on the carrier frequency.  The
 module provides the density itself, its characteristic function phi_f(t)
 (which damps the inhomogeneous drive term), its Hilbert transform (which
-feeds the Lamb shift), and the delta/principal-value split of the half-line
-time integral that produces both.
+feeds the Lamb shift) and the envelope integral
+int_{t0}^{t1} phi_f(tau) exp(kappa tau) dtau, all in closed form.  The
+envelope integral is the one primitive behind the qubit coherence, the
+transient response kernels and the time-integrated drive; on the half line
+with kappa = -i x it gives pi rho_f(x) - i pi rho^>(x), the pair behind the
+dissipator rates and the Lamb shift.
 
 Note on the Lorentzian: the normalized Cauchy density
 ``(1/pi) (w/2) / ((w/2)^2 + (omega - x)^2)`` (w = FWHM) is used, which is the
@@ -14,11 +18,11 @@ density whose characteristic function is ``exp(i omega t - (w/2)|t|)``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .errors import PoleError, ValidationError
@@ -32,9 +36,7 @@ __all__ = [
     "characteristic",
     "hilbert",
     "relaxation_time",
-    "pv_integral",
-    "GammaSplit",
-    "gamma_halfline",
+    "envelope_integral",
     "dissipator_weight",
     "lamb_weight",
 ]
@@ -53,6 +55,9 @@ class FrequencyDistribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
+        for name in ("center", "width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "delta":
             if self.width != 0.0:
                 raise ValidationError("a delta line has zero width")
@@ -113,41 +118,13 @@ def relaxation_time(dist: FrequencyDistribution) -> float:
     return math.inf
 
 
-def pv_integral(f, pole: float, lo: float, hi: float, *, h0: float | None = None,
-                breakpoints=(), epsabs: float = 1e-12,
-                epsrel: float = 1e-10) -> float:
-    """Cauchy principal value of int f(u)/(pole - u) du over [lo, hi].
-
-    Symmetric excision of half-width h around the pole with Richardson
-    extrapolation over h, h/2, h/4 (leading excision error is linear in h,
-    next correction cubic).  ``breakpoints`` marks sharp features of f so the
-    adaptive quadrature cannot skip over them on wide windows.
-    """
-    def plain(a: float, b: float) -> float:
-        pts = [p for p in breakpoints if a < p < b] or None
-        val, _ = scipy.integrate.quad(lambda u: f(u) / (pole - u), a, b,
-                                      points=pts, epsabs=epsabs, epsrel=epsrel,
-                                      limit=400)
-        return val
-
-    if not lo < pole < hi:
-        return plain(lo, hi)
-    if h0 is None:
-        h0 = 0.125 * min(pole - lo, hi - pole)
-
-    def excised(h: float) -> float:
-        return plain(lo, pole - h) + plain(pole + h, hi)
-
-    i_h = excised(h0)
-    i_h2 = excised(0.5 * h0)
-    i_h4 = excised(0.25 * h0)
-    r_h = 2.0 * i_h2 - i_h          # removes the O(h) term
-    r_h2 = 2.0 * i_h4 - i_h2
-    return (8.0 * r_h2 - r_h) / 7.0  # removes the O(h^3) term
-
-
 def hilbert(dist: FrequencyDistribution, x: float) -> float:
-    """Hilbert transform (1/pi) PV int rho_f(w') / (x - w') dw'."""
+    """Hilbert transform (1/pi) PV int rho_f(w') / (x - w') dw' in closed form.
+
+    Lorentzian: the dispersion profile u / (pi (u^2 + (w/2)^2)), u = x - c;
+    Gaussian: the Dawson form sqrt(2)/(pi s) D(u / (sqrt(2) s)); delta:
+    1/(pi u).
+    """
     x = float(x)
     if dist.kind == "lorentzian":
         hw = 0.5 * dist.width
@@ -157,49 +134,65 @@ def hilbert(dist: FrequencyDistribution, x: float) -> float:
         if x == dist.center:
             raise PoleError("Hilbert transform of a delta line diverges at its center")
         return 1.0 / (math.pi * (x - dist.center))
-    # gaussian: principal-value quadrature over +-8 sigma around the center
-    s = _gauss_sigma(dist)
-    lo, hi = dist.center - 8.0 * s, dist.center + 8.0 * s
-    if not lo < x < hi:
-        # pole outside the mass: integrate the density directly
-        val, _ = scipy.integrate.quad(lambda u: density(dist, u) / (x - u), lo, hi,
-                                      points=[dist.center], epsabs=1e-13,
-                                      epsrel=1e-11, limit=200)
-        return val / math.pi
-    h0 = min(0.05 * s, 0.25 * min(x - lo, hi - x))
-    return pv_integral(lambda u: density(dist, u), x, lo, hi, h0=h0,
-                       breakpoints=[dist.center]) / math.pi
-
-
-def hilbert_gaussian_closed(dist: FrequencyDistribution, x: float) -> float:
-    """Closed form of the Gaussian Hilbert transform via the Dawson function."""
-    if dist.kind != "gaussian":
-        raise ValidationError("closed form is specific to the gaussian kind")
     s = _gauss_sigma(dist)
     xi = (x - dist.center) / (math.sqrt(2.0) * s)
     return math.sqrt(2.0) / (math.pi * s) * float(scipy.special.dawsn(xi))
 
 
-@dataclass(frozen=True)
-class GammaSplit:
-    """Delta/principal-value split of B1^2 int_0^inf exp(i tau w) dtau.
+def envelope_integral(dist: FrequencyDistribution, kappa: complex, t0: float,
+                      t1: float, *, log_scale: complex = 0.0) -> complex:
+    """exp(log_scale) * int_{t0}^{t1} phi_f(tau) exp(kappa tau) dtau, 0 <= t0 <= t1.
 
-    The half-line integral equals B1^2 [pi delta(w) + i PV(1/w)]; the record
-    carries the pi-weighted delta (located at w = 0) and the PV kernel weight.
-    The master-equation assembly integrates this against the frequency
-    density, turning the delta into density evaluations (dissipator rates)
-    and the PV kernel into Hilbert-transform evaluations (Lamb shifts).
+    ``t1 = math.inf`` is allowed when phi_f(tau) exp(kappa tau) decays.  A
+    caller's prefactor is passed as ``log_scale`` and folded into each term's
+    exponent, so the result stays finite where the bare integral would
+    overflow (e.g. exp(-kappa t) int_0^t with Re kappa t in the hundreds).
+
+    Lorentzian and delta lines give exponentials.  The Gaussian gives the
+    Faddeeva function w(z) = exp(-z^2) erfc(-iz) (Abramowitz & Stegun 7.1):
+    with b = kappa + i c and z(tau) = (s^2 tau - b) / (s sqrt 2), each end
+    contributes E(tau) w(iz) when Re z >= 0 and 2 C - E(tau) w(-iz) when
+    Re z < 0, where E(tau) = exp(b tau - s^2 tau^2 / 2) is the integrand and
+    C = exp(b^2 / (2 s^2)); the C terms cancel unless the ends straddle
+    Re z = 0, so they are formed only then.  |w| <= 1 on both branches.
     """
+    if not 0.0 <= t0 <= t1:
+        raise ValidationError("envelope integral needs 0 <= t0 <= t1")
+    b = complex(kappa) + 1j * dist.center
+    if dist.kind != "gaussian":
+        a = b - 0.5 * dist.width
+        if math.isinf(t1):
+            if not a.real < 0.0:
+                raise ValidationError("the envelope does not decay; the integral diverges")
+            return -cmath.exp(a * t0 + log_scale) / a
+        span = a * (t1 - t0)
+        if span == 0.0:
+            return cmath.exp(a * t0 + log_scale) * (t1 - t0)
+        if abs(span) < 1.0:  # expm1 keeps the small-span difference exact
+            return cmath.exp(a * t0 + log_scale) * complex(np.expm1(span)) / a
+        return (cmath.exp(a * t1 + log_scale) - cmath.exp(a * t0 + log_scale)) / a
 
-    delta_weight: float
-    delta_location: float
-    pv_weight: float
+    s = _gauss_sigma(dist)
+    root2s = math.sqrt(2.0) * s
 
+    def end(tau):
+        """(Re z >= 0, E(tau) w(+-iz)) at one end of the interval."""
+        if math.isinf(tau):
+            return True, 0.0
+        z = (s * s * tau - b) / root2s
+        upper = z.real >= 0.0
+        w = complex(scipy.special.wofz(1j * z if upper else -1j * z))
+        return upper, cmath.exp(b * tau - 0.5 * (s * tau) ** 2 + log_scale) * w
 
-def gamma_halfline(omega: float, b_1: float = 1.0) -> GammaSplit:
-    return GammaSplit(delta_weight=math.pi * b_1 * b_1,
-                      delta_location=0.0,
-                      pv_weight=b_1 * b_1)
+    up0, e0 = end(t0)
+    up1, e1 = end(t1)
+    if up0:
+        val = e0 - e1
+    elif not up1:
+        val = e1 - e0
+    else:
+        val = 2.0 * cmath.exp(b * b / (2.0 * s * s) + log_scale) - e0 - e1
+    return math.sqrt(0.5 * math.pi) / s * val
 
 
 def dissipator_weight(dist: FrequencyDistribution, omega_o: float, b_1: float,

@@ -40,7 +40,9 @@ from .errors import (
     ValidationError,
     WitnessInapplicableError,
 )
-from .lineshape import FrequencyDistribution, characteristic, relaxation_time
+from .lineshape import (FrequencyDistribution, characteristic, envelope_integral,
+                        relaxation_time)
+from .numutil import fmt12
 from .spincore import SpinSystem, boltzmann_state, level_data, xi_operator
 
 __all__ = [
@@ -82,6 +84,9 @@ class FieldConfig:
     dist: FrequencyDistribution
 
     def __post_init__(self):
+        for name in ("b_o", "b_1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.b_o > 0:
             raise ValidationError("the steady field B_o must be positive")
         if self.b_1 < 0:
@@ -463,13 +468,22 @@ class WitnessResult:
     beta_abs: float
 
 
-def drive_integral(model: MasterEquationModel, t: float, *,
-                   rtol: float = 1e-10) -> np.ndarray:
-    """K(t) = int_0^t H_LR(tau) dtau."""
+def drive_integral(model: MasterEquationModel, t: float) -> np.ndarray:
+    """K(t) = int_0^t H_LR(tau) dtau in closed form.
+
+    Each block weight int_0^t Re[phi_f] exp(-i w tau) dtau is
+    (1/2) [I(-i w) + conj I(i w)] with I the envelope integral.
+    """
     if t <= 0:
         return np.zeros((model.dim, model.dim), dtype=complex)
-    return numutil.simpson_doubling(lambda ts: _h_lr_stack(model, ts), 0.0, t,
-                                    rtol=rtol, atol=1e-300)
+    dist = model.field.dist
+    weights = np.array([
+        envelope_integral(dist, -1j * w, 0.0, t)
+        + envelope_integral(dist, 1j * w, 0.0, t).conjugate()
+        for w in model.plus_omegas
+    ], dtype=complex)
+    half = model.field.b_1 * np.tensordot(weights, model.plus_mats, axes=(0, 0))
+    return half + half.conj().T
 
 
 def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
@@ -652,10 +666,6 @@ def wavefunction_distribution(energies: np.ndarray, h_prime, k0: int,
     raise AccuracyError("wavefunction distribution quadrature did not converge")
 
 
-def _float12(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,
                           path) -> None:
     """Write t plus Re/Im of <xi^x>, <xi^y>, <xi^z> and populations (Schrodinger picture)."""
@@ -670,11 +680,11 @@ def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,
         header += [f"pop_{n}" for n in range(d)]
         writer.writerow(header)
         for tval, rho in zip(traj.times, states):
-            row = [_float12(float(tval))]
+            row = [fmt12(float(tval))]
             for axis in "xyz":
                 ev = complex(np.trace(rho @ xi[axis]))
-                row += [_float12(ev.real), _float12(ev.imag)]
-            row += [_float12(float(np.real(rho[n, n]))) for n in range(d)]
+                row += [fmt12(ev.real), fmt12(ev.imag)]
+            row += [fmt12(float(np.real(rho[n, n]))) for n in range(d)]
             writer.writerow(row)
 
 

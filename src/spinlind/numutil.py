@@ -1,4 +1,5 @@
-"""Small numerical helpers: quadrature, superoperator vectorization, Kraus factors.
+"""Small numerical helpers: quadrature, superoperator vectorization, Kraus factors,
+and the number format of every written artifact.
 
 Superoperators use the column-stacking convention, vec(A X B) = (B^T (x) A) vec(X).
 """
@@ -22,6 +23,7 @@ __all__ = [
     "kraus_from_choi",
     "simpson_doubling",
     "gauss_legendre",
+    "fmt12",
 ]
 
 
@@ -149,3 +151,8 @@ def gauss_legendre(n: int, a: float, b: float):
 
 def expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
+
+
+def fmt12(x: float) -> str:
+    """Artifact number format: 12 significant digits, shortest %g form."""
+    return f"{x:.12g}"

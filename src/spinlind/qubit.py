@@ -11,6 +11,8 @@ with the stimulated rate ``Gamma = 2 pi (w1/2)^2 [rho_f(w0) + rho_f(-w0)]``
 and the Lamb-shift rate ``varpi = 2 pi (w1/2)^2 [rho^>(w0) - rho^>(-w0)]``
 (w0 = -gamma B_o is the Larmor frequency, w1 = -gamma B_1).  The transverse
 components follow as <sigma_1> = 2 Re<sigma_+>, <sigma_2> = 2 Im<sigma_+>.
+The convolution is evaluated in closed form: exponentials for a Lorentzian
+line, Faddeeva functions for a Gaussian.
 
 Heisenberg-picture coefficients, dynamic structure factors of sigma-+ and
 the adiabatic-limit detailed-balance / fluctuation-dissipation identities
@@ -26,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numutil
 from .errors import ValidationError
-from .lineshape import FrequencyDistribution, characteristic, density, hilbert
+from .lineshape import (FrequencyDistribution, characteristic, density,
+                        envelope_integral, hilbert)
+from .numutil import fmt12
 
 __all__ = [
     "SIGMA",
@@ -85,31 +88,33 @@ class QubitParams:
         return math.tanh(0.5 * self.beta * self.omega_o)
 
 
-def sigma_plus_expectation(params: QubitParams, t: float, *,
-                           rtol: float = 1e-9) -> complex:
-    """<sigma_+(t)> by adaptive quadrature of the damped convolution."""
+def sigma_plus_expectation(params: QubitParams, t: float) -> complex:
+    """<sigma_+(t)> from the closed-form damped convolution.
+
+    With kappa = Gamma + i(varpi - w0), the convolution
+    exp(-kappa t) int_0^t Re[phi_f(t')] exp(kappa t') dt' is
+    (1/2) exp(-kappa t) [I(kappa) + conj I(conj kappa)] with I the envelope
+    integral of :func:`lineshape.envelope_integral` (exponentials for a
+    Lorentzian, Faddeeva functions for a Gaussian); exp(-kappa t) is folded
+    into its exponents, so long times stay finite.
+    """
     if t < 0:
         raise ValidationError("t must be nonnegative")
     if t == 0:
         return 0.0 + 0.0j
-    gamma = params.rate
-    detune = params.varpi - params.omega_o
-    th = params.thermal_polarization
-
-    def integrand(tp):
-        phase = np.exp(-(gamma + 1j * detune) * (t - tp))
-        return phase * np.real(characteristic(params.dist, tp))
-
-    val = numutil.simpson_doubling(integrand, 0.0, t, rtol=rtol, atol=1e-300)
-    return 1j * params.omega_1 * th * val
+    kappa = params.rate + 1j * (params.varpi - params.omega_o)
+    val = 0.5 * (envelope_integral(params.dist, kappa, 0.0, t, log_scale=-kappa * t)
+                 + envelope_integral(params.dist, kappa.conjugate(), 0.0, t,
+                                     log_scale=-kappa.conjugate() * t).conjugate())
+    return 1j * params.omega_1 * params.thermal_polarization * val
 
 
-def trajectory(params: QubitParams, t: float, *, rtol: float = 1e-9):
+def trajectory(params: QubitParams, t: float):
     """Bloch vector (<sigma_1>, <sigma_2>, <sigma_3>) at time t."""
     if t < 0:
         raise ValidationError("t must be nonnegative")
     s3 = -params.thermal_polarization * math.exp(-2.0 * params.rate * t)
-    sp = sigma_plus_expectation(params, t, rtol=rtol)
+    sp = sigma_plus_expectation(params, t)
     return 2.0 * sp.real, 2.0 * sp.imag, s3
 
 
@@ -134,8 +139,8 @@ def _interaction_picture(values, omega_o, t):
     return c * s1 + s * s2, -s * s1 + c * s2, s3
 
 
-def heisenberg_coefficients(params: QubitParams, t: float, x_op: np.ndarray, *,
-                            rtol: float = 1e-9) -> np.ndarray:
+def heisenberg_coefficients(params: QubitParams, t: float,
+                            x_op: np.ndarray) -> np.ndarray:
     """Coefficients c_i(t) with X(t) = sum_i c_i(t) sigma_i, for the thermal start.
 
     Determined through the duality Tr[rho(t) X] = Tr[rho(0) X(t)] with
@@ -146,7 +151,7 @@ def heisenberg_coefficients(params: QubitParams, t: float, x_op: np.ndarray, *,
     if abs(z0) >= 1.0:
         raise ValidationError("zero-temperature start makes the coefficient map singular")
 
-    s1, s2, s3 = trajectory(params, t, rtol=rtol)
+    s1, s2, s3 = trajectory(params, t)
     s1p, s2p, s3p = _interaction_picture((s1, s2, s3), params.omega_o, t)
 
     denom = 1.0 - z0 * z0
@@ -173,9 +178,8 @@ def heisenberg_coefficients(params: QubitParams, t: float, x_op: np.ndarray, *,
     return kappa @ (rot @ c0)
 
 
-def heisenberg_operator(params: QubitParams, t: float, x_op: np.ndarray, *,
-                        rtol: float = 1e-9) -> np.ndarray:
-    c = heisenberg_coefficients(params, t, x_op, rtol=rtol)
+def heisenberg_operator(params: QubitParams, t: float, x_op: np.ndarray) -> np.ndarray:
+    c = heisenberg_coefficients(params, t, x_op)
     return sum(c[i] * SIGMA[i] for i in range(4))
 
 
@@ -242,18 +246,13 @@ def fdt_check(params: QubitParams) -> dict:
     return {"adiabatic_detailed_balance": detailed_balance, "fdt": fdt}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def export_trajectory_csv(params: QubitParams, times, path, *,
-                          rtol: float = 1e-9) -> None:
+def export_trajectory_csv(params: QubitParams, times, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "sigma_1", "sigma_2", "sigma_3"])
         for t in times:
-            s1, s2, s3 = trajectory(params, float(t), rtol=rtol)
-            writer.writerow([_fmt(float(t)), _fmt(s1), _fmt(s2), _fmt(s3)])
+            s1, s2, s3 = trajectory(params, float(t))
+            writer.writerow([fmt12(float(t)), fmt12(s1), fmt12(s2), fmt12(s3)])
 
 
 def export_structure_factor_csv(params: QubitParams, which: str, grid, path) -> None:
@@ -262,5 +261,5 @@ def export_structure_factor_csv(params: QubitParams, which: str, grid, path) -> 
         writer.writerow(["omega_prime", "value", "delta_weight", "delta_location"])
         for w in grid:
             val = structure_factor(params, which, float(w))
-            writer.writerow([_fmt(float(w)), _fmt(val.smooth),
-                             _fmt(val.delta_weight), _fmt(val.delta_location)])
+            writer.writerow([fmt12(float(w)), fmt12(val.smooth),
+                             fmt12(val.delta_weight), fmt12(val.delta_location)])

@@ -10,6 +10,9 @@ through ``chi_{+-, w0, inf}(w') = g / ((+-w' - w0) + i 0+)``, i.e. a
 principal-value kernel plus a (-i pi g)-weighted delta.  Deltas and PV
 kernels are carried symbolically as weight/location records; the smooth
 eta-regularized reconstruction exists only inside the Kramers-Kronig check.
+Density integrals are closed forms: a steady kernel gives a Hilbert
+transform and a density value, a transient kernel the tail
+i g int_t^inf phi_f(+-tau) e^{-i w0 tau} dtau of the envelope integral.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import scipy.integrate
 
 from .eigenops import decompose, plus_blocks
 from .errors import ValidationError
-from .lineshape import FrequencyDistribution, density, hilbert
+from .lineshape import FrequencyDistribution, density, envelope_integral, hilbert
+from .numutil import fmt12
 from .mastereq import MasterEquationModel, pauli_rates
 from .spincore import SpinSystem, boltzmann_state, level_data, xi_operator
 
@@ -153,54 +157,25 @@ def steady_rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> compl
 
 
 def transient_rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> complex:
-    """Frequency-density integral of a transient kernel.
+    """Frequency-density integral of a transient kernel, in closed form.
 
-    Evaluates -g [ PV int rho_f(w') e^{i(sign w' - w0)t}/(sign w' - w0) dw'
-    - i pi rho_f(sign w0) ], an exponentially decaying oscillation with the
-    field's relaxation time.
+    The density integral -g [ PV int rho_f(w') e^{i(sign w' - w0)t}/(sign w' - w0) dw'
+    - i pi rho_f(sign w0) ] equals the tail i g int_t^inf phi_f(sign tau)
+    e^{-i w0 tau} dtau, an envelope integral that decays with the field's
+    relaxation time and carries no cancellation at large t.  A delta line
+    never decays, so it is rejected.
     """
     if kernel.transient_time is None:
         raise ValidationError("kernel is not transient")
+    if dist.kind == "delta":
+        raise ValidationError("a delta line has no decaying transient; use a finite-width kind")
     t = kernel.transient_time
-    g = kernel.commutator_avg
     w0 = kernel.omega_o
-    sign = kernel.sign
-
-    # substitute u = sign * w': density of u is rho_f(sign * u)
-    def dens(u):
-        return float(density(dist, sign * u))
-
-    span = 60.0 * max(dist.width, 1e-12) + abs(dist.center) + abs(w0)
-    lo, hi = w0 - span, w0 + span
-    # the integrand oscillates at rate t; give the subdivision budget room
-    limit = min(4000, max(400, int(2.0 * span * t / math.pi)))
-
-    def pv_part(f):
-        # quad's cauchy weight is 1/(u - wvar), exactly the kernel here
-        val, _ = scipy.integrate.quad(f, lo, hi, weight="cauchy", wvar=w0,
-                                      limit=limit)
-        return val
-
-    re = pv_part(lambda u: dens(u) * math.cos((u - w0) * t))
-    im = pv_part(lambda u: dens(u) * math.sin((u - w0) * t))
-    pv = re + 1j * im
-    return -g * (pv - 1j * math.pi * dens(w0))
-
-
-def lorentzian_transient_closed_form(kernel: ChiKernel,
-                                     dist: FrequencyDistribution) -> complex:
-    """Contour-integral result for a Lorentzian density (plus branch)."""
-    if dist.kind != "lorentzian":
-        raise ValidationError("closed form is specific to the lorentzian kind")
-    if kernel.transient_time is None:
-        raise ValidationError("kernel is not transient")
-    if kernel.sign != 1:
-        raise ValidationError("closed form implemented for the plus branch")
-    t = kernel.transient_time
-    g = kernel.commutator_avg
-    w = 0.5 * dist.width
-    dw = dist.center - kernel.omega_o
-    return -g * np.exp(1j * dw * t) * math.exp(-w * t) / (dw + 1j * w)
+    if kernel.sign == 1:
+        tail = envelope_integral(dist, -1j * w0, t, math.inf)
+    else:  # phi_f(-tau) = conj phi_f(tau) for a real density
+        tail = envelope_integral(dist, 1j * w0, t, math.inf).conjugate()
+    return 1j * kernel.commutator_avg * tail
 
 
 def steady_magnetization(model: MasterEquationModel, t: float, *,
@@ -301,5 +276,5 @@ def export_power_csv(model: MasterEquationModel, path, *, n_over_v: float = 1.0)
         writer = csv.writer(fh)
         writer.writerow(["omega_o", "power"])
         for line in lines:
-            writer.writerow([f"{line.omega_o:.12g}", f"{line.power:.12g}"])
-        writer.writerow(["total", f"{total:.12g}"])
+            writer.writerow([fmt12(line.omega_o), fmt12(line.power)])
+        writer.writerow(["total", fmt12(total)])

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .numutil import fmt12
 
 __all__ = [
     "EquivalentGroup",
@@ -277,10 +278,6 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     return StickSpectrum(lines=lines, reference=ref, resonance=tuple(labels))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def export_csv(spectrum: StickSpectrum, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -288,8 +285,8 @@ def export_csv(spectrum: StickSpectrum, path) -> None:
         for line in spectrum.lines:
             intensity = (str(int(line.intensity))
                          if float(line.intensity).is_integer()
-                         else _fmt(line.intensity))
-            writer.writerow([_fmt(line.delta_b), intensity, line.config_string()])
+                         else fmt12(line.intensity))
+            writer.writerow([fmt12(line.delta_b), intensity, line.config_string()])
 
 
 def parse_csv(path) -> StickSpectrum:

@@ -95,11 +95,15 @@ class SpinSystem:
             raise ValidationError("a spin system needs at least one spin")
         if len(gammas) != n:
             raise ValidationError("spins and gammas must have equal length")
+        if not all(np.isfinite(gammas)):
+            raise ValidationError(f"gammas must be finite, got {gammas}")
         if couplings is None:
             couplings = np.zeros((n, n))
         couplings = np.array(couplings, dtype=float, copy=True)
         if couplings.shape != (n, n):
             raise ValidationError(f"couplings must be {n}x{n}, got {couplings.shape}")
+        if not np.all(np.isfinite(couplings)):
+            raise ValidationError("couplings must be finite")
         if np.max(np.abs(couplings - couplings.T), initial=0.0) > 0:
             raise ValidationError("couplings must be symmetric")
         if np.max(np.abs(np.diag(couplings)), initial=0.0) > 0:

@@ -101,7 +101,7 @@ class TestAcceptance:
             t = float(traj.times[i])
             rho = states[i]
             num = [float(np.real(np.trace(rho @ qb.SIGMA[k]))) for k in (1, 2, 3)]
-            ana = qb.trajectory(params, t, rtol=1e-10)
+            ana = qb.trajectory(params, t)
             max_dev = max(max_dev, max(abs(a - b) for a, b in zip(num, ana)))
         elapsed = time.perf_counter() - start
         ok = max_dev < 1e-6 and elapsed < 10.0

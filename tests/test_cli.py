@@ -142,6 +142,27 @@ class TestMatrixModes:
         assert "b_o" in capsys.readouterr().err
         assert not (tmp_path / "acp_two_spin_zeta.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name, line, template", [
+        ("gammas", "gammas = -2.0e3 -3.0e3", "gammas = -2.0e3 {}"),
+        ("couplings", "couplings = 0 40.0; 40.0 0", "couplings = 0 {0}; {0} 0"),
+        ("b_o", "b_o = 1.0", "b_o = {}"),
+        ("b_1", "b_1 = 1.0e-3", "b_1 = {}"),
+        ("center", "center = 2.0e3", "center = {}"),
+        ("width", "width = 200.0", "width = {}"),
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, monkeypatch, capsys,
+                                       name, line, template, value):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "two_spin.cfg").read_text()
+        assert line in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(line, template.format(value)))
+        out = tmp_path / "out"
+        assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
+        assert name in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     def test_verify_mode_passes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         code = run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,

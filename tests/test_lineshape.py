@@ -8,6 +8,59 @@ from spinlind import lineshape as ls
 from spinlind.errors import PoleError, ValidationError
 
 
+def pv_integral(f, pole: float, lo: float, hi: float, *, h0: float,
+                breakpoints=()) -> float:
+    """Cauchy principal value of int f(u)/(pole - u) du over [lo, hi].
+
+    Independent oracle for the closed-form Hilbert transforms: symmetric
+    excision of half-width h around the pole with Richardson extrapolation
+    over h, h/2, h/4 (leading excision error is linear in h, next correction
+    cubic).  ``breakpoints`` marks sharp features of f so the adaptive
+    quadrature cannot skip over them on wide windows.
+    """
+    def plain(a: float, b: float) -> float:
+        pts = [p for p in breakpoints if a < p < b] or None
+        val, _ = scipy.integrate.quad(lambda u: f(u) / (pole - u), a, b,
+                                      points=pts, epsabs=1e-12, epsrel=1e-10,
+                                      limit=400)
+        return val
+
+    if not lo < pole < hi:
+        return plain(lo, hi)
+
+    def excised(h: float) -> float:
+        return plain(lo, pole - h) + plain(pole + h, hi)
+
+    i_h = excised(h0)
+    i_h2 = excised(0.5 * h0)
+    i_h4 = excised(0.25 * h0)
+    r_h = 2.0 * i_h2 - i_h          # removes the O(h) term
+    r_h2 = 2.0 * i_h4 - i_h2
+    return (8.0 * r_h2 - r_h) / 7.0  # removes the O(h^3) term
+
+
+def gaussian_hilbert_oracle(dist, x: float) -> float:
+    """PV quadrature of the Gaussian Hilbert transform over +-8 sigma."""
+    s = dist.width / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    lo, hi = dist.center - 8.0 * s, dist.center + 8.0 * s
+    if not lo < x < hi:
+        val, _ = scipy.integrate.quad(lambda u: ls.density(dist, u) / (x - u), lo, hi,
+                                      points=[dist.center], epsabs=1e-13,
+                                      epsrel=1e-11, limit=200)
+        return val / math.pi
+    h0 = min(0.05 * s, 0.25 * min(x - lo, hi - x))
+    return pv_integral(lambda u: ls.density(dist, u), x, lo, hi, h0=h0,
+                       breakpoints=[dist.center]) / math.pi
+
+
+def simpson(f, a: float, b: float, n: int = 40_000):
+    """Dense composite Simpson sum of a vectorized integrand on [a, b]."""
+    x = np.linspace(a, b, n + 1)
+    w = np.ones(n + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    return np.dot(w, f(x)) * (b - a) / (3.0 * n)
+
+
 class TestDensity:
     def test_lorentzian_peak_and_fwhm(self):
         dist = ls.lorentzian(5.0, 2.0)
@@ -106,17 +159,19 @@ class TestHilbert:
         half = 0.5 * dist.width
         span = 2e3 * half
         for x in (-3.0, 0.2, 1.4, 2.0, 6.0):
-            oracle = ls.pv_integral(lambda u: ls.density(dist, u), x,
-                                    dist.center - span, dist.center + span,
-                                    h0=0.05 * half,
-                                    breakpoints=[dist.center]) / math.pi
+            oracle = pv_integral(lambda u: ls.density(dist, u), x,
+                                 dist.center - span, dist.center + span,
+                                 h0=0.05 * half,
+                                 breakpoints=[dist.center]) / math.pi
             assert ls.hilbert(dist, x) == pytest.approx(oracle, abs=1e-6)
 
     def test_gaussian_quadrature_matches_dawson_closed_form(self):
         dist = ls.gaussian(0.5, 1.3)
-        for x in (-2.0, 0.1, 0.9, 3.0):
+        xs = (-2.0, 0.1, 0.49, 0.9, 3.0, 12.0)
+        scale = max(abs(ls.hilbert(dist, x)) for x in xs)
+        for x in xs:
             assert ls.hilbert(dist, x) == pytest.approx(
-                ls.hilbert_gaussian_closed(dist, x), abs=1e-8)
+                gaussian_hilbert_oracle(dist, x), abs=1e-9 * scale)
 
     def test_far_field_decay(self):
         dist = ls.lorentzian(0.0, 1.0)
@@ -138,11 +193,13 @@ class TestHilbert:
 
 
 class TestHalfLineSplit:
-    def test_split_record(self):
-        split = ls.gamma_halfline(0.7, b_1=2.0)
-        assert split.delta_weight == pytest.approx(math.pi * 4.0)
-        assert split.delta_location == 0.0
-        assert split.pv_weight == pytest.approx(4.0)
+    @pytest.mark.parametrize("dist", [ls.lorentzian(1.0, 2.0), ls.gaussian(0.5, 1.3)])
+    def test_half_line_envelope_is_density_and_hilbert(self, dist):
+        # int_0^inf phi_f(tau) e^{-i x tau} dtau = pi rho_f(x) - i pi rho^>(x)
+        for x in (-2.0, 0.1, 0.9, 3.0):
+            val = ls.envelope_integral(dist, -1j * x, 0.0, math.inf)
+            assert val.real == pytest.approx(math.pi * ls.density(dist, x), abs=1e-14)
+            assert val.imag == pytest.approx(-math.pi * ls.hilbert(dist, x), abs=1e-14)
 
     def test_dissipator_weight_is_density_evaluation(self):
         dist = ls.lorentzian(10.0, 2.0)
@@ -161,3 +218,66 @@ class TestHalfLineSplit:
             math.pi * b1 ** 2 * ls.hilbert(dist, w0))
         assert ls.lamb_weight(dist, w0, b1, -1) == pytest.approx(
             -math.pi * b1 ** 2 * ls.hilbert(dist, -w0))
+
+
+class TestEnvelopeIntegral:
+    KAPPAS = (0.0, 2.0, -2.0, 1.0 + 5.0j, -3.0 - 7.0j, 10.0j, 8.0 - 4.0j)
+    WINDOWS = ((0.0, 0.3), (0.2, 1.5), (0.0, 4.0), (1.0, 2.0))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+    def test_matches_dense_simpson(self, kind):
+        # Gaussian ends sit on either side of Re z = 0 (z = (s^2 tau - b)/(s sqrt 2)),
+        # so both-above, straddling and both-below windows all occur
+        branches = set()
+        for center in (-30.0, 0.0, 5.0, 40.0):
+            for width in (0.5, 3.0, 20.0):
+                dist = ls.FrequencyDistribution(kind, center, width)
+                s = width / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+                for kappa in self.KAPPAS:
+                    for t0, t1 in self.WINDOWS:
+                        boundary = kappa.real / s ** 2
+                        branches.add((t0 >= boundary, t1 >= boundary))
+                        got = ls.envelope_integral(dist, kappa, t0, t1)
+                        ref = simpson(lambda t: ls.characteristic(dist, t)
+                                      * np.exp(kappa * t), t0, t1)
+                        assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-12)
+        if kind == "gaussian":
+            assert branches == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("dist", [ls.lorentzian(3.0, 2.0), ls.gaussian(3.0, 2.0)])
+    def test_infinite_upper_limit(self, dist):
+        for kappa, t0 in ((-1j, 0.0), (0.5 - 2.0j, 0.7)):
+            tail = ls.envelope_integral(dist, kappa, t0, math.inf)
+            head = ls.envelope_integral(dist, kappa, t0, 80.0)
+            assert tail == pytest.approx(head, abs=1e-14)
+
+    def test_log_scale_is_a_prefactor(self):
+        for dist in (ls.lorentzian(3.0, 2.0), ls.gaussian(3.0, 2.0)):
+            kappa, t = 4.0 + 1.0j, 1.3
+            plain = ls.envelope_integral(dist, kappa, 0.0, t)
+            scaled = ls.envelope_integral(dist, kappa, 0.0, t, log_scale=-kappa * t)
+            assert scaled == pytest.approx(plain * np.exp(-kappa * t), rel=1e-13)
+
+    def test_small_exponent_uses_exact_length(self):
+        dist = ls.lorentzian(0.0, 2e-12)
+        assert ls.envelope_integral(dist, 0.0, 1.0, 3.0) == pytest.approx(2.0, rel=1e-11)
+        assert ls.envelope_integral(ls.delta_line(0.0), 0.0, 1.0, 3.0) == 2.0
+
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            ls.envelope_integral(ls.gaussian(0.0, 1.0), 0.0, 2.0, 1.0)
+        with pytest.raises(ValidationError):
+            ls.envelope_integral(ls.gaussian(0.0, 1.0), 0.0, -1.0, 1.0)
+        with pytest.raises(ValidationError):  # growing exponential, no limit
+            ls.envelope_integral(ls.lorentzian(0.0, 1.0), 1.0, 0.0, math.inf)
+        with pytest.raises(ValidationError):
+            ls.envelope_integral(ls.delta_line(1.0), -1j, 0.0, math.inf)
+
+
+@pytest.mark.parametrize("field, value", [("center", math.nan), ("center", math.inf),
+                                          ("width", math.nan), ("width", math.inf)])
+def test_non_finite_distribution_rejected(field, value):
+    args = {"center": 1.0, "width": 1.0, field: value}
+    for kind in ("lorentzian", "gaussian"):
+        with pytest.raises(ValidationError, match=field):
+            ls.FrequencyDistribution(kind, args["center"], args["width"])

@@ -40,6 +40,13 @@ class TestFieldConfig:
         with pytest.raises(ValidationError):
             me.FieldConfig(b_o=1.0, b_1=-0.1, dist=dist)
 
+    @pytest.mark.parametrize("name", ["b_o", "b_1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, name, value):
+        kwargs = {"b_o": 1.0, "b_1": 0.01, name: value}
+        with pytest.raises(ValidationError, match=name):
+            me.FieldConfig(dist=ls.lorentzian(1.0, 0.1), **kwargs)
+
     def test_strong_drive_warns_only(self):
         dist = ls.lorentzian(1.0, 0.1)
         with pytest.warns(UserWarning):
@@ -281,6 +288,20 @@ class TestWitness:
         assert res.beta_abs < 1e-10
         assert abs(res.det_value) < 1e-12
         assert abs(res.predicted) < 1e-12
+
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_drive_integral_matches_simpson(self, kind):
+        system = sc.SpinSystem([0.5, 0.5], [-1.0e3, -1.6e3],
+                               np.array([[0.0, 40.0], [40.0, 0.0]]))
+        field = me.FieldConfig(b_o=1.0, b_1=1e-4, dist=kind(1.3e3, 150.0))
+        model = build(system, field, 1e-4)
+        assert model.plus_mats.shape[0] > 1
+        for t in (1e-4, 3e-3, 2e-2):
+            got = me.drive_integral(model, t)
+            want = nu.simpson_doubling(lambda ts: me._h_lr_stack(model, ts), 0.0, t,
+                                       rtol=1e-13, atol=1e-300)
+            assert nu.max_abs(got - want) <= 1e-11 * nu.max_abs(want)
 
 
 class TestPauliRates:

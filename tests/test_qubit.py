@@ -6,8 +6,11 @@ import scipy.optimize
 
 from spinlind import lineshape as ls
 from spinlind import mastereq as me
+from spinlind import numutil
 from spinlind import qubit as qb
 from spinlind.errors import ValidationError
+
+from conftest import resonant_qubit_setup
 
 
 
@@ -16,6 +19,26 @@ def params(resonant_qubit):
     system, field, beta = resonant_qubit
     return qb.QubitParams.from_field(system.gammas[0], field.b_o, field.b_1,
                                      beta, field.dist)
+
+
+def simpson_sigma_plus(params, t, rtol=1e-13):
+    """Oracle: <sigma_+(t)> by Simpson doubling of the damped convolution."""
+    if t == 0:
+        return 0.0 + 0.0j
+    kappa = params.rate + 1j * (params.varpi - params.omega_o)
+
+    def integrand(tp):
+        return np.exp(-kappa * (t - tp)) * np.real(ls.characteristic(params.dist, tp))
+
+    val = numutil.simpson_doubling(integrand, 0.0, t, rtol=rtol, atol=1e-300)
+    return 1j * params.omega_1 * params.thermal_polarization * val
+
+
+def qubit_cfg_params(dist):
+    """The driven spin-1/2 of configs/qubit.cfg with another drive line shape."""
+    system, field, beta = resonant_qubit_setup()
+    return qb.QubitParams.from_field(system.gammas[0], field.b_o, field.b_1,
+                                     beta, dist)
 
 
 def slow_envelope_params():
@@ -75,6 +98,71 @@ class TestTrajectory:
             ana = qb.trajectory(params, t)
             assert max(abs(a - b) for a, b in zip(num, ana)) < 1e-7
 
+    def test_gaussian_drive_matches_master_equation(self, resonant_qubit):
+        system, field, beta = resonant_qubit
+        w0 = field.dist.center
+        field = me.FieldConfig(b_o=field.b_o, b_1=field.b_1,
+                               dist=ls.gaussian(w0 + 5.0, 3.0 * field.dist.width))
+        model = me.build_model(system, field, beta)
+        params = qb.QubitParams.from_field(system.gammas[0], field.b_o, field.b_1,
+                                           beta, field.dist)
+        t_end = 2.0 / params.rate
+        traj = me.propagate(model, model.boltzmann, t_end,
+                            dt=me.default_dt(model) / 2)
+        states = traj.schrodinger_states()
+        for i in (len(traj.times) // 5, len(traj.times) // 2, -1):
+            t = float(traj.times[i])
+            num = [float(np.real(np.trace(states[i] @ qb.SIGMA[k]))) for k in (1, 2, 3)]
+            ana = qb.trajectory(params, t)
+            assert max(abs(a - b) for a, b in zip(num, ana)) < 1e-7
+
+
+class TestClosedForm:
+    W0 = 1760.0
+    T_END = 0.284090909090909
+
+    @pytest.mark.parametrize("kind, center_shift, width", [
+        ("lorentzian", 0.0, 14.08),
+        ("gaussian", 0.0, 14.08),
+        ("gaussian", 0.0, 200.0),
+        ("gaussian", 0.0, 3000.0),
+        ("gaussian", 25.0, 200.0),
+        ("lorentzian", 25.0, 80.0),
+    ])
+    def test_matches_simpson_oracle(self, kind, center_shift, width):
+        params = qubit_cfg_params(
+            ls.FrequencyDistribution(kind, self.W0 + center_shift, width))
+        times = np.concatenate([[1e-5, 3e-4, 2e-3], np.linspace(0.0, self.T_END, 7)[1:]])
+        got = np.array([qb.sigma_plus_expectation(params, float(t)) for t in times])
+        want = np.array([simpson_sigma_plus(params, float(t)) for t in times])
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_gaussian_cases_reach_both_upper_end_branches(self):
+        # lower end t' = 0 always lies below Re z = 0 (Gamma > 0); the upper
+        # end t crosses it at t = Gamma / s^2, which the oracle cases straddle
+        below = above = False
+        for width in (14.08, 200.0, 3000.0):
+            params = qubit_cfg_params(ls.gaussian(self.W0, width))
+            s = width / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+            crossing = params.rate / s ** 2
+            below |= crossing > 1e-5
+            above |= crossing < self.T_END
+        assert below and above
+
+    @pytest.mark.parametrize("dist", [ls.lorentzian(5.0, 0.02), ls.gaussian(5.0, 0.0094)])
+    def test_long_time_stays_finite(self, dist):
+        # Gamma t = 800: exp(Gamma t) alone would overflow the bare integral
+        w0, rate = 5.0, 0.8
+        dens = float(ls.density(dist, w0) + ls.density(dist, -w0))
+        w1 = 2.0 * math.sqrt(rate / (2.0 * math.pi * dens))
+        p = qb.QubitParams(omega_o=w0, omega_1=w1, beta=1.0 / w0, dist=dist)
+        t = 800.0 / p.rate
+        sp = qb.sigma_plus_expectation(p, t)
+        want = simpson_sigma_plus(p, t, rtol=1e-10)
+        assert np.isfinite(sp.real) and np.isfinite(sp.imag)
+        assert abs(want) > 1e-6
+        assert abs(sp - want) < 1e-8 * abs(want)
+
 
 class TestStationary:
     def test_rate_required(self):
@@ -96,7 +184,7 @@ class TestStationary:
     def test_trajectory_approaches_stationary(self):
         p = slow_envelope_params()
         t = 10.0 / p.rate
-        sp = qb.sigma_plus_expectation(p, t, rtol=1e-11)
+        sp = qb.sigma_plus_expectation(p, t)
         st = qb.stationary_sigma_plus(p, t)
         assert abs(st) > 1e-2  # non-vacuous comparison
         assert abs(sp - st) < 1e-4
@@ -129,7 +217,7 @@ class TestHeisenbergCoefficients:
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         ops.append(a + a.conj().T)
         for x_op in ops:
-            x_t = qb.heisenberg_operator(params, t, x_op, rtol=1e-11)
+            x_t = qb.heisenberg_operator(params, t, x_op)
             lhs = complex(np.trace(rho_t @ x_op))
             rhs = complex(np.trace(rho0 @ x_t))
             assert abs(lhs - rhs) < 1e-8

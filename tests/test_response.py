@@ -12,6 +12,22 @@ from spinlind.errors import ValidationError
 from conftest import random_system
 
 
+def lorentzian_transient_closed_form(kernel, dist):
+    """Contour-integral oracle for a Lorentzian density (plus branch)."""
+    assert dist.kind == "lorentzian" and kernel.sign == 1
+    t = kernel.transient_time
+    w = 0.5 * dist.width
+    dw = dist.center - kernel.omega_o
+    return -kernel.commutator_avg * np.exp(1j * dw * t) * math.exp(-w * t) / (dw + 1j * w)
+
+
+def qubit_transient_setup():
+    gamma = -2.0e3
+    system = sc.SpinSystem([0.5], [gamma])
+    ctx = rs.make_context(system, 1.0, 5e-4)
+    return ctx, -gamma, -sc.xi_operator(system, "x")
+
+
 def two_spin_context(rng=None):
     couplings = np.array([[0.0, 40.0], [40.0, 0.0]])
     system = sc.SpinSystem([0.5, 0.5], [-1.0e3, -1.6e3], couplings)
@@ -110,8 +126,33 @@ class TestChiTransient:
         for t in (0.0, 0.005, 0.02):
             kern = rs.chi_transient(ctx, x_op, w0, +1, t)
             quad = rs.transient_rho_integral(kern, dist)
-            closed = rs.lorentzian_transient_closed_form(kern, dist)
+            closed = lorentzian_transient_closed_form(kern, dist)
             assert abs(quad - closed) < 1e-6 * max(abs(closed), 1e-12)
+
+    @pytest.mark.parametrize("kind", [ls.gaussian, ls.lorentzian])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_zero_time_is_minus_steady(self, kind, sign):
+        ctx, w0, x_op = qubit_transient_setup()
+        dist = kind(w0 + 25.0, 80.0)
+        steady = rs.steady_rho_integral(rs.chi_infinity(ctx, x_op, w0, sign), dist)
+        transient = rs.transient_rho_integral(
+            rs.chi_transient(ctx, x_op, w0, sign, 0.0), dist)
+        assert abs(transient + steady) <= 1e-9 * abs(steady)
+
+    def test_broad_lorentzian_matches_contour(self):
+        ctx, w0, x_op = qubit_transient_setup()
+        dist = ls.lorentzian(w0 - 300.0, 500.0)
+        for t in (0.0, 0.01, 0.1):
+            kern = rs.chi_transient(ctx, x_op, w0, +1, t)
+            closed = lorentzian_transient_closed_form(kern, dist)
+            got = rs.transient_rho_integral(kern, dist)
+            assert abs(got - closed) <= 1e-12 * abs(closed)
+
+    def test_delta_line_rejected(self):
+        ctx, w0, x_op = qubit_transient_setup()
+        with pytest.raises(ValidationError):
+            rs.transient_rho_integral(rs.chi_transient(ctx, x_op, w0, +1, 0.1),
+                                      ls.delta_line(w0))
 
 
 class TestSteadyMagnetization:

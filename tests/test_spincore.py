@@ -141,6 +141,13 @@ class TestStaticHamiltonians:
         with pytest.raises(ValidationError):
             sc.SpinSystem([2.0] * 8, [1.0] * 8)  # 5^8 > 4096
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, value):
+        with pytest.raises(ValidationError, match="gammas"):
+            sc.SpinSystem([0.5, 0.5], [1.0, value])
+        with pytest.raises(ValidationError, match="couplings"):
+            sc.SpinSystem([0.5, 0.5], [1.0, 2.0], [[0.0, value], [value, 0.0]])
+
 
 class TestBoltzmann:
     def test_infinite_temperature_is_maximally_mixed(self):
