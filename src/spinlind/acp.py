@@ -4,9 +4,9 @@ The flip-flop term X is moved against the diagonal part Z0 before expanding,
 so corrections appear already in the initial state.  The machinery consists
 of imaginary-time-ordered integrals Y^(n)(i beta), their thermal averages,
 normalization coefficients zeta_n (computed both by recursion and as upper
-Hessenberg determinants), the initial-state corrections of each order, and a
-generic fixed-step integrator for the order-n equation of motion with a
-caller-supplied inhomogeneity.
+Hessenberg determinants), the initial-state corrections of each order, and the
+order-n equation of motion with a caller-supplied inhomogeneity, integrated
+by the shared RK4 stepper of :mod:`spinlind.mastereq`.
 
 Y^(n)(i beta) is evaluated along the imaginary axis, where it reduces to
 ``(-1)^n`` times the ordered simplex integral of products of
@@ -18,7 +18,6 @@ block-bidiagonal matrix (Van Loan's construction), with no quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import numutil
 from .errors import AccuracyError, ValidationError
-from .mastereq import MasterEquationModel, Trajectory, a_term, _l_term, default_dt
+from .mastereq import MasterEquationModel, Trajectory, _rk4
 from .spincore import SpinSystem, boltzmann_state, build_x, build_zo
 
 __all__ = [
@@ -213,13 +212,6 @@ def propagate_order_n(model: MasterEquationModel, n: int,
     if abs(complex(np.trace(rho_n0))) > 1e-9 * max(1.0, numutil.max_abs(rho_n0)):
         raise ValidationError("order-n initial corrections must be traceless")
 
-    if dt is None:
-        dt = default_dt(model)
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n_steps
-    if store_every is None:
-        store_every = max(1, n_steps // 2000)
-
     d = model.dim
     scale = max(numutil.max_abs(rho_n0), 1.0)
 
@@ -231,23 +223,4 @@ def propagate_order_n(model: MasterEquationModel, n: int,
             raise ValidationError("inhomogeneity callback output must be traceless")
         return g
 
-    def rhs(t, rho):
-        return a_term(model, t, rho_n0) + _l_term(model, rho) + g_checked(t)
-
-    y = rho_n0.copy()
-    times = [0.0]
-    states = [y.copy()]
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * dt
-        if step % store_every == 0 or step == n_steps:
-            times.append(t)
-            states.append(y.copy())
-
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      energies=model.levels.energies.copy())
+    return _rk4(model, rho_n0, t_end, dt, store_every, g_checked)

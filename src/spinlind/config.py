@@ -9,8 +9,9 @@ Grammar (see README for a full description):
     [thermal]           exactly one of beta / temperature_kelvin
     [group:<label>]     j, count, gamma, abundance, lambda.<other> = Gauss
     [spectrum]          resonance (one label or several), omega_o, scaled
-    [propagate]         t_end, dt (optional), store_every (optional)
-    [qubit]             t_end, n_points, dt (optional), tolerance (optional)
+    [propagate]         t_end > 0, dt > 0 (optional), store_every >= 1 (optional)
+    [qubit]             t_end > 0, n_points >= 2, dt > 0 (optional),
+                        tolerance >= 0 (optional); every number finite
     [acp]               order
     [output]            basename (optional)
 
@@ -21,7 +22,8 @@ line information from the underlying parser.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +56,6 @@ class RunConfig:
     tolerance: float | None = None
     acp_order: int = 2
     basename: str = "run"
-    raw: dict = field(default_factory=dict)
 
 
 def _floats(text: str) -> list:
@@ -62,6 +63,19 @@ def _floats(text: str) -> list:
         return [float(tok) for tok in text.split()]
     except ValueError as exc:
         raise ValidationError(f"expected numbers, got {text!r}") from exc
+
+
+def _bounded(section, key: str, kind, low, *, strict: bool = True):
+    """``section[key]`` as a finite ``kind`` above ``low`` (at least ``low`` if not strict)."""
+    text = section[key]
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise ValidationError(f"[{section.name}] {key} must be a number, got {text!r}") from exc
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        bound = f"above {low}" if strict else f"at least {low}"
+        raise ValidationError(f"[{section.name}] {key} must be finite and {bound}, got {value}")
+    return value
 
 
 def _matrix(text: str) -> np.ndarray:
@@ -138,7 +152,6 @@ def load_config(path) -> RunConfig:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
 
     cfg = RunConfig(mode=mode)
-    cfg.raw = {s: dict(parser[s]) for s in parser.sections()}
 
     if "thermal" in parser:
         sec = parser["thermal"]
@@ -169,25 +182,21 @@ def load_config(path) -> RunConfig:
         cfg.omega_o = float(sec.get("omega_o", "0"))
         if "scaled" in sec:
             cfg.scaled = _bool(sec["scaled"])
-    if "propagate" in parser:
-        sec = parser["propagate"]
+    for name in ("propagate", "qubit"):
+        if name not in parser:
+            continue
+        sec = parser[name]
         if "t_end" not in sec:
-            raise ValidationError("[propagate] requires t_end")
-        cfg.t_end = float(sec["t_end"])
+            raise ValidationError(f"[{name}] requires t_end")
+        cfg.t_end = _bounded(sec, "t_end", float, 0)
         if "dt" in sec:
-            cfg.dt = float(sec["dt"])
-        if "store_every" in sec:
-            cfg.store_every = int(sec["store_every"])
-    if "qubit" in parser:
-        sec = parser["qubit"]
-        if "t_end" not in sec:
-            raise ValidationError("[qubit] requires t_end")
-        cfg.t_end = float(sec["t_end"])
-        cfg.n_points = int(sec.get("n_points", "200"))
-        if "dt" in sec:
-            cfg.dt = float(sec["dt"])
-        if "tolerance" in sec:
-            cfg.tolerance = float(sec["tolerance"])
+            cfg.dt = _bounded(sec, "dt", float, 0)
+        if name == "propagate" and "store_every" in sec:
+            cfg.store_every = _bounded(sec, "store_every", int, 1, strict=False)
+        if name == "qubit" and "n_points" in sec:
+            cfg.n_points = _bounded(sec, "n_points", int, 2, strict=False)
+        if name == "qubit" and "tolerance" in sec:
+            cfg.tolerance = _bounded(sec, "tolerance", float, 0, strict=False)
     if "acp" in parser:
         cfg.acp_order = int(parser["acp"].get("order", "2"))
         if cfg.acp_order < 1:

@@ -54,7 +54,6 @@ __all__ = [
     "WitnessResult",
     "build_model",
     "linear_response_hamiltonian",
-    "lamb_shift",
     "dissipator",
     "propagate",
     "lambda_map",
@@ -68,6 +67,7 @@ __all__ = [
 ]
 
 MAP_DIM_CAP = 64
+EIGVEC_COND_CAP = 1e6
 DOMAIN_ATOL = 1e-10
 
 
@@ -193,23 +193,6 @@ def linear_response_hamiltonian(model: MasterEquationModel, t: float) -> np.ndar
     return half + half.conj().T
 
 
-def _h_lr_stack(model: MasterEquationModel, ts: np.ndarray) -> np.ndarray:
-    """Vectorized H_LR over a time grid, shape (len(ts), D, D)."""
-    d = model.dim
-    ts = np.asarray(ts, dtype=float)
-    if model.plus_mats.shape[0] == 0 or model.field.b_1 == 0:
-        return np.zeros((ts.size, d, d), dtype=complex)
-    env = 2.0 * model.field.b_1 * np.real(characteristic(model.field.dist, ts))
-    phases = np.exp(-1j * np.outer(ts, model.plus_omegas))
-    half = np.einsum("t,tk,kij->tij", env, phases, model.plus_mats)
-    return half + np.conj(np.swapaxes(half, 1, 2))
-
-
-def lamb_shift(model: MasterEquationModel) -> np.ndarray:
-    """The (time-independent) Lamb shift Hamiltonian."""
-    return model.h_ls.copy()
-
-
 def dissipator(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
     """Apply the stimulated emission/absorption dissipator to ``rho``."""
     rho = np.asarray(rho)
@@ -283,11 +266,26 @@ def propagate(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
               dt: float | None = None, *, store_every: int | None = None,
               unsafe: bool = False) -> Trajectory:
     """Fixed-step 4th-order integration of the inhomogeneous master equation."""
+    _check_domain(model, rho0, unsafe)
+    return _rk4(model, rho0, t_end, dt, store_every)
+
+
+def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
+         dt: float | None, store_every: int | None, extra=None) -> Trajectory:
+    """Classical RK4 for d rho/dt = A(t) rho0 + L rho(t) [+ extra(t)] from rho0.
+
+    The one time stepper of the package: :func:`propagate` runs it bare and
+    ``acp.propagate_order_n`` with its order-n inhomogeneity as ``extra``.
+    The step defaults to :func:`default_dt`, shrunk so it divides ``t_end``.
+    """
     if dt is None:
         dt = default_dt(model)
     if not dt > 0:
         raise ValidationError("dt must be positive")
-    _check_domain(model, rho0, unsafe)
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValidationError(f"t_end must be finite and positive, got {t_end}")
+    if store_every is not None and store_every < 1:
+        raise ValidationError(f"store_every must be at least 1, got {store_every}")
 
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
     dt = t_end / n_steps
@@ -300,7 +298,8 @@ def propagate(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
     states = [y.copy()]
 
     def rhs(t, rho):
-        return a_term(model, t, rho_init) + _l_term(model, rho)
+        out = a_term(model, t, rho_init) + _l_term(model, rho)
+        return out if extra is None else out + extra(t)
 
     t = 0.0
     for step in range(1, n_steps + 1):
@@ -336,45 +335,70 @@ def liouvillian_matrix(model: MasterEquationModel) -> np.ndarray:
     return mat
 
 
-def lambda_map(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
-               unsafe: bool = False, include_drive: bool = True,
-               rtol: float = 1e-9, max_nodes: int = 4096) -> np.ndarray:
-    """Evaluate Lambda(t) rho0 = e^{Lt} rho0 + int_0^t e^{L(t-s)} A(s) rho0 ds.
+def _eigensystem(mat: np.ndarray):
+    """Eigenvalues lam, eigenvectors V and V^-1 of ``mat`` = V diag(lam) V^-1.
 
-    The semigroup part uses the matrix exponential of the vectorized
-    generator; the inhomogeneity is integrated with Gauss-Legendre quadrature
-    under node doubling.  ``include_drive=False`` drops the inhomogeneous
-    term, leaving the completely positive semigroup alone.
+    The eigenvector form of exp(mat t) is exact only while V is well
+    conditioned (Moler & Van Loan, SIAM Rev. 45 (2003) 3); an AccuracyError
+    reports ||V||_1 ||V^-1||_1 > EIGVEC_COND_CAP, i.e. ``mat`` is defective
+    or nearly so.
+    """
+    lam, v = np.linalg.eig(mat)
+    try:
+        v_inv = np.linalg.inv(v)
+        cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    if not cond <= EIGVEC_COND_CAP:
+        raise AccuracyError(
+            f"the generator is defective or nearly so (eigenvector condition "
+            f"number {cond:.2e} > {EIGVEC_COND_CAP:.0e})")
+    return lam, v, v_inv
+
+
+def _drive_weight(dist: FrequencyDistribution, lam: complex, w: float,
+                  t: float) -> complex:
+    """int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w s} ds in closed form.
+
+    Equal to (1/2) [I(kappa) + conj I(conj kappa)] with kappa = -i w - lam and
+    I the envelope integral over [0, t] with e^{lam t} (conjugated in the
+    second term) folded into its exponent.
+    """
+    kappa = -1j * w - lam
+    scale = lam * t
+    return 0.5 * (envelope_integral(dist, kappa, 0.0, t, log_scale=scale)
+                  + envelope_integral(dist, kappa.conjugate(), 0.0, t,
+                                      log_scale=scale.conjugate()).conjugate())
+
+
+def lambda_map(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
+               unsafe: bool = False, include_drive: bool = True) -> np.ndarray:
+    """Evaluate Lambda(t) rho0 = e^{Lt} rho0 + int_0^t e^{L(t-s)} A(s) rho0 ds exactly.
+
+    One eigendecomposition L = V diag(lam) V^-1 of the vectorized generator
+    gives the semigroup part V e^{lam t} V^-1 rho0.  The drive term splits
+    into components Re[phi_f(s)] e^{-i w s} C: C = -2 i B1 [xi_w, rho0] at
+    each ladder frequency w and C' = -2 i B1 [xi_w^dag, rho0] at -w.  Each
+    adds V [(V^-1 C) * W(lam, w, t)], W = int_0^t e^{lam (t-s)} Re[phi_f(s)]
+    e^{-i w s} ds from the envelope integral, evaluated only where V^-1 C is
+    nonzero.  ``include_drive=False`` drops the inhomogeneous term, leaving
+    the completely positive semigroup alone.  An AccuracyError means L is
+    defective or nearly so.
     """
     _check_domain(model, rho0, unsafe)
-    d = model.dim
-    lmat = liouvillian_matrix(model)
+    lam, v, v_inv = _eigensystem(liouvillian_matrix(model))
     rho_init = np.array(rho0, dtype=complex)
-    out_vec = numutil.expm(lmat * t) @ numutil.vec(rho_init)
+    coef = np.exp(lam * t) * (v_inv @ numutil.vec(rho_init))
 
-    if include_drive and t > 0 and model.field.b_1 > 0 and model.plus_mats.shape[0]:
-        def quadrature(n):
-            nodes, weights = numutil.gauss_legendre(n, 0.0, t)
-            acc = np.zeros(d * d, dtype=complex)
-            for s, w in zip(nodes, weights):
-                drive = numutil.vec(a_term(model, s, rho_init))
-                acc += w * (numutil.expm(lmat * (t - s)) @ drive)
-            return acc
+    if include_drive and t > 0 and model.field.b_1 > 0:
+        amp = -2j * model.field.b_1
+        for w, xi in zip(model.plus_omegas, model.plus_mats):
+            for freq, op in ((w, xi), (-w, xi.conj().T)):
+                c = v_inv @ numutil.vec(amp * (op @ rho_init - rho_init @ op))
+                for k in np.flatnonzero(c):
+                    coef[k] += c[k] * _drive_weight(model.field.dist, lam[k], freq, t)
 
-        n = 16
-        prev = quadrature(n)
-        while True:
-            n *= 2
-            if n > max_nodes:
-                raise AccuracyError("inhomogeneity quadrature did not converge")
-            cur = quadrature(n)
-            scale = max(numutil.max_abs(out_vec + cur), 1e-300)
-            if numutil.max_abs(cur - prev) <= rtol * scale:
-                break
-            prev = cur
-        out_vec = out_vec + cur
-
-    return numutil.unvec(out_vec, d)
+    return numutil.unvec(v @ coef, model.dim)
 
 
 @dataclass(frozen=True)
@@ -416,7 +440,7 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
     weights *= t / n_nodes / 3.0
 
-    h_lr = _h_lr_stack(model, ts)
+    h_lr = [linear_response_hamiltonian(model, tau) for tau in ts]
     kraus_t = _semigroup_kraus(model, lmat, t, psd_tol)
     node_kraus = [_semigroup_kraus(model, lmat, t - tau, psd_tol) for tau in ts]
 
@@ -476,13 +500,9 @@ def drive_integral(model: MasterEquationModel, t: float) -> np.ndarray:
     """
     if t <= 0:
         return np.zeros((model.dim, model.dim), dtype=complex)
-    dist = model.field.dist
-    weights = np.array([
-        envelope_integral(dist, -1j * w, 0.0, t)
-        + envelope_integral(dist, 1j * w, 0.0, t).conjugate()
-        for w in model.plus_omegas
-    ], dtype=complex)
-    half = model.field.b_1 * np.tensordot(weights, model.plus_mats, axes=(0, 0))
+    weights = np.array([_drive_weight(model.field.dist, 0.0, w, t)
+                        for w in model.plus_omegas], dtype=complex)
+    half = 2.0 * model.field.b_1 * np.tensordot(weights, model.plus_mats, axes=(0, 0))
     return half + half.conj().T
 
 

@@ -1,4 +1,4 @@
-"""Small numerical helpers: quadrature, superoperator vectorization, Kraus factors,
+"""Small numerical helpers: Simpson quadrature, superoperator vectorization, Kraus factors,
 and the number format of every written artifact.
 
 Superoperators use the column-stacking convention, vec(A X B) = (B^T (x) A) vec(X).
@@ -18,11 +18,9 @@ __all__ = [
     "max_abs",
     "hamiltonian_superop",
     "dissipator_superop",
-    "apply_superop",
     "choi_matrix",
     "kraus_from_choi",
     "simpson_doubling",
-    "gauss_legendre",
     "fmt12",
 ]
 
@@ -68,25 +66,14 @@ def dissipator_superop(channels) -> np.ndarray:
     return out
 
 
-def apply_superop(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    return unvec(s @ vec(rho), d)
-
-
 def choi_matrix(s: np.ndarray, dim: int) -> np.ndarray:
     """Choi matrix of the map with superoperator matrix ``s``.
 
-    Block (i, j) of the result is the map applied to |i><j|.
+    Block (i, j) of the result is the map applied to |i><j|, reordered so
+    that rows/cols are (i, m): C[(i m), (j n)] = E(|i><j|)[m, n].  With
+    column stacking that entry is s[n d + m, j d + i], one reshuffle of ``s``.
     """
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e_ij = np.zeros((dim, dim), dtype=complex)
-            e_ij[i, j] = 1.0
-            c[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = apply_superop(s, e_ij)
-    # reorder so that rows/cols are (i, m): C[(i m), (j n)] = E(|i><j|)[m, n]
-    c4 = c.reshape(dim, dim, dim, dim)          # (i, m, j, n)
-    return c4.reshape(dim * dim, dim * dim)
+    return s.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(dim * dim, dim * dim)
 
 
 def kraus_from_choi(choi: np.ndarray, dim: int, *, psd_tol: float = 1e-10):
@@ -140,13 +127,6 @@ def simpson_doubling(f, a: float, b: float, *, rtol: float = 1e-9,
             return cur
         prev = cur
     raise AccuracyError(f"Simpson rule did not converge on [{a}, {b}] with {max_n} panels")
-
-
-def gauss_legendre(n: int, a: float, b: float):
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
 
 
 def expm(a: np.ndarray) -> np.ndarray:

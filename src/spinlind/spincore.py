@@ -19,7 +19,7 @@ isotropic Hamiltonian plus Zeeman term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "beta_from_kelvin",
     "compress",
     "decompress",
-    "all_occupations",
     "single_spin_matrix",
     "embed_single_spin",
     "xi_operator",
@@ -196,12 +195,6 @@ def decompress(index: int, spins: Sequence[float]) -> tuple:
     for i in range(len(dims) - 1, -1, -1):
         index, out[i] = divmod(index, dims[i])
     return tuple(out)
-
-
-def all_occupations(system: SpinSystem) -> Iterable[tuple]:
-    """Occupation tuples in compressed-index order."""
-    for idx in range(system.dim):
-        yield decompress(idx, system.spins)
 
 
 def single_spin_matrix(j: float, axis: str) -> np.ndarray:

@@ -163,6 +163,39 @@ class TestMatrixModes:
         assert name in capsys.readouterr().err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("config, line, replacement, name", [
+        ("two_spin", "t_end = 0.02", "t_end = inf", "t_end"),
+        ("two_spin", "t_end = 0.02", "t_end = nan", "t_end"),
+        ("two_spin", "t_end = 0.02", "t_end = 0", "t_end"),
+        ("two_spin", "t_end = 0.02", "t_end = -0.02", "t_end"),
+        ("two_spin", "t_end = 0.02", "t_end = 0.02\ndt = nan", "dt"),
+        ("two_spin", "t_end = 0.02", "t_end = 0.02\ndt = -1e-5", "dt"),
+        ("two_spin", "t_end = 0.02", "t_end = 0.02\ndt = 0", "dt"),
+        ("two_spin", "t_end = 0.02", "t_end = 0.02\nstore_every = 0", "store_every"),
+        ("two_spin", "t_end = 0.02", "t_end = 0.02\nstore_every = two", "store_every"),
+        ("qubit", "t_end = 0.284090909090909", "t_end = inf", "t_end"),
+        ("qubit", "t_end = 0.284090909090909", "t_end = nan", "t_end"),
+        ("qubit", "n_points = 120", "n_points = -3", "n_points"),
+        ("qubit", "n_points = 120", "n_points = 0", "n_points"),
+        ("qubit", "n_points = 120", "n_points = 1", "n_points"),
+        ("qubit", "tolerance = 1e-6", "tolerance = nan", "tolerance"),
+        ("qubit", "tolerance = 1e-6", "tolerance = -1e-6", "tolerance"),
+        ("qubit", "tolerance = 1e-6", "tolerance = inf", "tolerance"),
+    ])
+    def test_out_of_range_run_keys_rejected(self, tmp_path, monkeypatch, capsys,
+                                            config, line, replacement, name):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / f"{config}.cfg").read_text()
+        assert line in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(line, replacement))
+        with pytest.raises(ValidationError, match=name):
+            load_config(bad)
+        out = tmp_path / "out"
+        assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
+        assert name in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     def test_verify_mode_passes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         code = run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,

@@ -8,6 +8,7 @@ from spinlind import mastereq as me
 from spinlind import numutil as nu
 from spinlind import spincore as sc
 from spinlind.errors import (
+    AccuracyError,
     DomainViolationError,
     ValidationError,
     WitnessInapplicableError,
@@ -30,6 +31,122 @@ def qubit_model(resonant_qubit):
 def qubit_rate(model):
     """Physical stimulated rate of the two-level model (about 35.2 here)."""
     return me.transition_rate(model, 0, 1)
+
+
+def gauss_legendre(n, a, b):
+    """Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
+
+
+def quadrature_lambda_map(model, t, rho0, *, unsafe=False, include_drive=True,
+                          rtol=1e-9, max_nodes=4096):
+    """Oracle: Lambda(t) rho0 with the drive integral by Gauss-Legendre doubling.
+
+    The semigroup part uses the matrix exponential of the vectorized
+    generator; the inhomogeneity is integrated with Gauss-Legendre quadrature
+    under node doubling, one matrix exponential per node.
+    """
+    me._check_domain(model, rho0, unsafe)
+    d = model.dim
+    lmat = me.liouvillian_matrix(model)
+    rho_init = np.array(rho0, dtype=complex)
+    out_vec = nu.expm(lmat * t) @ nu.vec(rho_init)
+
+    if include_drive and t > 0 and model.field.b_1 > 0 and model.plus_mats.shape[0]:
+        def quadrature(n):
+            nodes, weights = gauss_legendre(n, 0.0, t)
+            acc = np.zeros(d * d, dtype=complex)
+            for s, w in zip(nodes, weights):
+                drive = nu.vec(me.a_term(model, s, rho_init))
+                acc += w * (nu.expm(lmat * (t - s)) @ drive)
+            return acc
+
+        n = 16
+        prev = quadrature(n)
+        while True:
+            n *= 2
+            if n > max_nodes:
+                raise AccuracyError("inhomogeneity quadrature did not converge")
+            cur = quadrature(n)
+            scale = max(nu.max_abs(out_vec + cur), 1e-300)
+            if nu.max_abs(cur - prev) <= rtol * scale:
+                break
+            prev = cur
+        out_vec = out_vec + cur
+
+    return nu.unvec(out_vec, d)
+
+
+def van_loan_lambda_map(model, t, rho0, *, include_drive=True):
+    """Oracle for a Lorentzian drive from one augmented matrix exponential.
+
+    Re[phi_f(s)] e^{-i w s} is then a sum of two exponentials e^{mu s}, so
+    the whole map is the top block of exp(t [[L, C], [0, diag(mu)]]) applied
+    to [rho0; 1, ..., 1] (Van Loan, IEEE TAC 23 (1978) 395).
+    """
+    dist = model.field.dist
+    assert dist.kind == "lorentzian"
+    d2 = model.dim ** 2
+    rho0 = np.array(rho0, dtype=complex)
+    cols, mus = [], []
+    if include_drive and model.field.b_1 > 0:
+        for w, xi in zip(model.plus_omegas, model.plus_mats):
+            for freq, op in ((w, xi), (-w, xi.conj().T)):
+                c = -1j * model.field.b_1 * nu.vec(op @ rho0 - rho0 @ op)
+                for sign in (1.0, -1.0):
+                    cols.append(c)
+                    mus.append(1j * (sign * dist.center - freq) - 0.5 * dist.width)
+    m = len(cols)
+    aug = np.zeros((d2 + m, d2 + m), dtype=complex)
+    aug[:d2, :d2] = me.liouvillian_matrix(model)
+    if m:
+        aug[:d2, d2:] = np.array(cols).T
+        aug[d2:, d2:] = np.diag(mus)
+    start = np.concatenate([nu.vec(rho0), np.ones(m)])
+    return nu.unvec((nu.expm(aug * t) @ start)[:d2], model.dim)
+
+
+def choi_loop(s, dim):
+    """Oracle: the Choi matrix assembled block by block from the map's action."""
+    c = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            e_ij = np.zeros((dim, dim), dtype=complex)
+            e_ij[i, j] = 1.0
+            c[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = nu.unvec(s @ nu.vec(e_ij), dim)
+    c4 = c.reshape(dim, dim, dim, dim)
+    return c4.reshape(dim * dim, dim * dim)
+
+
+def map_model(case, kind):
+    """Small driven systems in units where the drive, the rates and the
+    Larmor frequencies are all of order one to twenty, so that the quadrature
+    oracle converges within its node cap."""
+    def ring(n, j):
+        c = np.full((n, n), j)
+        np.fill_diagonal(c, 0.0)
+        return c
+
+    spins, gammas, couplings, center = {
+        "qubit": ([0.5], [-20.0], None, 20.0),
+        "two_equivalent": ([0.5, 0.5], [-20.0, -20.0], ring(2, 2.0), 20.0),
+        "two_generic": ([0.5, 0.5], [-20.0, -27.0], ring(2, 2.0), 22.0),
+        "three_equivalent": ([0.5] * 3, [-20.0] * 3, ring(3, 1.5), 20.0),
+        "spin1_pair": ([1.0, 1.0], [-10.0, -14.0], ring(2, 1.0), 12.0),
+    }[case]
+    system = sc.SpinSystem(spins, gammas, couplings)
+    field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(center, 4.0))
+    return build(system, field, 0.05)
+
+
+def decay_rate(model):
+    """Largest decay rate of the generator, the unit of time in the map tests."""
+    return float(np.max(-np.linalg.eigvals(me.liouvillian_matrix(model)).real))
+
+
+MAP_CASES = ["qubit", "two_equivalent", "two_generic", "three_equivalent", "spin1_pair"]
 
 
 class TestFieldConfig:
@@ -230,12 +347,68 @@ class TestLambdaMap:
             direct = me.lambda_map(qubit_model, t, qubit_model.boltzmann)
             assert np.max(np.abs(traj.final - direct)) < 1e-6
 
+    @pytest.mark.parametrize("case", MAP_CASES)
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_matches_quadrature_oracle(self, case, kind):
+        model = map_model(case, kind)
+        rate = decay_rate(model)
+        small = model.dim <= 4
+        for t_gamma in (0.0, 0.3, 1.0, 5.0) if small else (0.3, 1.0):
+            t = t_gamma / rate
+            for drive in (True, False):
+                got = me.lambda_map(model, t, model.boltzmann, include_drive=drive)
+                want = quadrature_lambda_map(model, t, model.boltzmann,
+                                             include_drive=drive)
+                assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
+
+    @pytest.mark.parametrize("case", MAP_CASES)
+    def test_matches_van_loan_lorentzian(self, case):
+        model = map_model(case, ls.lorentzian)
+        rate = decay_rate(model)
+        for t_gamma in (0.0, 0.3, 1.0, 5.0, 30.0, 200.0):
+            t = t_gamma / rate
+            for drive in (True, False):
+                got = me.lambda_map(model, t, model.boltzmann, include_drive=drive)
+                want = van_loan_lambda_map(model, t, model.boltzmann, include_drive=drive)
+                assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
+
+    @pytest.mark.parametrize("case", ["qubit", "two_equivalent", "two_generic"])
+    def test_gaussian_long_times_follow_the_semigroup(self, case):
+        # past t1 the Gaussian envelope is below e^{-56}, so Lambda(t) rho0
+        # is e^{L (t - t1)} applied to the quadrature oracle at t1
+        model = map_model(case, ls.gaussian)
+        rate = decay_rate(model)
+        t1 = 7.5 * ls.relaxation_time(model.field.dist)
+        settled = quadrature_lambda_map(model, t1, model.boltzmann)
+        lmat = me.liouvillian_matrix(model)
+        for t_gamma in (30.0, 200.0):
+            t = max(t_gamma / rate, t1)
+            got = me.lambda_map(model, t, model.boltzmann)
+            want = nu.unvec(nu.expm(lmat * (t - t1)) @ nu.vec(settled), model.dim)
+            assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
+
+    def test_conditioning_guard_rejects_a_jordan_block(self):
+        with pytest.raises(AccuracyError, match="defective"):
+            me._eigensystem(np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex))
+        # split by 1e-7: still nearly defective, V^-1 amplifies by ~1e7
+        with pytest.raises(AccuracyError, match="defective"):
+            me._eigensystem(np.array([[-1.0, 1.0], [1e-14, -1.0]], dtype=complex))
+        lam, v, v_inv = me._eigensystem(np.array([[-1.0, 1.0], [0.0, -2.0]]))
+        assert nu.max_abs(v @ np.diag(lam) @ v_inv - [[-1.0, 1.0], [0.0, -2.0]]) < 1e-15
+
     def test_dimension_cap(self):
         system = sc.SpinSystem([0.5] * 7, [1.0] * 7)  # dim 128 > 64
         field = me.FieldConfig(b_o=1.0, b_1=0.0, dist=ls.lorentzian(1.0, 0.1))
         model = build(system, field, 1e-4)
         with pytest.raises(ValidationError):
             me.lambda_map(model, 0.1, model.boltzmann)
+
+
+class TestChoiMatrix:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_reshuffle_equals_blockwise_assembly(self, dim, rng):
+        s = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim,) * 2)
+        assert np.array_equal(nu.choi_matrix(s, dim), choi_loop(s, dim))
 
 
 class TestKrausAudit:
@@ -299,8 +472,10 @@ class TestWitness:
         assert model.plus_mats.shape[0] > 1
         for t in (1e-4, 3e-3, 2e-2):
             got = me.drive_integral(model, t)
-            want = nu.simpson_doubling(lambda ts: me._h_lr_stack(model, ts), 0.0, t,
-                                       rtol=1e-13, atol=1e-300)
+            want = nu.simpson_doubling(
+                lambda ts: np.array([me.linear_response_hamiltonian(model, tau)
+                                     for tau in ts]),
+                0.0, t, rtol=1e-13, atol=1e-300)
             assert nu.max_abs(got - want) <= 1e-11 * nu.max_abs(want)
 
 
