@@ -15,8 +15,9 @@ Grammar (see README for a full description):
     [acp]               order
     [output]            basename (optional)
 
-Validation failures name the violated invariant; parse failures carry the
-line information from the underlying parser.
+Validation failures name the violated invariant, and a value that is not a
+number names its ``[section] key``; parse failures carry the line
+information from the underlying parser.
 """
 
 from __future__ import annotations
@@ -59,19 +60,25 @@ class RunConfig:
 
 
 def _floats(text: str) -> list:
+    return [float(tok) for tok in text.split()]
+
+
+def _number(section, key: str, kind=float, default: str | None = None):
+    """``section[key]`` (``default`` when absent) converted by ``kind``.
+
+    The one numeric read of the loader: a value ``kind`` rejects is a
+    ValidationError naming ``[section] key``.
+    """
+    text = section.get(key, default)
     try:
-        return [float(tok) for tok in text.split()]
+        return kind(text)
     except ValueError as exc:
-        raise ValidationError(f"expected numbers, got {text!r}") from exc
+        raise ValidationError(f"[{section.name}] {key} must be numeric, got {text!r}") from exc
 
 
 def _bounded(section, key: str, kind, low, *, strict: bool = True):
     """``section[key]`` as a finite ``kind`` above ``low`` (at least ``low`` if not strict)."""
-    text = section[key]
-    try:
-        value = kind(text)
-    except ValueError as exc:
-        raise ValidationError(f"[{section.name}] {key} must be a number, got {text!r}") from exc
+    value = _number(section, key, kind)
     if not (math.isfinite(value) and (value > low if strict else value >= low)):
         bound = f"above {low}" if strict else f"at least {low}"
         raise ValidationError(f"[{section.name}] {key} must be finite and {bound}, got {value}")
@@ -95,16 +102,16 @@ def _bool(text: str) -> bool:
 def _parse_system(section) -> SpinSystem:
     if "spins" not in section or "gammas" not in section:
         raise ValidationError("[system] requires explicit 'spins' and 'gammas' lists")
-    spins = _floats(section["spins"])
-    gammas = _floats(section["gammas"])
-    couplings = _matrix(section["couplings"]) if "couplings" in section else None
+    spins = _number(section, "spins", _floats)
+    gammas = _number(section, "gammas", _floats)
+    couplings = _number(section, "couplings", _matrix) if "couplings" in section else None
     return SpinSystem(spins, gammas, couplings)
 
 
 def _parse_dist(section) -> FrequencyDistribution:
     kind = section.get("dist", "lorentzian").strip().lower()
-    center = float(section.get("center", "0"))
-    width = float(section.get("width", "0"))
+    center = _number(section, "center", default="0")
+    width = _number(section, "width", default="0")
     return FrequencyDistribution(kind, center, width)
 
 
@@ -118,17 +125,15 @@ def _parse_groups(parser) -> tuple:
         for key in ("j", "count", "gamma"):
             if key not in sec:
                 raise ValidationError(f"[{name}] is missing {key!r}")
-        lambdas = {}
-        for key, value in sec.items():
-            if key.startswith("lambda."):
-                lambdas[key.split(".", 1)[1]] = float(value)
+        lambdas = {key.split(".", 1)[1]: _number(sec, key)
+                   for key in sec if key.startswith("lambda.")}
         groups.append(EquivalentGroup(
             label=label,
-            j=float(sec["j"]),
-            count=int(sec["count"]),
-            gamma=float(sec["gamma"]),
+            j=_number(sec, "j"),
+            count=_number(sec, "count", int),
+            gamma=_number(sec, "gamma"),
             lambdas=lambdas,
-            abundance=float(sec.get("abundance", "1.0")),
+            abundance=_number(sec, "abundance", default="1.0"),
         ))
     return tuple(groups)
 
@@ -160,8 +165,8 @@ def load_config(path) -> RunConfig:
         if has_beta == has_temp:
             raise ValidationError(
                 "[thermal] requires exactly one of beta / temperature_kelvin")
-        cfg.beta = (float(sec["beta"]) if has_beta
-                    else beta_from_kelvin(float(sec["temperature_kelvin"])))
+        cfg.beta = (_number(sec, "beta") if has_beta
+                    else beta_from_kelvin(_number(sec, "temperature_kelvin")))
 
     if "system" in parser:
         cfg.system = _parse_system(parser["system"])
@@ -169,8 +174,8 @@ def load_config(path) -> RunConfig:
         sec = parser["field"]
         if "b_o" not in sec or "b_1" not in sec:
             raise ValidationError("[field] requires b_o and b_1")
-        cfg.field_b_o = float(sec["b_o"])
-        cfg.field_b_1 = float(sec["b_1"])
+        cfg.field_b_o = _number(sec, "b_o")
+        cfg.field_b_1 = _number(sec, "b_1")
         cfg.dist = _parse_dist(sec)
 
     cfg.groups = _parse_groups(parser)
@@ -179,7 +184,7 @@ def load_config(path) -> RunConfig:
         sec = parser["spectrum"]
         if "resonance" in sec:
             cfg.resonance = tuple(sec["resonance"].split())
-        cfg.omega_o = float(sec.get("omega_o", "0"))
+        cfg.omega_o = _number(sec, "omega_o", default="0")
         if "scaled" in sec:
             cfg.scaled = _bool(sec["scaled"])
     for name in ("propagate", "qubit"):
@@ -198,7 +203,7 @@ def load_config(path) -> RunConfig:
         if name == "qubit" and "tolerance" in sec:
             cfg.tolerance = _bounded(sec, "tolerance", float, 0, strict=False)
     if "acp" in parser:
-        cfg.acp_order = int(parser["acp"].get("order", "2"))
+        cfg.acp_order = _number(parser["acp"], "order", int, default="2")
         if cfg.acp_order < 1:
             raise ValidationError(f"[acp] order must be at least 1, got {cfg.acp_order}")
     if "output" in parser:

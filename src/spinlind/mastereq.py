@@ -194,16 +194,20 @@ def linear_response_hamiltonian(model: MasterEquationModel, t: float) -> np.ndar
 
 
 def dissipator(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
-    """Apply the stimulated emission/absorption dissipator to ``rho``."""
+    """Apply the stimulated emission/absorption dissipator to ``rho``.
+
+    D[rho] = sum_w g_w (xi_w rho xi_w^dag + xi_w^dag rho xi_w) - {anti, rho}
+    as batched products over the (K, D, D) ladder stack: K D^3 work.
+    """
     rho = np.asarray(rho)
     if rho.shape != (model.dim, model.dim):
         raise ValidationError("density matrix dimension mismatch")
     out = -(model._anti @ rho + rho @ model._anti)
-    g = model.rates_plus + model.rates_minus
     if model.plus_mats.shape[0]:
         p = model.plus_mats
-        out = out + np.einsum("k,kij,jl,kml->im", g, p, rho, p.conj())
-        out = out + np.einsum("k,kji,jl,klm->im", g, p.conj(), rho, p)
+        p_dag = p.conj().transpose(0, 2, 1)
+        g = (model.rates_plus + model.rates_minus)[:, None, None]
+        out = out + ((g * p) @ rho @ p_dag).sum(0) + ((g * p_dag) @ rho @ p).sum(0)
     return out
 
 
@@ -318,21 +322,24 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
 
 
 def liouvillian_matrix(model: MasterEquationModel) -> np.ndarray:
-    """Column-stacked matrix of the semigroup generator L."""
+    """Column-stacked matrix of the semigroup generator L.
+
+    -i[h_ls, .] plus the jump sum over [xi_w; xi_w^dag] with rates [g; g]
+    (one :func:`numutil.sandwich_superop`) minus the anticommutator with
+    ``model._anti``.
+    """
     if model.dim > MAP_DIM_CAP:
         raise ValidationError(
             f"map-level operations are capped at dimension {MAP_DIM_CAP}"
         )
-    mat = numutil.hamiltonian_superop(model.h_ls)
+    p = model.plus_mats
     g = model.rates_plus + model.rates_minus
-    channels = []
-    for k in range(model.plus_mats.shape[0]):
-        if g[k] != 0.0:
-            channels.append((g[k], model.plus_mats[k]))
-            channels.append((g[k], model.plus_mats[k].conj().T))
-    if channels:
-        mat = mat + numutil.dissipator_superop(channels)
-    return mat
+    jumps = np.concatenate([p, p.conj().transpose(0, 2, 1)])
+    eye = np.eye(model.dim)
+    anti = model._anti
+    return (numutil.hamiltonian_superop(model.h_ls)
+            + numutil.sandwich_superop(jumps, np.concatenate([g, g]))
+            - (np.kron(eye, anti) + np.kron(anti.T, eye)))
 
 
 def _eigensystem(mat: np.ndarray):
@@ -411,10 +418,17 @@ class KrausAudit:
     n_nodes: int
 
 
-def _semigroup_kraus(model, lmat, s, psd_tol):
-    prop = numutil.expm(lmat * s)
+def _semigroup_kraus(model, eig, s, psd_tol):
+    """Stacked Kraus factors of e^{L s} = V diag(e^{lam s}) V^-1."""
+    lam, v, v_inv = eig
+    prop = (v * np.exp(lam * s)) @ v_inv
     choi = numutil.choi_matrix(prop, model.dim)
-    return numutil.kraus_from_choi(choi, model.dim, psd_tol=psd_tol)
+    return np.array(numutil.kraus_from_choi(choi, model.dim, psd_tol=psd_tol))
+
+
+def _kraus_sum(kraus: np.ndarray) -> np.ndarray:
+    """sum_k K_k^dag K_k over a (r, D, D) stack."""
+    return (kraus.conj().transpose(0, 2, 1) @ kraus).sum(0)
 
 
 def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
@@ -422,14 +436,15 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
                 psd_tol: float = 1e-9) -> KrausAudit:
     """Rebuild the map as a difference of two CP maps and report residuals.
 
-    The semigroup factors come from the Choi eigendecomposition of e^{L s};
-    the drive is inserted through M(s) = (I - i H_LR(s))/sqrt(2), so that
+    The semigroup factors come from the Choi eigendecomposition of e^{L s},
+    taken at every node from one eigendecomposition of L; the drive is
+    inserted through M(s) = (I - i H_LR(s))/sqrt(2), so that
     ``M rho M^dag - M^dag rho M = -i [H_LR, rho]``.  The reconstruction
     residual is measured against :func:`lambda_map`.
     """
     _check_domain(model, rho0, unsafe)
     d = model.dim
-    lmat = liouvillian_matrix(model)
+    eig = _eigensystem(liouvillian_matrix(model))
     rho_init = np.array(rho0, dtype=complex)
     eye = np.eye(d)
 
@@ -440,26 +455,18 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
     weights *= t / n_nodes / 3.0
 
-    h_lr = [linear_response_hamiltonian(model, tau) for tau in ts]
-    kraus_t = _semigroup_kraus(model, lmat, t, psd_tol)
-    node_kraus = [_semigroup_kraus(model, lmat, t - tau, psd_tol) for tau in ts]
-
-    def sandwich_superop(ops) -> np.ndarray:
-        s = np.zeros((d * d, d * d), dtype=complex)
-        for op in ops:
-            s += np.kron(op.conj(), op)
-        return s
-
-    phi1_mat = sandwich_superop(kraus_t)
+    kraus_t = _semigroup_kraus(model, eig, t, psd_tol)
+    phi1_mat = numutil.sandwich_superop(kraus_t, np.ones(len(kraus_t)))
     phi2_mat = np.zeros((d * d, d * d), dtype=complex)
-    completeness = sum(kop.conj().T @ kop for kop in kraus_t)
+    completeness = _kraus_sum(kraus_t)
 
-    for idx, weight in enumerate(weights):
-        m_op = (eye - 1j * h_lr[idx]) / math.sqrt(2.0)
-        phi1_mat += weight * sandwich_superop([kop @ m_op for kop in node_kraus[idx]])
-        phi2_mat += weight * sandwich_superop([kop @ m_op.conj().T
-                                               for kop in node_kraus[idx]])
-        ksum = sum(kop.conj().T @ kop for kop in node_kraus[idx])
+    for tau, weight in zip(ts, weights):
+        m_op = (eye - 1j * linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
+        kraus = _semigroup_kraus(model, eig, t - tau, psd_tol)
+        node_weights = np.full(len(kraus), weight)
+        phi1_mat += numutil.sandwich_superop(kraus @ m_op, node_weights)
+        phi2_mat += numutil.sandwich_superop(kraus @ m_op.conj().T, node_weights)
+        ksum = _kraus_sum(kraus)
         completeness = completeness + weight * (
             m_op.conj().T @ ksum @ m_op - m_op @ ksum @ m_op.conj().T)
 

@@ -2,6 +2,8 @@
 and the number format of every written artifact.
 
 Superoperators use the column-stacking convention, vec(A X B) = (B^T (x) A) vec(X).
+The matrix of an operator sum rho -> sum_k w_k A_k rho A_k^dag comes from one
+stacked product (:func:`sandwich_superop`), not a loop of Kronecker products.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ __all__ = [
     "hermitize",
     "max_abs",
     "hamiltonian_superop",
-    "dissipator_superop",
+    "sandwich_superop",
     "choi_matrix",
     "kraus_from_choi",
     "simpson_doubling",
@@ -51,19 +53,17 @@ def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
-def dissipator_superop(channels) -> np.ndarray:
-    """Matrix of the Lindblad dissipator for ``channels = [(rate, L), ...]``."""
-    rate0, l0 = channels[0]
-    d = l0.shape[0]
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for rate, lop in channels:
-        ldl = lop.conj().T @ lop
-        out += rate * (
-            np.kron(lop.conj(), lop)
-            - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-        )
-    return out
+def sandwich_superop(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> sum_k w_k A_k rho A_k^dag for a (K, D, D) stack ``ops``.
+
+    That is sum_k w_k conj(A_k) (x) A_k, formed as one (D^2, K) @ (K, D^2)
+    product M[(a b), (c d)] = sum_k w_k conj(A_k)[a, b] A_k[c, d] and a
+    reshuffle to the Kronecker order [(a c), (b d)].  An empty stack gives 0.
+    """
+    k, d = ops.shape[0], ops.shape[-1]
+    flat = ops.reshape(k, d * d)
+    m = (weights[:, None] * flat.conj()).T @ flat
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def choi_matrix(s: np.ndarray, dim: int) -> np.ndarray:

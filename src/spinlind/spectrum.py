@@ -70,6 +70,12 @@ class EquivalentGroup:
     abundance: float = 1.0
 
     def __post_init__(self):
+        constants = {"j": self.j, "gamma": self.gamma,
+                     **{f"lambda.{k}": v for k, v in self.lambdas.items()}}
+        for key, value in constants.items():
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"group {self.label!r} {key} must be finite, got {value}")
         if self.count < 1:
             raise ValidationError(f"group {self.label!r} needs at least one spin")
         twice = round(2 * self.j)

@@ -196,6 +196,42 @@ class TestMatrixModes:
         assert name in capsys.readouterr().err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("config, line, replacement, name", [
+        ("two_spin", "b_o = 1.0", "b_o = abc", "b_o"),
+        ("two_spin", "b_1 = 1.0e-3", "b_1 = weak", "b_1"),
+        ("two_spin", "center = 2.0e3", "center = 2e3x", "center"),
+        ("two_spin", "beta = 2.0e-4", "beta = x", "beta"),
+        ("two_spin", "beta = 2.0e-4", "temperature_kelvin = warm", "temperature_kelvin"),
+        ("two_spin", "gammas = -2.0e3 -3.0e3", "gammas = -2.0e3 y", "gammas"),
+        ("two_spin", "couplings = 0 40.0; 40.0 0", "couplings = 0 40.0; z 0", "couplings"),
+        ("acp_two_spin", "order = 3", "order = three", "order"),
+        ("acp_two_spin", "order = 3", "order = 2.5", "order"),
+        ("naphthalene", "count = 4", "count = four", "count"),
+        ("naphthalene", "j = 0.5\ncount = 1", "j = half\ncount = 1", "j must be"),
+        ("naphthalene", "lambda.h1 = 4.90", "lambda.h1 = wide", "lambda.h1"),
+        ("naphthalene", "lambda.h1 = 4.90", "lambda.h1 = nan", "lambda.h1"),
+        ("naphthalene", "lambda.h1 = 4.90", "lambda.h1 = inf", "lambda.h1"),
+        ("naphthalene", "lambda.h2 = 1.83", "lambda.h2 = -inf", "lambda.h2"),
+        ("naphthalene", "j = 0.5\ncount = 1", "j = nan\ncount = 1", "j must be"),
+        ("naphthalene", "j = 0.5\ncount = 1", "j = inf\ncount = 1", "j must be"),
+        ("naphthalene", "gamma = -1.7608e7", "gamma = nan", "gamma must be"),
+        ("naphthalene", "gamma = -1.7608e7", "gamma = -inf", "gamma must be"),
+        ("naphthalene", "[spectrum]", "[spectrum]\nomega_o = fast", "omega_o"),
+    ])
+    def test_non_numeric_or_non_finite_keys_rejected(self, tmp_path, monkeypatch, capsys,
+                                                      config, line, replacement, name):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / f"{config}.cfg").read_text()
+        assert line in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(line, replacement))
+        with pytest.raises(ValidationError, match=name):
+            load_config(bad)
+        out = tmp_path / "out"
+        assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
+        assert name in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     def test_verify_mode_passes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         code = run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,

@@ -120,6 +120,69 @@ def choi_loop(s, dim):
     return c4.reshape(dim * dim, dim * dim)
 
 
+def einsum_dissipator(model, rho):
+    """Oracle: the dissipator as two 4-operand einsums, K D^4 work."""
+    rho = np.asarray(rho)
+    if rho.shape != (model.dim, model.dim):
+        raise ValidationError("density matrix dimension mismatch")
+    out = -(model._anti @ rho + rho @ model._anti)
+    g = model.rates_plus + model.rates_minus
+    if model.plus_mats.shape[0]:
+        p = model.plus_mats
+        out = out + np.einsum("k,kij,jl,kml->im", g, p, rho, p.conj())
+        out = out + np.einsum("k,kji,jl,klm->im", g, p.conj(), rho, p)
+    return out
+
+
+def kron_sandwich(ops, weights, dim):
+    """Oracle: sum_k w_k conj(A_k) (x) A_k, one Kronecker product per operator."""
+    s = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for op, w in zip(ops, weights):
+        s += w * np.kron(op.conj(), op)
+    return s
+
+
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+def operator_sum_model(case):
+    """Driven systems for the operator-sum checks, in map_model's units.
+
+    ``generic<n>``: n spin-1/2 with seeded unequal gammas and couplings, so
+    every ladder block is its own frequency (D = 2^n, K = 4, 12, 32, 80 for
+    n = 2..5).  ``three_equivalent_plus_one``: three equivalent spin-1/2
+    coupled alike to a fourth (D = 16, degenerate gaps).  ``spin1_pair``:
+    D = 9.
+    """
+    if case.startswith("generic"):
+        n = int(case[len("generic"):])
+        rng = np.random.default_rng(n)
+        spins = [0.5] * n
+        gammas = -20.0 * rng.uniform(0.8, 1.4, size=n)
+        couplings = rng.normal(scale=1.5, size=(n, n))
+        couplings = couplings + couplings.T
+        np.fill_diagonal(couplings, 0.0)
+    elif case == "three_equivalent_plus_one":
+        spins = [0.5] * 4
+        gammas = [-20.0, -20.0, -20.0, -27.0]
+        couplings = np.full((4, 4), 1.5)
+        couplings[:3, 3] = couplings[3, :3] = 2.0
+        np.fill_diagonal(couplings, 0.0)
+    else:
+        assert case == "spin1_pair"
+        spins, gammas = [1.0, 1.0], [-10.0, -14.0]
+        couplings = np.array([[0.0, 1.0], [1.0, 0.0]])
+    system = sc.SpinSystem(spins, gammas, couplings)
+    field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=ls.lorentzian(22.0, 4.0))
+    return build(system, field, 0.05)
+
+
+OPERATOR_SUM_CASES = ["generic2", "generic3", "generic4", "generic5",
+                      "three_equivalent_plus_one", "spin1_pair"]
+
+
 def map_model(case, kind):
     """Small driven systems in units where the drive, the rates and the
     Larmor frequencies are all of order one to twenty, so that the quadrature
@@ -257,6 +320,31 @@ class TestDissipator:
         s3 = np.trace(rho @ SIGMA[3]).real
         assert s3_dot == pytest.approx(-2.0 * rate * s3, rel=1e-12)
 
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    def test_matches_einsum_oracle(self, case, rng):
+        model = operator_sum_model(case)
+        assert np.all(model.rates_plus + model.rates_minus > 0)
+        rho = random_hermitian(rng, model.dim)
+        want = einsum_dissipator(model, rho)
+        assert nu.max_abs(me.dissipator(model, rho) - want) <= 1e-14 * nu.max_abs(want)
+
+    def test_dimension_mismatch_rejected(self, qubit_model):
+        with pytest.raises(ValidationError, match="dimension"):
+            me.dissipator(qubit_model, np.eye(3))
+
+
+class TestLiouvillianMatrix:
+    @pytest.mark.parametrize("case", [c for c in OPERATOR_SUM_CASES if c != "generic5"])
+    def test_matches_operator_form(self, case, rng):
+        # L vec(rho) = vec(-i [h_ls, rho] + D[rho]) ties the superoperator
+        # assembly to the operator-level generator that RK4 integrates
+        model = operator_sum_model(case)
+        lmat = me.liouvillian_matrix(model)
+        h = model.h_ls
+        rho = random_hermitian(rng, model.dim)
+        want = nu.vec(-1j * (h @ rho - rho @ h) + me.dissipator(model, rho))
+        assert nu.max_abs(lmat @ nu.vec(rho) - want) <= 1e-14 * nu.max_abs(want)
+
 
 class TestPropagate:
     def test_undriven_state_is_frozen(self, resonant_qubit):
@@ -295,6 +383,15 @@ class TestPropagate:
         a = me.propagate(qubit_model, qubit_model.boltzmann, t_end, dt).final
         b = me.propagate(qubit_model, qubit_model.boltzmann, t_end, dt / 2).final
         assert np.max(np.abs(a - b)) < 1e-8
+
+    @pytest.mark.parametrize("case", ["generic4", "three_equivalent_plus_one"])
+    def test_matches_lambda_map_at_d16(self, case):
+        model = operator_sum_model(case)
+        assert model.dim == 16
+        t = 1.0 / decay_rate(model)
+        traj = me.propagate(model, model.boltzmann, t, store_every=10 ** 9)
+        want = me.lambda_map(model, t, model.boltzmann)
+        assert nu.max_abs(traj.final - want) <= 1e-9
 
     def test_domain_enforcement(self, qubit_model):
         bad = np.diag([1.0, 0.0]).astype(complex)
@@ -409,6 +506,23 @@ class TestChoiMatrix:
     def test_reshuffle_equals_blockwise_assembly(self, dim, rng):
         s = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim,) * 2)
         assert np.array_equal(nu.choi_matrix(s, dim), choi_loop(s, dim))
+
+
+class TestSandwichSuperop:
+    @pytest.mark.parametrize("count", [0, 1, 6])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_matches_kron_loop(self, count, dim, rng):
+        ops = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        weights = rng.normal(size=count)
+        got = nu.sandwich_superop(ops, weights)
+        want = kron_sandwich(ops, weights, dim)
+        assert got.shape == (dim * dim, dim * dim)
+        assert nu.max_abs(got - want) <= 1e-14 * max(nu.max_abs(want), 1.0)
+        rho = random_hermitian(rng, dim)
+        action = sum((w * op @ rho @ op.conj().T for op, w in zip(ops, weights)),
+                     np.zeros((dim, dim)))
+        assert nu.max_abs(nu.unvec(got @ nu.vec(rho), dim) - action) <= (
+            1e-13 * max(nu.max_abs(action), 1.0))
 
 
 class TestKrausAudit:

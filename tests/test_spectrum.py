@@ -41,6 +41,19 @@ def anthracene_groups():
     )
 
 
+class TestEquivalentGroup:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["j", "gamma", "lambda.h"])
+    def test_non_finite_constants_rejected(self, key, value):
+        args = {"j": 0.5, "gamma": GAMMA_E, "lambdas": {"h": 1.0}}
+        if key == "lambda.h":
+            args["lambdas"] = {"h": value}
+        else:
+            args[key] = value
+        with pytest.raises(ValidationError, match=rf"'e' {key} must be finite"):
+            sp.EquivalentGroup("e", count=1, **args)
+
+
 class TestGeneratingPolynomial:
     def test_naphthalene_term_by_term(self):
         poly = sp.generating_polynomial(naphthalene_groups(), "e")
