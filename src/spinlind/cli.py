@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acp, mastereq, qubit, spectrum
-from .config import RunConfig, load_config
+from .config import RunConfig, _validate_mode, load_config
 from .errors import AccuracyError, SpinLindError, ValidationError
 from .mastereq import FieldConfig, build_model
 from .numutil import fmt12
@@ -70,20 +70,31 @@ def run_propagate(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
 
 def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
+    """Compare Lambda(t) rho0 with the closed-form spin-1/2 trajectory.
+
+    The compared times are ``n_points`` frames, evenly spaced by index, of the
+    grid :func:`mastereq.propagate` would store with ``[qubit] dt`` (default
+    :func:`mastereq.default_dt`); the numeric columns come from the exact map
+    :func:`mastereq.lambda_map` at those times, not from a time stepper.
+    """
     model = build_model(cfg.system, _field(cfg), cfg.beta)
     params = qubit.QubitParams.from_field(cfg.system.gammas[0], cfg.field_b_o,
                                           cfg.field_b_1, cfg.beta, cfg.dist)
-    traj = mastereq.propagate(model, model.boltzmann, cfg.t_end, cfg.dt)
-    states = traj.schrodinger_states()
+    dt, steps = mastereq._time_grid(model, cfg.t_end, cfg.dt, None)
+    idx = np.unique(np.linspace(0, steps.size - 1, cfg.n_points).astype(int))
+    times = steps[idx] * dt
+    states = mastereq.Trajectory(
+        times=times,
+        states=np.array([mastereq.lambda_map(model, t, model.boltzmann) for t in times]),
+        energies=model.levels.energies,
+    ).schrodinger_states()
     xi = {a: xi_operator(cfg.system, a) for a in "xyz"}
     gamma = cfg.system.gammas[0]
 
-    idx = np.unique(np.linspace(0, traj.times.size - 1, cfg.n_points).astype(int))
     rows = []
     max_dev = 0.0
-    for i in idx:
-        t = float(traj.times[i])
-        rho = states[i]
+    for t, rho in zip(times, states):
+        t = float(t)
         # numeric Bloch components: <sigma_a> = -2 <xi^a> / gamma
         num = [float(np.real(np.trace(rho @ xi[a]))) * (-2.0 / gamma) for a in "xyz"]
         ana = qubit.trajectory(params, t)
@@ -222,15 +233,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.mode:
+            cfg.mode = args.mode.strip().lower()
+            _validate_mode(cfg)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    if args.mode:
-        cfg.mode = args.mode.strip().lower()
 
     out_dir = os.environ.get("SPINLIND_OUT") or args.out
     out = Path(out_dir)
@@ -247,13 +258,8 @@ def main(argv=None) -> int:
         "acp": run_acp,
         "verify": run_verify,
     }
-    runner = runners.get(cfg.mode)
-    if runner is None:
-        print(f"unknown mode {cfg.mode!r}", file=sys.stderr)
-        return EXIT_VALIDATION
-
     try:
-        return runner(cfg, out, args.verbose)
+        return runners[cfg.mode](cfg, out, args.verbose)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

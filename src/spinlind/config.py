@@ -11,13 +11,17 @@ Grammar (see README for a full description):
     [spectrum]          resonance (one label or several), omega_o, scaled
     [propagate]         t_end > 0, dt > 0 (optional), store_every >= 1 (optional)
     [qubit]             t_end > 0, n_points >= 2, dt > 0 (optional),
-                        tolerance >= 0 (optional); every number finite
+                        tolerance >= 0 (optional); every number finite.
+                        dt spaces the propagate grid on [0, t_end] that the
+                        n_points compared times are drawn from; the states
+                        there come from the exact map, not from steps of dt
     [acp]               order
     [output]            basename (optional)
 
 Validation failures name the violated invariant, and a value that is not a
 number names its ``[section] key``; parse failures carry the line
-information from the underlying parser.
+information from the underlying parser.  The per-mode requirements are
+checked again when the CLI's ``--mode`` replaces the configured mode.
 """
 
 from __future__ import annotations
@@ -152,11 +156,7 @@ def load_config(path) -> RunConfig:
 
     if "run" not in parser or "mode" not in parser["run"]:
         raise ValidationError("config must declare [run] mode = ...")
-    mode = parser["run"]["mode"].strip().lower()
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-
-    cfg = RunConfig(mode=mode)
+    cfg = RunConfig(mode=parser["run"]["mode"].strip().lower())
 
     if "thermal" in parser:
         sec = parser["thermal"]
@@ -214,6 +214,13 @@ def load_config(path) -> RunConfig:
 
 
 def _validate_mode(cfg: RunConfig) -> None:
+    """Check that ``cfg`` has every section and value its mode needs.
+
+    :func:`load_config` runs this for the configured mode; the CLI runs it
+    again after ``--mode`` replaces the mode.
+    """
+    if cfg.mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     needs_matrix = cfg.mode in ("propagate", "qubit", "acp", "verify")
     if needs_matrix:
         if cfg.system is None:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import PoleError, ValidationError
 
@@ -134,9 +133,11 @@ def hilbert(dist: FrequencyDistribution, x: float) -> float:
         if x == dist.center:
             raise PoleError("Hilbert transform of a delta line diverges at its center")
         return 1.0 / (math.pi * (x - dist.center))
+    from scipy.special import dawsn
+
     s = _gauss_sigma(dist)
     xi = (x - dist.center) / (math.sqrt(2.0) * s)
-    return math.sqrt(2.0) / (math.pi * s) * float(scipy.special.dawsn(xi))
+    return math.sqrt(2.0) / (math.pi * s) * float(dawsn(xi))
 
 
 def envelope_integral(dist: FrequencyDistribution, kappa: complex, t0: float,
@@ -172,6 +173,8 @@ def envelope_integral(dist: FrequencyDistribution, kappa: complex, t0: float,
             return cmath.exp(a * t0 + log_scale) * complex(np.expm1(span)) / a
         return (cmath.exp(a * t1 + log_scale) - cmath.exp(a * t0 + log_scale)) / a
 
+    from scipy.special import wofz
+
     s = _gauss_sigma(dist)
     root2s = math.sqrt(2.0) * s
 
@@ -181,7 +184,7 @@ def envelope_integral(dist: FrequencyDistribution, kappa: complex, t0: float,
             return True, 0.0
         z = (s * s * tau - b) / root2s
         upper = z.real >= 0.0
-        w = complex(scipy.special.wofz(1j * z if upper else -1j * z))
+        w = complex(wofz(1j * z if upper else -1j * z))
         return upper, cmath.exp(b * tau - 0.5 * (s * tau) ** 2 + log_scale) * w
 
     up0, e0 = end(t0)

@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from . import lineshape, numutil
 from .eigenops import Decomposition, decompose, plus_blocks
@@ -60,8 +59,6 @@ __all__ = [
     "kraus_audit",
     "noncp_witness",
     "pauli_rates",
-    "wavefunction_oracle",
-    "wavefunction_distribution",
     "export_trajectory_csv",
     "export_trajectory_json",
 ]
@@ -274,13 +271,15 @@ def propagate(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
     return _rk4(model, rho0, t_end, dt, store_every)
 
 
-def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
-         dt: float | None, store_every: int | None, extra=None) -> Trajectory:
-    """Classical RK4 for d rho/dt = A(t) rho0 + L rho(t) [+ extra(t)] from rho0.
+def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
+               store_every: int | None):
+    """Step and stored step numbers of the fixed-step grid on [0, t_end].
 
-    The one time stepper of the package: :func:`propagate` runs it bare and
-    ``acp.propagate_order_n`` with its order-n inhomogeneity as ``extra``.
-    The step defaults to :func:`default_dt`, shrunk so it divides ``t_end``.
+    ``dt`` defaults to :func:`default_dt` and is shrunk to t_end / n_steps so
+    it divides ``t_end``; ``store_every`` defaults to n_steps // 2000 (at
+    least 1).  The stored steps are 0, every multiple of ``store_every`` and
+    the last step, so the stored times are ``steps * dt``.  Built from the
+    counts alone: O(frames), not O(steps).
     """
     if dt is None:
         dt = default_dt(model)
@@ -292,32 +291,46 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
         raise ValidationError(f"store_every must be at least 1, got {store_every}")
 
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n_steps
     if store_every is None:
         store_every = max(1, n_steps // 2000)
+    steps = np.arange(0, n_steps + 1, store_every)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    return t_end / n_steps, steps
 
+
+def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
+         dt: float | None, store_every: int | None, extra=None) -> Trajectory:
+    """Classical RK4 for d rho/dt = A(t) rho0 + L rho(t) [+ extra(t)] from rho0.
+
+    The one time stepper of the package: :func:`propagate` runs it bare and
+    ``acp.propagate_order_n`` with its order-n inhomogeneity as ``extra``.
+    Steps and stored frames follow :func:`_time_grid`.
+    """
+    dt, steps = _time_grid(model, t_end, dt, store_every)
     rho_init = np.array(rho0, dtype=complex)
     y = rho_init.copy()
-    times = [0.0]
-    states = [y.copy()]
+    states = np.empty((steps.size,) + y.shape, dtype=complex)
+    states[0] = y
 
     def rhs(t, rho):
         out = a_term(model, t, rho_init) + _l_term(model, rho)
         return out if extra is None else out + extra(t)
 
     t = 0.0
-    for step in range(1, n_steps + 1):
+    frame = 1
+    for step in range(1, int(steps[-1]) + 1):
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
         k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
         k4 = rhs(t + dt, y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = step * dt
-        if step % store_every == 0 or step == n_steps:
-            times.append(t)
-            states.append(y.copy())
+        if step == steps[frame]:
+            states[frame] = y
+            frame += 1
 
-    return Trajectory(times=np.array(times), states=np.array(states),
+    return Trajectory(times=steps * dt, states=states,
                       energies=model.levels.energies.copy())
 
 
@@ -393,7 +406,18 @@ def lambda_map(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     defective or nearly so.
     """
     _check_domain(model, rho0, unsafe)
-    lam, v, v_inv = _eigensystem(liouvillian_matrix(model))
+    eig = _eigensystem(liouvillian_matrix(model))
+    return _apply_map(model, eig, t, rho0, include_drive)
+
+
+def _apply_map(model: MasterEquationModel, eig, t: float, rho0: np.ndarray,
+               include_drive: bool = True) -> np.ndarray:
+    """Lambda(t) rho0 from ``eig`` = (lam, V, V^-1) of L (see :func:`lambda_map`).
+
+    Shared by :func:`lambda_map` and :func:`kraus_audit`, so each call makes
+    exactly one eigendecomposition of L.
+    """
+    lam, v, v_inv = eig
     rho_init = np.array(rho0, dtype=complex)
     coef = np.exp(lam * t) * (v_inv @ numutil.vec(rho_init))
 
@@ -440,7 +464,8 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     taken at every node from one eigendecomposition of L; the drive is
     inserted through M(s) = (I - i H_LR(s))/sqrt(2), so that
     ``M rho M^dag - M^dag rho M = -i [H_LR, rho]``.  The reconstruction
-    residual is measured against :func:`lambda_map`.
+    residual is measured against :func:`lambda_map`, evaluated from the same
+    eigendecomposition.
     """
     _check_domain(model, rho0, unsafe)
     d = model.dim
@@ -471,7 +496,7 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
             m_op.conj().T @ ksum @ m_op - m_op @ ksum @ m_op.conj().T)
 
     reconstructed = numutil.unvec((phi1_mat - phi2_mat) @ numutil.vec(rho_init), d)
-    reference = lambda_map(model, t, rho_init, unsafe=unsafe)
+    reference = _apply_map(model, eig, t, rho_init)
     trace_residual = abs(complex(np.trace(reconstructed)) - complex(np.trace(rho_init)))
     rec_residual = numutil.max_abs(reconstructed - reference)
     comp_residual = numutil.max_abs(completeness - eye)
@@ -624,73 +649,6 @@ def transition_rate(model: MasterEquationModel, n_from: int, n_to: int) -> float
         if entry.n_from == n_from and entry.n_to == n_to:
             return entry.total
     return 0.0
-
-
-def wavefunction_oracle(energies: np.ndarray, h_prime, k0: int, k: int,
-                        t_o: float, t: float, *, rtol: float = 1e-9,
-                        n0: int = 16) -> float:
-    """Second-order transition probability |a_k(t)|^2 for a pure initial state.
-
-    ``h_prime`` must map an array of times to stacked Hermitian drive
-    matrices of shape (nt, D, D).  For ``k == k0`` this returns the
-    first-order diagonal value (1.0); use :func:`wavefunction_distribution`
-    for the second-order-corrected full distribution.  For strongly
-    oscillatory drives pass an ``n0`` that already resolves the fastest
-    phase, so the node-doubling convergence check is meaningful.
-    """
-    energies = np.asarray(energies, dtype=float)
-    if k == k0:
-        return 1.0
-    omega = energies[k0] - energies[k]
-
-    def integrand(ts):
-        hs = np.asarray(h_prime(np.asarray(ts)))
-        return np.exp(-1j * (np.asarray(ts) - t_o) * omega) * hs[:, k, k0]
-
-    amp = numutil.simpson_doubling(integrand, t_o, t, rtol=rtol, atol=1e-300,
-                                   n0=n0)
-    return float(abs(amp) ** 2)
-
-
-def wavefunction_distribution(energies: np.ndarray, h_prime, k0: int,
-                              t_o: float, t: float, *, n0: int = 256,
-                              rtol: float = 1e-9, max_n: int = 1 << 20) -> np.ndarray:
-    """Full second-order |a_k(t)|^2 distribution including the diagonal correction.
-
-    The diagonal receives ``delta - 2 Re[double time-ordered integral] +
-    |first-order diagonal integral|^2`` evaluated on a shared grid, so the
-    normalization sum rule can be checked numerically.
-    """
-    energies = np.asarray(energies, dtype=float)
-    dim = energies.size
-
-    def evaluate(n):
-        ts = np.linspace(t_o, t, n + 1)
-        hs = np.asarray(h_prime(ts))
-        # f_k(t) = <k|V(t)|k0> in the interaction picture
-        phases = np.exp(1j * (ts[:, None] - t_o) * (energies[None, :] - energies[k0]))
-        f = phases * hs[:, :, k0]
-        first = scipy.integrate.simpson(f, x=ts, axis=0)
-        # cumulative_simpson handles real data; run the parts separately
-        cumulative = (
-            scipy.integrate.cumulative_simpson(f.real, x=ts, initial=0.0, axis=0)
-            + 1j * scipy.integrate.cumulative_simpson(f.imag, x=ts, initial=0.0, axis=0)
-        )
-        double = scipy.integrate.simpson(
-            2.0 * np.real(np.conj(f) * cumulative).sum(axis=1), x=ts)
-        probs = np.abs(first) ** 2
-        probs[k0] += 1.0 - double
-        return probs
-
-    n = n0
-    prev = evaluate(n)
-    while n <= max_n:
-        n *= 2
-        cur = evaluate(n)
-        if numutil.max_abs(cur - prev) <= rtol * max(numutil.max_abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise AccuracyError("wavefunction distribution quadrature did not converge")
 
 
 def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,

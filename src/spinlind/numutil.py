@@ -1,5 +1,6 @@
-"""Small numerical helpers: Simpson quadrature, superoperator vectorization, Kraus factors,
-and the number format of every written artifact.
+"""Small numerical helpers: superoperator vectorization, Kraus factors, the matrix
+exponential (scipy, imported on first use) and the number format of every written
+artifact.
 
 Superoperators use the column-stacking convention, vec(A X B) = (B^T (x) A) vec(X).
 The matrix of an operator sum rho -> sum_k w_k A_k rho A_k^dag comes from one
@@ -9,7 +10,6 @@ stacked product (:func:`sandwich_superop`), not a loop of Kronecker products.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AccuracyError
 
@@ -22,7 +22,6 @@ __all__ = [
     "sandwich_superop",
     "choi_matrix",
     "kraus_from_choi",
-    "simpson_doubling",
     "fmt12",
 ]
 
@@ -96,40 +95,9 @@ def kraus_from_choi(choi: np.ndarray, dim: int, *, psd_tol: float = 1e-10):
     return kraus
 
 
-def simpson_doubling(f, a: float, b: float, *, rtol: float = 1e-9,
-                     atol: float = 0.0, n0: int = 16, max_n: int = 1 << 22):
-    """Composite Simpson integration with interval doubling until converged.
-
-    ``f`` must accept a 1-D array of nodes; it may return scalars per node or
-    arrays of any trailing shape (integration runs over the leading axis).
-    """
-    if b == a:
-        probe = np.asarray(f(np.asarray([a])))
-        return np.zeros(probe.shape[1:], dtype=probe.dtype) if probe.ndim > 1 else 0.0
-
-    def _simpson(n):
-        x = np.linspace(a, b, n + 1)
-        y = np.asarray(f(x))
-        h = (b - a) / n
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w = w * (h / 3.0)
-        return np.tensordot(w, y, axes=(0, 0))
-
-    n = n0 if n0 % 2 == 0 else n0 + 1
-    prev = _simpson(n)
-    while n <= max_n:
-        n *= 2
-        cur = _simpson(n)
-        err = max_abs(cur - prev)
-        if err <= max(atol, rtol * max(max_abs(cur), 1e-300)):
-            return cur
-        prev = cur
-    raise AccuracyError(f"Simpson rule did not converge on [{a}, {b}] with {max_n} panels")
-
-
 def expm(a: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     return scipy.linalg.expm(a)
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .eigenops import decompose, plus_blocks
 from .errors import ValidationError
@@ -242,6 +241,8 @@ def kramers_kronig_residual(kernels, grid, eta: float, *,
     Re chi_eta on the grid.  The finite window contributes an O(eta) tail
     error; the identity itself is exact for the smoothed form.
     """
+    import scipy.integrate
+
     if eta <= 0:
         raise ValidationError("eta must be positive")
     kernels = list(kernels)

@@ -23,6 +23,7 @@ from spinlind import spincore as sc
 from spinlind.config import load_config
 
 from conftest import random_system, resonant_qubit_setup
+from oracles import wavefunction_oracle
 from test_spectrum import anthracene_groups, biphenyl_groups, naphthalene_groups
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -308,7 +309,7 @@ class TestAcceptance:
             for w_r, weight in zip(omegas_r, w_gl):
                 def drive(ts, w_r=w_r):
                     return (2.0 * b_1 * np.cos(w_r * np.asarray(ts)))[:, None, None] * xi_x
-                total += weight * me.wavefunction_oracle(
+                total += weight * wavefunction_oracle(
                     energies, drive, 1, 0, 0.0, t, rtol=1e-5, n0=4096)
             return total
 

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spinlind
 from spinlind import cli
+from spinlind import mastereq as me
 from spinlind import spectrum as sp
 from spinlind.config import load_config
 from spinlind.errors import ValidationError
+from spinlind.numutil import fmt12
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -247,4 +253,69 @@ class TestMatrixModes:
         code = run_cli(["--config", CONFIGS / "qubit.cfg", "--out", tmp_path])
         assert code == 0
         report = json.loads((tmp_path / "qubit_qubit_report.json").read_text())
-        assert report["max_abs_deviation"] < 1e-6
+        # numeric columns from the exact map, not a time stepper (RK4 gave 4e-10)
+        assert report["max_abs_deviation"] < 1e-12
+        assert report["n_compared"] == 120
+        # the compared times are frames of the grid propagate stores on
+        cfg = load_config(CONFIGS / "qubit.cfg")
+        model = me.build_model(cfg.system, me.FieldConfig(cfg.field_b_o, cfg.field_b_1,
+                                                          cfg.dist), cfg.beta)
+        dt, steps = me._time_grid(model, cfg.t_end, cfg.dt, None)
+        frames = {fmt12(float(t)) for t in steps * dt}
+        rows = (tmp_path / "qubit_qubit.csv").read_text().splitlines()[1:]
+        times = [row.split(",")[0] for row in rows]
+        assert len(times) == 120 and set(times) <= frames
+        assert times[0] == "0" and times[-1] == fmt12(cfg.t_end)
+
+
+class TestModeOverride:
+    @pytest.mark.parametrize("config, mode, requirement", [
+        ("two_spin", "qubit", "single spin-1/2 system"),
+        ("two_spin", "spectrum", "[group:...] section"),
+        ("naphthalene", "propagate", "explicit [system] spin list"),
+        ("naphthalene", "relax", "mode must be one of"),
+    ])
+    def test_mode_override_is_validated(self, tmp_path, monkeypatch, capsys,
+                                        config, mode, requirement):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        out = tmp_path / "out"
+        code = run_cli(["--config", CONFIGS / f"{config}.cfg", "--out", out,
+                        "--mode", mode])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert requirement in err
+        assert "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
+
+def _scipy_modules_after(code, cwd):
+    """``scipy*`` entries of sys.modules after running ``code`` in a fresh interpreter."""
+    src = str(Path(spinlind.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "SPINLIND_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_scipy(self, tmp_path):
+        code = "import spinlind, spinlind.cli, spinlind.acp, spinlind.response"
+        assert _scipy_modules_after(code, tmp_path) == []
+
+    @pytest.mark.parametrize("config, unloaded", [
+        ("naphthalene", "scipy"),
+        ("two_spin", "scipy"),
+        ("qubit", "scipy"),
+        ("acp_two_spin", ("scipy.special", "scipy.integrate")),  # expm needs scipy.linalg
+    ], ids=["naphthalene", "two_spin", "qubit", "acp_two_spin"])
+    def test_cli_run_loads_no_unused_scipy(self, tmp_path, config, unloaded):
+        code = (f"from spinlind import cli\n"
+                f"assert cli.main(['--config', {str(CONFIGS / (config + '.cfg'))!r}, "
+                f"'--out', 'out']) == 0")
+        loaded = _scipy_modules_after(code, tmp_path)
+        assert not [m for m in loaded if m.startswith(unloaded)]

@@ -16,6 +16,7 @@ from spinlind.errors import (
 from spinlind.qubit import SIGMA
 
 from conftest import random_system
+from oracles import simpson_doubling, wavefunction_distribution, wavefunction_oracle
 
 
 def build(system, field, beta):
@@ -525,6 +526,27 @@ class TestSandwichSuperop:
             1e-13 * max(nu.max_abs(action), 1.0))
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_end, dt, store_every", [
+        (0.01, None, None),             # default dt, every step stored
+        (0.01, 0.01 / 7.3, None),       # dt shrunk to divide t_end
+        (0.01, 0.001, 3),               # last step off the store_every stride
+        (0.01, 0.001, 2),               # explicit store_every dividing the steps
+        (0.01, 0.02, None),             # dt > t_end: one step
+        (0.05, 0.05 / 4101, None),      # default store_every above 2000 steps
+    ])
+    def test_matches_propagate_times(self, qubit_model, t_end, dt, store_every):
+        step, steps = me._time_grid(qubit_model, t_end, dt, store_every)
+        traj = me.propagate(qubit_model, qubit_model.boltzmann, t_end, dt,
+                            store_every=store_every)
+        assert np.array_equal(steps * step, traj.times)
+        # the step-by-step rule: store step 0, every store_every-th and the last
+        n = int(math.ceil(t_end / (dt or me.default_dt(qubit_model)) - 1e-12))
+        every = store_every or max(1, n // 2000)
+        assert step == t_end / n
+        assert steps.tolist() == [k for k in range(n + 1) if k % every == 0 or k == n]
+
+
 class TestKrausAudit:
     def test_residuals_small(self, qubit_model):
         rate = qubit_rate(qubit_model)
@@ -545,6 +567,38 @@ class TestKrausAudit:
         # its Choi stays tiny relative to phi1's
         assert report.reconstruction_residual < 1e-8
         assert report.trace_residual < 1e-10
+
+    def test_one_generator_eigendecomposition_per_call(self, qubit_model, monkeypatch):
+        calls = {"liouvillian_matrix": 0, "_eigensystem": 0}
+        for name in calls:
+            original = getattr(me, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(me, name, spy)
+        me.kraus_audit(qubit_model, 0.3 / qubit_rate(qubit_model),
+                       qubit_model.boltzmann, n_nodes=16)
+        assert calls == {"liouvillian_matrix": 1, "_eigensystem": 1}
+
+    @pytest.mark.parametrize("case", ["driven", "undriven"])
+    def test_shared_eigensystem_changes_no_field(self, resonant_qubit, monkeypatch, case):
+        # the reference map from the audit's own eigensystem equals the one
+        # lambda_map builds from a second eigendecomposition, field for field
+        system, field, beta = resonant_qubit
+        if case == "undriven":
+            field = me.FieldConfig(b_o=field.b_o, b_1=0.0, dist=field.dist)
+        model = build(system, field, beta)
+        t = 0.4 / 35.2
+        shared = me.kraus_audit(model, t, model.boltzmann, n_nodes=64)
+        apply_map = me._apply_map
+
+        def fresh(model, eig, *args):
+            return apply_map(model, me._eigensystem(me.liouvillian_matrix(model)), *args)
+
+        monkeypatch.setattr(me, "_apply_map", fresh)
+        assert me.kraus_audit(model, t, model.boltzmann, n_nodes=64) == shared
 
 
 class TestWitness:
@@ -586,7 +640,7 @@ class TestWitness:
         assert model.plus_mats.shape[0] > 1
         for t in (1e-4, 3e-3, 2e-2):
             got = me.drive_integral(model, t)
-            want = nu.simpson_doubling(
+            want = simpson_doubling(
                 lambda ts: np.array([me.linear_response_hamiltonian(model, tau)
                                      for tau in ts]),
                 0.0, t, rtol=1e-13, atol=1e-300)
@@ -637,9 +691,9 @@ class TestWavefunctionOracle:
         def h_zero(ts):
             return np.zeros((len(ts), 3, 3), dtype=complex)
 
-        assert me.wavefunction_oracle(energies, h_zero, 0, 1, 0.0, 2.0) == 0.0
-        assert me.wavefunction_oracle(energies, h_zero, 0, 0, 0.0, 2.0) == 1.0
-        dist = me.wavefunction_distribution(energies, h_zero, 0, 0.0, 2.0)
+        assert wavefunction_oracle(energies, h_zero, 0, 1, 0.0, 2.0) == 0.0
+        assert wavefunction_oracle(energies, h_zero, 0, 0, 0.0, 2.0) == 1.0
+        dist = wavefunction_distribution(energies, h_zero, 0, 0.0, 2.0)
         assert np.allclose(dist, [1.0, 0.0, 0.0])
 
     def test_second_order_normalization(self):
@@ -655,7 +709,7 @@ class TestWavefunctionOracle:
             h[:, 0, 0] = 0.1 * amp * np.sin(w0 * ts)
             return h
 
-        probs = me.wavefunction_distribution(energies, drive, 0, 0.0, 3.0)
+        probs = wavefunction_distribution(energies, drive, 0, 0.0, 3.0)
         assert probs.sum() == pytest.approx(1.0, abs=1e-8)
 
 

@@ -6,11 +6,11 @@ import scipy.optimize
 
 from spinlind import lineshape as ls
 from spinlind import mastereq as me
-from spinlind import numutil
 from spinlind import qubit as qb
 from spinlind.errors import ValidationError
 
 from conftest import resonant_qubit_setup
+from oracles import simpson_doubling
 
 
 
@@ -30,7 +30,7 @@ def simpson_sigma_plus(params, t, rtol=1e-13):
     def integrand(tp):
         return np.exp(-kappa * (t - tp)) * np.real(ls.characteristic(params.dist, tp))
 
-    val = numutil.simpson_doubling(integrand, 0.0, t, rtol=rtol, atol=1e-300)
+    val = simpson_doubling(integrand, 0.0, t, rtol=rtol, atol=1e-300)
     return 1j * params.omega_1 * params.thermal_polarization * val
 
 
