@@ -75,7 +75,8 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     The compared times are ``n_points`` frames, evenly spaced by index, of the
     grid :func:`mastereq.propagate` would store with ``[qubit] dt`` (default
     :func:`mastereq.default_dt`); the numeric columns come from the exact map
-    :func:`mastereq.lambda_map` at those times, not from a time stepper.
+    :func:`mastereq.lambda_map` at those times, not from a time stepper, with
+    one eigendecomposition of L shared by every compared time.
     """
     model = build_model(cfg.system, _field(cfg), cfg.beta)
     params = qubit.QubitParams.from_field(cfg.system.gammas[0], cfg.field_b_o,
@@ -83,9 +84,11 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     dt, steps = mastereq._time_grid(model, cfg.t_end, cfg.dt, None)
     idx = np.unique(np.linspace(0, steps.size - 1, cfg.n_points).astype(int))
     times = steps[idx] * dt
+    eig = mastereq._eigensystem(mastereq.liouvillian_matrix(model))
     states = mastereq.Trajectory(
         times=times,
-        states=np.array([mastereq.lambda_map(model, t, model.boltzmann) for t in times]),
+        states=np.array([mastereq._apply_map(model, eig, t, model.boltzmann)
+                         for t in times]),
         energies=model.levels.energies,
     ).schrodinger_states()
     xi = {a: xi_operator(cfg.system, a) for a in "xyz"}

@@ -1,9 +1,19 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spinlind import lineshape as ls
 from spinlind import mastereq as me
 from spinlind import spincore as sc
+
+# CI sets CI=true: derandomized examples and the failing example's blob
+# printed, so a property failure in CI replays locally with the same profile
+# (CI=1 pytest) or with @reproduce_failure.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

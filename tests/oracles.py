@@ -1,16 +1,21 @@
 """Slow independent routes the tests check the library against.
 
-Composite Simpson integration with node doubling, and the wavefunction
+Composite Simpson integration with node doubling, the wavefunction
 (time-dependent perturbation theory) transition probabilities of a pure
-initial state.  None of these is part of the package: each is a reference
-for a closed form or a master-equation rate.
+initial state, and the per-term stick spectrum (dict expansion, tuple sort,
+anchor merge) with its CSV and SVG writers.  None of these is part of the
+package: each is a reference for a closed form, a master-equation rate or
+the array route of :mod:`spinlind.spectrum`.
 """
+
+import csv
 
 import numpy as np
 import scipy.integrate
 
-from spinlind.errors import AccuracyError
-from spinlind.numutil import max_abs
+from spinlind import spectrum as sp
+from spinlind.errors import AccuracyError, ValidationError
+from spinlind.numutil import fmt12, max_abs
 
 
 def simpson_doubling(f, a: float, b: float, *, rtol: float = 1e-9,
@@ -112,3 +117,120 @@ def wavefunction_distribution(energies: np.ndarray, h_prime, k0: int,
             return cur
         prev = cur
     raise AccuracyError("wavefunction distribution quadrature did not converge")
+
+
+def _polynomial_terms(groups, resonance_label):
+    """Generating-polynomial terms as a dict, exponent tuple -> int coefficient."""
+    by_label = sp._group_map(groups)
+    neighbors = sp._neighbors(groups, by_label[resonance_label])
+    terms = {(): 1}
+    for g in neighbors:
+        coeffs = sp.boson_count_degeneracies(g.j, g.count)
+        new_terms = {}
+        for expo, c in terms.items():
+            for n, cn in enumerate(coeffs):
+                new_terms[expo + (n,)] = c * cn
+        terms = new_terms
+    return tuple(g.label for g in neighbors), terms
+
+
+def _lines_for_group(groups, label, omega_o, scaled):
+    by_label = sp._group_map(groups)
+    res = by_label[label]
+    variables, terms = _polynomial_terms(groups, label)
+    lambdas = [res.lambdas[lab] for lab in variables]
+    scale = sp.intensity_scale(groups, label) if scaled else 1
+    out = []
+    for expo, coeff in terms.items():
+        delta_b = sum(lam * n for lam, n in zip(lambdas, expo))
+        config = tuple(zip(variables, expo))
+        out.append((delta_b, coeff * scale, config))
+    return out
+
+
+def stick_spectrum_oracle(groups, resonance_label, omega_o=0.0, *, scaled=False,
+                          absolute=False, merge_tol=sp.MERGE_TOL_GAUSS):
+    """:func:`spinlind.spectrum.stick_spectrum` one term at a time.
+
+    Terms are sorted as (position, config) tuples; a line absorbs each next
+    term within ``merge_tol`` of its first position.
+    """
+    labels = ([resonance_label] if isinstance(resonance_label, str)
+              else list(resonance_label))
+    raw = []
+    for lab in labels:
+        ref = sp.reference_field(groups, lab, omega_o) if absolute else 0.0
+        for delta_b, intensity, config in _lines_for_group(groups, lab, omega_o,
+                                                           scaled or len(labels) > 1):
+            raw.append((delta_b + ref, intensity, config))
+
+    raw.sort(key=lambda item: (item[0], item[2]))
+    merged = []
+    for delta_b, intensity, config in raw:
+        if merged and abs(delta_b - merged[-1][0]) <= merge_tol:
+            prev_b, prev_i, prev_cfgs = merged[-1]
+            merged[-1] = (prev_b, prev_i + intensity, prev_cfgs + (config,))
+        else:
+            merged.append((delta_b, intensity, (config,)))
+
+    lines = tuple(sp.SpectrumLine(delta_b=b, intensity=i, configs=cfgs)
+                  for b, i, cfgs in merged)
+    ref = sp.reference_field(groups, labels[0], omega_o) if absolute else 0.0
+    return sp.StickSpectrum(lines=lines, reference=ref, resonance=tuple(labels))
+
+
+def export_csv_oracle(spectrum, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["delta_B_gauss", "intensity", "config"])
+        for line in spectrum.lines:
+            intensity = (str(int(line.intensity))
+                         if float(line.intensity).is_integer()
+                         else fmt12(line.intensity))
+            config = "|".join(";".join(f"{lab}={n}" for lab, n in cfg)
+                              for cfg in line.configs)
+            writer.writerow([fmt12(line.delta_b), intensity, config])
+
+
+def export_svg_oracle(spectrum, path, *, width: int = 900, height: int = 420) -> None:
+    lines = spectrum.lines
+    if not lines:
+        raise ValidationError("empty spectrum")
+    bs = [line.delta_b for line in lines]
+    imax = max(line.intensity for line in lines)
+    b_lo, b_hi = min(bs), max(bs)
+    pad = 0.05 * (b_hi - b_lo) if b_hi > b_lo else 1.0
+    b_lo, b_hi = b_lo - pad, b_hi + pad
+    margin, base = 50, height - 60
+    plot_h = base - 40
+
+    def x_of(b):
+        return margin + (b - b_lo) / (b_hi - b_lo) * (width - 2 * margin)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<line x1="{margin}" y1="{base}" x2="{width - margin}" y2="{base}" '
+        'stroke="black"/>',
+        f'<text x="{width // 2}" y="{height - 15}" text-anchor="middle" '
+        'font-size="14">field offset (G)</text>',
+    ]
+    n_ticks = 9
+    for k in range(n_ticks):
+        b = b_lo + (b_hi - b_lo) * k / (n_ticks - 1)
+        x = x_of(b)
+        parts.append(f'<line x1="{x:.2f}" y1="{base}" x2="{x:.2f}" y2="{base + 6}" '
+                     'stroke="black"/>')
+        parts.append(f'<text x="{x:.2f}" y="{base + 22}" text-anchor="middle" '
+                     f'font-size="11">{b:.4g}</text>')
+    for line in lines:
+        x = x_of(line.delta_b)
+        h = plot_h * line.intensity / imax
+        label = (str(int(line.intensity)) if float(line.intensity).is_integer()
+                 else f"{line.intensity:.4g}")
+        parts.append(f'<line class="stick" x1="{x:.2f}" y1="{base}" x2="{x:.2f}" '
+                     f'y2="{base - h:.2f}" stroke="steelblue" stroke-width="2"/>')
+        parts.append(f'<text x="{x:.2f}" y="{base - h - 6:.2f}" text-anchor="middle" '
+                     f'font-size="10">{label}</text>')
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,15 @@ from spinlind.errors import ValidationError
 from spinlind.numutil import fmt12
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmark" / "golden"
+
+# SHA-256 of the shipped spectra's SVG plots, from the per-term route the
+# array route replaced
+SVG_SHA256 = {
+    "naphthalene": "d5637bbbbc1e77af9fa0a496a5e230410549b03cc35c7e62a40c25f23e359d5f",
+    "biphenyl": "00746278daa3881c3ba5e2e4a0f411e8e7832eaaf63b244ac5f325f8cd0bb504",
+    "anthracene": "ed8bd021690693045180751ccffa54e2ece2ff2df3bd40d5a089d01e252c93bf",
+}
 
 
 def run_cli(args):
@@ -93,6 +104,40 @@ class TestSpectrumMode:
         assert code == 0
         assert (env_dir / "naphthalene_spectrum.csv").exists()
         assert not (tmp_path / "flag_dir" / "naphthalene_spectrum.csv").exists()
+
+    @pytest.mark.parametrize("name", sorted(SVG_SHA256))
+    def test_shipped_artifacts_pinned(self, tmp_path, monkeypatch, name):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        assert run_cli(["--config", CONFIGS / f"{name}.cfg", "--out", tmp_path]) == 0
+        csv_name = f"{name}_spectrum.csv"
+        assert (tmp_path / csv_name).read_bytes() == (GOLDEN / csv_name).read_bytes()
+        svg = (tmp_path / f"{name}_spectrum.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == SVG_SHA256[name]
+
+    def test_oversized_expansion_refused_before_allocating(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # ten groups of four protons: 5**10 = 9765625 terms, 78 MB for one
+        # int64 column of the term table alone
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        lambdas = "".join(f"lambda.h{i} = {0.3 + 0.7 * i}\n" for i in range(10))
+        protons = "".join(f"[group:h{i}]\nj = 0.5\ncount = 4\ngamma = 2.6752e4\n"
+                          for i in range(10))
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n"
+                       f"[group:e]\nj = 0.5\ncount = 1\ngamma = -1.7608e7\n{lambdas}"
+                       f"{protons}[spectrum]\nresonance = e\n")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run_cli(["--config", cfg, "--out", out])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "'e' expands to 9765625 terms" in err and "Traceback" not in err
+        assert peak < 5_000_000
+        assert not list(out.glob("*"))
 
     def test_missing_config_is_io_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
@@ -247,6 +292,20 @@ class TestMatrixModes:
         assert "PASS" in out and "FAIL" not in out
         report = json.loads((tmp_path / "two_spin_verify.json").read_text())
         assert all(report.values())
+
+    def test_qubit_mode_decomposes_the_generator_once(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        calls = {"liouvillian_matrix": 0, "_eigensystem": 0}
+        for name in calls:
+            real = getattr(me, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(me, name, counted)
+        assert run_cli(["--config", CONFIGS / "qubit.cfg", "--out", tmp_path]) == 0
+        assert calls == {"liouvillian_matrix": 1, "_eigensystem": 1}
 
     def test_qubit_mode_report(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)

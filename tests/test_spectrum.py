@@ -1,11 +1,14 @@
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import export_csv_oracle, export_svg_oracle, stick_spectrum_oracle
 from spinlind import spectrum as sp
 from spinlind.errors import ValidationError
 
@@ -205,6 +208,119 @@ class TestStickSpectrum:
         positions = {round(l.delta_b, 9) for l in both.lines}
         singles = {round(l.delta_b, 9) for l in only_a.lines + only_b.lines}
         assert positions == singles
+
+
+def _assert_matches_oracle(groups, labels, **kwargs):
+    """The array route equals the per-term oracle line for line, bit for bit.
+
+    Scaled intensities too: a merged line adds its terms left to right, as
+    the oracle does, so not even the last bit may differ.
+    """
+    got = sp.stick_spectrum(groups, labels, **kwargs)
+    want = stick_spectrum_oracle(groups, labels, **kwargs)
+    assert len(got.lines) == len(want.lines)
+    for a, b in zip(got.lines, want.lines):
+        assert a.delta_b.hex() == b.delta_b.hex()
+        assert type(a.intensity) is type(b.intensity)
+        assert a.intensity == b.intensity
+        assert a.configs == b.configs
+    assert got.reference == want.reference and got.resonance == want.resonance
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        sp.export_csv(got, out / "a.csv")
+        export_csv_oracle(want, out / "b.csv")
+        assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+        sp.export_svg(got, out / "a.svg")
+        export_svg_oracle(want, out / "b.svg")
+        assert (out / "a.svg").read_bytes() == (out / "b.svg").read_bytes()
+    return got
+
+
+@st.composite
+def molecules(draw):
+    """Groups r0..r2 (resonance candidates) and n0..n3 (neighbors only).
+
+    Splitting constants lie on the 0.5 G lattice (coincident lines), near it
+    (chains of gaps within merge_tol) or anywhere.  Each label has one
+    constant, shared by every resonance group it splits, so groups coupled
+    to the same neighbors tie position for position and configuration for
+    configuration; resonance groups may also split one another.
+    """
+    neighbors = [sp.EquivalentGroup(f"n{i}", draw(st.sampled_from([0.5, 1.0])),
+                                    draw(st.integers(1, 3)), 2.6752e4, {})
+                 for i in range(4)]
+    mode = draw(st.sampled_from(["lattice", "near-lattice", "generic"]))
+    if mode == "generic":
+        constant = st.floats(-6.0, 6.0, allow_nan=False)
+    else:
+        jitter = [0.0] if mode == "lattice" else [0.0, 3e-10, -7e-10]
+        constant = st.builds(lambda k, e: 0.5 * k + e, st.integers(-6, 6),
+                             st.sampled_from(jitter))
+    n_res = draw(st.integers(1, 3))
+    names = [g.label for g in neighbors] + [f"r{r}" for r in range(n_res)]
+    shared = {name: draw(constant) for name in names}
+    resonance = []
+    for r in range(n_res):
+        coupled = draw(st.lists(st.sampled_from([n for n in names if n != f"r{r}"]),
+                                max_size=3, unique=True))
+        resonance.append(sp.EquivalentGroup(
+            f"r{r}", draw(st.sampled_from([0.5, 1.0])), draw(st.integers(1, 2)),
+            draw(st.sampled_from([-1.76e7, 2.6752e4])),
+            {name: shared[name] for name in coupled}))
+    labels = draw(st.lists(st.sampled_from([g.label for g in resonance]),
+                           min_size=1, max_size=n_res, unique=True))
+    return tuple(resonance + neighbors), labels
+
+
+class TestArrayRouteOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(molecules(), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 2.0e10]))
+    def test_matches_per_term_route(self, molecule, scaled, absolute, omega_o):
+        groups, labels = molecule
+        _assert_matches_oracle(groups, labels if len(labels) > 1 else labels[0],
+                               omega_o=omega_o, scaled=scaled, absolute=absolute)
+
+    def test_anchor_chain_splits(self):
+        # gaps of 0.6e-9 G are each within the tolerance, but 1.2e-9 G is
+        # beyond it from the first line's anchor at 0
+        groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"n": 0.6e-9}),
+                  sp.EquivalentGroup("n", 1.0, 1, 1.0, {}))
+        spec = _assert_matches_oracle(groups, "e")
+        assert [l.intensity for l in spec.lines] == [2, 1]
+        assert [len(l.configs) for l in spec.lines] == [2, 1]
+
+    def test_exact_intensities_beyond_int64(self):
+        groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"h": 0.5}),
+                  sp.EquivalentGroup("h", 0.5, 70, 1.0, {}))
+        assert math.comb(70, 35) > 2 ** 63
+        spec = _assert_matches_oracle(groups, "e")
+        assert [l.intensity for l in spec.lines] == [math.comb(70, n) for n in range(71)]
+        merged = _assert_matches_oracle(groups, "e", merge_tol=10.0)
+        assert [l.intensity for l in merged.lines] == [
+            sum(math.comb(70, n) for n in range(k, min(k + 21, 71)))
+            for k in range(0, 71, 21)]
+
+
+class TestSizeGuard:
+    def test_oversized_expansion_rejected_by_count(self):
+        neighbors = [sp.EquivalentGroup(f"h{i}", 0.5, 4, 2.6752e4, {}) for i in range(10)]
+        electron = sp.EquivalentGroup("e", 0.5, 1, GAMMA_E,
+                                      {g.label: 0.1 * (i + 1) for i, g in enumerate(neighbors)})
+        groups = (electron, *neighbors)
+        with pytest.raises(ValidationError, match=r"'e' expands to 9765625 terms"):
+            sp.stick_spectrum(groups, "e")
+        with pytest.raises(ValidationError, match=r"'e' expands to 9765625 terms"):
+            sp.generating_polynomial(groups, "e")
+
+    def test_cap_counts_every_resonance_group(self):
+        # one spin of j = MAX_TERMS / 4: MAX_TERMS / 2 + 1 terms per group
+        big = sp.EquivalentGroup("h", sp.MAX_TERMS / 4, 1, 1.0, {})
+        groups = (sp.EquivalentGroup("a", 0.5, 1, GAMMA_E, {"h": 1.0}),
+                  sp.EquivalentGroup("b", 0.5, 1, GAMMA_E, {"h": 2.0}), big)
+        assert sp.generating_polynomial(groups, "a").n_terms <= sp.MAX_TERMS
+        with pytest.raises(ValidationError, match=r"'a', 'b' expands to \d+ \+ \d+ terms"):
+            sp.stick_spectrum(groups, ["a", "b"])
 
 
 class TestIntensityScale:
