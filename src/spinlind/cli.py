@@ -18,7 +18,7 @@ from . import acp, mastereq, qubit, spectrum
 from .config import RunConfig, _validate_mode, load_config
 from .errors import AccuracyError, SpinLindError, ValidationError
 from .mastereq import FieldConfig, build_model
-from .numutil import fmt12
+from .numutil import fmt12, write_csv
 from .spincore import (
     build_x,
     build_zo,
@@ -74,7 +74,8 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
     The compared times are ``n_points`` frames, evenly spaced by index, of the
     grid :func:`mastereq.propagate` would store with ``[qubit] dt`` (default
-    :func:`mastereq.default_dt`); the numeric columns come from the exact map
+    :func:`mastereq.default_dt`), or every frame when ``n_points`` exceeds
+    their count; the numeric columns come from the exact map
     :func:`mastereq.lambda_map` at those times, not from a time stepper, with
     one eigendecomposition of L shared by every compared time.
     """
@@ -82,7 +83,8 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     params = qubit.QubitParams.from_field(cfg.system.gammas[0], cfg.field_b_o,
                                           cfg.field_b_1, cfg.beta, cfg.dist)
     dt, steps = mastereq._time_grid(model, cfg.t_end, cfg.dt, None)
-    idx = np.unique(np.linspace(0, steps.size - 1, cfg.n_points).astype(int))
+    n_points = min(cfg.n_points, steps.size)    # same frames, bounded memory
+    idx = np.unique(np.linspace(0, steps.size - 1, n_points).astype(int))
     times = steps[idx] * dt
     eig = mastereq._eigensystem(mastereq.liouvillian_matrix(model))
     states = mastereq.Trajectory(
@@ -96,8 +98,7 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
     rows = []
     max_dev = 0.0
-    for t, rho in zip(times, states):
-        t = float(t)
+    for t, rho in zip(times.tolist(), states):
         # numeric Bloch components: <sigma_a> = -2 <xi^a> / gamma
         num = [float(np.real(np.trace(rho @ xi[a]))) * (-2.0 / gamma) for a in "xyz"]
         ana = qubit.trajectory(params, t)
@@ -105,16 +106,13 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
         rows.append((t, *num, *ana))
 
     csv_path = out / f"{cfg.basename}_qubit.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("t,num_sigma_1,num_sigma_2,num_sigma_3,"
-                 "ana_sigma_1,ana_sigma_2,ana_sigma_3\n")
-        for row in rows:
-            fh.write(",".join(fmt12(v) for v in row) + "\n")
+    write_csv(csv_path, ["t", "num_sigma_1", "num_sigma_2", "num_sigma_3",
+                         "ana_sigma_1", "ana_sigma_2", "ana_sigma_3"], list(zip(*rows)))
     report = {
         "max_abs_deviation": max_dev,
         "rate": params.rate,
         "varpi": params.varpi,
-        "n_compared": int(len(rows)),
+        "n_compared": len(rows),
     }
     report_path = out / f"{cfg.basename}_qubit_report.json"
     with open(report_path, "w") as fh:

@@ -16,7 +16,7 @@ Grammar (see README for a full description):
                         n_points compared times are drawn from; the states
                         there come from the exact map, not from steps of dt
     [acp]               order
-    [output]            basename (optional)
+    [output]            basename (optional): a file name prefix, not a path
 
 Validation failures name the violated invariant, and a value that is not a
 number names its ``[section] key``; parse failures carry the line
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,10 +208,22 @@ def load_config(path) -> RunConfig:
         if cfg.acp_order < 1:
             raise ValidationError(f"[acp] order must be at least 1, got {cfg.acp_order}")
     if "output" in parser:
-        cfg.basename = parser["output"].get("basename", "run").strip()
+        cfg.basename = _basename(parser["output"].get("basename", "run").strip())
 
     _validate_mode(cfg)
     return cfg
+
+
+def _basename(name: str) -> str:
+    """``name`` as the artifact name prefix.
+
+    An empty name, ``.``, ``..`` or one holding a path separator would put
+    the artifacts outside the output directory, so each is rejected.
+    """
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ValidationError(
+            f"[output] basename must be a file name prefix without a path, got {name!r}")
+    return name
 
 
 def _validate_mode(cfg: RunConfig) -> None:

@@ -40,19 +40,21 @@ class EigenOperator:
 @dataclass(frozen=True)
 class Decomposition:
     blocks: tuple
-    gap_tolerance: float
+    gap_atol: float       # absolute frequency tolerance the gaps were binned with
 
     def labels(self):
         return [(b.step, b.omega) for b in self.blocks]
 
-    def block(self, step: int, omega: float, *, rtol: float | None = None) -> EigenOperator:
-        """Look up the block with the given labels (omega within tolerance)."""
-        tol = self.gap_tolerance if rtol is None else rtol
-        scale = max((abs(b.omega) for b in self.blocks), default=1.0)
-        for b in self.blocks:
-            if b.step == step and abs(b.omega - omega) <= tol * max(scale, 1.0):
-                return b
-        raise KeyError(f"no block with step {step} at frequency {omega}")
+    def block(self, step: int, omega: float) -> EigenOperator:
+        """The block with this step whose frequency is nearest ``omega``.
+
+        KeyError unless that frequency lies within ``gap_atol`` of ``omega``.
+        """
+        near = min((b for b in self.blocks if b.step == step),
+                   key=lambda b: abs(b.omega - omega), default=None)
+        if near is None or not abs(near.omega - omega) <= self.gap_atol:
+            raise KeyError(f"no block with step {step} at frequency {omega}")
+        return near
 
     def sum(self) -> np.ndarray:
         out = np.zeros_like(self.blocks[0].matrix)
@@ -92,7 +94,7 @@ def decompose(a: np.ndarray, levels: LevelData,
     tol = gap_tol * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
     rows, cols = np.nonzero(a)
     if rows.size == 0:
-        return Decomposition(blocks=(), gap_tolerance=gap_tol)
+        return Decomposition(blocks=(), gap_atol=tol)
 
     gaps = eps[cols] - eps[rows]
     steps = mag[cols] - mag[rows]
@@ -116,7 +118,7 @@ def decompose(a: np.ndarray, levels: LevelData,
         EigenOperator(step=n, omega=w, matrix=buckets[(n, w)])
         for (n, w) in sorted(buckets)
     )
-    return Decomposition(blocks=blocks, gap_tolerance=gap_tol)
+    return Decomposition(blocks=blocks, gap_atol=tol)
 
 
 def adjoint_block(dec: Decomposition, step: int, omega: float) -> EigenOperator:

@@ -23,8 +23,6 @@ Hamiltonian; propagation enforces this unless explicitly overridden.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -41,7 +39,6 @@ from .errors import (
 )
 from .lineshape import (FrequencyDistribution, characteristic, envelope_integral,
                         relaxation_time)
-from .numutil import fmt12
 from .spincore import SpinSystem, boltzmann_state, level_data, xi_operator
 
 __all__ = [
@@ -60,7 +57,6 @@ __all__ = [
     "noncp_witness",
     "pauli_rates",
     "export_trajectory_csv",
-    "export_trajectory_json",
 ]
 
 MAP_DIM_CAP = 64
@@ -115,14 +111,6 @@ class MasterEquationModel:
     @property
     def dim(self) -> int:
         return self.system.dim
-
-    @property
-    def rates(self) -> dict:
-        out = {}
-        for w, gp, gm in zip(self.plus_omegas, self.rates_plus, self.rates_minus):
-            out[(1, float(w))] = float(gp)
-            out[(-1, float(w))] = float(gm)
-        return out
 
 
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float,
@@ -442,12 +430,12 @@ class KrausAudit:
     n_nodes: int
 
 
-def _semigroup_kraus(model, eig, s, psd_tol):
+def _semigroup_kraus(model, eig, s):
     """Stacked Kraus factors of e^{L s} = V diag(e^{lam s}) V^-1."""
     lam, v, v_inv = eig
     prop = (v * np.exp(lam * s)) @ v_inv
     choi = numutil.choi_matrix(prop, model.dim)
-    return np.array(numutil.kraus_from_choi(choi, model.dim, psd_tol=psd_tol))
+    return np.array(numutil.kraus_from_choi(choi, model.dim))
 
 
 def _kraus_sum(kraus: np.ndarray) -> np.ndarray:
@@ -456,8 +444,7 @@ def _kraus_sum(kraus: np.ndarray) -> np.ndarray:
 
 
 def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
-                unsafe: bool = False, n_nodes: int = 256,
-                psd_tol: float = 1e-9) -> KrausAudit:
+                unsafe: bool = False, n_nodes: int = 256) -> KrausAudit:
     """Rebuild the map as a difference of two CP maps and report residuals.
 
     The semigroup factors come from the Choi eigendecomposition of e^{L s},
@@ -480,14 +467,14 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
     weights *= t / n_nodes / 3.0
 
-    kraus_t = _semigroup_kraus(model, eig, t, psd_tol)
+    kraus_t = _semigroup_kraus(model, eig, t)
     phi1_mat = numutil.sandwich_superop(kraus_t, np.ones(len(kraus_t)))
     phi2_mat = np.zeros((d * d, d * d), dtype=complex)
     completeness = _kraus_sum(kraus_t)
 
     for tau, weight in zip(ts, weights):
         m_op = (eye - 1j * linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
-        kraus = _semigroup_kraus(model, eig, t - tau, psd_tol)
+        kraus = _semigroup_kraus(model, eig, t - tau)
         node_weights = np.full(len(kraus), weight)
         phi1_mat += numutil.sandwich_superop(kraus @ m_op, node_weights)
         phi2_mat += numutil.sandwich_superop(kraus @ m_op.conj().T, node_weights)
@@ -654,35 +641,15 @@ def transition_rate(model: MasterEquationModel, n_from: int, n_to: int) -> float
 def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,
                           path) -> None:
     """Write t plus Re/Im of <xi^x>, <xi^y>, <xi^z> and populations (Schrodinger picture)."""
-    xi = {axis: xi_operator(model.system, axis) for axis in "xyz"}
+    xi = [xi_operator(model.system, axis) for axis in "xyz"]
     states = traj.schrodinger_states()
-    d = model.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"]
-        for axis in "xyz":
-            header += [f"re_xi_{axis}", f"im_xi_{axis}"]
-        header += [f"pop_{n}" for n in range(d)]
-        writer.writerow(header)
-        for tval, rho in zip(traj.times, states):
-            row = [fmt12(float(tval))]
-            for axis in "xyz":
-                ev = complex(np.trace(rho @ xi[axis]))
-                row += [fmt12(ev.real), fmt12(ev.imag)]
-            row += [fmt12(float(np.real(rho[n, n]))) for n in range(d)]
-            writer.writerow(row)
-
-
-def export_trajectory_json(model: MasterEquationModel, traj: Trajectory,
-                           path) -> None:
-    """Full-matrix JSON export of an interaction-picture trajectory."""
-    payload = {
-        "times": [float(t) for t in traj.times],
-        "states": [
-            {"re": np.real(s).tolist(), "im": np.imag(s).tolist()}
-            for s in traj.states
-        ],
-        "energies": [float(e) for e in traj.energies],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+    moments = np.array([[np.trace(rho @ op) for op in xi] for rho in states]).T
+    header = ["t"]
+    for axis in "xyz":
+        header += [f"re_xi_{axis}", f"im_xi_{axis}"]
+    header += [f"pop_{n}" for n in range(model.dim)]
+    columns = [traj.times]
+    for ev in moments:
+        columns += [ev.real, ev.imag]
+    columns += list(np.real(np.diagonal(states, axis1=1, axis2=2)).T)
+    numutil.write_csv(path, header, [col.tolist() for col in columns])

@@ -1,6 +1,6 @@
 """Small numerical helpers: superoperator vectorization, Kraus factors, the matrix
-exponential (scipy, imported on first use) and the number format of every written
-artifact.
+exponential (scipy, imported on first use), and the number format and CSV writer of
+every written artifact.
 
 Superoperators use the column-stacking convention, vec(A X B) = (B^T (x) A) vec(X).
 The matrix of an operator sum rho -> sum_k w_k A_k rho A_k^dag comes from one
@@ -8,6 +8,9 @@ stacked product (:func:`sandwich_superop`), not a loop of Kronecker products.
 """
 
 from __future__ import annotations
+
+import csv
+from itertools import repeat
 
 import numpy as np
 
@@ -23,7 +26,14 @@ __all__ = [
     "choi_matrix",
     "kraus_from_choi",
     "fmt12",
+    "write_csv",
 ]
+
+# Choi eigenvalues below -CHOI_TOL * max(1, lam_max) mean the map is not CP
+CHOI_TOL = 1e-9
+NUMBER_FORMAT = ".12g"
+# format spec by cell type in write_csv; "" writes a str verbatim, an int exactly
+_CELL_FORMAT = {str: "", int: ""}
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -75,21 +85,22 @@ def choi_matrix(s: np.ndarray, dim: int) -> np.ndarray:
     return s.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(dim * dim, dim * dim)
 
 
-def kraus_from_choi(choi: np.ndarray, dim: int, *, psd_tol: float = 1e-10):
+def kraus_from_choi(choi: np.ndarray, dim: int):
     """Kraus factors of a CP map from its (Hermitian) Choi matrix.
 
     Raises AccuracyError when the Choi matrix has eigenvalues below
-    ``-psd_tol * max(1, lam_max)``, i.e. the map is not CP to tolerance.
+    ``-CHOI_TOL * max(1, lam_max)``, i.e. the map is not CP to tolerance;
+    eigenvalues up to 1e-4 of that bound are dropped as zero.
     """
     evals, evecs = np.linalg.eigh(hermitize(choi))
     scale = max(1.0, float(evals.max(initial=0.0)))
-    if evals.min(initial=0.0) < -psd_tol * scale:
+    if evals.min(initial=0.0) < -CHOI_TOL * scale:
         raise AccuracyError(
             f"Choi matrix is not positive semidefinite: min eigenvalue {evals.min():.3e}"
         )
     kraus = []
     for lam, v in zip(evals, evecs.T):
-        if lam <= psd_tol * scale * 1e-4:
+        if lam <= CHOI_TOL * scale * 1e-4:
             continue
         kraus.append(np.sqrt(lam) * v.reshape(dim, dim))
     return kraus
@@ -103,4 +114,21 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 def fmt12(x: float) -> str:
     """Artifact number format: 12 significant digits, shortest %g form."""
-    return f"{x:.12g}"
+    return format(x, NUMBER_FORMAT)
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a header row, then row k from item k of every column.
+
+    The one CSV writer of the package: the ``csv`` module's default dialect
+    (comma separated, CRLF line ends).  A cell that is a ``str`` is written
+    verbatim, a Python ``int`` exactly, anything else by :func:`fmt12`.
+    Columns are sequences, formatted column by column through builtins only,
+    with no Python call per cell.
+    """
+    cells = [map(format, col, map(_CELL_FORMAT.get, map(type, col), repeat(NUMBER_FORMAT)))
+             for col in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))

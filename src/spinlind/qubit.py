@@ -22,7 +22,6 @@ records so those identities stay exact.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ import numpy as np
 from .errors import ValidationError
 from .lineshape import (FrequencyDistribution, characteristic, density,
                         envelope_integral, hilbert)
-from .numutil import fmt12
 
 __all__ = [
     "SIGMA",
@@ -43,8 +41,6 @@ __all__ = [
     "StructureFactorValue",
     "structure_factor",
     "fdt_check",
-    "export_trajectory_csv",
-    "export_structure_factor_csv",
 ]
 
 SIGMA = {
@@ -244,22 +240,3 @@ def fdt_check(params: QubitParams) -> dict:
     im_chi_weight = -math.pi * th             # Im chi_{-+}: -pi delta(w'-w0) th
     fdt = abs(im_chi_weight - (-math.pi * (1.0 - boltz) * w_minus_plus))
     return {"adiabatic_detailed_balance": detailed_balance, "fdt": fdt}
-
-
-def export_trajectory_csv(params: QubitParams, times, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sigma_1", "sigma_2", "sigma_3"])
-        for t in times:
-            s1, s2, s3 = trajectory(params, float(t))
-            writer.writerow([fmt12(float(t)), fmt12(s1), fmt12(s2), fmt12(s3)])
-
-
-def export_structure_factor_csv(params: QubitParams, which: str, grid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_prime", "value", "delta_weight", "delta_location"])
-        for w in grid:
-            val = structure_factor(params, which, float(w))
-            writer.writerow([fmt12(float(w)), fmt12(val.smooth),
-                             fmt12(val.delta_weight), fmt12(val.delta_location)])

@@ -8,31 +8,29 @@ built from a single thermal commutator average,
 
 through ``chi_{+-, w0, inf}(w') = g / ((+-w' - w0) + i 0+)``, i.e. a
 principal-value kernel plus a (-i pi g)-weighted delta.  Deltas and PV
-kernels are carried symbolically as weight/location records; the smooth
-eta-regularized reconstruction exists only inside the Kramers-Kronig check.
-Density integrals are closed forms: a steady kernel gives a Hilbert
-transform and a density value, a transient kernel the tail
+kernels are carried symbolically as weight/location records.  Density
+integrals are closed forms: a steady kernel gives a Hilbert transform and a
+density value, a transient kernel the tail
 i g int_t^inf phi_f(+-tau) e^{-i w0 tau} dtau of the envelope integral.
+The equilibrium state and the ladder blocks come from the
+:class:`~spinlind.mastereq.MasterEquationModel` (``boltzmann``, ``dec``,
+``plus_omegas``, ``plus_mats``); the drive amplitude and density play no
+part in the kernels.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenops import decompose, plus_blocks
 from .errors import ValidationError
 from .lineshape import FrequencyDistribution, density, envelope_integral, hilbert
-from .numutil import fmt12
 from .mastereq import MasterEquationModel, pauli_rates
-from .spincore import SpinSystem, boltzmann_state, level_data, xi_operator
+from .spincore import xi_operator
 
 __all__ = [
-    "AdiabaticContext",
-    "make_context",
     "ChiKernel",
     "commutator_average",
     "chi_infinity",
@@ -42,45 +40,24 @@ __all__ = [
     "steady_magnetization",
     "absorbed_power",
     "PowerLine",
-    "kramers_kronig_residual",
-    "export_power_csv",
 ]
 
 
-@dataclass(frozen=True)
-class AdiabaticContext:
-    """Equilibrium state and ladder decomposition used by the response kernels."""
-
-    system: SpinSystem
-    b_o: float
-    beta: float
-    levels: object
-    rho0: np.ndarray
-    xi_dec: object
-
-    @property
-    def plus(self):
-        return plus_blocks(self.xi_dec)
+def _thermal_commutator(x_op: np.ndarray, block: np.ndarray,
+                        rho0: np.ndarray) -> complex:
+    """<[X, B]>_0 = Tr([X, B] rho0)."""
+    comm = x_op @ block - block @ x_op
+    return complex(np.trace(comm @ rho0))
 
 
-def make_context(system: SpinSystem, b_o: float, beta: float,
-                 gap_tol: float = 1e-9) -> AdiabaticContext:
-    levels = level_data(system, b_o)
-    rho0 = boltzmann_state(levels.energies, beta)
-    dec = decompose(xi_operator(system, "x"), levels, gap_tol)
-    return AdiabaticContext(system=system, b_o=b_o, beta=beta, levels=levels,
-                            rho0=rho0, xi_dec=dec)
-
-
-def commutator_average(ctx: AdiabaticContext, x_op: np.ndarray,
+def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
                        omega_o: float) -> complex:
     """Thermal average <[X, xi^x(+1, w0)]>_0 (zero when no such block exists)."""
     try:
-        block = ctx.xi_dec.block(1, omega_o)
+        block = model.dec.block(1, omega_o)
     except KeyError:
         return 0.0 + 0.0j
-    comm = x_op @ block.matrix - block.matrix @ x_op
-    return complex(np.trace(comm @ ctx.rho0))
+    return _thermal_commutator(x_op, block.matrix, model.boltzmann)
 
 
 @dataclass(frozen=True)
@@ -116,16 +93,16 @@ class ChiKernel:
         return self.sign * self.omega_o
 
 
-def chi_infinity(ctx: AdiabaticContext, x_op: np.ndarray, omega_o: float,
+def chi_infinity(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
                  sign: int) -> ChiKernel:
     """Steady-state response kernel chi_{sign, w0, inf}."""
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    g = commutator_average(ctx, x_op, omega_o)
+    g = commutator_average(model, x_op, omega_o)
     return ChiKernel(omega_o=omega_o, sign=sign, commutator_avg=g)
 
 
-def chi_transient(ctx: AdiabaticContext, x_op: np.ndarray, omega_o: float,
+def chi_transient(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
                   sign: int, t: float) -> ChiKernel:
     """Transient kernel: minus the steady kernel with phase exp(i(sign*w'-w0)t).
 
@@ -133,7 +110,7 @@ def chi_transient(ctx: AdiabaticContext, x_op: np.ndarray, omega_o: float,
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")
-    g = commutator_average(ctx, x_op, omega_o)
+    g = commutator_average(model, x_op, omega_o)
     return ChiKernel(omega_o=omega_o, sign=sign, commutator_avg=g,
                      transient_time=t)
 
@@ -182,24 +159,20 @@ def steady_magnetization(model: MasterEquationModel, t: float, *,
     """Steady-limit transverse magnetization under the drive (relaxation-free).
 
     Assembles 2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi'']
-    from the steady kernels of M_x = -(N/V) xi^x; the density integrals of
-    the PV kernels become Hilbert transforms and those of the deltas become
-    density evaluations.
+    from the steady kernels of M_x = -(N/V) xi^x, one commutator average g
+    per ladder block; the density integrals of the PV kernels become Hilbert
+    transforms and those of the deltas become density evaluations.
     """
     dist = model.field.dist
     b1 = model.field.b_1
     total = 0.0
     m_x = -n_over_v * xi_operator(model.system, "x")
-    ctx = AdiabaticContext(system=model.system, b_o=model.field.b_o,
-                           beta=model.beta, levels=model.levels,
-                           rho0=model.boltzmann, xi_dec=model.dec)
-    for block in ctx.plus:
-        w0 = block.omega
-        g = commutator_average(ctx, m_x, w0)
+    for w0, xi_w in zip(model.plus_omegas.tolist(), model.plus_mats):
+        g = _thermal_commutator(m_x, xi_w, model.boltzmann)
         if abs(g.imag) > 1e-10 * max(1.0, abs(g)):
             raise ValidationError("magnetization kernel should be real for Hermitian X")
-        branches = (steady_rho_integral(chi_infinity(ctx, m_x, w0, +1), dist)
-                    + steady_rho_integral(chi_infinity(ctx, m_x, w0, -1), dist))
+        plus, minus = (ChiKernel(omega_o=w0, sign=s, commutator_avg=g) for s in (1, -1))
+        branches = steady_rho_integral(plus, dist) + steady_rho_integral(minus, dist)
         chi_p = branches.real            # rho_f integral of chi'
         chi_pp = -branches.imag          # rho_f integral of chi''
         total += math.cos(w0 * t) * chi_p + math.sin(w0 * t) * chi_pp
@@ -229,53 +202,3 @@ def absorbed_power(model: MasterEquationModel, *, n_over_v: float = 1.0):
         total += contrib
     lines = tuple(PowerLine(omega_o=w, power=p) for w, p in sorted(per_line.items()))
     return total, lines
-
-
-def kramers_kronig_residual(kernels, grid, eta: float, *,
-                            window: float = 40.0) -> float:
-    """Consistency of the eta-smoothed response with its dispersion relation.
-
-    Reconstructs chi_eta(w') = sum g / ((sign w' - w0) + i eta), computes
-    (1/pi) PV int Im chi_eta(u) / (u - w') du over a finite window by
-    principal-value quadrature, and returns the maximum deviation from
-    Re chi_eta on the grid.  The finite window contributes an O(eta) tail
-    error; the identity itself is exact for the smoothed form.
-    """
-    import scipy.integrate
-
-    if eta <= 0:
-        raise ValidationError("eta must be positive")
-    kernels = list(kernels)
-    grid = np.asarray(grid, dtype=float)
-
-    def chi(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape, dtype=complex)
-        for k in kernels:
-            out += k.commutator_avg / ((k.sign * u - k.omega_o) + 1j * eta)
-        return out
-
-    if not kernels:
-        return 0.0
-
-    centers = [k.sign * k.omega_o for k in kernels]
-    lo = min(min(centers), float(grid.min())) - window
-    hi = max(max(centers), float(grid.max())) + window
-
-    worst = 0.0
-    for x in grid:
-        val, _ = scipy.integrate.quad(lambda u: float(np.imag(chi(u))), lo, hi,
-                                      weight="cauchy", wvar=float(x), limit=400)
-        re_rec = val / math.pi
-        worst = max(worst, abs(re_rec - float(np.real(chi(x)))))
-    return worst
-
-
-def export_power_csv(model: MasterEquationModel, path, *, n_over_v: float = 1.0) -> None:
-    total, lines = absorbed_power(model, n_over_v=n_over_v)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_o", "power"])
-        for line in lines:
-            writer.writerow([fmt12(line.omega_o), fmt12(line.power)])
-        writer.writerow(["total", fmt12(total)])

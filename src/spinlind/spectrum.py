@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numutil import fmt12
+from .numutil import write_csv
 
 __all__ = [
     "EquivalentGroup",
@@ -109,16 +109,23 @@ class EquivalentGroup:
 
 
 def boson_count_degeneracies(j: float, count: int) -> list:
-    """Coefficients of (1 + x + ... + x^{2j})^count as exact integers."""
-    d = int(round(2 * j)) + 1
+    """Coefficients c_k of (1 + x + ... + x^m)^count, m = 2j, as exact integers.
+
+    With p = (1 - x^{m+1}) / (1 - x), f = p^count obeys
+    (1 - x)(1 - x^{m+1}) f' = count (1 - (m+1) x^m + m x^{m+1}) f, so
+    k c_k = (count + k - 1) c_{k-1} + (k - m - 1 - count (m+1)) c_{k-m-1}
+    + (count m - k + m + 2) c_{k-m-2}: three big-int products per coefficient,
+    O(count m) in all, each division exact.
+    """
+    m, n = int(round(2 * j)), count
     coeffs = [1]
-    unit = [1] * d
-    for _ in range(count):
-        out = [0] * (len(coeffs) + d - 1)
-        for a, ca in enumerate(coeffs):
-            for b in range(d):
-                out[a + b] += ca
-        coeffs = out
+    for k in range(1, m * n + 1):
+        acc = (n + k - 1) * coeffs[k - 1]
+        if k > m:
+            acc += (k - m - 1 - n * (m + 1)) * coeffs[k - m - 1]
+        if k > m + 1:
+            acc += (n * m - k + m + 2) * coeffs[k - m - 2]
+        coeffs.append(acc // k)
     return coeffs
 
 
@@ -396,21 +403,15 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     return StickSpectrum(lines=lines, reference=ref, resonance=tuple(labels))
 
 
-def _intensity_text(intensity) -> str:
-    return (str(int(intensity)) if float(intensity).is_integer()
-            else fmt12(intensity))
-
-
 def export_csv(spectrum: StickSpectrum, path) -> None:
+    """Write ``delta_B_gauss,intensity,config``; integral intensities exactly."""
     lines = spectrum.lines
     pair_text = _PairText().__getitem__
-    rows = zip(map(fmt12, [line.delta_b for line in lines]),
-               map(_intensity_text, [line.intensity for line in lines]),
-               [_config_text(line.configs, pair_text) for line in lines])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_B_gauss", "intensity", "config"])
-        writer.writerows(rows)
+    write_csv(path, ["delta_B_gauss", "intensity", "config"],
+              [[line.delta_b for line in lines],
+               [int(line.intensity) if float(line.intensity).is_integer() else line.intensity
+                for line in lines],
+               [_config_text(line.configs, pair_text) for line in lines]])
 
 
 def parse_csv(path) -> StickSpectrum:

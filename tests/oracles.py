@@ -2,13 +2,16 @@
 
 Composite Simpson integration with node doubling, the wavefunction
 (time-dependent perturbation theory) transition probabilities of a pure
-initial state, and the per-term stick spectrum (dict expansion, tuple sort,
-anchor merge) with its CSV and SVG writers.  None of these is part of the
-package: each is a reference for a closed form, a master-equation rate or
-the array route of :mod:`spinlind.spectrum`.
+initial state, the principal-value quadrature of the Kramers-Kronig check,
+the boson-count convolution, and the per-term stick spectrum (dict
+expansion, tuple sort, anchor merge) with its CSV and SVG writers.  None of
+these is part of the package: each is a reference for a closed form, a
+master-equation rate, a response kernel or the array route of
+:mod:`spinlind.spectrum`.
 """
 
 import csv
+import math
 
 import numpy as np
 import scipy.integrate
@@ -119,13 +122,64 @@ def wavefunction_distribution(energies: np.ndarray, h_prime, k0: int,
     raise AccuracyError("wavefunction distribution quadrature did not converge")
 
 
+def kramers_kronig_residual(kernels, grid, eta: float, *,
+                            window: float = 40.0) -> float:
+    """Consistency of the eta-smoothed response with its dispersion relation.
+
+    Reconstructs chi_eta(w') = sum g / ((sign w' - w0) + i eta), computes
+    (1/pi) PV int Im chi_eta(u) / (u - w') du over a finite window by
+    principal-value quadrature, and returns the maximum deviation from
+    Re chi_eta on the grid.  The finite window contributes an O(eta) tail
+    error; the identity itself is exact for the smoothed form.
+    """
+    if eta <= 0:
+        raise ValidationError("eta must be positive")
+    kernels = list(kernels)
+    grid = np.asarray(grid, dtype=float)
+
+    def chi(u):
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(u.shape, dtype=complex)
+        for k in kernels:
+            out += k.commutator_avg / ((k.sign * u - k.omega_o) + 1j * eta)
+        return out
+
+    if not kernels:
+        return 0.0
+
+    centers = [k.sign * k.omega_o for k in kernels]
+    lo = min(min(centers), float(grid.min())) - window
+    hi = max(max(centers), float(grid.max())) + window
+
+    worst = 0.0
+    for x in grid:
+        val, _ = scipy.integrate.quad(lambda u: float(np.imag(chi(u))), lo, hi,
+                                      weight="cauchy", wvar=float(x), limit=400)
+        re_rec = val / math.pi
+        worst = max(worst, abs(re_rec - float(np.real(chi(x)))))
+    return worst
+
+
+def convolution_degeneracies(j: float, count: int) -> list:
+    """Coefficients of (1 + x + ... + x^{2j})^count as exact integers."""
+    d = int(round(2 * j)) + 1
+    coeffs = [1]
+    for _ in range(count):
+        out = [0] * (len(coeffs) + d - 1)
+        for a, ca in enumerate(coeffs):
+            for b in range(d):
+                out[a + b] += ca
+        coeffs = out
+    return coeffs
+
+
 def _polynomial_terms(groups, resonance_label):
     """Generating-polynomial terms as a dict, exponent tuple -> int coefficient."""
     by_label = sp._group_map(groups)
     neighbors = sp._neighbors(groups, by_label[resonance_label])
     terms = {(): 1}
     for g in neighbors:
-        coeffs = sp.boson_count_degeneracies(g.j, g.count)
+        coeffs = convolution_degeneracies(g.j, g.count)
         new_terms = {}
         for expo, c in terms.items():
             for n, cn in enumerate(coeffs):

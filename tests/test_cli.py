@@ -232,6 +232,11 @@ class TestMatrixModes:
         ("qubit", "tolerance = 1e-6", "tolerance = nan", "tolerance"),
         ("qubit", "tolerance = 1e-6", "tolerance = -1e-6", "tolerance"),
         ("qubit", "tolerance = 1e-6", "tolerance = inf", "tolerance"),
+        ("two_spin", "basename = two_spin", "basename = ../escaped", "basename"),
+        ("two_spin", "basename = two_spin", "basename = sub/two_spin", "basename"),
+        ("two_spin", "basename = two_spin", "basename = ..", "basename"),
+        ("two_spin", "basename = two_spin", "basename = .", "basename"),
+        ("two_spin", "basename = two_spin", "basename =", "basename"),
     ])
     def test_out_of_range_run_keys_rejected(self, tmp_path, monkeypatch, capsys,
                                             config, line, replacement, name):
@@ -246,6 +251,7 @@ class TestMatrixModes:
         assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
         assert name in capsys.readouterr().err
         assert not list(out.glob("*"))
+        assert list(tmp_path.rglob("*")) == [bad]     # nothing next to --out either
 
     @pytest.mark.parametrize("config, line, replacement, name", [
         ("two_spin", "b_o = 1.0", "b_o = abc", "b_o"),
@@ -306,6 +312,31 @@ class TestMatrixModes:
             monkeypatch.setattr(me, name, counted)
         assert run_cli(["--config", CONFIGS / "qubit.cfg", "--out", tmp_path]) == 0
         assert calls == {"liouvillian_matrix": 1, "_eigensystem": 1}
+
+    def test_qubit_n_points_beyond_the_frames_takes_every_frame(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "qubit.cfg").read_text().replace("n_points = 120",
+                                                           "n_points = {}\ndt = 0.01")
+        cfg = tmp_path / "frames.cfg"
+        cfg.write_text(text.format(2))
+        run = load_config(cfg)
+        model = me.build_model(run.system, me.FieldConfig(run.field_b_o, run.field_b_1,
+                                                          run.dist), run.beta)
+        n_frames = me._time_grid(model, run.t_end, run.dt, None)[1].size
+        cfg.write_text(text.format(n_frames))
+        assert run_cli(["--config", cfg, "--out", tmp_path / "frames"]) == 0
+        cfg.write_text(text.format(10 ** 7))
+        tracemalloc.start()
+        try:
+            code = run_cli(["--config", cfg, "--out", tmp_path / "huge"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5_000_000     # a 10**7-point linspace alone is 80 MB
+        want = (tmp_path / "frames" / "qubit_qubit.csv").read_bytes()
+        assert (tmp_path / "huge" / "qubit_qubit.csv").read_bytes() == want
+        assert want.count(b"\r\n") == n_frames + 1
 
     def test_qubit_mode_report(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)

@@ -722,12 +722,3 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("t,re_xi_x,im_xi_x")
         assert len(lines) == traj.times.size + 1
-
-    def test_json_export_runs(self, qubit_model, tmp_path):
-        traj = me.propagate(qubit_model, qubit_model.boltzmann,
-                            0.05 / qubit_rate(qubit_model))
-        path = tmp_path / "traj.json"
-        me.export_trajectory_json(qubit_model, traj, path)
-        import json
-        payload = json.loads(path.read_text())
-        assert len(payload["times"]) == traj.times.size

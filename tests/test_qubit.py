@@ -296,20 +296,3 @@ class TestFdt:
             res = qb.fdt_check(p)
             assert res["adiabatic_detailed_balance"] < 1e-14
             assert res["fdt"] < 1e-14
-
-
-class TestExports:
-    def test_trajectory_csv(self, params, tmp_path):
-        path = tmp_path / "qubit.csv"
-        qb.export_trajectory_csv(params, np.linspace(0.0, 0.5 / params.rate, 5), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,sigma_1,sigma_2,sigma_3"
-        assert len(lines) == 6
-
-    def test_structure_factor_csv(self, params, tmp_path):
-        path = tmp_path / "sf.csv"
-        grid = params.omega_o + np.linspace(-5, 5, 11) * params.rate
-        qb.export_structure_factor_csv(params, "-+", grid, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "omega_prime,value,delta_weight,delta_location"
-        assert len(lines) == 12

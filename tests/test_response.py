@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinlind import eigenops as eo
 from spinlind import lineshape as ls
 from spinlind import mastereq as me
 from spinlind import response as rs
@@ -10,6 +11,13 @@ from spinlind import spincore as sc
 from spinlind.errors import ValidationError
 
 from conftest import random_system
+from oracles import kramers_kronig_residual
+
+
+def response_model(system, b_o, beta):
+    """Model for the response kernels, which read only its state and ladder."""
+    field = me.FieldConfig(b_o=b_o, b_1=0.0, dist=ls.lorentzian(1.0, 1.0))
+    return me.build_model(system, field, beta)
 
 
 def lorentzian_transient_closed_form(kernel, dist):
@@ -24,31 +32,31 @@ def lorentzian_transient_closed_form(kernel, dist):
 def qubit_transient_setup():
     gamma = -2.0e3
     system = sc.SpinSystem([0.5], [gamma])
-    ctx = rs.make_context(system, 1.0, 5e-4)
-    return ctx, -gamma, -sc.xi_operator(system, "x")
+    model = response_model(system, 1.0, 5e-4)
+    return model, -gamma, -sc.xi_operator(system, "x")
 
 
-def two_spin_context(rng=None):
+def two_spin_model():
     couplings = np.array([[0.0, 40.0], [40.0, 0.0]])
     system = sc.SpinSystem([0.5, 0.5], [-1.0e3, -1.6e3], couplings)
-    return rs.make_context(system, 1.0, 1e-4)
+    return response_model(system, 1.0, 1e-4)
 
 
 class TestChiInfinity:
     def test_longitudinal_observable_does_not_respond(self):
-        ctx = two_spin_context()
-        xi_z = sc.xi_operator(ctx.system, "z")
-        for block in ctx.plus:
-            k = rs.chi_infinity(ctx, xi_z, block.omega, +1)
+        model = two_spin_model()
+        xi_z = sc.xi_operator(model.system, "z")
+        for w in model.plus_omegas:
+            k = rs.chi_infinity(model, xi_z, w, +1)
             assert abs(k.commutator_avg) < 1e-14
 
     def test_qubit_imaginary_part_weight(self):
         gamma, b_o, beta = -2.0e3, 1.0, 5e-4
         system = sc.SpinSystem([0.5], [gamma])
-        ctx = rs.make_context(system, b_o, beta)
+        model = response_model(system, b_o, beta)
         w0 = -gamma * b_o
         mu_x = -sc.xi_operator(system, "x")
-        kern = rs.chi_infinity(ctx, mu_x, w0, +1)
+        kern = rs.chi_infinity(model, mu_x, w0, +1)
         # Im chi = -pi delta(w' - w0) tanh(beta w0 / 2), in units of (gamma/2)^2
         weight = kern.delta_weight.imag / (gamma / 2.0) ** 2
         assert weight == pytest.approx(-math.pi * math.tanh(beta * w0 / 2.0), rel=1e-12)
@@ -57,26 +65,25 @@ class TestChiInfinity:
     def test_commutator_average_brute_force(self, rng):
         for _ in range(4):
             system = random_system(rng, max_spins=2, allowed_spins=(0.5, 1.0))
-            ctx = rs.make_context(system, 1.2, 2e-4)
+            model = response_model(system, 1.2, 2e-4)
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
-            for block in ctx.plus[:3]:
-                got = rs.commutator_average(ctx, x_op, block.omega)
+            for block in eo.plus_blocks(model.dec)[:3]:
+                got = rs.commutator_average(model, x_op, block.omega)
                 comm = x_op @ block.matrix - block.matrix @ x_op
-                oracle = complex(np.trace(comm @ ctx.rho0))
+                oracle = complex(np.trace(comm @ model.boltzmann))
                 assert got == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
     def test_projected_commutator_identity(self, rng):
         # <[X, B]>_0 equals <[X^dag(+1, w), B]>_0 with X's own (+1, w) block
-        from spinlind import eigenops as eo
         for _ in range(4):
             system = random_system(rng, max_spins=2, allowed_spins=(0.5, 1.0))
-            ctx = rs.make_context(system, 0.9, 3e-4)
+            model = response_model(system, 0.9, 3e-4)
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
-            x_dec = eo.decompose(x_op, ctx.levels, 1e-9)
-            for block in ctx.plus[:3]:
-                full = rs.commutator_average(ctx, x_op, block.omega)
+            x_dec = eo.decompose(x_op, model.levels, 1e-9)
+            for block in eo.plus_blocks(model.dec)[:3]:
+                full = rs.commutator_average(model, x_op, block.omega)
                 try:
                     x_plus = x_dec.block(1, block.omega)
                 except KeyError:
@@ -84,47 +91,47 @@ class TestChiInfinity:
                     continue
                 proj = x_plus.matrix.conj().T
                 comm = proj @ block.matrix - block.matrix @ proj
-                partial = complex(np.trace(comm @ ctx.rho0))
+                partial = complex(np.trace(comm @ model.boltzmann))
                 assert full == pytest.approx(partial, rel=1e-10, abs=1e-14)
 
     def test_sign_validation(self):
-        ctx = two_spin_context()
+        model = two_spin_model()
         with pytest.raises(ValidationError):
-            rs.chi_infinity(ctx, sc.xi_operator(ctx.system, "x"), 1.0, 0)
+            rs.chi_infinity(model, sc.xi_operator(model.system, "x"), 1.0, 0)
 
 
 class TestChiTransient:
     def test_zero_time_negates_steady_kernel(self):
-        ctx = two_spin_context()
-        x_op = -sc.xi_operator(ctx.system, "x")
-        block = ctx.plus[0]
-        inf_k = rs.chi_infinity(ctx, x_op, block.omega, +1)
-        tr_k = rs.chi_transient(ctx, x_op, block.omega, +1, 0.0)
+        model = two_spin_model()
+        x_op = -sc.xi_operator(model.system, "x")
+        w = model.plus_omegas[0]
+        inf_k = rs.chi_infinity(model, x_op, w, +1)
+        tr_k = rs.chi_transient(model, x_op, w, +1, 0.0)
         assert tr_k.pv_weight == pytest.approx(-inf_k.pv_weight)
         assert tr_k.delta_weight == pytest.approx(-inf_k.delta_weight)
 
     def test_density_integral_decays(self):
         gamma = -2.0e3
         system = sc.SpinSystem([0.5], [gamma])
-        ctx = rs.make_context(system, 1.0, 5e-4)
+        model = response_model(system, 1.0, 5e-4)
         w0 = -gamma
         dist = ls.lorentzian(w0, 60.0)
         x_op = -sc.xi_operator(system, "x")
         tau = ls.relaxation_time(dist)
-        early = rs.transient_rho_integral(rs.chi_transient(ctx, x_op, w0, +1, 0.0), dist)
+        early = rs.transient_rho_integral(rs.chi_transient(model, x_op, w0, +1, 0.0), dist)
         late = rs.transient_rho_integral(
-            rs.chi_transient(ctx, x_op, w0, +1, 20.0 * tau), dist)
+            rs.chi_transient(model, x_op, w0, +1, 20.0 * tau), dist)
         assert abs(late) < 1e-6 * abs(early)
 
     def test_lorentzian_contour_closed_form(self):
         gamma = -2.0e3
         system = sc.SpinSystem([0.5], [gamma])
-        ctx = rs.make_context(system, 1.0, 5e-4)
+        model = response_model(system, 1.0, 5e-4)
         w0 = -gamma
         dist = ls.lorentzian(w0 + 25.0, 80.0)  # slightly detuned center
         x_op = -sc.xi_operator(system, "x")
         for t in (0.0, 0.005, 0.02):
-            kern = rs.chi_transient(ctx, x_op, w0, +1, t)
+            kern = rs.chi_transient(model, x_op, w0, +1, t)
             quad = rs.transient_rho_integral(kern, dist)
             closed = lorentzian_transient_closed_form(kern, dist)
             assert abs(quad - closed) < 1e-6 * max(abs(closed), 1e-12)
@@ -132,26 +139,26 @@ class TestChiTransient:
     @pytest.mark.parametrize("kind", [ls.gaussian, ls.lorentzian])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_zero_time_is_minus_steady(self, kind, sign):
-        ctx, w0, x_op = qubit_transient_setup()
+        model, w0, x_op = qubit_transient_setup()
         dist = kind(w0 + 25.0, 80.0)
-        steady = rs.steady_rho_integral(rs.chi_infinity(ctx, x_op, w0, sign), dist)
+        steady = rs.steady_rho_integral(rs.chi_infinity(model, x_op, w0, sign), dist)
         transient = rs.transient_rho_integral(
-            rs.chi_transient(ctx, x_op, w0, sign, 0.0), dist)
+            rs.chi_transient(model, x_op, w0, sign, 0.0), dist)
         assert abs(transient + steady) <= 1e-9 * abs(steady)
 
     def test_broad_lorentzian_matches_contour(self):
-        ctx, w0, x_op = qubit_transient_setup()
+        model, w0, x_op = qubit_transient_setup()
         dist = ls.lorentzian(w0 - 300.0, 500.0)
         for t in (0.0, 0.01, 0.1):
-            kern = rs.chi_transient(ctx, x_op, w0, +1, t)
+            kern = rs.chi_transient(model, x_op, w0, +1, t)
             closed = lorentzian_transient_closed_form(kern, dist)
             got = rs.transient_rho_integral(kern, dist)
             assert abs(got - closed) <= 1e-12 * abs(closed)
 
     def test_delta_line_rejected(self):
-        ctx, w0, x_op = qubit_transient_setup()
+        model, w0, x_op = qubit_transient_setup()
         with pytest.raises(ValidationError):
-            rs.transient_rho_integral(rs.chi_transient(ctx, x_op, w0, +1, 0.1),
+            rs.transient_rho_integral(rs.chi_transient(model, x_op, w0, +1, 0.1),
                                       ls.delta_line(w0))
 
 
@@ -190,6 +197,42 @@ class TestSteadyMagnetization:
         assert rs.steady_magnetization(model, 0.5) == 0.0
 
 
+class TestNearDegenerateBlocks:
+    """Two plus blocks 7.5e-7 apart, just above the 5e-7 the gaps are binned with."""
+
+    def _model(self):
+        couplings = np.array([[0.0, 7.5e-7], [7.5e-7, 0.0]])
+        system = sc.SpinSystem([0.5, 0.5], [-1000.0, -1e-3], couplings)
+        field = me.FieldConfig(b_o=1.0, b_1=1e-5, dist=ls.lorentzian(1000.0, 50.0))
+        return me.build_model(system, field, 1e-3)
+
+    def per_block_averages(self, model, x_op):
+        return [complex(np.trace((x_op @ b - b @ x_op) @ model.boltzmann))
+                for b in model.plus_mats]
+
+    def test_commutator_average_reads_its_own_block(self):
+        model = self._model()
+        assert model.plus_omegas[3] - model.plus_omegas[2] == pytest.approx(7.5e-7, rel=1e-3)
+        m_x = -sc.xi_operator(model.system, "x")
+        want = self.per_block_averages(model, m_x)
+        got = [rs.commutator_average(model, m_x, w) for w in model.plus_omegas]
+        assert got == pytest.approx(want, rel=1e-13)
+        # the pairs differ: 5.776462e4 against 5.776467e4, 3.36e-14 against 9.13e-14
+        assert abs(want[3] - want[2]) > 5e-7 * abs(want[3])
+        assert abs(want[1] - want[0]) > 0.5 * abs(want[1])
+
+    def test_steady_magnetization_sums_every_block(self):
+        model = self._model()
+        m_x = -sc.xi_operator(model.system, "x")
+        dist, b1, t = model.field.dist, model.field.b_1, 3.7e-4
+        total = 0.0
+        for w, g in zip(model.plus_omegas, self.per_block_averages(model, m_x)):
+            chi_p = g.real * math.pi * (ls.hilbert(dist, -w) - ls.hilbert(dist, w))
+            chi_pp = g.real * math.pi * float(ls.density(dist, w) + ls.density(dist, -w))
+            total += math.cos(w * t) * chi_p + math.sin(w * t) * chi_pp
+        assert rs.steady_magnetization(model, t) == pytest.approx(2.0 * b1 * total, rel=1e-12)
+
+
 class TestAbsorbedPower:
     def _model(self, beta, center_shift=0.0, kind=ls.lorentzian):
         gamma = -2.0e3
@@ -225,30 +268,22 @@ class TestAbsorbedPower:
         off_total, _ = rs.absorbed_power(off_model)
         assert off_total < 1e-10 * on_total
 
-    def test_csv_export(self, tmp_path):
-        model, _ = self._model(4e-4)
-        path = tmp_path / "power.csv"
-        rs.export_power_csv(model, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "omega_o,power"
-        assert lines[-1].startswith("total,")
-
 
 class TestKramersKronig:
     def test_single_pole_residual_small(self):
         w0 = 1.0
         kern = rs.ChiKernel(omega_o=w0, sign=+1, commutator_avg=1.0 + 0.0j)
         grid = w0 + np.array([-0.4, -0.15, 0.08, 0.3, 0.9])
-        res = rs.kramers_kronig_residual([kern], grid, eta=1e-3 * w0, window=5.0)
+        res = kramers_kronig_residual([kern], grid, eta=1e-3 * w0, window=5.0)
         assert res < 1e-4
 
     def test_residual_scales_with_eta(self):
         w0 = 1.0
         kern = rs.ChiKernel(omega_o=w0, sign=+1, commutator_avg=1.0 + 0.0j)
         grid = w0 + np.array([-0.3, 0.2, 0.6])
-        r1 = rs.kramers_kronig_residual([kern], grid, eta=2e-3, window=5.0)
-        r2 = rs.kramers_kronig_residual([kern], grid, eta=1e-3, window=5.0)
+        r1 = kramers_kronig_residual([kern], grid, eta=2e-3, window=5.0)
+        r2 = kramers_kronig_residual([kern], grid, eta=1e-3, window=5.0)
         assert 1.4 < r1 / r2 < 2.6
 
     def test_empty_response_zero(self):
-        assert rs.kramers_kronig_residual([], [0.0, 1.0], eta=1e-3) == 0.0
+        assert kramers_kronig_residual([], [0.0, 1.0], eta=1e-3) == 0.0

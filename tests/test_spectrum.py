@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import export_csv_oracle, export_svg_oracle, stick_spectrum_oracle
+from oracles import (convolution_degeneracies, export_csv_oracle, export_svg_oracle,
+                     stick_spectrum_oracle)
 from spinlind import spectrum as sp
 from spinlind.errors import ValidationError
 
@@ -55,6 +56,18 @@ class TestEquivalentGroup:
             args[key] = value
         with pytest.raises(ValidationError, match=rf"'e' {key} must be finite"):
             sp.EquivalentGroup("e", count=1, **args)
+
+
+class TestBosonCountDegeneracies:
+    @pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 1.5, 2.5])
+    def test_recurrence_matches_convolution(self, j):
+        for count in range(1, 41):
+            assert sp.boson_count_degeneracies(j, count) == convolution_degeneracies(j, count)
+
+    def test_large_spin_half_group_is_binomial(self):
+        count = 3000
+        assert sp.boson_count_degeneracies(0.5, count) == [
+            math.comb(count, k) for k in range(count + 1)]
 
 
 class TestGeneratingPolynomial:
