@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numutil
 from .errors import AccuracyError, ValidationError
-from .mastereq import MasterEquationModel, Trajectory, _rk4
+from .mastereq import MasterEquationModel, Trajectory, _check_map_dim, _rk4
 from .spincore import SpinSystem, boltzmann_state, build_x, build_zo
 
 __all__ = [
@@ -203,9 +203,12 @@ def propagate_order_n(model: MasterEquationModel, n: int,
     ``g_callback`` supplies the order-n inhomogeneity; its output must be
     traceless (Hermitian traceless corrections stay traceless).  The initial
     correction defaults to the thermal order-n term of the model's system.
+    Dimensions above ``mastereq.MAP_DIM_CAP`` are refused before anything is
+    computed.
     """
     if n < 1:
         raise ValidationError("use the order-0 propagator for n = 0")
+    _check_map_dim(model)
     if rho_n0 is None:
         rho_n0 = initial_correction(model.system, model.field.b_o, n, model.beta)
     rho_n0 = np.array(rho_n0, dtype=complex)

@@ -19,6 +19,12 @@ The formal solution is the map ``Lambda(t) = exp(L t) + int_0^t exp(L (t-s))
 A(s) ds``: trace preserving, but not completely positive because of the
 inhomogeneous term.  Its domain is the Boltzmann state of the diagonal
 Hamiltonian; propagation enforces this unless explicitly overridden.
+
+Since the drive term acts on rho(0) only, it is a known function of t, and
+the equation is affine in the column-stacked state: y' = L y + f(t).  The
+RK4 stepper builds the matrix of L once per run and tabulates f over its
+grid; ``Lambda(t)`` comes from one eigendecomposition of the same matrix.
+Both are capped at dimension MAP_DIM_CAP, where L has D^4 entries.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ __all__ = [
 ]
 
 MAP_DIM_CAP = 64
+# steps per drive-term table in _rk4: three (RK4_CHUNK, D^2) tables at a time
+RK4_CHUNK = 64
 EIGVEC_COND_CAP = 1e6
 DOMAIN_ATOL = 1e-10
 
@@ -196,17 +204,6 @@ def dissipator(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _l_term(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
-    h = model.h_ls
-    return -1j * (h @ rho - rho @ h) + dissipator(model, rho)
-
-
-def a_term(model: MasterEquationModel, t: float, rho0: np.ndarray) -> np.ndarray:
-    """Inhomogeneous drive term -i [H_LR(t), rho0]."""
-    h = linear_response_hamiltonian(model, t)
-    return -1j * (h @ rho0 - rho0 @ h)
-
-
 def default_dt(model: MasterEquationModel) -> float:
     """Step resolving the fastest drive phase and the phi_f decay."""
     max_phase = float(np.max(np.abs(model.plus_omegas), initial=0.0))
@@ -254,7 +251,13 @@ class Trajectory:
 def propagate(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
               dt: float | None = None, *, store_every: int | None = None,
               unsafe: bool = False) -> Trajectory:
-    """Fixed-step 4th-order integration of the inhomogeneous master equation."""
+    """Fixed-step 4th-order integration of the inhomogeneous master equation.
+
+    Classical RK4 on the column-stacked state with the generator L built
+    once and the drive term tabulated over the grid (:func:`_rk4`); the
+    dimension shares the MAP_DIM_CAP of :func:`lambda_map` and is refused
+    before any step is taken.
+    """
     _check_domain(model, rho0, unsafe)
     return _rk4(model, rho0, t_end, dt, store_every)
 
@@ -289,58 +292,105 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
 
 def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
          dt: float | None, store_every: int | None, extra=None) -> Trajectory:
-    """Classical RK4 for d rho/dt = A(t) rho0 + L rho(t) [+ extra(t)] from rho0.
+    """Classical RK4 for y' = L y + f(t) [+ vec extra(t)], y = vec(rho), from rho0.
 
     The one time stepper of the package: :func:`propagate` runs it bare and
     ``acp.propagate_order_n`` with its order-n inhomogeneity as ``extra``.
-    Steps and stored frames follow :func:`_time_grid`.
+    The generator L is built once (:func:`liouvillian_matrix`, which refuses
+    D > MAP_DIM_CAP), and the drive term f(t) = vec(-i [H_LR(t), rho0]) is
+    tabulated at the stage times t_n, t_n + dt/2 and t_n + dt, RK4_CHUNK
+    steps at a time (:func:`_drive_table`), so each stage is one
+    matrix-vector product plus a table row.  Steps and stored frames follow
+    :func:`_time_grid`.
     """
     dt, steps = _time_grid(model, t_end, dt, store_every)
+    lmat = liouvillian_matrix(model)
+    d = model.dim
     rho_init = np.array(rho0, dtype=complex)
-    y = rho_init.copy()
-    states = np.empty((steps.size,) + y.shape, dtype=complex)
-    states[0] = y
+    comps, freqs = _drive_components(model, rho_init)
+    y = numutil.vec(rho_init).copy()
+    states = np.empty((steps.size, d, d), dtype=complex)
+    states[0] = rho_init
 
-    def rhs(t, rho):
-        out = a_term(model, t, rho_init) + _l_term(model, rho)
-        return out if extra is None else out + extra(t)
+    def stage(t, vec_rho, drive):
+        out = lmat @ vec_rho
+        out += drive
+        if extra is not None:
+            out += numutil.vec(extra(t))
+        return out
 
-    t = 0.0
-    frame = 1
-    for step in range(1, int(steps[-1]) + 1):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * dt
-        if step == steps[frame]:
-            states[frame] = y
-            frame += 1
+    n_steps = int(steps[-1])
+    step, frame = 0, 1
+    for first in range(0, n_steps, RK4_CHUNK):
+        t_n = np.arange(first, min(first + RK4_CHUNK, n_steps)) * dt
+        t_h, t_1 = t_n + 0.5 * dt, t_n + dt
+        tables = [_drive_table(model.field.dist, comps, freqs, ts) for ts in (t_n, t_h, t_1)]
+        for t, th, t1, f_n, f_h, f_1 in zip(t_n.tolist(), t_h.tolist(), t_1.tolist(),
+                                            *tables):
+            k1 = stage(t, y, f_n)
+            k2 = stage(th, y + 0.5 * dt * k1, f_h)
+            k3 = stage(th, y + 0.5 * dt * k2, f_h)
+            k4 = stage(t1, y + dt * k3, f_1)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            step += 1
+            if step == steps[frame]:
+                states[frame] = numutil.unvec(y, d)
+                frame += 1
 
     return Trajectory(times=steps * dt, states=states,
                       energies=model.levels.energies.copy())
 
 
+def _drive_components(model: MasterEquationModel, rho_init: np.ndarray):
+    """Components c_j (rows) and frequencies w_j of vec(-i [H_LR(t), rho0]).
+
+    The drive term is Re[phi_f(t)] sum_j exp(-i w_j t) c_j with
+    c = vec(-2 i B1 [xi_w, rho0]) at +w and vec(-2 i B1 [xi_w^dag, rho0]) at
+    -w, from one batched product over the ladder stack.
+    """
+    p = model.plus_mats
+    ops = np.concatenate([p, p.conj().transpose(0, 2, 1)])
+    comm = -2j * model.field.b_1 * (ops @ rho_init - rho_init @ ops)
+    comps = comm.transpose(0, 2, 1).reshape(len(ops), model.dim ** 2)
+    return comps, np.concatenate([model.plus_omegas, -model.plus_omegas])
+
+
+def _drive_table(dist: FrequencyDistribution, comps: np.ndarray, freqs: np.ndarray,
+                 times: np.ndarray) -> np.ndarray:
+    """Row n is vec(-i [H_LR(times[n]), rho0]): one phase-matrix product."""
+    envelope = np.real(characteristic(dist, times))
+    return (envelope[:, None] * np.exp(-1j * np.outer(times, freqs))) @ comps
+
+
 def liouvillian_matrix(model: MasterEquationModel) -> np.ndarray:
     """Column-stacked matrix of the semigroup generator L.
 
-    -i[h_ls, .] plus the jump sum over [xi_w; xi_w^dag] with rates [g; g]
-    (one :func:`numutil.sandwich_superop`) minus the anticommutator with
-    ``model._anti``.
+    The jump sum over [xi_w; xi_w^dag] with rates [g; g] is one
+    :func:`numutil.sandwich_superop`; -i[h_ls, .] and the anticommutator
+    with ``model._anti`` are added in place, rho -> M rho and rho -> rho N
+    with M = -i h_ls - anti and N = i h_ls - anti, through the diagonal
+    views of its (D, D, D, D) reshape (no Kronecker temporaries).
     """
-    if model.dim > MAP_DIM_CAP:
-        raise ValidationError(
-            f"map-level operations are capped at dimension {MAP_DIM_CAP}"
-        )
+    _check_map_dim(model)
+    d = model.dim
     p = model.plus_mats
     g = model.rates_plus + model.rates_minus
     jumps = np.concatenate([p, p.conj().transpose(0, 2, 1)])
-    eye = np.eye(model.dim)
-    anti = model._anti
-    return (numutil.hamiltonian_superop(model.h_ls)
-            + numutil.sandwich_superop(jumps, np.concatenate([g, g]))
-            - (np.kron(eye, anti) + np.kron(anti.T, eye)))
+    lmat = numutil.sandwich_superop(jumps, np.concatenate([g, g]))
+    l4 = lmat.reshape(d, d, d, d)      # [out column, out row, in column, in row]
+    left = np.einsum("jajb->jab", l4)
+    left += -1j * model.h_ls - model._anti
+    right = np.einsum("jala->jal", l4)
+    right += (1j * model.h_ls - model._anti).T[:, None, :]
+    return lmat
+
+
+def _check_map_dim(model: MasterEquationModel) -> None:
+    if model.dim > MAP_DIM_CAP:
+        raise ValidationError(
+            f"map-level operations and propagation are capped at dimension "
+            f"MAP_DIM_CAP = {MAP_DIM_CAP}, got {model.dim}"
+        )
 
 
 def _eigensystem(mat: np.ndarray):

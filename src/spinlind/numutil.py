@@ -21,7 +21,6 @@ __all__ = [
     "unvec",
     "hermitize",
     "max_abs",
-    "hamiltonian_superop",
     "sandwich_superop",
     "choi_matrix",
     "kraus_from_choi",
@@ -53,13 +52,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i[h, rho] in the column-stacking convention."""
-    d = h.shape[0]
-    eye = np.eye(d)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
 def sandwich_superop(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -407,10 +407,12 @@ def export_csv(spectrum: StickSpectrum, path) -> None:
     """Write ``delta_B_gauss,intensity,config``; integral intensities exactly."""
     lines = spectrum.lines
     pair_text = _PairText().__getitem__
+    # a Python int is written as is: float() of one above ~1.8e308 overflows
+    intensities = [line.intensity for line in lines]
     write_csv(path, ["delta_B_gauss", "intensity", "config"],
               [[line.delta_b for line in lines],
-               [int(line.intensity) if float(line.intensity).is_integer() else line.intensity
-                for line in lines],
+               [i if type(i) is int else int(i) if float(i).is_integer() else i
+                for i in intensities],
                [_config_text(line.configs, pair_text) for line in lines]])
 
 
@@ -477,7 +479,7 @@ def export_svg(spectrum: StickSpectrum, path, *, width: int = 900,
                                    (base - heights).tolist(),
                                    (base - heights - 6).tolist(), intensities):
         x = f"{x:.2f}"
-        label = str(int(i)) if float(i).is_integer() else f"{i:.4g}"
+        label = str(i) if type(i) is int else str(int(i)) if float(i).is_integer() else f"{i:.4g}"
         parts.append(f'<line class="stick" x1="{x}" y1="{base}" x2="{x}" '
                      f'y2="{y_top:.2f}" stroke="steelblue" stroke-width="2"/>')
         parts.append(f'<text x="{x}" y="{y_text:.2f}" text-anchor="middle" '

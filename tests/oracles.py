@@ -3,11 +3,13 @@
 Composite Simpson integration with node doubling, the wavefunction
 (time-dependent perturbation theory) transition probabilities of a pure
 initial state, the principal-value quadrature of the Kramers-Kronig check,
-the boson-count convolution, and the per-term stick spectrum (dict
-expansion, tuple sort, anchor merge) with its CSV and SVG writers.  None of
-these is part of the package: each is a reference for a closed form, a
-master-equation rate, a response kernel or the array route of
-:mod:`spinlind.spectrum`.
+the boson-count convolution, the per-term stick spectrum (dict expansion,
+tuple sort, anchor merge) with its CSV and SVG writers, and the
+operator-form RK4 stepper (H_LR(t) and the dissipator rebuilt at every
+stage).  None of these is part of the package: each is a reference for a
+closed form, a master-equation rate, a response kernel, the array route of
+:mod:`spinlind.spectrum` or the vectorized stepper of
+:mod:`spinlind.mastereq`.
 """
 
 import csv
@@ -16,6 +18,7 @@ import math
 import numpy as np
 import scipy.integrate
 
+from spinlind import mastereq as me
 from spinlind import spectrum as sp
 from spinlind.errors import AccuracyError, ValidationError
 from spinlind.numutil import fmt12, max_abs
@@ -158,6 +161,51 @@ def kramers_kronig_residual(kernels, grid, eta: float, *,
         re_rec = val / math.pi
         worst = max(worst, abs(re_rec - float(np.real(chi(x)))))
     return worst
+
+
+def a_term(model, t: float, rho0: np.ndarray) -> np.ndarray:
+    """Inhomogeneous drive term -i [H_LR(t), rho0]."""
+    h = me.linear_response_hamiltonian(model, t)
+    return -1j * (h @ rho0 - rho0 @ h)
+
+
+def _l_term(model, rho: np.ndarray) -> np.ndarray:
+    h = model.h_ls
+    return -1j * (h @ rho - rho @ h) + me.dissipator(model, rho)
+
+
+def rk4_oracle(model, rho0: np.ndarray, t_end: float, dt, store_every, extra=None):
+    """Classical RK4 for d rho/dt = A(t) rho0 + L rho(t) [+ extra(t)] from rho0.
+
+    The operator form: every stage rebuilds H_LR(t) and applies the
+    dissipator as products over the ladder stack.  Steps and stored frames
+    follow ``mastereq._time_grid``.
+    """
+    dt, steps = me._time_grid(model, t_end, dt, store_every)
+    rho_init = np.array(rho0, dtype=complex)
+    y = rho_init.copy()
+    states = np.empty((steps.size,) + y.shape, dtype=complex)
+    states[0] = y
+
+    def rhs(t, rho):
+        out = a_term(model, t, rho_init) + _l_term(model, rho)
+        return out if extra is None else out + extra(t)
+
+    t = 0.0
+    frame = 1
+    for step in range(1, int(steps[-1]) + 1):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = step * dt
+        if step == steps[frame]:
+            states[frame] = y
+            frame += 1
+
+    return me.Trajectory(times=steps * dt, states=states,
+                         energies=model.levels.energies.copy())
 
 
 def convolution_degeneracies(j: float, count: int) -> list:

@@ -319,3 +319,15 @@ class TestOrderNPropagation:
     def test_order_zero_redirected(self, model):
         with pytest.raises(ValidationError):
             acp.propagate_order_n(model, 0, lambda t: None, 0.01)
+
+    def test_dimension_above_the_map_cap_refused_first(self, monkeypatch):
+        system = sc.SpinSystem([0.5] * 7, [-2.0 - 0.1 * k for k in range(7)])
+        field = me.FieldConfig(b_o=1.0, b_1=1e-3, dist=ls.lorentzian(2.2, 0.4))
+        model = me.build_model(system, field, 2e-3)
+        assert model.dim == 128 > me.MAP_DIM_CAP
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("work done before the dimension check")
+        monkeypatch.setattr(acp, "initial_correction", untouched)
+        with pytest.raises(ValidationError, match="MAP_DIM_CAP = 64"):
+            acp.propagate_order_n(model, 1, untouched, 0.01)

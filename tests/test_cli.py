@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -139,6 +141,22 @@ class TestSpectrumMode:
         assert peak < 5_000_000
         assert not list(out.glob("*"))
 
+    def test_intensities_beyond_float_range_written_exactly(self, tmp_path, monkeypatch):
+        # 1100 equivalent protons: C(1100, 550) ~ 1e329 overflows a float
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n"
+                       "[group:e]\nj = 0.5\ncount = 1\ngamma = -1.7608e7\nlambda.h = 0.5\n"
+                       "[group:h]\nj = 0.5\ncount = 1100\ngamma = 2.6752e4\n"
+                       "[spectrum]\nresonance = e\n[output]\nbasename = wide\n")
+        assert run_cli(["--config", cfg, "--out", tmp_path]) == 0
+        with open(tmp_path / "wide_spectrum.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[1]) for row in rows] == [math.comb(1100, k) for k in range(1101)]
+        svg = (tmp_path / "wide_spectrum.svg").read_text()
+        assert svg.count('class="stick"') == 1101
+        assert f">{math.comb(1100, 550)}</text>" in svg
+
     def test_missing_config_is_io_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         code = run_cli(["--config", tmp_path / "nope.cfg", "--out", tmp_path])
@@ -160,6 +178,21 @@ class TestMatrixModes:
         lines = (tmp_path / "two_spin_trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("t,")
         assert len(lines) > 10
+
+    def test_propagate_above_the_map_cap_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "two_spin.cfg").read_text()
+        seven = ("spins = 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n"
+                 "gammas = -2.0e3 -2.1e3 -2.2e3 -2.3e3 -2.4e3 -2.5e3 -2.6e3\n")
+        cfg = tmp_path / "seven.cfg"
+        cfg.write_text(text.replace("spins = 0.5 0.5\ngammas = -2.0e3 -3.0e3\n"
+                                    "couplings = 0 40.0; 40.0 0\n", seven))
+        assert load_config(cfg).system.dim == 128
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "MAP_DIM_CAP = 64" in err and "Traceback" not in err
+        assert not list(out.glob("*"))
 
     def test_acp_writes_zeta_table(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinlind import acp
 from spinlind import lineshape as ls
 from spinlind import mastereq as me
 from spinlind import numutil as nu
@@ -16,7 +17,8 @@ from spinlind.errors import (
 from spinlind.qubit import SIGMA
 
 from conftest import random_system
-from oracles import simpson_doubling, wavefunction_distribution, wavefunction_oracle
+from oracles import (a_term, rk4_oracle, simpson_doubling, wavefunction_distribution,
+                     wavefunction_oracle)
 
 
 def build(system, field, beta):
@@ -60,7 +62,7 @@ def quadrature_lambda_map(model, t, rho0, *, unsafe=False, include_drive=True,
             nodes, weights = gauss_legendre(n, 0.0, t)
             acc = np.zeros(d * d, dtype=complex)
             for s, w in zip(nodes, weights):
-                drive = nu.vec(me.a_term(model, s, rho_init))
+                drive = nu.vec(a_term(model, s, rho_init))
                 acc += w * (nu.expm(lmat * (t - s)) @ drive)
             return acc
 
@@ -409,6 +411,86 @@ class TestPropagate:
         for t, inter, schro in zip(traj.times, traj.states, rho_s):
             assert np.allclose(schro, np.exp(-1j * t * gaps) * inter)
             assert abs(np.trace(schro) - 1.0) < 1e-8
+
+    def test_one_generator_and_no_dissipator_call(self, qubit_model, monkeypatch):
+        calls = {"liouvillian_matrix": 0, "dissipator": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(me, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(me, name, counted)
+        t_end = 0.5 / qubit_rate(qubit_model)
+        traj = me.propagate(qubit_model, qubit_model.boltzmann, t_end)
+        assert traj.times.size > 100
+        assert calls == {"liouvillian_matrix": 1, "dissipator": 0}
+
+    def test_dimension_above_the_map_cap_refused_before_stepping(self, monkeypatch):
+        system = sc.SpinSystem([0.5] * 7, [-20.0 - k for k in range(7)])
+        field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=ls.lorentzian(22.0, 4.0))
+        model = build(system, field, 0.05)
+        assert model.dim == 128 > me.MAP_DIM_CAP
+
+        def no_table(*args):
+            raise AssertionError("a step was taken")
+        monkeypatch.setattr(me, "_drive_table", no_table)
+        with pytest.raises(ValidationError, match="MAP_DIM_CAP = 64"):
+            me.propagate(model, model.boltzmann, 0.1)
+
+
+# (t_end and dt in units of default_dt, store_every): dt dividing t_end or
+# shrunk to divide it, the last step on and off the store_every stride
+STEPPER_GRIDS = [
+    (40.0, None, None),
+    (40.5, None, None),
+    (30.0, 1.0, 7),
+    (33.3, 1.1, 4),
+]
+
+
+class TestStepperOracle:
+    """The assembled-generator stepper against the operator-form RK4."""
+
+    @staticmethod
+    def _assert_matches(got, want):
+        assert np.array_equal(got.times, want.times)
+        assert nu.max_abs(got.states - want.states) <= 1e-13 * nu.max_abs(want.states)
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_matches_operator_form(self, case, kind):
+        base = operator_sum_model(case)
+        field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(22.0, 4.0))
+        model = build(base.system, field, base.beta)
+        # 2.4 periods of the fastest drive phase (1.2 at D = 32); a Gaussian
+        # drive this far off resonance decays too slowly to time by the rates
+        t_end = (60 if model.dim > 16 else 120) * me.default_dt(model)
+        got = me.propagate(model, model.boltzmann, t_end, store_every=5)
+        self._assert_matches(got, rk4_oracle(model, model.boltzmann, t_end, None, 5))
+
+    @pytest.mark.parametrize("t_units, dt_units, store_every", STEPPER_GRIDS)
+    def test_grids_and_chunk_boundaries(self, qubit_model, monkeypatch, t_units,
+                                        dt_units, store_every):
+        monkeypatch.setattr(me, "RK4_CHUNK", 6)
+        h = me.default_dt(qubit_model)
+        t_end, dt = t_units * h, dt_units and dt_units * h
+        got = me.propagate(qubit_model, qubit_model.boltzmann, t_end, dt,
+                           store_every=store_every)
+        want = rk4_oracle(qubit_model, qubit_model.boltzmann, t_end, dt, store_every)
+        self._assert_matches(got, want)
+
+    def test_order_n_with_time_dependent_inhomogeneity(self):
+        model = operator_sum_model("generic2")
+        rho1 = acp.initial_correction(model.system, model.field.b_o, 1, model.beta)
+        g0 = np.array([[1.0, 0.3j, 0.0, 0.2], [-0.3j, -0.5, 0.1, 0.0],
+                       [0.0, 0.1, 0.25, -0.4j], [0.2, 0.0, 0.4j, -0.75]]) * 1e-3
+
+        def inhomogeneity(t):
+            return math.cos(17.0 * t) * g0
+
+        t_end = 150 * me.default_dt(model)
+        got = acp.propagate_order_n(model, 1, inhomogeneity, t_end, store_every=3)
+        want = rk4_oracle(model, rho1, t_end, None, 3, extra=inhomogeneity)
+        self._assert_matches(got, want)
 
 
 class TestLambdaMap:
