@@ -43,8 +43,7 @@ def _field(cfg: RunConfig) -> FieldConfig:
 
 def run_spectrum(cfg: RunConfig, out: Path, verbose: bool) -> int:
     labels = cfg.resonance if len(cfg.resonance) > 1 else cfg.resonance[0]
-    spec = spectrum.stick_spectrum(cfg.groups, labels, cfg.omega_o,
-                                   scaled=cfg.scaled)
+    spec = spectrum.stick_spectrum(cfg.groups, labels, scaled=cfg.scaled)
     csv_path = out / f"{cfg.basename}_spectrum.csv"
     svg_path = out / f"{cfg.basename}_spectrum.svg"
     spectrum.export_csv(spec, csv_path)
@@ -76,8 +75,8 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     grid :func:`mastereq.propagate` would store with ``[qubit] dt`` (default
     :func:`mastereq.default_dt`), or every frame when ``n_points`` exceeds
     their count; the numeric columns come from the exact map
-    :func:`mastereq.lambda_map` at those times, not from a time stepper, with
-    one eigendecomposition of L shared by every compared time.
+    :func:`mastereq.lambda_map`, called once on all compared times, not from
+    a time stepper.
     """
     model = build_model(cfg.system, _field(cfg), cfg.beta)
     params = qubit.QubitParams.from_field(cfg.system.gammas[0], cfg.field_b_o,
@@ -86,11 +85,9 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     n_points = min(cfg.n_points, steps.size)    # same frames, bounded memory
     idx = np.unique(np.linspace(0, steps.size - 1, n_points).astype(int))
     times = steps[idx] * dt
-    eig = mastereq._eigensystem(mastereq.liouvillian_matrix(model))
     states = mastereq.Trajectory(
         times=times,
-        states=np.array([mastereq._apply_map(model, eig, t, model.boltzmann)
-                         for t in times]),
+        states=mastereq.lambda_map(model, times, model.boltzmann),
         energies=model.levels.energies,
     ).schrodinger_states()
     xi = {a: xi_operator(cfg.system, a) for a in "xyz"}

@@ -8,7 +8,7 @@ Grammar (see README for a full description):
     [field]             b_o, b_1, dist = lorentzian|gaussian|delta, center, width
     [thermal]           exactly one of beta / temperature_kelvin
     [group:<label>]     j, count, gamma, abundance, lambda.<other> = Gauss
-    [spectrum]          resonance (one label or several), omega_o, scaled
+    [spectrum]          resonance (one label or several), scaled
     [propagate]         t_end > 0, dt > 0 (optional), store_every >= 1 (optional)
     [qubit]             t_end > 0, n_points >= 2, dt > 0 (optional),
                         tolerance >= 0 (optional); every number finite.
@@ -53,7 +53,6 @@ class RunConfig:
     beta: float | None = None
     groups: tuple = ()
     resonance: tuple = ()
-    omega_o: float = 0.0
     scaled: bool = False
     t_end: float | None = None
     dt: float | None = None
@@ -185,7 +184,6 @@ def load_config(path) -> RunConfig:
         sec = parser["spectrum"]
         if "resonance" in sec:
             cfg.resonance = tuple(sec["resonance"].split())
-        cfg.omega_o = _number(sec, "omega_o", default="0")
         if "scaled" in sec:
             cfg.scaled = _bool(sec["scaled"])
     for name in ("propagate", "qubit"):

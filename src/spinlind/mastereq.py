@@ -121,14 +121,13 @@ class MasterEquationModel:
         return self.system.dim
 
 
-def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float,
-                gap_tol: float = 1e-9) -> MasterEquationModel:
+def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
     """Assemble the zeroth-order model for a system in the given field."""
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
     levels = level_data(system, field_cfg.b_o)
     xi_x = xi_operator(system, "x")
-    dec = decompose(xi_x, levels, gap_tol)
+    dec = decompose(xi_x, levels)
     plus = plus_blocks(dec)
     d = system.dim
 
@@ -429,45 +428,64 @@ def _drive_weight(dist: FrequencyDistribution, lam: complex, w: float,
                                       log_scale=scale.conjugate()).conjugate())
 
 
-def lambda_map(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
+def _map_times(t) -> np.ndarray:
+    """``t`` as a float array, a ValidationError unless 0-d or 1-D, finite and >= 0."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValidationError(f"t must be a time or a 1-D array of times, got shape {times.shape}")
+    bad = times[~(np.isfinite(times) & (times >= 0.0))]
+    if bad.size:
+        raise ValidationError(f"t must be finite and nonnegative, got {bad[0]}")
+    return times
+
+
+def lambda_map(model: MasterEquationModel, t: float | np.ndarray, rho0: np.ndarray, *,
                unsafe: bool = False, include_drive: bool = True) -> np.ndarray:
     """Evaluate Lambda(t) rho0 = e^{Lt} rho0 + int_0^t e^{L(t-s)} A(s) rho0 ds exactly.
 
-    One eigendecomposition L = V diag(lam) V^-1 of the vectorized generator
-    gives the semigroup part V e^{lam t} V^-1 rho0.  The drive term splits
-    into components Re[phi_f(s)] e^{-i w s} C: C = -2 i B1 [xi_w, rho0] at
-    each ladder frequency w and C' = -2 i B1 [xi_w^dag, rho0] at -w.  Each
-    adds V [(V^-1 C) * W(lam, w, t)], W = int_0^t e^{lam (t-s)} Re[phi_f(s)]
-    e^{-i w s} ds from the envelope integral, evaluated only where V^-1 C is
-    nonzero.  ``include_drive=False`` drops the inhomogeneous term, leaving
-    the completely positive semigroup alone.  An AccuracyError means L is
+    ``t`` is one time, giving the (D, D) state, or a 1-D array of times,
+    giving the (nt, D, D) states; either way the call makes one
+    eigendecomposition L = V diag(lam) V^-1 of the vectorized generator
+    (:func:`_apply_map`).  Every time must be finite and nonnegative.
+    ``include_drive=False`` drops the inhomogeneous term, leaving the
+    completely positive semigroup alone.  An AccuracyError means L is
     defective or nearly so.
     """
+    times = _map_times(t)
     _check_domain(model, rho0, unsafe)
     eig = _eigensystem(liouvillian_matrix(model))
-    return _apply_map(model, eig, t, rho0, include_drive)
+    states = _apply_map(model, eig, np.atleast_1d(times), rho0, include_drive)
+    return states if times.ndim else states[0]
 
 
-def _apply_map(model: MasterEquationModel, eig, t: float, rho0: np.ndarray,
+def _apply_map(model: MasterEquationModel, eig, times: np.ndarray, rho0: np.ndarray,
                include_drive: bool = True) -> np.ndarray:
-    """Lambda(t) rho0 from ``eig`` = (lam, V, V^-1) of L (see :func:`lambda_map`).
+    """(nt, D, D) states Lambda(t) rho0 at ``times`` from ``eig`` = (lam, V, V^-1) of L.
 
-    Shared by :func:`lambda_map` and :func:`kraus_audit`, so each call makes
-    exactly one eigendecomposition of L.
+    The semigroup part is V e^{lam t} V^-1 rho0.  The drive term is
+    Re[phi_f(s)] sum_j e^{-i w_j s} c_j with the components c_j of
+    :func:`_drive_components`; each adds V [(V^-1 c_j) * W(lam, w_j, t)],
+    W = int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w_j s} ds from the envelope
+    integral (:func:`_drive_weight`), evaluated only where V^-1 c_j is
+    nonzero.  Shared by :func:`lambda_map` and :func:`kraus_audit`, so each
+    call makes exactly one eigendecomposition of L.
     """
     lam, v, v_inv = eig
     rho_init = np.array(rho0, dtype=complex)
-    coef = np.exp(lam * t) * (v_inv @ numutil.vec(rho_init))
+    coef = np.exp(np.outer(times, lam)) * (v_inv @ numutil.vec(rho_init))
 
-    if include_drive and t > 0 and model.field.b_1 > 0:
-        amp = -2j * model.field.b_1
-        for w, xi in zip(model.plus_omegas, model.plus_mats):
-            for freq, op in ((w, xi), (-w, xi.conj().T)):
-                c = v_inv @ numutil.vec(amp * (op @ rho_init - rho_init @ op))
-                for k in np.flatnonzero(c):
-                    coef[k] += c[k] * _drive_weight(model.field.dist, lam[k], freq, t)
+    if include_drive and model.field.b_1 > 0:
+        comps, freqs = _drive_components(model, rho_init)
+        c = comps @ v_inv.T
+        rows, cols = np.nonzero(c)
+        for n, t in enumerate(times.tolist()):
+            if t > 0:
+                for j, k in zip(rows.tolist(), cols.tolist()):
+                    coef[n, k] += c[j, k] * _drive_weight(model.field.dist, lam[k],
+                                                          freqs[j], t)
 
-    return numutil.unvec(v @ coef, model.dim)
+    d = model.dim
+    return (coef @ v.T).reshape(len(times), d, d).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -480,35 +498,34 @@ class KrausAudit:
     n_nodes: int
 
 
-def _semigroup_kraus(model, eig, s):
-    """Stacked Kraus factors of e^{L s} = V diag(e^{lam s}) V^-1."""
-    lam, v, v_inv = eig
-    prop = (v * np.exp(lam * s)) @ v_inv
-    choi = numutil.choi_matrix(prop, model.dim)
-    return np.array(numutil.kraus_from_choi(choi, model.dim))
-
-
-def _kraus_sum(kraus: np.ndarray) -> np.ndarray:
-    """sum_k K_k^dag K_k over a (r, D, D) stack."""
-    return (kraus.conj().transpose(0, 2, 1) @ kraus).sum(0)
-
-
 def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
                 unsafe: bool = False, n_nodes: int = 256) -> KrausAudit:
-    """Rebuild the map as a difference of two CP maps and report residuals.
+    """Rebuild Lambda(t) as a difference Phi1 - Phi2 of two CP maps and report residuals.
 
-    The semigroup factors come from the Choi eigendecomposition of e^{L s},
-    taken at every node from one eigendecomposition of L; the drive is
-    inserted through M(s) = (I - i H_LR(s))/sqrt(2), so that
-    ``M rho M^dag - M^dag rho M = -i [H_LR, rho]``.  The reconstruction
-    residual is measured against :func:`lambda_map`, evaluated from the same
-    eigendecomposition.
+    The drive enters through M(s) = (I - i H_LR(s))/sqrt(2), for which
+    ``M rho M^dag - M^dag rho M = -i [H_LR, rho]``.  With the Simpson rule
+    over ``n_nodes`` panels (bumped to even) on [0, t], Phi1 = e^{Lt} +
+    sum_n w_n e^{L(t - s_n)} Ad_M(s_n) and Phi2 = sum_n w_n e^{L(t - s_n)}
+    Ad_M^dag(s_n) as superoperator matrices, every e^{Ls} = V diag(e^{lam s})
+    V^-1 from one eigendecomposition of L and every Ad factor a
+    :func:`numutil.sandwich_superop`.  The report holds the trace and
+    reconstruction residuals of Phi1 - Phi2 applied to rho0, the latter
+    against :func:`lambda_map` evaluated from the same eigendecomposition;
+    the completeness residual max|(Phi1 - Phi2)^dag (I) - I|, i.e. of
+    sum K^dag K over the two Kraus sets; and the minimum Choi eigenvalue of
+    each Phi (Choi, Linear Algebra Appl. 10 (1975) 285), nonnegative for a
+    CP map.  ``t`` must be one finite nonnegative time.
     """
+    times = _map_times(t)
+    if times.ndim:
+        raise ValidationError(f"t must be one time for the audit, got shape {times.shape}")
+    t = float(times)
     _check_domain(model, rho0, unsafe)
     d = model.dim
-    eig = _eigensystem(liouvillian_matrix(model))
+    lam, v, v_inv = eig = _eigensystem(liouvillian_matrix(model))
     rho_init = np.array(rho0, dtype=complex)
     eye = np.eye(d)
+    one = np.ones(1)
 
     if n_nodes % 2:
         n_nodes += 1
@@ -517,36 +534,30 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
     weights *= t / n_nodes / 3.0
 
-    kraus_t = _semigroup_kraus(model, eig, t)
-    phi1_mat = numutil.sandwich_superop(kraus_t, np.ones(len(kraus_t)))
-    phi2_mat = np.zeros((d * d, d * d), dtype=complex)
-    completeness = _kraus_sum(kraus_t)
-
+    # V^-1 Phi_i accumulated node by node; V applied once at the end
+    acc1 = np.exp(lam * t)[:, None] * v_inv
+    acc2 = np.zeros_like(acc1)
     for tau, weight in zip(ts, weights):
         m_op = (eye - 1j * linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
-        kraus = _semigroup_kraus(model, eig, t - tau)
-        node_weights = np.full(len(kraus), weight)
-        phi1_mat += numutil.sandwich_superop(kraus @ m_op, node_weights)
-        phi2_mat += numutil.sandwich_superop(kraus @ m_op.conj().T, node_weights)
-        ksum = _kraus_sum(kraus)
-        completeness = completeness + weight * (
-            m_op.conj().T @ ksum @ m_op - m_op @ ksum @ m_op.conj().T)
+        prop = (weight * np.exp(lam * (t - tau)))[:, None] * v_inv
+        acc1 += prop @ numutil.sandwich_superop(m_op[None], one)
+        acc2 += prop @ numutil.sandwich_superop(m_op.conj().T[None], one)
+    phi1_mat, phi2_mat = v @ acc1, v @ acc2
 
-    reconstructed = numutil.unvec((phi1_mat - phi2_mat) @ numutil.vec(rho_init), d)
-    reference = _apply_map(model, eig, t, rho_init)
+    diff = phi1_mat - phi2_mat
+    reconstructed = numutil.unvec(diff @ numutil.vec(rho_init), d)
+    reference = _apply_map(model, eig, times[None], rho_init)[0]
+    completeness = numutil.unvec(diff.conj().T @ numutil.vec(eye), d)
     trace_residual = abs(complex(np.trace(reconstructed)) - complex(np.trace(rho_init)))
-    rec_residual = numutil.max_abs(reconstructed - reference)
-    comp_residual = numutil.max_abs(completeness - eye)
 
-    phi1_choi_min = float(np.linalg.eigvalsh(
-        numutil.hermitize(numutil.choi_matrix(phi1_mat, d))).min())
-    phi2_choi_min = float(np.linalg.eigvalsh(
-        numutil.hermitize(numutil.choi_matrix(phi2_mat, d))).min())
+    phi1_choi_min, phi2_choi_min = (
+        float(np.linalg.eigvalsh(numutil.hermitize(numutil.choi_matrix(phi, d))).min())
+        for phi in (phi1_mat, phi2_mat))
 
     return KrausAudit(
         trace_residual=trace_residual,
-        reconstruction_residual=rec_residual,
-        completeness_residual=comp_residual,
+        reconstruction_residual=numutil.max_abs(reconstructed - reference),
+        completeness_residual=numutil.max_abs(completeness - eye),
         phi1_choi_min=phi1_choi_min,
         phi2_choi_min=phi2_choi_min,
         n_nodes=n_nodes,

@@ -1,6 +1,6 @@
-"""Small numerical helpers: superoperator vectorization, Kraus factors, the matrix
-exponential (scipy, imported on first use), and the number format and CSV writer of
-every written artifact.
+"""Small numerical helpers: superoperator vectorization and the Choi matrix, the
+matrix exponential (scipy, imported on first use), and the number format and CSV
+writer of every written artifact.
 
 Superoperators use the column-stacking convention, vec(A X B) = (B^T (x) A) vec(X).
 The matrix of an operator sum rho -> sum_k w_k A_k rho A_k^dag comes from one
@@ -14,8 +14,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import AccuracyError
-
 __all__ = [
     "vec",
     "unvec",
@@ -23,13 +21,10 @@ __all__ = [
     "max_abs",
     "sandwich_superop",
     "choi_matrix",
-    "kraus_from_choi",
     "fmt12",
     "write_csv",
 ]
 
-# Choi eigenvalues below -CHOI_TOL * max(1, lam_max) mean the map is not CP
-CHOI_TOL = 1e-9
 NUMBER_FORMAT = ".12g"
 # format spec by cell type in write_csv; "" writes a str verbatim, an int exactly
 _CELL_FORMAT = {str: "", int: ""}
@@ -75,27 +70,6 @@ def choi_matrix(s: np.ndarray, dim: int) -> np.ndarray:
     column stacking that entry is s[n d + m, j d + i], one reshuffle of ``s``.
     """
     return s.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(dim * dim, dim * dim)
-
-
-def kraus_from_choi(choi: np.ndarray, dim: int):
-    """Kraus factors of a CP map from its (Hermitian) Choi matrix.
-
-    Raises AccuracyError when the Choi matrix has eigenvalues below
-    ``-CHOI_TOL * max(1, lam_max)``, i.e. the map is not CP to tolerance;
-    eigenvalues up to 1e-4 of that bound are dropped as zero.
-    """
-    evals, evecs = np.linalg.eigh(hermitize(choi))
-    scale = max(1.0, float(evals.max(initial=0.0)))
-    if evals.min(initial=0.0) < -CHOI_TOL * scale:
-        raise AccuracyError(
-            f"Choi matrix is not positive semidefinite: min eigenvalue {evals.min():.3e}"
-        )
-    kraus = []
-    for lam, v in zip(evals, evecs.T):
-        if lam <= CHOI_TOL * scale * 1e-4:
-            continue
-        kraus.append(np.sqrt(lam) * v.reshape(dim, dim))
-    return kraus
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -4,12 +4,13 @@ Composite Simpson integration with node doubling, the wavefunction
 (time-dependent perturbation theory) transition probabilities of a pure
 initial state, the principal-value quadrature of the Kramers-Kronig check,
 the boson-count convolution, the per-term stick spectrum (dict expansion,
-tuple sort, anchor merge) with its CSV and SVG writers, and the
-operator-form RK4 stepper (H_LR(t) and the dissipator rebuilt at every
-stage).  None of these is part of the package: each is a reference for a
+tuple sort, anchor merge) with its CSV and SVG writers, the operator-form
+RK4 stepper (H_LR(t) and the dissipator rebuilt at every stage) and the
+Kraus-factor audit (e^{Ls} refactorised from its Choi matrix at every
+node).  None of these is part of the package: each is a reference for a
 closed form, a master-equation rate, a response kernel, the array route of
-:mod:`spinlind.spectrum` or the vectorized stepper of
-:mod:`spinlind.mastereq`.
+:mod:`spinlind.spectrum`, the vectorized stepper of :mod:`spinlind.mastereq`
+or its superoperator audit.
 """
 
 import csv
@@ -21,6 +22,7 @@ import scipy.integrate
 from spinlind import mastereq as me
 from spinlind import spectrum as sp
 from spinlind.errors import AccuracyError, ValidationError
+from spinlind import numutil
 from spinlind.numutil import fmt12, max_abs
 
 
@@ -206,6 +208,104 @@ def rk4_oracle(model, rho0: np.ndarray, t_end: float, dt, store_every, extra=Non
 
     return me.Trajectory(times=steps * dt, states=states,
                          energies=model.levels.energies.copy())
+
+
+# Choi eigenvalues below -CHOI_TOL * max(1, lam_max) mean the map is not CP
+CHOI_TOL = 1e-9
+
+
+def kraus_from_choi(choi: np.ndarray, dim: int):
+    """Kraus factors of a CP map from its (Hermitian) Choi matrix.
+
+    Raises AccuracyError when the Choi matrix has eigenvalues below
+    ``-CHOI_TOL * max(1, lam_max)``, i.e. the map is not CP to tolerance;
+    eigenvalues up to 1e-4 of that bound are dropped as zero.
+    """
+    evals, evecs = np.linalg.eigh(numutil.hermitize(choi))
+    scale = max(1.0, float(evals.max(initial=0.0)))
+    if evals.min(initial=0.0) < -CHOI_TOL * scale:
+        raise AccuracyError(
+            f"Choi matrix is not positive semidefinite: min eigenvalue {evals.min():.3e}"
+        )
+    kraus = []
+    for lam, v in zip(evals, evecs.T):
+        if lam <= CHOI_TOL * scale * 1e-4:
+            continue
+        kraus.append(np.sqrt(lam) * v.reshape(dim, dim))
+    return kraus
+
+
+def _semigroup_kraus(model, eig, s):
+    """Stacked Kraus factors of e^{L s} = V diag(e^{lam s}) V^-1."""
+    lam, v, v_inv = eig
+    prop = (v * np.exp(lam * s)) @ v_inv
+    choi = numutil.choi_matrix(prop, model.dim)
+    return np.array(kraus_from_choi(choi, model.dim))
+
+
+def _kraus_sum(kraus: np.ndarray) -> np.ndarray:
+    """sum_k K_k^dag K_k over a (r, D, D) stack."""
+    return (kraus.conj().transpose(0, 2, 1) @ kraus).sum(0)
+
+
+def kraus_audit_oracle(model, t: float, rho0: np.ndarray, *,
+                       unsafe: bool = False, n_nodes: int = 256) -> me.KrausAudit:
+    """Rebuild the map as a difference of two CP maps and report residuals.
+
+    The semigroup factors come from the Choi eigendecomposition of e^{L s},
+    taken at every node from one eigendecomposition of L; the drive is
+    inserted through M(s) = (I - i H_LR(s))/sqrt(2), so that
+    ``M rho M^dag - M^dag rho M = -i [H_LR, rho]``.  The reconstruction
+    residual is measured against the library's map, evaluated from the same
+    eigendecomposition.
+    """
+    me._check_domain(model, rho0, unsafe)
+    d = model.dim
+    eig = me._eigensystem(me.liouvillian_matrix(model))
+    rho_init = np.array(rho0, dtype=complex)
+    eye = np.eye(d)
+
+    if n_nodes % 2:
+        n_nodes += 1
+    ts = np.linspace(0.0, t, n_nodes + 1)
+    weights = np.ones(n_nodes + 1)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    weights *= t / n_nodes / 3.0
+
+    kraus_t = _semigroup_kraus(model, eig, t)
+    phi1_mat = numutil.sandwich_superop(kraus_t, np.ones(len(kraus_t)))
+    phi2_mat = np.zeros((d * d, d * d), dtype=complex)
+    completeness = _kraus_sum(kraus_t)
+
+    for tau, weight in zip(ts, weights):
+        m_op = (eye - 1j * me.linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
+        kraus = _semigroup_kraus(model, eig, t - tau)
+        node_weights = np.full(len(kraus), weight)
+        phi1_mat += numutil.sandwich_superop(kraus @ m_op, node_weights)
+        phi2_mat += numutil.sandwich_superop(kraus @ m_op.conj().T, node_weights)
+        ksum = _kraus_sum(kraus)
+        completeness = completeness + weight * (
+            m_op.conj().T @ ksum @ m_op - m_op @ ksum @ m_op.conj().T)
+
+    reconstructed = numutil.unvec((phi1_mat - phi2_mat) @ numutil.vec(rho_init), d)
+    reference = me._apply_map(model, eig, np.array([t]), rho_init)[0]
+    trace_residual = abs(complex(np.trace(reconstructed)) - complex(np.trace(rho_init)))
+    rec_residual = numutil.max_abs(reconstructed - reference)
+    comp_residual = numutil.max_abs(completeness - eye)
+
+    phi1_choi_min = float(np.linalg.eigvalsh(
+        numutil.hermitize(numutil.choi_matrix(phi1_mat, d))).min())
+    phi2_choi_min = float(np.linalg.eigvalsh(
+        numutil.hermitize(numutil.choi_matrix(phi2_mat, d))).min())
+
+    return me.KrausAudit(
+        trace_residual=trace_residual,
+        reconstruction_residual=rec_residual,
+        completeness_residual=comp_residual,
+        phi1_choi_min=phi1_choi_min,
+        phi2_choi_min=phi2_choi_min,
+        n_nodes=n_nodes,
+    )
 
 
 def convolution_degeneracies(j: float, count: int) -> list:

@@ -306,7 +306,6 @@ class TestMatrixModes:
         ("naphthalene", "j = 0.5\ncount = 1", "j = inf\ncount = 1", "j must be"),
         ("naphthalene", "gamma = -1.7608e7", "gamma = nan", "gamma must be"),
         ("naphthalene", "gamma = -1.7608e7", "gamma = -inf", "gamma must be"),
-        ("naphthalene", "[spectrum]", "[spectrum]\nomega_o = fast", "omega_o"),
     ])
     def test_non_numeric_or_non_finite_keys_rejected(self, tmp_path, monkeypatch, capsys,
                                                       config, line, replacement, name):

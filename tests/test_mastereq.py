@@ -17,8 +17,8 @@ from spinlind.errors import (
 from spinlind.qubit import SIGMA
 
 from conftest import random_system
-from oracles import (a_term, rk4_oracle, simpson_doubling, wavefunction_distribution,
-                     wavefunction_oracle)
+from oracles import (a_term, kraus_audit_oracle, rk4_oracle, simpson_doubling,
+                     wavefunction_distribution, wavefunction_oracle)
 
 
 def build(system, field, beta):
@@ -583,6 +583,41 @@ class TestLambdaMap:
         with pytest.raises(ValidationError):
             me.lambda_map(model, 0.1, model.boltzmann)
 
+    @pytest.mark.parametrize("case", MAP_CASES)
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_time_grid_matches_scalar_calls(self, case, kind):
+        model = map_model(case, kind)
+        times = np.linspace(0.0, 1.0, 7) / decay_rate(model)
+        for drive in (True, False):
+            got = me.lambda_map(model, times, model.boltzmann, include_drive=drive)
+            want = np.array([me.lambda_map(model, t, model.boltzmann, include_drive=drive)
+                             for t in times])
+            assert got.shape == (times.size, model.dim, model.dim)
+            assert want.shape == got.shape        # a scalar t gives one (D, D) state
+            assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
+
+    def test_time_grid_decomposes_the_generator_once(self, qubit_model, monkeypatch):
+        calls = {"liouvillian_matrix": 0, "_eigensystem": 0}
+        for name in calls:
+            def spy(*args, _fn=getattr(me, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(me, name, spy)
+        times = np.linspace(0.0, 1.0, 40) / qubit_rate(qubit_model)
+        me.lambda_map(qubit_model, times, qubit_model.boltzmann)
+        assert calls == {"liouvillian_matrix": 1, "_eigensystem": 1}
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_bad_times_rejected(self, qubit_model, bad, as_array):
+        t = np.array([0.0, 0.1, bad]) if as_array else bad
+        with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+            me.lambda_map(qubit_model, t, qubit_model.boltzmann)
+
+    def test_two_dimensional_times_rejected(self, qubit_model):
+        with pytest.raises(ValidationError, match="1-D"):
+            me.lambda_map(qubit_model, np.zeros((2, 2)), qubit_model.boltzmann)
+
 
 class TestChoiMatrix:
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -681,6 +716,33 @@ class TestKrausAudit:
 
         monkeypatch.setattr(me, "_apply_map", fresh)
         assert me.kraus_audit(model, t, model.boltzmann, n_nodes=64) == shared
+
+    @pytest.mark.parametrize("case", [c for c in OPERATOR_SUM_CASES if c != "generic5"])
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_matches_kraus_factor_oracle(self, case, kind):
+        # superoperator products against Kraus factors refactorised at every node
+        base = operator_sum_model(case)
+        field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(22.0, 4.0))
+        model = build(base.system, field, base.beta)
+        t = 120 * me.default_dt(model)
+        got = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
+        want = kraus_audit_oracle(model, t, model.boltzmann, n_nodes=32)
+        assert got.n_nodes == want.n_nodes == 32
+        for name in ("trace_residual", "completeness_residual"):
+            assert getattr(got, name) <= 1e-12 and getattr(want, name) <= 1e-12
+        # the Simpson error of the reconstruction, the same in both routes
+        assert abs(got.reconstruction_residual - want.reconstruction_residual) <= 1e-12
+        assert abs(got.phi1_choi_min - want.phi1_choi_min) <= 1e-12
+        assert abs(got.phi2_choi_min - want.phi2_choi_min) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_time_rejected(self, qubit_model, bad):
+        with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+            me.kraus_audit(qubit_model, bad, qubit_model.boltzmann, n_nodes=16)
+
+    def test_time_grid_rejected(self, qubit_model):
+        with pytest.raises(ValidationError, match="one time"):
+            me.kraus_audit(qubit_model, np.array([0.1, 0.2]), qubit_model.boltzmann)
 
 
 class TestWitness:
