@@ -26,7 +26,7 @@ import numpy as np
 from . import numutil
 from .errors import AccuracyError, ValidationError
 from .mastereq import MasterEquationModel, Trajectory, _check_map_dim, _rk4
-from .spincore import SpinSystem, boltzmann_state, build_x, build_zo
+from .spincore import SpinSystem, boltzmann_state, build_x, level_data
 
 __all__ = [
     "AcpMoments",
@@ -79,7 +79,7 @@ def _levels(system: SpinSystem, b_o: float) -> np.ndarray:
     """Diagonal of Z0, after rejecting a non-finite field."""
     if not np.isfinite(b_o):
         raise ValidationError(f"b_o must be finite, got {b_o}")
-    return np.real(np.diag(build_zo(system, b_o)))
+    return level_data(system, b_o).energies
 
 
 def x_interaction(system: SpinSystem, b_o: float, s: complex) -> np.ndarray:
@@ -94,25 +94,26 @@ def x_interaction(system: SpinSystem, b_o: float, s: complex) -> np.ndarray:
     return x * np.exp(-1j * complex(s) * gaps)
 
 
-def _y_ladder(system: SpinSystem, b_o: float, order: int, beta: float) -> list:
-    """[Y^(0), ..., Y^(order)] at i beta from one block-bidiagonal exponential.
+def _y_ladder(eps: np.ndarray, x: np.ndarray, order: int, beta: float) -> list:
+    """[Y^(0), ..., Y^(order)] at i beta, for Z0 = diag(eps) and the flip-flop X.
 
-    The matrix has -beta Z0 in every diagonal block and -beta X in every block
-    above the diagonal; block (0, n) of its exponential is
-    exp(-beta Z0) Y^(n) (Van Loan, IEEE TAC 23 (1978) 395).  Z0 is shifted to
-    the middle of its spectrum, which leaves Y^(n) unchanged and keeps both
-    exponentials in range.
+    One exponential of the block-bidiagonal matrix with -beta Z0 in every
+    diagonal block and -beta X in every block above the diagonal; block
+    (0, n) of its exponential is exp(-beta Z0) Y^(n) (Van Loan, IEEE TAC 23
+    (1978) 395).  Z0 is shifted to the middle of its spectrum, which leaves
+    Y^(n) unchanged and keeps both exponentials in range.
     """
     if order > MAX_ORDER:
         raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
     if not np.isfinite(beta):
         raise ValidationError(f"beta must be finite, got {beta}")
-    eps = _levels(system, b_o)
     eps = eps - 0.5 * (eps.max() + eps.min())
-    dim, k = system.dim, order + 1
-    x = -beta * build_x(system)
-    gen = np.kron(np.eye(k), np.diag(-beta * eps)) + np.kron(np.eye(k, k=1), x)
-    top = np.exp(beta * eps)[:, None] * numutil.expm(gen)[:dim]
+    dim, k = eps.size, order + 1
+    gen = np.zeros((k, dim, k, dim), dtype=complex)
+    blocks = np.arange(k)
+    gen[blocks, :, blocks, :] = np.diag(-beta * eps)
+    gen[blocks[:-1], :, blocks[1:], :] = -beta * x
+    top = np.exp(beta * eps)[:, None] * numutil.expm(gen.reshape(k * dim, k * dim))[:dim]
     return [np.eye(dim, dtype=complex)] + [top[:, n * dim:(n + 1) * dim]
                                            for n in range(1, k)]
 
@@ -121,7 +122,7 @@ def y_nested(system: SpinSystem, b_o: float, n: int, beta: float) -> np.ndarray:
     """Matrix of Y^(n)(i beta), exact to rounding."""
     if n < 0:
         raise ValidationError("order must be nonnegative")
-    return _y_ladder(system, b_o, n, beta)[n]
+    return _y_ladder(_levels(system, b_o), build_x(system), n, beta)[n]
 
 
 def y_moment(system: SpinSystem, b_o: float, n: int, beta: float) -> complex:
@@ -133,8 +134,9 @@ def moments_up_to(system: SpinSystem, b_o: float, order: int,
                   beta: float) -> AcpMoments:
     if order < 1:
         raise ValidationError(f"moments are defined for order >= 1, got {order}")
-    ys = _y_ladder(system, b_o, order, beta)
-    rho0 = boltzmann_state(_levels(system, b_o), beta)
+    eps = _levels(system, b_o)
+    ys = _y_ladder(eps, build_x(system), order, beta)
+    rho0 = boltzmann_state(eps, beta)
     return AcpMoments([np.trace(rho0 @ y) for y in ys[1:]])
 
 
@@ -173,10 +175,11 @@ def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
     """
     if n < 0:
         raise ValidationError("order must be nonnegative")
-    rho0 = boltzmann_state(_levels(system, b_o), beta)
+    eps = _levels(system, b_o)
+    rho0 = boltzmann_state(eps, beta)
     if n == 0:
         return rho0
-    ys = _y_ladder(system, b_o, n, beta)
+    ys = _y_ladder(eps, build_x(system), n, beta)
     moments = AcpMoments([np.trace(rho0 @ y) for y in ys[1:]])
     zetas = zeta_recursive(moments).zetas
     out = np.zeros_like(rho0)

@@ -57,6 +57,8 @@ class Decomposition:
         return near
 
     def sum(self) -> np.ndarray:
+        if not self.blocks:
+            raise ValidationError("an empty decomposition has no operator to sum to")
         out = np.zeros_like(self.blocks[0].matrix)
         for b in self.blocks:
             out = out + b.matrix

@@ -122,59 +122,59 @@ class MasterEquationModel:
 
 
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
-    """Assemble the zeroth-order model for a system in the given field."""
+    """Assemble the zeroth-order model for a system in the given field.
+
+    Rates and Lamb weights are evaluated over the block frequencies at once,
+    and h_ls = sum_w lamb_w [xi_w, xi_w^dag] and _anti = sum_w (g_w / 2)
+    {xi_w, xi_w^dag} are each one contraction over the stack
+    [xi_w; xi_w^dag] (:func:`_jump_sum`).
+    """
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
     levels = level_data(system, field_cfg.b_o)
-    xi_x = xi_operator(system, "x")
-    dec = decompose(xi_x, levels)
+    dec = decompose(xi_operator(system, "x"), levels)
     plus = plus_blocks(dec)
     d = system.dim
+    mats = np.stack([b.matrix for b in plus]) if plus else np.zeros((0, d, d), dtype=complex)
+    omegas = np.array([b.omega for b in plus], dtype=float)
 
-    if plus:
-        mats = np.stack([b.matrix for b in plus])
-        omegas = np.array([b.omega for b in plus])
-    else:
-        mats = np.zeros((0, d, d), dtype=complex)
-        omegas = np.zeros(0)
-
-    b1 = field_cfg.b_1
-    if b1 > 0 and mats.shape[0] and field_cfg.dist.kind == "delta":
+    b1, dist = field_cfg.b_1, field_cfg.dist
+    if b1 > 0 and plus and dist.kind == "delta":
         raise ValidationError("a delta-line drive has no finite dissipator rates")
-
-    if b1 > 0 and mats.shape[0]:
-        gp = np.array([lineshape.dissipator_weight(field_cfg.dist, w, b1, +1)
-                       for w in omegas])
-        gm = np.array([lineshape.dissipator_weight(field_cfg.dist, w, b1, -1)
-                       for w in omegas])
-        h_ls = np.zeros((d, d), dtype=complex)
-        for k, w in enumerate(omegas):
-            weight = (lineshape.lamb_weight(field_cfg.dist, w, b1, +1)
-                      + lineshape.lamb_weight(field_cfg.dist, w, b1, -1))
-            a = mats[k]
-            h_ls += weight * (a @ a.conj().T - a.conj().T @ a)
+    if b1 > 0 and plus:
+        gp = lineshape.dissipator_weight(dist, omegas, b1, +1)
+        gm = lineshape.dissipator_weight(dist, omegas, b1, -1)
+        lamb = (lineshape.lamb_weight(dist, omegas, b1, +1)
+                + lineshape.lamb_weight(dist, omegas, b1, -1))
     else:
-        gp = np.zeros(len(omegas))
-        gm = np.zeros(len(omegas))
-        h_ls = np.zeros((d, d), dtype=complex)
+        gp, gm, lamb = np.zeros((3, len(omegas)))
 
-    anti = np.zeros((d, d), dtype=complex)
-    for k in range(mats.shape[0]):
-        a = mats[k]
-        anti += 0.5 * (gp[k] + gm[k]) * (a.conj().T @ a + a @ a.conj().T)
-
+    jumps = np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
+    g = gp + gm
     rho0 = boltzmann_state(levels.energies, beta)
     return MasterEquationModel(
         system=system, field=field_cfg, beta=beta, levels=levels, dec=dec,
         plus_mats=mats, plus_omegas=omegas, rates_plus=gp, rates_minus=gm,
-        h_ls=h_ls, boltzmann=rho0, _anti=anti,
+        h_ls=_jump_sum(jumps, np.concatenate([-lamb, lamb])), boltzmann=rho0,
+        _anti=_jump_sum(jumps, np.concatenate([0.5 * g, 0.5 * g])),
     )
+
+
+def _jump_sum(jumps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j J_j^dag J_j over a (n, D, D) stack, as one tensordot.
+
+    The stack is flattened to (n D, D) rows, so the contraction over (j, row)
+    is one matrix product; its only temporary is the scaled conjugate stack.
+    """
+    d = jumps.shape[-1]
+    scaled = jumps.conj()
+    scaled *= weights[:, None, None]
+    return np.tensordot(scaled.reshape(-1, d), jumps.reshape(-1, d), axes=(0, 0))
 
 
 def linear_response_hamiltonian(model: MasterEquationModel, t: float) -> np.ndarray:
     """H_LR(t) = 2 B1 Re[phi_f(t)] sum_w exp(-i t w) xi^x(+1, w) + h.c."""
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    t = _map_time(t)
     d = model.dim
     if model.plus_mats.shape[0] == 0 or model.field.b_1 == 0:
         return np.zeros((d, d), dtype=complex)
@@ -439,6 +439,14 @@ def _map_times(t) -> np.ndarray:
     return times
 
 
+def _map_time(t) -> float:
+    """One time through :func:`_map_times`; a ValidationError for an array."""
+    times = _map_times(t)
+    if times.ndim:
+        raise ValidationError(f"t must be one time, got shape {times.shape}")
+    return float(times)
+
+
 def lambda_map(model: MasterEquationModel, t: float | np.ndarray, rho0: np.ndarray, *,
                unsafe: bool = False, include_drive: bool = True) -> np.ndarray:
     """Evaluate Lambda(t) rho0 = e^{Lt} rho0 + int_0^t e^{L(t-s)} A(s) rho0 ds exactly.
@@ -516,10 +524,7 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     each Phi (Choi, Linear Algebra Appl. 10 (1975) 285), nonnegative for a
     CP map.  ``t`` must be one finite nonnegative time.
     """
-    times = _map_times(t)
-    if times.ndim:
-        raise ValidationError(f"t must be one time for the audit, got shape {times.shape}")
-    t = float(times)
+    t = _map_time(t)
     _check_domain(model, rho0, unsafe)
     d = model.dim
     lam, v, v_inv = eig = _eigensystem(liouvillian_matrix(model))
@@ -546,7 +551,7 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
 
     diff = phi1_mat - phi2_mat
     reconstructed = numutil.unvec(diff @ numutil.vec(rho_init), d)
-    reference = _apply_map(model, eig, times[None], rho_init)[0]
+    reference = _apply_map(model, eig, np.array([t]), rho_init)[0]
     completeness = numutil.unvec(diff.conj().T @ numutil.vec(eye), d)
     trace_residual = abs(complex(np.trace(reconstructed)) - complex(np.trace(rho_init)))
 

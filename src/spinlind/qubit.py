@@ -124,11 +124,6 @@ def stationary_sigma_plus(params: QubitParams, t: float) -> complex:
     return -params.omega_1 * params.thermal_polarization * re_phi / denom
 
 
-def stationary(params: QubitParams, t: float):
-    """Stationary <sigma_3> (zero) and <sigma_+(t)> of the driven qubit."""
-    return 0.0, stationary_sigma_plus(params, t)
-
-
 def _interaction_picture(values, omega_o, t):
     s1, s2, s3 = values
     c, s = math.cos(omega_o * t), math.sin(omega_o * t)

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lineshape import FrequencyDistribution, density, envelope_integral, hilbert
-from .mastereq import MasterEquationModel, pauli_rates
-from .spincore import xi_operator
+from .mastereq import MasterEquationModel, _map_time
 
 __all__ = [
     "ChiKernel",
@@ -43,21 +42,14 @@ __all__ = [
 ]
 
 
-def _thermal_commutator(x_op: np.ndarray, block: np.ndarray,
-                        rho0: np.ndarray) -> complex:
-    """<[X, B]>_0 = Tr([X, B] rho0)."""
-    comm = x_op @ block - block @ x_op
-    return complex(np.trace(comm @ rho0))
-
-
 def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
                        omega_o: float) -> complex:
     """Thermal average <[X, xi^x(+1, w0)]>_0 (zero when no such block exists)."""
     try:
-        block = model.dec.block(1, omega_o)
+        block = model.dec.block(1, omega_o).matrix
     except KeyError:
         return 0.0 + 0.0j
-    return _thermal_commutator(x_op, block.matrix, model.boltzmann)
+    return complex(np.trace((x_op @ block - block @ x_op) @ model.boltzmann))
 
 
 @dataclass(frozen=True)
@@ -108,8 +100,7 @@ def chi_transient(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
 
     At t = 0 the pieces are the exact negatives of :func:`chi_infinity`.
     """
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    t = _map_time(t)
     g = commutator_average(model, x_op, omega_o)
     return ChiKernel(omega_o=omega_o, sign=sign, commutator_avg=g,
                      transient_time=t)
@@ -161,22 +152,25 @@ def steady_magnetization(model: MasterEquationModel, t: float, *,
     Assembles 2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi'']
     from the steady kernels of M_x = -(N/V) xi^x, one commutator average g
     per ladder block; the density integrals of the PV kernels become Hilbert
-    transforms and those of the deltas become density evaluations.
+    transforms and those of the deltas become density evaluations, as in
+    :func:`steady_rho_integral`.  With xi^x = sum_w xi_w + h.c. over the
+    ladder stack, every g = Tr(xi_w (rho0 M_x - M_x rho0)) comes from one
+    contraction.
     """
+    t = _map_time(t)
+    p, w0, rho0 = model.plus_mats, model.plus_omegas, model.boltzmann
+    half = p.sum(0)
+    m_x = -n_over_v * (half + half.conj().T)
+    g = np.einsum("kab,ba->k", p, rho0 @ m_x - m_x @ rho0)
+    if np.any(np.abs(g.imag) > 1e-10 * np.maximum(1.0, np.abs(g))):
+        raise ValidationError("magnetization kernel should be real for Hermitian X")
     dist = model.field.dist
-    b1 = model.field.b_1
-    total = 0.0
-    m_x = -n_over_v * xi_operator(model.system, "x")
-    for w0, xi_w in zip(model.plus_omegas.tolist(), model.plus_mats):
-        g = _thermal_commutator(m_x, xi_w, model.boltzmann)
-        if abs(g.imag) > 1e-10 * max(1.0, abs(g)):
-            raise ValidationError("magnetization kernel should be real for Hermitian X")
-        plus, minus = (ChiKernel(omega_o=w0, sign=s, commutator_avg=g) for s in (1, -1))
-        branches = steady_rho_integral(plus, dist) + steady_rho_integral(minus, dist)
-        chi_p = branches.real            # rho_f integral of chi'
-        chi_pp = -branches.imag          # rho_f integral of chi''
-        total += math.cos(w0 * t) * chi_p + math.sin(w0 * t) * chi_pp
-    return 2.0 * b1 * total
+    # the two steady branches summed: g [pi (rho^>(-w0) - rho^>(w0)) - i pi (rho_f(+-w0))]
+    branches = g * math.pi * ((hilbert(dist, -w0) - hilbert(dist, w0))
+                              - 1j * (density(dist, w0) + density(dist, -w0)))
+    chi_p, chi_pp = branches.real, -branches.imag   # rho_f integrals of chi', chi''
+    return 2.0 * model.field.b_1 * float(np.sum(np.cos(w0 * t) * chi_p
+                                                + np.sin(w0 * t) * chi_pp))
 
 
 @dataclass(frozen=True)
@@ -189,16 +183,13 @@ def absorbed_power(model: MasterEquationModel, *, n_over_v: float = 1.0):
     """Absorbed power per unit volume and its per-frequency decomposition.
 
     P = (N/V) sum_w0 w0 sum_{n,n'} (P_n - P_n') Gamma_{n,n'}(w0) over the
-    canonical (+1)-step transition entries.
+    canonical (+1)-step transition entries: per block, w0 (g+ + g-) times
+    sum_ab |xi_w0[a, b]|^2 (P_a - P_b).  The total is the sum of the lines.
     """
     pops = np.real(np.diag(model.boltzmann))
-    per_line: dict = {}
-    total = 0.0
-    for entry in pauli_rates(model):
-        if not entry.canonical:
-            continue
-        contrib = n_over_v * entry.omega * (pops[entry.n_to] - pops[entry.n_from]) * entry.total
-        per_line[entry.omega] = per_line.get(entry.omega, 0.0) + contrib
-        total += contrib
-    lines = tuple(PowerLine(omega_o=w, power=p) for w, p in sorted(per_line.items()))
-    return total, lines
+    flow = np.einsum("kab,ab->k", np.abs(model.plus_mats) ** 2, pops[:, None] - pops[None, :])
+    rates = model.rates_plus + model.rates_minus
+    powers = n_over_v * model.plus_omegas * rates * flow
+    lines = tuple(PowerLine(omega_o=w, power=p)
+                  for w, p in zip(model.plus_omegas.tolist(), powers.tolist()))
+    return sum((line.power for line in lines), 0.0), lines

@@ -8,7 +8,12 @@ Conventions used throughout the package:
   ``xi^a = -sum_i gamma_i S_i^a``.
 - Basis states are labeled by boson-style occupations n_i = j_i - m_i
   (n = 0 is the maximal projection m = +j) and ordered by the compressed
-  index ``sum_i W_i n_i`` with mixed-radix weights W (last spin fastest).
+  index ``k = sum_i W_i n_i`` with mixed-radix weights W (last spin fastest).
+
+Operators come from index arithmetic on the occupation table n_i(k) =
+(k // W_i) mod d_i, not Kronecker products: Sz_i is the diagonal j_i - n_i(k),
+and a single-spin matrix s at site i puts s[r, n_i(k)] in row
+k + (r - n_i(k)) W_i of column k (S+_i on (k - W_i, k), S-_i on (k + W_i, k)).
 
 The static Hamiltonian splits into a part diagonal in this basis,
 ``Z0 = B_o xi^z + sum_{i>j} T_ij Sz_i Sz_j``, and the flip-flop remainder
@@ -18,7 +23,8 @@ isotropic Hamiltonian plus Zeeman term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +90,9 @@ class SpinSystem:
     spins: tuple
     gammas: tuple
     couplings: np.ndarray
+    dims: tuple = field(init=False, repr=False, compare=False)     # d_i = 2 j_i + 1
+    weights: tuple = field(init=False, repr=False, compare=False)  # mixed-radix W_i
+    dim: int = field(init=False, repr=False, compare=False)        # prod_i d_i
 
     def __init__(self, spins: Sequence[float], gammas: Sequence[float],
                  couplings=None):
@@ -108,43 +117,21 @@ class SpinSystem:
         if np.max(np.abs(np.diag(couplings)), initial=0.0) > 0:
             raise ValidationError("couplings must have zero diagonal")
         couplings.setflags(write=False)
-        dim = 1
-        for j in spins:
-            dim *= int(round(2 * j)) + 1
+        dims = tuple(int(round(2 * j)) + 1 for j in spins)
+        weights = tuple(math.prod(dims[i + 1:]) for i in range(n))
+        dim = weights[0] * dims[0]
         if dim > MAX_DIM:
             raise ValidationError(
                 f"Hilbert dimension {dim} exceeds the dense-matrix cap {MAX_DIM}; "
                 "use the combinatorial spectrum path for larger systems"
             )
-        object.__setattr__(self, "spins", spins)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "couplings", couplings)
+        for name, value in zip(("spins", "gammas", "couplings", "dims", "weights", "dim"),
+                               (spins, gammas, couplings, dims, weights, dim)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_spins(self) -> int:
         return len(self.spins)
-
-    @property
-    def dims(self) -> tuple:
-        """Per-spin dimensions d_i = 2 j_i + 1."""
-        return tuple(int(round(2 * j)) + 1 for j in self.spins)
-
-    @property
-    def dim(self) -> int:
-        """Total Hilbert-space dimension."""
-        d = 1
-        for di in self.dims:
-            d *= di
-        return d
-
-    @property
-    def weights(self) -> tuple:
-        """Mixed-radix weights of the index compression map."""
-        dims = self.dims
-        w = [1] * len(dims)
-        for i in range(len(dims) - 2, -1, -1):
-            w[i] = w[i + 1] * dims[i + 1]
-        return tuple(w)
 
 
 @dataclass(frozen=True)
@@ -185,9 +172,7 @@ def decompress(index: int, spins: Sequence[float]) -> tuple:
     """Inverse of :func:`compress`."""
     spins = tuple(_validate_spin(j) for j in spins)
     dims = [int(round(2 * j)) + 1 for j in spins]
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     index = int(index)
     if not 0 <= index < total:
         raise ValidationError(f"index {index} out of range [0, {total - 1}]")
@@ -222,76 +207,86 @@ def single_spin_matrix(j: float, axis: str) -> np.ndarray:
     raise ValidationError(f"unknown axis {axis!r}")
 
 
+def _occupations(system: SpinSystem) -> np.ndarray:
+    """Occupation table n_i(k) = (k // W_i) mod d_i, shape (N, dim)."""
+    k = np.arange(system.dim)
+    return k // np.array(system.weights)[:, None] % np.array(system.dims)[:, None]
+
+
+def _scatter(out: np.ndarray, system: SpinSystem, site: int, axis: str,
+             coeff: float = 1.0) -> np.ndarray:
+    """out += coeff * (single-spin ``axis`` matrix at ``site``), in place.
+
+    Column k receives s[r, n(k)] in row k + (r - n(k)) W for every r, with
+    n(k) the occupation of ``site``; no (row, column) pair is written twice.
+    """
+    s = single_spin_matrix(system.spins[site], axis)
+    k, r, w = np.arange(system.dim), np.arange(s.shape[0])[:, None], system.weights[site]
+    n = k // w % system.dims[site]
+    out[k + (r - n) * w, k] += coeff * s[r, n]
+    return out
+
+
 def embed_single_spin(system: SpinSystem, site: int, axis: str) -> np.ndarray:
-    """Kronecker-embed a single-spin operator at ``site``, identity elsewhere."""
+    """A single-spin operator at ``site``, identity elsewhere."""
     if not 0 <= site < system.n_spins:
         raise ValidationError(f"site {site} out of range for {system.n_spins} spins")
-    op = np.array([[1.0 + 0j]])
-    for i, j in enumerate(system.spins):
-        factor = single_spin_matrix(j, axis) if i == site else np.eye(int(round(2 * j)) + 1)
-        op = np.kron(op, factor)
-    return op
+    return _scatter(np.zeros((system.dim, system.dim), dtype=complex), system, site, axis)
 
 
 def xi_operator(system: SpinSystem, axis: str) -> np.ndarray:
     """Negative total magnetic moment along ``axis``: -sum_i gamma_i S_i^axis."""
     out = np.zeros((system.dim, system.dim), dtype=complex)
     for i, g in enumerate(system.gammas):
-        if g != 0.0:
-            out -= g * embed_single_spin(system, i, axis)
-    return out
-
-
-def total_sz(system: SpinSystem) -> np.ndarray:
-    out = np.zeros((system.dim, system.dim), dtype=complex)
-    for i in range(system.n_spins):
-        out += embed_single_spin(system, i, "z")
+        _scatter(out, system, i, axis, -g)
     return out
 
 
 def _sz_diagonals(system: SpinSystem) -> np.ndarray:
-    """Stack of the diagonal of Sz_i for every spin, shape (N, dim)."""
-    rows = []
-    for i in range(system.n_spins):
-        rows.append(np.real(np.diag(embed_single_spin(system, i, "z"))))
-    return np.array(rows)
+    """Stack of the diagonals j_i - n_i of Sz_i for every spin, shape (N, dim)."""
+    return np.array(system.spins)[:, None] - _occupations(system)
+
+
+def total_sz(system: SpinSystem) -> np.ndarray:
+    return np.diag(_sz_diagonals(system).sum(0).astype(complex))
 
 
 def build_zo(system: SpinSystem, b_o: float) -> np.ndarray:
     """Diagonal leading Hamiltonian B_o xi^z + sum_{i>j} T_ij Sz_i Sz_j."""
-    sz = _sz_diagonals(system)
-    diag = -b_o * np.tensordot(np.asarray(system.gammas), sz, axes=(0, 0))
-    t = system.couplings
+    return np.diag(level_data(system, b_o).energies.astype(complex))
+
+
+def _couplings(system: SpinSystem, zz: bool) -> np.ndarray:
+    """sum_{i>j} T_ij [(S+_i S-_j + S-_i S+_j) / 2 + (Sz_i Sz_j if ``zz``)].
+
+    S+_i S-_j takes column k to row k - W_i + W_j with the product of the two
+    ladder values, wherever n_i(k) >= 1 and n_j(k) < d_j - 1.
+    """
+    t, w, d = system.couplings, system.weights, system.dim
+    out = np.zeros((d, d), dtype=complex)
+    occ, sz, k = _occupations(system), _sz_diagonals(system), np.arange(d)
     for i in range(system.n_spins):
         for j in range(i):
-            if t[i, j] != 0.0:
-                diag = diag + t[i, j] * sz[i] * sz[j]
-    return np.diag(diag.astype(complex))
+            if t[i, j] == 0.0:
+                continue
+            cols = k[(occ[i] >= 1) & (occ[j] < system.dims[j] - 1)]
+            up = single_spin_matrix(system.spins[i], "+")[occ[i, cols] - 1, occ[i, cols]]
+            down = single_spin_matrix(system.spins[j], "-")[occ[j, cols] + 1, occ[j, cols]]
+            rows = cols - w[i] + w[j]
+            out[rows, cols] = out[cols, rows] = 0.5 * t[i, j] * (up * down)
+            if zz:
+                out[k, k] += t[i, j] * (sz[i] * sz[j])
+    return out
 
 
 def build_x(system: SpinSystem) -> np.ndarray:
     """Flip-flop perturbation 1/2 sum_{i>j} T_ij (S+_i S-_j + S-_i S+_j)."""
-    out = np.zeros((system.dim, system.dim), dtype=complex)
-    t = system.couplings
-    for i in range(system.n_spins):
-        for j in range(i):
-            if t[i, j] != 0.0:
-                term = embed_single_spin(system, i, "+") @ embed_single_spin(system, j, "-")
-                out += 0.5 * t[i, j] * (term + term.conj().T)
-    return out
+    return _couplings(system, zz=False)
 
 
 def spin_spin_hamiltonian(system: SpinSystem) -> np.ndarray:
-    """Isotropic coupling sum_{i>j} T_ij S_i . S_j built from full dot products."""
-    out = np.zeros((system.dim, system.dim), dtype=complex)
-    t = system.couplings
-    for i in range(system.n_spins):
-        for j in range(i):
-            if t[i, j] != 0.0:
-                for axis in ("x", "y", "z"):
-                    out += t[i, j] * (embed_single_spin(system, i, axis)
-                                      @ embed_single_spin(system, j, axis))
-    return out
+    """Isotropic coupling sum_{i>j} T_ij S_i . S_j: flip-flop plus Sz_i Sz_j."""
+    return _couplings(system, zz=True)
 
 
 def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
@@ -300,10 +295,15 @@ def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
 
 
 def level_data(system: SpinSystem, b_o: float) -> LevelData:
-    """Energies and magnetizations of the compressed basis states."""
-    energies = np.real(np.diag(build_zo(system, b_o)))
-    mags = np.real(np.diag(total_sz(system)))
-    return LevelData(energies=energies, magnetizations=mags)
+    """Energies (the diagonal of Z0) and magnetizations of the basis states."""
+    sz = _sz_diagonals(system)
+    energies = -b_o * np.tensordot(np.asarray(system.gammas), sz, axes=(0, 0))
+    t = system.couplings
+    for i in range(system.n_spins):
+        for j in range(i):
+            if t[i, j] != 0.0:
+                energies = energies + t[i, j] * sz[i] * sz[j]
+    return LevelData(energies=energies, magnetizations=sz.sum(0))
 
 
 def boltzmann_state(zo: np.ndarray, beta: float) -> np.ndarray:

@@ -5,12 +5,14 @@ Composite Simpson integration with node doubling, the wavefunction
 initial state, the principal-value quadrature of the Kramers-Kronig check,
 the boson-count convolution, the per-term stick spectrum (dict expansion,
 tuple sort, anchor merge) with its CSV and SVG writers, the operator-form
-RK4 stepper (H_LR(t) and the dissipator rebuilt at every stage) and the
+RK4 stepper (H_LR(t) and the dissipator rebuilt at every stage), the
 Kraus-factor audit (e^{Ls} refactorised from its Choi matrix at every
-node).  None of these is part of the package: each is a reference for a
-closed form, a master-equation rate, a response kernel, the array route of
-:mod:`spinlind.spectrum`, the vectorized stepper of :mod:`spinlind.mastereq`
-or its superoperator audit.
+node), the Kronecker-product spin operators and the per-block loops of the
+model's ladder sums.  None of these is part of the package: each is a
+reference for a closed form, a master-equation rate, a response kernel, the
+array route of :mod:`spinlind.spectrum`, the vectorized stepper of
+:mod:`spinlind.mastereq` or its superoperator audit, the occupation-table
+operators of :mod:`spinlind.spincore` or the batched ladder sums.
 """
 
 import csv
@@ -19,8 +21,11 @@ import math
 import numpy as np
 import scipy.integrate
 
+from spinlind import lineshape as ls
 from spinlind import mastereq as me
+from spinlind import response as rs
 from spinlind import spectrum as sp
+from spinlind import spincore as sc
 from spinlind.errors import AccuracyError, ValidationError
 from spinlind import numutil
 from spinlind.numutil import fmt12, max_abs
@@ -436,3 +441,115 @@ def export_svg_oracle(spectrum, path, *, width: int = 900, height: int = 420) ->
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+# -- Kronecker-product spin operators ------------------------------------------
+
+def kron_embed(system, site: int, axis: str) -> np.ndarray:
+    """Kronecker-embed a single-spin operator at ``site``, identity elsewhere."""
+    op = np.array([[1.0 + 0j]])
+    for i, j in enumerate(system.spins):
+        factor = sc.single_spin_matrix(j, axis) if i == site else np.eye(int(round(2 * j)) + 1)
+        op = np.kron(op, factor)
+    return op
+
+
+def kron_xi(system, axis: str) -> np.ndarray:
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    for i, g in enumerate(system.gammas):
+        if g != 0.0:
+            out -= g * kron_embed(system, i, axis)
+    return out
+
+
+def kron_total_sz(system) -> np.ndarray:
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    for i in range(system.n_spins):
+        out += kron_embed(system, i, "z")
+    return out
+
+
+def kron_zo(system, b_o: float) -> np.ndarray:
+    sz = np.array([np.real(np.diag(kron_embed(system, i, "z")))
+                   for i in range(system.n_spins)])
+    diag = -b_o * np.tensordot(np.asarray(system.gammas), sz, axes=(0, 0))
+    t = system.couplings
+    for i in range(system.n_spins):
+        for j in range(i):
+            if t[i, j] != 0.0:
+                diag = diag + t[i, j] * sz[i] * sz[j]
+    return np.diag(diag.astype(complex))
+
+
+def kron_x(system) -> np.ndarray:
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    t = system.couplings
+    for i in range(system.n_spins):
+        for j in range(i):
+            if t[i, j] != 0.0:
+                term = kron_embed(system, i, "+") @ kron_embed(system, j, "-")
+                out += 0.5 * t[i, j] * (term + term.conj().T)
+    return out
+
+
+def kron_spin_spin(system) -> np.ndarray:
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    t = system.couplings
+    for i in range(system.n_spins):
+        for j in range(i):
+            if t[i, j] != 0.0:
+                for axis in ("x", "y", "z"):
+                    out += t[i, j] * (kron_embed(system, i, axis)
+                                      @ kron_embed(system, j, axis))
+    return out
+
+
+# -- per-block ladder sums -------------------------------------------------------
+
+def ladder_sums_oracle(model):
+    """(rates_plus, rates_minus, h_ls, _anti) of build_model, one block at a time.
+
+    Scalar rate and Lamb-weight calls per frequency, and the products
+    xi_w xi_w^dag and xi_w^dag xi_w accumulated block by block.
+    """
+    dist, b1, d = model.field.dist, model.field.b_1, model.dim
+    gp, gm = [], []
+    h_ls = np.zeros((d, d), dtype=complex)
+    anti = np.zeros((d, d), dtype=complex)
+    for w, a in zip(model.plus_omegas.tolist(), model.plus_mats):
+        if b1 > 0:
+            gp.append(ls.dissipator_weight(dist, w, b1, +1))
+            gm.append(ls.dissipator_weight(dist, w, b1, -1))
+            h_ls += (ls.lamb_weight(dist, w, b1, +1) + ls.lamb_weight(dist, w, b1, -1)) * (
+                a @ a.conj().T - a.conj().T @ a)
+        else:
+            gp.append(0.0)
+            gm.append(0.0)
+        anti += 0.5 * (gp[-1] + gm[-1]) * (a.conj().T @ a + a @ a.conj().T)
+    return np.array(gp), np.array(gm), h_ls, anti
+
+
+def steady_magnetization_oracle(model, t: float, *, n_over_v: float = 1.0) -> float:
+    """Per-block loop: xi^x rebuilt, one commutator average and two kernels per block."""
+    dist = model.field.dist
+    total = 0.0
+    m_x = -n_over_v * sc.xi_operator(model.system, "x")
+    for w0, xi_w in zip(model.plus_omegas.tolist(), model.plus_mats):
+        comm = m_x @ xi_w - xi_w @ m_x
+        g = complex(np.trace(comm @ model.boltzmann))
+        plus, minus = (rs.ChiKernel(omega_o=w0, sign=s, commutator_avg=g) for s in (1, -1))
+        branches = rs.steady_rho_integral(plus, dist) + rs.steady_rho_integral(minus, dist)
+        total += math.cos(w0 * t) * branches.real - math.sin(w0 * t) * branches.imag
+    return 2.0 * model.field.b_1 * total
+
+
+def absorbed_power_oracle(model, *, n_over_v: float = 1.0):
+    """Total and per-frequency absorbed power summed over the canonical Pauli entries."""
+    pops = np.real(np.diag(model.boltzmann))
+    per_line = {}
+    for entry in me.pauli_rates(model):
+        if entry.canonical:
+            contrib = (n_over_v * entry.omega * (pops[entry.n_to] - pops[entry.n_from])
+                       * entry.total)
+            per_line[entry.omega] = per_line.get(entry.omega, 0.0) + contrib
+    return sum(per_line.values()), sorted(per_line.items())

@@ -144,10 +144,10 @@ class TestNestedIntegrals:
         b_o, beta = 3.0, 2.0
         eps = np.real(np.diag(sc.build_zo(system, b_o)))
         assert beta * (eps.max() - eps.min()) >= 40.0
-        ys = acp._y_ladder(system, b_o, 4, beta)
+        x0 = sc.build_x(system)
+        ys = acp._y_ladder(eps, x0, 4, beta)
         assert len(ys) == 5
         assert np.array_equal(ys[0], np.eye(8))
-        x0 = sc.build_x(system)
         for n in (1, 2, 3, 4):
             oracle = (-1.0) ** n * simplex_oracle(x0, eps, beta, n, 16)
             scale = np.max(np.abs(oracle))

@@ -126,6 +126,13 @@ class TestGeneralProperties:
         labels = dec.labels()
         assert len(labels) == len(set(labels))
 
+    def test_empty_decomposition_has_no_sum(self):
+        # a spin-0 system has no transverse moment, so no blocks
+        dec = decompose_xi_x(sc.SpinSystem([0.0], [1.0]), 1.0)
+        assert dec.blocks == ()
+        with pytest.raises(ValidationError, match="empty decomposition"):
+            dec.sum()
+
     def test_dimension_mismatch_rejected(self):
         system = sc.SpinSystem([0.5], [1.0])
         lev = sc.level_data(system, 1.0)

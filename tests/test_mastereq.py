@@ -17,8 +17,8 @@ from spinlind.errors import (
 from spinlind.qubit import SIGMA
 
 from conftest import random_system
-from oracles import (a_term, kraus_audit_oracle, rk4_oracle, simpson_doubling,
-                     wavefunction_distribution, wavefunction_oracle)
+from oracles import (a_term, kraus_audit_oracle, ladder_sums_oracle, rk4_oracle,
+                     simpson_doubling, wavefunction_distribution, wavefunction_oracle)
 
 
 def build(system, field, beta):
@@ -260,6 +260,34 @@ class TestLinearResponseHamiltonian:
         field = me.FieldConfig(b_o=1.0, b_1=1e-3, dist=ls.lorentzian(1.0, 0.1))
         model = build(system, field, 1e-3)
         assert np.max(np.abs(me.linear_response_hamiltonian(model, 0.2))) == 0.0
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_times_rejected(self, qubit_model, bad):
+        with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+            me.linear_response_hamiltonian(qubit_model, bad)
+
+
+class TestLadderSums:
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    @pytest.mark.parametrize("b_1", [0.05, 0.0])
+    def test_match_per_block_oracle(self, case, kind, b_1):
+        system = operator_sum_model(case).system
+        field = me.FieldConfig(b_o=1.0, b_1=b_1, dist=kind(22.0, 4.0))
+        model = build(system, field, 0.05)
+        want = ladder_sums_oracle(model)
+        got = (model.rates_plus, model.rates_minus, model.h_ls, model._anti)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w), initial=0.0) <= 1e-13 * np.max(np.abs(w), initial=0.0)
+
+    def test_jump_sum_of_a_complex_stack(self, rng):
+        # xi^x and its blocks are real, so only a complex stack tests the adjoint
+        stack = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+        weights = rng.normal(size=5)
+        want = sum(w * j.conj().T @ j for w, j in zip(weights, stack))
+        got = me._jump_sum(stack, weights)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestLambShift:

@@ -11,7 +11,7 @@ from spinlind import spincore as sc
 from spinlind.errors import ValidationError
 
 from conftest import random_system
-from oracles import kramers_kronig_residual
+from oracles import absorbed_power_oracle, kramers_kronig_residual, steady_magnetization_oracle
 
 
 def response_model(system, b_o, beta):
@@ -155,6 +155,12 @@ class TestChiTransient:
             got = rs.transient_rho_integral(kern, dist)
             assert abs(got - closed) <= 1e-12 * abs(closed)
 
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_times_rejected(self, bad):
+        model, w0, x_op = qubit_transient_setup()
+        with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+            rs.chi_transient(model, x_op, w0, +1, bad)
+
     def test_delta_line_rejected(self):
         model, w0, x_op = qubit_transient_setup()
         with pytest.raises(ValidationError):
@@ -189,6 +195,12 @@ class TestSteadyMagnetization:
             got = rs.steady_magnetization(model, t)
             oracle = math.cos(w0 * t) * expected_cos + math.sin(w0 * t) * expected_sin
             assert got == pytest.approx(oracle, rel=1e-10, abs=1e-20)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_times_rejected(self, bad):
+        model, _ = self._model(4e-4)
+        with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+            rs.steady_magnetization(model, bad)
 
     def test_spinless_system_silent(self):
         system = sc.SpinSystem([0.0], [1.0])
@@ -267,6 +279,40 @@ class TestAbsorbedPower:
         on_total, _ = rs.absorbed_power(on_model)
         off_total, _ = rs.absorbed_power(off_model)
         assert off_total < 1e-10 * on_total
+
+
+def driven_model(seed, kind):
+    """A random mixed-spin system driven near its mean Larmor frequency."""
+    system = random_system(np.random.default_rng(seed), max_dim=36,
+                           allowed_spins=(0.5, 1.0, 1.5, 2.0))
+    center = float(np.mean(np.abs(system.gammas)))
+    field = me.FieldConfig(b_o=1.0, b_1=1e-3, dist=kind(center, 0.5 * center))
+    return me.build_model(system, field, 0.5 / center)
+
+
+class TestPerBlockOracles:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_steady_magnetization(self, seed, kind):
+        model = driven_model(seed, kind)
+        tau = 1.0 / float(np.max(np.abs(model.plus_omegas)))
+        for t in (0.0, 0.3 * tau, 7.1 * tau):
+            want = steady_magnetization_oracle(model, t, n_over_v=2.5)
+            got = rs.steady_magnetization(model, t, n_over_v=2.5)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_absorbed_power(self, seed, kind):
+        model = driven_model(seed, kind)
+        want_total, want_lines = absorbed_power_oracle(model, n_over_v=2.5)
+        total, lines = rs.absorbed_power(model, n_over_v=2.5)
+        assert [line.omega_o for line in lines] == [w for w, _ in want_lines]
+        scale = max(abs(p) for _, p in want_lines)
+        for line, (_, p) in zip(lines, want_lines):
+            assert abs(line.power - p) <= 1e-13 * scale
+        assert total == pytest.approx(want_total, rel=1e-13)
+        assert total == sum(line.power for line in lines)
 
 
 class TestKramersKronig:

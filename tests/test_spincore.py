@@ -9,6 +9,31 @@ from spinlind import spincore as sc
 from spinlind.errors import ValidationError
 
 from conftest import random_system
+from oracles import kron_embed, kron_spin_spin, kron_total_sz, kron_x, kron_xi, kron_zo
+
+ORACLE_SPINS = (0.5, 1.0, 1.5, 2.0)
+ORACLE_MAX_DIM = 64
+# zero or of magnitude >= 1e-6, so no product underflows: halving then commutes with
+# rounding, which the exact comparison of the coupling terms relies on
+COEFFICIENTS = st.one_of(st.just(0.0), st.floats(1e-6, 1e4), st.floats(-1e4, -1e-6))
+
+
+@st.composite
+def mixed_systems(draw):
+    """Spin lists from ORACLE_SPINS with D <= ORACLE_MAX_DIM, random gammas and couplings."""
+    spins, dim = [], 1
+    for _ in range(draw(st.integers(1, 6))):
+        options = [j for j in ORACLE_SPINS if dim * int(2 * j + 1) <= ORACLE_MAX_DIM]
+        if not options:
+            break
+        spins.append(draw(st.sampled_from(options)))
+        dim *= int(2 * spins[-1] + 1)
+    n = len(spins)
+    gammas = draw(st.lists(COEFFICIENTS, min_size=n, max_size=n))
+    upper = draw(st.lists(COEFFICIENTS, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    couplings = np.zeros((n, n))
+    couplings[np.triu_indices(n, 1)] = upper
+    return sc.SpinSystem(spins, gammas, couplings + couplings.T)
 
 
 class TestIndexCompression:
@@ -95,6 +120,27 @@ class TestSpinOperators:
             sc.embed_single_spin(system, 1, "z")
         with pytest.raises(ValidationError):
             sc.single_spin_matrix(0.5, "q")
+
+
+class TestKroneckerOracle:
+    """The occupation-table operators equal the Kronecker products exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_systems(), st.floats(0.1, 10.0))
+    def test_operators_equal_kronecker_products(self, system, b_o):
+        for axis in "xyz+-":
+            assert np.array_equal(sc.xi_operator(system, axis), kron_xi(system, axis))
+            for site in range(system.n_spins):
+                assert np.array_equal(sc.embed_single_spin(system, site, axis),
+                                      kron_embed(system, site, axis))
+        assert np.array_equal(sc.total_sz(system), kron_total_sz(system))
+        assert np.array_equal(sc.build_zo(system, b_o), kron_zo(system, b_o))
+        assert np.array_equal(sc.build_x(system), kron_x(system))
+        assert np.array_equal(sc.spin_spin_hamiltonian(system), kron_spin_spin(system))
+
+    def test_dims_weights_and_dim(self):
+        system = sc.SpinSystem([1.0, 0.5, 1.5], [1.0, 1.0, 1.0])
+        assert (system.dims, system.weights, system.dim) == ((3, 2, 4), (8, 4, 1), 24)
 
 
 class TestStaticHamiltonians:
