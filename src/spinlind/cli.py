@@ -112,7 +112,7 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
         "n_compared": len(rows),
     }
     report_path = out / f"{cfg.basename}_qubit_report.json"
-    with open(report_path, "w") as fh:
+    with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     print(f"wrote {csv_path}")
     print(f"wrote {report_path}")
@@ -135,7 +135,7 @@ def run_acp(cfg: RunConfig, out: Path, verbose: bool) -> int:
         "zeta_determinant": [[1.0, 0.0]] + [[d.real, d.imag] for d in dets],
     }
     path = out / f"{cfg.basename}_zeta.json"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
     print(f"wrote {path}")
     return EXIT_OK
@@ -212,7 +212,7 @@ def run_verify(cfg: RunConfig, out: Path, verbose: bool) -> int:
         failed = failed or not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     report = out / f"{cfg.basename}_verify.json"
-    with open(report, "w") as fh:
+    with open(report, "w", encoding="utf-8") as fh:
         json.dump({name: ok for name, ok in results}, fh, indent=1)
     print(f"wrote {report}")
     return EXIT_ACCURACY if failed else EXIT_OK

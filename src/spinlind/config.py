@@ -147,11 +147,11 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError:
         raise
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"config parse error: {exc}") from exc
 
     if "run" not in parser or "mode" not in parser["run"]:

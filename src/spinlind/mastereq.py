@@ -697,11 +697,23 @@ def pauli_rates(model: MasterEquationModel):
 
 
 def transition_rate(model: MasterEquationModel, n_from: int, n_to: int) -> float:
-    """Total stimulated rate between two basis states (0 when forbidden)."""
-    for entry in pauli_rates(model):
-        if entry.n_from == n_from and entry.n_to == n_to:
-            return entry.total
-    return 0.0
+    """Total stimulated rate between two basis states (0 when forbidden).
+
+    Read from the first ladder block holding the element, as the entry of
+    :func:`pauli_rates` would give it: (g+ + g-) |xi_w[n_to, n_from]|^2, or
+    the mirrored element when only that one is in the block.  O(K) lookups.
+    """
+    d = model.dim
+    if not (0 <= n_from < d and 0 <= n_to < d):
+        raise ValidationError(f"basis states must lie in [0, {d}), got {n_from} -> {n_to}")
+    forward = model.plus_mats[:, n_to, n_from]
+    mirror = model.plus_mats[:, n_from, n_to]
+    hits = np.flatnonzero((forward != 0) | (mirror != 0))
+    if not hits.size:
+        return 0.0
+    k = hits[0]
+    weight = abs(complex(forward[k] if forward[k] != 0 else mirror[k])) ** 2
+    return float(model.rates_plus[k]) * weight + float(model.rates_minus[k]) * weight
 
 
 def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,

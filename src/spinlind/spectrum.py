@@ -14,8 +14,10 @@ vectors (last group fastest) and the outer product of the per-group
 coefficients, in int64 while the coefficient total fits and in Python
 integers otherwise, so it is exact at any size.  Positions, the sort by
 (position, configuration) and the merge of coincident lines run on those
-arrays.  An expansion above ``MAX_TERMS`` terms is refused before anything
-is allocated.
+arrays, and so does each term's config text, joined once from per-group
+``"label=n"`` pieces; the CSV and SVG are streamed through one row template
+each.  An expansion above ``MAX_TERMS`` terms is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numutil import write_csv
+from .numutil import _write_text, write_csv
 
 __all__ = [
     "EquivalentGroup",
@@ -50,8 +52,8 @@ __all__ = [
 ]
 
 MERGE_TOL_GAUSS = 1e-9
-# about 1.1 kB of peak RSS per term through stick_spectrum, export_csv and
-# export_svg (measured at 10**6 terms, generic positions): 0.55 GB at the cap
+# about 0.85 kB of peak RSS per term, in stick_spectrum (measured at the cap,
+# generic positions, through export_csv and export_svg): 0.42 GB at the cap
 MAX_TERMS = 500_000
 
 
@@ -79,6 +81,9 @@ class EquivalentGroup:
     abundance: float = 1.0
 
     def __post_init__(self):
+        if not self.label or any(c in self.label for c in "=;|"):
+            raise ValidationError(f"group label {self.label!r} must be nonempty and hold "
+                                  "none of the CSV config separators '=', ';', '|'")
         constants = {"j": self.j, "gamma": self.gamma,
                      **{f"lambda.{k}": v for k, v in self.lambdas.items()}}
         for key, value in constants.items():
@@ -155,16 +160,10 @@ class GeneratingPolynomial:
                         self.coefficients.tolist()))
 
     def coefficient(self, exponents: Sequence[int]) -> int:
-        expo = [int(e) for e in exponents]
-        radices = (self.exponents[-1] + 1).tolist()
-        if len(expo) != len(radices):
+        expo, radices = [int(e) for e in exponents], (self.exponents[-1] + 1).tolist()
+        if len(expo) != len(radices) or not all(0 <= e < r for e, r in zip(expo, radices)):
             return 0
-        index = 0
-        for e, r in zip(expo, radices):
-            if not 0 <= e < r:
-                return 0
-            index = index * r + e
-        return int(self.coefficients[index])
+        return int(self.coefficients[np.ravel_multi_index(expo, radices)])
 
     def total(self) -> int:
         return int(self.coefficients.sum())
@@ -230,19 +229,14 @@ def tetrahedral_number(j: float) -> int:
 
 def subspace_dimension(groups: Sequence[EquivalentGroup], label: str) -> int:
     """Dimension of the subspace of the resonance group and its coupled neighbors."""
-    by_label = _group_map(groups)
-    res = by_label[label]
-    dim = res.states
-    for g in _neighbors(groups, res):
-        dim *= g.states
-    return dim
+    res = _group_map(groups)[label]
+    return res.states * math.prod(g.states for g in _neighbors(groups, res))
 
 
 def intensity_scale(groups: Sequence[EquivalentGroup], label: str, *,
                     include_abundance: bool = True) -> float:
     """Absolute intensity scale (gamma^2 N / D) * binom(2j+2, 3) [* abundance]."""
-    by_label = _group_map(groups)
-    res = by_label[label]
+    res = _group_map(groups)[label]
     scale = (res.gamma ** 2 * res.count / subspace_dimension(groups, label)
              * tetrahedral_number(res.j))
     if include_abundance:
@@ -253,8 +247,7 @@ def intensity_scale(groups: Sequence[EquivalentGroup], label: str, *,
 def reference_field(groups: Sequence[EquivalentGroup], label: str,
                     omega_o: float) -> float:
     """Line-position reference -w0/gamma - sum_g lambda_g J_g."""
-    by_label = _group_map(groups)
-    res = by_label[label]
+    res = _group_map(groups)[label]
     if res.gamma == 0:
         raise ValidationError("reference field needs a nonzero gamma")
     out = -omega_o / res.gamma
@@ -263,7 +256,7 @@ def reference_field(groups: Sequence[EquivalentGroup], label: str,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumLine:
     """One stick: field offset, intensity, contributing boson configurations."""
 
@@ -271,26 +264,11 @@ class SpectrumLine:
     intensity: float
     configs: tuple        # ((label, n) pairs per merged configuration)
 
-    def config_string(self) -> str:
-        return _config_text(self.configs, _PairText().__getitem__)
-
-
-class _PairText(dict):
-    """(label, n) -> "label=n", each pair formatted once."""
-
-    def __missing__(self, pair):
-        text = self[pair] = f"{pair[0]}={pair[1]}"
-        return text
-
-
-def _config_text(configs, pair_text) -> str:
-    """"a=1;b=0|a=0;b=2" from configs, one pair_text(pair) per (label, n)."""
-    return "|".join([";".join(map(pair_text, cfg)) for cfg in configs])
-
 
 @dataclass(frozen=True)
 class StickSpectrum:
     lines: tuple
+    config_text: tuple    # per line, as the CSV writes it: "a=1;b=0|a=0;b=2"
     reference: float
     resonance: tuple
 
@@ -373,7 +351,7 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     rank = {v: r for r, v in enumerate(names)}
     radix = max([by_label[v].max_bosons + 1 for v in names], default=1)
     width = max(len(poly.variables) for poly in polys)
-    positions, weights, codes, configs = [], [], [], []
+    positions, weights, codes, configs, texts = [], [], [], [], []
     for lab, poly in zip(labels, polys):
         res = by_label[lab]
         delta = np.zeros(poly.n_terms)
@@ -386,8 +364,10 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
         for i, v in enumerate(poly.variables):
             code[:, i] = rank[v] * radix + poly.exponents[:, i]
         codes.append(code)
-        configs += itertools.product(*[[(v, n) for n in range(by_label[v].max_bosons + 1)]
-                                       for v in poly.variables])
+        # per group its (label, n) pairs and "label=n" pieces, in grid order
+        pairs = [[(v, n) for n in range(by_label[v].max_bosons + 1)] for v in poly.variables]
+        configs += itertools.product(*pairs)
+        texts += map(";".join, itertools.product(*[[f"{v}={n}" for v, n in p] for p in pairs]))
     codes = np.concatenate(codes)
     order = np.lexsort([*codes.T[::-1], np.concatenate(positions)])
     pos = np.concatenate(positions)[order]
@@ -395,53 +375,55 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
 
     starts, ends = _line_bounds(pos, merge_tol)
     sums = _run_sums(weight, starts, ends - starts).tolist()
-    configs = [configs[i] for i in order.tolist()]
-    lines = tuple(SpectrumLine(delta_b=b, intensity=i, configs=tuple(configs[s:e]))
-                  for b, i, s, e in zip(pos[starts].tolist(), sums,
-                                        starts.tolist(), ends.tolist()))
+    # a one-term line takes its term's config and text; only merged lines join
+    first = order[starts].tolist()
+    line_configs = list(zip(map(configs.__getitem__, first)))
+    config_text = list(map(texts.__getitem__, first))
+    for k in np.flatnonzero(ends - starts > 1).tolist():
+        terms = order[starts[k]:ends[k]].tolist()
+        line_configs[k] = tuple(map(configs.__getitem__, terms))
+        config_text[k] = "|".join(map(texts.__getitem__, terms))
+    lines = tuple(map(SpectrumLine, pos[starts].tolist(), sums, line_configs))
     ref = reference_field(groups, labels[0], omega_o) if absolute else 0.0
-    return StickSpectrum(lines=lines, reference=ref, resonance=tuple(labels))
+    return StickSpectrum(lines, tuple(config_text), ref, tuple(labels))
+
+
+def _exact(intensities: list) -> list:
+    """Each integral float as an int; an int stays (float() of one may overflow)."""
+    if set(map(type, intensities)) <= {int}:
+        return intensities
+    return [i if type(i) is int else int(i) if float(i).is_integer() else i for i in intensities]
 
 
 def export_csv(spectrum: StickSpectrum, path) -> None:
     """Write ``delta_B_gauss,intensity,config``; integral intensities exactly."""
     lines = spectrum.lines
-    pair_text = _PairText().__getitem__
-    # a Python int is written as is: float() of one above ~1.8e308 overflows
-    intensities = [line.intensity for line in lines]
     write_csv(path, ["delta_B_gauss", "intensity", "config"],
               [[line.delta_b for line in lines],
-               [i if type(i) is int else int(i) if float(i).is_integer() else i
-                for i in intensities],
-               [_config_text(line.configs, pair_text) for line in lines]])
+               _exact([line.intensity for line in lines]),
+               spectrum.config_text])
 
 
 def parse_csv(path) -> StickSpectrum:
-    lines = []
-    with open(path, newline="") as fh:
+    lines, texts = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[:2] != ["delta_B_gauss", "intensity"]:
             raise ValidationError(f"unexpected spectrum CSV header {header}")
         for row in reader:
-            configs = []
-            if len(row) > 2 and row[2]:
-                for cfg in row[2].split("|"):
-                    pairs = []
-                    for item in cfg.split(";"):
-                        if item:
-                            lab, _, n = item.partition("=")
-                            pairs.append((lab, int(n)))
-                    configs.append(tuple(pairs))
-            lines.append(SpectrumLine(delta_b=float(row[0]),
-                                      intensity=float(row[1]),
-                                      configs=tuple(configs)))
-    return StickSpectrum(lines=tuple(lines), reference=0.0, resonance=())
+            text = row[2] if len(row) > 2 else ""
+            configs = tuple(tuple((lab, int(n)) for lab, _, n in
+                                  (item.partition("=") for item in cfg.split(";") if item))
+                            for cfg in text.split("|")) if text else ()
+            lines.append(SpectrumLine(float(row[0]), float(row[1]), configs))
+            texts.append(text)
+    return StickSpectrum(tuple(lines), tuple(texts), 0.0, ())
 
 
 def export_svg(spectrum: StickSpectrum, path, *, width: int = 900,
                height: int = 420) -> None:
-    """Minimal deterministic stick plot: one vertical line per stick, labeled."""
+    """Minimal deterministic stick plot: one labeled line per stick, one template."""
     lines = spectrum.lines
     if not lines:
         raise ValidationError("empty spectrum")
@@ -451,39 +433,28 @@ def export_svg(spectrum: StickSpectrum, path, *, width: int = 900,
     b_lo, b_hi = min(bs), max(bs)
     pad = 0.05 * (b_hi - b_lo) if b_hi > b_lo else 1.0
     b_lo, b_hi = b_lo - pad, b_hi + pad
-    margin, base = 50, height - 60
-    plot_h = base - 40
+    margin, base, plot_h = 50, height - 60, height - 100
 
     def x_of(b):          # a position or an array of them
         return margin + (b - b_lo) / (b_hi - b_lo) * (width - 2 * margin)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<line x1="{margin}" y1="{base}" x2="{width - margin}" y2="{base}" '
-        'stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 15}" text-anchor="middle" '
-        'font-size="14">field offset (G)</text>',
-    ]
-    n_ticks = 9
-    for k in range(n_ticks):
-        b = b_lo + (b_hi - b_lo) * k / (n_ticks - 1)
-        x = x_of(b)
-        parts.append(f'<line x1="{x:.2f}" y1="{base}" x2="{x:.2f}" y2="{base + 6}" '
-                     'stroke="black"/>')
-        parts.append(f'<text x="{x:.2f}" y="{base + 22}" text-anchor="middle" '
-                     f'font-size="11">{b:.4g}</text>')
+    axis = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+            f'<line x1="{margin}" y1="{base}" x2="{width - margin}" y2="{base}" '
+            'stroke="black"/>\n'
+            f'<text x="{width // 2}" y="{height - 15}" text-anchor="middle" '
+            'font-size="14">field offset (G)</text>\n')
+    tick = (f'<line x1="%.2f" y1="{base}" x2="%.2f" y2="{base + 6}" stroke="black"/>\n'
+            f'<text x="%.2f" y="{base + 22}" text-anchor="middle" font-size="11">%.4g</text>\n')
+    ticks = [b_lo + (b_hi - b_lo) * k / 8 for k in range(9)]
     # heights in Python arithmetic: for int intensities plot_h * I / imax is
     # the correctly rounded quotient of exact integers, beyond 2**53 too
     heights = np.array([plot_h * i / imax for i in intensities])
-    for x, y_top, y_text, i in zip(x_of(np.array(bs, dtype=float)).tolist(),
-                                   (base - heights).tolist(),
-                                   (base - heights - 6).tolist(), intensities):
-        x = f"{x:.2f}"
-        label = str(i) if type(i) is int else str(int(i)) if float(i).is_integer() else f"{i:.4g}"
-        parts.append(f'<line class="stick" x1="{x}" y1="{base}" x2="{x}" '
-                     f'y2="{y_top:.2f}" stroke="steelblue" stroke-width="2"/>')
-        parts.append(f'<text x="{x}" y="{y_text:.2f}" text-anchor="middle" '
-                     f'font-size="10">{label}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    xs = [f"{x:.2f}" for x in x_of(np.array(bs, dtype=float)).tolist()]
+    labels = [str(i) if type(i) is int else "%.4g" % i for i in _exact(intensities)]
+    stick = (f'<line class="stick" x1="%s" y1="{base}" x2="%s" y2="%.2f" '
+             'stroke="steelblue" stroke-width="2"/>\n'
+             '<text x="%s" y="%.2f" text-anchor="middle" font-size="10">%s</text>\n')
+    _write_text(path, itertools.chain(
+        [axis, *(tick % (x, x, x, b) for x, b in zip(map(x_of, ticks), ticks))],
+        map(stick.__mod__, zip(xs, xs, (base - heights).tolist(), xs,
+                               (base - heights - 6).tolist(), labels)), ["</svg>\n"]))

@@ -4,19 +4,22 @@ Composite Simpson integration with node doubling, the wavefunction
 (time-dependent perturbation theory) transition probabilities of a pure
 initial state, the principal-value quadrature of the Kramers-Kronig check,
 the boson-count convolution, the per-term stick spectrum (dict expansion,
-tuple sort, anchor merge) with its CSV and SVG writers, the operator-form
-RK4 stepper (H_LR(t) and the dissipator rebuilt at every stage), the
-Kraus-factor audit (e^{Ls} refactorised from its Choi matrix at every
-node), the Kronecker-product spin operators and the per-block loops of the
-model's ladder sums.  None of these is part of the package: each is a
-reference for a closed form, a master-equation rate, a response kernel, the
-array route of :mod:`spinlind.spectrum`, the vectorized stepper of
+tuple sort, anchor merge) with its CSV and SVG writers, the CSV writer
+through the ``csv`` module, the transition rate by a scan of the whole
+Pauli table, the operator-form RK4 stepper (H_LR(t) and the dissipator
+rebuilt at every stage), the Kraus-factor audit (e^{Ls} refactorised from
+its Choi matrix at every node), the Kronecker-product spin operators and
+the per-block loops of the model's ladder sums.  None of these is part of
+the package: each is a reference for a closed form, a master-equation
+rate, a response kernel, the array route of :mod:`spinlind.spectrum`, the
+template CSV writer of :mod:`spinlind.numutil`, the vectorized stepper of
 :mod:`spinlind.mastereq` or its superoperator audit, the occupation-table
 operators of :mod:`spinlind.spincore` or the batched ladder sums.
 """
 
 import csv
 import math
+from itertools import repeat
 
 import numpy as np
 import scipy.integrate
@@ -382,12 +385,20 @@ def stick_spectrum_oracle(groups, resonance_label, omega_o=0.0, *, scaled=False,
 
     lines = tuple(sp.SpectrumLine(delta_b=b, intensity=i, configs=cfgs)
                   for b, i, cfgs in merged)
+    config_text = []
+    for _, _, cfgs in merged:
+        text = ""
+        for k, cfg in enumerate(cfgs):
+            text += "|" if k else ""
+            text += ";".join(f"{lab}={n}" for lab, n in cfg)
+        config_text.append(text)
     ref = sp.reference_field(groups, labels[0], omega_o) if absolute else 0.0
-    return sp.StickSpectrum(lines=lines, reference=ref, resonance=tuple(labels))
+    return sp.StickSpectrum(lines=lines, config_text=tuple(config_text), reference=ref,
+                            resonance=tuple(labels))
 
 
 def export_csv_oracle(spectrum, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta_B_gauss", "intensity", "config"])
         for line in spectrum.lines:
@@ -439,8 +450,31 @@ def export_svg_oracle(spectrum, path, *, width: int = 900, height: int = 420) ->
         parts.append(f'<text x="{x:.2f}" y="{base - h - 6:.2f}" text-anchor="middle" '
                      f'font-size="10">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+def write_csv_oracle(path, header, columns) -> None:
+    """:func:`spinlind.numutil.write_csv` through the ``csv`` module.
+
+    Every cell is formatted by its own type: a str verbatim, a Python int
+    exactly, anything else by ``fmt12``.
+    """
+    cells = [map(format, col, map(numutil._CELL_FORMAT.get, map(type, col),
+                                  repeat(numutil.NUMBER_FORMAT)))
+             for col in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+def transition_rate_oracle(model, n_from: int, n_to: int) -> float:
+    """The first matching entry of the whole :func:`mastereq.pauli_rates` table."""
+    for entry in me.pauli_rates(model):
+        if entry.n_from == n_from and entry.n_to == n_to:
+            return entry.total
+    return 0.0
 
 
 # -- Kronecker-product spin operators ------------------------------------------

@@ -157,6 +157,54 @@ class TestSpectrumMode:
         assert svg.count('class="stick"') == 1101
         assert f">{math.comb(1100, 550)}</text>" in svg
 
+    def test_quoted_label_round_trips(self, tmp_path):
+        # "n,x" makes the writer quote every config cell; "α" is written as
+        # UTF-8, and no file is opened in the locale's default encoding
+        cfg = tmp_path / "quoted.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n"
+                       "[group:e]\nj = 0.5\ncount = 1\ngamma = -1.7608e7\n"
+                       "lambda.n,x = 2.0\nlambda.α = 0.7\n"
+                       "[group:n,x]\nj = 1.0\ncount = 2\ngamma = 1.9338e3\n"
+                       "[group:α]\nj = 0.5\ncount = 3\ngamma = 2.6752e4\n"
+                       "[spectrum]\nresonance = e\n[output]\nbasename = quoted\n",
+                       encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "SPINLIND_OUT"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(spinlind.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W",
+                               "error::EncodingWarning", "-m", "spinlind.cli",
+                               "--config", str(cfg), "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        raw = (tmp_path / "quoted_spectrum.csv").read_bytes()
+        assert '"n,x=0;α=0"\r\n'.encode("utf-8") in raw
+        back = sp.parse_csv(tmp_path / "quoted_spectrum.csv")
+        want = sp.stick_spectrum(load_config(cfg).groups, "e")
+        assert back.config_text == want.config_text
+        assert [l.configs for l in back.lines] == [l.configs for l in want.lines]
+        assert [l.intensity for l in back.lines] == [l.intensity for l in want.lines]
+
+    @pytest.mark.parametrize("label", ["a=b", "a;b", "a|b"])
+    def test_separator_in_label_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                    label):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n"
+                       "[group:e]\nj = 0.5\ncount = 1\ngamma = -1.7608e7\n"
+                       f"[group:{label}]\nj = 0.5\ncount = 1\ngamma = 2.6752e4\n"
+                       "[spectrum]\nresonance = e\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"group label {label!r}" in err and "Traceback" not in err
+        assert not list(out.glob("*"))
+
+    def test_config_that_is_not_utf8_is_validation_error(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("[run]\nmode = spectrum\n[group:\xe9]\n".encode("latin-1"))
+        assert run_cli(["--config", cfg, "--out", tmp_path]) == cli.EXIT_VALIDATION
+
     def test_missing_config_is_io_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         code = run_cli(["--config", tmp_path / "nope.cfg", "--out", tmp_path])

@@ -18,7 +18,8 @@ from spinlind.qubit import SIGMA
 
 from conftest import random_system
 from oracles import (a_term, kraus_audit_oracle, ladder_sums_oracle, rk4_oracle,
-                     simpson_doubling, wavefunction_distribution, wavefunction_oracle)
+                     simpson_doubling, transition_rate_oracle, wavefunction_distribution,
+                     wavefunction_oracle)
 
 
 def build(system, field, beta):
@@ -854,6 +855,24 @@ class TestPauliRates:
             mirror = by_pair.get((e.n_to, e.n_from, round(-e.omega, 6)))
             assert mirror is not None
             assert mirror == pytest.approx(e.total, rel=1e-12)
+
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    def test_transition_rate_matches_table_scan(self, case):
+        model = operator_sum_model(case)
+        d = model.dim
+        nonzero = 0
+        for a in range(d):
+            for b in range(d):
+                got = me.transition_rate(model, a, b)
+                assert got == transition_rate_oracle(model, a, b)
+                nonzero += got != 0.0
+        assert nonzero == 2 * np.count_nonzero(model.plus_mats)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_transition_rate_index_out_of_range(self, qubit_model, pair):
+        with pytest.raises(ValidationError, match=r"basis states must lie in \[0, 2\)"):
+            me.transition_rate(qubit_model, *pair)
 
 
 class TestWavefunctionOracle:

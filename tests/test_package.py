@@ -3,8 +3,11 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinlind
+from oracles import write_csv_oracle
 from spinlind.numutil import fmt12, write_csv
 
 MODULES = ["spinlind"] + [f"spinlind.{m.name}" for m in pkgutil.iter_modules(spinlind.__path__)]
@@ -30,3 +33,48 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ["v"], [np.array([1 / 3, 1e300, -0.0])])
         assert path.read_text().split()[1:] == [fmt12(1 / 3), fmt12(1e300), fmt12(-0.0)]
+
+    def test_single_column_empty_cell_is_quoted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["v"], [["", "a", ""]])
+        assert path.read_bytes() == b'v\r\n""\r\na\r\n""\r\n'
+
+    def test_utf8_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["α"], [["β=1"]])
+        assert path.read_bytes() == "α\r\nβ=1\r\n".encode("utf-8")
+
+
+# str cells drawn from the characters the csv module quotes for, plus a few
+# plain and non-ASCII ones; empty strings included
+_CELL_TEXT = st.text(alphabet=[",", '"', "\r", "\n", "a", "=", ";", "|", " ", "α"],
+                     max_size=6)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_INTS = st.integers(-(2 ** 70), 2 ** 70) | st.sampled_from([2 ** 63, 2 ** 64 + 1, -(2 ** 63)])
+
+
+@st.composite
+def _csv_tables(draw):
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 12))
+
+    def column():
+        kind = draw(st.sampled_from(["float", "numpy", "int", "str", "mixed"]))
+        cell = {"float": _FLOATS, "numpy": _FLOATS, "int": _INTS, "str": _CELL_TEXT,
+                "mixed": _FLOATS | _INTS | _CELL_TEXT}[kind]
+        col = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+        return np.array(col, dtype=float) if kind == "numpy" else col
+
+    header = draw(st.lists(_CELL_TEXT, min_size=n_cols, max_size=n_cols))
+    return header, [column() for _ in range(n_cols)]
+
+
+class TestWriteCsvOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_tables())
+    def test_bytes_match_the_csv_module(self, tmp_path_factory, table):
+        header, columns = table
+        tmp = tmp_path_factory.mktemp("csv")
+        write_csv(tmp / "a.csv", header, columns)
+        write_csv_oracle(tmp / "b.csv", header, columns)
+        assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()

@@ -58,6 +58,16 @@ class TestEquivalentGroup:
             sp.EquivalentGroup("e", count=1, **args)
 
 
+    @pytest.mark.parametrize("label", ["", "a=b", "a;b", "a|b", "|"])
+    def test_labels_that_cannot_round_trip_rejected(self, label):
+        with pytest.raises(ValidationError, match="must be nonempty and hold none of"):
+            sp.EquivalentGroup(label, 0.5, 1, GAMMA_E, {})
+
+    @pytest.mark.parametrize("label", ["n,x", 'q"x', "α", "h 1"])
+    def test_other_labels_accepted(self, label):
+        assert sp.EquivalentGroup(label, 0.5, 1, GAMMA_E, {}).label == label
+
+
 class TestBosonCountDegeneracies:
     @pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 1.5, 2.5])
     def test_recurrence_matches_convolution(self, j):
@@ -315,6 +325,41 @@ class TestArrayRouteOracle:
             for k in range(0, 71, 21)]
 
 
+def _workload_radical(terms, constants):
+    """An electron split by neighbour groups of the given term counts.
+
+    A group of 3 or 5 terms alternates between spin-1/2 protons and spin-1
+    nuclei, so both kinds of degeneracy table appear.
+    """
+    neighbors = []
+    for i, n in enumerate(terms):
+        if n in (3, 5) and i % 2:
+            neighbors.append(sp.EquivalentGroup(f"n{i}", 1.0, (n - 1) // 2, 1.9338e3, {}))
+        else:
+            neighbors.append(sp.EquivalentGroup(f"n{i}", 0.5, n - 1, 2.6752e4, {}))
+    electron = sp.EquivalentGroup("e", 0.5, 1, GAMMA_E,
+                                  {g.label: c for g, c in zip(neighbors, constants)})
+    return (electron, *neighbors)
+
+
+class TestWorkloadSizes:
+    """The array route and its artifacts at the sizes of the benchmark's radicals."""
+
+    def test_generic_seven_groups(self):
+        groups = _workload_radical((5, 5, 5, 4, 4, 3, 2),
+                                   (4.913, 0.3871, 2.2459, 5.671, 1.0937, 3.3311, 0.7283))
+        spec = _assert_matches_oracle(groups, "e")
+        assert sp.generating_polynomial(groups, "e").n_terms == 12_000
+        assert len(spec.lines) == 12_000
+
+    def test_merging_six_groups(self):
+        groups = _workload_radical((5, 5, 4, 4, 3, 2), (1.5, 0.5, 2.5, 1.0, 3.0, 0.5))
+        spec = _assert_matches_oracle(groups, "e")
+        assert sp.generating_polynomial(groups, "e").n_terms == 2_400
+        assert len(spec.lines) < 100
+        assert max(text.count("|") for text in spec.config_text) > 100
+
+
 class TestSizeGuard:
     def test_oversized_expansion_rejected_by_count(self):
         neighbors = [sp.EquivalentGroup(f"h{i}", 0.5, 4, 2.6752e4, {}) for i in range(10)]
@@ -382,6 +427,21 @@ class TestRoundTrip:
             assert b.delta_b == pytest.approx(a.delta_b, abs=1e-9)
             assert b.intensity == a.intensity
             assert b.configs == a.configs
+
+    def test_quoted_and_non_ascii_labels_round_trip(self, tmp_path):
+        groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"α": 1.0, 'n,"x"': 1.0}),
+                  sp.EquivalentGroup("α", 0.5, 2, 2.6752e4, {}),
+                  sp.EquivalentGroup('n,"x"', 1.0, 1, 1.9338e3, {}))
+        spec = sp.stick_spectrum(groups, "e")
+        path = tmp_path / "spec.csv"
+        sp.export_csv(spec, path)
+        raw = path.read_bytes()
+        assert 'α=0;"n,""x""=0'.encode("utf-8") not in raw
+        assert '"α=0;n,""x""=0"'.encode("utf-8") in raw
+        back = sp.parse_csv(path)
+        assert back.config_text == spec.config_text
+        assert [l.configs for l in back.lines] == [l.configs for l in spec.lines]
+        assert [l.intensity for l in back.lines] == [l.intensity for l in spec.lines]
 
     def test_deterministic_output(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
