@@ -5,11 +5,13 @@ normalized probability density rho_f centered on the carrier frequency.  The
 module provides the density itself, its characteristic function phi_f(t)
 (which damps the inhomogeneous drive term), its Hilbert transform (which
 feeds the Lamb shift) and the envelope integral
-int_{t0}^{t1} phi_f(tau) exp(kappa tau) dtau, all in closed form.  The
-envelope integral is the one primitive behind the qubit coherence, the
-transient response kernels and the time-integrated drive; on the half line
-with kappa = -i x it gives pi rho_f(x) - i pi rho^>(x), the pair behind the
-dissipator rates and the Lamb shift.
+int_{t0}^{t1} phi_f(tau) exp(kappa tau) dtau, all in closed form and
+broadcasting over arrays.  The envelope integral is the one primitive behind
+the transient response kernels and the damped drive weight
+int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w s} ds, which in turn gives the
+map's drive term, the time-integrated drive and the qubit coherence; on the
+half line with kappa = -i x it gives pi rho_f(x) - i pi rho^>(x), the pair
+behind the dissipator rates and the Lamb shift.
 
 Note on the Lorentzian: the normalized Cauchy density
 ``(1/pi) (w/2) / ((w/2)^2 + (omega - x)^2)`` (w = FWHM) is used, which is the
@@ -18,7 +20,6 @@ density whose characteristic function is ``exp(i omega t - (w/2)|t|)``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ __all__ = [
     "hilbert",
     "relaxation_time",
     "envelope_integral",
+    "drive_weight",
     "dissipator_weight",
     "lamb_weight",
 ]
@@ -140,62 +142,90 @@ def hilbert(dist: FrequencyDistribution, x):
     return out if out.ndim else float(out)
 
 
-def envelope_integral(dist: FrequencyDistribution, kappa: complex, t0: float,
-                      t1: float, *, log_scale: complex = 0.0) -> complex:
+def envelope_integral(dist: FrequencyDistribution, kappa, t0, t1, *, log_scale=0.0):
     """exp(log_scale) * int_{t0}^{t1} phi_f(tau) exp(kappa tau) dtau, 0 <= t0 <= t1.
 
-    ``t1 = math.inf`` is allowed when phi_f(tau) exp(kappa tau) decays.  A
-    caller's prefactor is passed as ``log_scale`` and folded into each term's
+    Broadcasts over all four arguments; scalars give a complex.  ``t1 = inf``
+    is allowed where phi_f(tau) exp(kappa tau) decays; ``t0`` must be finite.
+    A caller's prefactor passed as ``log_scale`` is folded into each term's
     exponent, so the result stays finite where the bare integral would
     overflow (e.g. exp(-kappa t) int_0^t with Re kappa t in the hundreds).
 
-    Lorentzian and delta lines give exponentials.  The Gaussian gives the
-    Faddeeva function w(z) = exp(-z^2) erfc(-iz) (Abramowitz & Stegun 7.1):
-    with b = kappa + i c and z(tau) = (s^2 tau - b) / (s sqrt 2), each end
-    contributes E(tau) w(iz) when Re z >= 0 and 2 C - E(tau) w(-iz) when
-    Re z < 0, where E(tau) = exp(b tau - s^2 tau^2 / 2) is the integrand and
-    C = exp(b^2 / (2 s^2)); the C terms cancel unless the ends straddle
-    Re z = 0, so they are formed only then.  |w| <= 1 on both branches.
+    Lorentzian and delta lines give exponentials in a = kappa + i c - w/2:
+    e^{a t0} expm1(a (t1 - t0)) / a where |a (t1 - t0)| < 1, else
+    (e^{a t1} - e^{a t0}) / a.  The Gaussian gives the Faddeeva function
+    w(z) = exp(-z^2) erfc(-iz) (Abramowitz & Stegun 7.1): with b = kappa + i c
+    and z(tau) = (s^2 tau - b) / (s sqrt 2), each end contributes E(tau) w(iz)
+    when Re z >= 0 and 2 C - E(tau) w(-iz) when Re z < 0, where the integrand
+    is E(tau) = exp(b tau - s^2 tau^2 / 2) and C = exp(b^2 / (2 s^2)); the C
+    terms cancel unless the ends straddle Re z = 0, so C is formed only on
+    those elements (as expm1 sees only small spans).  |w| <= 1 on both branches.
     """
-    if not 0.0 <= t0 <= t1:
-        raise ValidationError("envelope integral needs 0 <= t0 <= t1")
-    b = complex(kappa) + 1j * dist.center
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    if not ((t0 >= 0.0).all() and (t1 >= t0).all() and np.isfinite(t0).all()):
+        raise ValidationError("envelope integral needs 0 <= t0 <= t1 with t0 finite")
+    inf = np.isinf(t1)
+    some_inf = inf.any()
+    if some_inf:
+        t1 = np.where(inf, t0, t1)      # an infinite end contributes 0 (set below)
     if dist.kind != "gaussian":
-        a = b - 0.5 * dist.width
-        if math.isinf(t1):
-            if not a.real < 0.0:
-                raise ValidationError("the envelope does not decay; the integral diverges")
-            return -cmath.exp(a * t0 + log_scale) / a
-        span = a * (t1 - t0)
-        if span == 0.0:
-            return cmath.exp(a * t0 + log_scale) * (t1 - t0)
-        if abs(span) < 1.0:  # expm1 keeps the small-span difference exact
-            return cmath.exp(a * t0 + log_scale) * complex(np.expm1(span)) / a
-        return (cmath.exp(a * t1 + log_scale) - cmath.exp(a * t0 + log_scale)) / a
+        a = np.asarray(kappa) + (1j * dist.center - 0.5 * dist.width)
+        if some_inf and not ((a.real < 0.0) | ~inf).all():
+            raise ValidationError("the envelope does not decay; the integral diverges")
+        length = t1 - t0
+        span = a * length
+        e0 = np.exp(a * t0 + log_scale)
+        small = np.abs(span) < 1.0
+        every = small.all()
+        num = e0 * np.expm1(span if every else np.where(small, span, 0.0))
+        if not every:
+            num = np.where(small, num, np.exp(a * t1 + log_scale) - e0)
+        if some_inf:
+            num = np.where(inf, -e0, num)
+        nonzero = a != 0.0      # e0 (t1 - t0) is the a -> 0 limit
+        out = num / a if nonzero.all() else np.divide(
+            num, a, out=np.asarray(e0 * length), where=nonzero)
+        return out if out.ndim else complex(out)
 
     from scipy.special import wofz
 
     s = _gauss_sigma(dist)
     root2s = math.sqrt(2.0) * s
+    b = np.asarray(kappa) + 1j * dist.center
 
     def end(tau):
-        """(Re z >= 0, E(tau) w(+-iz)) at one end of the interval."""
-        if math.isinf(tau):
-            return True, 0.0
+        """(Re z >= 0, E(tau) w(+-iz)) at each element of one end."""
         z = (s * s * tau - b) / root2s
         upper = z.real >= 0.0
-        w = complex(wofz(1j * z if upper else -1j * z))
-        return upper, cmath.exp(b * tau - 0.5 * (s * tau) ** 2 + log_scale) * w
+        w = wofz(np.where(upper, 1j * z, -1j * z))
+        return upper, np.exp(b * tau - 0.5 * (s * tau) ** 2 + log_scale) * w
 
     up0, e0 = end(t0)
     up1, e1 = end(t1)
-    if up0:
-        val = e0 - e1
-    elif not up1:
-        val = e1 - e0
-    else:
-        val = 2.0 * cmath.exp(b * b / (2.0 * s * s) + log_scale) - e0 - e1
-    return math.sqrt(0.5 * math.pi) / s * val
+    if some_inf:
+        up1, e1 = up1 | inf, np.where(inf, 0.0, e1)
+    val = np.where(up0, e0 - e1, e1 - e0)
+    straddle = up1 & ~up0
+    if straddle.any():
+        c = np.exp(np.where(straddle, b * b / (2.0 * s * s) + log_scale, 0.0))
+        val = np.where(straddle, 2.0 * c - e0 - e1, val)
+    out = math.sqrt(0.5 * math.pi) / s * val
+    return out if out.ndim else complex(out)
+
+
+def drive_weight(dist: FrequencyDistribution, lam, w, t):
+    """W(lam, w, t) = int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w s} ds in closed form.
+
+    Broadcasts over ``lam``, ``w`` and ``t``; scalars give a complex.  Since
+    conj phi_f(s) = phi_f(s) e^{-2 i c s}, it is (1/2) [I(kappa) + I(kappa - 2 i c)],
+    kappa = -i w - lam, with I the envelope integral over [0, t] and e^{lam t}
+    folded into its exponent: both halves in one call, on a trailing axis.
+    """
+    t, lam = np.asarray(t, dtype=float)[..., None], np.asarray(lam)[..., None]
+    kappa = -1j * np.asarray(w)[..., None] - lam - np.array([0.0, 2j * dist.center])
+    pair = envelope_integral(dist, kappa, 0.0, t, log_scale=lam * t)
+    out = 0.5 * (pair[..., 0] + pair[..., 1])
+    return out if out.ndim else complex(out)
 
 
 def dissipator_weight(dist: FrequencyDistribution, omega_o, b_1: float, sign: int):

@@ -43,8 +43,7 @@ from .errors import (
     ValidationError,
     WitnessInapplicableError,
 )
-from .lineshape import (FrequencyDistribution, characteristic, envelope_integral,
-                        relaxation_time)
+from .lineshape import FrequencyDistribution, characteristic, drive_weight, relaxation_time
 from .spincore import SpinSystem, boltzmann_state, level_data, xi_operator
 
 __all__ = [
@@ -66,7 +65,7 @@ __all__ = [
 ]
 
 MAP_DIM_CAP = 64
-# steps per drive-term table in _rk4: three (RK4_CHUNK, D^2) tables at a time
+# rows per drive table: steps in _rk4 (three (n, D^2) tables), times in _apply_map
 RK4_CHUNK = 64
 EIGVEC_COND_CAP = 1e6
 DOMAIN_ATOL = 1e-10
@@ -413,21 +412,6 @@ def _eigensystem(mat: np.ndarray):
     return lam, v, v_inv
 
 
-def _drive_weight(dist: FrequencyDistribution, lam: complex, w: float,
-                  t: float) -> complex:
-    """int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w s} ds in closed form.
-
-    Equal to (1/2) [I(kappa) + conj I(conj kappa)] with kappa = -i w - lam and
-    I the envelope integral over [0, t] with e^{lam t} (conjugated in the
-    second term) folded into its exponent.
-    """
-    kappa = -1j * w - lam
-    scale = lam * t
-    return 0.5 * (envelope_integral(dist, kappa, 0.0, t, log_scale=scale)
-                  + envelope_integral(dist, kappa.conjugate(), 0.0, t,
-                                      log_scale=scale.conjugate()).conjugate())
-
-
 def _map_times(t) -> np.ndarray:
     """``t`` as a float array, a ValidationError unless 0-d or 1-D, finite and >= 0."""
     times = np.asarray(t, dtype=float)
@@ -473,10 +457,10 @@ def _apply_map(model: MasterEquationModel, eig, times: np.ndarray, rho0: np.ndar
     The semigroup part is V e^{lam t} V^-1 rho0.  The drive term is
     Re[phi_f(s)] sum_j e^{-i w_j s} c_j with the components c_j of
     :func:`_drive_components`; each adds V [(V^-1 c_j) * W(lam, w_j, t)],
-    W = int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w_j s} ds from the envelope
-    integral (:func:`_drive_weight`), evaluated only where V^-1 c_j is
-    nonzero.  Shared by :func:`lambda_map` and :func:`kraus_audit`, so each
-    call makes exactly one eigendecomposition of L.
+    W = int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w_j s} ds from one
+    :func:`lineshape.drive_weight` call per RK4_CHUNK times over the nonzero
+    (j, k) of V^-1 c, scatter-added.  Shared by :func:`lambda_map` and
+    :func:`kraus_audit`, so each call makes exactly one eigendecomposition of L.
     """
     lam, v, v_inv = eig
     rho_init = np.array(rho0, dtype=complex)
@@ -486,11 +470,11 @@ def _apply_map(model: MasterEquationModel, eig, times: np.ndarray, rho0: np.ndar
         comps, freqs = _drive_components(model, rho_init)
         c = comps @ v_inv.T
         rows, cols = np.nonzero(c)
-        for n, t in enumerate(times.tolist()):
-            if t > 0:
-                for j, k in zip(rows.tolist(), cols.tolist()):
-                    coef[n, k] += c[j, k] * _drive_weight(model.field.dist, lam[k],
-                                                          freqs[j], t)
+        lam_k, w_j, c_jk = lam[cols], freqs[rows], c[rows, cols]
+        for first in range(0, len(times), RK4_CHUNK):
+            chunk = slice(first, first + RK4_CHUNK)
+            weights = drive_weight(model.field.dist, lam_k, w_j, times[chunk, None])
+            np.add.at(coef[chunk], (slice(None), cols), c_jk * weights)
 
     d = model.dim
     return (coef @ v.T).reshape(len(times), d, d).transpose(0, 2, 1)
@@ -578,15 +562,12 @@ class WitnessResult:
 
 
 def drive_integral(model: MasterEquationModel, t: float) -> np.ndarray:
-    """K(t) = int_0^t H_LR(tau) dtau in closed form.
+    """K(t) = int_0^t H_LR(tau) dtau in closed form, at one finite t >= 0.
 
-    Each block weight int_0^t Re[phi_f] exp(-i w tau) dtau is
-    (1/2) [I(-i w) + conj I(i w)] with I the envelope integral.
+    The block weights int_0^t Re[phi_f] exp(-i w tau) dtau are W(0, w, t) of
+    :func:`lineshape.drive_weight`, one call over the block frequencies.
     """
-    if t <= 0:
-        return np.zeros((model.dim, model.dim), dtype=complex)
-    weights = np.array([_drive_weight(model.field.dist, 0.0, w, t)
-                        for w in model.plus_omegas], dtype=complex)
+    weights = drive_weight(model.field.dist, 0.0, model.plus_omegas, _map_time(t))
     half = 2.0 * model.field.b_1 * np.tensordot(weights, model.plus_mats, axes=(0, 0))
     return half + half.conj().T
 
@@ -600,6 +581,7 @@ def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
     complement within span{psi, K psi}, and returns the restricted
     determinant next to the closed-form prediction ``-x^2 (1 + x^2) |b|^2``.
     """
+    t = _map_time(t)
     if not unsafe:
         raise DomainViolationError(
             "the witness feeds a pure state to a map whose domain is the "
@@ -719,9 +701,9 @@ def transition_rate(model: MasterEquationModel, n_from: int, n_to: int) -> float
 def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,
                           path) -> None:
     """Write t plus Re/Im of <xi^x>, <xi^y>, <xi^z> and populations (Schrodinger picture)."""
-    xi = [xi_operator(model.system, axis) for axis in "xyz"]
+    xi = np.stack([xi_operator(model.system, axis) for axis in "xyz"])
     states = traj.schrodinger_states()
-    moments = np.array([[np.trace(rho @ op) for op in xi] for rho in states]).T
+    moments = np.einsum("nab,kba->kn", states, xi)      # Tr(rho_n xi_k)
     header = ["t"]
     for axis in "xyz":
         header += [f"re_xi_{axis}", f"im_xi_{axis}"]

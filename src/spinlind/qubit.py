@@ -11,8 +11,9 @@ with the stimulated rate ``Gamma = 2 pi (w1/2)^2 [rho_f(w0) + rho_f(-w0)]``
 and the Lamb-shift rate ``varpi = 2 pi (w1/2)^2 [rho^>(w0) - rho^>(-w0)]``
 (w0 = -gamma B_o is the Larmor frequency, w1 = -gamma B_1).  The transverse
 components follow as <sigma_1> = 2 Re<sigma_+>, <sigma_2> = 2 Im<sigma_+>.
-The convolution is evaluated in closed form: exponentials for a Lorentzian
-line, Faddeeva functions for a Gaussian.
+The convolution is the damped drive weight W(-kappa, 0, t) of
+:func:`lineshape.drive_weight` (exponentials for a Lorentzian line, Faddeeva
+functions for a Gaussian), evaluated at one time or a 1-D array of times.
 
 Heisenberg-picture coefficients, dynamic structure factors of sigma-+ and
 the adiabatic-limit detailed-balance / fluctuation-dissipation identities
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lineshape import (FrequencyDistribution, characteristic, density,
-                        envelope_integral, hilbert)
+from .lineshape import FrequencyDistribution, characteristic, density, drive_weight, hilbert
+from .mastereq import _map_times
 
 __all__ = [
     "SIGMA",
@@ -84,34 +85,25 @@ class QubitParams:
         return math.tanh(0.5 * self.beta * self.omega_o)
 
 
-def sigma_plus_expectation(params: QubitParams, t: float) -> complex:
-    """<sigma_+(t)> from the closed-form damped convolution.
+def sigma_plus_expectation(params: QubitParams, t):
+    """<sigma_+(t)> at one finite t >= 0 (a complex) or a 1-D array of them.
 
     With kappa = Gamma + i(varpi - w0), the convolution
-    exp(-kappa t) int_0^t Re[phi_f(t')] exp(kappa t') dt' is
-    (1/2) exp(-kappa t) [I(kappa) + conj I(conj kappa)] with I the envelope
-    integral of :func:`lineshape.envelope_integral` (exponentials for a
-    Lorentzian, Faddeeva functions for a Gaussian); exp(-kappa t) is folded
-    into its exponents, so long times stay finite.
+    exp(-kappa t) int_0^t Re[phi_f(t')] exp(kappa t') dt' is the damped drive
+    weight W(-kappa, 0, t) of :func:`lineshape.drive_weight`.
     """
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    if t == 0:
-        return 0.0 + 0.0j
     kappa = params.rate + 1j * (params.varpi - params.omega_o)
-    val = 0.5 * (envelope_integral(params.dist, kappa, 0.0, t, log_scale=-kappa * t)
-                 + envelope_integral(params.dist, kappa.conjugate(), 0.0, t,
-                                     log_scale=-kappa.conjugate() * t).conjugate())
+    val = drive_weight(params.dist, -kappa, 0.0, _map_times(t))
     return 1j * params.omega_1 * params.thermal_polarization * val
 
 
-def trajectory(params: QubitParams, t: float):
-    """Bloch vector (<sigma_1>, <sigma_2>, <sigma_3>) at time t."""
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    s3 = -params.thermal_polarization * math.exp(-2.0 * params.rate * t)
-    sp = sigma_plus_expectation(params, t)
-    return 2.0 * sp.real, 2.0 * sp.imag, s3
+def trajectory(params: QubitParams, t):
+    """Bloch vector (<sigma_1>, <sigma_2>, <sigma_3>): floats, or arrays over 1-D times."""
+    times = _map_times(t)
+    s3 = -params.thermal_polarization * np.exp(-2.0 * params.rate * times)
+    sp = sigma_plus_expectation(params, times)
+    out = 2.0 * np.real(sp), 2.0 * np.imag(sp), s3
+    return out if times.ndim else tuple(map(float, out))
 
 
 def stationary_sigma_plus(params: QubitParams, t: float) -> complex:

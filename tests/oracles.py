@@ -8,15 +8,19 @@ tuple sort, anchor merge) with its CSV and SVG writers, the CSV writer
 through the ``csv`` module, the transition rate by a scan of the whole
 Pauli table, the operator-form RK4 stepper (H_LR(t) and the dissipator
 rebuilt at every stage), the Kraus-factor audit (e^{Ls} refactorised from
-its Choi matrix at every node), the Kronecker-product spin operators and
-the per-block loops of the model's ladder sums.  None of these is part of
-the package: each is a reference for a closed form, a master-equation
-rate, a response kernel, the array route of :mod:`spinlind.spectrum`, the
-template CSV writer of :mod:`spinlind.numutil`, the vectorized stepper of
-:mod:`spinlind.mastereq` or its superoperator audit, the occupation-table
-operators of :mod:`spinlind.spincore` or the batched ladder sums.
+its Choi matrix at every node), the Kronecker-product spin operators,
+the per-block loops of the model's ladder sums, and the scalar envelope
+integral with the map's drive term looped over times and nonzero pairs.
+None of these is part of the package: each is a reference for a closed
+form, a master-equation rate, a response kernel, the array route of
+:mod:`spinlind.spectrum`, the template CSV writer of :mod:`spinlind.numutil`,
+the vectorized stepper of :mod:`spinlind.mastereq` or its superoperator
+audit, the occupation-table operators of :mod:`spinlind.spincore`, the
+batched ladder sums or the broadcasting envelope integral of
+:mod:`spinlind.lineshape`.
 """
 
+import cmath
 import csv
 import math
 from itertools import repeat
@@ -587,3 +591,81 @@ def absorbed_power_oracle(model, *, n_over_v: float = 1.0):
                        * entry.total)
             per_line[entry.omega] = per_line.get(entry.omega, 0.0) + contrib
     return sum(per_line.values()), sorted(per_line.items())
+
+
+# -- scalar envelope integrals and the looped map drive term ---------------------
+
+def envelope_integral_oracle(dist, kappa: complex, t0: float, t1: float, *,
+                             log_scale: complex = 0.0) -> complex:
+    """exp(log_scale) * int_{t0}^{t1} phi_f(tau) exp(kappa tau) dtau, one scalar.
+
+    The branch chosen by Python ``if`` on one kappa and one window: span
+    zero, expm1 or the difference of exponentials for Lorentzian and delta
+    lines, and the three Re z cases of the Faddeeva form for a Gaussian.
+    """
+    if not 0.0 <= t0 <= t1:
+        raise ValidationError("envelope integral needs 0 <= t0 <= t1")
+    b = complex(kappa) + 1j * dist.center
+    if dist.kind != "gaussian":
+        a = b - 0.5 * dist.width
+        if math.isinf(t1):
+            if not a.real < 0.0:
+                raise ValidationError("the envelope does not decay; the integral diverges")
+            return -cmath.exp(a * t0 + log_scale) / a
+        span = a * (t1 - t0)
+        if span == 0.0:
+            return cmath.exp(a * t0 + log_scale) * (t1 - t0)
+        if abs(span) < 1.0:  # expm1 keeps the small-span difference exact
+            return cmath.exp(a * t0 + log_scale) * complex(np.expm1(span)) / a
+        return (cmath.exp(a * t1 + log_scale) - cmath.exp(a * t0 + log_scale)) / a
+
+    from scipy.special import wofz
+
+    s = ls._gauss_sigma(dist)
+    root2s = math.sqrt(2.0) * s
+
+    def end(tau):
+        """(Re z >= 0, E(tau) w(+-iz)) at one end of the interval."""
+        if math.isinf(tau):
+            return True, 0.0
+        z = (s * s * tau - b) / root2s
+        upper = z.real >= 0.0
+        w = complex(wofz(1j * z if upper else -1j * z))
+        return upper, cmath.exp(b * tau - 0.5 * (s * tau) ** 2 + log_scale) * w
+
+    up0, e0 = end(t0)
+    up1, e1 = end(t1)
+    if up0:
+        val = e0 - e1
+    elif not up1:
+        val = e1 - e0
+    else:
+        val = 2.0 * cmath.exp(b * b / (2.0 * s * s) + log_scale) - e0 - e1
+    return math.sqrt(0.5 * math.pi) / s * val
+
+
+def drive_weight_oracle(dist, lam: complex, w: float, t: float) -> complex:
+    """int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w s} ds from two scalar envelope integrals."""
+    kappa = -1j * w - lam
+    scale = lam * t
+    return 0.5 * (envelope_integral_oracle(dist, kappa, 0.0, t, log_scale=scale)
+                  + envelope_integral_oracle(dist, kappa.conjugate(), 0.0, t,
+                                             log_scale=scale.conjugate()).conjugate())
+
+
+def apply_map_oracle(model, eig, times: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """``mastereq._apply_map`` with its drive term looped over times and nonzero pairs."""
+    lam, v, v_inv = eig
+    rho_init = np.array(rho0, dtype=complex)
+    coef = np.exp(np.outer(times, lam)) * (v_inv @ numutil.vec(rho_init))
+    if model.field.b_1 > 0:
+        comps, freqs = me._drive_components(model, rho_init)
+        c = comps @ v_inv.T
+        rows, cols = np.nonzero(c)
+        for n, t in enumerate(times.tolist()):
+            if t > 0:
+                for j, k in zip(rows.tolist(), cols.tolist()):
+                    coef[n, k] += c[j, k] * drive_weight_oracle(model.field.dist, lam[k],
+                                                                freqs[j], t)
+    d = model.dim
+    return (coef @ v.T).reshape(len(times), d, d).transpose(0, 2, 1)

@@ -458,14 +458,14 @@ class TestModeOverride:
         assert not out.exists() or not list(out.iterdir())
 
 
-def _scipy_modules_after(code, cwd):
-    """``scipy*`` entries of sys.modules after running ``code`` in a fresh interpreter."""
+def _modules_after(code, cwd, prefix="scipy"):
+    """``prefix*`` entries of sys.modules after running ``code`` in a fresh interpreter."""
     src = str(Path(spinlind.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "SPINLIND_OUT"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))\n")
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -475,7 +475,7 @@ def _scipy_modules_after(code, cwd):
 class TestImportFootprint:
     def test_package_import_loads_no_scipy(self, tmp_path):
         code = "import spinlind, spinlind.cli, spinlind.acp, spinlind.response"
-        assert _scipy_modules_after(code, tmp_path) == []
+        assert _modules_after(code, tmp_path) == []
 
     @pytest.mark.parametrize("config, unloaded", [
         ("naphthalene", "scipy"),
@@ -487,5 +487,15 @@ class TestImportFootprint:
         code = (f"from spinlind import cli\n"
                 f"assert cli.main(['--config', {str(CONFIGS / (config + '.cfg'))!r}, "
                 f"'--out', 'out']) == 0")
-        loaded = _scipy_modules_after(code, tmp_path)
+        loaded = _modules_after(code, tmp_path)
         assert not [m for m in loaded if m.startswith(unloaded)]
+
+    @pytest.mark.parametrize("config", ["naphthalene", "two_spin", "qubit"])
+    def test_cli_run_loads_numpy_ma_only_with_numpy(self, tmp_path, config):
+        # numpy 1.x imports numpy.ma with numpy itself; past that, none of
+        # these runs needs it (np.unique, for one, imports it lazily)
+        baseline = "numpy.ma" in _modules_after("import numpy", tmp_path, "numpy.")
+        code = (f"from spinlind import cli\n"
+                f"assert cli.main(['--config', {str(CONFIGS / (config + '.cfg'))!r}, "
+                f"'--out', 'out']) == 0")
+        assert ("numpy.ma" in _modules_after(code, tmp_path, "numpy.")) <= baseline

@@ -7,6 +7,8 @@ import scipy.integrate
 from spinlind import lineshape as ls
 from spinlind.errors import PoleError, ValidationError
 
+from oracles import drive_weight_oracle, envelope_integral_oracle
+
 
 def pv_integral(f, pole: float, lo: float, hi: float, *, h0: float,
                 breakpoints=()) -> float:
@@ -222,34 +224,57 @@ class TestHalfLineSplit:
 
 class TestEnvelopeIntegral:
     KAPPAS = (0.0, 2.0, -2.0, 1.0 + 5.0j, -3.0 - 7.0j, 10.0j, 8.0 - 4.0j)
-    WINDOWS = ((0.0, 0.3), (0.2, 1.5), (0.0, 4.0), (1.0, 2.0))
+    WINDOWS = ((0.0, 0.3), (0.2, 1.5), (0.0, 4.0), (1.0, 2.0), (1.5, 1.5))
 
     @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
     def test_matches_dense_simpson(self, kind):
-        # Gaussian ends sit on either side of Re z = 0 (z = (s^2 tau - b)/(s sqrt 2)),
-        # so both-above, straddling and both-below windows all occur
-        branches = set()
+        # one array call over the KAPPAS x WINDOWS grid per line shape, with a
+        # nonzero log_scale, checked element by element against the scalar
+        # oracle and Simpson.  Gaussian ends sit on either side of Re z = 0
+        # (z = (s^2 tau - b)/(s sqrt 2)), so both-above, straddling and
+        # both-below windows all occur; Lorentzian spans are zero, below 1
+        # and above 1 in the same call
+        kappas = np.array(self.KAPPAS)[:, None]
+        t0, t1 = np.array(self.WINDOWS).T
+        log_scale = -0.5 * kappas * t1
+        branches, spans = set(), set()
         for center in (-30.0, 0.0, 5.0, 40.0):
             for width in (0.5, 3.0, 20.0):
                 dist = ls.FrequencyDistribution(kind, center, width)
                 s = width / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-                for kappa in self.KAPPAS:
-                    for t0, t1 in self.WINDOWS:
+                got = ls.envelope_integral(dist, kappas, t0, t1, log_scale=log_scale)
+                assert got.shape == (len(self.KAPPAS), len(self.WINDOWS))
+                for i, kappa in enumerate(self.KAPPAS):
+                    for j, (a, b) in enumerate(self.WINDOWS):
                         boundary = kappa.real / s ** 2
-                        branches.add((t0 >= boundary, t1 >= boundary))
-                        got = ls.envelope_integral(dist, kappa, t0, t1)
+                        branches.add((a >= boundary, b >= boundary))
+                        span = abs((kappa + 1j * center - 0.5 * width) * (b - a))
+                        spans.add(0 if span == 0 else 1 if span < 1 else 2)
+                        want = envelope_integral_oracle(dist, kappa, a, b,
+                                                        log_scale=log_scale[i, j])
+                        assert abs(got[i, j] - want) <= 1e-13 * abs(want)
                         ref = simpson(lambda t: ls.characteristic(dist, t)
-                                      * np.exp(kappa * t), t0, t1)
-                        assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-12)
+                                      * np.exp(kappa * t), a, b)
+                        bare = got[i, j] * np.exp(-log_scale[i, j])
+                        assert abs(bare - ref) <= 1e-10 * max(abs(ref), 1e-12)
         if kind == "gaussian":
             assert branches == {(True, True), (False, True), (False, False)}
+        else:
+            assert spans == {0, 1, 2}
 
     @pytest.mark.parametrize("dist", [ls.lorentzian(3.0, 2.0), ls.gaussian(3.0, 2.0)])
     def test_infinite_upper_limit(self, dist):
-        for kappa, t0 in ((-1j, 0.0), (0.5 - 2.0j, 0.7)):
-            tail = ls.envelope_integral(dist, kappa, t0, math.inf)
-            head = ls.envelope_integral(dist, kappa, t0, 80.0)
-            assert tail == pytest.approx(head, abs=1e-14)
+        kappas, t0 = np.array([-1j, 0.5 - 2.0j]), np.array([0.0, 0.7])
+        tail = ls.envelope_integral(dist, kappas, t0, math.inf)
+        head = ls.envelope_integral(dist, kappas, t0, 80.0)
+        assert np.max(np.abs(tail - head)) <= 1e-14
+        # finite and infinite ends in one call, against the scalar oracle
+        t1 = np.array([[2.0], [math.inf]])
+        got = ls.envelope_integral(dist, kappas, t0, t1, log_scale=0.3 - 0.2j)
+        for (i, j), val in np.ndenumerate(got):
+            want = envelope_integral_oracle(dist, kappas[j], t0[j], t1[i, 0],
+                                            log_scale=0.3 - 0.2j)
+            assert abs(val - want) <= 1e-13 * abs(want)
 
     def test_log_scale_is_a_prefactor(self):
         for dist in (ls.lorentzian(3.0, 2.0), ls.gaussian(3.0, 2.0)):
@@ -262,6 +287,16 @@ class TestEnvelopeIntegral:
         dist = ls.lorentzian(0.0, 2e-12)
         assert ls.envelope_integral(dist, 0.0, 1.0, 3.0) == pytest.approx(2.0, rel=1e-11)
         assert ls.envelope_integral(ls.delta_line(0.0), 0.0, 1.0, 3.0) == 2.0
+        # a = 0 exactly on one element of an array call
+        got = ls.envelope_integral(ls.delta_line(0.0), np.array([0.0, -1j]), 1.0, 3.0)
+        assert got[0] == 2.0
+        assert got[1] == pytest.approx(envelope_integral_oracle(ls.delta_line(0.0), -1j,
+                                                                1.0, 3.0), rel=1e-14)
+
+    def test_scalar_inputs_give_a_complex(self):
+        for dist in (ls.lorentzian(3.0, 2.0), ls.gaussian(3.0, 2.0), ls.delta_line(1.0)):
+            assert type(ls.envelope_integral(dist, -1.0, 0.0, 2.0)) is complex
+            assert type(ls.drive_weight(dist, -1.0, 2.0, 0.5)) is complex
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -272,6 +307,49 @@ class TestEnvelopeIntegral:
             ls.envelope_integral(ls.lorentzian(0.0, 1.0), 1.0, 0.0, math.inf)
         with pytest.raises(ValidationError):
             ls.envelope_integral(ls.delta_line(1.0), -1j, 0.0, math.inf)
+
+    @pytest.mark.parametrize("dist", [ls.lorentzian(0.0, 1.0), ls.gaussian(0.0, 1.0)])
+    @pytest.mark.parametrize("t0, t1", [
+        ([0.0, -1.0], 1.0), ([0.0, 2.0], 1.0), ([0.0, math.nan], 1.0),
+        (0.0, [1.0, math.nan]), ([0.0, math.inf], math.inf),
+    ])
+    def test_one_bad_element_rejects_the_call(self, dist, t0, t1):
+        with pytest.raises(ValidationError, match="0 <= t0 <= t1"):
+            ls.envelope_integral(dist, -1.0, np.array(t0), np.array(t1))
+
+    def test_one_growing_element_rejects_an_infinite_end(self):
+        dist = ls.lorentzian(0.0, 1.0)
+        # growing only where the end is finite: allowed
+        ls.envelope_integral(dist, np.array([-1.0, 1.0]), 0.0, np.array([math.inf, 2.0]))
+        with pytest.raises(ValidationError, match="diverges"):
+            ls.envelope_integral(dist, np.array([1.0, -1.0]), 0.0, np.array([math.inf, 2.0]))
+        with pytest.raises(ValidationError, match="diverges"):
+            ls.envelope_integral(dist, np.array([-1.0, 1.0]), 0.0, math.inf)
+
+
+class TestDriveWeight:
+    LAMS = (0.0, -0.5 + 3.0j, -2.0 - 1.0j, -0.01, -40.0 + 7.0j)
+    FREQS = (0.0, 5.0, -7.0, 30.0)
+    TIMES = (0.0, 0.1, 1.0, 3.0, 25.0)
+
+    @pytest.mark.parametrize("dist", [ls.lorentzian(4.0, 2.0), ls.gaussian(4.0, 2.0),
+                                      ls.gaussian(-3.0, 0.3), ls.delta_line(2.0)])
+    def test_grid_matches_scalar_oracle(self, dist):
+        lam = np.array(self.LAMS)[:, None, None]
+        w = np.array(self.FREQS)[None, :, None]
+        got = ls.drive_weight(dist, lam, w, np.array(self.TIMES))
+        assert got.shape == (len(self.LAMS), len(self.FREQS), len(self.TIMES))
+        for (i, j, n), val in np.ndenumerate(got):
+            want = drive_weight_oracle(dist, self.LAMS[i], self.FREQS[j], self.TIMES[n])
+            assert abs(val - want) <= 1e-12 * abs(want)
+        assert not np.any(got[..., 0])       # W(lam, w, 0) = 0
+
+    def test_matches_dense_simpson(self):
+        dist = ls.gaussian(4.0, 2.0)
+        for lam, w, t in ((-0.5 + 3.0j, 5.0, 1.0), (0.0, -7.0, 3.0)):
+            ref = simpson(lambda s: np.exp(lam * (t - s)) * np.real(ls.characteristic(dist, s))
+                          * np.exp(-1j * w * s), 0.0, t)
+            assert abs(ls.drive_weight(dist, lam, w, t) - ref) <= 1e-10 * abs(ref)
 
 
 @pytest.mark.parametrize("field, value", [("center", math.nan), ("center", math.inf),

@@ -17,8 +17,8 @@ from spinlind.errors import (
 from spinlind.qubit import SIGMA
 
 from conftest import random_system
-from oracles import (a_term, kraus_audit_oracle, ladder_sums_oracle, rk4_oracle,
-                     simpson_doubling, transition_rate_oracle, wavefunction_distribution,
+from oracles import (a_term, apply_map_oracle, kraus_audit_oracle, ladder_sums_oracle,
+                     rk4_oracle, simpson_doubling, transition_rate_oracle, wavefunction_distribution,
                      wavefunction_oracle)
 
 
@@ -648,6 +648,35 @@ class TestLambdaMap:
             me.lambda_map(qubit_model, np.zeros((2, 2)), qubit_model.boltzmann)
 
 
+class TestMapDriveTerm:
+    """_apply_map's broadcast drive weights against the loop over times and pairs."""
+
+    @staticmethod
+    def _model(case, kind):
+        base = operator_sum_model(case)
+        field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(22.0, 4.0))
+        model = build(base.system, field, base.beta)
+        eig = me._eigensystem(me.liouvillian_matrix(model))
+        return model, eig, 1.0 / float(np.max(-eig[0].real))
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_matches_looped_oracle(self, case, kind):
+        model, eig, tau = self._model(case, kind)
+        times = np.array([0.0, 0.01, 0.3, 1.0, 4.0]) * tau
+        got = me._apply_map(model, eig, times, model.boltzmann)
+        want = apply_map_oracle(model, eig, times, model.boltzmann)
+        assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
+
+    def test_chunking_does_not_change_the_states(self, monkeypatch):
+        model, eig, tau = self._model("generic3", ls.gaussian)
+        times = np.linspace(0.0, 3.0, 20) * tau     # chunks of 6, 6, 6 and 2
+        whole = me._apply_map(model, eig, times, model.boltzmann)
+        monkeypatch.setattr(me, "RK4_CHUNK", 6)
+        chunked = me._apply_map(model, eig, times, model.boltzmann)
+        assert nu.max_abs(chunked - whole) <= 1e-15 * nu.max_abs(whole)
+
+
 class TestChoiMatrix:
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_reshuffle_equals_blockwise_assembly(self, dim, rng):
@@ -803,6 +832,16 @@ class TestWitness:
         assert abs(res.det_value) < 1e-12
         assert abs(res.predicted) < 1e-12
 
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_times_rejected(self, qubit_model, bad):
+        with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+            me.drive_integral(qubit_model, bad)
+        with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+            me.noncp_witness(qubit_model, np.array([1.0, 0.0]), bad, unsafe=True)
+
+    def test_drive_integral_vanishes_at_zero_time(self, qubit_model):
+        assert not np.any(me.drive_integral(qubit_model, 0.0))
 
     @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
     def test_drive_integral_matches_simpson(self, kind):

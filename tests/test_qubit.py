@@ -117,6 +117,28 @@ class TestTrajectory:
             assert max(abs(a - b) for a, b in zip(num, ana)) < 1e-7
 
 
+class TestTimeArrays:
+    def test_array_matches_scalar_calls(self, params):
+        times = np.linspace(0.0, 4.0 / params.rate, 9)
+        s1, s2, s3 = qb.trajectory(params, times)
+        for n, t in enumerate(times.tolist()):
+            one = qb.trajectory(params, t)
+            assert all(type(v) is float for v in one)
+            assert (s1[n], s2[n], s3[n]) == pytest.approx(one, rel=1e-15, abs=1e-300)
+        sp = qb.sigma_plus_expectation(params, times)
+        assert sp.shape == times.shape
+        assert type(qb.sigma_plus_expectation(params, float(times[3]))) is complex
+        assert sp[3] == qb.sigma_plus_expectation(params, float(times[3]))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_bad_times_rejected(self, params, bad, as_array):
+        t = np.array([0.0, 0.1, bad]) if as_array else bad
+        for fn in (qb.trajectory, qb.sigma_plus_expectation):
+            with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+                fn(params, t)
+
+
 class TestClosedForm:
     W0 = 1760.0
     T_END = 0.284090909090909
