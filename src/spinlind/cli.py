@@ -49,7 +49,7 @@ def run_spectrum(cfg: RunConfig, out: Path, verbose: bool) -> int:
     spectrum.export_csv(spec, csv_path)
     spectrum.export_svg(spec, svg_path)
     if verbose:
-        print(f"{len(spec.lines)} lines, total intensity {spec.total_intensity}")
+        print(f"{len(spec.delta_b)} lines, total intensity {spec.total_intensity}")
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     return EXIT_OK

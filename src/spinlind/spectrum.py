@@ -13,11 +13,15 @@ group.  The expansion is one term table: the mixed-radix grid of exponent
 vectors (last group fastest) and the outer product of the per-group
 coefficients, in int64 while the coefficient total fits and in Python
 integers otherwise, so it is exact at any size.  Positions, the sort by
-(position, configuration) and the merge of coincident lines run on those
-arrays, and so does each term's config text, joined once from per-group
-``"label=n"`` pieces; the CSV and SVG are streamed through one row template
-each.  An expansion above ``MAX_TERMS`` terms is refused before anything is
-allocated.
+(position, configuration) (a stable sort by position for one resonance
+group, whose grid is already in configuration order; a ``lexsort`` over
+configuration codes for several) and the merge of coincident lines run on
+those arrays, and so does each term's config text, joined once from
+per-group ``"label=n"`` pieces.  A :class:`StickSpectrum` holds positions,
+intensities and config text as columns, which the CSV and SVG stream
+through one row template each; its :class:`SpectrumLine` objects are built
+from the term grid only when asked for.  An expansion above ``MAX_TERMS``
+terms is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,8 +57,9 @@ __all__ = [
 ]
 
 MERGE_TOL_GAUSS = 1e-9
-# about 0.85 kB of peak RSS per term, in stick_spectrum (measured at the cap,
-# generic positions, through export_csv and export_svg): 0.42 GB at the cap
+# about 0.48 kB of peak RSS per term, in stick_spectrum (measured at the cap,
+# generic positions, through export_csv and export_svg): 0.24 GB at the cap;
+# reading StickSpectrum.lines afterwards raises it to about 0.56 kB
 MAX_TERMS = 500_000
 
 
@@ -267,14 +273,59 @@ class SpectrumLine:
 
 @dataclass(frozen=True)
 class StickSpectrum:
-    lines: tuple
-    config_text: tuple    # per line, as the CSV writes it: "a=1;b=0|a=0;b=2"
+    """A stick spectrum as columns, one row per line in position order.
+
+    ``delta_b`` and ``intensity`` hold the line positions and intensities
+    (exact ints, or floats when scaled), ``config_text`` each line's
+    configurations as the CSV writes them: "a=1;b=0|a=0;b=2".  The
+    :class:`SpectrumLine` objects of ``lines`` are built on first access,
+    their configs decoded from the term grid of :func:`stick_spectrum`
+    (sorted term order, line bounds, and each resonance group's neighbor
+    labels and radices, kept in the private fields) or, for a spectrum
+    without one, parsed from ``config_text``.  Lines passed as ``lines=``
+    stand in for the built ones.
+    """
+
+    delta_b: tuple
+    intensity: tuple
+    config_text: tuple
     reference: float
     resonance: tuple
+    # unset, this init-only argument defaults to the cached_property below
+    lines: InitVar[tuple]
+    _order: np.ndarray = field(default=None, compare=False, repr=False)
+    _starts: np.ndarray = field(default=None, compare=False, repr=False)
+    _ends: np.ndarray = field(default=None, compare=False, repr=False)
+    _grids: tuple = field(default=(), compare=False, repr=False)   # (labels, radices)
+
+    def __post_init__(self, lines):
+        if not isinstance(lines, cached_property):
+            self.__dict__["lines"] = tuple(lines)
+
+    @cached_property
+    def lines(self) -> tuple:
+        if self._order is None:
+            configs = map(_parse_configs, self.config_text)
+        else:
+            grid = []
+            for labels, radices in self._grids:
+                grid += itertools.product(*[[(v, n) for n in range(r)]
+                                            for v, r in zip(labels, radices)])
+            terms = list(map(grid.__getitem__, self._order.tolist()))
+            configs = map(tuple, map(terms.__getitem__, map(
+                slice, self._starts.tolist(), self._ends.tolist())))
+        return tuple(map(SpectrumLine, self.delta_b, self.intensity, configs))
 
     @property
     def total_intensity(self) -> float:
-        return sum(line.intensity for line in self.lines)
+        return sum(self.intensity)
+
+
+def _parse_configs(text: str) -> tuple:
+    """"a=1;b=0|a=0;b=2" -> ((("a", 1), ("b", 0)), (("a", 0), ("b", 2)))."""
+    return tuple(tuple((lab, int(n)) for lab, _, n in
+                       (item.partition("=") for item in cfg.split(";") if item))
+                 for cfg in text.split("|"))
 
 
 def _line_bounds(pos: np.ndarray, merge_tol: float):
@@ -344,14 +395,7 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     scaled = scaled or len(labels) > 1
     polys = [generating_polynomial(groups, lab) for lab in labels]
 
-    # A configuration is coded as one int per (label, n) pair, rank(label) *
-    # radix + n, padded with -1; comparing the codes column by column then
-    # orders configurations as tuple comparison does.
-    names = sorted({v for poly in polys for v in poly.variables})
-    rank = {v: r for r, v in enumerate(names)}
-    radix = max([by_label[v].max_bosons + 1 for v in names], default=1)
-    width = max(len(poly.variables) for poly in polys)
-    positions, weights, codes, configs, texts = [], [], [], [], []
+    positions, weights, grids, texts = [], [], [], []
     for lab, poly in zip(labels, polys):
         res = by_label[lab]
         delta = np.zeros(poly.n_terms)
@@ -360,32 +404,51 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
         positions.append(delta + (reference_field(groups, lab, omega_o) if absolute else 0.0))
         weights.append((poly.coefficients * intensity_scale(groups, lab)).astype(float)
                        if scaled else poly.coefficients)
-        code = np.full((poly.n_terms, width), -1, dtype=np.int64)
-        for i, v in enumerate(poly.variables):
-            code[:, i] = rank[v] * radix + poly.exponents[:, i]
-        codes.append(code)
-        # per group its (label, n) pairs and "label=n" pieces, in grid order
-        pairs = [[(v, n) for n in range(by_label[v].max_bosons + 1)] for v in poly.variables]
-        configs += itertools.product(*pairs)
-        texts += map(";".join, itertools.product(*[[f"{v}={n}" for v, n in p] for p in pairs]))
-    codes = np.concatenate(codes)
-    order = np.lexsort([*codes.T[::-1], np.concatenate(positions)])
-    pos = np.concatenate(positions)[order]
+        radices = tuple(by_label[v].max_bosons + 1 for v in poly.variables)
+        grids.append((poly.variables, radices))
+        # each term's text from per-group "label=n" pieces, in grid order
+        texts += map(";".join, itertools.product(
+            *[[f"{v}={n}" for n in range(r)] for v, r in zip(poly.variables, radices)]))
+    pos = np.concatenate(positions)
+    order = _term_order(pos, polys, by_label)
+    pos = pos[order]
     weight = np.concatenate(weights)[order]
 
     starts, ends = _line_bounds(pos, merge_tol)
     sums = _run_sums(weight, starts, ends - starts).tolist()
-    # a one-term line takes its term's config and text; only merged lines join
-    first = order[starts].tolist()
-    line_configs = list(zip(map(configs.__getitem__, first)))
-    config_text = list(map(texts.__getitem__, first))
+    # a one-term line takes its term's text; only merged lines join
+    config_text = list(map(texts.__getitem__, order[starts].tolist()))
     for k in np.flatnonzero(ends - starts > 1).tolist():
-        terms = order[starts[k]:ends[k]].tolist()
-        line_configs[k] = tuple(map(configs.__getitem__, terms))
-        config_text[k] = "|".join(map(texts.__getitem__, terms))
-    lines = tuple(map(SpectrumLine, pos[starts].tolist(), sums, line_configs))
+        config_text[k] = "|".join(map(texts.__getitem__, order[starts[k]:ends[k]].tolist()))
     ref = reference_field(groups, labels[0], omega_o) if absolute else 0.0
-    return StickSpectrum(lines, tuple(config_text), ref, tuple(labels))
+    return StickSpectrum(tuple(pos[starts].tolist()), tuple(sums), tuple(config_text),
+                         ref, tuple(labels), _order=order, _starts=starts, _ends=ends,
+                         _grids=tuple(grids))
+
+
+def _term_order(pos: np.ndarray, polys: Sequence[GeneratingPolynomial],
+                by_label: Mapping[str, EquivalentGroup]) -> np.ndarray:
+    """Order of the concatenated terms by (position, configuration).
+
+    One grid is already in configuration order (its exponent vectors over
+    the same labels, lexicographic), so a stable sort by position does.  For
+    several, a configuration is coded as one int per (label, n) pair,
+    rank(label) * radix + n, padded with -1; comparing the codes column by
+    column then orders configurations as tuple comparison does.
+    """
+    if len(polys) == 1:
+        return np.argsort(pos, kind="stable")
+    names = sorted({v for poly in polys for v in poly.variables})
+    rank = {v: r for r, v in enumerate(names)}
+    radix = max([by_label[v].max_bosons + 1 for v in names], default=1)
+    codes = np.full((pos.size, max(len(poly.variables) for poly in polys)), -1,
+                    dtype=np.int64)
+    offset = 0
+    for poly in polys:
+        for i, v in enumerate(poly.variables):
+            codes[offset:offset + poly.n_terms, i] = rank[v] * radix + poly.exponents[:, i]
+        offset += poly.n_terms
+    return np.lexsort([*codes.T[::-1], pos])
 
 
 def _exact(intensities: list) -> list:
@@ -397,38 +460,30 @@ def _exact(intensities: list) -> list:
 
 def export_csv(spectrum: StickSpectrum, path) -> None:
     """Write ``delta_B_gauss,intensity,config``; integral intensities exactly."""
-    lines = spectrum.lines
     write_csv(path, ["delta_B_gauss", "intensity", "config"],
-              [[line.delta_b for line in lines],
-               _exact([line.intensity for line in lines]),
-               spectrum.config_text])
+              [spectrum.delta_b, _exact(spectrum.intensity), spectrum.config_text])
 
 
 def parse_csv(path) -> StickSpectrum:
-    lines, texts = [], []
+    """Read an :func:`export_csv` file back: an integer cell as an exact int."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[:2] != ["delta_B_gauss", "intensity"]:
             raise ValidationError(f"unexpected spectrum CSV header {header}")
-        for row in reader:
-            text = row[2] if len(row) > 2 else ""
-            configs = tuple(tuple((lab, int(n)) for lab, _, n in
-                                  (item.partition("=") for item in cfg.split(";") if item))
-                            for cfg in text.split("|")) if text else ()
-            lines.append(SpectrumLine(float(row[0]), float(row[1]), configs))
-            texts.append(text)
-    return StickSpectrum(tuple(lines), tuple(texts), 0.0, ())
+        rows = [(float(row[0]),
+                 int(row[1]) if row[1].removeprefix("-").isdecimal() else float(row[1]),
+                 row[2] if len(row) > 2 else "") for row in reader]
+    delta_b, intensity, texts = zip(*rows) if rows else ((), (), ())
+    return StickSpectrum(delta_b, intensity, texts, 0.0, ())
 
 
 def export_svg(spectrum: StickSpectrum, path, *, width: int = 900,
                height: int = 420) -> None:
     """Minimal deterministic stick plot: one labeled line per stick, one template."""
-    lines = spectrum.lines
-    if not lines:
+    bs, intensities = spectrum.delta_b, spectrum.intensity
+    if not bs:
         raise ValidationError("empty spectrum")
-    bs = [line.delta_b for line in lines]
-    intensities = [line.intensity for line in lines]
     imax = max(intensities)
     b_lo, b_hi = min(bs), max(bs)
     pad = 0.05 * (b_hi - b_lo) if b_hi > b_lo else 1.0

@@ -397,8 +397,10 @@ def stick_spectrum_oracle(groups, resonance_label, omega_o=0.0, *, scaled=False,
             text += ";".join(f"{lab}={n}" for lab, n in cfg)
         config_text.append(text)
     ref = sp.reference_field(groups, labels[0], omega_o) if absolute else 0.0
-    return sp.StickSpectrum(lines=lines, config_text=tuple(config_text), reference=ref,
-                            resonance=tuple(labels))
+    return sp.StickSpectrum(delta_b=tuple(b for b, _, _ in merged),
+                            intensity=tuple(i for _, i, _ in merged),
+                            config_text=tuple(config_text), reference=ref,
+                            resonance=tuple(labels), lines=lines)
 
 
 def export_csv_oracle(spectrum, path) -> None:

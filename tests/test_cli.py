@@ -89,6 +89,23 @@ class TestSpectrumMode:
         assert len(spec.lines) == 25
         assert (tmp_path / "naphthalene_spectrum.svg").exists()
 
+    def test_run_builds_no_line_objects(self, tmp_path, monkeypatch, capsys):
+        # the CSV, the SVG and the verbose report read the columns only
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        made, real = [], sp.stick_spectrum
+
+        def recorded(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(sp, "stick_spectrum", recorded)
+        assert run_cli(["--config", CONFIGS / "biphenyl.cfg", "--out", tmp_path,
+                        "--verbose"]) == 0
+        (spec,) = made
+        assert "lines" not in spec.__dict__
+        assert f"{len(spec.delta_b)} lines, total intensity 1024" in capsys.readouterr().out
+        assert len(spec.lines) == len(spec.delta_b) and "lines" in spec.__dict__
+
     def test_deterministic_csv(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -247,7 +249,8 @@ def _assert_matches_oracle(groups, labels, **kwargs):
         assert type(a.intensity) is type(b.intensity)
         assert a.intensity == b.intensity
         assert a.configs == b.configs
-    assert got.reference == want.reference and got.resonance == want.resonance
+    assert got.lines == want.lines
+    assert got == want
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         sp.export_csv(got, out / "a.csv")
@@ -416,7 +419,73 @@ class TestIntensityScale:
             sp.splitting_constant(1.0, 0.0)
 
 
+@st.composite
+def lattice_radicals(draw):
+    """An electron split by spin-1/2 and spin-1 groups on the 0.5 G lattice.
+
+    Labels come in any order, so the grid order is not the label order.
+    """
+    labels = draw(st.permutations(["a", "b", "c", "d"]))[:draw(st.integers(1, 4))]
+    neighbors = [sp.EquivalentGroup(lab, draw(st.sampled_from([0.5, 1.0])),
+                                    draw(st.integers(1, 3)), 2.6752e4, {})
+                 for lab in labels]
+    lambdas = {lab: 0.5 * draw(st.integers(-6, 6).filter(bool)) for lab in labels}
+    return (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, lambdas), *neighbors)
+
+
+class TestColumns:
+    def test_exports_build_no_line_objects(self, tmp_path):
+        spec = sp.stick_spectrum(biphenyl_groups(), "e")
+        sp.export_csv(spec, tmp_path / "a.csv")
+        sp.export_svg(spec, tmp_path / "a.svg")
+        assert spec.total_intensity == 1024
+        assert "lines" not in spec.__dict__
+
+    def test_pickle_round_trip(self):
+        spec = sp.stick_spectrum(biphenyl_groups(), "e")
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and "lines" not in back.__dict__
+        assert back.lines == spec.lines
+
+    def test_given_lines_stand_in(self):
+        spec = sp.stick_spectrum(naphthalene_groups(), "e")
+        first = dataclasses.replace(spec.lines[0], intensity=2)
+        edited = dataclasses.replace(spec, lines=(first,) + spec.lines[1:])
+        assert edited.lines[0].intensity == 2 and spec.lines[0].intensity == 1
+        assert edited == spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_radicals())
+    def test_one_group_stable_sort_is_the_configuration_lexsort(self, groups):
+        spec = sp.stick_spectrum(groups, "e")
+        poly = sp.generating_polynomial(groups, "e")
+        pos = np.zeros(poly.n_terms)
+        for v, n in zip(poly.variables, poly.exponents.T):
+            pos = pos + groups[0].lambdas[v] * n
+        assert np.array_equal(spec._order, np.lexsort([*poly.exponents.T[::-1], pos]))
+
+
 class TestRoundTrip:
+    def test_exact_intensities_beyond_int64_round_trip(self, tmp_path):
+        groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"h": 0.5}),
+                  sp.EquivalentGroup("h", 0.5, 70, 1.0, {}))
+        spec = sp.stick_spectrum(groups, "e")
+        sp.export_csv(spec, tmp_path / "spec.csv")
+        back = sp.parse_csv(tmp_path / "spec.csv")
+        assert back.intensity == spec.intensity
+        assert {type(i) for i in back.intensity} == {int}
+        assert back.total_intensity == 2 ** 70
+        assert back.lines == spec.lines
+
+    def test_uncoupled_resonance_round_trip(self, tmp_path):
+        groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"h": 0.0}),
+                  sp.EquivalentGroup("h", 0.5, 2, 2.6752e4, {}))
+        spec = sp.stick_spectrum(groups, "e")
+        assert spec.config_text == ("",) and spec.lines[0].configs == ((),)
+        sp.export_csv(spec, tmp_path / "spec.csv")
+        back = sp.parse_csv(tmp_path / "spec.csv")
+        assert back.lines == spec.lines
+
     def test_csv_round_trip(self, tmp_path):
         spec = sp.stick_spectrum(naphthalene_groups(), "e")
         path = tmp_path / "spec.csv"
