@@ -67,6 +67,8 @@ __all__ = [
 MAP_DIM_CAP = 64
 # rows per drive table: steps in _rk4 (three (n, D^2) tables), times in _apply_map
 RK4_CHUNK = 64
+# complex elements per (n D^4) node-sum temporary of kraus_audit (512 kB), at least one node
+AUDIT_CHUNK = 2 ** 15
 EIGVEC_COND_CAP = 1e6
 DOMAIN_ATOL = 1e-10
 
@@ -171,17 +173,26 @@ def _jump_sum(jumps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.tensordot(scaled.reshape(-1, d), jumps.reshape(-1, d), axes=(0, 0))
 
 
-def linear_response_hamiltonian(model: MasterEquationModel, t: float) -> np.ndarray:
-    """H_LR(t) = 2 B1 Re[phi_f(t)] sum_w exp(-i t w) xi^x(+1, w) + h.c."""
-    t = _map_time(t)
+def linear_response_hamiltonian(model: MasterEquationModel, t) -> np.ndarray:
+    """H_LR(t) = 2 B1 Re[phi_f(t)] sum_w exp(-i t w) xi^x(+1, w) + h.c.
+
+    ``t`` is one time, giving (D, D), or a 1-D array of times, giving
+    (nt, D, D): one :func:`characteristic` call, one (nt, K) phase table and
+    one contraction over the ladder stack.  Every time must be finite and
+    nonnegative.
+    """
+    times = _map_times(t)
+    ts = np.atleast_1d(times)
     d = model.dim
     if model.plus_mats.shape[0] == 0 or model.field.b_1 == 0:
-        return np.zeros((d, d), dtype=complex)
-    phases = np.exp(-1j * t * model.plus_omegas)
-    half = 2.0 * model.field.b_1 * np.real(characteristic(model.field.dist, t)) * (
-        np.tensordot(phases, model.plus_mats, axes=(0, 0))
-    )
-    return half + half.conj().T
+        out = np.zeros((ts.size, d, d), dtype=complex)
+    else:
+        envelope = 2.0 * model.field.b_1 * np.real(characteristic(model.field.dist, ts))
+        half = np.tensordot(np.exp(-1j * np.outer(ts, model.plus_omegas)),
+                            model.plus_mats, axes=(1, 0))
+        half *= envelope[:, None, None]
+        out = half + half.conj().transpose(0, 2, 1)
+    return out if times.ndim else out[0]
 
 
 def dissipator(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
@@ -499,14 +510,16 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     over ``n_nodes`` panels (bumped to even) on [0, t], Phi1 = e^{Lt} +
     sum_n w_n e^{L(t - s_n)} Ad_M(s_n) and Phi2 = sum_n w_n e^{L(t - s_n)}
     Ad_M^dag(s_n) as superoperator matrices, every e^{Ls} = V diag(e^{lam s})
-    V^-1 from one eigendecomposition of L and every Ad factor a
-    :func:`numutil.sandwich_superop`.  The report holds the trace and
-    reconstruction residuals of Phi1 - Phi2 applied to rho0, the latter
-    against :func:`lambda_map` evaluated from the same eigendecomposition;
-    the completeness residual max|(Phi1 - Phi2)^dag (I) - I|, i.e. of
-    sum K^dag K over the two Kraus sets; and the minimum Choi eigenvalue of
-    each Phi (Choi, Linear Algebra Appl. 10 (1975) 285), nonnegative for a
-    CP map.  ``t`` must be one finite nonnegative time.
+    V^-1 from one eigendecomposition of L.  The sums V^-1 Phi_i run over
+    batches of nodes whose n D^4 temporaries hold at most AUDIT_CHUNK
+    elements: H_LR of a batch is one call and its sum two matrix products
+    (:func:`_node_sum`), with no per-node superoperator.  The report holds
+    the trace and reconstruction residuals of Phi1 - Phi2 applied to rho0,
+    the latter against :func:`lambda_map` evaluated from the same
+    eigendecomposition; the completeness residual max|(Phi1 - Phi2)^dag (I)
+    - I|, i.e. of sum K^dag K over the two Kraus sets; and the minimum Choi
+    eigenvalue of each Phi (Choi, Linear Algebra Appl. 10 (1975) 285),
+    nonnegative for a CP map.  ``t`` must be one finite nonnegative time.
     """
     t = _map_time(t)
     _check_domain(model, rho0, unsafe)
@@ -514,7 +527,6 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     lam, v, v_inv = eig = _eigensystem(liouvillian_matrix(model))
     rho_init = np.array(rho0, dtype=complex)
     eye = np.eye(d)
-    one = np.ones(1)
 
     if n_nodes % 2:
         n_nodes += 1
@@ -523,14 +535,16 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
     weights *= t / n_nodes / 3.0
 
-    # V^-1 Phi_i accumulated node by node; V applied once at the end
+    # V^-1 Phi_i accumulated a batch of nodes at a time; V applied once at the end
     acc1 = np.exp(lam * t)[:, None] * v_inv
     acc2 = np.zeros_like(acc1)
-    for tau, weight in zip(ts, weights):
-        m_op = (eye - 1j * linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
-        prop = (weight * np.exp(lam * (t - tau)))[:, None] * v_inv
-        acc1 += prop @ numutil.sandwich_superop(m_op[None], one)
-        acc2 += prop @ numutil.sandwich_superop(m_op.conj().T[None], one)
+    step = max(1, AUDIT_CHUNK // d ** 4)
+    for first in range(0, ts.size, step):
+        tau, weight = ts[first:first + step], weights[first:first + step]
+        m_ops = (eye - 1j * linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
+        scale = weight[:, None] * np.exp(np.outer(t - tau, lam))
+        acc1 += _node_sum(v_inv, scale, m_ops)
+        acc2 += _node_sum(v_inv, scale, m_ops.conj().transpose(0, 2, 1))
     phi1_mat, phi2_mat = v @ acc1, v @ acc2
 
     diff = phi1_mat - phi2_mat
@@ -551,6 +565,24 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
         phi2_choi_min=phi2_choi_min,
         n_nodes=n_nodes,
     )
+
+
+def _node_sum(v_inv: np.ndarray, scale: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_n diag(scale_n) V^-1 (conj A_n (x) A_n) for a (n, D, D) stack ``ops``.
+
+    Row r of V^-1, read as the D x D matrix R_r (row-major), maps to the
+    row-major A_n^dag R_r A_n, so the sum is two matrix products: (D^3, D) @
+    (D, n D) gives every R_r A_n, which is scaled by ``scale`` (n, D^2) and
+    reordered to ((n, i), (r, k)) rows and columns for (D, n D) @ (n D, D^3)
+    with the conjugate-transposed stack.  2 n D^5 multiply-adds.
+    """
+    n, d = ops.shape[0], ops.shape[-1]
+    right = v_inv.reshape(d ** 3, d) @ ops.transpose(1, 0, 2).reshape(d, n * d)
+    right = right.reshape(d * d, d, n, d)          # [r, i, n, k]
+    right *= scale.T[:, None, :, None]
+    left = ops.conj().transpose(2, 0, 1).reshape(d, n * d)
+    out = left @ right.transpose(2, 1, 0, 3).reshape(n * d, d ** 3)
+    return out.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Small numerical helpers: superoperator vectorization and the Choi matrix, the
-matrix exponential (scipy, imported on first use), and the number format and CSV
-writer of every artifact, which streams rows through one ``%`` template.
+matrix exponential (numpy only, scaling and squaring with a Pade approximant), and
+the number format and CSV writer of every artifact, which streams rows through
+one ``%`` template.
 
 Superoperators use the column-stacking convention, vec(A X B) = (B^T (x) A) vec(X).
 The matrix of an operator sum rho -> sum_k w_k A_k rho A_k^dag comes from one
@@ -9,6 +10,7 @@ stacked product (:func:`sandwich_superop`), not a loop of Kronecker products.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -29,6 +31,19 @@ NUMBER_FORMAT = ".12g"
 _CELL_FORMAT = {str: "", int: ""}
 _QUOTE_CHARS = (",", '"', "\r", "\n")     # the csv module quotes a cell holding one
 _CHUNK_ROWS = 256       # rows joined per write in _write_text: ~45 kB of SVG sticks
+# Higham (2005), Table 2.3 and eq. (2.9): 1-norm bounds and [m/m] Pade coefficients
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+_PADE_COEFFS = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240., 2162160.,
+        110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
+         129060195264000., 10559470521600., 670442572800., 33522128640., 1323241920.,
+         40840800., 960960., 16380., 182., 1.),
+}
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -74,9 +89,44 @@ def choi_matrix(s: np.ndarray, dim: int) -> np.ndarray:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    import scipy.linalg
+    """Matrix exponential by scaling and squaring with a diagonal Pade approximant.
 
-    return scipy.linalg.expm(a)
+    Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179: the order m in
+    3, 5, 7, 9, 13 is the lowest whose bound theta_m covers ||a||_1, so the
+    approximant's backward error stays below the unit roundoff; above
+    theta_13, a / 2^s is exponentiated at order 13 and squared s times.
+    """
+    a = np.asarray(a)
+    norm = np.linalg.norm(a, 1)
+    for m in (3, 5, 7, 9):
+        if norm <= _PADE_THETA[m]:
+            return _pade(a, m)
+    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13])))
+    out = _pade(a / 2.0 ** s, 13)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant r_m(a) = (V - U)^-1 (V + U), U odd and V even in a."""
+    b = _PADE_COEFFS[m]
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        powers = [eye, a2]                  # I, a^2, ..., a^(m-1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    return np.linalg.solve(v - u, v + u)
 
 
 def fmt12(x: float) -> str:

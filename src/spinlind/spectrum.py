@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -458,8 +459,23 @@ def _exact(intensities: list) -> list:
     return [i if type(i) is int else int(i) if float(i).is_integer() else i for i in intensities]
 
 
+def _check_printable(imax) -> None:
+    """A ValidationError for an intensity too long for CPython's int-to-str limit.
+
+    An exact intensity of more than ``sys.get_int_max_str_digits()`` digits
+    (0: no limit) cannot be written; checked before any file is opened.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and imax >= 10 ** limit:
+        raise ValidationError(
+            f"an exact intensity has more than {limit} digits, the limit of Python's "
+            f"int-to-str conversion; set scaled = true in [spectrum] to write relative "
+            f"intensities")
+
+
 def export_csv(spectrum: StickSpectrum, path) -> None:
     """Write ``delta_B_gauss,intensity,config``; integral intensities exactly."""
+    _check_printable(max(spectrum.intensity, default=0))
     write_csv(path, ["delta_B_gauss", "intensity", "config"],
               [spectrum.delta_b, _exact(spectrum.intensity), spectrum.config_text])
 
@@ -471,9 +487,12 @@ def parse_csv(path) -> StickSpectrum:
         header = next(reader)
         if header[:2] != ["delta_B_gauss", "intensity"]:
             raise ValidationError(f"unexpected spectrum CSV header {header}")
-        rows = [(float(row[0]),
-                 int(row[1]) if row[1].removeprefix("-").isdecimal() else float(row[1]),
-                 row[2] if len(row) > 2 else "") for row in reader]
+        try:
+            rows = [(float(row[0]),
+                     int(row[1]) if row[1].removeprefix("-").isdecimal() else float(row[1]),
+                     row[2] if len(row) > 2 else "") for row in reader]
+        except ValueError as exc:    # a malformed number, or an int past the str limit
+            raise ValidationError(f"unreadable spectrum CSV row: {exc}") from exc
     delta_b, intensity, texts = zip(*rows) if rows else ((), (), ())
     return StickSpectrum(delta_b, intensity, texts, 0.0, ())
 
@@ -485,6 +504,7 @@ def export_svg(spectrum: StickSpectrum, path, *, width: int = 900,
     if not bs:
         raise ValidationError("empty spectrum")
     imax = max(intensities)
+    _check_printable(imax)
     b_lo, b_hi = min(bs), max(bs)
     pad = 0.05 * (b_hi - b_lo) if b_hi > b_lo else 1.0
     b_lo, b_hi = b_lo - pad, b_hi + pad

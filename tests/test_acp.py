@@ -331,3 +331,55 @@ class TestOrderNPropagation:
         monkeypatch.setattr(acp, "initial_correction", untouched)
         with pytest.raises(ValidationError, match="MAP_DIM_CAP = 64"):
             acp.propagate_order_n(model, 1, untouched, 0.01)
+
+
+class TestExpm:
+    """numutil.expm against scipy.linalg.expm as the oracle."""
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4])
+    def test_van_loan_blocks(self, n_spins, monkeypatch):
+        # the order-4 blocks of acp._y_ladder at D = 4, 8, 16
+        rng = np.random.default_rng(n_spins)
+        couplings = rng.normal(scale=0.8, size=(n_spins, n_spins))
+        couplings = couplings + couplings.T
+        np.fill_diagonal(couplings, 0.0)
+        system = sc.SpinSystem([0.5] * n_spins, -rng.uniform(2.0, 3.0, n_spins), couplings)
+        blocks = []
+        expm = nu.expm
+
+        def spy(a):
+            blocks.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(nu, "expm", spy)
+        acp._y_ladder(np.real(np.diag(sc.build_zo(system, 3.0))), sc.build_x(system), 4, 0.4)
+        (block,) = blocks
+        assert block.shape == (5 * 2 ** n_spins,) * 2
+        want = scipy.linalg.expm(block)
+        assert nu.max_abs(expm(block) - want) <= 1e-13 * nu.max_abs(want)
+
+    @pytest.mark.parametrize("norm, order, squarings", [
+        (1e-3, 3, 0), (0.1, 5, 0), (0.5, 7, 0), (1.5, 9, 0), (4.0, 13, 0),
+        (30.0, 13, 3), (1e3, 13, 8)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_matrices_every_branch(self, norm, order, squarings, dtype, monkeypatch):
+        rng = np.random.default_rng(int(norm * 1000))
+        a = rng.normal(size=(6, 6)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(6, 6))
+        a *= norm / np.linalg.norm(a, 1)
+        calls = []
+        pade = nu._pade
+
+        def spy(b, m):
+            calls.append((m, np.linalg.norm(b, 1)))
+            return pade(b, m)
+
+        monkeypatch.setattr(nu, "_pade", spy)
+        got = nu.expm(a)
+        # one approximant of a / 2^s, squared s times back up to e^a
+        ((m, scaled),) = calls
+        assert m == order and scaled * 2 ** squarings == pytest.approx(norm, rel=1e-14)
+        want = scipy.linalg.expm(a)
+        assert got.dtype == want.dtype
+        assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)

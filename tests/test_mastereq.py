@@ -267,6 +267,48 @@ class TestLinearResponseHamiltonian:
         with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
             me.linear_response_hamiltonian(qubit_model, bad)
 
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    @pytest.mark.parametrize("case", ["generic3", "spin1_pair"])
+    def test_time_array_matches_scalar_calls(self, case, kind):
+        base = operator_sum_model(case)
+        field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(22.0, 4.0))
+        model = build(base.system, field, base.beta)
+        ts = np.linspace(0.0, 3.0 * ls.relaxation_time(field.dist), 41)
+        got = me.linear_response_hamiltonian(model, ts)
+        want = np.stack([me.linear_response_hamiltonian(model, t) for t in ts])
+        assert got.shape == want.shape == (ts.size, model.dim, model.dim)
+        assert nu.max_abs(got - want) <= 1e-15 * nu.max_abs(want)
+
+    def test_shapes(self, qubit_model):
+        h = me.linear_response_hamiltonian
+        assert h(qubit_model, np.float64(0.01)).shape == (2, 2)
+        assert h(qubit_model, np.array(0.01)).shape == (2, 2)
+        assert h(qubit_model, [0.0, 0.01, 0.02]).shape == (3, 2, 2)
+        assert h(qubit_model, np.array([])).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("case", ["undriven", "spin_zero"])
+    def test_no_drive_gives_zero_stack(self, resonant_qubit, case):
+        if case == "undriven":
+            system, field, beta = resonant_qubit
+            field = me.FieldConfig(b_o=field.b_o, b_1=0.0, dist=field.dist)
+        else:
+            system = sc.SpinSystem([0.0, 0.0], [1.0, 1.0])
+            field = me.FieldConfig(b_o=1.0, b_1=1e-3, dist=ls.lorentzian(1.0, 0.1))
+            beta = 1e-3
+        model = build(system, field, beta)
+        got = me.linear_response_hamiltonian(model, np.linspace(0.0, 1.0, 5))
+        assert got.shape == (5, model.dim, model.dim)
+        assert not got.any()
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.zeros((2, 3)), "1-D array"),
+        (np.array([0.1, math.nan, 0.3]), "t must be finite and nonnegative"),
+        (np.array([0.1, -1.0]), "t must be finite and nonnegative"),
+    ], ids=["2-D", "nan", "negative"])
+    def test_bad_time_arrays_rejected(self, qubit_model, bad, match):
+        with pytest.raises(ValidationError, match=match):
+            me.linear_response_hamiltonian(qubit_model, bad)
+
 
 class TestLadderSums:
     @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
@@ -792,6 +834,39 @@ class TestKrausAudit:
         assert abs(got.reconstruction_residual - want.reconstruction_residual) <= 1e-12
         assert abs(got.phi1_choi_min - want.phi1_choi_min) <= 1e-12
         assert abs(got.phi2_choi_min - want.phi2_choi_min) <= 1e-12
+
+    @pytest.mark.parametrize("chunk", ["one_node", "all_nodes"])
+    def test_node_batches_change_no_field(self, monkeypatch, chunk):
+        # D = 8: the default batch holds 8 of the 33 nodes
+        model = operator_sum_model("generic3")
+        t = 120 * me.default_dt(model)
+        default = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
+        calls = []
+        node_sum = me._node_sum
+
+        def spy(v_inv, scale, ops):
+            calls.append(len(ops))
+            return node_sum(v_inv, scale, ops)
+
+        monkeypatch.setattr(me, "_node_sum", spy)
+        monkeypatch.setattr(me, "AUDIT_CHUNK", model.dim ** 4 * (1 if chunk == "one_node" else 33))
+        got = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
+        assert calls == ([1] * 66 if chunk == "one_node" else [33, 33])
+        assert got.n_nodes == default.n_nodes == 32
+        for name in ("trace_residual", "reconstruction_residual", "completeness_residual",
+                     "phi1_choi_min", "phi2_choi_min"):
+            assert abs(getattr(got, name) - getattr(default, name)) <= 1e-14
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_node_sum_matches_kron_sum(self, count, dim, rng):
+        shape = (count, dim, dim)
+        ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        v_inv = rng.normal(size=(dim * dim,) * 2) + 1j * rng.normal(size=(dim * dim,) * 2)
+        scale = rng.normal(size=(count, dim * dim)) + 1j * rng.normal(size=(count, dim * dim))
+        want = sum(s[:, None] * v_inv @ np.kron(a.conj(), a) for s, a in zip(scale, ops))
+        got = me._node_sum(v_inv, scale, ops)
+        assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_bad_time_rejected(self, qubit_model, bad):

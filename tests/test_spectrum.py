@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -525,6 +526,52 @@ class TestRoundTrip:
         text = path.read_text()
         assert text.count('class="stick"') == 25
         assert "field offset (G)" in text
+
+
+def _proton_radical(count):
+    return (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"h": 0.5}),
+            sp.EquivalentGroup("h", 0.5, count, 2.6752e4, {}))
+
+
+class TestIntStrLimit:
+    """Exact intensities against CPython's int-to-str digit limit."""
+
+    def test_too_many_digits_refused_before_writing(self, tmp_path, default_int_str_limit):
+        # C(15000, 7500) has 4514 digits
+        spec = sp.stick_spectrum(_proton_radical(15_000), "e")
+        for export, name in ((sp.export_csv, "spec.csv"), (sp.export_svg, "spec.svg")):
+            with pytest.raises(ValidationError, match="scaled = true"):
+                export(spec, tmp_path / name)
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_printable_intensity_round_trips(self, tmp_path, default_int_str_limit):
+        spec = sp.stick_spectrum(_proton_radical(14_000), "e")
+        assert len(str(max(spec.intensity))) == 4213
+        sp.export_csv(spec, tmp_path / "spec.csv")
+        back = sp.parse_csv(tmp_path / "spec.csv")
+        assert back.intensity == spec.intensity
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_limit_boundary(self, monkeypatch, limit):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        sp._check_printable(10 ** limit - 1)
+        sp._check_printable(1e308)
+        with pytest.raises(ValidationError, match=f"more than {limit} digits"):
+            sp._check_printable(10 ** limit)
+
+    @pytest.mark.parametrize("cell", ["9" * 4400, "1.5x"], ids=["past_limit", "not_a_number"])
+    def test_unreadable_intensity_cell(self, tmp_path, default_int_str_limit, cell):
+        path = tmp_path / "spec.csv"
+        path.write_text(f"delta_B_gauss,intensity,config\r\n0.5,{cell},h=1\r\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match="unreadable spectrum CSV row"):
+            sp.parse_csv(path)
+
+    def test_no_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        sp._check_printable(10 ** 10_000)
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        sp._check_printable(10 ** 10_000)
 
 
 class TestMatrixPathOracle:
