@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical-accuracy failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import acp, mastereq, qubit, spectrum
 from .config import RunConfig, _validate_mode, load_config
+from .eigenops import ladder_table
 from .errors import AccuracyError, SpinLindError, ValidationError
 from .mastereq import FieldConfig, build_model
 from .numutil import fmt12, write_csv
@@ -162,24 +164,25 @@ def _verify_checks(cfg: RunConfig):
         return np.max(np.abs(sz @ zo - zo @ sz)) <= 1e-12 * max(np.max(np.abs(zo)), 1.0)
 
     def eigenops_complete():
-        from .eigenops import decompose
-        dec = decompose(xi_x, level_data(system, b_o))
-        if not dec.blocks:
-            return np.max(np.abs(xi_x)) == 0
-        resid = np.max(np.abs(dec.sum() - xi_x))
-        steps_ok = all(b.step in (1, -1) for b in dec.blocks)
+        levels = level_data(system, b_o)
+        ladder = ladder_table(system, levels)
+        half = ladder.dense().sum(0)
+        resid = np.max(np.abs(half + half.conj().T - xi_x))
+        mags = levels.magnetizations
+        steps_ok = np.all(mags[ladder.cols] - mags[ladder.rows] == 1)
         return resid <= 1e-12 * max(np.max(np.abs(xi_x)), 1.0) and steps_ok
 
+    # built on first use, so a failed build fails each model check in turn
+    model = functools.cache(lambda: build_model(system, _field(cfg), cfg.beta))
+
     def dissipator_traceless():
-        model = build_model(system, _field(cfg), cfg.beta)
         a = rng.normal(size=(system.dim, system.dim)) \
             + 1j * rng.normal(size=(system.dim, system.dim))
         rho = a + a.conj().T
-        return abs(np.trace(mastereq.dissipator(model, rho))) <= 1e-10 * np.max(np.abs(rho))
+        return abs(np.trace(mastereq.dissipator(model(), rho))) <= 1e-10 * np.max(np.abs(rho))
 
     def lamb_shift_commutes():
-        model = build_model(system, _field(cfg), cfg.beta)
-        h = model.h_ls
+        h = model().h_ls
         scale = max(np.max(np.abs(h)), 1e-300)
         comm = np.max(np.abs(h @ zo - zo @ h))
         return is_hermitian(h, 1e-10) and comm <= 1e-10 * max(scale * np.max(np.abs(zo)), 1.0)

@@ -1,142 +1,93 @@
-"""Generalized ladder decomposition of observables over the diagonal basis.
+"""Ladder table of the transverse moment xi^x over the diagonal basis.
 
-A Hermitian operator A splits into blocks A(n, w) collecting the matrix
-elements <a|A|b> whose level pair satisfies eps_b - eps_a = w and
-M_b - M_a = n.  Each block obeys [Z0, A(n, w)] = -w A(n, w) and
-[Sz, A(n, w)] = -n A(n, w), and the adjoint identity
-A(n, w)^dag = A(-n, -w).  For the transverse moment operator xi^x only
-n = +1 and n = -1 blocks are nonzero.
+xi^x splits into blocks xi^x(n, w) collecting the matrix elements <a|xi^x|b>
+whose level pair satisfies eps_b - eps_a = w and M_b - M_a = n; only
+n = +1 and n = -1 occur, and xi^x(-1, -w) = xi^x(+1, w)^dag.  Each block
+obeys [Z0, xi^x(n, w)] = -w xi^x(n, w) and [Sz, xi^x(n, w)] = -n xi^x(n, w).
+The +1-step half is held as a sparse table read off the occupation table:
+spin i lowers m_i by one from column k to row k + W_i wherever
+n_i(k) < d_i - 1, so M_col - M_row = 1 for every entry.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .spincore import LevelData
+from .spincore import LevelData, SpinSystem, single_spin_matrix
 
-__all__ = [
-    "EigenOperator",
-    "Decomposition",
-    "decompose",
-    "adjoint_block",
-    "plus_blocks",
-]
+__all__ = ["LadderTable", "ladder_table"]
 
-DEFAULT_GAP_TOL = 1e-9
+# gaps closer than this, relative to max(1, max |eps|), share a frequency
+GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class EigenOperator:
-    """One ladder block: integer magnetization step, frequency gap, matrix."""
+class LadderTable:
+    """The +1-step entries of xi^x, sorted by (block, row, col).
 
-    step: int
-    omega: float
-    matrix: np.ndarray
+    Entry e is xi^x[rows[e], cols[e]] = values[e], in the block of frequency
+    ``omegas[block[e]]``; ``omegas`` is ascending and ``gap_atol`` is the
+    absolute tolerance the gaps were binned with.
+    """
 
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    block: np.ndarray
+    omegas: np.ndarray
+    gap_atol: float
+    dim: int
 
-@dataclass(frozen=True)
-class Decomposition:
-    blocks: tuple
-    gap_atol: float       # absolute frequency tolerance the gaps were binned with
-
-    def labels(self):
-        return [(b.step, b.omega) for b in self.blocks]
-
-    def block(self, step: int, omega: float) -> EigenOperator:
-        """The block with this step whose frequency is nearest ``omega``.
-
-        KeyError unless that frequency lies within ``gap_atol`` of ``omega``.
-        """
-        near = min((b for b in self.blocks if b.step == step),
-                   key=lambda b: abs(b.omega - omega), default=None)
-        if near is None or not abs(near.omega - omega) <= self.gap_atol:
-            raise KeyError(f"no block with step {step} at frequency {omega}")
-        return near
-
-    def sum(self) -> np.ndarray:
-        if not self.blocks:
-            raise ValidationError("an empty decomposition has no operator to sum to")
-        out = np.zeros_like(self.blocks[0].matrix)
-        for b in self.blocks:
-            out = out + b.matrix
+    def dense(self) -> np.ndarray:
+        """The (K, D, D) stack of the blocks xi^x(+1, omegas[k])."""
+        out = np.zeros((self.omegas.size, self.dim, self.dim), dtype=complex)
+        out[self.block, self.rows, self.cols] = self.values
         return out
 
 
-def _bin_gaps(values: np.ndarray, tol: float):
-    """Map each |gap| to a representative so mirrored labels negate exactly."""
-    order = np.argsort(values)
-    reps = np.empty_like(values)
-    current = None
-    for k in order:
-        v = values[k]
-        if current is None or v - current > tol:
-            current = v
-        reps[k] = current
-    return reps
+def ladder_table(system: SpinSystem, levels: LevelData) -> LadderTable:
+    """The +1-step ladder table of xi^x = -sum_i gamma_i S_i^x at these levels.
 
-
-def decompose(a: np.ndarray, levels: LevelData,
-              gap_tol: float = DEFAULT_GAP_TOL) -> Decomposition:
-    """Split a Hermitian operator into its (step, frequency) ladder blocks.
-
-    Frequencies closer than ``gap_tol`` (relative to the largest level energy)
-    are binned together; binning acts on |gap| so that the labels of mirrored
-    blocks are exact negatives and the adjoint identity holds exactly.
+    Entries take the values -gamma_i S^x[n + 1, n] of :func:`spincore.xi_operator`.
+    The gaps |eps_col - eps_row| are binned in ascending order: a gap starts
+    a new bin when it exceeds the bin's first gap (its anchor) by more than
+    the tolerance, and takes the anchor as its frequency, signed after
+    binning so that mirrored labels negate exactly; a bin whose anchor lies
+    within the tolerance of zero has frequency 0.
     """
-    a = np.asarray(a)
-    d = levels.dim
-    if a.shape != (d, d):
-        raise ValidationError(f"operator shape {a.shape} does not match {d} levels")
     eps = levels.energies
-    mag = levels.magnetizations
-
-    tol = gap_tol * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
-    rows, cols = np.nonzero(a)
-    if rows.size == 0:
-        return Decomposition(blocks=(), gap_atol=tol)
+    tol = GAP_TOL * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
+    k = np.arange(system.dim)
+    rows, cols, values = [], [], []
+    for j, g, d, w in zip(system.spins, system.gammas, system.dims, system.weights):
+        n = k // w % d
+        col = k[n < d - 1]
+        rows.append(col + w)
+        cols.append(col)
+        values.append(-g * single_spin_matrix(j, "x")[n[col] + 1, n[col]])
+    rows, cols, values = (np.concatenate(a) for a in (rows, cols, values))
+    keep = values != 0          # gamma_i = 0 leaves no entry
+    rows, cols, values = rows[keep], cols[keep], values[keep]
 
     gaps = eps[cols] - eps[rows]
-    steps = mag[cols] - mag[rows]
-    step_int = np.rint(steps).astype(int)
-    if np.max(np.abs(steps - step_int)) > 1e-9:
-        raise ValidationError("magnetization steps between levels are not integers")
+    order = np.argsort(np.abs(gaps))
+    ascending = np.abs(gaps[order]).tolist()
+    reps = np.empty(len(ascending))
+    start = 0
+    # the rounded v - anchor never decreases along the sorted gaps, so each
+    # bin ends at one bisection on that very subtraction
+    while start < len(ascending):
+        anchor = ascending[start]
+        stop = bisect.bisect_right(ascending, tol, lo=start, key=lambda v: v - anchor)
+        reps[start:stop] = anchor
+        start = stop
+    signed = np.empty_like(reps)
+    signed[order] = np.where(reps <= tol, 0.0, np.sign(gaps[order]) * reps)
 
-    abs_reps = _bin_gaps(np.abs(gaps), tol)
-    signed = np.where(abs_reps <= tol, 0.0, np.sign(gaps) * abs_reps)
-
-    buckets: dict = {}
-    for k in range(rows.size):
-        key = (int(step_int[k]), float(signed[k]))
-        mat = buckets.get(key)
-        if mat is None:
-            mat = np.zeros_like(a)
-            buckets[key] = mat
-        mat[rows[k], cols[k]] = a[rows[k], cols[k]]
-
-    blocks = tuple(
-        EigenOperator(step=n, omega=w, matrix=buckets[(n, w)])
-        for (n, w) in sorted(buckets)
-    )
-    return Decomposition(blocks=blocks, gap_atol=tol)
-
-
-def adjoint_block(dec: Decomposition, step: int, omega: float) -> EigenOperator:
-    """Conjugate transpose of block (step, omega); asserts it equals block (-step, -omega)."""
-    b = dec.block(step, omega)
-    dagger = b.matrix.conj().T
-    mirror = dec.block(-step, -omega)  # raises KeyError when absent
-    if np.max(np.abs(dagger - mirror.matrix)) > 0:
-        scale = max(np.max(np.abs(dagger)), 1e-300)
-        if np.max(np.abs(dagger - mirror.matrix)) > 1e-12 * scale:
-            raise ValidationError(
-                f"adjoint identity violated for block ({step}, {omega})"
-            )
-    return EigenOperator(step=-step, omega=-omega, matrix=dagger)
-
-
-def plus_blocks(dec: Decomposition):
-    """All blocks with magnetization step +1, sorted by frequency."""
-    return sorted((b for b in dec.blocks if b.step == 1), key=lambda b: b.omega)
+    omegas, block = np.unique(signed, return_inverse=True)
+    entry = np.lexsort((cols, rows, block))
+    return LadderTable(rows=rows[entry], cols=cols[entry], values=values[entry],
+                       block=block[entry], omegas=omegas, gap_atol=tol, dim=system.dim)

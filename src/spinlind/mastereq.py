@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lineshape, numutil
-from .eigenops import Decomposition, decompose, plus_blocks
+from .eigenops import LadderTable, ladder_table
 from .errors import (
     AccuracyError,
     DomainViolationError,
@@ -108,9 +108,9 @@ class MasterEquationModel:
     field: FieldConfig
     beta: float
     levels: object
-    dec: Decomposition
-    plus_mats: np.ndarray       # (K, D, D) stacked xi^x(+1, w) blocks
-    plus_omegas: np.ndarray     # (K,)
+    ladder: LadderTable
+    plus_mats: np.ndarray       # (K, D, D) stacked xi^x(+1, w) blocks, ladder.dense()
+    plus_omegas: np.ndarray     # (K,) ladder.omegas
     rates_plus: np.ndarray      # 2 pi B1^2 rho_f(+w), per block
     rates_minus: np.ndarray     # 2 pi B1^2 rho_f(-w), per block
     h_ls: np.ndarray
@@ -125,24 +125,22 @@ class MasterEquationModel:
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
     """Assemble the zeroth-order model for a system in the given field.
 
-    Rates and Lamb weights are evaluated over the block frequencies at once,
-    and h_ls = sum_w lamb_w [xi_w, xi_w^dag] and _anti = sum_w (g_w / 2)
+    The ladder blocks come from :func:`eigenops.ladder_table`, with no dense
+    xi^x.  Rates and Lamb weights are evaluated over the block frequencies at
+    once, and h_ls = sum_w lamb_w [xi_w, xi_w^dag] and _anti = sum_w (g_w / 2)
     {xi_w, xi_w^dag} are each one contraction over the stack
     [xi_w; xi_w^dag] (:func:`_jump_sum`).
     """
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
     levels = level_data(system, field_cfg.b_o)
-    dec = decompose(xi_operator(system, "x"), levels)
-    plus = plus_blocks(dec)
-    d = system.dim
-    mats = np.stack([b.matrix for b in plus]) if plus else np.zeros((0, d, d), dtype=complex)
-    omegas = np.array([b.omega for b in plus], dtype=float)
+    ladder = ladder_table(system, levels)
+    mats, omegas = ladder.dense(), ladder.omegas
 
     b1, dist = field_cfg.b_1, field_cfg.dist
-    if b1 > 0 and plus and dist.kind == "delta":
+    if b1 > 0 and omegas.size and dist.kind == "delta":
         raise ValidationError("a delta-line drive has no finite dissipator rates")
-    if b1 > 0 and plus:
+    if b1 > 0 and omegas.size:
         gp = lineshape.dissipator_weight(dist, omegas, b1, +1)
         gm = lineshape.dissipator_weight(dist, omegas, b1, -1)
         lamb = (lineshape.lamb_weight(dist, omegas, b1, +1)
@@ -154,7 +152,7 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     g = gp + gm
     rho0 = boltzmann_state(levels.energies, beta)
     return MasterEquationModel(
-        system=system, field=field_cfg, beta=beta, levels=levels, dec=dec,
+        system=system, field=field_cfg, beta=beta, levels=levels, ladder=ladder,
         plus_mats=mats, plus_omegas=omegas, rates_plus=gp, rates_minus=gm,
         h_ls=_jump_sum(jumps, np.concatenate([-lamb, lamb])), boltzmann=rho0,
         _anti=_jump_sum(jumps, np.concatenate([0.5 * g, 0.5 * g])),
@@ -690,44 +688,23 @@ def pauli_rates(model: MasterEquationModel):
 
     Entries come in mirror pairs: the reverse transition carries the
     opposite-sign frequency with the plus/minus rates swapped, so the total
-    rate is symmetric under exchanging the two states.
+    rate is symmetric under exchanging the two states.  One pass over the
+    ladder table, canonical entry first, in its (block, row, col) order.
     """
+    ladder = model.ladder
+    omegas, gps, gms = (a.tolist() for a in (ladder.omegas, model.rates_plus, model.rates_minus))
     entries = []
-    for k in range(model.plus_mats.shape[0]):
-        w = float(model.plus_omegas[k])
-        gp, gm = float(model.rates_plus[k]), float(model.rates_minus[k])
-        mat = model.plus_mats[k]
-        rows, cols = np.nonzero(mat)
-        for a, b in zip(rows, cols):
-            el = complex(mat[a, b])
-            weight = abs(el) ** 2
-            entries.append(PauliRate(n_from=int(b), n_to=int(a), omega=w,
-                                     gamma_plus=gp * weight, gamma_minus=gm * weight,
-                                     element=el, canonical=True))
-            entries.append(PauliRate(n_from=int(a), n_to=int(b), omega=-w,
-                                     gamma_plus=gm * weight, gamma_minus=gp * weight,
-                                     element=np.conj(el), canonical=False))
+    for k, a, b, el in zip(ladder.block.tolist(), ladder.rows.tolist(), ladder.cols.tolist(),
+                           ladder.values.tolist()):
+        w, gp, gm = omegas[k], gps[k], gms[k]
+        weight = abs(el) ** 2
+        entries.append(PauliRate(n_from=b, n_to=a, omega=w,
+                                 gamma_plus=gp * weight, gamma_minus=gm * weight,
+                                 element=el, canonical=True))
+        entries.append(PauliRate(n_from=a, n_to=b, omega=-w,
+                                 gamma_plus=gm * weight, gamma_minus=gp * weight,
+                                 element=el.conjugate(), canonical=False))
     return tuple(entries)
-
-
-def transition_rate(model: MasterEquationModel, n_from: int, n_to: int) -> float:
-    """Total stimulated rate between two basis states (0 when forbidden).
-
-    Read from the first ladder block holding the element, as the entry of
-    :func:`pauli_rates` would give it: (g+ + g-) |xi_w[n_to, n_from]|^2, or
-    the mirrored element when only that one is in the block.  O(K) lookups.
-    """
-    d = model.dim
-    if not (0 <= n_from < d and 0 <= n_to < d):
-        raise ValidationError(f"basis states must lie in [0, {d}), got {n_from} -> {n_to}")
-    forward = model.plus_mats[:, n_to, n_from]
-    mirror = model.plus_mats[:, n_from, n_to]
-    hits = np.flatnonzero((forward != 0) | (mirror != 0))
-    if not hits.size:
-        return 0.0
-    k = hits[0]
-    weight = abs(complex(forward[k] if forward[k] != 0 else mirror[k])) ** 2
-    return float(model.rates_plus[k]) * weight + float(model.rates_minus[k]) * weight
 
 
 def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,

@@ -161,11 +161,6 @@ def heisenberg_coefficients(params: QubitParams, t: float,
     return kappa @ (rot @ c0)
 
 
-def heisenberg_operator(params: QubitParams, t: float, x_op: np.ndarray) -> np.ndarray:
-    c = heisenberg_coefficients(params, t, x_op)
-    return sum(c[i] * SIGMA[i] for i in range(4))
-
-
 @dataclass(frozen=True)
 class StructureFactorValue:
     """Delta piece (weight, location) plus the smooth part at the query point."""

@@ -13,9 +13,10 @@ integrals are closed forms: a steady kernel gives a Hilbert transform and a
 density value, a transient kernel the tail
 i g int_t^inf phi_f(+-tau) e^{-i w0 tau} dtau of the envelope integral.
 The equilibrium state and the ladder blocks come from the
-:class:`~spinlind.mastereq.MasterEquationModel` (``boltzmann``, ``dec``,
-``plus_omegas``, ``plus_mats``); the drive amplitude and density play no
-part in the kernels.
+:class:`~spinlind.mastereq.MasterEquationModel` (``boltzmann``, the
+``ladder`` table's frequencies and tolerance, ``plus_omegas``,
+``plus_mats``); the drive amplitude and density play no part in the
+kernels.
 """
 
 from __future__ import annotations
@@ -44,11 +45,15 @@ __all__ = [
 
 def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
                        omega_o: float) -> complex:
-    """Thermal average <[X, xi^x(+1, w0)]>_0 (zero when no such block exists)."""
-    try:
-        block = model.dec.block(1, omega_o).matrix
-    except KeyError:
+    """Thermal average <[X, xi^x(+1, w0)]>_0 (zero when no such block exists).
+
+    The block is the one whose frequency is nearest ``omega_o``, provided it
+    lies within the ladder's ``gap_atol`` of it.
+    """
+    near = np.abs(model.ladder.omegas - omega_o)
+    if not (near.size and near.min() <= model.ladder.gap_atol):
         return 0.0 + 0.0j
+    block = model.plus_mats[int(np.argmin(near))]
     return complex(np.trace((x_op @ block - block @ x_op) @ model.boltzmann))
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "compress",
     "decompress",
     "single_spin_matrix",
-    "embed_single_spin",
     "xi_operator",
     "total_sz",
     "build_zo",
@@ -225,13 +224,6 @@ def _scatter(out: np.ndarray, system: SpinSystem, site: int, axis: str,
     n = k // w % system.dims[site]
     out[k + (r - n) * w, k] += coeff * s[r, n]
     return out
-
-
-def embed_single_spin(system: SpinSystem, site: int, axis: str) -> np.ndarray:
-    """A single-spin operator at ``site``, identity elsewhere."""
-    if not 0 <= site < system.n_spins:
-        raise ValidationError(f"site {site} out of range for {system.n_spins} spins")
-    return _scatter(np.zeros((system.dim, system.dim), dtype=complex), system, site, axis)
 
 
 def xi_operator(system: SpinSystem, axis: str) -> np.ndarray:

@@ -9,20 +9,23 @@ through the ``csv`` module, the transition rate by a scan of the whole
 Pauli table, the operator-form RK4 stepper (H_LR(t) and the dissipator
 rebuilt at every stage), the Kraus-factor audit (e^{Ls} refactorised from
 its Choi matrix at every node), the Kronecker-product spin operators,
-the per-block loops of the model's ladder sums, and the scalar envelope
-integral with the map's drive term looped over times and nonzero pairs.
-None of these is part of the package: each is a reference for a closed
-form, a master-equation rate, a response kernel, the array route of
-:mod:`spinlind.spectrum`, the template CSV writer of :mod:`spinlind.numutil`,
-the vectorized stepper of :mod:`spinlind.mastereq` or its superoperator
-audit, the occupation-table operators of :mod:`spinlind.spincore`, the
-batched ladder sums or the broadcasting envelope integral of
-:mod:`spinlind.lineshape`.
+the per-block loops of the model's ladder sums and Pauli table, the scalar
+envelope integral with the map's drive term looped over times and nonzero
+pairs, and the dense ladder decomposition of any observable (one Python
+step per nonzero).  None of these is part of the package: each is a
+reference for a closed form, a master-equation rate, a response kernel,
+the array route of :mod:`spinlind.spectrum`, the template CSV writer of
+:mod:`spinlind.numutil`, the vectorized stepper of :mod:`spinlind.mastereq`
+or its superoperator audit, the occupation-table operators of
+:mod:`spinlind.spincore`, the batched ladder sums, the broadcasting
+envelope integral of :mod:`spinlind.lineshape`, or the sparse ladder table
+of :mod:`spinlind.eigenops`.
 """
 
 import cmath
 import csv
 import math
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -35,6 +38,7 @@ from spinlind import spectrum as sp
 from spinlind import spincore as sc
 from spinlind.errors import AccuracyError, ValidationError
 from spinlind import numutil
+from spinlind import qubit as qb
 from spinlind.numutil import fmt12, max_abs
 
 
@@ -475,6 +479,25 @@ def write_csv_oracle(path, header, columns) -> None:
         writer.writerows(zip(*cells))
 
 
+def pauli_rates_oracle(model):
+    """The Pauli table block by block: the nonzeros of each dense xi^x(+1, w), row-major."""
+    entries = []
+    for k in range(model.plus_mats.shape[0]):
+        w = float(model.plus_omegas[k])
+        gp, gm = float(model.rates_plus[k]), float(model.rates_minus[k])
+        mat = model.plus_mats[k]
+        for a, b in zip(*np.nonzero(mat)):
+            el = complex(mat[a, b])
+            weight = abs(el) ** 2
+            entries.append(me.PauliRate(n_from=int(b), n_to=int(a), omega=w,
+                                        gamma_plus=gp * weight, gamma_minus=gm * weight,
+                                        element=el, canonical=True))
+            entries.append(me.PauliRate(n_from=int(a), n_to=int(b), omega=-w,
+                                        gamma_plus=gm * weight, gamma_minus=gp * weight,
+                                        element=np.conj(el), canonical=False))
+    return tuple(entries)
+
+
 def transition_rate_oracle(model, n_from: int, n_to: int) -> float:
     """The first matching entry of the whole :func:`mastereq.pauli_rates` table."""
     for entry in me.pauli_rates(model):
@@ -484,6 +507,11 @@ def transition_rate_oracle(model, n_from: int, n_to: int) -> float:
 
 
 # -- Kronecker-product spin operators ------------------------------------------
+
+def embed_single_spin(system, site: int, axis: str) -> np.ndarray:
+    """A single-spin operator at ``site``, identity elsewhere, from the occupation table."""
+    return sc._scatter(np.zeros((system.dim, system.dim), dtype=complex), system, site, axis)
+
 
 def kron_embed(system, site: int, axis: str) -> np.ndarray:
     """Kronecker-embed a single-spin operator at ``site``, identity elsewhere."""
@@ -671,3 +699,85 @@ def apply_map_oracle(model, eig, times: np.ndarray, rho0: np.ndarray) -> np.ndar
                                                                 freqs[j], t)
     d = model.dim
     return (coef @ v.T).reshape(len(times), d, d).transpose(0, 2, 1)
+
+
+# -- dense ladder decomposition --------------------------------------------------
+
+@dataclass(frozen=True)
+class EigenOperator:
+    """One ladder block: integer magnetization step, frequency gap, matrix."""
+
+    step: int
+    omega: float
+    matrix: np.ndarray
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    blocks: tuple
+    gap_atol: float       # absolute frequency tolerance the gaps were binned with
+    dim: int
+
+    def block(self, step: int, omega: float) -> EigenOperator:
+        """The block with this step whose frequency is nearest ``omega``.
+
+        KeyError unless that frequency lies within ``gap_atol`` of ``omega``.
+        """
+        near = min((b for b in self.blocks if b.step == step),
+                   key=lambda b: abs(b.omega - omega), default=None)
+        if near is None or not abs(near.omega - omega) <= self.gap_atol:
+            raise KeyError(f"no block with step {step} at frequency {omega}")
+        return near
+
+    def plus_stack(self):
+        """Frequencies (K,) and matrices (K, D, D) of the step +1 blocks, by frequency."""
+        plus = [b for b in self.blocks if b.step == 1]
+        mats = np.zeros((len(plus), self.dim, self.dim), dtype=complex)
+        for k, b in enumerate(plus):
+            mats[k] = b.matrix
+        return np.array([b.omega for b in plus], dtype=float), mats
+
+
+def decompose(a: np.ndarray, levels, gap_tol: float = 1e-9) -> Decomposition:
+    """Split a Hermitian operator into its (step, frequency) ladder blocks, densely.
+
+    Every nonzero of ``a`` is visited: its |gap| is binned in ascending order
+    against the first gap of the current bin (the anchor), within ``gap_tol``
+    times max(1, max |eps|), and signed after binning; a bin anchored within
+    the tolerance of zero has frequency 0.  The reference for
+    :func:`spinlind.eigenops.ladder_table` on xi^x, and the ladder blocks of
+    any other observable.
+    """
+    a = np.asarray(a)
+    eps, mag = levels.energies, levels.magnetizations
+    tol = gap_tol * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
+    rows, cols = np.nonzero(a)
+    gaps = eps[cols] - eps[rows]
+    steps = np.rint(mag[cols] - mag[rows]).astype(int)
+
+    reps = np.empty(gaps.size)
+    anchor = None
+    for k in np.argsort(np.abs(gaps)):
+        v = abs(gaps[k])
+        if anchor is None or v - anchor > tol:
+            anchor = v
+        reps[k] = anchor
+    signed = np.where(reps <= tol, 0.0, np.sign(gaps) * reps)
+
+    buckets: dict = {}
+    for k in range(rows.size):
+        key = (int(steps[k]), float(signed[k]))
+        if key not in buckets:
+            buckets[key] = np.zeros_like(a)
+        buckets[key][rows[k], cols[k]] = a[rows[k], cols[k]]
+    blocks = tuple(EigenOperator(step=n, omega=w, matrix=buckets[(n, w)])
+                   for (n, w) in sorted(buckets))
+    return Decomposition(blocks=blocks, gap_atol=tol, dim=a.shape[0])
+
+
+# -- qubit Heisenberg picture ------------------------------------------------------
+
+def heisenberg_operator(params, t: float, x_op: np.ndarray) -> np.ndarray:
+    """The qubit's Heisenberg-picture X(t) = sum_i c_i(t) sigma_i from its coefficients."""
+    c = qb.heisenberg_coefficients(params, t, x_op)
+    return sum(c[i] * qb.SIGMA[i] for i in range(4))

@@ -23,7 +23,7 @@ from spinlind import spincore as sc
 from spinlind.config import load_config
 
 from conftest import random_system, resonant_qubit_setup
-from oracles import wavefunction_oracle
+from oracles import transition_rate_oracle, wavefunction_oracle
 from test_spectrum import anthracene_groups, biphenyl_groups, naphthalene_groups
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -164,6 +164,7 @@ class TestAcceptance:
                        f"(100 sets, n <= 6), truncation slope {slope:.3f}")
 
     def test_06_eigen_operator_suite(self, rng):
+        # xi^x = sum_w [xi(+1, w) + xi(+1, w)^dag] from the +1-step ladder table
         worst_complete = 0.0
         worst_comm = 0.0
         adjoint_exact = True
@@ -173,26 +174,27 @@ class TestAcceptance:
             b_o = float(rng.uniform(0.5, 2.0))
             lev = sc.level_data(system, b_o)
             xi = sc.xi_operator(system, "x")
-            dec = eo.decompose(xi, lev)
-            if not dec.blocks:
-                continue
+            table = eo.ladder_table(system, lev)
+            stack = table.dense()
+            half = stack.sum(0)
             scale = max(np.max(np.abs(xi)), 1e-300)
             worst_complete = max(worst_complete,
-                                 np.max(np.abs(dec.sum() - xi)) / scale)
+                                 np.max(np.abs(half + half.conj().T - xi)) / scale)
+            # the -1-step entries of xi^x are the adjoints of the table's
+            adjoint_exact = adjoint_exact and np.array_equal(
+                xi[table.cols, table.rows], table.values.conj()) and (
+                np.count_nonzero(xi) == 2 * table.values.size)
+            mags = lev.magnetizations
+            steps_ok = steps_ok and bool(np.all(mags[table.cols] - mags[table.rows] == 1))
             zo = sc.build_zo(system, b_o)
             sz = sc.total_sz(system)
             e_scale = max(np.max(np.abs(lev.energies)), 1.0)
-            for blk in dec.blocks:
-                steps_ok = steps_ok and blk.step in (1, -1)
-                m = blk.matrix
+            for w, m in zip(table.omegas, stack):
                 m_scale = np.max(np.abs(m))
-                c1 = np.max(np.abs(zo @ m - m @ zo + blk.omega * m))
-                c2 = np.max(np.abs(sz @ m - m @ sz + blk.step * m))
+                c1 = np.max(np.abs(zo @ m - m @ zo + w * m))
+                c2 = np.max(np.abs(sz @ m - m @ sz + m))
                 worst_comm = max(worst_comm, c1 / (e_scale * m_scale),
                                  c2 / m_scale)
-                mirror = dec.block(-blk.step, -blk.omega)
-                adjoint_exact = adjoint_exact and np.array_equal(
-                    m.conj().T, mirror.matrix)
         ok = (worst_complete <= 1e-12 and worst_comm <= 1e-10
               and adjoint_exact and steps_ok)
         verdict(6, ok, f"50 systems: completeness {worst_complete:.1e}, "
@@ -202,7 +204,7 @@ class TestAcceptance:
     def test_07_map_theory_suite(self):
         system, field, beta = resonant_qubit_setup()
         model = me.build_model(system, field, beta)
-        rate = me.transition_rate(model, 0, 1)
+        rate = transition_rate_oracle(model, 0, 1)
         t = 0.5 / rate
 
         lam = me.lambda_map(model, t, model.boltzmann)
@@ -268,7 +270,7 @@ class TestAcceptance:
                 model = me.build_model(
                     system, me.FieldConfig(b_o=b_res, b_1=1e-4, dist=dist), 1e-6)
                 key = round(b_res, 9)
-                lines[key] = lines.get(key, 0.0) + me.transition_rate(model, a, b)
+                lines[key] = lines.get(key, 0.0) + transition_rate_oracle(model, a, b)
         matrix_positions = sorted(lines)
         poly_positions = sorted(round(l.delta_b, 9) for l in poly_spec.lines)
         pos_ok = len(matrix_positions) == len(poly_positions) and all(

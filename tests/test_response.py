@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from spinlind import eigenops as eo
 from spinlind import lineshape as ls
 from spinlind import mastereq as me
 from spinlind import response as rs
@@ -11,7 +10,8 @@ from spinlind import spincore as sc
 from spinlind.errors import ValidationError
 
 from conftest import random_system
-from oracles import absorbed_power_oracle, kramers_kronig_residual, steady_magnetization_oracle
+from oracles import (absorbed_power_oracle, decompose, kramers_kronig_residual,
+                     steady_magnetization_oracle, transition_rate_oracle)
 
 
 def response_model(system, b_o, beta):
@@ -68,9 +68,9 @@ class TestChiInfinity:
             model = response_model(system, 1.2, 2e-4)
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
-            for block in eo.plus_blocks(model.dec)[:3]:
-                got = rs.commutator_average(model, x_op, block.omega)
-                comm = x_op @ block.matrix - block.matrix @ x_op
+            for w, block in zip(model.plus_omegas[:3], model.plus_mats[:3]):
+                got = rs.commutator_average(model, x_op, w)
+                comm = x_op @ block - block @ x_op
                 oracle = complex(np.trace(comm @ model.boltzmann))
                 assert got == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
@@ -81,16 +81,16 @@ class TestChiInfinity:
             model = response_model(system, 0.9, 3e-4)
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
-            x_dec = eo.decompose(x_op, model.levels, 1e-9)
-            for block in eo.plus_blocks(model.dec)[:3]:
-                full = rs.commutator_average(model, x_op, block.omega)
+            x_dec = decompose(x_op, model.levels)
+            for w, block in zip(model.plus_omegas[:3], model.plus_mats[:3]):
+                full = rs.commutator_average(model, x_op, w)
                 try:
-                    x_plus = x_dec.block(1, block.omega)
+                    x_plus = x_dec.block(1, w)
                 except KeyError:
                     assert abs(full) < 1e-12
                     continue
                 proj = x_plus.matrix.conj().T
-                comm = proj @ block.matrix - block.matrix @ proj
+                comm = proj @ block - block @ proj
                 partial = complex(np.trace(comm @ model.boltzmann))
                 assert full == pytest.approx(partial, rel=1e-10, abs=1e-14)
 
@@ -222,6 +222,17 @@ class TestNearDegenerateBlocks:
         return [complex(np.trace((x_op @ b - b @ x_op) @ model.boltzmann))
                 for b in model.plus_mats]
 
+    def test_commutator_average_window_is_the_gap_tolerance(self):
+        model = self._model()
+        atol = model.ladder.gap_atol
+        m_x = -sc.xi_operator(model.system, "x")
+        w = float(model.plus_omegas[0])
+        exact = rs.commutator_average(model, m_x, w)
+        assert exact != 0
+        assert rs.commutator_average(model, m_x, w - 0.9 * atol) == exact
+        assert rs.commutator_average(model, m_x, w - 1.1 * atol) == 0
+        assert rs.commutator_average(model, m_x, math.nan) == 0
+
     def test_commutator_average_reads_its_own_block(self):
         model = self._model()
         assert model.plus_omegas[3] - model.plus_omegas[2] == pytest.approx(7.5e-7, rel=1e-3)
@@ -264,7 +275,7 @@ class TestAbsorbedPower:
         model, w0 = self._model(beta)
         total, lines = rs.absorbed_power(model)
         pops = np.real(np.diag(model.boltzmann))
-        rate = me.transition_rate(model, 0, 1)
+        rate = transition_rate_oracle(model, 0, 1)
         oracle = w0 * (pops[1] - pops[0]) * rate
         assert total == pytest.approx(oracle, rel=1e-12)
         assert total > 0
