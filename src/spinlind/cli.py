@@ -166,8 +166,7 @@ def _verify_checks(cfg: RunConfig):
     def eigenops_complete():
         levels = level_data(system, b_o)
         ladder = ladder_table(system, levels)
-        half = ladder.dense().sum(0)
-        resid = np.max(np.abs(half + half.conj().T - xi_x))
+        resid = np.max(np.abs(ladder.hermitian(np.ones(ladder.omegas.size)) - xi_x))
         mags = levels.magnetizations
         steps_ok = np.all(mags[ladder.cols] - mags[ladder.rows] == 1)
         return resid <= 1e-12 * max(np.max(np.abs(xi_x)), 1.0) and steps_ok

@@ -19,7 +19,7 @@ Grammar (see README for a full description):
     [output]            basename (optional): a file name prefix, not a path
 
 Validation failures name the violated invariant, and a value that is not a
-number names its ``[section] key``; parse failures carry the line
+finite number names its ``[section] key``; parse failures carry the line
 information from the underlying parser.  The per-mode requirements are
 checked again when the CLI's ``--mode`` replaces the configured mode.
 """
@@ -27,7 +27,6 @@ checked again when the CLI's ``--mode`` replaces the configured mode.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
 
@@ -67,25 +66,25 @@ def _floats(text: str) -> list:
     return [float(tok) for tok in text.split()]
 
 
-def _number(section, key: str, kind=float, default: str | None = None):
+def _number(section, key: str, kind=float, default: str | None = None, *,
+            low=None, strict: bool = True):
     """``section[key]`` (``default`` when absent) converted by ``kind``.
 
-    The one numeric read of the loader: a value ``kind`` rejects is a
-    ValidationError naming ``[section] key``.
+    The one numeric read of the loader: a value ``kind`` rejects, a float
+    that is not finite (any one of a list or matrix), or one not above
+    ``low`` (at least ``low`` if not strict) is a ValidationError naming
+    ``[section] key``.
     """
     text = section.get(key, default)
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         raise ValidationError(f"[{section.name}] {key} must be numeric, got {text!r}") from exc
-
-
-def _bounded(section, key: str, kind, low, *, strict: bool = True):
-    """``section[key]`` as a finite ``kind`` above ``low`` (at least ``low`` if not strict)."""
-    value = _number(section, key, kind)
-    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+    if kind is not int and not np.all(np.isfinite(value)):
+        raise ValidationError(f"[{section.name}] {key} must be finite, got {text!r}")
+    if low is not None and not (value > low if strict else value >= low):
         bound = f"above {low}" if strict else f"at least {low}"
-        raise ValidationError(f"[{section.name}] {key} must be finite and {bound}, got {value}")
+        raise ValidationError(f"[{section.name}] {key} must be {bound}, got {value}")
     return value
 
 
@@ -192,19 +191,17 @@ def load_config(path) -> RunConfig:
         sec = parser[name]
         if "t_end" not in sec:
             raise ValidationError(f"[{name}] requires t_end")
-        cfg.t_end = _bounded(sec, "t_end", float, 0)
+        cfg.t_end = _number(sec, "t_end", low=0)
         if "dt" in sec:
-            cfg.dt = _bounded(sec, "dt", float, 0)
+            cfg.dt = _number(sec, "dt", low=0)
         if name == "propagate" and "store_every" in sec:
-            cfg.store_every = _bounded(sec, "store_every", int, 1, strict=False)
+            cfg.store_every = _number(sec, "store_every", int, low=1, strict=False)
         if name == "qubit" and "n_points" in sec:
-            cfg.n_points = _bounded(sec, "n_points", int, 2, strict=False)
+            cfg.n_points = _number(sec, "n_points", int, low=2, strict=False)
         if name == "qubit" and "tolerance" in sec:
-            cfg.tolerance = _bounded(sec, "tolerance", float, 0, strict=False)
+            cfg.tolerance = _number(sec, "tolerance", low=0, strict=False)
     if "acp" in parser:
-        cfg.acp_order = _number(parser["acp"], "order", int, default="2")
-        if cfg.acp_order < 1:
-            raise ValidationError(f"[acp] order must be at least 1, got {cfg.acp_order}")
+        cfg.acp_order = _number(parser["acp"], "order", int, default="2", low=1, strict=False)
     if "output" in parser:
         cfg.basename = _basename(parser["output"].get("basename", "run").strip())
 

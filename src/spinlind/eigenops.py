@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import LevelData, SpinSystem, single_spin_matrix
+from .spincore import LevelData, SpinSystem
 
 __all__ = ["LadderTable", "ladder_table"]
 
@@ -28,9 +28,9 @@ GAP_TOL = 1e-9
 class LadderTable:
     """The +1-step entries of xi^x, sorted by (block, row, col).
 
-    Entry e is xi^x[rows[e], cols[e]] = values[e], in the block of frequency
-    ``omegas[block[e]]``; ``omegas`` is ascending and ``gap_atol`` is the
-    absolute tolerance the gaps were binned with.
+    Entry e is xi^x[rows[e], cols[e]] = values[e] (real in this basis), in
+    the block of frequency ``omegas[block[e]]``; ``omegas`` is ascending and
+    ``gap_atol`` is the absolute tolerance the gaps were binned with.
     """
 
     rows: np.ndarray
@@ -45,6 +45,13 @@ class LadderTable:
         """The (K, D, D) stack of the blocks xi^x(+1, omegas[k])."""
         out = np.zeros((self.omegas.size, self.dim, self.dim), dtype=complex)
         out[self.block, self.rows, self.cols] = self.values
+        return out
+
+    def hermitian(self, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights[..., k] xi^x(+1, omegas[k]) + h.c. as (..., D, D): two scatters."""
+        out = np.zeros(weights.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        out[..., self.rows, self.cols] = weights[..., self.block] * self.values
+        out[..., self.cols, self.rows] = out[..., self.rows, self.cols].conj()
         return out
 
 
@@ -67,7 +74,8 @@ def ladder_table(system: SpinSystem, levels: LevelData) -> LadderTable:
         col = k[n < d - 1]
         rows.append(col + w)
         cols.append(col)
-        values.append(-g * single_spin_matrix(j, "x")[n[col] + 1, n[col]])
+        # S^x[n + 1, n] = sqrt(j (j + 1) - m (m + 1)) / 2 at m = j - n - 1, no dense S^x
+        values.append(-0.5 * g * np.sqrt(j * (j + 1) - (j - n[col] - 1.0) * (j - n[col])))
     rows, cols, values = (np.concatenate(a) for a in (rows, cols, values))
     keep = values != 0          # gamma_i = 0 leaves no entry
     rows, cols, values = rows[keep], cols[keep], values[keep]

@@ -108,9 +108,7 @@ class MasterEquationModel:
     field: FieldConfig
     beta: float
     levels: object
-    ladder: LadderTable
-    plus_mats: np.ndarray       # (K, D, D) stacked xi^x(+1, w) blocks, ladder.dense()
-    plus_omegas: np.ndarray     # (K,) ladder.omegas
+    ladder: LadderTable         # the +1-step entries of xi^x and the K block frequencies
     rates_plus: np.ndarray      # 2 pi B1^2 rho_f(+w), per block
     rates_minus: np.ndarray     # 2 pi B1^2 rho_f(-w), per block
     h_ls: np.ndarray
@@ -121,21 +119,25 @@ class MasterEquationModel:
     def dim(self) -> int:
         return self.system.dim
 
+    @property
+    def plus_mats(self) -> np.ndarray:
+        """``ladder.dense()``, built on each read; no code of the package reads it."""
+        return self.ladder.dense()
+
 
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
     """Assemble the zeroth-order model for a system in the given field.
 
-    The ladder blocks come from :func:`eigenops.ladder_table`, with no dense
-    xi^x.  Rates and Lamb weights are evaluated over the block frequencies at
-    once, and h_ls = sum_w lamb_w [xi_w, xi_w^dag] and _anti = sum_w (g_w / 2)
-    {xi_w, xi_w^dag} are each one contraction over the stack
-    [xi_w; xi_w^dag] (:func:`_jump_sum`).
+    The ladder table comes from :func:`eigenops.ladder_table`; rates and Lamb
+    weights are evaluated over its block frequencies at once, and
+    h_ls = sum_w lamb_w [xi_w, xi_w^dag] and _anti = sum_w (g_w / 2)
+    {xi_w, xi_w^dag} are sums over pairs of its entries (:func:`_pair_sums`).
     """
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
     levels = level_data(system, field_cfg.b_o)
     ladder = ladder_table(system, levels)
-    mats, omegas = ladder.dense(), ladder.omegas
+    omegas = ladder.omegas
 
     b1, dist = field_cfg.b_1, field_cfg.dist
     if b1 > 0 and omegas.size and dist.kind == "delta":
@@ -148,27 +150,44 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     else:
         gp, gm, lamb = np.zeros((3, len(omegas)))
 
-    jumps = np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
-    g = gp + gm
-    rho0 = boltzmann_state(levels.energies, beta)
+    half_g = 0.5 * (gp + gm)
+    h_ls, anti = _pair_sums(ladder, (lamb, -lamb), (half_g, half_g))
     return MasterEquationModel(
-        system=system, field=field_cfg, beta=beta, levels=levels, ladder=ladder,
-        plus_mats=mats, plus_omegas=omegas, rates_plus=gp, rates_minus=gm,
-        h_ls=_jump_sum(jumps, np.concatenate([-lamb, lamb])), boltzmann=rho0,
-        _anti=_jump_sum(jumps, np.concatenate([0.5 * g, 0.5 * g])),
-    )
+        system=system, field=field_cfg, beta=beta, levels=levels, ladder=ladder, rates_plus=gp,
+        rates_minus=gm, h_ls=h_ls, boltzmann=boltzmann_state(levels.energies, beta), _anti=anti)
 
 
-def _jump_sum(jumps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights_j J_j^dag J_j over a (n, D, D) stack, as one tensordot.
+def _pairs(group: np.ndarray):
+    """Every ordered pair (e, f) of indices with equal ``group``: n^2 for a group of n."""
+    order = np.argsort(group, kind="stable")
+    g = group[order]
+    start = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    if start.size == g.size:                    # no group of two: the pairs (e, e)
+        return order, order
+    size = np.diff(start, append=g.size)
+    n = np.repeat(size, size)                   # group size of each sorted index
+    offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return np.repeat(order, n), order[np.repeat(np.repeat(start, size), n) + offset]
 
-    The stack is flattened to (n D, D) rows, so the contraction over (j, row)
-    is one matrix product; its only temporary is the scaled conjugate stack.
+
+def _pair_sums(ladder: LadderTable, *weights) -> np.ndarray:
+    """sum_w a_w xi_w xi_w^dag + c_w xi_w^dag xi_w for each pair (a, c) of (K,) weights.
+
+    Entry e is read twice: in xi_w, keyed by (block, col), as u = v_e landing
+    on row_e; in xi_w^dag, keyed by (block, row), as u = conj(v_e) landing on
+    col_e.  Each pair of readings with one key adds u_e conj(u_f) at (land_e,
+    land_f), scatter-added by one ``np.add.at`` per sum.
     """
-    d = jumps.shape[-1]
-    scaled = jumps.conj()
-    scaled *= weights[:, None, None]
-    return np.tensordot(scaled.reshape(-1, d), jumps.reshape(-1, d), axes=(0, 0))
+    b, rows, cols, v, d = ladder.block, ladder.rows, ladder.cols, ladder.values, ladder.dim
+    k = ladder.omegas.size
+    e, f = _pairs(np.concatenate([b * d + cols, (b + k) * d + rows]))
+    land, u = np.concatenate([rows, cols]), np.concatenate([v, v.conj()])
+    at, prod = land[e] * d + land[f], u[e] * u[f].conj()
+    pick = np.append(b, b + k)[e]       # weight of each pair: a_w, or c_w after K
+    out = np.zeros((len(weights), d * d), dtype=complex)
+    for flat, pair in zip(out, weights):
+        np.add.at(flat, at, np.concatenate(pair)[pick] * prod)
+    return out.reshape(-1, d, d)
 
 
 def linear_response_hamiltonian(model: MasterEquationModel, t) -> np.ndarray:
@@ -176,20 +195,13 @@ def linear_response_hamiltonian(model: MasterEquationModel, t) -> np.ndarray:
 
     ``t`` is one time, giving (D, D), or a 1-D array of times, giving
     (nt, D, D): one :func:`characteristic` call, one (nt, K) phase table and
-    one contraction over the ladder stack.  Every time must be finite and
-    nonnegative.
+    one scatter of the ladder entries (:meth:`LadderTable.hermitian`).
+    Every time must be finite and nonnegative.
     """
     times = _map_times(t)
     ts = np.atleast_1d(times)
-    d = model.dim
-    if model.plus_mats.shape[0] == 0 or model.field.b_1 == 0:
-        out = np.zeros((ts.size, d, d), dtype=complex)
-    else:
-        envelope = 2.0 * model.field.b_1 * np.real(characteristic(model.field.dist, ts))
-        half = np.tensordot(np.exp(-1j * np.outer(ts, model.plus_omegas)),
-                            model.plus_mats, axes=(1, 0))
-        half *= envelope[:, None, None]
-        out = half + half.conj().transpose(0, 2, 1)
+    env = 2.0 * model.field.b_1 * np.real(characteristic(model.field.dist, ts))
+    out = model.ladder.hermitian(env[:, None] * np.exp(-1j * np.outer(ts, model.ladder.omegas)))
     return out if times.ndim else out[0]
 
 
@@ -197,23 +209,21 @@ def dissipator(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
     """Apply the stimulated emission/absorption dissipator to ``rho``.
 
     D[rho] = sum_w g_w (xi_w rho xi_w^dag + xi_w^dag rho xi_w) - {anti, rho}
-    as batched products over the (K, D, D) ladder stack: K D^3 work.
+    as batched products over the dense (K, D, D) ladder stack: K D^3 work.
     """
     rho = np.asarray(rho)
     if rho.shape != (model.dim, model.dim):
         raise ValidationError("density matrix dimension mismatch")
-    out = -(model._anti @ rho + rho @ model._anti)
-    if model.plus_mats.shape[0]:
-        p = model.plus_mats
-        p_dag = p.conj().transpose(0, 2, 1)
-        g = (model.rates_plus + model.rates_minus)[:, None, None]
-        out = out + ((g * p) @ rho @ p_dag).sum(0) + ((g * p_dag) @ rho @ p).sum(0)
-    return out
+    p = model.ladder.dense()
+    p_dag = p.conj().transpose(0, 2, 1)
+    g = (model.rates_plus + model.rates_minus)[:, None, None]
+    return (((g * p) @ rho @ p_dag).sum(0) + ((g * p_dag) @ rho @ p).sum(0)
+            - (model._anti @ rho + rho @ model._anti))
 
 
 def default_dt(model: MasterEquationModel) -> float:
     """Step resolving the fastest drive phase and the phi_f decay."""
-    max_phase = float(np.max(np.abs(model.plus_omegas), initial=0.0))
+    max_phase = float(np.max(np.abs(model.ladder.omegas), initial=0.0))
     max_phase += abs(model.field.dist.center)
     candidates = []
     if max_phase > 0:
@@ -353,13 +363,13 @@ def _drive_components(model: MasterEquationModel, rho_init: np.ndarray):
 
     The drive term is Re[phi_f(t)] sum_j exp(-i w_j t) c_j with
     c = vec(-2 i B1 [xi_w, rho0]) at +w and vec(-2 i B1 [xi_w^dag, rho0]) at
-    -w, from one batched product over the ladder stack.
+    -w, from one batched product over the dense ladder stack.
     """
-    p = model.plus_mats
+    p = model.ladder.dense()
     ops = np.concatenate([p, p.conj().transpose(0, 2, 1)])
     comm = -2j * model.field.b_1 * (ops @ rho_init - rho_init @ ops)
     comps = comm.transpose(0, 2, 1).reshape(len(ops), model.dim ** 2)
-    return comps, np.concatenate([model.plus_omegas, -model.plus_omegas])
+    return comps, np.concatenate([model.ladder.omegas, -model.ladder.omegas])
 
 
 def _drive_table(dist: FrequencyDistribution, comps: np.ndarray, freqs: np.ndarray,
@@ -372,19 +382,21 @@ def _drive_table(dist: FrequencyDistribution, comps: np.ndarray, freqs: np.ndarr
 def liouvillian_matrix(model: MasterEquationModel) -> np.ndarray:
     """Column-stacked matrix of the semigroup generator L.
 
-    The jump sum over [xi_w; xi_w^dag] with rates [g; g] is one
-    :func:`numutil.sandwich_superop`; -i[h_ls, .] and the anticommutator
-    with ``model._anti`` are added in place, rho -> M rho and rho -> rho N
-    with M = -i h_ls - anti and N = i h_ls - anti, through the diagonal
-    views of its (D, D, D, D) reshape (no Kronecker temporaries).
+    The jump part is scattered from the pairs (e, f) of entries of one block:
+    g v_e conj(v_f) takes rho[col_e, col_f] to [row_e, row_f] and g conj(v_e)
+    v_f takes rho[row_e, row_f] to [col_e, col_f]; no element is written
+    twice, as (row, col) names one entry and M_col - M_row = 1.  M rho + rho N,
+    M = -i h_ls - anti and N = i h_ls - anti, is added through diagonal views.
     """
     _check_map_dim(model)
-    d = model.dim
-    p = model.plus_mats
-    g = model.rates_plus + model.rates_minus
-    jumps = np.concatenate([p, p.conj().transpose(0, 2, 1)])
-    lmat = numutil.sandwich_superop(jumps, np.concatenate([g, g]))
+    d, ladder = model.dim, model.ladder
+    rows, cols, v = ladder.rows, ladder.cols, ladder.values
+    e, f = _pairs(ladder.block)
+    g = (model.rates_plus + model.rates_minus)[ladder.block[e]]
+    lmat = np.zeros((d * d, d * d), dtype=complex)
     l4 = lmat.reshape(d, d, d, d)      # [out column, out row, in column, in row]
+    l4[rows[f], rows[e], cols[f], cols[e]] = g * v[e] * v[f].conj()
+    l4[cols[f], cols[e], rows[f], rows[e]] = g * v[e].conj() * v[f]
     left = np.einsum("jajb->jab", l4)
     left += -1j * model.h_ls - model._anti
     right = np.einsum("jala->jal", l4)
@@ -597,9 +609,8 @@ def drive_integral(model: MasterEquationModel, t: float) -> np.ndarray:
     The block weights int_0^t Re[phi_f] exp(-i w tau) dtau are W(0, w, t) of
     :func:`lineshape.drive_weight`, one call over the block frequencies.
     """
-    weights = drive_weight(model.field.dist, 0.0, model.plus_omegas, _map_time(t))
-    half = 2.0 * model.field.b_1 * np.tensordot(weights, model.plus_mats, axes=(0, 0))
-    return half + half.conj().T
+    weights = drive_weight(model.field.dist, 0.0, model.ladder.omegas, _map_time(t))
+    return model.ladder.hermitian(2.0 * model.field.b_1 * weights)
 
 
 def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
@@ -626,7 +637,7 @@ def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
     psi = psi / nrm
 
     k_op = drive_integral(model, t)
-    k_scale = 1.0 + model.field.b_1 * numutil.max_abs(model.plus_mats) * max(t, 1.0)
+    k_scale = 1.0 + model.field.b_1 * numutil.max_abs(model.ladder.values) * max(t, 1.0)
     if numutil.max_abs(k_op) <= 1e-13 * k_scale:
         raise WitnessInapplicableError(
             "the time-integrated drive vanishes; the map is the identity here"

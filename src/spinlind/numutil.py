@@ -4,8 +4,6 @@ the number format and CSV writer of every artifact, which streams rows through
 one ``%`` template.
 
 Superoperators use the column-stacking convention, vec(A X B) = (B^T (x) A) vec(X).
-The matrix of an operator sum rho -> sum_k w_k A_k rho A_k^dag comes from one
-stacked product (:func:`sandwich_superop`), not a loop of Kronecker products.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ __all__ = [
     "unvec",
     "hermitize",
     "max_abs",
-    "sandwich_superop",
     "choi_matrix",
     "fmt12",
     "write_csv",
@@ -63,19 +60,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def sandwich_superop(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> sum_k w_k A_k rho A_k^dag for a (K, D, D) stack ``ops``.
-
-    That is sum_k w_k conj(A_k) (x) A_k, formed as one (D^2, K) @ (K, D^2)
-    product M[(a b), (c d)] = sum_k w_k conj(A_k)[a, b] A_k[c, d] and a
-    reshuffle to the Kronecker order [(a c), (b d)].  An empty stack gives 0.
-    """
-    k, d = ops.shape[0], ops.shape[-1]
-    flat = ops.reshape(k, d * d)
-    m = (weights[:, None] * flat.conj()).T @ flat
-    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def choi_matrix(s: np.ndarray, dim: int) -> np.ndarray:

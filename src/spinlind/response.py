@@ -12,11 +12,8 @@ kernels are carried symbolically as weight/location records.  Density
 integrals are closed forms: a steady kernel gives a Hilbert transform and a
 density value, a transient kernel the tail
 i g int_t^inf phi_f(+-tau) e^{-i w0 tau} dtau of the envelope integral.
-The equilibrium state and the ladder blocks come from the
-:class:`~spinlind.mastereq.MasterEquationModel` (``boltzmann``, the
-``ladder`` table's frequencies and tolerance, ``plus_omegas``,
-``plus_mats``); the drive amplitude and density play no part in the
-kernels.
+Every block sum runs over the entries of the model's ``ladder`` table, with
+no dense block; the drive amplitude and density play no part in the kernels.
 """
 
 from __future__ import annotations
@@ -48,13 +45,16 @@ def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
     """Thermal average <[X, xi^x(+1, w0)]>_0 (zero when no such block exists).
 
     The block is the one whose frequency is nearest ``omega_o``, provided it
-    lies within the ladder's ``gap_atol`` of it.
+    lies within the ladder's ``gap_atol`` of it; the average is
+    Tr(xi_w [rho0, X]), summed over the block's entries.
     """
-    near = np.abs(model.ladder.omegas - omega_o)
-    if not (near.size and near.min() <= model.ladder.gap_atol):
+    ladder, rho0 = model.ladder, model.boltzmann
+    near = np.abs(ladder.omegas - omega_o)
+    if not (near.size and near.min() <= ladder.gap_atol):
         return 0.0 + 0.0j
-    block = model.plus_mats[int(np.argmin(near))]
-    return complex(np.trace((x_op @ block - block @ x_op) @ model.boltzmann))
+    lo, hi = np.searchsorted(ladder.block, int(np.argmin(near)) + np.arange(2))
+    comm = (rho0 @ x_op - x_op @ rho0)[ladder.cols[lo:hi], ladder.rows[lo:hi]]
+    return complex(np.sum(ladder.values[lo:hi] * comm))
 
 
 @dataclass(frozen=True)
@@ -155,21 +155,14 @@ def steady_magnetization(model: MasterEquationModel, t: float, *,
     """Steady-limit transverse magnetization under the drive (relaxation-free).
 
     Assembles 2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi'']
-    from the steady kernels of M_x = -(N/V) xi^x, one commutator average g
-    per ladder block; the density integrals of the PV kernels become Hilbert
-    transforms and those of the deltas become density evaluations, as in
-    :func:`steady_rho_integral`.  With xi^x = sum_w xi_w + h.c. over the
-    ladder stack, every g = Tr(xi_w (rho0 M_x - M_x rho0)) comes from one
-    contraction.
+    from the steady kernels of M_x = -(N/V) xi^x, whose density integrals are
+    Hilbert transforms and density values (:func:`steady_rho_integral`).  The
+    commutator average of block w, g = Tr(xi_w [rho0, M_x]), is (N/V) times
+    its population flow (:func:`_flows`), real by construction: rho0 is
+    diagonal and M_x[b, a] = -(N/V) conj(xi_w[a, b]).
     """
     t = _map_time(t)
-    p, w0, rho0 = model.plus_mats, model.plus_omegas, model.boltzmann
-    half = p.sum(0)
-    m_x = -n_over_v * (half + half.conj().T)
-    g = np.einsum("kab,ba->k", p, rho0 @ m_x - m_x @ rho0)
-    if np.any(np.abs(g.imag) > 1e-10 * np.maximum(1.0, np.abs(g))):
-        raise ValidationError("magnetization kernel should be real for Hermitian X")
-    dist = model.field.dist
+    g, w0, dist = _flows(model, n_over_v), model.ladder.omegas, model.field.dist
     # the two steady branches summed: g [pi (rho^>(-w0) - rho^>(w0)) - i pi (rho_f(+-w0))]
     branches = g * math.pi * ((hilbert(dist, -w0) - hilbert(dist, w0))
                               - 1j * (density(dist, w0) + density(dist, -w0)))
@@ -191,10 +184,17 @@ def absorbed_power(model: MasterEquationModel, *, n_over_v: float = 1.0):
     canonical (+1)-step transition entries: per block, w0 (g+ + g-) times
     sum_ab |xi_w0[a, b]|^2 (P_a - P_b).  The total is the sum of the lines.
     """
-    pops = np.real(np.diag(model.boltzmann))
-    flow = np.einsum("kab,ab->k", np.abs(model.plus_mats) ** 2, pops[:, None] - pops[None, :])
-    rates = model.rates_plus + model.rates_minus
-    powers = n_over_v * model.plus_omegas * rates * flow
-    lines = tuple(PowerLine(omega_o=w, power=p)
-                  for w, p in zip(model.plus_omegas.tolist(), powers.tolist()))
+    omegas = model.ladder.omegas
+    powers = omegas * (model.rates_plus + model.rates_minus) * _flows(model, n_over_v)
+    lines = tuple(map(PowerLine, omegas.tolist(), powers.tolist()))
     return sum((line.power for line in lines), 0.0), lines
+
+
+def _flows(model: MasterEquationModel, n_over_v: float) -> np.ndarray:
+    """(N/V) sum_ab |xi_w[a, b]|^2 (P_a - P_b) per block, one bincount over the entries."""
+    if not math.isfinite(n_over_v):
+        raise ValidationError(f"n_over_v must be finite, got {n_over_v}")
+    ladder = model.ladder
+    pops = np.real(np.diag(model.boltzmann))
+    flow = np.abs(ladder.values) ** 2 * (pops[ladder.rows] - pops[ladder.cols])
+    return n_over_v * np.bincount(ladder.block, flow, ladder.omegas.size)

@@ -61,13 +61,14 @@ MAX_DIM = 4096
 
 def beta_from_kelvin(temperature: float) -> float:
     """Inverse temperature in s/rad for energies measured in rad/s."""
-    if not np.isfinite(temperature) or temperature <= 0:
-        raise ValidationError(f"temperature must be positive and finite, got {temperature}")
-    return HBAR / (K_BOLTZMANN * temperature)
+    k_t = K_BOLTZMANN * float(temperature)
+    if not (0 < k_t < math.inf and math.isfinite(HBAR / k_t)):
+        raise ValidationError(f"temperature must be positive with finite beta, got {temperature}")
+    return HBAR / k_t
 
 
 def _validate_spin(j: float) -> float:
-    if j < 0 or abs(2 * j - round(2 * j)) > 1e-12:
+    if not (0 <= j < math.inf) or abs(2 * j - round(2 * j)) > 1e-12:
         raise ValidationError(f"spin quantum number must be a nonnegative half-integer, got {j}")
     return round(2 * j) / 2.0
 

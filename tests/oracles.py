@@ -8,7 +8,8 @@ tuple sort, anchor merge) with its CSV and SVG writers, the CSV writer
 through the ``csv`` module, the transition rate by a scan of the whole
 Pauli table, the operator-form RK4 stepper (H_LR(t) and the dissipator
 rebuilt at every stage), the Kraus-factor audit (e^{Ls} refactorised from
-its Choi matrix at every node), the Kronecker-product spin operators,
+its Choi matrix at every node) with its dense operator-sum superoperator,
+the Kronecker-product spin operators,
 the per-block loops of the model's ladder sums and Pauli table, the scalar
 envelope integral with the map's drive term looped over times and nonzero
 pairs, and the dense ladder decomposition of any observable (one Python
@@ -230,6 +231,19 @@ def rk4_oracle(model, rho0: np.ndarray, t_end: float, dt, store_every, extra=Non
 CHOI_TOL = 1e-9
 
 
+def sandwich_superop(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> sum_k w_k A_k rho A_k^dag for a (K, D, D) stack ``ops``.
+
+    That is sum_k w_k conj(A_k) (x) A_k, formed as one (D^2, K) @ (K, D^2)
+    product M[(a b), (c d)] = sum_k w_k conj(A_k)[a, b] A_k[c, d] and a
+    reshuffle to the Kronecker order [(a c), (b d)].  An empty stack gives 0.
+    """
+    k, d = ops.shape[0], ops.shape[-1]
+    flat = ops.reshape(k, d * d)
+    m = (weights[:, None] * flat.conj()).T @ flat
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def kraus_from_choi(choi: np.ndarray, dim: int):
     """Kraus factors of a CP map from its (Hermitian) Choi matrix.
 
@@ -289,7 +303,7 @@ def kraus_audit_oracle(model, t: float, rho0: np.ndarray, *,
     weights *= t / n_nodes / 3.0
 
     kraus_t = _semigroup_kraus(model, eig, t)
-    phi1_mat = numutil.sandwich_superop(kraus_t, np.ones(len(kraus_t)))
+    phi1_mat = sandwich_superop(kraus_t, np.ones(len(kraus_t)))
     phi2_mat = np.zeros((d * d, d * d), dtype=complex)
     completeness = _kraus_sum(kraus_t)
 
@@ -297,8 +311,8 @@ def kraus_audit_oracle(model, t: float, rho0: np.ndarray, *,
         m_op = (eye - 1j * me.linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
         kraus = _semigroup_kraus(model, eig, t - tau)
         node_weights = np.full(len(kraus), weight)
-        phi1_mat += numutil.sandwich_superop(kraus @ m_op, node_weights)
-        phi2_mat += numutil.sandwich_superop(kraus @ m_op.conj().T, node_weights)
+        phi1_mat += sandwich_superop(kraus @ m_op, node_weights)
+        phi2_mat += sandwich_superop(kraus @ m_op.conj().T, node_weights)
         ksum = _kraus_sum(kraus)
         completeness = completeness + weight * (
             m_op.conj().T @ ksum @ m_op - m_op @ ksum @ m_op.conj().T)
@@ -482,10 +496,11 @@ def write_csv_oracle(path, header, columns) -> None:
 def pauli_rates_oracle(model):
     """The Pauli table block by block: the nonzeros of each dense xi^x(+1, w), row-major."""
     entries = []
-    for k in range(model.plus_mats.shape[0]):
-        w = float(model.plus_omegas[k])
+    stack = model.ladder.dense()
+    for k in range(stack.shape[0]):
+        w = float(model.ladder.omegas[k])
         gp, gm = float(model.rates_plus[k]), float(model.rates_minus[k])
-        mat = model.plus_mats[k]
+        mat = stack[k]
         for a, b in zip(*np.nonzero(mat)):
             el = complex(mat[a, b])
             weight = abs(el) ** 2
@@ -584,7 +599,7 @@ def ladder_sums_oracle(model):
     gp, gm = [], []
     h_ls = np.zeros((d, d), dtype=complex)
     anti = np.zeros((d, d), dtype=complex)
-    for w, a in zip(model.plus_omegas.tolist(), model.plus_mats):
+    for w, a in zip(model.ladder.omegas.tolist(), model.ladder.dense()):
         if b1 > 0:
             gp.append(ls.dissipator_weight(dist, w, b1, +1))
             gm.append(ls.dissipator_weight(dist, w, b1, -1))
@@ -602,7 +617,7 @@ def steady_magnetization_oracle(model, t: float, *, n_over_v: float = 1.0) -> fl
     dist = model.field.dist
     total = 0.0
     m_x = -n_over_v * sc.xi_operator(model.system, "x")
-    for w0, xi_w in zip(model.plus_omegas.tolist(), model.plus_mats):
+    for w0, xi_w in zip(model.ladder.omegas.tolist(), model.ladder.dense()):
         comm = m_x @ xi_w - xi_w @ m_x
         g = complex(np.trace(comm @ model.boltzmann))
         plus, minus = (rs.ChiKernel(omega_o=w0, sign=s, commutator_avg=g) for s in (1, -1))

@@ -10,13 +10,16 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinlind
 from spinlind import cli
 from spinlind import mastereq as me
 from spinlind import spectrum as sp
-from spinlind.config import load_config
+from spinlind.config import MODES, load_config
 from spinlind.errors import ValidationError
 from spinlind.numutil import fmt12
 
@@ -34,6 +37,57 @@ SVG_SHA256 = {
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+# numeric tokens: ordinary values, float reprs (nan, inf, subnormals, 1e+308),
+# integers and spellings float() reads as non-finite or as 0
+_NUMBER = (st.sampled_from(["0", "0.5", "1", "2", "-1", "1e-3", "3400"])
+           | st.floats().map(repr) | st.integers(-10 ** 6, 10 ** 6).map(str)
+           | st.sampled_from(["nan", "-inf", "Infinity", "1e999", "-1e999", "1e-999", "5e-324"]))
+_SECTIONS = {
+    "system": ("spins", "gammas"),
+    "field": ("b_o", "b_1", "center", "width"),
+    "thermal": ("beta", "temperature_kelvin"),
+    "group:e": ("j", "count", "gamma", "abundance", "lambda.h"),
+    "group:h": ("j", "count", "gamma"),
+    "propagate": ("t_end", "dt", "store_every"),
+    "qubit": ("t_end", "n_points", "dt", "tolerance"),
+    "acp": ("order",),
+}
+
+
+@st.composite
+def _config_texts(draw):
+    """Config text from the grammar's sections and keys, every number a drawn token."""
+    lines = [f"[run]\nmode = {draw(st.sampled_from(MODES))}"]
+    for name, keys in _SECTIONS.items():
+        if not draw(st.booleans()):
+            continue
+        lines.append(f"[{name}]")
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1, unique=True)):
+            count = draw(st.integers(1, 2)) if key in ("spins", "gammas") else 1
+            lines.append(f"{key} = " + " ".join(draw(st.lists(_NUMBER, min_size=count,
+                                                                max_size=count))))
+        if name == "system" and draw(st.booleans()):
+            row = lambda: " ".join(draw(st.lists(_NUMBER, min_size=2, max_size=2)))
+            lines.append(f"couplings = {row()}; {row()}")
+        if name == "field":
+            lines.append(f"dist = {draw(st.sampled_from(['lorentzian', 'gaussian', 'delta']))}")
+    lines.append("[spectrum]\nresonance = e")
+    return "\n".join(lines) + "\n"
+
+
+def _config_numbers(cfg):
+    """Every number a loaded RunConfig holds, nested ones included."""
+    numbers = [cfg.field_b_o, cfg.field_b_1, cfg.beta, cfg.t_end, cfg.dt, cfg.store_every,
+               cfg.n_points, cfg.tolerance, cfg.acp_order]
+    if cfg.dist is not None:
+        numbers += [cfg.dist.center, cfg.dist.width]
+    if cfg.system is not None:
+        numbers += [*cfg.system.spins, *cfg.system.gammas, *cfg.system.couplings.ravel()]
+    for g in cfg.groups:
+        numbers += [g.j, g.count, g.gamma, g.abundance, *g.lambdas.values()]
+    return [float(x) for x in numbers if x is not None]
 
 
 class TestConfigParsing:
@@ -72,6 +126,46 @@ class TestConfigParsing:
                        "[group:a]\nj = 0.5\ncount = 1\ngamma = 1\n"
                        "[spectrum]\nresonance = zz\n")
         with pytest.raises(ValidationError):
+            load_config(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_config_texts())
+    def test_numbers_load_finite_or_raise_validation_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "property.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ValidationError:
+            return
+        assert np.all(np.isfinite(_config_numbers(cfg)))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("line, section, key", [
+        ("b_o = 1.0", "field", "b_o"),
+        ("b_1 = 1.0e-3", "field", "b_1"),
+        ("beta = 2.0e-4", "thermal", "beta"),
+    ])
+    def test_non_finite_field_and_beta_rejected_at_load(self, tmp_path, monkeypatch, capsys,
+                                                        line, section, key, value):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "two_spin.cfg").read_text()
+        assert line in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(line, f"{key} = {value}"))
+        with pytest.raises(ValidationError, match=rf"\[{section}\] {key} must be finite"):
+            load_config(bad)
+        # verify mode used to build and FAIL its checks on such a field
+        out = tmp_path / "out"
+        assert run_cli(["--config", bad, "--out", out, "--mode", "verify"]) == cli.EXIT_VALIDATION
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("kelvin", ["1e-320", "5e-324"])
+    def test_temperature_without_a_finite_beta_rejected(self, tmp_path, kelvin):
+        text = (CONFIGS / "two_spin.cfg").read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace("beta = 2.0e-4", f"temperature_kelvin = {kelvin}"))
+        with pytest.raises(ValidationError, match="finite beta"):
             load_config(bad)
 
     def test_parse_error_reports_line(self, tmp_path):

@@ -1,17 +1,25 @@
 """The +1-step ladder table of xi^x against the dense decomposition of xi^x."""
 
+import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spinlind import cli
 from spinlind import eigenops as eo
+from spinlind import mastereq as me
+from spinlind import response as rs
 from spinlind import spincore as sc
+from spinlind.config import load_config
 
 from conftest import random_system
 from oracles import decompose
-from test_mastereq import operator_sum_model
-from test_spectrum import GAMMA_E, biphenyl_groups
+from test_mastereq import operator_sum_model, radical_system
+from test_spectrum import biphenyl_groups
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def assert_matches_oracle(system, levels):
@@ -68,7 +76,8 @@ def test_special_systems_match_dense_oracle(case):
 
 def test_model_reads_its_stack_from_the_table():
     model = operator_sum_model("three_equivalent_plus_one")
-    assert model.plus_omegas is model.ladder.omegas
+    # the dense stack is built on each read, not kept as a field
+    assert "plus_mats" not in {f.name for f in dataclasses.fields(model)}
     assert np.array_equal(model.plus_mats, model.ladder.dense())
     # degenerate gaps: fewer blocks than entries
     assert model.ladder.omegas.size < model.ladder.values.size
@@ -107,16 +116,28 @@ def test_bins_anchor_on_their_first_gap():
     assert np.bincount(table.block).tolist() == [1, 3]
 
 
+def test_table_routes_build_no_dense_stack(monkeypatch):
+    # every route but the dissipator and the drive components reads the entries
+    def refuse(self):
+        raise AssertionError("the dense ladder stack was built")
+
+    monkeypatch.setattr(eo.LadderTable, "dense", refuse)
+    model = operator_sum_model("three_equivalent_plus_one")
+    me.liouvillian_matrix(model)
+    me.linear_response_hamiltonian(model, np.linspace(0.0, 1.0, 5))
+    me.drive_integral(model, 0.5)
+    me.noncp_witness(model, np.arange(1.0, model.dim + 1.0), 0.5, unsafe=True)
+    assert me.default_dt(model) > 0
+    me.pauli_rates(model)
+    rs.commutator_average(model, sc.xi_operator(model.system, "x"), model.ladder.omegas[0])
+    rs.steady_magnetization(model, 0.5)
+    rs.absorbed_power(model)
+    checks = dict(cli._verify_checks(load_config(CONFIGS / "two_spin.cfg")))
+    assert checks["ladder decomposition complete with steps +-1"]()
+
+
 def test_biphenyl_size_table_stays_sparse():
-    spins, gammas, hyperfine = [], [], []
-    lambdas = biphenyl_groups()[0].lambdas
-    for group in biphenyl_groups():
-        spins += [group.j] * group.count
-        gammas += [group.gamma] * group.count
-        hyperfine += [lambdas.get(group.label, 0.0) * abs(GAMMA_E)] * group.count
-    couplings = np.zeros((len(spins), len(spins)))
-    couplings[0, :] = couplings[:, 0] = hyperfine
-    system = sc.SpinSystem(spins, gammas, couplings)
+    system = radical_system(biphenyl_groups())
     assert system.dim == 2048
     levels = sc.level_data(system, 3400.0)
     tracemalloc.start()

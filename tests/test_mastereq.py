@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from spinlind import lineshape as ls
 from spinlind import mastereq as me
 from spinlind import numutil as nu
 from spinlind import spincore as sc
+from spinlind.eigenops import LadderTable
 from spinlind.errors import (
     AccuracyError,
     DomainViolationError,
@@ -18,8 +22,9 @@ from spinlind.qubit import SIGMA
 
 from conftest import random_system
 from oracles import (a_term, apply_map_oracle, kraus_audit_oracle, ladder_sums_oracle,
-                     pauli_rates_oracle, rk4_oracle, simpson_doubling, transition_rate_oracle,
-                     wavefunction_distribution, wavefunction_oracle)
+                     pauli_rates_oracle, rk4_oracle, sandwich_superop, simpson_doubling,
+                     transition_rate_oracle, wavefunction_distribution, wavefunction_oracle)
+from test_spectrum import naphthalene_groups
 
 
 def build(system, field, beta):
@@ -58,7 +63,7 @@ def quadrature_lambda_map(model, t, rho0, *, unsafe=False, include_drive=True,
     rho_init = np.array(rho0, dtype=complex)
     out_vec = nu.expm(lmat * t) @ nu.vec(rho_init)
 
-    if include_drive and t > 0 and model.field.b_1 > 0 and model.plus_mats.shape[0]:
+    if include_drive and t > 0 and model.field.b_1 > 0 and model.ladder.omegas.size:
         def quadrature(n):
             nodes, weights = gauss_legendre(n, 0.0, t)
             acc = np.zeros(d * d, dtype=complex)
@@ -96,7 +101,7 @@ def van_loan_lambda_map(model, t, rho0, *, include_drive=True):
     rho0 = np.array(rho0, dtype=complex)
     cols, mus = [], []
     if include_drive and model.field.b_1 > 0:
-        for w, xi in zip(model.plus_omegas, model.plus_mats):
+        for w, xi in zip(model.ladder.omegas, model.ladder.dense()):
             for freq, op in ((w, xi), (-w, xi.conj().T)):
                 c = -1j * model.field.b_1 * nu.vec(op @ rho0 - rho0 @ op)
                 for sign in (1.0, -1.0):
@@ -131,8 +136,8 @@ def einsum_dissipator(model, rho):
         raise ValidationError("density matrix dimension mismatch")
     out = -(model._anti @ rho + rho @ model._anti)
     g = model.rates_plus + model.rates_minus
-    if model.plus_mats.shape[0]:
-        p = model.plus_mats
+    p = model.ladder.dense()
+    if p.shape[0]:
         out = out + np.einsum("k,kij,jl,kml->im", g, p, rho, p.conj())
         out = out + np.einsum("k,kji,jl,klm->im", g, p.conj(), rho, p)
     return out
@@ -185,6 +190,37 @@ def operator_sum_model(case):
 
 OPERATOR_SUM_CASES = ["generic2", "generic3", "generic4", "generic5",
                       "three_equivalent_plus_one", "spin1_pair"]
+
+
+def radical_system(groups):
+    """The first group's electron coupled to every nucleus by its splitting constant.
+
+    A constant of lambda Gauss is the coupling lambda |gamma_e| in rad/s.
+    """
+    spins, gammas, hyperfine = [], [], []
+    electron = groups[0]
+    for group in groups:
+        spins += [group.j] * group.count
+        gammas += [group.gamma] * group.count
+        hyperfine += [electron.lambdas.get(group.label, 0.0) * abs(electron.gamma)] * group.count
+    couplings = np.zeros((len(spins), len(spins)))
+    couplings[0, :] = couplings[:, 0] = hyperfine
+    return sc.SpinSystem(spins, gammas, couplings)
+
+
+def radical_model(counts):
+    """Naphthalene's electron with ``counts`` of its two proton groups, at resonance.
+
+    (4, 4) is the whole anion (D = 512); the two groups of four equivalent
+    protons give blocks with many entries that share rows and columns.
+    """
+    groups = naphthalene_groups()
+    groups = groups[:1] + tuple(dataclasses.replace(g, count=n)
+                                for g, n in zip(groups[1:], counts))
+    b_o = 3400.0
+    larmor = abs(groups[0].gamma) * b_o
+    field = me.FieldConfig(b_o=b_o, b_1=1e-3, dist=ls.lorentzian(larmor, 1e-3 * larmor))
+    return build(radical_system(groups), field, 1.0 / larmor)
 
 
 def map_model(case, kind):
@@ -310,27 +346,82 @@ class TestLinearResponseHamiltonian:
             me.linear_response_hamiltonian(qubit_model, bad)
 
 
+def assert_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * np.max(np.abs(want), initial=0.0)
+
+
+def sandwich_generator(model):
+    """Oracle: L as Kronecker products of the dense stack, jumps through sandwich_superop."""
+    p = model.ladder.dense()
+    g = model.rates_plus + model.rates_minus
+    jumps = sandwich_superop(np.concatenate([p, p.conj().transpose(0, 2, 1)]),
+                             np.concatenate([g, g]))
+    eye = np.eye(model.dim)
+    left, right = -1j * model.h_ls - model._anti, 1j * model.h_ls - model._anti
+    return jumps + np.kron(eye, left) + np.kron(right.T, eye)
+
+
 class TestLadderSums:
-    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h"])
     @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
     @pytest.mark.parametrize("b_1", [0.05, 0.0])
     def test_match_per_block_oracle(self, case, kind, b_1):
-        system = operator_sum_model(case).system
-        field = me.FieldConfig(b_o=1.0, b_1=b_1, dist=kind(22.0, 4.0))
-        model = build(system, field, 0.05)
+        if case == "e_2_2h":
+            base = radical_model((2, 2))
+            assert base.dim == 32 and base.ladder.omegas.size < base.ladder.values.size
+            center, width = base.field.dist.center, base.field.dist.width
+        else:
+            base, center, width = operator_sum_model(case), 22.0, 4.0
+        # b_1 = 0.05 stands for the base model's drive
+        field = me.FieldConfig(b_o=base.field.b_o, b_1=base.field.b_1 if b_1 else 0.0,
+                               dist=kind(center, width))
+        model = build(base.system, field, base.beta)
         want = ladder_sums_oracle(model)
         got = (model.rates_plus, model.rates_minus, model.h_ls, model._anti)
         for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.max(np.abs(g - w), initial=0.0) <= 1e-13 * np.max(np.abs(w), initial=0.0)
+            assert_close(g, w)
 
-    def test_jump_sum_of_a_complex_stack(self, rng):
-        # xi^x and its blocks are real, so only a complex stack tests the adjoint
-        stack = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
-        weights = rng.normal(size=5)
-        want = sum(w * j.conj().T @ j for w, j in zip(weights, stack))
-        got = me._jump_sum(stack, weights)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    def test_complex_table_matches_dense_formulas(self, rng):
+        # xi^x is real, so only complex entries test the adjoints; the layout
+        # is a real table's, with blocks whose entries share rows and columns
+        model = operator_sum_model("three_equivalent_plus_one")
+        real = model.ladder
+        phases = np.exp(2j * np.pi * rng.random(real.values.size))
+        table = LadderTable(rows=real.rows, cols=real.cols, values=real.values * phases,
+                            block=real.block, omegas=real.omegas, gap_atol=real.gap_atol,
+                            dim=real.dim)
+        k = real.omegas.size
+        a, b = rng.normal(size=k), rng.normal(size=k)
+        p = table.dense()
+        p_dag = p.conj().transpose(0, 2, 1)
+        want = (np.einsum("k,kab->ab", a, p @ p_dag), np.einsum("k,kab->ab", b, p_dag @ p))
+        got = me._pair_sums(table, (a, 0 * b), (0 * a, b))
+        for g, w in zip(got, want):
+            assert_close(g, w)
+
+        # L's jump part against the dense sandwich, h_ls and _anti checked above
+        rates = np.abs(rng.normal(size=k))
+        h_ls, anti = me._pair_sums(table, (a, -a), (0.5 * rates, 0.5 * rates))
+        complex_model = dataclasses.replace(model, ladder=table, rates_plus=rates,
+                                            rates_minus=0 * rates, h_ls=h_ls, _anti=anti)
+        assert_close(me.liouvillian_matrix(complex_model), sandwich_generator(complex_model))
+
+    def test_naphthalene_size_build_is_sparse(self):
+        radical_model((4, 4))       # imports and lineshape tables warmed up
+        start = time.perf_counter()
+        model = radical_model((4, 4))
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            radical_model((4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.dim == 512
+        # the dense (K, D, D) stack alone would be 122 MB
+        assert elapsed < 0.25
+        assert peak < 64e6
 
 
 class TestLambShift:
@@ -408,6 +499,11 @@ class TestDissipator:
 
 
 class TestLiouvillianMatrix:
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h"])
+    def test_matches_sandwich_oracle(self, case):
+        model = radical_model((2, 2)) if case == "e_2_2h" else operator_sum_model(case)
+        assert_close(me.liouvillian_matrix(model), sandwich_generator(model))
+
     @pytest.mark.parametrize("case", [c for c in OPERATOR_SUM_CASES if c != "generic5"])
     def test_matches_operator_form(self, case, rng):
         # L vec(rho) = vec(-i [h_ls, rho] + D[rho]) ties the superoperator
@@ -732,7 +828,7 @@ class TestSandwichSuperop:
     def test_matches_kron_loop(self, count, dim, rng):
         ops = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
         weights = rng.normal(size=count)
-        got = nu.sandwich_superop(ops, weights)
+        got = sandwich_superop(ops, weights)
         want = kron_sandwich(ops, weights, dim)
         assert got.shape == (dim * dim, dim * dim)
         assert nu.max_abs(got - want) <= 1e-14 * max(nu.max_abs(want), 1.0)
@@ -891,14 +987,14 @@ class TestWitness:
             me.noncp_witness(model, np.array([1.0]), 0.5, unsafe=True)
 
     def test_qubit_pure_input_goes_negative(self, qubit_model):
-        w0 = qubit_model.plus_omegas[0]
+        w0 = qubit_model.ladder.omegas[0]
         res = me.noncp_witness(qubit_model, np.array([1.0, 0.0]), 0.25 / w0,
                                unsafe=True)
         assert res.det_value < 0.0
         assert res.det_value == pytest.approx(res.predicted, abs=1e-8)
 
     def test_drive_eigenvector_gives_zero(self, qubit_model):
-        t = 0.25 / qubit_model.plus_omegas[0]
+        t = 0.25 / qubit_model.ladder.omegas[0]
         k_op = me.drive_integral(qubit_model, t)
         evals, evecs = np.linalg.eigh(k_op)
         psi = evecs[:, int(np.argmax(np.abs(evals)))]
@@ -924,7 +1020,7 @@ class TestWitness:
                                np.array([[0.0, 40.0], [40.0, 0.0]]))
         field = me.FieldConfig(b_o=1.0, b_1=1e-4, dist=kind(1.3e3, 150.0))
         model = build(system, field, 1e-4)
-        assert model.plus_mats.shape[0] > 1
+        assert model.ladder.omegas.size > 1
         for t in (1e-4, 3e-3, 2e-2):
             got = me.drive_integral(model, t)
             want = simpson_doubling(
@@ -976,7 +1072,7 @@ class TestPauliRates:
         model = operator_sum_model(case)
         table = me.pauli_rates(model)
         assert table == pauli_rates_oracle(model)
-        assert len(table) == 2 * np.count_nonzero(model.plus_mats)
+        assert len(table) == 2 * np.count_nonzero(model.ladder.dense())
 
 
 class TestWavefunctionOracle:

@@ -46,7 +46,7 @@ class TestChiInfinity:
     def test_longitudinal_observable_does_not_respond(self):
         model = two_spin_model()
         xi_z = sc.xi_operator(model.system, "z")
-        for w in model.plus_omegas:
+        for w in model.ladder.omegas:
             k = rs.chi_infinity(model, xi_z, w, +1)
             assert abs(k.commutator_avg) < 1e-14
 
@@ -68,7 +68,7 @@ class TestChiInfinity:
             model = response_model(system, 1.2, 2e-4)
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
-            for w, block in zip(model.plus_omegas[:3], model.plus_mats[:3]):
+            for w, block in zip(model.ladder.omegas[:3], model.ladder.dense()[:3]):
                 got = rs.commutator_average(model, x_op, w)
                 comm = x_op @ block - block @ x_op
                 oracle = complex(np.trace(comm @ model.boltzmann))
@@ -82,7 +82,7 @@ class TestChiInfinity:
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
             x_dec = decompose(x_op, model.levels)
-            for w, block in zip(model.plus_omegas[:3], model.plus_mats[:3]):
+            for w, block in zip(model.ladder.omegas[:3], model.ladder.dense()[:3]):
                 full = rs.commutator_average(model, x_op, w)
                 try:
                     x_plus = x_dec.block(1, w)
@@ -104,7 +104,7 @@ class TestChiTransient:
     def test_zero_time_negates_steady_kernel(self):
         model = two_spin_model()
         x_op = -sc.xi_operator(model.system, "x")
-        w = model.plus_omegas[0]
+        w = model.ladder.omegas[0]
         inf_k = rs.chi_infinity(model, x_op, w, +1)
         tr_k = rs.chi_transient(model, x_op, w, +1, 0.0)
         assert tr_k.pv_weight == pytest.approx(-inf_k.pv_weight)
@@ -208,6 +208,12 @@ class TestSteadyMagnetization:
         model = me.build_model(system, field, 1e-3)
         assert rs.steady_magnetization(model, 0.5) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_rejected(self, bad):
+        model, w0 = self._model(4e-4)
+        with pytest.raises(ValidationError, match="n_over_v must be finite"):
+            rs.steady_magnetization(model, 0.3 / w0, n_over_v=bad)
+
 
 class TestNearDegenerateBlocks:
     """Two plus blocks 7.5e-7 apart, just above the 5e-7 the gaps are binned with."""
@@ -220,13 +226,13 @@ class TestNearDegenerateBlocks:
 
     def per_block_averages(self, model, x_op):
         return [complex(np.trace((x_op @ b - b @ x_op) @ model.boltzmann))
-                for b in model.plus_mats]
+                for b in model.ladder.dense()]
 
     def test_commutator_average_window_is_the_gap_tolerance(self):
         model = self._model()
         atol = model.ladder.gap_atol
         m_x = -sc.xi_operator(model.system, "x")
-        w = float(model.plus_omegas[0])
+        w = float(model.ladder.omegas[0])
         exact = rs.commutator_average(model, m_x, w)
         assert exact != 0
         assert rs.commutator_average(model, m_x, w - 0.9 * atol) == exact
@@ -235,10 +241,10 @@ class TestNearDegenerateBlocks:
 
     def test_commutator_average_reads_its_own_block(self):
         model = self._model()
-        assert model.plus_omegas[3] - model.plus_omegas[2] == pytest.approx(7.5e-7, rel=1e-3)
+        assert model.ladder.omegas[3] - model.ladder.omegas[2] == pytest.approx(7.5e-7, rel=1e-3)
         m_x = -sc.xi_operator(model.system, "x")
         want = self.per_block_averages(model, m_x)
-        got = [rs.commutator_average(model, m_x, w) for w in model.plus_omegas]
+        got = [rs.commutator_average(model, m_x, w) for w in model.ladder.omegas]
         assert got == pytest.approx(want, rel=1e-13)
         # the pairs differ: 5.776462e4 against 5.776467e4, 3.36e-14 against 9.13e-14
         assert abs(want[3] - want[2]) > 5e-7 * abs(want[3])
@@ -249,7 +255,7 @@ class TestNearDegenerateBlocks:
         m_x = -sc.xi_operator(model.system, "x")
         dist, b1, t = model.field.dist, model.field.b_1, 3.7e-4
         total = 0.0
-        for w, g in zip(model.plus_omegas, self.per_block_averages(model, m_x)):
+        for w, g in zip(model.ladder.omegas, self.per_block_averages(model, m_x)):
             chi_p = g.real * math.pi * (ls.hilbert(dist, -w) - ls.hilbert(dist, w))
             chi_pp = g.real * math.pi * float(ls.density(dist, w) + ls.density(dist, -w))
             total += math.cos(w * t) * chi_p + math.sin(w * t) * chi_pp
@@ -291,6 +297,12 @@ class TestAbsorbedPower:
         off_total, _ = rs.absorbed_power(off_model)
         assert off_total < 1e-10 * on_total
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_rejected(self, bad):
+        model, _ = self._model(4e-4)
+        with pytest.raises(ValidationError, match="n_over_v must be finite"):
+            rs.absorbed_power(model, n_over_v=bad)
+
 
 def driven_model(seed, kind):
     """A random mixed-spin system driven near its mean Larmor frequency."""
@@ -306,7 +318,7 @@ class TestPerBlockOracles:
     @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
     def test_steady_magnetization(self, seed, kind):
         model = driven_model(seed, kind)
-        tau = 1.0 / float(np.max(np.abs(model.plus_omegas)))
+        tau = 1.0 / float(np.max(np.abs(model.ladder.omegas)))
         for t in (0.0, 0.3 * tau, 7.1 * tau):
             want = steady_magnetization_oracle(model, t, n_over_v=2.5)
             got = rs.steady_magnetization(model, t, n_over_v=2.5)

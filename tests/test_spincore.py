@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -243,6 +244,16 @@ class TestUnits:
         assert beta == pytest.approx(sc.HBAR / (sc.K_BOLTZMANN * 300.0))
         with pytest.raises(ValidationError):
             sc.beta_from_kelvin(0.0)
+
+    @pytest.mark.parametrize("kelvin", [math.nan, math.inf, -1.0, 1e-320])
+    def test_beta_from_kelvin_refuses_a_non_finite_beta(self, kelvin):
+        with pytest.raises(ValidationError, match="temperature must be positive"):
+            sc.beta_from_kelvin(kelvin)
+
+    @pytest.mark.parametrize("j", [math.nan, math.inf, -0.5])
+    def test_non_finite_or_negative_spin_rejected(self, j):
+        with pytest.raises(ValidationError, match="spin quantum number"):
+            sc.SpinSystem([j], [1.0])
 
     def test_density_check_helpers(self):
         good = np.diag([0.25, 0.75]).astype(complex)
