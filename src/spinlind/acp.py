@@ -19,14 +19,16 @@ block-bidiagonal matrix (Van Loan's construction), with no quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import numutil
 from .errors import AccuracyError, ValidationError
-from .mastereq import MasterEquationModel, Trajectory, _check_map_dim, _rk4
 from .spincore import SpinSystem, boltzmann_state, build_x, level_data
+
+if TYPE_CHECKING:
+    from .mastereq import MasterEquationModel, Trajectory
 
 __all__ = [
     "AcpMoments",
@@ -209,6 +211,8 @@ def propagate_order_n(model: MasterEquationModel, n: int,
     Dimensions above ``mastereq.MAP_DIM_CAP`` are refused before anything is
     computed.
     """
+    from .mastereq import _check_map_dim, _rk4  # the moment tables need no model
+
     if n < 1:
         raise ValidationError("use the order-0 propagator for n = 0")
     _check_map_dim(model)

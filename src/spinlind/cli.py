@@ -1,7 +1,8 @@
 """Command-line entry point: run a configured calculation and write artifacts.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical-accuracy failure,
-3 I/O failure.
+3 I/O failure.  Each runner imports the modules it uses, so a run loads only
+those of its mode.
 """
 
 from __future__ import annotations
@@ -12,26 +13,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import acp, mastereq, qubit, spectrum
 from .config import RunConfig, _validate_mode, load_config
-from .eigenops import ladder_table
 from .errors import AccuracyError, SpinLindError, ValidationError
-from .mastereq import FieldConfig, build_model
-from .numutil import fmt12, write_csv
-from .spincore import (
-    build_x,
-    build_zo,
-    compress,
-    decompress,
-    is_hermitian,
-    level_data,
-    spin_spin_hamiltonian,
-    total_sz,
-    xi_operator,
-)
+
+if TYPE_CHECKING:
+    from .mastereq import FieldConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -40,10 +30,14 @@ EXIT_IO = 3
 
 
 def _field(cfg: RunConfig) -> FieldConfig:
+    from .mastereq import FieldConfig
+
     return FieldConfig(b_o=cfg.field_b_o, b_1=cfg.field_b_1, dist=cfg.dist)
 
 
 def run_spectrum(cfg: RunConfig, out: Path, verbose: bool) -> int:
+    from . import spectrum
+
     labels = cfg.resonance if len(cfg.resonance) > 1 else cfg.resonance[0]
     spec = spectrum.stick_spectrum(cfg.groups, labels, scaled=cfg.scaled)
     csv_path = out / f"{cfg.basename}_spectrum.csv"
@@ -58,7 +52,10 @@ def run_spectrum(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
 
 def run_propagate(cfg: RunConfig, out: Path, verbose: bool) -> int:
-    model = build_model(cfg.system, _field(cfg), cfg.beta)
+    from . import mastereq
+    from .numutil import fmt12
+
+    model = mastereq.build_model(cfg.system, _field(cfg), cfg.beta)
     traj = mastereq.propagate(model, model.boltzmann, cfg.t_end, cfg.dt,
                               store_every=cfg.store_every)
     csv_path = out / f"{cfg.basename}_trajectory.csv"
@@ -80,7 +77,11 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     :func:`mastereq.lambda_map` (not a time stepper), the analytic ones from
     one :func:`qubit.trajectory` call, both on all compared times.
     """
-    model = build_model(cfg.system, _field(cfg), cfg.beta)
+    from . import mastereq, qubit
+    from .numutil import write_csv
+    from .spincore import xi_operator
+
+    model = mastereq.build_model(cfg.system, _field(cfg), cfg.beta)
     params = qubit.QubitParams.from_field(cfg.system.gammas[0], cfg.field_b_o,
                                           cfg.field_b_1, cfg.beta, cfg.dist)
     dt, steps = mastereq._time_grid(model, cfg.t_end, cfg.dt, None)
@@ -122,6 +123,8 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
 
 def run_acp(cfg: RunConfig, out: Path, verbose: bool) -> int:
+    from . import acp
+
     order = cfg.acp_order
     moments = acp.moments_up_to(cfg.system, cfg.field_b_o, order, cfg.beta)
     zetas = acp.zeta_recursive(moments)
@@ -140,6 +143,20 @@ def run_acp(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
 
 def _verify_checks(cfg: RunConfig):
+    from . import mastereq
+    from .eigenops import ladder_table
+    from .spincore import (
+        build_x,
+        build_zo,
+        compress,
+        decompress,
+        is_hermitian,
+        level_data,
+        spin_spin_hamiltonian,
+        total_sz,
+        xi_operator,
+    )
+
     system = cfg.system
     b_o = cfg.field_b_o
     rng = np.random.default_rng(7)
@@ -172,7 +189,7 @@ def _verify_checks(cfg: RunConfig):
         return resid <= 1e-12 * max(np.max(np.abs(xi_x)), 1.0) and steps_ok
 
     # built on first use, so a failed build fails each model check in turn
-    model = functools.cache(lambda: build_model(system, _field(cfg), cfg.beta))
+    model = functools.cache(lambda: mastereq.build_model(system, _field(cfg), cfg.beta))
 
     def dissipator_traceless():
         a = rng.normal(size=(system.dim, system.dim)) \

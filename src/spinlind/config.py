@@ -22,6 +22,7 @@ Validation failures name the violated invariant, and a value that is not a
 finite number names its ``[section] key``; parse failures carry the line
 information from the underlying parser.  The per-mode requirements are
 checked again when the CLI's ``--mode`` replaces the configured mode.
+The modules behind the parsed values load only when a config needs them.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .lineshape import FrequencyDistribution
-from .spectrum import EquivalentGroup
-from .spincore import SpinSystem, beta_from_kelvin
+
+if TYPE_CHECKING:
+    from .lineshape import FrequencyDistribution
+    from .spincore import SpinSystem
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -103,6 +106,8 @@ def _bool(text: str) -> bool:
 
 
 def _parse_system(section) -> SpinSystem:
+    from .spincore import SpinSystem
+
     if "spins" not in section or "gammas" not in section:
         raise ValidationError("[system] requires explicit 'spins' and 'gammas' lists")
     spins = _number(section, "spins", _floats)
@@ -112,6 +117,8 @@ def _parse_system(section) -> SpinSystem:
 
 
 def _parse_dist(section) -> FrequencyDistribution:
+    from .lineshape import FrequencyDistribution
+
     kind = section.get("dist", "lorentzian").strip().lower()
     center = _number(section, "center", default="0")
     width = _number(section, "width", default="0")
@@ -119,10 +126,13 @@ def _parse_dist(section) -> FrequencyDistribution:
 
 
 def _parse_groups(parser) -> tuple:
+    names = [name for name in parser.sections() if name.startswith("group:")]
+    if not names:
+        return ()
+    from .spectrum import EquivalentGroup
+
     groups = []
-    for name in parser.sections():
-        if not name.startswith("group:"):
-            continue
+    for name in names:
         label = name.split(":", 1)[1].strip()
         sec = parser[name]
         for key in ("j", "count", "gamma"):
@@ -164,8 +174,12 @@ def load_config(path) -> RunConfig:
         if has_beta == has_temp:
             raise ValidationError(
                 "[thermal] requires exactly one of beta / temperature_kelvin")
-        cfg.beta = (_number(sec, "beta") if has_beta
-                    else beta_from_kelvin(_number(sec, "temperature_kelvin")))
+        if has_beta:
+            cfg.beta = _number(sec, "beta")
+        else:
+            from .spincore import beta_from_kelvin
+
+            cfg.beta = beta_from_kelvin(_number(sec, "temperature_kelvin"))
 
     if "system" in parser:
         cfg.system = _parse_system(parser["system"])

@@ -46,14 +46,17 @@ def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
 
     The block is the one whose frequency is nearest ``omega_o``, provided it
     lies within the ladder's ``gap_atol`` of it; the average is
-    Tr(xi_w [rho0, X]), summed over the block's entries.
+    Tr(xi_w [rho0, X]), summed over the block's entries.  rho0 is diagonal,
+    so [rho0, X][c, r] = (P_c - P_r) X[c, r] with P its populations.
     """
-    ladder, rho0 = model.ladder, model.boltzmann
+    ladder = model.ladder
     near = np.abs(ladder.omegas - omega_o)
     if not (near.size and near.min() <= ladder.gap_atol):
         return 0.0 + 0.0j
     lo, hi = np.searchsorted(ladder.block, int(np.argmin(near)) + np.arange(2))
-    comm = (rho0 @ x_op - x_op @ rho0)[ladder.cols[lo:hi], ladder.rows[lo:hi]]
+    rows, cols = ladder.rows[lo:hi], ladder.cols[lo:hi]
+    pops = np.real(np.diagonal(model.boltzmann))
+    comm = (pops[cols] - pops[rows]) * np.asarray(x_op)[cols, rows]
     return complex(np.sum(ladder.values[lo:hi] * comm))
 
 

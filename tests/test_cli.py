@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlind
-from spinlind import cli
+from spinlind import cli, eigenops
 from spinlind import mastereq as me
 from spinlind import spectrum as sp
 from spinlind.config import MODES, load_config
@@ -511,13 +511,13 @@ class TestMatrixModes:
     def test_verify_mode_builds_one_model(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
         built = []
-        real = cli.build_model
+        real = me.build_model
 
         def counted(*args):
             built.append(real(*args))
             return built[-1]
 
-        monkeypatch.setattr(cli, "build_model", counted)
+        monkeypatch.setattr(me, "build_model", counted)
         assert run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,
                         "--mode", "verify"]) == 0
         assert len(built) == 1
@@ -529,14 +529,14 @@ class TestMatrixModes:
 
     def test_verify_mode_fails_an_incomplete_ladder(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
-        real = cli.ladder_table
+        real = eigenops.ladder_table
 
         def short(system, levels):
             table = real(system, levels)
             return dataclasses.replace(table, rows=table.rows[:-1], cols=table.cols[:-1],
                                        values=table.values[:-1], block=table.block[:-1])
 
-        monkeypatch.setattr(cli, "ladder_table", short)
+        monkeypatch.setattr(eigenops, "ladder_table", short)
         assert run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,
                         "--mode", "verify"]) == cli.EXIT_ACCURACY
         assert "FAIL  ladder decomposition complete with steps +-1" in capsys.readouterr().out
@@ -634,6 +634,12 @@ def _modules_after(code, cwd, prefix="scipy"):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _cli_code(config):
+    """Code that runs the CLI on ``config`` into ``out``, asserting exit 0."""
+    return (f"from spinlind import cli\n"
+            f"assert cli.main(['--config', {str(config)!r}, '--out', 'out']) == 0")
+
+
 class TestImportFootprint:
     def test_package_import_loads_no_scipy(self, tmp_path):
         # scipy is loaded on first use only, so an import-bound CLI run pays nothing for it
@@ -648,18 +654,43 @@ class TestImportFootprint:
         ("acp_two_spin", "scipy"),
     ], ids=["naphthalene", "two_spin", "qubit", "acp_two_spin"])
     def test_cli_run_loads_no_unused_scipy(self, tmp_path, config, unloaded):
-        code = (f"from spinlind import cli\n"
-                f"assert cli.main(['--config', {str(CONFIGS / (config + '.cfg'))!r}, "
-                f"'--out', 'out']) == 0")
-        loaded = _modules_after(code, tmp_path)
+        loaded = _modules_after(_cli_code(CONFIGS / f"{config}.cfg"), tmp_path)
         assert not [m for m in loaded if m.startswith(unloaded)]
+
+    def test_package_import_loads_only_the_errors(self, tmp_path):
+        assert _modules_after("import spinlind", tmp_path, "spinlind") == [
+            "spinlind", "spinlind.errors"]
+
+    def test_spectrum_run_loads_six_modules(self, tmp_path):
+        assert _modules_after(_cli_code(CONFIGS / "naphthalene.cfg"), tmp_path, "spinlind") == [
+            "spinlind", "spinlind.cli", "spinlind.config", "spinlind.errors",
+            "spinlind.numutil", "spinlind.spectrum"]
+
+    @pytest.mark.parametrize("config, unloaded", [
+        ("two_spin", ("acp", "qubit", "response", "spectrum")),
+        ("generated_propagate", ("acp", "qubit", "response", "spectrum")),
+        ("qubit", ("acp", "response", "spectrum")),
+        ("acp_two_spin", ("eigenops", "mastereq", "qubit", "response", "spectrum")),
+    ])
+    def test_matrix_run_loads_only_its_modules(self, tmp_path, config, unloaded):
+        path = CONFIGS / f"{config}.cfg"
+        if config == "generated_propagate":
+            path = tmp_path / "three_spin.cfg"
+            path.write_text(
+                "[run]\nmode = propagate\n"
+                "[system]\nspins = 0.5 0.5 1\ngammas = -1000 -1300 -700\n"
+                "couplings = 0 30 10; 30 0 20; 10 20 0\n"
+                "[field]\nb_o = 1\nb_1 = 0.01\ndist = gaussian\ncenter = 1000\nwidth = 20\n"
+                "[thermal]\ntemperature_kelvin = 300\n"
+                "[propagate]\nt_end = 0.001\n", encoding="utf-8")
+        loaded = _modules_after(_cli_code(path), tmp_path, "spinlind")
+        assert "spinlind.cli" in loaded
+        assert not [m for m in loaded if m.split(".")[-1] in unloaded]
 
     @pytest.mark.parametrize("config", ["naphthalene", "two_spin", "qubit"])
     def test_cli_run_loads_numpy_ma_only_with_numpy(self, tmp_path, config):
         # numpy 1.x imports numpy.ma with numpy itself; past that, none of
         # these runs needs it (np.unique, for one, imports it lazily)
         baseline = "numpy.ma" in _modules_after("import numpy", tmp_path, "numpy.")
-        code = (f"from spinlind import cli\n"
-                f"assert cli.main(['--config', {str(CONFIGS / (config + '.cfg'))!r}, "
-                f"'--out', 'out']) == 0")
+        code = _cli_code(CONFIGS / f"{config}.cfg")
         assert ("numpy.ma" in _modules_after(code, tmp_path, "numpy.")) <= baseline

@@ -1,5 +1,10 @@
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,38 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+class TestLazyExports:
+    def test_each_name_is_its_submodules_object(self):
+        for name in set(spinlind.__all__) - {"__version__"}:
+            obj = getattr(spinlind, name)
+            assert obj.__module__.startswith("spinlind.")
+            assert obj is getattr(importlib.import_module(obj.__module__), name)
+
+    def test_dir_lists_every_export(self):
+        assert set(spinlind.__all__) <= set(dir(spinlind))
+
+    def test_unknown_attribute_names_itself(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            spinlind.no_such_name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from spinlind import *", namespace)
+        assert set(spinlind.__all__) <= set(namespace)
+
+    def test_readme_library_example_runs(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        code = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
 
 
 class TestWriteCsv:

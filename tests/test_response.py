@@ -12,6 +12,8 @@ from spinlind.errors import ValidationError
 from conftest import random_system
 from oracles import (absorbed_power_oracle, decompose, kramers_kronig_residual,
                      steady_magnetization_oracle, transition_rate_oracle)
+from test_mastereq import (OPERATOR_SUM_CASES, operator_sum_model, radical_model,
+                           random_hermitian)
 
 
 def response_model(system, b_o, beta):
@@ -73,6 +75,23 @@ class TestChiInfinity:
                 comm = x_op @ block - block @ x_op
                 oracle = complex(np.trace(comm @ model.boltzmann))
                 assert got == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_4_4h"])
+    def test_commutator_average_matches_dense_commutator(self, rng, case):
+        # every block against Tr(xi_w [rho0, X]) with the dense commutator;
+        # e_4_4h is the whole naphthalene anion (D = 512)
+        model = radical_model((4, 4)) if case == "e_4_4h" else operator_sum_model(case)
+        ladder, d = model.ladder, model.dim
+        x_op = random_hermitian(rng, d)
+        comm = model.boltzmann @ x_op - x_op @ model.boltzmann
+        for k, w in enumerate(ladder.omegas):
+            at = ladder.block == k
+            xi_w = np.zeros((d, d))
+            xi_w[ladder.rows[at], ladder.cols[at]] = ladder.values[at]
+            terms = xi_w * comm.T
+            got = rs.commutator_average(model, x_op, w)
+            assert got == pytest.approx(complex(np.sum(terms)), rel=1e-12,
+                                        abs=1e-13 * np.sum(np.abs(terms)))
 
     def test_projected_commutator_identity(self, rng):
         # <[X, B]>_0 equals <[X^dag(+1, w), B]>_0 with X's own (+1, w) block
