@@ -79,7 +79,6 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     """
     from . import mastereq, qubit
     from .numutil import write_csv
-    from .spincore import xi_operator
 
     model = mastereq.build_model(cfg.system, _field(cfg), cfg.beta)
     params = qubit.QubitParams.from_field(cfg.system.gammas[0], cfg.field_b_o,
@@ -94,9 +93,8 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
         states=mastereq.lambda_map(model, times, model.boltzmann),
         energies=model.levels.energies,
     ).schrodinger_states()
-    xi = np.stack([xi_operator(cfg.system, a) for a in "xyz"])
     # numeric Bloch components: <sigma_a> = -2 <xi^a> / gamma
-    num = np.einsum("nab,kba->kn", states, xi).real * (-2.0 / cfg.system.gammas[0])
+    num = mastereq._xi_moments(cfg.system, states).real * (-2.0 / cfg.system.gammas[0])
     ana = np.array(qubit.trajectory(params, times))
     max_dev = float(np.max(np.abs(num - ana)))
 

@@ -718,12 +718,17 @@ def pauli_rates(model: MasterEquationModel):
     return tuple(entries)
 
 
+def _xi_moments(system: SpinSystem, states: np.ndarray) -> np.ndarray:
+    """<xi^x>, <xi^y>, <xi^z> of Schrodinger-picture states: (3, n), Tr(rho_n xi_k)."""
+    xi = np.stack([xi_operator(system, axis) for axis in "xyz"])
+    return np.einsum("nab,kba->kn", states, xi)
+
+
 def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,
                           path) -> None:
     """Write t plus Re/Im of <xi^x>, <xi^y>, <xi^z> and populations (Schrodinger picture)."""
-    xi = np.stack([xi_operator(model.system, axis) for axis in "xyz"])
     states = traj.schrodinger_states()
-    moments = np.einsum("nab,kba->kn", states, xi)      # Tr(rho_n xi_k)
+    moments = _xi_moments(model.system, states)
     header = ["t"]
     for axis in "xyz":
         header += [f"re_xi_{axis}", f"im_xi_{axis}"]

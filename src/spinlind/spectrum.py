@@ -17,11 +17,11 @@ integers otherwise, so it is exact at any size.  Positions, the sort by
 group, whose grid is already in configuration order; a ``lexsort`` over
 configuration codes for several) and the merge of coincident lines run on
 those arrays, and so does each term's config text, joined once from
-per-group ``"label=n"`` pieces.  A :class:`StickSpectrum` holds positions,
-intensities and config text as columns, which the CSV and SVG stream
-through one row template each; its :class:`SpectrumLine` objects are built
-from the term grid only when asked for.  An expansion above ``MAX_TERMS``
-terms is refused before anything is allocated.
+per-group ``"label=n"`` pieces.  A :class:`StickSpectrum` is those columns,
+which the CSV and SVG stream through one row template each; its
+:class:`SpectrumLine` objects are parsed from the config text when asked
+for, computed and read-back spectra alike.  An expansion above
+``MAX_TERMS`` terms is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -58,10 +58,11 @@ __all__ = [
 ]
 
 MERGE_TOL_GAUSS = 1e-9
-# about 0.48 kB of peak RSS per term, in stick_spectrum (measured at the cap,
-# generic positions, through export_csv and export_svg): 0.24 GB at the cap;
-# reading StickSpectrum.lines afterwards raises it to about 0.56 kB
+# about 0.52 kB of peak RSS per term, in stick_spectrum (measured at the cap,
+# generic positions, through export_csv and export_svg; numpy 2.4, x86-64):
+# 0.26 GB at the cap; reading StickSpectrum.lines afterwards stays within it
 MAX_TERMS = 500_000
+SVG_WIDTH, SVG_HEIGHT = 900, 420     # pixels
 
 
 def splitting_constant(t_coupling: float, gamma: float) -> float:
@@ -279,12 +280,8 @@ class StickSpectrum:
     ``delta_b`` and ``intensity`` hold the line positions and intensities
     (exact ints, or floats when scaled), ``config_text`` each line's
     configurations as the CSV writes them: "a=1;b=0|a=0;b=2".  The
-    :class:`SpectrumLine` objects of ``lines`` are built on first access,
-    their configs decoded from the term grid of :func:`stick_spectrum`
-    (sorted term order, line bounds, and each resonance group's neighbor
-    labels and radices, kept in the private fields) or, for a spectrum
-    without one, parsed from ``config_text``.  Lines passed as ``lines=``
-    stand in for the built ones.
+    :class:`SpectrumLine` objects of ``lines`` are parsed from these columns
+    on first access, so they follow ``config_text`` wherever it came from.
     """
 
     delta_b: tuple
@@ -292,41 +289,35 @@ class StickSpectrum:
     config_text: tuple
     reference: float
     resonance: tuple
-    # unset, this init-only argument defaults to the cached_property below
-    lines: InitVar[tuple]
-    _order: np.ndarray = field(default=None, compare=False, repr=False)
-    _starts: np.ndarray = field(default=None, compare=False, repr=False)
-    _ends: np.ndarray = field(default=None, compare=False, repr=False)
-    _grids: tuple = field(default=(), compare=False, repr=False)   # (labels, radices)
-
-    def __post_init__(self, lines):
-        if not isinstance(lines, cached_property):
-            self.__dict__["lines"] = tuple(lines)
 
     @cached_property
     def lines(self) -> tuple:
-        if self._order is None:
-            configs = map(_parse_configs, self.config_text)
-        else:
-            grid = []
-            for labels, radices in self._grids:
-                grid += itertools.product(*[[(v, n) for n in range(r)]
-                                            for v, r in zip(labels, radices)])
-            terms = list(map(grid.__getitem__, self._order.tolist()))
-            configs = map(tuple, map(terms.__getitem__, map(
-                slice, self._starts.tolist(), self._ends.tolist())))
-        return tuple(map(SpectrumLine, self.delta_b, self.intensity, configs))
+        return tuple(map(SpectrumLine, self.delta_b, self.intensity,
+                         _parse_configs(self.config_text)))
 
     @property
     def total_intensity(self) -> float:
         return sum(self.intensity)
 
 
-def _parse_configs(text: str) -> tuple:
-    """"a=1;b=0|a=0;b=2" -> ((("a", 1), ("b", 0)), (("a", 0), ("b", 2)))."""
-    return tuple(tuple((lab, int(n)) for lab, _, n in
-                       (item.partition("=") for item in cfg.split(";") if item))
-                 for cfg in text.split("|"))
+def _parse_configs(texts: Sequence[str]) -> list:
+    """Each "a=1;b=0|a=0;b=2" -> ((("a", 1), ("b", 0)), (("a", 0), ("b", 2))).
+
+    One ("label", n) pair per distinct "label=n" piece, shared by every line.
+    """
+    pairs = {}
+
+    def pair(piece):
+        if piece not in pairs:
+            label, _, n = piece.partition("=")
+            try:
+                pairs[piece] = (label, int(n))
+            except ValueError:
+                raise ValidationError(f"bad spectrum config {piece!r}: want label=n") from None
+        return pairs[piece]
+
+    return [tuple(tuple(map(pair, cfg.split(";"))) if cfg else () for cfg in text.split("|"))
+            for text in texts]
 
 
 def _line_bounds(pos: np.ndarray, merge_tol: float):
@@ -391,12 +382,14 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
               else list(resonance_label))
     if not labels:
         raise ValidationError("need at least one resonance group")
+    if len(set(labels)) < len(labels):
+        raise ValidationError(f"resonance groups {', '.join(map(repr, labels))} repeat a label")
     _check_size(groups, labels)
     by_label = _group_map(groups)
     scaled = scaled or len(labels) > 1
     polys = [generating_polynomial(groups, lab) for lab in labels]
 
-    positions, weights, grids, texts = [], [], [], []
+    positions, weights, texts = [], [], []
     for lab, poly in zip(labels, polys):
         res = by_label[lab]
         delta = np.zeros(poly.n_terms)
@@ -405,8 +398,7 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
         positions.append(delta + (reference_field(groups, lab, omega_o) if absolute else 0.0))
         weights.append((poly.coefficients * intensity_scale(groups, lab)).astype(float)
                        if scaled else poly.coefficients)
-        radices = tuple(by_label[v].max_bosons + 1 for v in poly.variables)
-        grids.append((poly.variables, radices))
+        radices = [by_label[v].max_bosons + 1 for v in poly.variables]
         # each term's text from per-group "label=n" pieces, in grid order
         texts += map(";".join, itertools.product(
             *[[f"{v}={n}" for n in range(r)] for v, r in zip(poly.variables, radices)]))
@@ -423,8 +415,7 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
         config_text[k] = "|".join(map(texts.__getitem__, order[starts[k]:ends[k]].tolist()))
     ref = reference_field(groups, labels[0], omega_o) if absolute else 0.0
     return StickSpectrum(tuple(pos[starts].tolist()), tuple(sums), tuple(config_text),
-                         ref, tuple(labels), _order=order, _starts=starts, _ends=ends,
-                         _grids=tuple(grids))
+                         ref, tuple(labels))
 
 
 def _term_order(pos: np.ndarray, polys: Sequence[GeneratingPolynomial],
@@ -481,25 +472,29 @@ def export_csv(spectrum: StickSpectrum, path) -> None:
 
 
 def parse_csv(path) -> StickSpectrum:
-    """Read an :func:`export_csv` file back: an integer cell as an exact int."""
+    """Read an :func:`export_csv` file back, an integer cell as an exact int.
+
+    A malformed row or config cell fails here: the lines are parsed now.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["delta_B_gauss", "intensity"]:
+        header = next(reader, None)
+        if header != ["delta_B_gauss", "intensity", "config"]:
             raise ValidationError(f"unexpected spectrum CSV header {header}")
         try:
-            rows = [(float(row[0]),
-                     int(row[1]) if row[1].removeprefix("-").isdecimal() else float(row[1]),
-                     row[2] if len(row) > 2 else "") for row in reader]
-        except ValueError as exc:    # a malformed number, or an int past the str limit
-            raise ValidationError(f"unreadable spectrum CSV row: {exc}") from exc
+            rows = [(float(b), int(i) if i.removeprefix("-").isdecimal() else float(i), text)
+                    for b, i, text in reader]
+        except ValueError as exc:    # not 3 cells, a bad number, an int past the str limit
+            raise ValidationError(f"unreadable spectrum CSV row {reader.line_num}: {exc}") from exc
     delta_b, intensity, texts = zip(*rows) if rows else ((), (), ())
-    return StickSpectrum(delta_b, intensity, texts, 0.0, ())
+    spec = StickSpectrum(delta_b, intensity, texts, 0.0, ())
+    spec.lines
+    return spec
 
 
-def export_svg(spectrum: StickSpectrum, path, *, width: int = 900,
-               height: int = 420) -> None:
+def export_svg(spectrum: StickSpectrum, path) -> None:
     """Minimal deterministic stick plot: one labeled line per stick, one template."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     bs, intensities = spectrum.delta_b, spectrum.intensity
     if not bs:
         raise ValidationError("empty spectrum")

@@ -385,7 +385,9 @@ def stick_spectrum_oracle(groups, resonance_label, omega_o=0.0, *, scaled=False,
     """:func:`spinlind.spectrum.stick_spectrum` one term at a time.
 
     Terms are sorted as (position, config) tuples; a line absorbs each next
-    term within ``merge_tol`` of its first position.
+    term within ``merge_tol`` of its first position.  Returns the spectrum
+    and its lines, built here from the merged terms rather than parsed from
+    the config text as ``StickSpectrum.lines`` is.
     """
     labels = ([resonance_label] if isinstance(resonance_label, str)
               else list(resonance_label))
@@ -415,17 +417,18 @@ def stick_spectrum_oracle(groups, resonance_label, omega_o=0.0, *, scaled=False,
             text += ";".join(f"{lab}={n}" for lab, n in cfg)
         config_text.append(text)
     ref = sp.reference_field(groups, labels[0], omega_o) if absolute else 0.0
-    return sp.StickSpectrum(delta_b=tuple(b for b, _, _ in merged),
-                            intensity=tuple(i for _, i, _ in merged),
-                            config_text=tuple(config_text), reference=ref,
-                            resonance=tuple(labels), lines=lines)
+    spectrum = sp.StickSpectrum(delta_b=tuple(b for b, _, _ in merged),
+                                intensity=tuple(i for _, i, _ in merged),
+                                config_text=tuple(config_text), reference=ref,
+                                resonance=tuple(labels))
+    return spectrum, lines
 
 
-def export_csv_oracle(spectrum, path) -> None:
+def export_csv_oracle(lines, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta_B_gauss", "intensity", "config"])
-        for line in spectrum.lines:
+        for line in lines:
             intensity = (str(int(line.intensity))
                          if float(line.intensity).is_integer()
                          else fmt12(line.intensity))
@@ -434,8 +437,8 @@ def export_csv_oracle(spectrum, path) -> None:
             writer.writerow([fmt12(line.delta_b), intensity, config])
 
 
-def export_svg_oracle(spectrum, path, *, width: int = 900, height: int = 420) -> None:
-    lines = spectrum.lines
+def export_svg_oracle(lines, path) -> None:
+    width, height = 900, 420
     if not lines:
         raise ValidationError("empty spectrum")
     bs = [line.delta_b for line in lines]

@@ -286,6 +286,19 @@ class TestSpectrumMode:
         assert "scaled = true" in err and "Traceback" not in err
         assert not list(out.glob("*_spectrum.csv"))
 
+    def test_repeated_resonance_label_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n"
+                       "[group:e]\nj = 0.5\ncount = 1\ngamma = -1.7608e7\nlambda.h = 0.5\n"
+                       "[group:h]\nj = 0.5\ncount = 2\ngamma = 2.6752e4\n"
+                       "[spectrum]\nresonance = e e\n[output]\nbasename = twice\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "repeat a label" in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_quoted_label_round_trips(self, tmp_path):
         # "n,x" makes the writer quote every config cell; "α" is written as
         # UTF-8, and no file is opened in the locale's default encoding

@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -243,22 +244,22 @@ def _assert_matches_oracle(groups, labels, **kwargs):
     the oracle does, so not even the last bit may differ.
     """
     got = sp.stick_spectrum(groups, labels, **kwargs)
-    want = stick_spectrum_oracle(groups, labels, **kwargs)
-    assert len(got.lines) == len(want.lines)
-    for a, b in zip(got.lines, want.lines):
+    want, want_lines = stick_spectrum_oracle(groups, labels, **kwargs)
+    assert len(got.lines) == len(want_lines)
+    for a, b in zip(got.lines, want_lines):
         assert a.delta_b.hex() == b.delta_b.hex()
         assert type(a.intensity) is type(b.intensity)
         assert a.intensity == b.intensity
         assert a.configs == b.configs
-    assert got.lines == want.lines
+    assert got.lines == want_lines
     assert got == want
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         sp.export_csv(got, out / "a.csv")
-        export_csv_oracle(want, out / "b.csv")
+        export_csv_oracle(want_lines, out / "b.csv")
         assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
         sp.export_svg(got, out / "a.svg")
-        export_svg_oracle(want, out / "b.svg")
+        export_svg_oracle(want_lines, out / "b.svg")
         assert (out / "a.svg").read_bytes() == (out / "b.svg").read_bytes()
     return got
 
@@ -356,6 +357,22 @@ class TestWorkloadSizes:
         assert sp.generating_polynomial(groups, "e").n_terms == 12_000
         assert len(spec.lines) == 12_000
 
+    def test_lines_share_one_pair_per_piece(self):
+        # 12 000 lines of 7 pieces each: a pair per piece would peak near
+        # 11.6 MB; one pair per distinct piece (28 here) peaks near 2.6 MB
+        groups = _workload_radical((5, 5, 5, 4, 4, 3, 2),
+                                   (4.913, 0.3871, 2.2459, 5.671, 1.0937, 3.3311, 0.7283))
+        spec = sp.stick_spectrum(groups, "e")
+        tracemalloc.start()
+        try:
+            lines = spec.lines
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lines) == 12_000 and peak < 6e6
+        pairs = {id(pair) for line in lines for cfg in line.configs for pair in cfg}
+        assert len(pairs) == sum(g.max_bosons + 1 for g in groups[1:]) == 28
+
     def test_merging_six_groups(self):
         groups = _workload_radical((5, 5, 4, 4, 3, 2), (1.5, 0.5, 2.5, 1.0, 3.0, 0.5))
         spec = _assert_matches_oracle(groups, "e")
@@ -365,6 +382,10 @@ class TestWorkloadSizes:
 
 
 class TestSizeGuard:
+    def test_repeated_resonance_label_rejected(self):
+        with pytest.raises(ValidationError, match="'e', 'e' repeat a label"):
+            sp.stick_spectrum(naphthalene_groups(), ["e", "e"])
+
     def test_oversized_expansion_rejected_by_count(self):
         neighbors = [sp.EquivalentGroup(f"h{i}", 0.5, 4, 2.6752e4, {}) for i in range(10)]
         electron = sp.EquivalentGroup("e", 0.5, 1, GAMMA_E,
@@ -448,12 +469,16 @@ class TestColumns:
         assert back == spec and "lines" not in back.__dict__
         assert back.lines == spec.lines
 
-    def test_given_lines_stand_in(self):
-        spec = sp.stick_spectrum(naphthalene_groups(), "e")
-        first = dataclasses.replace(spec.lines[0], intensity=2)
-        edited = dataclasses.replace(spec, lines=(first,) + spec.lines[1:])
-        assert edited.lines[0].intensity == 2 and spec.lines[0].intensity == 1
-        assert edited == spec
+    def test_five_columns(self):
+        assert [f.name for f in dataclasses.fields(sp.StickSpectrum)] == [
+            "delta_b", "intensity", "config_text", "reference", "resonance"]
+
+    def test_lines_follow_replaced_config_text(self):
+        spec = sp.stick_spectrum(_proton_radical(2), "e")
+        assert [l.configs for l in spec.lines] == [((("h", n),),) for n in range(3)]
+        edited = dataclasses.replace(spec, config_text=("h=9", "h=8", "h=7"))
+        assert [l.configs for l in edited.lines] == [((("h", n),),) for n in (9, 8, 7)]
+        assert edited != spec
 
     @settings(max_examples=100, deadline=None)
     @given(lattice_radicals())
@@ -463,7 +488,12 @@ class TestColumns:
         pos = np.zeros(poly.n_terms)
         for v, n in zip(poly.variables, poly.exponents.T):
             pos = pos + groups[0].lambdas[v] * n
-        assert np.array_equal(spec._order, np.lexsort([*poly.exponents.T[::-1], pos]))
+        order = np.lexsort([*poly.exponents.T[::-1], pos])
+        texts = [";".join(f"{v}={n}" for v, n in zip(poly.variables, expo))
+                 for expo in poly.exponents[order].tolist()]
+        assert "|".join(spec.config_text).split("|") == texts
+        firsts = np.cumsum([0] + [t.count("|") + 1 for t in spec.config_text[:-1]])
+        assert spec.delta_b == tuple(pos[order][firsts].tolist())
 
 
 class TestRoundTrip:
@@ -572,6 +602,32 @@ class TestIntStrLimit:
         sp._check_printable(10 ** 10_000)
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
         sp._check_printable(10 ** 10_000)
+
+
+class TestParseCsvRejects:
+    """A malformed spectrum CSV is a ValidationError as it is read."""
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "spec.csv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ValidationError, match="header None"):
+            sp.parse_csv(self._write(tmp_path, ""))
+
+    @pytest.mark.parametrize("rows", ["0.5,1,h=1\r\n\r\n", "0.5\r\n", "0.5,1\r\n"],
+                             ids=["blank", "one_cell", "two_cells"])
+    def test_short_row(self, tmp_path, rows):
+        path = self._write(tmp_path, "delta_B_gauss,intensity,config\r\n" + rows)
+        with pytest.raises(ValidationError, match=r"unreadable spectrum CSV row \d"):
+            sp.parse_csv(path)
+
+    @pytest.mark.parametrize("cell", ["h=x", "h", "h=1;;g=2", "=|h=1"])
+    def test_bad_config_cell(self, tmp_path, cell):
+        path = self._write(tmp_path, f"delta_B_gauss,intensity,config\r\n0.5,1,{cell}\r\n")
+        with pytest.raises(ValidationError, match="bad spectrum config"):
+            sp.parse_csv(path)
 
 
 class TestMatrixPathOracle:
