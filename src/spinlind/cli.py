@@ -1,21 +1,18 @@
 """Command-line entry point: run a configured calculation and write artifacts.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical-accuracy failure,
-3 I/O failure.  Each runner imports the modules it uses, so a run loads only
-those of its mode.
+3 I/O failure.  Each runner imports the modules it uses, numpy and json
+included, so a run loads only those of its mode: a spectrum run loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .config import RunConfig, _validate_mode, load_config
 from .errors import AccuracyError, SpinLindError, ValidationError
@@ -53,7 +50,7 @@ def run_spectrum(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
 def run_propagate(cfg: RunConfig, out: Path, verbose: bool) -> int:
     from . import mastereq
-    from .numutil import fmt12
+    from .artifact import fmt12
 
     model = mastereq.build_model(cfg.system, _field(cfg), cfg.beta)
     traj = mastereq.propagate(model, model.boltzmann, cfg.t_end, cfg.dt,
@@ -62,7 +59,7 @@ def run_propagate(cfg: RunConfig, out: Path, verbose: bool) -> int:
     mastereq.export_trajectory_csv(model, traj, csv_path)
     if verbose:
         print(f"{traj.times.size} stored frames, final trace "
-              + fmt12(np.trace(traj.final).real))
+              + fmt12(traj.final.trace().real))
     print(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -77,8 +74,12 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     :func:`mastereq.lambda_map` (not a time stepper), the analytic ones from
     one :func:`qubit.trajectory` call, both on all compared times.
     """
+    import json
+
+    import numpy as np
+
     from . import mastereq, qubit
-    from .numutil import write_csv
+    from .artifact import write_csv
 
     model = mastereq.build_model(cfg.system, _field(cfg), cfg.beta)
     params = qubit.QubitParams.from_field(cfg.system.gammas[0], cfg.field_b_o,
@@ -121,6 +122,8 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
 
 def run_acp(cfg: RunConfig, out: Path, verbose: bool) -> int:
+    import json
+
     from . import acp
 
     order = cfg.acp_order
@@ -141,6 +144,8 @@ def run_acp(cfg: RunConfig, out: Path, verbose: bool) -> int:
 
 
 def _verify_checks(cfg: RunConfig):
+    import numpy as np
+
     from . import mastereq
     from .eigenops import ladder_table
     from .spincore import (
@@ -212,6 +217,8 @@ def _verify_checks(cfg: RunConfig):
 
 
 def run_verify(cfg: RunConfig, out: Path, verbose: bool) -> int:
+    import json
+
     results = []
     failed = False
     for name, check in _verify_checks(cfg):

@@ -7,7 +7,8 @@ Grammar (see README for a full description):
                         couplings as ';'-separated matrix rows
     [field]             b_o, b_1, dist = lorentzian|gaussian|delta, center, width
     [thermal]           exactly one of beta / temperature_kelvin
-    [group:<label>]     j, count, gamma, abundance, lambda.<other> = Gauss
+    [group:<label>]     j, count, gamma, abundance, lambda.<other> = Gauss,
+                        <other> a defined group other than <label>
     [spectrum]          resonance (one label or several), scaled
     [propagate]         t_end > 0, dt > 0 (optional), store_every >= 1 (optional)
     [qubit]             t_end > 0, n_points >= 2, dt > 0 (optional),
@@ -28,11 +29,10 @@ The modules behind the parsed values load only when a config needs them.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -83,7 +83,7 @@ def _number(section, key: str, kind=float, default: str | None = None, *,
         value = kind(text)
     except ValueError as exc:
         raise ValidationError(f"[{section.name}] {key} must be numeric, got {text!r}") from exc
-    if kind is not int and not np.all(np.isfinite(value)):
+    if kind is not int and not _finite(value):
         raise ValidationError(f"[{section.name}] {key} must be finite, got {text!r}")
     if low is not None and not (value > low if strict else value >= low):
         bound = f"above {low}" if strict else f"at least {low}"
@@ -91,9 +91,13 @@ def _number(section, key: str, kind=float, default: str | None = None, *,
     return value
 
 
-def _matrix(text: str) -> np.ndarray:
-    rows = [r for r in (row.strip() for row in text.split(";")) if r]
-    return np.array([_floats(r) for r in rows])
+def _finite(value) -> bool:
+    """A float, or every float of a list or of a matrix's rows, is finite."""
+    return all(map(_finite, value)) if isinstance(value, list) else math.isfinite(value)
+
+
+def _matrix(text: str) -> list:
+    return [_floats(r) for r in (row.strip() for row in text.split(";")) if r]
 
 
 def _bool(text: str) -> bool:
@@ -113,6 +117,8 @@ def _parse_system(section) -> SpinSystem:
     spins = _number(section, "spins", _floats)
     gammas = _number(section, "gammas", _floats)
     couplings = _number(section, "couplings", _matrix) if "couplings" in section else None
+    if couplings and len(set(map(len, couplings))) > 1:
+        raise ValidationError(f"[system] couplings rows differ in length, got {couplings}")
     return SpinSystem(spins, gammas, couplings)
 
 
@@ -148,6 +154,12 @@ def _parse_groups(parser) -> tuple:
             lambdas=lambdas,
             abundance=_number(sec, "abundance", default="1.0"),
         ))
+    labels = {g.label for g in groups}
+    for name, g in zip(names, groups):
+        for other in g.lambdas:
+            if other == g.label or other not in labels:
+                what = "the group itself" if other == g.label else "no defined group"
+                raise ValidationError(f"[{name}] lambda.{other} names {what}")
     return tuple(groups)
 
 

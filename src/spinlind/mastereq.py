@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lineshape, numutil
+from .artifact import write_csv
 from .eigenops import LadderTable, ladder_table
 from .errors import (
     AccuracyError,
@@ -737,4 +738,4 @@ def export_trajectory_csv(model: MasterEquationModel, traj: Trajectory,
     for ev in moments:
         columns += [ev.real, ev.imag]
     columns += list(np.real(np.diagonal(states, axis1=1, axis2=2)).T)
-    numutil.write_csv(path, header, [col.tolist() for col in columns])
+    write_csv(path, header, [col.tolist() for col in columns])

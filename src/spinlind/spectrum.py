@@ -9,19 +9,18 @@ coefficients of the generating polynomial
     P(x) = prod_g (1 + x_g + ... + x_g^{2 j_g})^{N_g}
 
 over the neighbor groups g that are actually coupled to the resonance
-group.  The expansion is one term table: the mixed-radix grid of exponent
-vectors (last group fastest) and the outer product of the per-group
-coefficients, in int64 while the coefficient total fits and in Python
-integers otherwise, so it is exact at any size.  Positions, the sort by
-(position, configuration) (a stable sort by position for one resonance
-group, whose grid is already in configuration order; a ``lexsort`` over
-configuration codes for several) and the merge of coincident lines run on
-those arrays, and so does each term's config text, joined once from
-per-group ``"label=n"`` pieces.  A :class:`StickSpectrum` is those columns,
-which the CSV and SVG stream through one row template each; its
-:class:`SpectrumLine` objects are parsed from the config text when asked
-for, computed and read-back spectra alike.  An expansion above
-``MAX_TERMS`` terms is refused before anything is allocated.
+group.  The expansion is a term table of Python lists, built one neighbor
+group at a time as mixed-radix outer products (last group fastest): the
+exact integer coefficients, each term's position and its config text
+"label=n;...".  One sort orders the terms by position (stable, since one
+group's grid is already in configuration order) or, over several resonance
+groups, by (position, configuration); one anchored scan merges coincident
+lines.  A :class:`StickSpectrum` is those columns, which the CSV and SVG
+stream; its :class:`SpectrumLine` objects are parsed from the config text
+when asked for, computed and read-back spectra alike.  An expansion of more
+than ``MAX_TERMS`` terms, or whose exact coefficients would take more than
+``MAX_COEFFICIENT_BYTES``, is refused before anything is allocated.  The
+module loads no numpy.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from .artifact import _write_text, write_csv
 from .errors import ValidationError
-from .numutil import _write_text, write_csv
 
 __all__ = [
     "EquivalentGroup",
@@ -58,10 +56,12 @@ __all__ = [
 ]
 
 MERGE_TOL_GAUSS = 1e-9
-# about 0.52 kB of peak RSS per term, in stick_spectrum (measured at the cap,
-# generic positions, through export_csv and export_svg; numpy 2.4, x86-64):
-# 0.26 GB at the cap; reading StickSpectrum.lines afterwards stays within it
+# about 0.34 kB of peak RSS per term, in stick_spectrum (measured at the cap,
+# generic positions, through export_csv and export_svg; CPython 3.11, x86-64):
+# 0.17 GB at the cap, 0.25 GB after reading StickSpectrum.lines as well
 MAX_TERMS = 500_000
+# exact coefficients beyond small ints, estimated from the group sizes alone
+MAX_COEFFICIENT_BYTES = 260_000_000
 SVG_WIDTH, SVG_HEIGHT = 900, 420     # pixels
 
 
@@ -146,35 +146,40 @@ def boson_count_degeneracies(j: float, count: int) -> list:
 class GeneratingPolynomial:
     """Expanded multivariate polynomial as a term table.
 
-    Row k of ``exponents`` is the exponent vector of term k, in mixed-radix
-    order with the last variable fastest (lexicographic order of the
-    vectors); ``coefficients[k]`` is its exact integer coefficient, int64
-    when the coefficient total fits and Python ints in an object array
-    otherwise.
+    Term k has the k-th exponent vector of the mixed-radix grid over
+    ``radices``, the last variable fastest (lexicographic order of the
+    vectors), and the exact integer coefficient ``coefficients[k]``.
     """
 
     variables: tuple                  # neighbor group labels, in input order
-    exponents: np.ndarray             # (n_terms, n_variables) int64
-    coefficients: np.ndarray          # (n_terms,) int64 or object
+    radices: tuple                    # 2 j N + 1 per variable
+    coefficients: tuple               # one exact int per term
 
     @property
     def n_terms(self) -> int:
         return len(self.coefficients)
 
     @property
+    def exponents(self) -> tuple:
+        """The exponent tuple of every term, in term order."""
+        return tuple(itertools.product(*map(range, self.radices)))
+
+    @property
     def terms(self) -> dict:
         """Exponent tuple -> integer coefficient, in term order."""
-        return dict(zip(map(tuple, self.exponents.tolist()),
-                        self.coefficients.tolist()))
+        return dict(zip(self.exponents, self.coefficients))
 
     def coefficient(self, exponents: Sequence[int]) -> int:
-        expo, radices = [int(e) for e in exponents], (self.exponents[-1] + 1).tolist()
+        expo, radices = [int(e) for e in exponents], self.radices
         if len(expo) != len(radices) or not all(0 <= e < r for e, r in zip(expo, radices)):
             return 0
-        return int(self.coefficients[np.ravel_multi_index(expo, radices)])
+        index = 0
+        for e, r in zip(expo, radices):
+            index = index * r + e
+        return self.coefficients[index]
 
     def total(self) -> int:
-        return int(self.coefficients.sum())
+        return sum(self.coefficients)
 
 
 def _group_map(groups: Sequence[EquivalentGroup]) -> dict:
@@ -194,40 +199,46 @@ def _neighbors(groups: Sequence[EquivalentGroup], resonance: EquivalentGroup):
 
 
 def _check_size(groups: Sequence[EquivalentGroup], labels: Sequence[str]) -> None:
-    """Refuse expansions of more than MAX_TERMS terms in all, before allocating.
+    """Refuse an expansion too large to hold, from the group sizes alone.
 
     A resonance group has one term per neighbor boson configuration, the
-    product of (max_bosons + 1) over its neighbors.
+    product of (max_bosons + 1) over its neighbors: MAX_TERMS in all.  No
+    coefficient exceeds their total prod (2j + 1)^N, of sum N log2(2j + 1)
+    bits, so terms * bits / 8 bounds a group's coefficient bytes:
+    MAX_COEFFICIENT_BYTES in all.
     """
     by_label = _group_map(groups)
-    counts = []
+    counts, nbytes = [], 0.0
     for lab in labels:
         if lab not in by_label:
             raise ValidationError(f"unknown resonance group {lab!r}")
-        counts.append(math.prod(g.max_bosons + 1
-                                for g in _neighbors(groups, by_label[lab])))
+        neighbors = _neighbors(groups, by_label[lab])
+        counts.append(math.prod(g.max_bosons + 1 for g in neighbors))
+        bits = sum(g.count * math.log2(round(2 * g.j) + 1) for g in neighbors)
+        nbytes += counts[-1] * bits / 8
+    names = ", ".join(map(repr, labels))
     if sum(counts) > MAX_TERMS:
         raise ValidationError(
-            f"resonance group {', '.join(map(repr, labels))} expands to "
+            f"resonance group {names} expands to "
             f"{' + '.join(map(str, counts))} terms, above the cap of {MAX_TERMS}")
+    if nbytes > MAX_COEFFICIENT_BYTES:
+        raise ValidationError(
+            f"resonance group {names} needs about {nbytes / 1e6:.0f} MB of exact "
+            f"coefficients, above the budget of {MAX_COEFFICIENT_BYTES / 1e6:.0f} MB")
 
 
 def generating_polynomial(groups: Sequence[EquivalentGroup],
                           resonance_label: str) -> GeneratingPolynomial:
     """Expand the intensity generating polynomial for one resonance group."""
     _check_size(groups, [resonance_label])
-    by_label = _group_map(groups)
-    neighbors = _neighbors(groups, by_label[resonance_label])
-    radices = [g.max_bosons + 1 for g in neighbors]
-    # the coefficient total bounds every coefficient and every merged sum
-    dtype = np.int64 if math.prod(g.states for g in neighbors) < 2 ** 63 else object
-    coefficients = np.ones(1, dtype=dtype)
+    neighbors = _neighbors(groups, _group_map(groups)[resonance_label])
+    coefficients = [1]
     for g in neighbors:
-        factor = np.array(boson_count_degeneracies(g.j, g.count), dtype=dtype)
-        coefficients = np.multiply.outer(coefficients, factor).ravel()
-    exponents = np.indices(radices).reshape(len(radices), coefficients.size).T
+        factor = boson_count_degeneracies(g.j, g.count)
+        coefficients = [c * f for c in coefficients for f in factor]
     return GeneratingPolynomial(variables=tuple(g.label for g in neighbors),
-                                exponents=exponents, coefficients=coefficients)
+                                radices=tuple(g.max_bosons + 1 for g in neighbors),
+                                coefficients=tuple(coefficients))
 
 
 def tetrahedral_number(j: float) -> int:
@@ -320,48 +331,6 @@ def _parse_configs(texts: Sequence[str]) -> list:
             for text in texts]
 
 
-def _line_bounds(pos: np.ndarray, merge_tol: float):
-    """First and one-past-last term index of each line over sorted positions.
-
-    A line absorbs the following terms while they lie within ``merge_tol``
-    of its first position.  A gap beyond ``merge_tol`` always starts a line;
-    a run of smaller gaps spanning more than ``merge_tol`` is split term by
-    term.
-    """
-    starts = np.flatnonzero(np.diff(pos) > merge_tol) + 1
-    ends = np.append(starts, pos.size)
-    starts = np.insert(starts, 0, 0)
-    wide = np.flatnonzero(pos[ends - 1] - pos[starts] > merge_tol)
-    split = []
-    for s, e in zip(starts[wide].tolist(), ends[wide].tolist()):
-        anchor = pos[s]
-        for k in range(s + 1, e):
-            if pos[k] - anchor > merge_tol:
-                split.append(k)
-                anchor = pos[k]
-    if split:
-        starts = np.union1d(starts, split)
-        ends = np.append(starts[1:], pos.size)
-    return starts, ends
-
-
-def _run_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """values[s:s+l].sum() per run, added left to right as a running total.
-
-    Runs are visited longest first, so the runs still open at offset k are
-    a prefix and the whole pass touches each value once.
-    """
-    by_len = np.argsort(-lengths, kind="stable")
-    first = starts[by_len]
-    acc = values[first]
-    open_runs = np.searchsorted(-lengths[by_len], -np.arange(1, lengths.max()))
-    for k, m in enumerate(open_runs.tolist(), start=1):
-        acc[:m] += values[first[:m] + k]
-    out = np.empty_like(acc)
-    out[by_len] = acc
-    return out
-
-
 def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
                    omega_o: float = 0.0, *, scaled: bool = False,
                    absolute: bool = False,
@@ -376,7 +345,7 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     intensities in that order.  Intensities are exact integer degeneracies
     unless ``scaled``; summing over several resonance groups always applies
     each group's absolute scale, since raw degeneracies of different groups
-    are not comparable.
+    are not comparable; a group whose scale is zero (gamma = 0) is refused.
     """
     labels = ([resonance_label] if isinstance(resonance_label, str)
               else list(resonance_label))
@@ -387,60 +356,54 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     _check_size(groups, labels)
     by_label = _group_map(groups)
     scaled = scaled or len(labels) > 1
-    polys = [generating_polynomial(groups, lab) for lab in labels]
+    scales = [intensity_scale(groups, lab) if scaled else 1 for lab in labels]
+    for lab, scale in zip(labels, scales):
+        if scale == 0:
+            raise ValidationError(
+                f"resonance group {lab!r} has gamma = {by_label[lab].gamma}, so its "
+                "scaled intensities are all 0")
 
-    positions, weights, texts = [], [], []
-    for lab, poly in zip(labels, polys):
-        res = by_label[lab]
-        delta = np.zeros(poly.n_terms)
-        for lam, n in zip([res.lambdas[v] for v in poly.variables], poly.exponents.T):
-            delta = delta + lam * n
-        positions.append(delta + (reference_field(groups, lab, omega_o) if absolute else 0.0))
-        weights.append((poly.coefficients * intensity_scale(groups, lab)).astype(float)
-                       if scaled else poly.coefficients)
-        radices = [by_label[v].max_bosons + 1 for v in poly.variables]
-        # each term's text from per-group "label=n" pieces, in grid order
-        texts += map(";".join, itertools.product(
-            *[[f"{v}={n}" for n in range(r)] for v, r in zip(poly.variables, radices)]))
-    pos = np.concatenate(positions)
-    order = _term_order(pos, polys, by_label)
-    pos = pos[order]
-    weight = np.concatenate(weights)[order]
+    positions, weights, texts, configs = [], [], [], []
+    for lab, scale in zip(labels, scales):
+        res, poly = by_label[lab], generating_polynomial(groups, lab)
+        # outer products one neighbor group at a time, in the grid order of
+        # the coefficients: each position sums lambda * n left to right
+        delta, text = [0.0], [""]
+        for k, (v, radix) in enumerate(zip(poly.variables, poly.radices)):
+            steps = [res.lambdas[v] * n for n in range(radix)]
+            delta = [d + step for d in delta for step in steps]
+            pieces = [f"{';' if k else ''}{v}={n}" for n in range(radix)]
+            text = [t + piece for t in text for piece in pieces]
+        if absolute:
+            ref = reference_field(groups, lab, omega_o)
+            delta = [d + ref for d in delta]
+        positions += delta
+        weights += [c * scale for c in poly.coefficients] if scaled else poly.coefficients
+        texts += text
+        if len(labels) > 1:
+            configs += [tuple(zip(poly.variables, e)) for e in poly.exponents]
+    key = (positions.__getitem__ if len(labels) == 1
+           else lambda k: (positions[k], configs[k]))
+    order = sorted(range(len(positions)), key=key)
 
-    starts, ends = _line_bounds(pos, merge_tol)
-    sums = _run_sums(weight, starts, ends - starts).tolist()
-    # a one-term line takes its term's text; only merged lines join
-    config_text = list(map(texts.__getitem__, order[starts].tolist()))
-    for k in np.flatnonzero(ends - starts > 1).tolist():
-        config_text[k] = "|".join(map(texts.__getitem__, order[starts[k]:ends[k]].tolist()))
+    # a line absorbs the following terms within merge_tol of its first
+    sorted_positions = map(positions.__getitem__, order)
+    starts, anchor = [0], next(sorted_positions)
+    for i, p in enumerate(sorted_positions, 1):
+        if p - anchor > merge_tol:
+            starts.append(i)
+            anchor = p
+    firsts = [order[s] for s in starts]
+    sums = list(map(weights.__getitem__, firsts))
+    config_text = list(map(texts.__getitem__, firsts))
+    if len(starts) < len(order):    # merged terms: added left to right, texts joined
+        for line, (s, e) in enumerate(zip(starts, starts[1:] + [len(order)])):
+            if e - s > 1:
+                sums[line] = reduce(operator.add, map(weights.__getitem__, order[s:e]))
+                config_text[line] = "|".join(map(texts.__getitem__, order[s:e]))
     ref = reference_field(groups, labels[0], omega_o) if absolute else 0.0
-    return StickSpectrum(tuple(pos[starts].tolist()), tuple(sums), tuple(config_text),
-                         ref, tuple(labels))
-
-
-def _term_order(pos: np.ndarray, polys: Sequence[GeneratingPolynomial],
-                by_label: Mapping[str, EquivalentGroup]) -> np.ndarray:
-    """Order of the concatenated terms by (position, configuration).
-
-    One grid is already in configuration order (its exponent vectors over
-    the same labels, lexicographic), so a stable sort by position does.  For
-    several, a configuration is coded as one int per (label, n) pair,
-    rank(label) * radix + n, padded with -1; comparing the codes column by
-    column then orders configurations as tuple comparison does.
-    """
-    if len(polys) == 1:
-        return np.argsort(pos, kind="stable")
-    names = sorted({v for poly in polys for v in poly.variables})
-    rank = {v: r for r, v in enumerate(names)}
-    radix = max([by_label[v].max_bosons + 1 for v in names], default=1)
-    codes = np.full((pos.size, max(len(poly.variables) for poly in polys)), -1,
-                    dtype=np.int64)
-    offset = 0
-    for poly in polys:
-        for i, v in enumerate(poly.variables):
-            codes[offset:offset + poly.n_terms, i] = rank[v] * radix + poly.exponents[:, i]
-        offset += poly.n_terms
-    return np.lexsort([*codes.T[::-1], pos])
+    return StickSpectrum(tuple(map(positions.__getitem__, firsts)), tuple(sums),
+                         tuple(config_text), ref, tuple(labels))
 
 
 def _exact(intensities: list) -> list:
@@ -493,19 +456,22 @@ def parse_csv(path) -> StickSpectrum:
 
 
 def export_svg(spectrum: StickSpectrum, path) -> None:
-    """Minimal deterministic stick plot: one labeled line per stick, one template."""
+    """Minimal deterministic stick plot: one labeled line per stick."""
     width, height = SVG_WIDTH, SVG_HEIGHT
     bs, intensities = spectrum.delta_b, spectrum.intensity
     if not bs:
         raise ValidationError("empty spectrum")
     imax = max(intensities)
     _check_printable(imax)
+    if not imax > 0:
+        raise ValidationError(f"the largest intensity is {imax}, not positive: "
+                              "there is nothing to plot")
     b_lo, b_hi = min(bs), max(bs)
     pad = 0.05 * (b_hi - b_lo) if b_hi > b_lo else 1.0
     b_lo, b_hi = b_lo - pad, b_hi + pad
     margin, base, plot_h = 50, height - 60, height - 100
 
-    def x_of(b):          # a position or an array of them
+    def x_of(b):
         return margin + (b - b_lo) / (b_hi - b_lo) * (width - 2 * margin)
 
     axis = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
@@ -516,15 +482,20 @@ def export_svg(spectrum: StickSpectrum, path) -> None:
     tick = (f'<line x1="%.2f" y1="{base}" x2="%.2f" y2="{base + 6}" stroke="black"/>\n'
             f'<text x="%.2f" y="{base + 22}" text-anchor="middle" font-size="11">%.4g</text>\n')
     ticks = [b_lo + (b_hi - b_lo) * k / 8 for k in range(9)]
+    # per distinct (type, intensity), a stick's row after its 2nd x and its 3rd;
     # heights in Python arithmetic: for int intensities plot_h * I / imax is
     # the correctly rounded quotient of exact integers, beyond 2**53 too
-    heights = np.array([plot_h * i / imax for i in intensities])
-    xs = [f"{x:.2f}" for x in x_of(np.array(bs, dtype=float)).tolist()]
-    labels = [str(i) if type(i) is int else "%.4g" % i for i in _exact(intensities)]
-    stick = (f'<line class="stick" x1="%s" y1="{base}" x2="%s" y2="%.2f" '
-             'stroke="steelblue" stroke-width="2"/>\n'
-             '<text x="%s" y="%.2f" text-anchor="middle" font-size="10">%s</text>\n')
+    tails = dict.fromkeys(zip(map(type, intensities), intensities))
+    values = [i for _, i in tails]
+    for key, i, label in zip(list(tails), values, _exact(values)):
+        y = base - plot_h * i / imax
+        label = str(label) if type(label) is int else "%.4g" % label
+        tails[key] = (
+            f'" y2="{y:.2f}" stroke="steelblue" stroke-width="2"/>\n<text x="',
+            f'" y="{y - 6:.2f}" text-anchor="middle" font-size="10">{label}</text>\n')
+    sticks = map(tails.__getitem__, zip(map(type, intensities), intensities))
     _write_text(path, itertools.chain(
         [axis, *(tick % (x, x, x, b) for x, b in zip(map(x_of, ticks), ticks))],
-        map(stick.__mod__, zip(xs, xs, (base - heights).tolist(), xs,
-                               (base - heights - 6).tolist(), labels)), ["</svg>\n"]))
+        (f'<line class="stick" x1="{x}" y1="{base}" x2="{x}{stick}{x}{text}'
+         for x, (stick, text) in zip((f"{x_of(b):.2f}" for b in bs), sticks)),
+        ["</svg>\n"]))

@@ -16,7 +16,7 @@ pairs, and the dense ladder decomposition of any observable (one Python
 step per nonzero).  None of these is part of the package: each is a
 reference for a closed form, a master-equation rate, a response kernel,
 the array route of :mod:`spinlind.spectrum`, the template CSV writer of
-:mod:`spinlind.numutil`, the vectorized stepper of :mod:`spinlind.mastereq`
+:mod:`spinlind.artifact`, the vectorized stepper of :mod:`spinlind.mastereq`
 or its superoperator audit, the occupation-table operators of
 :mod:`spinlind.spincore`, the batched ladder sums, the broadcasting
 envelope integral of :mod:`spinlind.lineshape`, or the sparse ladder table
@@ -38,9 +38,10 @@ from spinlind import response as rs
 from spinlind import spectrum as sp
 from spinlind import spincore as sc
 from spinlind.errors import AccuracyError, ValidationError
-from spinlind import numutil
+from spinlind import artifact, numutil
 from spinlind import qubit as qb
-from spinlind.numutil import fmt12, max_abs
+from spinlind.artifact import fmt12
+from spinlind.numutil import max_abs
 
 
 def simpson_doubling(f, a: float, b: float, *, rtol: float = 1e-9,
@@ -482,13 +483,13 @@ def export_svg_oracle(lines, path) -> None:
 
 
 def write_csv_oracle(path, header, columns) -> None:
-    """:func:`spinlind.numutil.write_csv` through the ``csv`` module.
+    """:func:`spinlind.artifact.write_csv` through the ``csv`` module.
 
     Every cell is formatted by its own type: a str verbatim, a Python int
     exactly, anything else by ``fmt12``.
     """
-    cells = [map(format, col, map(numutil._CELL_FORMAT.get, map(type, col),
-                                  repeat(numutil.NUMBER_FORMAT)))
+    cells = [map(format, col, map(artifact._CELL_FORMAT.get, map(type, col),
+                                  repeat(artifact.NUMBER_FORMAT)))
              for col in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

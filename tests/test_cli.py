@@ -21,7 +21,7 @@ from spinlind import mastereq as me
 from spinlind import spectrum as sp
 from spinlind.config import MODES, load_config
 from spinlind.errors import ValidationError
-from spinlind.numutil import fmt12
+from spinlind.artifact import fmt12
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = Path(__file__).resolve().parents[1] / "benchmark" / "golden"
@@ -168,6 +168,34 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="finite beta"):
             load_config(bad)
 
+    @pytest.mark.parametrize("replacement, named, what", [
+        ("lambda.h2 = 1.83\nlambda.h9 = 3.0", "lambda.h9", "no defined group"),
+        ("lambda.e = 1.83", "lambda.e", "the group itself"),
+    ], ids=["undefined", "itself"])
+    def test_lambda_toward_no_other_group_rejected(self, tmp_path, monkeypatch, capsys,
+                                                   replacement, named, what):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "naphthalene.cfg").read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace("lambda.h2 = 1.83", replacement))
+        with pytest.raises(ValidationError, match=rf"\[group:e\] {named} names {what}"):
+            load_config(bad)
+        out = tmp_path / "out"
+        assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
+        assert f"[group:e] {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ragged_couplings_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "two_spin.cfg").read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace("couplings = 0 40.0; 40.0 0", "couplings = 0 1; 1"))
+        out = tmp_path / "out"
+        assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "[system] couplings" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_parse_error_reports_line(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[run\nmode = spectrum\n")
@@ -252,6 +280,40 @@ class TestSpectrumMode:
         err = capsys.readouterr().err
         assert "'e' expands to 9765625 terms" in err and "Traceback" not in err
         assert peak < 5_000_000
+        assert not list(out.glob("*"))
+
+    def test_coefficient_bytes_refused_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # 200 000 equivalent protons: 200 001 terms, about 5 GB of exact coefficients
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n"
+                       "[group:e]\nj = 0.5\ncount = 1\ngamma = -1.7608e7\nlambda.h = 0.5\n"
+                       "[group:h]\nj = 0.5\ncount = 200000\ngamma = 2.6752e4\n"
+                       "[spectrum]\nresonance = e\n")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run_cli(["--config", cfg, "--out", out])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "MB of exact coefficients" in err and "Traceback" not in err
+        assert peak < 5_000_000
+        assert not list(out.glob("*"))
+
+    def test_scaled_zero_gamma_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        # all-zero scaled intensities used to reach the SVG as a ZeroDivisionError
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "naphthalene.cfg").read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace("gamma = -1.7608e7", "gamma = 0")
+                       .replace("resonance = e", "resonance = e\nscaled = true"))
+        out = tmp_path / "out"
+        assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "'e' has gamma = 0.0" in err and "Traceback" not in err
         assert not list(out.glob("*"))
 
     def test_intensities_beyond_float_range_written_exactly(self, tmp_path, monkeypatch):
@@ -676,8 +738,13 @@ class TestImportFootprint:
 
     def test_spectrum_run_loads_six_modules(self, tmp_path):
         assert _modules_after(_cli_code(CONFIGS / "naphthalene.cfg"), tmp_path, "spinlind") == [
-            "spinlind", "spinlind.cli", "spinlind.config", "spinlind.errors",
-            "spinlind.numutil", "spinlind.spectrum"]
+            "spinlind", "spinlind.artifact", "spinlind.cli", "spinlind.config",
+            "spinlind.errors", "spinlind.spectrum"]
+
+    @pytest.mark.parametrize("config, loads_numpy", [("naphthalene", False), ("two_spin", True)])
+    def test_only_matrix_runs_load_numpy(self, tmp_path, config, loads_numpy):
+        loaded = _modules_after(_cli_code(CONFIGS / f"{config}.cfg"), tmp_path, "numpy")
+        assert bool(loaded) is loads_numpy
 
     @pytest.mark.parametrize("config, unloaded", [
         ("two_spin", ("acp", "qubit", "response", "spectrum")),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import spinlind
 from oracles import write_csv_oracle
-from spinlind.numutil import fmt12, write_csv
+from spinlind.artifact import fmt12, write_csv
 
 MODULES = ["spinlind"] + [f"spinlind.{m.name}" for m in pkgutil.iter_modules(spinlind.__path__)]
 

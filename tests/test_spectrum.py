@@ -405,6 +405,39 @@ class TestSizeGuard:
         with pytest.raises(ValidationError, match=r"'a', 'b' expands to \d+ \+ \d+ terms"):
             sp.stick_spectrum(groups, ["a", "b"])
 
+    def test_coefficient_bytes_refused_before_allocating(self):
+        # 200 000 protons: 200 001 terms, under MAX_TERMS, of up to 200 000
+        # bits each, about 5 GB of exact coefficients
+        groups = _proton_radical(200_000)
+        tracemalloc.start()
+        try:
+            for expand in (sp.stick_spectrum, sp.generating_polynomial):
+                with pytest.raises(ValidationError, match=r"'e' needs about 5000 MB of exact "
+                                                          r"coefficients, above the budget"):
+                    expand(groups, "e")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
+
+class TestZeroIntensity:
+    """A spectrum with no positive intensity is refused, never plotted."""
+
+    @pytest.mark.parametrize("labels", ["e", ["e", "h1"]], ids=["one", "two"])
+    def test_scaled_zero_gamma_group_refused(self, labels):
+        e, h1, h2 = naphthalene_groups()
+        groups = (dataclasses.replace(e, gamma=0.0), h1, h2)
+        with pytest.raises(ValidationError, match="'e' has gamma = 0.0, so its scaled"):
+            sp.stick_spectrum(groups, labels, scaled=True)
+        assert sp.stick_spectrum(groups, "e").total_intensity == 256
+
+    def test_svg_refuses_a_largest_intensity_that_is_not_positive(self, tmp_path):
+        spec = sp.StickSpectrum((0.0, 1.0), (0.0, 0.0), ("h=0", "h=1"), 0.0, ("e",))
+        with pytest.raises(ValidationError, match="largest intensity is 0.0, not positive"):
+            sp.export_svg(spec, tmp_path / "spec.svg")
+        assert not list(tmp_path.iterdir())
+
 
 class TestIntensityScale:
     def test_tetrahedral_factors(self):
@@ -485,12 +518,13 @@ class TestColumns:
     def test_one_group_stable_sort_is_the_configuration_lexsort(self, groups):
         spec = sp.stick_spectrum(groups, "e")
         poly = sp.generating_polynomial(groups, "e")
+        exponents = np.array(poly.exponents)
         pos = np.zeros(poly.n_terms)
-        for v, n in zip(poly.variables, poly.exponents.T):
+        for v, n in zip(poly.variables, exponents.T):
             pos = pos + groups[0].lambdas[v] * n
-        order = np.lexsort([*poly.exponents.T[::-1], pos])
+        order = np.lexsort([*exponents.T[::-1], pos])
         texts = [";".join(f"{v}={n}" for v, n in zip(poly.variables, expo))
-                 for expo in poly.exponents[order].tolist()]
+                 for expo in exponents[order].tolist()]
         assert "|".join(spec.config_text).split("|") == texts
         firsts = np.cumsum([0] + [t.count("|") + 1 for t in spec.config_text[:-1]])
         assert spec.delta_b == tuple(pos[order][firsts].tolist())
