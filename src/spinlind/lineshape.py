@@ -168,13 +168,16 @@ def envelope_integral(dist: FrequencyDistribution, kappa, t0, t1, *, log_scale=0
     some_inf = inf.any()
     if some_inf:
         t1 = np.where(inf, t0, t1)      # an infinite end contributes 0 (set below)
+    # from t0 = 0 the start term's exponential is exp(log_scale) alone, taken
+    # once per element of log_scale rather than of kappa
+    from_zero = not t0.any()
     if dist.kind != "gaussian":
         a = np.asarray(kappa) + (1j * dist.center - 0.5 * dist.width)
         if some_inf and not ((a.real < 0.0) | ~inf).all():
             raise ValidationError("the envelope does not decay; the integral diverges")
         length = t1 - t0
         span = a * length
-        e0 = np.exp(a * t0 + log_scale)
+        e0 = np.exp(log_scale if from_zero else a * t0 + log_scale)
         small = np.abs(span) < 1.0
         every = small.all()
         num = e0 * np.expm1(span if every else np.where(small, span, 0.0))
@@ -183,8 +186,8 @@ def envelope_integral(dist: FrequencyDistribution, kappa, t0, t1, *, log_scale=0
         if some_inf:
             num = np.where(inf, -e0, num)
         nonzero = a != 0.0      # e0 (t1 - t0) is the a -> 0 limit
-        out = num / a if nonzero.all() else np.divide(
-            num, a, out=np.asarray(e0 * length), where=nonzero)
+        out = num / a if nonzero.all() else np.where(
+            nonzero, num / np.where(nonzero, a, 1.0), e0 * length)
         return out if out.ndim else complex(out)
 
     from scipy.special import wofz
@@ -193,15 +196,15 @@ def envelope_integral(dist: FrequencyDistribution, kappa, t0, t1, *, log_scale=0
     root2s = math.sqrt(2.0) * s
     b = np.asarray(kappa) + 1j * dist.center
 
-    def end(tau):
-        """(Re z >= 0, E(tau) w(+-iz)) at each element of one end."""
+    def end(tau, exponent):
+        """(Re z >= 0, E(tau) w(+-iz)) at each element of one end, E(tau) = exp(exponent)."""
         z = (s * s * tau - b) / root2s
         upper = z.real >= 0.0
         w = wofz(np.where(upper, 1j * z, -1j * z))
-        return upper, np.exp(b * tau - 0.5 * (s * tau) ** 2 + log_scale) * w
+        return upper, np.exp(exponent) * w
 
-    up0, e0 = end(t0)
-    up1, e1 = end(t1)
+    up0, e0 = end(t0, log_scale if from_zero else b * t0 - 0.5 * (s * t0) ** 2 + log_scale)
+    up1, e1 = end(t1, b * t1 - 0.5 * (s * t1) ** 2 + log_scale)
     if some_inf:
         up1, e1 = up1 | inf, np.where(inf, 0.0, e1)
     val = np.where(up0, e0 - e1, e1 - e0)
@@ -219,7 +222,8 @@ def drive_weight(dist: FrequencyDistribution, lam, w, t):
     Broadcasts over ``lam``, ``w`` and ``t``; scalars give a complex.  Since
     conj phi_f(s) = phi_f(s) e^{-2 i c s}, it is (1/2) [I(kappa) + I(kappa - 2 i c)],
     kappa = -i w - lam, with I the envelope integral over [0, t] and e^{lam t}
-    folded into its exponent: both halves in one call, on a trailing axis.
+    folded into its exponent: both halves in one call, on a trailing axis,
+    sharing the start term e^{lam t}, taken once per element.
     """
     t, lam = np.asarray(t, dtype=float)[..., None], np.asarray(lam)[..., None]
     kappa = -1j * np.asarray(w)[..., None] - lam - np.array([0.0, 2j * dist.center])

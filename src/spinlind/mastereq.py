@@ -23,8 +23,13 @@ Hamiltonian; propagation enforces this unless explicitly overridden.
 Since the drive term acts on rho(0) only, it is a known function of t, and
 the equation is affine in the column-stacked state: y' = L y + f(t).  The
 RK4 stepper builds the matrix of L once per run and tabulates f over its
-grid; ``Lambda(t)`` comes from one eigendecomposition of the same matrix.
-Both are capped at dimension MAP_DIM_CAP, where L has D^4 entries.
+grid.  ``Lambda(t)`` and the Kraus audit diagonalise the same matrix one
+secular block at a time: the connected components of its nonzero pattern,
+for a generic system the D populations plus D^2 - D scalar coherences.  V
+and V^-1 stay block diagonal, and the audit's node sums run over the
+nonzeros of V^-1 only.  Both routes are capped at dimension MAP_DIM_CAP,
+where L has D^4 entries.  The dissipator alone is applied from the ladder
+entries, one pair of entries of a block at a time, at any dimension.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +74,9 @@ __all__ = [
 MAP_DIM_CAP = 64
 # rows per drive table: steps in _rk4 (three (n, D^2) tables), times in _apply_map
 RK4_CHUNK = 64
-# complex elements per (n D^4) node-sum temporary of kraus_audit (512 kB), at least one node
-AUDIT_CHUNK = 2 ** 15
+# complex elements per (nnz, D, n) node-sum temporary of kraus_audit (16 MB), nnz the
+# entries of V^-1 inside its blocks; at least one node per batch
+AUDIT_CHUNK = 2 ** 20
 EIGVEC_COND_CAP = 1e6
 DOMAIN_ATOL = 1e-10
 
@@ -209,17 +216,25 @@ def linear_response_hamiltonian(model: MasterEquationModel, t) -> np.ndarray:
 def dissipator(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
     """Apply the stimulated emission/absorption dissipator to ``rho``.
 
-    D[rho] = sum_w g_w (xi_w rho xi_w^dag + xi_w^dag rho xi_w) - {anti, rho}
-    as batched products over the dense (K, D, D) ladder stack: K D^3 work.
+    D[rho] = sum_w g_w (xi_w rho xi_w^dag + xi_w^dag rho xi_w) - {anti, rho}.
+    The jump part is a sum over the pairs (e, f) of entries of one block, as
+    in :func:`liouvillian_matrix`: g v_e conj(v_f) rho[col_e, col_f] lands
+    on [row_e, row_f] and g conj(v_e) v_f rho[row_e, row_f] on [col_e,
+    col_f], scatter-added; no (K, D, D) stack and no D^3 product per block.
     """
     rho = np.asarray(rho)
-    if rho.shape != (model.dim, model.dim):
+    d = model.dim
+    if rho.shape != (d, d):
         raise ValidationError("density matrix dimension mismatch")
-    p = model.ladder.dense()
-    p_dag = p.conj().transpose(0, 2, 1)
-    g = (model.rates_plus + model.rates_minus)[:, None, None]
-    return (((g * p) @ rho @ p_dag).sum(0) + ((g * p_dag) @ rho @ p).sum(0)
-            - (model._anti @ rho + rho @ model._anti))
+    ladder = model.ladder
+    rows, cols, v = ladder.rows, ladder.cols, ladder.values
+    e, f = _pairs(ladder.block)
+    g = (model.rates_plus + model.rates_minus)[ladder.block[e]]
+    out = -(model._anti @ rho + rho @ model._anti)
+    flat = out.reshape(-1)
+    np.add.at(flat, rows[e] * d + rows[f], g * v[e] * v[f].conj() * rho[cols[e], cols[f]])
+    np.add.at(flat, cols[e] * d + cols[f], g * v[e].conj() * v[f] * rho[rows[e], rows[f]])
+    return out
 
 
 def default_dt(model: MasterEquationModel) -> float:
@@ -419,12 +434,17 @@ def _eigensystem(mat: np.ndarray):
     The eigenvector form of exp(mat t) is exact only while V is well
     conditioned (Moler & Van Loan, SIAM Rev. 45 (2003) 3); an AccuracyError
     reports ||V||_1 ||V^-1||_1 > EIGVEC_COND_CAP, i.e. ``mat`` is defective
-    or nearly so.
+    or nearly so.  A real symmetric ``mat`` takes ``eigh``: V is orthogonal,
+    V^-1 = V^T, and no such matrix is defective.
     """
+    if not np.iscomplexobj(mat) and np.array_equal(mat, mat.T):
+        lam, v = np.linalg.eigh(mat)
+        return lam, v, v.T
     lam, v = np.linalg.eig(mat)
     try:
         v_inv = np.linalg.inv(v)
-        cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
+        # the matrix 1-norms, largest column sums of |V| and |V^-1|
+        cond = np.abs(v).sum(0).max() * np.abs(v_inv).sum(0).max()
     except np.linalg.LinAlgError:
         cond = math.inf
     if not cond <= EIGVEC_COND_CAP:
@@ -432,6 +452,73 @@ def _eigensystem(mat: np.ndarray):
             f"the generator is defective or nearly so (eigenvector condition "
             f"number {cond:.2e} > {EIGVEC_COND_CAP:.0e})")
     return lam, v, v_inv
+
+
+class BlockEigensystem(NamedTuple):
+    """mat = V diag(lam) V^-1 with V and V^-1 block diagonal.
+
+    ``lam[k]`` is the eigenvalue of index k.  ``blocks`` holds (idx, V_b,
+    V_b^-1) for each block of more than one index, with ``idx`` ascending; on
+    every other index V and V^-1 are 1.
+    """
+
+    lam: np.ndarray
+    blocks: tuple
+
+    def apply(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """x <- V x, or V^-1 x if ``inverse``, over the first axis, in place.
+
+        ``x`` must be a complex array the caller owns; it is returned.
+        """
+        for idx, v, v_inv in self.blocks:
+            x[idx] = (v_inv if inverse else v) @ x[idx]
+        return x
+
+    def inverse(self) -> np.ndarray:
+        """V^-1 as a dense (n, n) matrix, one scatter per block."""
+        out = np.eye(self.lam.size, dtype=complex)
+        for idx, _, v_inv in self.blocks:
+            out[idx[:, None], idx] = v_inv
+        return out
+
+
+def _components(mat: np.ndarray) -> np.ndarray:
+    """Each index's connected component in the nonzero pattern of ``mat``, by its least index.
+
+    Labels start as the indices.  Each round lowers every label to the least
+    label across the nonzeros (i, j) of the symmetrized pattern, then jumps
+    it to its label's label, until every nonzero joins equal labels.  Labels
+    only fall and stay inside their component, so the last labels are the
+    components' least indices.
+    """
+    nz = mat != 0
+    i, j = np.nonzero(nz | nz.T)
+    label = np.arange(mat.shape[0])
+    while True:
+        np.minimum.at(label, i, label[j])
+        label = label[label]
+        if np.array_equal(label[i], label[j]):
+            return label
+
+
+def _block_eigensystem(mat: np.ndarray) -> BlockEigensystem:
+    """:func:`_eigensystem` of each connected component of ``mat``'s nonzero pattern.
+
+    A 1 x 1 component is its own eigenvalue, with no ``eig`` call; every
+    larger one goes through :func:`_eigensystem`, whose condition cap then
+    holds block by block, as a real matrix where its imaginary part is zero.
+    A generic system's populations form a real symmetric block, since
+    stimulated absorption and emission share their rate.
+    """
+    label = _components(mat)
+    lam = np.diagonal(mat).astype(complex)
+    blocks = []
+    for root in np.flatnonzero(np.bincount(label) > 1).tolist():
+        idx = np.flatnonzero(label == root)
+        sub = mat[idx[:, None], idx]
+        lam[idx], v, v_inv = _eigensystem(sub if sub.imag.any() else sub.real)
+        blocks.append((idx, v, v_inv))
+    return BlockEigensystem(lam, tuple(blocks))
 
 
 def _map_times(t) -> np.ndarray:
@@ -458,23 +545,23 @@ def lambda_map(model: MasterEquationModel, t: float | np.ndarray, rho0: np.ndarr
     """Evaluate Lambda(t) rho0 = e^{Lt} rho0 + int_0^t e^{L(t-s)} A(s) rho0 ds exactly.
 
     ``t`` is one time, giving the (D, D) state, or a 1-D array of times,
-    giving the (nt, D, D) states; either way the call makes one
-    eigendecomposition L = V diag(lam) V^-1 of the vectorized generator
-    (:func:`_apply_map`).  Every time must be finite and nonnegative.
-    ``include_drive=False`` drops the inhomogeneous term, leaving the
-    completely positive semigroup alone.  An AccuracyError means L is
-    defective or nearly so.
+    giving the (nt, D, D) states; either way the call makes one block
+    eigensystem L = V diag(lam) V^-1 of the vectorized generator
+    (:func:`_block_eigensystem`, applied by :func:`_apply_map`).  Every time
+    must be finite and nonnegative.  ``include_drive=False`` drops the
+    inhomogeneous term, leaving the completely positive semigroup alone.  An
+    AccuracyError means a block of L is defective or nearly so.
     """
     times = _map_times(t)
     _check_domain(model, rho0, unsafe)
-    eig = _eigensystem(liouvillian_matrix(model))
+    eig = _block_eigensystem(liouvillian_matrix(model))
     states = _apply_map(model, eig, np.atleast_1d(times), rho0, include_drive)
     return states if times.ndim else states[0]
 
 
-def _apply_map(model: MasterEquationModel, eig, times: np.ndarray, rho0: np.ndarray,
-               include_drive: bool = True) -> np.ndarray:
-    """(nt, D, D) states Lambda(t) rho0 at ``times`` from ``eig`` = (lam, V, V^-1) of L.
+def _apply_map(model: MasterEquationModel, eig: BlockEigensystem, times: np.ndarray,
+               rho0: np.ndarray, include_drive: bool = True) -> np.ndarray:
+    """(nt, D, D) states Lambda(t) rho0 at ``times`` from the block eigensystem of L.
 
     The semigroup part is V e^{lam t} V^-1 rho0.  The drive term is
     Re[phi_f(s)] sum_j e^{-i w_j s} c_j with the components c_j of
@@ -482,15 +569,15 @@ def _apply_map(model: MasterEquationModel, eig, times: np.ndarray, rho0: np.ndar
     W = int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w_j s} ds from one
     :func:`lineshape.drive_weight` call per RK4_CHUNK times over the nonzero
     (j, k) of V^-1 c, scatter-added.  Shared by :func:`lambda_map` and
-    :func:`kraus_audit`, so each call makes exactly one eigendecomposition of L.
+    :func:`kraus_audit`, so each call builds exactly one eigensystem of L.
     """
-    lam, v, v_inv = eig
+    lam = eig.lam
     rho_init = np.array(rho0, dtype=complex)
-    coef = np.exp(np.outer(times, lam)) * (v_inv @ numutil.vec(rho_init))
+    coef = np.exp(np.outer(times, lam)) * eig.apply(numutil.vec(rho_init).copy(), inverse=True)
 
     if include_drive and model.field.b_1 > 0:
         comps, freqs = _drive_components(model, rho_init)
-        c = comps @ v_inv.T
+        c = eig.apply(comps.T, inverse=True).T
         rows, cols = np.nonzero(c)
         lam_k, w_j, c_jk = lam[cols], freqs[rows], c[rows, cols]
         for first in range(0, len(times), RK4_CHUNK):
@@ -499,7 +586,7 @@ def _apply_map(model: MasterEquationModel, eig, times: np.ndarray, rho0: np.ndar
             np.add.at(coef[chunk], (slice(None), cols), c_jk * weights)
 
     d = model.dim
-    return (coef @ v.T).reshape(len(times), d, d).transpose(0, 2, 1)
+    return eig.apply(coef.T).T.reshape(len(times), d, d).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -521,21 +608,27 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     over ``n_nodes`` panels (bumped to even) on [0, t], Phi1 = e^{Lt} +
     sum_n w_n e^{L(t - s_n)} Ad_M(s_n) and Phi2 = sum_n w_n e^{L(t - s_n)}
     Ad_M^dag(s_n) as superoperator matrices, every e^{Ls} = V diag(e^{lam s})
-    V^-1 from one eigendecomposition of L.  The sums V^-1 Phi_i run over
-    batches of nodes whose n D^4 temporaries hold at most AUDIT_CHUNK
-    elements: H_LR of a batch is one call and its sum two matrix products
-    (:func:`_node_sum`), with no per-node superoperator.  The report holds
-    the trace and reconstruction residuals of Phi1 - Phi2 applied to rho0,
-    the latter against :func:`lambda_map` evaluated from the same
-    eigendecomposition; the completeness residual max|(Phi1 - Phi2)^dag (I)
-    - I|, i.e. of sum K^dag K over the two Kraus sets; and the minimum Choi
-    eigenvalue of each Phi (Choi, Linear Algebra Appl. 10 (1975) 285),
-    nonnegative for a CP map.  ``t`` must be one finite nonnegative time.
+    V^-1 from one block eigensystem of L.  Since Ad_M = (1 + C + K) / 2 and
+    Ad_M^dag = (1 - C + K) / 2, with C = -i [H_LR, .] and K = H_LR . H_LR,
+    the sums V^-1 Phi_i take one sandwich node sum (:func:`_node_sum`) and
+    one commutator node sum (:func:`_commutator_sum`), both reading only the
+    entries of V^-1 inside its blocks, over batches of nodes whose
+    temporaries hold at most AUDIT_CHUNK elements; V is applied block by
+    block at the end.  The report holds the trace and reconstruction
+    residuals of Phi1 - Phi2 applied to rho0, the latter against
+    :func:`lambda_map` evaluated from the same eigensystem; the completeness
+    residual max|(Phi1 - Phi2)^dag (I) - I|, i.e. of sum K^dag K over the two
+    Kraus sets; and the minimum Choi eigenvalue of each Phi (Choi, Linear
+    Algebra Appl. 10 (1975) 285), nonnegative for a CP map.  ``t`` must be
+    one finite nonnegative time.
     """
     t = _map_time(t)
     _check_domain(model, rho0, unsafe)
     d = model.dim
-    lam, v, v_inv = eig = _eigensystem(liouvillian_matrix(model))
+    eig = _block_eigensystem(liouvillian_matrix(model))
+    lam, v_inv = eig.lam, eig.inverse()
+    rows, cols = np.nonzero(v_inv != 0)
+    table = rows, cols, v_inv[rows, cols]
     rho_init = np.array(rho0, dtype=complex)
     eye = np.eye(d)
 
@@ -544,19 +637,23 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     ts = np.linspace(0.0, t, n_nodes + 1)
     weights = np.ones(n_nodes + 1)
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
-    weights *= t / n_nodes / 3.0
+    weights *= t / n_nodes / 6.0        # Simpson's weights, halved for Ad_M = (1 + C + K) / 2
 
-    # V^-1 Phi_i accumulated a batch of nodes at a time; V applied once at the end
-    acc1 = np.exp(lam * t)[:, None] * v_inv
-    acc2 = np.zeros_like(acc1)
-    step = max(1, AUDIT_CHUNK // d ** 4)
+    # sum_n w_n e^{lam (t - s_n)} / 2, and V^-1 times the K / 2 and C / 2 node
+    # sums, a batch of nodes at a time; V applied once at the end
+    plain = np.zeros(lam.size, dtype=complex)
+    sandwich, comm = np.zeros_like(v_inv), np.zeros_like(v_inv)
+    step = max(1, AUDIT_CHUNK // (rows.size * d))
     for first in range(0, ts.size, step):
         tau, weight = ts[first:first + step], weights[first:first + step]
-        m_ops = (eye - 1j * linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
+        h_lr = linear_response_hamiltonian(model, tau)
         scale = weight[:, None] * np.exp(np.outer(t - tau, lam))
-        acc1 += _node_sum(v_inv, scale, m_ops)
-        acc2 += _node_sum(v_inv, scale, m_ops.conj().transpose(0, 2, 1))
-    phi1_mat, phi2_mat = v @ acc1, v @ acc2
+        plain += scale.sum(0)
+        sandwich += _node_sum(table, scale, h_lr)
+        comm += _commutator_sum(table, scale, h_lr)
+    sandwich += plain[:, None] * v_inv
+    phi1_mat = eig.apply(np.exp(lam * t)[:, None] * v_inv + sandwich + comm)
+    phi2_mat = eig.apply(sandwich - comm)
 
     diff = phi1_mat - phi2_mat
     reconstructed = numutil.unvec(diff @ numutil.vec(rho_init), d)
@@ -564,9 +661,9 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     completeness = numutil.unvec(diff.conj().T @ numutil.vec(eye), d)
     trace_residual = abs(complex(np.trace(reconstructed)) - complex(np.trace(rho_init)))
 
-    phi1_choi_min, phi2_choi_min = (
-        float(np.linalg.eigvalsh(numutil.hermitize(numutil.choi_matrix(phi, d))).min())
-        for phi in (phi1_mat, phi2_mat))
+    choi = np.stack([numutil.choi_matrix(phi, d) for phi in (phi1_mat, phi2_mat)])
+    phi1_choi_min, phi2_choi_min = np.linalg.eigvalsh(
+        0.5 * (choi + choi.conj().transpose(0, 2, 1))).min(axis=1).tolist()
 
     return KrausAudit(
         trace_residual=trace_residual,
@@ -578,22 +675,42 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     )
 
 
-def _node_sum(v_inv: np.ndarray, scale: np.ndarray, ops: np.ndarray) -> np.ndarray:
+def _node_sum(table, scale: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """sum_n diag(scale_n) V^-1 (conj A_n (x) A_n) for a (n, D, D) stack ``ops``.
 
-    Row r of V^-1, read as the D x D matrix R_r (row-major), maps to the
-    row-major A_n^dag R_r A_n, so the sum is two matrix products: (D^3, D) @
-    (D, n D) gives every R_r A_n, which is scaled by ``scale`` (n, D^2) and
-    reordered to ((n, i), (r, k)) rows and columns for (D, n D) @ (n D, D^3)
-    with the conjugate-transposed stack.  2 n D^5 multiply-adds.
+    ``table`` holds the entries (r, c, x) of V^-1, sorted by r.  With c =
+    j D + i, entry e adds x scale[n, r] conj(A_n[j, :]) (x) A_n[i, :] to row r:
+    one batched (D, n) @ (n, D) product per entry sums its terms over the
+    nodes, and a reduction over each row's entries gives the (D^2, D^2) sum.
+    2 nnz n D^2 multiply-adds for nnz entries, against 2 n D^5 for a dense V^-1.
     """
+    rows, cols, x = table
+    d = ops.shape[-1]
+    left = np.ascontiguousarray(ops.conj().transpose(1, 2, 0))[cols // d]    # [e, l, n]
+    right = np.ascontiguousarray(ops.transpose(1, 0, 2))[cols % d]           # [e, n, k]
+    right *= (scale[:, rows] * x).T[:, :, None]
+    terms = (left @ right).reshape(rows.size, d * d)
+    return np.add.reduceat(terms, np.flatnonzero(np.diff(rows, prepend=-1)))
+
+
+def _commutator_sum(table, scale: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_n diag(scale_n) V^-1 vec(-i [H_n, .]) for a (n, D, D) stack ``ops`` of H_n.
+
+    Row r of V^-1, read as the D x D matrix R_r (R_r[i, j] at c = j D + i),
+    maps to the row -i [G_r, R_r] (column-stacked) with G_r = sum_n
+    scale[n, r] conj(H_n): one (D^2, n) @ (n, D^2) product for every G_r.
+    Entry (r, c, x) of V^-1 then adds -i x G_r[:, i] to column j and i x
+    G_r[j, :] to row i of that D x D row.
+    """
+    rows, cols, x = table
     n, d = ops.shape[0], ops.shape[-1]
-    right = v_inv.reshape(d ** 3, d) @ ops.transpose(1, 0, 2).reshape(d, n * d)
-    right = right.reshape(d * d, d, n, d)          # [r, i, n, k]
-    right *= scale.T[:, None, :, None]
-    left = ops.conj().transpose(2, 0, 1).reshape(d, n * d)
-    out = left @ right.transpose(2, 1, 0, 3).reshape(n * d, d ** 3)
-    return out.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
+    j, i = cols // d, cols % d
+    g = (scale.T @ ops.conj().reshape(n, d * d)).reshape(-1, d, d)     # [r, a, b] = G_r[a, b]
+    ix = 1j * x[:, None]
+    out = np.zeros((d * d, d, d), dtype=complex)                        # [r, l, k]: column l D + k
+    np.add.at(out, (rows, j), -ix * g[rows, :, i])
+    np.add.at(out, (rows, slice(None), i), ix * g[rows, j])
+    return out.reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

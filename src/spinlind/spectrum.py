@@ -252,15 +252,35 @@ def subspace_dimension(groups: Sequence[EquivalentGroup], label: str) -> int:
     return res.states * math.prod(g.states for g in _neighbors(groups, res))
 
 
+def _scale_ratio(groups: Sequence[EquivalentGroup], label: str,
+                 include_abundance: bool = True) -> tuple:
+    """(gamma^2 N binom(2j+2, 3) [abundance], D) as exact ints, gamma and abundance
+    through their integer ratios, so that no float meets the subspace dimension D."""
+    res = _group_map(groups)[label]
+    g_num, g_den = res.gamma.as_integer_ratio()
+    a_num, a_den = res.abundance.as_integer_ratio() if include_abundance else (1, 1)
+    num = g_num * g_num * res.count * tetrahedral_number(res.j) * a_num
+    return num, g_den * g_den * a_den * subspace_dimension(groups, label)
+
+
+def _quotient(num: int, den: int, label: str) -> float:
+    """num / den correctly rounded; a ValidationError where it exceeds the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValidationError(
+            f"a scaled intensity of resonance group {label!r} exceeds the float range") from None
+
+
 def intensity_scale(groups: Sequence[EquivalentGroup], label: str, *,
                     include_abundance: bool = True) -> float:
-    """Absolute intensity scale (gamma^2 N / D) * binom(2j+2, 3) [* abundance]."""
-    res = _group_map(groups)[label]
-    scale = (res.gamma ** 2 * res.count / subspace_dimension(groups, label)
-             * tetrahedral_number(res.j))
-    if include_abundance:
-        scale *= res.abundance
-    return scale
+    """Absolute intensity scale (gamma^2 N / D) * binom(2j+2, 3) [* abundance].
+
+    One exact int/int quotient, correctly rounded: the subspace dimension D
+    may be far beyond the float range (a group of 1100 spin-1/2 has 2^1100
+    states), and the scale still comes out finite, if subnormal or 0.
+    """
+    return _quotient(*_scale_ratio(groups, label, include_abundance), label)
 
 
 def reference_field(groups: Sequence[EquivalentGroup], label: str,
@@ -356,15 +376,15 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     _check_size(groups, labels)
     by_label = _group_map(groups)
     scaled = scaled or len(labels) > 1
-    scales = [intensity_scale(groups, lab) if scaled else 1 for lab in labels]
-    for lab, scale in zip(labels, scales):
-        if scale == 0:
+    ratios = [_scale_ratio(groups, lab) if scaled else (1, 1) for lab in labels]
+    for lab, (num, _) in zip(labels, ratios):
+        if num == 0:
             raise ValidationError(
                 f"resonance group {lab!r} has gamma = {by_label[lab].gamma}, so its "
                 "scaled intensities are all 0")
 
     positions, weights, texts, configs = [], [], [], []
-    for lab, scale in zip(labels, scales):
+    for lab, (num, den) in zip(labels, ratios):
         res, poly = by_label[lab], generating_polynomial(groups, lab)
         # outer products one neighbor group at a time, in the grid order of
         # the coefficients: each position sums lambda * n left to right
@@ -378,7 +398,9 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
             ref = reference_field(groups, lab, omega_o)
             delta = [d + ref for d in delta]
         positions += delta
-        weights += [c * scale for c in poly.coefficients] if scaled else poly.coefficients
+        # each scaled weight is one exact quotient c num / den, correctly rounded
+        weights += ([_quotient(c * num, den, lab) for c in poly.coefficients] if scaled
+                    else poly.coefficients)
         texts += text
         if len(labels) > 1:
             configs += [tuple(zip(poly.variables, e)) for e in poly.exponents]

@@ -253,22 +253,26 @@ def _couplings(system: SpinSystem, zz: bool) -> np.ndarray:
     """sum_{i>j} T_ij [(S+_i S-_j + S-_i S+_j) / 2 + (Sz_i Sz_j if ``zz``)].
 
     S+_i S-_j takes column k to row k - W_i + W_j with the product of the two
-    ladder values, wherever n_i(k) >= 1 and n_j(k) < d_j - 1.
+    ladder values, wherever n_i(k) >= 1 and n_j(k) < d_j - 1.  Every coupled
+    pair is read off the occupation table in one pass, as
+    :func:`eigenops.ladder_table` reads xi^x: S+ at m = j - n gives sqrt(j (j + 1)
+    - m (m + 1)) and S- gives sqrt(j (j + 1) - (m - 1) m), no dense S+ or S-.
     """
-    t, w, d = system.couplings, system.weights, system.dim
+    d = system.dim
+    first, second = np.nonzero(np.tril(system.couplings, -1))    # pairs i > j, in loop order
+    t = system.couplings[first, second]
+    spins, dims, weights = (np.array(a)[:, None] for a in (system.spins, system.dims,
+                                                           system.weights))
+    occ = _occupations(system)
+    m = spins - occ                                               # Sz_i at each (i, k)
+    up = np.sqrt(spins * (spins + 1) - m * (m + 1))[first]        # S+ at each (i, k)
+    down = np.sqrt(spins * (spins + 1) - (m - 1) * m)[second]     # S- at each (j, k)
+    pair, cols = np.nonzero((occ[first] >= 1) & (occ[second] < dims[second] - 1))
+    rows = cols - (weights[first] - weights[second])[pair, 0]
     out = np.zeros((d, d), dtype=complex)
-    occ, sz, k = _occupations(system), _sz_diagonals(system), np.arange(d)
-    for i in range(system.n_spins):
-        for j in range(i):
-            if t[i, j] == 0.0:
-                continue
-            cols = k[(occ[i] >= 1) & (occ[j] < system.dims[j] - 1)]
-            up = single_spin_matrix(system.spins[i], "+")[occ[i, cols] - 1, occ[i, cols]]
-            down = single_spin_matrix(system.spins[j], "-")[occ[j, cols] + 1, occ[j, cols]]
-            rows = cols - w[i] + w[j]
-            out[rows, cols] = out[cols, rows] = 0.5 * t[i, j] * (up * down)
-            if zz:
-                out[k, k] += t[i, j] * (sz[i] * sz[j])
+    out[rows, cols] = out[cols, rows] = 0.5 * t[pair] * (up[pair, cols] * down[pair, cols])
+    if zz:      # the pairs' Sz_i Sz_j added in pair order
+        out[np.arange(d), np.arange(d)] = np.add.reduce(t[:, None] * (m[first] * m[second]))
     return out
 
 

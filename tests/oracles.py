@@ -9,24 +9,28 @@ through the ``csv`` module, the transition rate by a scan of the whole
 Pauli table, the operator-form RK4 stepper (H_LR(t) and the dissipator
 rebuilt at every stage), the Kraus-factor audit (e^{Ls} refactorised from
 its Choi matrix at every node) with its dense operator-sum superoperator,
-the Kronecker-product spin operators,
-the per-block loops of the model's ladder sums and Pauli table, the scalar
-envelope integral with the map's drive term looped over times and nonzero
-pairs, and the dense ladder decomposition of any observable (one Python
-step per nonzero).  None of these is part of the package: each is a
-reference for a closed form, a master-equation rate, a response kernel,
-the array route of :mod:`spinlind.spectrum`, the template CSV writer of
-:mod:`spinlind.artifact`, the vectorized stepper of :mod:`spinlind.mastereq`
-or its superoperator audit, the occupation-table operators of
-:mod:`spinlind.spincore`, the batched ladder sums, the broadcasting
-envelope integral of :mod:`spinlind.lineshape`, or the sparse ladder table
-of :mod:`spinlind.eigenops`.
+the full-L map routes (``lambda_map`` and the Kraus audit from one
+eigendecomposition of the whole D^2 x D^2 generator, node sums through the
+dense V^-1), the Kronecker-product spin operators, the flip-flop couplings
+one pair at a time, the per-block loops of the model's ladder sums and
+Pauli table, the scalar envelope integral with the map's drive term looped
+over times and nonzero pairs, and the dense ladder decomposition of any
+observable (one Python step per nonzero).  None of these is part of the
+package: each is a reference for a closed form, a master-equation rate, a
+response kernel, the array route of :mod:`spinlind.spectrum`, the template
+CSV writer of :mod:`spinlind.artifact`, the vectorized stepper of
+:mod:`spinlind.mastereq`, its per-block eigensystems or its superoperator
+audit, the occupation-table operators of :mod:`spinlind.spincore`, the
+batched ladder sums, the broadcasting envelope integral of
+:mod:`spinlind.lineshape`, or the sparse ladder table of
+:mod:`spinlind.eigenops`.
 """
 
 import cmath
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
@@ -287,12 +291,12 @@ def kraus_audit_oracle(model, t: float, rho0: np.ndarray, *,
     taken at every node from one eigendecomposition of L; the drive is
     inserted through M(s) = (I - i H_LR(s))/sqrt(2), so that
     ``M rho M^dag - M^dag rho M = -i [H_LR, rho]``.  The reconstruction
-    residual is measured against the library's map, evaluated from the same
-    eigendecomposition.
+    residual is measured against :func:`full_apply_map`, evaluated from the
+    same eigendecomposition.
     """
     me._check_domain(model, rho0, unsafe)
     d = model.dim
-    eig = me._eigensystem(me.liouvillian_matrix(model))
+    eig = full_eigensystem(model)
     rho_init = np.array(rho0, dtype=complex)
     eye = np.eye(d)
 
@@ -319,7 +323,7 @@ def kraus_audit_oracle(model, t: float, rho0: np.ndarray, *,
             m_op.conj().T @ ksum @ m_op - m_op @ ksum @ m_op.conj().T)
 
     reconstructed = numutil.unvec((phi1_mat - phi2_mat) @ numutil.vec(rho_init), d)
-    reference = me._apply_map(model, eig, np.array([t]), rho_init)[0]
+    reference = full_apply_map(model, eig, np.array([t]), rho_init)[0]
     trace_residual = abs(complex(np.trace(reconstructed)) - complex(np.trace(rho_init)))
     rec_residual = numutil.max_abs(reconstructed - reference)
     comp_residual = numutil.max_abs(completeness - eye)
@@ -372,12 +376,14 @@ def _lines_for_group(groups, label, omega_o, scaled):
     res = by_label[label]
     variables, terms = _polynomial_terms(groups, label)
     lambdas = [res.lambdas[lab] for lab in variables]
-    scale = sp.intensity_scale(groups, label) if scaled else 1
+    # the exact rational scale gamma^2 N binom(2j+2, 3) abundance / D
+    scale = (Fraction(res.gamma) ** 2 * res.count * math.comb(round(2 * res.j) + 2, 3)
+             * Fraction(res.abundance) / sp.subspace_dimension(groups, label))
     out = []
     for expo, coeff in terms.items():
         delta_b = sum(lam * n for lam, n in zip(lambdas, expo))
         config = tuple(zip(variables, expo))
-        out.append((delta_b, coeff * scale, config))
+        out.append((delta_b, float(coeff * scale) if scaled else coeff, config))
     return out
 
 
@@ -576,6 +582,30 @@ def kron_x(system) -> np.ndarray:
             if t[i, j] != 0.0:
                 term = kron_embed(system, i, "+") @ kron_embed(system, j, "-")
                 out += 0.5 * t[i, j] * (term + term.conj().T)
+    return out
+
+
+def per_pair_couplings(system, zz: bool) -> np.ndarray:
+    """``spincore._couplings`` one coupled pair at a time, from the dense S+ and S-.
+
+    For each pair i > j with T_ij != 0: a mask of the columns where S+_i S-_j
+    acts, the two ladder values read from ``single_spin_matrix``, and the
+    Sz_i Sz_j diagonal added in the same loop.
+    """
+    t, w, d = system.couplings, system.weights, system.dim
+    out = np.zeros((d, d), dtype=complex)
+    occ, sz, k = sc._occupations(system), sc._sz_diagonals(system), np.arange(d)
+    for i in range(system.n_spins):
+        for j in range(i):
+            if t[i, j] == 0.0:
+                continue
+            cols = k[(occ[i] >= 1) & (occ[j] < system.dims[j] - 1)]
+            up = sc.single_spin_matrix(system.spins[i], "+")[occ[i, cols] - 1, occ[i, cols]]
+            down = sc.single_spin_matrix(system.spins[j], "-")[occ[j, cols] + 1, occ[j, cols]]
+            rows = cols - w[i] + w[j]
+            out[rows, cols] = out[cols, rows] = 0.5 * t[i, j] * (up * down)
+            if zz:
+                out[k, k] += t[i, j] * (sz[i] * sz[j])
     return out
 
 
@@ -800,3 +830,98 @@ def heisenberg_operator(params, t: float, x_op: np.ndarray) -> np.ndarray:
     """The qubit's Heisenberg-picture X(t) = sum_i c_i(t) sigma_i from its coefficients."""
     c = qb.heisenberg_coefficients(params, t, x_op)
     return sum(c[i] * qb.SIGMA[i] for i in range(4))
+
+
+# -- the full-L map routes -------------------------------------------------------
+
+def full_eigensystem(model):
+    """lam, V and V^-1 of the whole D^2 x D^2 generator from one ``eig`` call."""
+    return me._eigensystem(me.liouvillian_matrix(model))
+
+
+def full_apply_map(model, eig, times: np.ndarray, rho0: np.ndarray,
+                   include_drive: bool = True) -> np.ndarray:
+    """``mastereq._apply_map`` from a dense eigensystem (lam, V, V^-1) of L."""
+    lam, v, v_inv = eig
+    rho_init = np.array(rho0, dtype=complex)
+    coef = np.exp(np.outer(times, lam)) * (v_inv @ numutil.vec(rho_init))
+    if include_drive and model.field.b_1 > 0:
+        comps, freqs = me._drive_components(model, rho_init)
+        c = comps @ v_inv.T
+        rows, cols = np.nonzero(c)
+        weights = ls.drive_weight(model.field.dist, lam[cols], freqs[rows], times[:, None])
+        np.add.at(coef, (slice(None), cols), c[rows, cols] * weights)
+    d = model.dim
+    return (coef @ v.T).reshape(len(times), d, d).transpose(0, 2, 1)
+
+
+def full_lambda_map(model, t, rho0: np.ndarray, *, unsafe: bool = False,
+                    include_drive: bool = True, eig=None) -> np.ndarray:
+    """``mastereq.lambda_map`` from one eigendecomposition of the whole generator.
+
+    ``eig`` is that eigendecomposition if the caller has it already.
+    """
+    times = me._map_times(t)
+    me._check_domain(model, rho0, unsafe)
+    states = full_apply_map(model, full_eigensystem(model) if eig is None else eig,
+                            np.atleast_1d(times), rho0, include_drive)
+    return states if times.ndim else states[0]
+
+
+def dense_node_sum(v_inv: np.ndarray, scale: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_n diag(scale_n) V^-1 (conj A_n (x) A_n) from a dense V^-1: 2 n D^5 work.
+
+    Row r of V^-1, read as the D x D matrix R_r (row-major), maps to the
+    row-major A_n^dag R_r A_n: (D^3, D) @ (D, n D) gives every R_r A_n, which
+    is scaled, reordered and multiplied by the conjugate-transposed stack.
+    """
+    n, d = ops.shape[0], ops.shape[-1]
+    right = v_inv.reshape(d ** 3, d) @ ops.transpose(1, 0, 2).reshape(d, n * d)
+    right = right.reshape(d * d, d, n, d)          # [r, i, n, k]
+    right *= scale.T[:, None, :, None]
+    left = ops.conj().transpose(2, 0, 1).reshape(d, n * d)
+    out = left @ right.transpose(2, 1, 0, 3).reshape(n * d, d ** 3)
+    return out.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
+
+
+def full_kraus_audit(model, t: float, rho0: np.ndarray, *, unsafe: bool = False,
+                     n_nodes: int = 256) -> me.KrausAudit:
+    """``mastereq.kraus_audit`` with every e^{Ls} from one dense eigensystem of L.
+
+    The same Simpson nodes and operator M(s) = (I - i H_LR(s))/sqrt(2); the
+    node sums multiply the whole V^-1 (:func:`dense_node_sum`), all nodes at
+    once, and the reconstruction is measured against :func:`full_apply_map`.
+    """
+    t = me._map_time(t)
+    me._check_domain(model, rho0, unsafe)
+    d = model.dim
+    lam, v, v_inv = eig = full_eigensystem(model)
+    rho_init = np.array(rho0, dtype=complex)
+    eye = np.eye(d)
+    if n_nodes % 2:
+        n_nodes += 1
+    ts = np.linspace(0.0, t, n_nodes + 1)
+    weights = np.ones(n_nodes + 1)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    weights *= t / n_nodes / 3.0
+
+    m_ops = (eye - 1j * me.linear_response_hamiltonian(model, ts)) / math.sqrt(2.0)
+    scale = weights[:, None] * np.exp(np.outer(t - ts, lam))
+    phi1_mat = v @ (np.exp(lam * t)[:, None] * v_inv + dense_node_sum(v_inv, scale, m_ops))
+    phi2_mat = v @ dense_node_sum(v_inv, scale, m_ops.conj().transpose(0, 2, 1))
+
+    diff = phi1_mat - phi2_mat
+    reconstructed = numutil.unvec(diff @ numutil.vec(rho_init), d)
+    reference = full_apply_map(model, eig, np.array([t]), rho_init)[0]
+    completeness = numutil.unvec(diff.conj().T @ numutil.vec(eye), d)
+    phi1_choi_min, phi2_choi_min = (
+        float(np.linalg.eigvalsh(numutil.hermitize(numutil.choi_matrix(phi, d))).min())
+        for phi in (phi1_mat, phi2_mat))
+    return me.KrausAudit(
+        trace_residual=abs(complex(np.trace(reconstructed)) - complex(np.trace(rho_init))),
+        reconstruction_residual=max_abs(reconstructed - reference),
+        completeness_residual=max_abs(completeness - eye),
+        phi1_choi_min=phi1_choi_min,
+        phi2_choi_min=phi2_choi_min,
+        n_nodes=n_nodes,
+    )

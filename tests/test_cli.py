@@ -332,6 +332,45 @@ class TestSpectrumMode:
         assert svg.count('class="stick"') == 1101
         assert f">{math.comb(1100, 550)}</text>" in svg
 
+    @pytest.mark.parametrize("neighbors", [0, 1100])
+    def test_scaled_intensities_beyond_float_range_dimension(self, tmp_path, monkeypatch,
+                                                             neighbors):
+        # 1100 spin-1/2 in the resonance group or beside it: the subspace
+        # dimension 2^1100 (or 2^1101) used to overflow a float in
+        # intensity_scale; each weight is now one exact quotient, rounded once
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        gamma = -1.7608e7
+        res = (f"[group:e]\nj = 0.5\ncount = 1\ngamma = {gamma}\nlambda.h = 0.5\n"
+               "[group:h]\nj = 0.5\ncount = 1100\ngamma = 2.6752e4\n" if neighbors
+               else f"[group:e]\nj = 0.5\ncount = 1100\ngamma = {gamma}\n")
+        cfg = tmp_path / "scaled.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n" + res
+                       + "[spectrum]\nresonance = e\nscaled = true\n"
+                       "[output]\nbasename = scaled\n")
+        assert run_cli(["--config", cfg, "--out", tmp_path]) == 0
+        with open(tmp_path / "scaled_spectrum.csv", newline="") as fh:
+            got = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+        g_num, g_den = gamma.as_integer_ratio()
+        if neighbors:
+            want = [math.comb(1100, k) * g_num ** 2 / (g_den ** 2 * 2 ** 1101)
+                    for k in range(1101)]
+        else:
+            want = [1100 * g_num ** 2 / (g_den ** 2 * 2 ** 1100)]
+        assert all(math.isfinite(v) for v in got) and max(got) > 0
+        assert got == pytest.approx(want, rel=1e-11)
+
+    def test_scaled_intensity_beyond_float_range_is_validation_error(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n[group:e]\nj = 0.5\ncount = 1\ngamma = 1e200\n"
+                       "[spectrum]\nresonance = e\nscaled = true\n[output]\nbasename = loud\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "exceeds the float range" in err and "Traceback" not in err
+        assert not list(out.glob("*"))
+
     def test_intensity_beyond_int_str_limit_is_validation_error(self, tmp_path, monkeypatch,
                                                                capsys, default_int_str_limit):
         # 15 000 equivalent protons: C(15000, 7500) has 4514 digits, past

@@ -117,13 +117,14 @@ def test_bins_anchor_on_their_first_gap():
 
 
 def test_table_routes_build_no_dense_stack(monkeypatch):
-    # every route but the dissipator and the drive components reads the entries
+    # every route but the drive components reads the entries
     def refuse(self):
         raise AssertionError("the dense ladder stack was built")
 
     monkeypatch.setattr(eo.LadderTable, "dense", refuse)
     model = operator_sum_model("three_equivalent_plus_one")
     me.liouvillian_matrix(model)
+    me.dissipator(model, np.eye(model.dim) / model.dim)
     me.linear_response_hamiltonian(model, np.linspace(0.0, 1.0, 5))
     me.drive_integral(model, 0.5)
     me.noncp_witness(model, np.arange(1.0, model.dim + 1.0), 0.5, unsafe=True)
@@ -134,6 +135,7 @@ def test_table_routes_build_no_dense_stack(monkeypatch):
     rs.absorbed_power(model)
     checks = dict(cli._verify_checks(load_config(CONFIGS / "two_spin.cfg")))
     assert checks["ladder decomposition complete with steps +-1"]()
+    assert checks["dissipator output traceless"]()
 
 
 def test_biphenyl_size_table_stays_sparse():

@@ -344,6 +344,25 @@ class TestDriveWeight:
             assert abs(val - want) <= 1e-12 * abs(want)
         assert not np.any(got[..., 0])       # W(lam, w, 0) = 0
 
+    @pytest.mark.parametrize("dist", [ls.lorentzian(4.0, 2.0), ls.gaussian(4.0, 2.0),
+                                      ls.delta_line(2.0)])
+    def test_halves_share_the_start_term(self, dist):
+        # both halves start from e^{lam t}, taken once per element: each half
+        # alone, with its own start exponential, gives the same value; for the
+        # delta line at w = 2 one half has a = 0 and takes the t e^{lam t} limit
+        lam = np.array(self.LAMS)[:, None, None]
+        w = np.array(self.FREQS + (2.0,))[None, :, None]
+        t = np.array(self.TIMES)
+        got = ls.drive_weight(dist, lam, w, t)
+        kappa = -1j * w - lam
+        halves = [ls.envelope_integral(dist, k, 0.0, t, log_scale=lam * t)
+                  for k in (kappa, kappa - 2j * dist.center)]
+        assert np.array_equal(got, 0.5 * (halves[0] + halves[1]))
+        assert not np.any(got[..., 0])
+        for (i, j, n), val in np.ndenumerate(got[..., 1:]):
+            want = drive_weight_oracle(dist, lam.flat[i], w.flat[j], t[n + 1])
+            assert abs(val - want) <= 1e-12 * abs(want)
+
     def test_matches_dense_simpson(self):
         dist = ls.gaussian(4.0, 2.0)
         for lam, w, t in ((-0.5 + 3.0j, 5.0, 1.0), (0.0, -7.0, 3.0)):

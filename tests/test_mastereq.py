@@ -21,9 +21,11 @@ from spinlind.errors import (
 from spinlind.qubit import SIGMA
 
 from conftest import random_system
-from oracles import (a_term, apply_map_oracle, kraus_audit_oracle, ladder_sums_oracle,
-                     pauli_rates_oracle, rk4_oracle, sandwich_superop, simpson_doubling,
-                     transition_rate_oracle, wavefunction_distribution, wavefunction_oracle)
+from oracles import (a_term, apply_map_oracle, full_apply_map, full_eigensystem,
+                     full_kraus_audit, full_lambda_map, kraus_audit_oracle,
+                     ladder_sums_oracle, pauli_rates_oracle, rk4_oracle, sandwich_superop,
+                     simpson_doubling, transition_rate_oracle, wavefunction_distribution,
+                     wavefunction_oracle)
 from test_spectrum import naphthalene_groups
 
 
@@ -485,13 +487,33 @@ class TestDissipator:
         s3 = np.trace(rho @ SIGMA[3]).real
         assert s3_dot == pytest.approx(-2.0 * rate * s3, rel=1e-12)
 
-    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h"])
     def test_matches_einsum_oracle(self, case, rng):
-        model = operator_sum_model(case)
+        # the entry pairs of each block against the dense (K, D, D) stack
+        model = radical_model((2, 2)) if case == "e_2_2h" else operator_sum_model(case)
         assert np.all(model.rates_plus + model.rates_minus > 0)
         rho = random_hermitian(rng, model.dim)
         want = einsum_dissipator(model, rho)
         assert nu.max_abs(me.dissipator(model, rho) - want) <= 1e-14 * nu.max_abs(want)
+
+    def test_naphthalene_size_is_sparse(self, rng):
+        # e + 4 + 4 H (D = 512, K = 29): the dense stack took 3 s and a 491 MB
+        # peak per call; about a million entry pairs take a fraction of that
+        model = radical_model((4, 4))
+        rho = random_hermitian(rng, model.dim)
+        me.dissipator(model, rho)
+        start = time.perf_counter()
+        out = me.dissipator(model, rho)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            me.dissipator(model, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(np.trace(out)) <= 1e-10 * nu.max_abs(out)
+        assert elapsed < 1.0
+        assert peak < 128e6
 
     def test_dimension_mismatch_rejected(self, qubit_model):
         with pytest.raises(ValidationError, match="dimension"):
@@ -764,7 +786,8 @@ class TestLambdaMap:
             assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
 
     def test_time_grid_decomposes_the_generator_once(self, qubit_model, monkeypatch):
-        calls = {"liouvillian_matrix": 0, "_eigensystem": 0}
+        # the qubit's L has one block of two populations and two scalar coherences
+        calls = {"liouvillian_matrix": 0, "_block_eigensystem": 0, "_eigensystem": 0}
         for name in calls:
             def spy(*args, _fn=getattr(me, name), _name=name):
                 calls[_name] += 1
@@ -772,7 +795,7 @@ class TestLambdaMap:
             monkeypatch.setattr(me, name, spy)
         times = np.linspace(0.0, 1.0, 40) / qubit_rate(qubit_model)
         me.lambda_map(qubit_model, times, qubit_model.boltzmann)
-        assert calls == {"liouvillian_matrix": 1, "_eigensystem": 1}
+        assert calls == {"liouvillian_matrix": 1, "_block_eigensystem": 1, "_eigensystem": 1}
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     @pytest.mark.parametrize("as_array", [False, True])
@@ -794,16 +817,17 @@ class TestMapDriveTerm:
         base = operator_sum_model(case)
         field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(22.0, 4.0))
         model = build(base.system, field, base.beta)
-        eig = me._eigensystem(me.liouvillian_matrix(model))
-        return model, eig, 1.0 / float(np.max(-eig[0].real))
+        eig = me._block_eigensystem(me.liouvillian_matrix(model))
+        return model, eig, 1.0 / float(np.max(-eig.lam.real))
 
     @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
     @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
     def test_matches_looped_oracle(self, case, kind):
+        # the block eigensystem against the loops over one full-L eigensystem
         model, eig, tau = self._model(case, kind)
         times = np.array([0.0, 0.01, 0.3, 1.0, 4.0]) * tau
         got = me._apply_map(model, eig, times, model.boltzmann)
-        want = apply_map_oracle(model, eig, times, model.boltzmann)
+        want = apply_map_oracle(model, full_eigensystem(model), times, model.boltzmann)
         assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
 
     def test_chunking_does_not_change_the_states(self, monkeypatch):
@@ -813,6 +837,133 @@ class TestMapDriveTerm:
         monkeypatch.setattr(me, "RK4_CHUNK", 6)
         chunked = me._apply_map(model, eig, times, model.boltzmann)
         assert nu.max_abs(chunked - whole) <= 1e-15 * nu.max_abs(whole)
+
+
+def drive_model(case, kind):
+    """``operator_sum_model(case)`` under a drive of line shape ``kind``."""
+    base = operator_sum_model(case)
+    field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(22.0, 4.0))
+    return build(base.system, field, base.beta)
+
+
+def random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+class TestBlockEigensystem:
+    """One eigensystem per connected component of L against one of the whole L."""
+
+    @pytest.mark.parametrize("case, nnz, components, largest", [
+        ("generic4", 320, 241, 16), ("generic5", 1184, 993, 32),
+        ("three_equivalent_plus_one", 1280, 57, 40), ("spin1_pair", 129, 61, 9)])
+    def test_components_are_the_secular_blocks(self, case, nnz, components, largest):
+        lmat = me.liouvillian_matrix(operator_sum_model(case))
+        assert np.count_nonzero(lmat) == nnz
+        label = me._components(lmat)
+        assert np.unique(label).size == components
+        assert np.bincount(label).max() == largest
+        # every nonzero joins one component, labelled by its least index
+        rows, cols = np.nonzero(lmat)
+        assert np.array_equal(label[rows], label[cols])
+        assert np.all(label <= np.arange(label.size)) and np.all(label[label] == label)
+
+    def test_reassembles_a_permuted_block_matrix(self, rng):
+        sizes = [1, 3, 1, 2, 5, 1]
+        n = sum(sizes)
+        mat = np.zeros((n, n), dtype=complex)
+        start = 0
+        for m in sizes:
+            block = rng.normal(size=(m, m))
+            # the 3 x 3 block real and symmetric, so its eigenvectors are real
+            block = block + block.T if m == 3 else block + 1j * rng.normal(size=(m, m))
+            mat[start:start + m, start:start + m] = block
+            start += m
+        perm = rng.permutation(n)
+        mat = mat[np.ix_(perm, perm)]
+        eig = me._block_eigensystem(mat)
+        assert sorted(idx.size for idx, _, _ in eig.blocks) == [2, 3, 5]
+        # a block with no imaginary part is diagonalised as a real matrix
+        assert [np.iscomplexobj(v) for idx, v, _ in eig.blocks] == [
+            idx.size != 3 for idx, _, _ in eig.blocks]
+        v, v_inv = eig.apply(np.eye(n, dtype=complex)), eig.inverse()
+        assert nu.max_abs(v @ v_inv - np.eye(n)) <= 1e-12
+        assert nu.max_abs((v * eig.lam) @ v_inv - mat) <= 1e-12 * nu.max_abs(mat)
+        assert nu.max_abs(eig.apply(v.copy(), inverse=True) - np.eye(n)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["generic2", "generic3"])
+    def test_populations_take_the_symmetric_solver(self, case):
+        # stimulated absorption and emission share their rate, so a generic
+        # system's population block is real symmetric: V orthogonal, V^-1 = V^T
+        model = operator_sum_model(case)
+        lmat = me.liouvillian_matrix(model)
+        (idx, v, v_inv), = me._block_eigensystem(lmat).blocks
+        assert idx.tolist() == [a * model.dim + a for a in range(model.dim)]
+        assert not np.iscomplexobj(v) and np.array_equal(v_inv, v.T)
+        assert nu.max_abs(v.T @ v - np.eye(model.dim)) <= 1e-14
+
+    def test_defective_block_raises(self, qubit_model, monkeypatch):
+        # a Jordan block on the two populations; the coherences stay scalars
+        lmat = me.liouvillian_matrix(qubit_model)
+        lmat[0, 0] = lmat[3, 3] = -1.0
+        lmat[0, 3], lmat[3, 0] = 1.0, 0.0
+        with pytest.raises(AccuracyError, match="defective"):
+            me._block_eigensystem(lmat)
+        monkeypatch.setattr(me, "liouvillian_matrix", lambda model: lmat.copy())
+        with pytest.raises(AccuracyError, match="defective"):
+            me.lambda_map(qubit_model, 0.01, qubit_model.boltzmann)
+        with pytest.raises(AccuracyError, match="defective"):
+            me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann, n_nodes=4)
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_lambda_map_matches_full_generator(self, case, kind, rng):
+        model = drive_model(case, kind)
+        eig = full_eigensystem(model)
+        times = np.array([0.0, 0.05, 0.4, 3.0]) / float(np.max(-eig[0].real))
+        rho = random_density(rng, model.dim)
+        for drive in (True, False):
+            for rho0, unsafe in ((model.boltzmann, False), (rho, True)):
+                want = full_apply_map(model, eig, times, rho0, drive)
+                got = me.lambda_map(model, times, rho0, unsafe=unsafe, include_drive=drive)
+                assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
+                one = me.lambda_map(model, times[2], rho0, unsafe=unsafe, include_drive=drive)
+                want = full_lambda_map(model, times[2], rho0, unsafe=unsafe,
+                                       include_drive=drive, eig=eig)
+                assert one.shape == want.shape == (model.dim, model.dim)
+                assert nu.max_abs(one - want) <= 1e-12 * nu.max_abs(want)
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_kraus_audit_matches_full_generator(self, case, kind, rng):
+        model = drive_model(case, kind)
+        t = 120 * me.default_dt(model)
+        # at D = 32 each route's two 1024 x 1024 Choi spectra take about a second
+        n_nodes = 4 if case == "generic5" else 16
+        inputs = [(model.boltzmann, False)]
+        if case != "generic5":
+            inputs.append((random_density(rng, model.dim), True))
+        for rho0, unsafe in inputs:
+            got = me.kraus_audit(model, t, rho0, unsafe=unsafe, n_nodes=n_nodes)
+            want = full_kraus_audit(model, t, rho0, unsafe=unsafe, n_nodes=n_nodes)
+            assert got.n_nodes == want.n_nodes == n_nodes
+            for name in ("trace_residual", "reconstruction_residual", "completeness_residual",
+                         "phi1_choi_min", "phi2_choi_min"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+
+    def test_equivalent_spins_map_is_fast(self):
+        # three equivalent spin-1/2 and a fourth (D = 16): one eig of the whole
+        # L took 50-90 ms, its 45 blocks take a few
+        model = operator_sum_model("three_equivalent_plus_one")
+        times = np.linspace(0.0, 1.0, 5)
+        me.lambda_map(model, times, model.boltzmann)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            me.lambda_map(model, times, model.boltzmann)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.04
 
 
 class TestChoiMatrix:
@@ -882,7 +1033,7 @@ class TestKrausAudit:
         assert report.trace_residual < 1e-10
 
     def test_one_generator_eigendecomposition_per_call(self, qubit_model, monkeypatch):
-        calls = {"liouvillian_matrix": 0, "_eigensystem": 0}
+        calls = {"liouvillian_matrix": 0, "_block_eigensystem": 0, "_eigensystem": 0}
         for name in calls:
             original = getattr(me, name)
 
@@ -893,7 +1044,7 @@ class TestKrausAudit:
             monkeypatch.setattr(me, name, spy)
         me.kraus_audit(qubit_model, 0.3 / qubit_rate(qubit_model),
                        qubit_model.boltzmann, n_nodes=16)
-        assert calls == {"liouvillian_matrix": 1, "_eigensystem": 1}
+        assert calls == {"liouvillian_matrix": 1, "_block_eigensystem": 1, "_eigensystem": 1}
 
     @pytest.mark.parametrize("case", ["driven", "undriven"])
     def test_shared_eigensystem_changes_no_field(self, resonant_qubit, monkeypatch, case):
@@ -908,7 +1059,7 @@ class TestKrausAudit:
         apply_map = me._apply_map
 
         def fresh(model, eig, *args):
-            return apply_map(model, me._eigensystem(me.liouvillian_matrix(model)), *args)
+            return apply_map(model, me._block_eigensystem(me.liouvillian_matrix(model)), *args)
 
         monkeypatch.setattr(me, "_apply_map", fresh)
         assert me.kraus_audit(model, t, model.boltzmann, n_nodes=64) == shared
@@ -933,21 +1084,25 @@ class TestKrausAudit:
 
     @pytest.mark.parametrize("chunk", ["one_node", "all_nodes"])
     def test_node_batches_change_no_field(self, monkeypatch, chunk):
-        # D = 8: the default batch holds 8 of the 33 nodes
+        # D = 8: V^-1 has 120 entries in its blocks, and the default batch
+        # holds all 33 nodes
         model = operator_sum_model("generic3")
         t = 120 * me.default_dt(model)
         default = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
+        nnz = np.count_nonzero(me._block_eigensystem(me.liouvillian_matrix(model)).inverse())
+        assert nnz == 8 * 8 + (64 - 8)
         calls = []
         node_sum = me._node_sum
 
-        def spy(v_inv, scale, ops):
+        def spy(table, scale, ops):
             calls.append(len(ops))
-            return node_sum(v_inv, scale, ops)
+            return node_sum(table, scale, ops)
 
         monkeypatch.setattr(me, "_node_sum", spy)
-        monkeypatch.setattr(me, "AUDIT_CHUNK", model.dim ** 4 * (1 if chunk == "one_node" else 33))
+        nodes = 1 if chunk == "one_node" else 33
+        monkeypatch.setattr(me, "AUDIT_CHUNK", nnz * model.dim * nodes)
         got = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
-        assert calls == ([1] * 66 if chunk == "one_node" else [33, 33])
+        assert calls == ([1] * 33 if chunk == "one_node" else [33])
         assert got.n_nodes == default.n_nodes == 32
         for name in ("trace_residual", "reconstruction_residual", "completeness_residual",
                      "phi1_choi_min", "phi2_choi_min"):
@@ -955,13 +1110,35 @@ class TestKrausAudit:
 
     @pytest.mark.parametrize("count", [1, 5])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_node_sum_matches_kron_sum(self, count, dim, rng):
+    @pytest.mark.parametrize("pattern", ["dense", "sparse"])
+    def test_node_sum_matches_kron_sum(self, count, dim, pattern, rng):
         shape = (count, dim, dim)
         ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         v_inv = rng.normal(size=(dim * dim,) * 2) + 1j * rng.normal(size=(dim * dim,) * 2)
+        if pattern == "sparse":     # a nonzero diagonal and a third of the rest
+            v_inv *= (rng.uniform(size=v_inv.shape) < 1 / 3) | np.eye(dim * dim, dtype=bool)
         scale = rng.normal(size=(count, dim * dim)) + 1j * rng.normal(size=(count, dim * dim))
         want = sum(s[:, None] * v_inv @ np.kron(a.conj(), a) for s, a in zip(scale, ops))
-        got = me._node_sum(v_inv, scale, ops)
+        rows, cols = np.nonzero(v_inv)
+        got = me._node_sum((rows, cols, v_inv[rows, cols]), scale, ops)
+        assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("pattern", ["dense", "sparse"])
+    def test_commutator_sum_matches_kron_form(self, count, dim, pattern, rng):
+        shape = (count, dim, dim)
+        ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ops = ops + ops.conj().transpose(0, 2, 1)           # Hermitian H_n
+        v_inv = rng.normal(size=(dim * dim,) * 2) + 1j * rng.normal(size=(dim * dim,) * 2)
+        if pattern == "sparse":
+            v_inv *= (rng.uniform(size=v_inv.shape) < 1 / 3) | np.eye(dim * dim, dtype=bool)
+        scale = rng.normal(size=(count, dim * dim)) + 1j * rng.normal(size=(count, dim * dim))
+        eye = np.eye(dim)
+        want = sum(s[:, None] * v_inv @ (-1j * (np.kron(eye, h) - np.kron(h.T, eye)))
+                   for s, h in zip(scale, ops))
+        rows, cols = np.nonzero(v_inv)
+        got = me._commutator_sum((rows, cols, v_inv[rows, cols]), scale, ops)
         assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])

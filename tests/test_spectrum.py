@@ -468,6 +468,22 @@ class TestIntensityScale:
         without = sp.intensity_scale(groups, "e", include_abundance=False)
         assert with_ab == pytest.approx(0.5 * without)
 
+    def test_dimension_beyond_float_range(self):
+        # D = 2^1101 is no float; gamma^2 / D = 2^80 / 2^1101 is, exactly
+        groups = (sp.EquivalentGroup("e", 0.5, 1, 2.0 ** 40, {"h": 1.0}),
+                  sp.EquivalentGroup("h", 0.5, 1100, 1.0, {}))
+        assert sp.subspace_dimension(groups, "e") == 2 ** 1101
+        assert sp.intensity_scale(groups, "e") == 2.0 ** -1021
+        spec = sp.stick_spectrum(groups, "e", scaled=True)
+        assert spec.intensity[550] == math.comb(1100, 550) * 2 ** 80 / 2 ** 1101
+
+    def test_scale_beyond_float_range_refused(self):
+        groups = (sp.EquivalentGroup("e", 0.5, 1, 1e200, {}),)
+        with pytest.raises(ValidationError, match="exceeds the float range"):
+            sp.intensity_scale(groups, "e")
+        with pytest.raises(ValidationError, match="exceeds the float range"):
+            sp.stick_spectrum(groups, "e", scaled=True)
+
     def test_splitting_constant_sign(self):
         assert sp.splitting_constant(-4.0, 2.0) == pytest.approx(2.0)
         with pytest.raises(ValidationError):

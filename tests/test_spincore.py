@@ -11,7 +11,7 @@ from spinlind.errors import ValidationError
 
 from conftest import random_system
 from oracles import (embed_single_spin, kron_embed, kron_spin_spin, kron_total_sz, kron_x,
-                     kron_xi, kron_zo)
+                     kron_xi, kron_zo, per_pair_couplings)
 
 ORACLE_SPINS = (0.5, 1.0, 1.5, 2.0)
 ORACLE_MAX_DIM = 64
@@ -136,6 +136,20 @@ class TestKroneckerOracle:
         assert np.array_equal(sc.build_zo(system, b_o), kron_zo(system, b_o))
         assert np.array_equal(sc.build_x(system), kron_x(system))
         assert np.array_equal(sc.spin_spin_hamiltonian(system), kron_spin_spin(system))
+        # the one pass over all coupled pairs against the loop over them
+        for zz, got in ((False, sc.build_x(system)), (True, sc.spin_spin_hamiltonian(system))):
+            assert np.array_equal(got, per_pair_couplings(system, zz))
+
+    @pytest.mark.parametrize("spins", [(1.0, 1.0, 0.5), (0.5,) * 6, (1.5, 1.0, 2.0)])
+    def test_every_pair_coupled_matches_the_per_pair_loop(self, spins, rng):
+        # every T_ij nonzero, up to 15 pairs whose Sz_i Sz_j share the diagonal
+        n = len(spins)
+        couplings = rng.normal(size=(n, n))
+        system = sc.SpinSystem(spins, rng.normal(size=n), couplings + couplings.T
+                               - 2 * np.diag(np.diag(couplings)))
+        assert np.array_equal(sc.build_x(system), per_pair_couplings(system, zz=False))
+        assert np.array_equal(sc.spin_spin_hamiltonian(system),
+                              per_pair_couplings(system, zz=True))
 
     def test_dims_weights_and_dim(self):
         system = sc.SpinSystem([1.0, 0.5, 1.5], [1.0, 1.0, 1.0])
