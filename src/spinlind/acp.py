@@ -136,10 +136,15 @@ def moments_up_to(system: SpinSystem, b_o: float, order: int,
                   beta: float) -> AcpMoments:
     if order < 1:
         raise ValidationError(f"moments are defined for order >= 1, got {order}")
+    return _thermal_ladder(system, b_o, order, beta)[2]
+
+
+def _thermal_ladder(system: SpinSystem, b_o: float, order: int, beta: float):
+    """The Boltzmann state rho0, [Y^(0), ..., Y^(order)] at i beta and their moments."""
     eps = _levels(system, b_o)
     ys = _y_ladder(eps, build_x(system), order, beta)
     rho0 = boltzmann_state(eps, beta)
-    return AcpMoments([np.trace(rho0 @ y) for y in ys[1:]])
+    return rho0, ys, AcpMoments([np.trace(rho0 @ y) for y in ys[1:]])
 
 
 def zeta_recursive(moments: AcpMoments) -> ZetaCoefficients:
@@ -177,12 +182,9 @@ def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
     """
     if n < 0:
         raise ValidationError("order must be nonnegative")
-    eps = _levels(system, b_o)
-    rho0 = boltzmann_state(eps, beta)
     if n == 0:
-        return rho0
-    ys = _y_ladder(eps, build_x(system), n, beta)
-    moments = AcpMoments([np.trace(rho0 @ y) for y in ys[1:]])
+        return boltzmann_state(_levels(system, b_o), beta)
+    rho0, ys, moments = _thermal_ladder(system, b_o, n, beta)
     zetas = zeta_recursive(moments).zetas
     out = np.zeros_like(rho0)
     for n_prime in range(n + 1):
@@ -211,15 +213,16 @@ def propagate_order_n(model: MasterEquationModel, n: int,
     Dimensions above ``mastereq.MAP_DIM_CAP`` are refused before anything is
     computed.
     """
-    from .mastereq import _check_map_dim, _rk4  # the moment tables need no model
+    from .mastereq import _check_domain, _check_map_dim, _rk4  # the moment tables need no model
 
     if n < 1:
         raise ValidationError("use the order-0 propagator for n = 0")
     _check_map_dim(model)
     if rho_n0 is None:
         rho_n0 = initial_correction(model.system, model.field.b_o, n, model.beta)
+    _check_domain(model, rho_n0, unsafe=True)       # shape and finiteness only
     rho_n0 = np.array(rho_n0, dtype=complex)
-    if abs(complex(np.trace(rho_n0))) > 1e-9 * max(1.0, numutil.max_abs(rho_n0)):
+    if not abs(complex(np.trace(rho_n0))) <= 1e-9 * max(1.0, numutil.max_abs(rho_n0)):
         raise ValidationError("order-n initial corrections must be traceless")
 
     d = model.dim
@@ -229,8 +232,8 @@ def propagate_order_n(model: MasterEquationModel, n: int,
         g = np.asarray(g_callback(t))
         if g.shape != (d, d):
             raise ValidationError("inhomogeneity callback returned a wrong shape")
-        if abs(complex(np.trace(g))) > 1e-9 * max(numutil.max_abs(g), scale):
-            raise ValidationError("inhomogeneity callback output must be traceless")
+        if not abs(complex(np.trace(g))) <= 1e-9 * max(numutil.max_abs(g), scale):
+            raise ValidationError("inhomogeneity callback output must be finite and traceless")
         return g
 
     return _rk4(model, rho_n0, t_end, dt, store_every, g_checked)

@@ -155,7 +155,7 @@ def _verify_checks(cfg: RunConfig):
         decompress,
         is_hermitian,
         level_data,
-        spin_spin_hamiltonian,
+        static_hamiltonian,
         total_sz,
         xi_operator,
     )
@@ -176,7 +176,7 @@ def _verify_checks(cfg: RunConfig):
     xi_x = xi_operator(system, "x")
 
     def reconstruction():
-        full = spin_spin_hamiltonian(system) + b_o * xi_operator(system, "z")
+        full = static_hamiltonian(system, b_o)
         scale = max(np.max(np.abs(full)), 1.0)
         return np.max(np.abs(zo + x - full)) <= 1e-12 * scale
 

@@ -4,9 +4,9 @@ xi^x splits into blocks xi^x(n, w) collecting the matrix elements <a|xi^x|b>
 whose level pair satisfies eps_b - eps_a = w and M_b - M_a = n; only
 n = +1 and n = -1 occur, and xi^x(-1, -w) = xi^x(+1, w)^dag.  Each block
 obeys [Z0, xi^x(n, w)] = -w xi^x(n, w) and [Sz, xi^x(n, w)] = -n xi^x(n, w).
-The +1-step half is held as a sparse table read off the occupation table:
-spin i lowers m_i by one from column k to row k + W_i wherever
-n_i(k) < d_i - 1, so M_col - M_row = 1 for every entry.
+The +1-step half is held as a sparse table read off the S- ladder table of
+:mod:`spincore`: spin i lowers m_i by one from column k to row k + W_i
+wherever that table is nonzero, so M_col - M_row = 1 for every entry.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import LevelData, SpinSystem
+from .spincore import LevelData, SpinSystem, _spin_tables
 
 __all__ = ["LadderTable", "ladder_table"]
 
@@ -58,25 +58,20 @@ class LadderTable:
 def ladder_table(system: SpinSystem, levels: LevelData) -> LadderTable:
     """The +1-step ladder table of xi^x = -sum_i gamma_i S_i^x at these levels.
 
-    Entries take the values -gamma_i S^x[n + 1, n] of :func:`spincore.xi_operator`.
+    Entries take the values -gamma_i S-_i / 2 of the S- ladder table of
+    :mod:`spincore`, at the nonzeros of that table in (spin, column) order.
     The gaps |eps_col - eps_row| are binned in ascending order: a gap starts
     a new bin when it exceeds the bin's first gap (its anchor) by more than
     the tolerance, and takes the anchor as its frequency, signed after
     binning so that mirrored labels negate exactly; a bin whose anchor lies
     within the tolerance of zero has frequency 0.
     """
+    _, s_minus, _ = _spin_tables(system)
     eps = levels.energies
     tol = GAP_TOL * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
-    k = np.arange(system.dim)
-    rows, cols, values = [], [], []
-    for j, g, d, w in zip(system.spins, system.gammas, system.dims, system.weights):
-        n = k // w % d
-        col = k[n < d - 1]
-        rows.append(col + w)
-        cols.append(col)
-        # S^x[n + 1, n] = sqrt(j (j + 1) - m (m + 1)) / 2 at m = j - n - 1, no dense S^x
-        values.append(-0.5 * g * np.sqrt(j * (j + 1) - (j - n[col] - 1.0) * (j - n[col])))
-    rows, cols, values = (np.concatenate(a) for a in (rows, cols, values))
+    site, cols = np.nonzero(s_minus)
+    rows = cols + np.array(system.weights)[site]
+    values = -0.5 * np.array(system.gammas)[site] * s_minus[site, cols]
     keep = values != 0          # gamma_i = 0 leaves no entry
     rows, cols, values = rows[keep], cols[keep], values[keep]
 

@@ -217,24 +217,34 @@ def dissipator(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
     """Apply the stimulated emission/absorption dissipator to ``rho``.
 
     D[rho] = sum_w g_w (xi_w rho xi_w^dag + xi_w^dag rho xi_w) - {anti, rho}.
-    The jump part is a sum over the pairs (e, f) of entries of one block, as
-    in :func:`liouvillian_matrix`: g v_e conj(v_f) rho[col_e, col_f] lands
-    on [row_e, row_f] and g conj(v_e) v_f rho[row_e, row_f] on [col_e,
-    col_f], scatter-added; no (K, D, D) stack and no D^3 product per block.
+    The jump part is a sum over the pairs of :func:`_jump_pairs`, each
+    coefficient times its rho element scatter-added; no (K, D, D) stack and
+    no D^3 product per block.
     """
     rho = np.asarray(rho)
     d = model.dim
     if rho.shape != (d, d):
         raise ValidationError("density matrix dimension mismatch")
-    ladder = model.ladder
-    rows, cols, v = ladder.rows, ladder.cols, ladder.values
-    e, f = _pairs(ladder.block)
-    g = (model.rates_plus + model.rates_minus)[ladder.block[e]]
+    row_e, row_f, col_e, col_f, forward, backward = _jump_pairs(model)
     out = -(model._anti @ rho + rho @ model._anti)
     flat = out.reshape(-1)
-    np.add.at(flat, rows[e] * d + rows[f], g * v[e] * v[f].conj() * rho[cols[e], cols[f]])
-    np.add.at(flat, cols[e] * d + cols[f], g * v[e].conj() * v[f] * rho[rows[e], rows[f]])
+    np.add.at(flat, row_e * d + row_f, forward * rho[col_e, col_f])
+    np.add.at(flat, col_e * d + col_f, backward * rho[row_e, row_f])
     return out
+
+
+def _jump_pairs(model: MasterEquationModel):
+    """Rows and columns of the pairs (e, f) of entries of one block, and their coefficients.
+
+    With g = g_w^+ + g_w^-, g v_e conj(v_f) takes rho[col_e, col_f] to [row_e,
+    row_f] (xi_w rho xi_w^dag) and g conj(v_e) v_f takes rho[row_e, row_f] to
+    [col_e, col_f] (xi_w^dag rho xi_w).
+    """
+    ladder, v = model.ladder, model.ladder.values
+    e, f = _pairs(ladder.block)
+    g = (model.rates_plus + model.rates_minus)[ladder.block[e]]
+    return (ladder.rows[e], ladder.rows[f], ladder.cols[e], ladder.cols[f],
+            g * v[e] * v[f].conj(), g * v[e].conj() * v[f])
 
 
 def default_dt(model: MasterEquationModel) -> float:
@@ -253,9 +263,13 @@ def default_dt(model: MasterEquationModel) -> float:
 
 
 def _check_domain(model: MasterEquationModel, rho0: np.ndarray, unsafe: bool) -> None:
-    if unsafe:
-        return
-    if numutil.max_abs(np.asarray(rho0) - model.boltzmann) > DOMAIN_ATOL:
+    """Refuse a ``rho0`` not finite and (D, D), or, unless ``unsafe``, off the Boltzmann state."""
+    rho0 = np.asarray(rho0)
+    if rho0.shape != (model.dim, model.dim):
+        raise ValidationError(f"rho0 must have shape {(model.dim, model.dim)}, got {rho0.shape}")
+    if not np.all(np.isfinite(rho0)):
+        raise ValidationError("rho0 must be finite")
+    if not (unsafe or numutil.max_abs(rho0 - model.boltzmann) <= DOMAIN_ATOL):
         raise DomainViolationError(
             "rho0 is not the model's Boltzmann state; the zeroth-order map is "
             "defined on that state only (pass unsafe=True to override)"
@@ -398,21 +412,18 @@ def _drive_table(dist: FrequencyDistribution, comps: np.ndarray, freqs: np.ndarr
 def liouvillian_matrix(model: MasterEquationModel) -> np.ndarray:
     """Column-stacked matrix of the semigroup generator L.
 
-    The jump part is scattered from the pairs (e, f) of entries of one block:
-    g v_e conj(v_f) takes rho[col_e, col_f] to [row_e, row_f] and g conj(v_e)
-    v_f takes rho[row_e, row_f] to [col_e, col_f]; no element is written
-    twice, as (row, col) names one entry and M_col - M_row = 1.  M rho + rho N,
-    M = -i h_ls - anti and N = i h_ls - anti, is added through diagonal views.
+    The jump part is scattered from the pairs of :func:`_jump_pairs`; no
+    element is written twice, as (row, col) names one entry and M_col -
+    M_row = 1.  M rho + rho N, M = -i h_ls - anti and N = i h_ls - anti, is
+    added through diagonal views.
     """
     _check_map_dim(model)
-    d, ladder = model.dim, model.ladder
-    rows, cols, v = ladder.rows, ladder.cols, ladder.values
-    e, f = _pairs(ladder.block)
-    g = (model.rates_plus + model.rates_minus)[ladder.block[e]]
+    d = model.dim
+    row_e, row_f, col_e, col_f, forward, backward = _jump_pairs(model)
     lmat = np.zeros((d * d, d * d), dtype=complex)
     l4 = lmat.reshape(d, d, d, d)      # [out column, out row, in column, in row]
-    l4[rows[f], rows[e], cols[f], cols[e]] = g * v[e] * v[f].conj()
-    l4[cols[f], cols[e], rows[f], rows[e]] = g * v[e].conj() * v[f]
+    l4[row_f, row_e, col_f, col_e] = forward
+    l4[col_f, col_e, row_f, row_e] = backward
     left = np.einsum("jajb->jab", l4)
     left += -1j * model.h_ls - model._anti
     right = np.einsum("jala->jal", l4)
@@ -749,6 +760,8 @@ def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape[0] != model.dim:
         raise ValidationError("state dimension mismatch")
+    if not np.all(np.isfinite(psi)):
+        raise ValidationError("psi must be finite")
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValidationError("psi must be nonzero")

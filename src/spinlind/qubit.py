@@ -61,6 +61,13 @@ class QubitParams:
     beta: float
     dist: FrequencyDistribution
 
+    def __post_init__(self):
+        for name in ("omega_o", "omega_1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if math.isnan(self.beta):       # beta = +inf is the zero-temperature start
+            raise ValidationError("beta must not be NaN")
+
     @classmethod
     def from_field(cls, gamma: float, b_o: float, b_1: float, beta: float,
                    dist: FrequencyDistribution) -> "QubitParams":

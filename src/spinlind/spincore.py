@@ -11,9 +11,9 @@ Conventions used throughout the package:
   index ``k = sum_i W_i n_i`` with mixed-radix weights W (last spin fastest).
 
 Operators come from index arithmetic on the occupation table n_i(k) =
-(k // W_i) mod d_i, not Kronecker products: Sz_i is the diagonal j_i - n_i(k),
-and a single-spin matrix s at site i puts s[r, n_i(k)] in row
-k + (r - n_i(k)) W_i of column k (S+_i on (k - W_i, k), S-_i on (k + W_i, k)).
+(k // W_i) mod d_i, not Kronecker products: one function tabulates Sz_i = m =
+j_i - n_i(k) and the S-_i and S+_i elements sqrt(j (j + 1) - m (m -+ 1)) that
+take column k to rows k + W_i and k - W_i, and every operator here reads it.
 
 The static Hamiltonian splits into a part diagonal in this basis,
 ``Z0 = B_o xi^z + sum_{i>j} T_ij Sz_i Sz_j``, and the flip-flop remainder
@@ -187,61 +187,44 @@ def single_spin_matrix(j: float, axis: str) -> np.ndarray:
 
     ``axis`` is one of x, y, z, +, -.
     """
-    j = _validate_spin(j)
-    d = int(round(2 * j)) + 1
-    m = j - np.arange(d)                      # m value of each basis state
-    if axis == "z":
-        return np.diag(m.astype(complex))
-    # S+|j m> = sqrt(j(j+1) - m(m+1)) |j m+1>; raising m lowers the occupation
-    ladder = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)).astype(complex)
-    s_plus = np.zeros((d, d), dtype=complex)
-    s_plus[np.arange(d - 1), np.arange(1, d)] = ladder
-    if axis == "+":
-        return s_plus
-    if axis == "-":
-        return s_plus.conj().T
-    if axis == "x":
-        return 0.5 * (s_plus + s_plus.conj().T)
-    if axis == "y":
-        return -0.5j * (s_plus - s_plus.conj().T)
-    raise ValidationError(f"unknown axis {axis!r}")
+    return xi_operator(SpinSystem([j], [-1.0]), axis)
 
 
-def _occupations(system: SpinSystem) -> np.ndarray:
-    """Occupation table n_i(k) = (k // W_i) mod d_i, shape (N, dim)."""
-    k = np.arange(system.dim)
-    return k // np.array(system.weights)[:, None] % np.array(system.dims)[:, None]
+def _spin_tables(system: SpinSystem):
+    """(N, D) tables of Sz_i, S-_i and S+_i on column k of the occupation table.
 
-
-def _scatter(out: np.ndarray, system: SpinSystem, site: int, axis: str,
-             coeff: float = 1.0) -> np.ndarray:
-    """out += coeff * (single-spin ``axis`` matrix at ``site``), in place.
-
-    Column k receives s[r, n(k)] in row k + (r - n(k)) W for every r, with
-    n(k) the occupation of ``site``; no (row, column) pair is written twice.
+    At m = j_i - n_i(k), S-_i takes column k to row k + W_i with
+    sqrt(j (j + 1) - m (m - 1)) and S+_i to row k - W_i with
+    sqrt(j (j + 1) - m (m + 1)); each is 0 where the step leaves the multiplet.
     """
-    s = single_spin_matrix(system.spins[site], axis)
-    k, r, w = np.arange(system.dim), np.arange(s.shape[0])[:, None], system.weights[site]
-    n = k // w % system.dims[site]
-    out[k + (r - n) * w, k] += coeff * s[r, n]
-    return out
+    k = np.arange(system.dim)
+    j = np.array(system.spins)[:, None]
+    m = j - k // np.array(system.weights)[:, None] % np.array(system.dims)[:, None]
+    return m, np.sqrt(j * (j + 1) - m * (m - 1)), np.sqrt(j * (j + 1) - m * (m + 1))
 
 
 def xi_operator(system: SpinSystem, axis: str) -> np.ndarray:
     """Negative total magnetic moment along ``axis``: -sum_i gamma_i S_i^axis."""
-    out = np.zeros((system.dim, system.dim), dtype=complex)
-    for i, g in enumerate(system.gammas):
-        _scatter(out, system, i, axis, -g)
+    try:        # the coefficients of Sz, S- and S+ in S^axis
+        c_z, c_minus, c_plus = {"z": (1, 0, 0), "-": (0, 1, 0), "+": (0, 0, 1),
+                                "x": (0, 0.5, 0.5), "y": (0, 0.5j, -0.5j)}[axis]
+    except KeyError:
+        raise ValidationError(f"unknown axis {axis!r}") from None
+    sz, s_minus, s_plus = _spin_tables(system)
+    coeff, k = -np.array(system.gammas)[:, None], np.arange(system.dim)
+    out = np.zeros((k.size, k.size), dtype=complex)
+    if c_z:     # the spins' terms added in spin order
+        out[k, k] += np.add.reduce(coeff * sz)
+    shift = np.array(system.weights)        # S- lands on row k + W_i, S+ on row k - W_i
+    for c, table, step in ((c_minus, s_minus, shift), (c_plus, s_plus, -shift)):
+        if c:
+            site, cols = np.nonzero(table)
+            out[cols + step[site], cols] += coeff[site, 0] * (c * table[site, cols])
     return out
 
 
-def _sz_diagonals(system: SpinSystem) -> np.ndarray:
-    """Stack of the diagonals j_i - n_i of Sz_i for every spin, shape (N, dim)."""
-    return np.array(system.spins)[:, None] - _occupations(system)
-
-
 def total_sz(system: SpinSystem) -> np.ndarray:
-    return np.diag(_sz_diagonals(system).sum(0).astype(complex))
+    return np.diag(_spin_tables(system)[0].sum(0).astype(complex))
 
 
 def build_zo(system: SpinSystem, b_o: float) -> np.ndarray:
@@ -252,27 +235,22 @@ def build_zo(system: SpinSystem, b_o: float) -> np.ndarray:
 def _couplings(system: SpinSystem, zz: bool) -> np.ndarray:
     """sum_{i>j} T_ij [(S+_i S-_j + S-_i S+_j) / 2 + (Sz_i Sz_j if ``zz``)].
 
-    S+_i S-_j takes column k to row k - W_i + W_j with the product of the two
-    ladder values, wherever n_i(k) >= 1 and n_j(k) < d_j - 1.  Every coupled
-    pair is read off the occupation table in one pass, as
-    :func:`eigenops.ladder_table` reads xi^x: S+ at m = j - n gives sqrt(j (j + 1)
-    - m (m + 1)) and S- gives sqrt(j (j + 1) - (m - 1) m), no dense S+ or S-.
+    S+_i S-_j takes column k to row k - W_i + W_j with the product of the
+    two ladder tables at (i, k) and (j, k), wherever that is nonzero; every
+    coupled pair is read off the tables in one pass.
     """
     d = system.dim
     first, second = np.nonzero(np.tril(system.couplings, -1))    # pairs i > j, in loop order
     t = system.couplings[first, second]
-    spins, dims, weights = (np.array(a)[:, None] for a in (system.spins, system.dims,
-                                                           system.weights))
-    occ = _occupations(system)
-    m = spins - occ                                               # Sz_i at each (i, k)
-    up = np.sqrt(spins * (spins + 1) - m * (m + 1))[first]        # S+ at each (i, k)
-    down = np.sqrt(spins * (spins + 1) - (m - 1) * m)[second]     # S- at each (j, k)
-    pair, cols = np.nonzero((occ[first] >= 1) & (occ[second] < dims[second] - 1))
-    rows = cols - (weights[first] - weights[second])[pair, 0]
+    weights = np.array(system.weights)
+    sz, s_minus, s_plus = _spin_tables(system)
+    flip = s_plus[first] * s_minus[second]                        # S+_i S-_j at each (pair, k)
+    pair, cols = np.nonzero(flip)
+    rows = cols - (weights[first] - weights[second])[pair]
     out = np.zeros((d, d), dtype=complex)
-    out[rows, cols] = out[cols, rows] = 0.5 * t[pair] * (up[pair, cols] * down[pair, cols])
+    out[rows, cols] = out[cols, rows] = 0.5 * t[pair] * flip[pair, cols]
     if zz:      # the pairs' Sz_i Sz_j added in pair order
-        out[np.arange(d), np.arange(d)] = np.add.reduce(t[:, None] * (m[first] * m[second]))
+        out[np.arange(d), np.arange(d)] = np.add.reduce(t[:, None] * (sz[first] * sz[second]))
     return out
 
 
@@ -293,7 +271,7 @@ def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
 
 def level_data(system: SpinSystem, b_o: float) -> LevelData:
     """Energies (the diagonal of Z0) and magnetizations of the basis states."""
-    sz = _sz_diagonals(system)
+    sz = _spin_tables(system)[0]
     energies = -b_o * np.tensordot(np.asarray(system.gammas), sz, axes=(0, 0))
     t = system.couplings
     for i in range(system.n_spins):

@@ -11,11 +11,14 @@ rebuilt at every stage), the Kraus-factor audit (e^{Ls} refactorised from
 its Choi matrix at every node) with its dense operator-sum superoperator,
 the full-L map routes (``lambda_map`` and the Kraus audit from one
 eigendecomposition of the whole D^2 x D^2 generator, node sums through the
-dense V^-1), the Kronecker-product spin operators, the flip-flop couplings
-one pair at a time, the per-block loops of the model's ladder sums and
-Pauli table, the scalar envelope integral with the map's drive term looped
-over times and nonzero pairs, and the dense ladder decomposition of any
-observable (one Python step per nonzero).  None of these is part of the
+dense V^-1), the dissipator and generator with their jump-pair coefficients
+formed inline, the Kronecker-product spin operators, the textbook single-spin
+matrices scattered whole, the flip-flop couplings one pair at a time and with
+inline ladder values, the ladder table built one spin at a time, the
+per-block loops of the model's ladder sums and Pauli table, the scalar
+envelope integral with the map's drive term looped over times and nonzero
+pairs, and the dense ladder decomposition of any observable (one Python
+step per nonzero).  None of these is part of the
 package: each is a reference for a closed form, a master-equation rate, a
 response kernel, the array route of :mod:`spinlind.spectrum`, the template
 CSV writer of :mod:`spinlind.artifact`, the vectorized stepper of
@@ -36,6 +39,7 @@ from itertools import repeat
 import numpy as np
 import scipy.integrate
 
+from spinlind import eigenops as eo
 from spinlind import lineshape as ls
 from spinlind import mastereq as me
 from spinlind import response as rs
@@ -531,11 +535,85 @@ def transition_rate_oracle(model, n_from: int, n_to: int) -> float:
     return 0.0
 
 
+def _inline_jump_pairs(model):
+    """Entries v, the pairs (e, f) of one block, and the block's total rate g per pair."""
+    ladder = model.ladder
+    e, f = me._pairs(ladder.block)
+    return ladder.values, e, f, (model.rates_plus + model.rates_minus)[ladder.block[e]]
+
+
+def inline_pair_dissipator(model, rho: np.ndarray) -> np.ndarray:
+    """``mastereq.dissipator`` with each coefficient g v_e conj(v_f) formed at its scatter."""
+    d, rows, cols = model.dim, model.ladder.rows, model.ladder.cols
+    v, e, f, g = _inline_jump_pairs(model)
+    out = -(model._anti @ rho + rho @ model._anti)
+    flat = out.reshape(-1)
+    np.add.at(flat, rows[e] * d + rows[f], g * v[e] * v[f].conj() * rho[cols[e], cols[f]])
+    np.add.at(flat, cols[e] * d + cols[f], g * v[e].conj() * v[f] * rho[rows[e], rows[f]])
+    return out
+
+
+def inline_pair_liouvillian(model) -> np.ndarray:
+    """``mastereq.liouvillian_matrix`` with each coefficient formed at its scatter."""
+    d, rows, cols = model.dim, model.ladder.rows, model.ladder.cols
+    v, e, f, g = _inline_jump_pairs(model)
+    lmat = np.zeros((d * d, d * d), dtype=complex)
+    l4 = lmat.reshape(d, d, d, d)
+    l4[rows[f], rows[e], cols[f], cols[e]] = g * v[e] * v[f].conj()
+    l4[cols[f], cols[e], rows[f], rows[e]] = g * v[e].conj() * v[f]
+    left = np.einsum("jajb->jab", l4)
+    left += -1j * model.h_ls - model._anti
+    right = np.einsum("jala->jal", l4)
+    right += (1j * model.h_ls - model._anti).T[:, None, :]
+    return lmat
+
+
 # -- Kronecker-product spin operators ------------------------------------------
+
+def standard_spin_matrix(j: float, axis: str) -> np.ndarray:
+    """The (2j+1)-dim spin matrix from the textbook S+ elements, m = +j first."""
+    d = int(round(2 * j)) + 1
+    m = j - np.arange(d)                      # m value of each basis state
+    if axis == "z":
+        return np.diag(m.astype(complex))
+    # S+|j m> = sqrt(j(j+1) - m(m+1)) |j m+1>; raising m lowers the occupation
+    ladder = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)).astype(complex)
+    s_plus = np.zeros((d, d), dtype=complex)
+    s_plus[np.arange(d - 1), np.arange(1, d)] = ladder
+    return {"+": s_plus, "-": s_plus.conj().T, "x": 0.5 * (s_plus + s_plus.conj().T),
+            "y": -0.5j * (s_plus - s_plus.conj().T)}[axis]
+
+
+def occupations(system) -> np.ndarray:
+    """Occupation table n_i(k) = (k // W_i) mod d_i, shape (N, dim)."""
+    k = np.arange(system.dim)
+    return k // np.array(system.weights)[:, None] % np.array(system.dims)[:, None]
+
+
+def _scatter(out: np.ndarray, system, site: int, s: np.ndarray, coeff: float = 1.0):
+    """out += coeff * (single-spin matrix ``s`` at ``site``), in place.
+
+    Column k receives s[r, n(k)] in row k + (r - n(k)) W for every r, with
+    n(k) the occupation of ``site``; no (row, column) pair is written twice.
+    """
+    k, r, w = np.arange(system.dim), np.arange(s.shape[0])[:, None], system.weights[site]
+    n = k // w % system.dims[site]
+    out[k + (r - n) * w, k] += coeff * s[r, n]
+    return out
+
 
 def embed_single_spin(system, site: int, axis: str) -> np.ndarray:
     """A single-spin operator at ``site``, identity elsewhere, from the occupation table."""
-    return sc._scatter(np.zeros((system.dim, system.dim), dtype=complex), system, site, axis)
+    s = sc.single_spin_matrix(system.spins[site], axis)
+    return _scatter(np.zeros((system.dim, system.dim), dtype=complex), system, site, s)
+
+
+def scatter_xi(system, axis: str) -> np.ndarray:
+    """xi^axis as one scatter of each spin's whole textbook matrix, in spin order."""
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    for i, (j, g) in enumerate(zip(system.spins, system.gammas)):
+        _scatter(out, system, i, standard_spin_matrix(j, axis), -g)
+    return out
 
 
 def kron_embed(system, site: int, axis: str) -> np.ndarray:
@@ -594,7 +672,8 @@ def per_pair_couplings(system, zz: bool) -> np.ndarray:
     """
     t, w, d = system.couplings, system.weights, system.dim
     out = np.zeros((d, d), dtype=complex)
-    occ, sz, k = sc._occupations(system), sc._sz_diagonals(system), np.arange(d)
+    occ, k = occupations(system), np.arange(d)
+    sz = np.array(system.spins)[:, None] - occ
     for i in range(system.n_spins):
         for j in range(i):
             if t[i, j] == 0.0:
@@ -606,6 +685,31 @@ def per_pair_couplings(system, zz: bool) -> np.ndarray:
             out[rows, cols] = out[cols, rows] = 0.5 * t[i, j] * (up * down)
             if zz:
                 out[k, k] += t[i, j] * (sz[i] * sz[j])
+    return out
+
+
+def occupation_couplings(system, zz: bool) -> np.ndarray:
+    """``spincore._couplings`` with the ladder values evaluated inline on the occupations.
+
+    Every coupled pair in one pass: S+ at m = j - n gives sqrt(j (j + 1) -
+    m (m + 1)) and S- gives sqrt(j (j + 1) - (m - 1) m), masked where
+    n_i(k) >= 1 and n_j(k) < d_j - 1.
+    """
+    d = system.dim
+    first, second = np.nonzero(np.tril(system.couplings, -1))
+    t = system.couplings[first, second]
+    spins, dims, weights = (np.array(a)[:, None] for a in (system.spins, system.dims,
+                                                           system.weights))
+    occ = occupations(system)
+    m = spins - occ
+    up = np.sqrt(spins * (spins + 1) - m * (m + 1))[first]
+    down = np.sqrt(spins * (spins + 1) - (m - 1) * m)[second]
+    pair, cols = np.nonzero((occ[first] >= 1) & (occ[second] < dims[second] - 1))
+    rows = cols - (weights[first] - weights[second])[pair, 0]
+    out = np.zeros((d, d), dtype=complex)
+    out[rows, cols] = out[cols, rows] = 0.5 * t[pair] * (up[pair, cols] * down[pair, cols])
+    if zz:
+        out[np.arange(d), np.arange(d)] = np.add.reduce(t[:, None] * (m[first] * m[second]))
     return out
 
 
@@ -804,14 +908,7 @@ def decompose(a: np.ndarray, levels, gap_tol: float = 1e-9) -> Decomposition:
     gaps = eps[cols] - eps[rows]
     steps = np.rint(mag[cols] - mag[rows]).astype(int)
 
-    reps = np.empty(gaps.size)
-    anchor = None
-    for k in np.argsort(np.abs(gaps)):
-        v = abs(gaps[k])
-        if anchor is None or v - anchor > tol:
-            anchor = v
-        reps[k] = anchor
-    signed = np.where(reps <= tol, 0.0, np.sign(gaps) * reps)
+    signed = _signed_bins(gaps, tol)
 
     buckets: dict = {}
     for k in range(rows.size):
@@ -822,6 +919,44 @@ def decompose(a: np.ndarray, levels, gap_tol: float = 1e-9) -> Decomposition:
     blocks = tuple(EigenOperator(step=n, omega=w, matrix=buckets[(n, w)])
                    for (n, w) in sorted(buckets))
     return Decomposition(blocks=blocks, gap_atol=tol, dim=a.shape[0])
+
+
+def _signed_bins(gaps: np.ndarray, tol: float) -> np.ndarray:
+    """Each gap's bin frequency: anchored on the first |gap| of its bin, signed after."""
+    reps = np.empty(gaps.size)
+    anchor = None
+    for k in np.argsort(np.abs(gaps)):
+        v = abs(gaps[k])
+        if anchor is None or v - anchor > tol:
+            anchor = v
+        reps[k] = anchor
+    return np.where(reps <= tol, 0.0, np.sign(gaps) * reps)
+
+
+def per_spin_ladder_table(system, levels) -> eo.LadderTable:
+    """``eigenops.ladder_table`` with its entries built one spin at a time.
+
+    Spin i lowers m_i from column k to row k + W_i wherever n_i(k) < d_i - 1,
+    with -gamma_i sqrt(j (j + 1) - m (m + 1)) / 2 at m = j - n - 1 evaluated
+    inline; the gaps are binned by the loop of :func:`decompose`.
+    """
+    eps = levels.energies
+    tol = eo.GAP_TOL * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
+    k = np.arange(system.dim)
+    rows, cols, values = [], [], []
+    for j, g, d, w in zip(system.spins, system.gammas, system.dims, system.weights):
+        n = k // w % d
+        col = k[n < d - 1]
+        rows.append(col + w)
+        cols.append(col)
+        values.append(-0.5 * g * np.sqrt(j * (j + 1) - (j - n[col] - 1.0) * (j - n[col])))
+    rows, cols, values = (np.concatenate(a) for a in (rows, cols, values))
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    omegas, block = np.unique(_signed_bins(eps[cols] - eps[rows], tol), return_inverse=True)
+    entry = np.lexsort((cols, rows, block))
+    return eo.LadderTable(rows=rows[entry], cols=cols[entry], values=values[entry],
+                          block=block[entry], omegas=omegas, gap_atol=tol, dim=system.dim)
 
 
 # -- qubit Heisenberg picture ------------------------------------------------------

@@ -316,6 +316,23 @@ class TestOrderNPropagation:
             acp.propagate_order_n(model, 1, lambda t: bad, 0.01, dt=1e-3,
                                   rho_n0=np.zeros((4, 4), dtype=complex))
 
+    @pytest.mark.parametrize("probe", ["nan", "shape"])
+    def test_bad_start_rejected(self, model, probe):
+        zero = np.zeros((4, 4), dtype=complex)
+        if probe == "nan":
+            bad = zero.copy()
+            bad[0, 1] = bad[1, 0] = np.nan
+        else:
+            bad = np.zeros((3, 3), dtype=complex)
+        with pytest.raises(ValidationError, match="rho0 must"):
+            acp.propagate_order_n(model, 1, lambda t: zero, 0.01, dt=1e-3, rho_n0=bad)
+
+    def test_non_finite_inhomogeneity_rejected(self, model):
+        bad = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(ValidationError, match="finite and traceless"):
+            acp.propagate_order_n(model, 1, lambda t: bad, 0.01, dt=1e-3,
+                                  rho_n0=np.zeros((4, 4), dtype=complex))
+
     def test_order_zero_redirected(self, model):
         with pytest.raises(ValidationError):
             acp.propagate_order_n(model, 0, lambda t: None, 0.01)

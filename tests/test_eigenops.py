@@ -15,7 +15,7 @@ from spinlind import spincore as sc
 from spinlind.config import load_config
 
 from conftest import random_system
-from oracles import decompose
+from oracles import decompose, per_spin_ladder_table
 from test_mastereq import operator_sum_model, radical_system
 from test_spectrum import biphenyl_groups
 
@@ -36,6 +36,11 @@ def assert_matches_oracle(system, levels):
                           np.stack(np.nonzero(stack)))
     assert np.array_equal(table.values, stack[table.block, table.rows, table.cols])
     assert np.array_equal(table.dense(), stack)
+    # every field, in the same order, against the entries built one spin at a time
+    want = per_spin_ladder_table(system, levels)
+    for name in ("rows", "cols", "values", "block", "omegas"):
+        assert np.array_equal(getattr(table, name), getattr(want, name))
+    assert (table.gap_atol, table.dim) == (want.gap_atol, want.dim)
     return table
 
 
@@ -43,7 +48,7 @@ def assert_matches_oracle(system, levels):
 def test_random_systems_match_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     for _ in range(25):
-        system = random_system(rng, max_dim=64, allowed_spins=(0.0, 0.5, 1.0, 1.5))
+        system = random_system(rng, max_dim=64, allowed_spins=(0.0, 0.5, 1.0, 1.5, 2.5))
         gammas = np.where(rng.random(system.n_spins) < 0.2, 0.0, system.gammas)
         system = sc.SpinSystem(system.spins, gammas, system.couplings)
         assert_matches_oracle(system, sc.level_data(system, float(rng.uniform(0.05, 2.0))))
@@ -61,11 +66,15 @@ def _special_system(case):
         return sc.SpinSystem([0.5, 1.5], [0.0, 0.0])
     if case == "equivalent_spin3/2":
         return sc.SpinSystem([1.5, 1.5], [-1.0, -1.0], [[0.0, 0.2], [0.2, 0.0]])
+    if case == "spin5/2_spin0_zero_gamma":
+        return sc.SpinSystem([2.5, 0.0, 0.5, 1.0], [-1.3, 2.0, 0.0, 0.4],
+                             np.full((4, 4), 0.15) - 0.15 * np.eye(4))
     return operator_sum_model(case).system
 
 
 @pytest.mark.parametrize("case", ["spin0", "spin0_between", "zero_gamma", "all_zero_gamma",
-                                  "equivalent_spin3/2", "three_equivalent_plus_one"])
+                                  "equivalent_spin3/2", "spin5/2_spin0_zero_gamma",
+                                  "three_equivalent_plus_one"])
 def test_special_systems_match_dense_oracle(case):
     system = _special_system(case)
     table = assert_matches_oracle(system, sc.level_data(system, 1.0))

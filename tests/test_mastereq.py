@@ -22,7 +22,8 @@ from spinlind.qubit import SIGMA
 
 from conftest import random_system
 from oracles import (a_term, apply_map_oracle, full_apply_map, full_eigensystem,
-                     full_kraus_audit, full_lambda_map, kraus_audit_oracle,
+                     full_kraus_audit, full_lambda_map, inline_pair_dissipator,
+                     inline_pair_liouvillian, kraus_audit_oracle,
                      ladder_sums_oracle, pauli_rates_oracle, rk4_oracle, sandwich_superop,
                      simpson_doubling, transition_rate_oracle, wavefunction_distribution,
                      wavefunction_oracle)
@@ -165,7 +166,8 @@ def operator_sum_model(case):
     every ladder block is its own frequency (D = 2^n, K = 4, 12, 32, 80 for
     n = 2..5).  ``three_equivalent_plus_one``: three equivalent spin-1/2
     coupled alike to a fourth (D = 16, degenerate gaps).  ``spin1_pair``:
-    D = 9.
+    D = 9.  ``spin5/2_spin0_zero_gamma``: a spin-5/2, a spin-0 and a spin-1/2
+    with gamma = 0 (D = 12).
     """
     if case.startswith("generic"):
         n = int(case[len("generic"):])
@@ -181,10 +183,13 @@ def operator_sum_model(case):
         couplings = np.full((4, 4), 1.5)
         couplings[:3, 3] = couplings[3, :3] = 2.0
         np.fill_diagonal(couplings, 0.0)
-    else:
-        assert case == "spin1_pair"
+    elif case == "spin1_pair":
         spins, gammas = [1.0, 1.0], [-10.0, -14.0]
         couplings = np.array([[0.0, 1.0], [1.0, 0.0]])
+    else:
+        assert case == "spin5/2_spin0_zero_gamma"
+        spins, gammas = [2.5, 0.0, 0.5], [-10.0, -14.0, 0.0]
+        couplings = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
     system = sc.SpinSystem(spins, gammas, couplings)
     field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=ls.lorentzian(22.0, 4.0))
     return build(system, field, 0.05)
@@ -487,14 +492,16 @@ class TestDissipator:
         s3 = np.trace(rho @ SIGMA[3]).real
         assert s3_dot == pytest.approx(-2.0 * rate * s3, rel=1e-12)
 
-    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h"])
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h", "spin5/2_spin0_zero_gamma"])
     def test_matches_einsum_oracle(self, case, rng):
         # the entry pairs of each block against the dense (K, D, D) stack
         model = radical_model((2, 2)) if case == "e_2_2h" else operator_sum_model(case)
         assert np.all(model.rates_plus + model.rates_minus > 0)
         rho = random_hermitian(rng, model.dim)
         want = einsum_dissipator(model, rho)
-        assert nu.max_abs(me.dissipator(model, rho) - want) <= 1e-14 * nu.max_abs(want)
+        got = me.dissipator(model, rho)
+        assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
+        assert np.array_equal(got, inline_pair_dissipator(model, rho))
 
     def test_naphthalene_size_is_sparse(self, rng):
         # e + 4 + 4 H (D = 512, K = 29): the dense stack took 3 s and a 491 MB
@@ -521,10 +528,12 @@ class TestDissipator:
 
 
 class TestLiouvillianMatrix:
-    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h"])
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h", "spin5/2_spin0_zero_gamma"])
     def test_matches_sandwich_oracle(self, case):
         model = radical_model((2, 2)) if case == "e_2_2h" else operator_sum_model(case)
-        assert_close(me.liouvillian_matrix(model), sandwich_generator(model))
+        lmat = me.liouvillian_matrix(model)
+        assert_close(lmat, sandwich_generator(model))
+        assert np.array_equal(lmat, inline_pair_liouvillian(model))
 
     @pytest.mark.parametrize("case", [c for c in OPERATOR_SUM_CASES if c != "generic5"])
     def test_matches_operator_form(self, case, rng):
@@ -1188,6 +1197,11 @@ class TestWitness:
         with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
             me.noncp_witness(qubit_model, np.array([1.0, 0.0]), bad, unsafe=True)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_psi_rejected(self, qubit_model, bad):
+        with pytest.raises(ValidationError, match="psi must be finite"):
+            me.noncp_witness(qubit_model, np.array([1.0, bad]), 0.1, unsafe=True)
+
     def test_drive_integral_vanishes_at_zero_time(self, qubit_model):
         assert not np.any(me.drive_integral(qubit_model, 0.0))
 
@@ -1205,6 +1219,35 @@ class TestWitness:
                                      for tau in ts]),
                 0.0, t, rtol=1e-13, atol=1e-300)
             assert nu.max_abs(got - want) <= 1e-11 * nu.max_abs(want)
+
+
+class TestDomainCheck:
+    """Every map route refuses a non-finite or misshapen rho0 before any work."""
+
+    ROUTES = {
+        "propagate": lambda model, rho0, unsafe: me.propagate(model, rho0, 1e-3, unsafe=unsafe),
+        "lambda_map": lambda model, rho0, unsafe: me.lambda_map(model, 1e-3, rho0,
+                                                                unsafe=unsafe),
+        "kraus_audit": lambda model, rho0, unsafe: me.kraus_audit(model, 1e-3, rho0,
+                                                                  unsafe=unsafe, n_nodes=4),
+    }
+
+    @pytest.mark.parametrize("unsafe", [False, True])
+    @pytest.mark.parametrize("probe", ["nan", "inf", "shape"])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_bad_rho0_is_validation_error(self, qubit_model, route, probe, unsafe):
+        rho0 = qubit_model.boltzmann.copy()
+        if probe == "shape":
+            rho0 = np.eye(3) / 3
+        else:
+            rho0[0, 1] = math.nan if probe == "nan" else math.inf
+        with pytest.raises(ValidationError, match="rho0 must"):
+            self.ROUTES[route](qubit_model, rho0, unsafe)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_off_boltzmann_rho0_is_domain_violation(self, qubit_model, route):
+        with pytest.raises(DomainViolationError):
+            self.ROUTES[route](qubit_model, np.diag([1.0, 0.0]).astype(complex), False)
 
 
 class TestPauliRates:

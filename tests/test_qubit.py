@@ -117,6 +117,17 @@ class TestTrajectory:
             assert max(abs(a - b) for a, b in zip(num, ana)) < 1e-7
 
 
+class TestParams:
+    @pytest.mark.parametrize("field, bad", [("omega_o", math.nan), ("omega_o", math.inf),
+                                            ("omega_o", -math.inf), ("omega_1", math.nan),
+                                            ("omega_1", math.inf), ("beta", math.nan)])
+    def test_non_finite_input_rejected(self, field, bad):
+        values = dict(omega_o=5.0, omega_1=0.1, beta=0.2, dist=ls.lorentzian(5.0, 0.5))
+        values[field] = bad
+        with pytest.raises(ValidationError, match=field):
+            qb.QubitParams(**values)
+
+
 class TestTimeArrays:
     def test_array_matches_scalar_calls(self, params):
         times = np.linspace(0.0, 4.0 / params.rate, 9)

@@ -11,9 +11,10 @@ from spinlind.errors import ValidationError
 
 from conftest import random_system
 from oracles import (embed_single_spin, kron_embed, kron_spin_spin, kron_total_sz, kron_x,
-                     kron_xi, kron_zo, per_pair_couplings)
+                     kron_xi, kron_zo, occupation_couplings, per_pair_couplings, scatter_xi,
+                     standard_spin_matrix)
 
-ORACLE_SPINS = (0.5, 1.0, 1.5, 2.0)
+ORACLE_SPINS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
 ORACLE_MAX_DIM = 64
 # zero or of magnitude >= 1e-6, so no product underflows: halving then commutes with
 # rounding, which the exact comparison of the coupling terms relies on
@@ -129,6 +130,11 @@ class TestKroneckerOracle:
     def test_operators_equal_kronecker_products(self, system, b_o):
         for axis in "xyz+-":
             assert np.array_equal(sc.xi_operator(system, axis), kron_xi(system, axis))
+            # the ladder tables against each spin's whole textbook matrix scattered
+            assert np.array_equal(sc.xi_operator(system, axis), scatter_xi(system, axis))
+            for j in set(system.spins):
+                assert np.array_equal(sc.single_spin_matrix(j, axis),
+                                      standard_spin_matrix(j, axis))
             for site in range(system.n_spins):
                 assert np.array_equal(embed_single_spin(system, site, axis),
                                       kron_embed(system, site, axis))
@@ -139,17 +145,19 @@ class TestKroneckerOracle:
         # the one pass over all coupled pairs against the loop over them
         for zz, got in ((False, sc.build_x(system)), (True, sc.spin_spin_hamiltonian(system))):
             assert np.array_equal(got, per_pair_couplings(system, zz))
+            assert np.array_equal(got, occupation_couplings(system, zz))
 
-    @pytest.mark.parametrize("spins", [(1.0, 1.0, 0.5), (0.5,) * 6, (1.5, 1.0, 2.0)])
+    @pytest.mark.parametrize("spins", [(1.0, 1.0, 0.5), (0.5,) * 6, (1.5, 1.0, 2.0),
+                                       (2.5, 0.0, 0.5, 1.5)])
     def test_every_pair_coupled_matches_the_per_pair_loop(self, spins, rng):
         # every T_ij nonzero, up to 15 pairs whose Sz_i Sz_j share the diagonal
         n = len(spins)
         couplings = rng.normal(size=(n, n))
         system = sc.SpinSystem(spins, rng.normal(size=n), couplings + couplings.T
                                - 2 * np.diag(np.diag(couplings)))
-        assert np.array_equal(sc.build_x(system), per_pair_couplings(system, zz=False))
-        assert np.array_equal(sc.spin_spin_hamiltonian(system),
-                              per_pair_couplings(system, zz=True))
+        for zz, got in ((False, sc.build_x(system)), (True, sc.spin_spin_hamiltonian(system))):
+            assert np.array_equal(got, per_pair_couplings(system, zz))
+            assert np.array_equal(got, occupation_couplings(system, zz))
 
     def test_dims_weights_and_dim(self):
         system = sc.SpinSystem([1.0, 0.5, 1.5], [1.0, 1.0, 1.0])
