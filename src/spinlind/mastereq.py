@@ -22,14 +22,15 @@ Hamiltonian; propagation enforces this unless explicitly overridden.
 
 Since the drive term acts on rho(0) only, it is a known function of t, and
 the equation is affine in the column-stacked state: y' = L y + f(t).  The
-RK4 stepper builds the matrix of L once per run and tabulates f over its
-grid.  ``Lambda(t)`` and the Kraus audit diagonalise the same matrix one
-secular block at a time: the connected components of its nonzero pattern,
-for a generic system the D populations plus D^2 - D scalar coherences.  V
-and V^-1 stay block diagonal, and the audit's node sums run over the
-nonzeros of V^-1 only.  Both routes are capped at dimension MAP_DIM_CAP,
-where L has D^4 entries.  The dissipator alone is applied from the ladder
-entries, one pair of entries of a block at a time, at any dimension.
+RK4 stepper builds the matrix of L once per run and tabulates f from
+H_LR(t) on its half-step grid.  ``Lambda(t)`` and the Kraus audit
+diagonalise the same matrix one secular block at a time: the connected
+components of its nonzero pattern, for a generic system the D populations
+plus D^2 - D scalar coherences.  V and V^-1 stay block diagonal, and the
+audit's node sums run over the nonzeros of V^-1 only.  Both routes are
+capped at dimension MAP_DIM_CAP, where L has D^4 entries.  The dissipator
+alone is applied from the ladder entries, one pair of entries of a block at
+a time, at any dimension.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     WitnessInapplicableError,
 )
 from .lineshape import FrequencyDistribution, characteristic, drive_weight, relaxation_time
-from .spincore import SpinSystem, boltzmann_state, level_data, xi_operator
+from .spincore import SpinSystem, _whole, boltzmann_state, level_data, xi_operator
 
 __all__ = [
     "FieldConfig",
@@ -72,7 +73,7 @@ __all__ = [
 ]
 
 MAP_DIM_CAP = 64
-# rows per drive table: steps in _rk4 (three (n, D^2) tables), times in _apply_map
+# drive table sizes: steps in _rk4 (one (2n + 1, D^2) half-step table), times in _apply_map
 RK4_CHUNK = 64
 # complex elements per (nnz, D, n) node-sum temporary of kraus_audit (16 MB), nnz the
 # entries of V^-1 inside its blocks; at least one node per batch
@@ -314,10 +315,10 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
     """Step and stored step numbers of the fixed-step grid on [0, t_end].
 
     ``dt`` defaults to :func:`default_dt` and is shrunk to t_end / n_steps so
-    it divides ``t_end``; ``store_every`` defaults to n_steps // 2000 (at
-    least 1).  The stored steps are 0, every multiple of ``store_every`` and
-    the last step, so the stored times are ``steps * dt``.  Built from the
-    counts alone: O(frames), not O(steps).
+    it divides ``t_end``; ``store_every``, a whole number, defaults to n_steps
+    // 2000 (at least 1).  The stored steps are 0, every multiple of
+    ``store_every`` and the last step, so the stored times are ``steps * dt``.
+    Built from the counts alone: O(frames), not O(steps).
     """
     if dt is None:
         dt = default_dt(model)
@@ -325,7 +326,7 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
         raise ValidationError("dt must be positive")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValidationError(f"t_end must be finite and positive, got {t_end}")
-    if store_every is not None and store_every < 1:
+    if store_every is not None and _whole(store_every, "store_every") < 1:
         raise ValidationError(f"store_every must be at least 1, got {store_every}")
 
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
@@ -341,45 +342,34 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
          dt: float | None, store_every: int | None, extra=None) -> Trajectory:
     """Classical RK4 for y' = L y + f(t) [+ vec extra(t)], y = vec(rho), from rho0.
 
-    The one time stepper of the package: :func:`propagate` runs it bare and
-    ``acp.propagate_order_n`` with its order-n inhomogeneity as ``extra``.
-    The generator L is built once (:func:`liouvillian_matrix`, which refuses
-    D > MAP_DIM_CAP), and the drive term f(t) = vec(-i [H_LR(t), rho0]) is
-    tabulated at the stage times t_n, t_n + dt/2 and t_n + dt, RK4_CHUNK
-    steps at a time (:func:`_drive_table`), so each stage is one
-    matrix-vector product plus a table row.  Steps and stored frames follow
-    :func:`_time_grid`.
+    The one time stepper: :func:`propagate` runs it bare, ``acp.propagate_order_n``
+    with its order-n inhomogeneity as ``extra``.  L is built once (refused for D >
+    MAP_DIM_CAP), and f(t) = vec(-i [H_LR(t), rho0]) [+ vec extra(t)] is tabulated
+    RK4_CHUNK steps at a time on the half-step grid t_k = k dt / 2; step i reads rows
+    2i to 2i + 2.  Steps and stored frames follow :func:`_time_grid`.
     """
     dt, steps = _time_grid(model, t_end, dt, store_every)
     lmat = liouvillian_matrix(model)
     d = model.dim
     rho_init = np.array(rho0, dtype=complex)
-    comps, freqs = _drive_components(model, rho_init)
     y = numutil.vec(rho_init).copy()
     states = np.empty((steps.size, d, d), dtype=complex)
     states[0] = rho_init
 
-    def stage(t, vec_rho, drive):
-        out = lmat @ vec_rho
-        out += drive
-        if extra is not None:
-            out += numutil.vec(extra(t))
-        return out
-
     n_steps = int(steps[-1])
-    step, frame = 0, 1
+    frame = 1
     for first in range(0, n_steps, RK4_CHUNK):
-        t_n = np.arange(first, min(first + RK4_CHUNK, n_steps)) * dt
-        t_h, t_1 = t_n + 0.5 * dt, t_n + dt
-        tables = [_drive_table(model.field.dist, comps, freqs, ts) for ts in (t_n, t_h, t_1)]
-        for t, th, t1, f_n, f_h, f_1 in zip(t_n.tolist(), t_h.tolist(), t_1.tolist(),
-                                            *tables):
-            k1 = stage(t, y, f_n)
-            k2 = stage(th, y + 0.5 * dt * k1, f_h)
-            k3 = stage(th, y + 0.5 * dt * k2, f_h)
-            k4 = stage(t1, y + dt * k3, f_1)
+        ts = np.arange(2 * first, 2 * min(first + RK4_CHUNK, n_steps) + 1) * (0.5 * dt)
+        h = linear_response_hamiltonian(model, ts)
+        f = (-1j * (h @ rho_init - rho_init @ h)).transpose(0, 2, 1).reshape(-1, d * d)
+        if extra is not None:
+            f += [numutil.vec(extra(t)) for t in ts.tolist()]
+        for step, (f_n, f_h, f_1) in enumerate(zip(f[:-1:2], f[1::2], f[2::2]), first + 1):
+            k1 = lmat @ y + f_n
+            k2 = lmat @ (y + 0.5 * dt * k1) + f_h
+            k3 = lmat @ (y + 0.5 * dt * k2) + f_h
+            k4 = lmat @ (y + dt * k3) + f_1
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            step += 1
             if step == steps[frame]:
                 states[frame] = numutil.unvec(y, d)
                 frame += 1
@@ -400,13 +390,6 @@ def _drive_components(model: MasterEquationModel, rho_init: np.ndarray):
     comm = -2j * model.field.b_1 * (ops @ rho_init - rho_init @ ops)
     comps = comm.transpose(0, 2, 1).reshape(len(ops), model.dim ** 2)
     return comps, np.concatenate([model.ladder.omegas, -model.ladder.omegas])
-
-
-def _drive_table(dist: FrequencyDistribution, comps: np.ndarray, freqs: np.ndarray,
-                 times: np.ndarray) -> np.ndarray:
-    """Row n is vec(-i [H_LR(times[n]), rho0]): one phase-matrix product."""
-    envelope = np.real(characteristic(dist, times))
-    return (envelope[:, None] * np.exp(-1j * np.outer(times, freqs))) @ comps
 
 
 def liouvillian_matrix(model: MasterEquationModel) -> np.ndarray:
@@ -631,9 +614,11 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     residual max|(Phi1 - Phi2)^dag (I) - I|, i.e. of sum K^dag K over the two
     Kraus sets; and the minimum Choi eigenvalue of each Phi (Choi, Linear
     Algebra Appl. 10 (1975) 285), nonnegative for a CP map.  ``t`` must be
-    one finite nonnegative time.
+    one finite nonnegative time and ``n_nodes`` a positive whole number.
     """
     t = _map_time(t)
+    if _whole(n_nodes, "n_nodes") < 1:
+        raise ValidationError(f"n_nodes must be positive, got {n_nodes}")
     _check_domain(model, rho0, unsafe)
     d = model.dim
     eig = _block_eigensystem(liouvillian_matrix(model))

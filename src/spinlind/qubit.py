@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lineshape import FrequencyDistribution, characteristic, density, drive_weight, hilbert
-from .mastereq import _map_times
+from .mastereq import _map_time, _map_times
 
 __all__ = [
     "SIGMA",
@@ -115,6 +115,7 @@ def trajectory(params: QubitParams, t):
 
 def stationary_sigma_plus(params: QubitParams, t: float) -> complex:
     """Quasi-static coherence -w1 tanh(beta w0/2) Re[phi(t)] / ((w0 - varpi) + i Gamma)."""
+    t = _map_time(t)
     gamma = params.rate
     if gamma <= 0:
         raise ValidationError("no stationary state without a finite rate")
@@ -189,8 +190,10 @@ def structure_factor(params: QubitParams, which: str,
     The "-+" spectrum is a half-weight delta at the Larmor frequency plus a
     thermally weighted Lorentzian of half-width 2 Gamma centered there; the
     "+-" spectrum mirrors it at the opposite frequency with the smooth part
-    entering with opposite sign.
+    entering with opposite sign.  ``omega_prime`` must be finite.
     """
+    if not math.isfinite(omega_prime):
+        raise ValidationError(f"omega_prime must be finite, got {omega_prime}")
     th = params.thermal_polarization
     gamma = params.rate
     if which == "-+":

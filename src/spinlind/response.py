@@ -47,8 +47,12 @@ def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
     The block is the one whose frequency is nearest ``omega_o``, provided it
     lies within the ladder's ``gap_atol`` of it; the average is
     Tr(xi_w [rho0, X]), summed over the block's entries.  rho0 is diagonal,
-    so [rho0, X][c, r] = (P_c - P_r) X[c, r] with P its populations.
+    so [rho0, X][c, r] = (P_c - P_r) X[c, r] with P its populations.  A
+    non-finite ``omega_o`` or entry of X is a ValidationError.
     """
+    x_op = np.asarray(x_op)
+    if not (math.isfinite(omega_o) and np.all(np.isfinite(x_op))):
+        raise ValidationError(f"omega_o and X must be finite, got omega_o = {omega_o}")
     ladder = model.ladder
     near = np.abs(ladder.omegas - omega_o)
     if not (near.size and near.min() <= ladder.gap_atol):
@@ -56,7 +60,7 @@ def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
     lo, hi = np.searchsorted(ladder.block, int(np.argmin(near)) + np.arange(2))
     rows, cols = ladder.rows[lo:hi], ladder.cols[lo:hi]
     pops = np.real(np.diagonal(model.boltzmann))
-    comm = (pops[cols] - pops[rows]) * np.asarray(x_op)[cols, rows]
+    comm = (pops[cols] - pops[rows]) * x_op[cols, rows]
     return complex(np.sum(ladder.values[lo:hi] * comm))
 
 

@@ -153,6 +153,13 @@ class LevelData:
         return self.energies.size
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else a ValidationError."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def compress(occupations: Sequence[int], spins: Sequence[float]) -> int:
     """Map an occupation tuple to its compressed basis index."""
     spins = tuple(_validate_spin(j) for j in spins)
@@ -161,7 +168,7 @@ def compress(occupations: Sequence[int], spins: Sequence[float]) -> int:
     dims = [int(round(2 * j)) + 1 for j in spins]
     idx = 0
     for n, d in zip(occupations, dims):
-        n = int(n)
+        n = _whole(n, "occupation")
         if not 0 <= n < d:
             raise ValidationError(f"occupation {n} out of range [0, {d - 1}]")
         idx = idx * d + n
@@ -173,7 +180,7 @@ def decompress(index: int, spins: Sequence[float]) -> tuple:
     spins = tuple(_validate_spin(j) for j in spins)
     dims = [int(round(2 * j)) + 1 for j in spins]
     total = math.prod(dims)
-    index = int(index)
+    index = _whole(index, "index")
     if not 0 <= index < total:
         raise ValidationError(f"index {index} out of range [0, {total - 1}]")
     out = [0] * len(dims)

@@ -333,6 +333,12 @@ class TestOrderNPropagation:
             acp.propagate_order_n(model, 1, lambda t: bad, 0.01, dt=1e-3,
                                   rho_n0=np.zeros((4, 4), dtype=complex))
 
+    def test_store_every_not_a_whole_number_refused(self, model):
+        zero = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(ValidationError, match="store_every"):
+            acp.propagate_order_n(model, 1, lambda t: zero, 0.01, dt=1e-3,
+                                  store_every=2.5, rho_n0=zero)
+
     def test_order_zero_redirected(self, model):
         with pytest.raises(ValidationError):
             acp.propagate_order_n(model, 0, lambda t: None, 0.01)

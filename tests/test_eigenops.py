@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinlind import cli
+from spinlind import acp, cli
 from spinlind import eigenops as eo
 from spinlind import mastereq as me
 from spinlind import response as rs
@@ -126,7 +126,7 @@ def test_bins_anchor_on_their_first_gap():
 
 
 def test_table_routes_build_no_dense_stack(monkeypatch):
-    # every route but the drive components reads the entries
+    # every route but the exact map's drive components reads the entries
     def refuse(self):
         raise AssertionError("the dense ladder stack was built")
 
@@ -134,6 +134,9 @@ def test_table_routes_build_no_dense_stack(monkeypatch):
     model = operator_sum_model("three_equivalent_plus_one")
     me.liouvillian_matrix(model)
     me.dissipator(model, np.eye(model.dim) / model.dim)
+    t_end = 5 * me.default_dt(model)
+    me.propagate(model, model.boltzmann, t_end)
+    acp.propagate_order_n(model, 1, lambda t: np.zeros((model.dim, model.dim)), t_end)
     me.linear_response_hamiltonian(model, np.linspace(0.0, 1.0, 5))
     me.drive_integral(model, 0.5)
     me.noncp_witness(model, np.arange(1.0, model.dim + 1.0), 0.5, unsafe=True)

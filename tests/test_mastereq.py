@@ -628,9 +628,10 @@ class TestPropagate:
         model = build(system, field, 0.05)
         assert model.dim == 128 > me.MAP_DIM_CAP
 
-        def no_table(*args):
+        def no_step(*args):
             raise AssertionError("a step was taken")
-        monkeypatch.setattr(me, "_drive_table", no_table)
+        # the first work of a step is the chunk's H_LR table
+        monkeypatch.setattr(me, "linear_response_hamiltonian", no_step)
         with pytest.raises(ValidationError, match="MAP_DIM_CAP = 64"):
             me.propagate(model, model.boltzmann, 0.1)
 
@@ -689,6 +690,27 @@ class TestStepperOracle:
         got = acp.propagate_order_n(model, 1, inhomogeneity, t_end, store_every=3)
         want = rk4_oracle(model, rho1, t_end, None, 3, extra=inhomogeneity)
         self._assert_matches(got, want)
+
+    def test_order_n_inhomogeneity_read_on_the_half_step_grid(self, monkeypatch):
+        monkeypatch.setattr(me, "RK4_CHUNK", 6)
+        model = operator_sum_model("generic2")
+        zero = np.zeros((model.dim, model.dim))
+        calls = []
+
+        def inhomogeneity(t):
+            calls.append(t)
+            return zero
+
+        t_end = 20.5 * me.default_dt(model)       # 21 steps: chunks of 6, 6, 6 and 3
+        acp.propagate_order_n(model, 1, inhomogeneity, t_end)
+        dt, steps = me._time_grid(model, t_end, None, None)
+        n_steps = int(steps[-1])
+        assert n_steps == 21
+        k = np.rint(np.array(calls) / (0.5 * dt))
+        assert np.allclose(calls, k * (0.5 * dt), rtol=0.0, atol=1e-12 * t_end)
+        assert set(k.tolist()) == set(range(2 * n_steps + 1))
+        # once per grid point, and again at the three inner chunk boundaries
+        assert len(calls) == 2 * n_steps + 1 + 3
 
 
 class TestLambdaMap:
@@ -1019,8 +1041,28 @@ class TestTimeGrid:
         assert step == t_end / n
         assert steps.tolist() == [k for k in range(n + 1) if k % every == 0 or k == n]
 
+    @pytest.mark.parametrize("store_every", [2.5, 1.5, 3.0, 0, -1])
+    def test_store_every_not_a_whole_number_at_least_one_refused(self, qubit_model,
+                                                               store_every):
+        # 2.5 stamped frames no step wrote, 1.5 gave non-monotone times
+        with pytest.raises(ValidationError, match="store_every"):
+            me.propagate(qubit_model, qubit_model.boltzmann, 0.01, 0.001,
+                         store_every=store_every)
+
+    def test_store_every_numpy_integer_accepted(self, qubit_model):
+        plain = me.propagate(qubit_model, qubit_model.boltzmann, 0.01, 0.001, store_every=3)
+        int64 = me.propagate(qubit_model, qubit_model.boltzmann, 0.01, 0.001,
+                             store_every=np.int64(3))
+        assert np.array_equal(plain.times, int64.times)
+        assert np.array_equal(plain.states, int64.states)
+
 
 class TestKrausAudit:
+    @pytest.mark.parametrize("n_nodes", [0, -2, 2.5])
+    def test_node_count_not_a_positive_whole_number_refused(self, qubit_model, n_nodes):
+        with pytest.raises(ValidationError, match="n_nodes"):
+            me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann, n_nodes=n_nodes)
+
     def test_residuals_small(self, qubit_model):
         rate = qubit_rate(qubit_model)
         report = me.kraus_audit(qubit_model, 0.4 / rate, qubit_model.boltzmann,

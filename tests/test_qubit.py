@@ -204,6 +204,11 @@ class TestStationary:
         with pytest.raises(ValidationError):
             qb.stationary_sigma_plus(p, 1.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_times_rejected(self, params, bad):
+        with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
+            qb.stationary_sigma_plus(params, bad)
+
     def test_infinite_temperature_coherence_vanishes(self):
         p = qb.QubitParams(omega_o=5.0, omega_1=1.0, beta=0.0,
                            dist=ls.lorentzian(5.0, 0.5))
@@ -300,6 +305,12 @@ class TestStructureFactor:
     def test_unknown_label(self, params):
         with pytest.raises(ValidationError):
             qb.structure_factor(params, "++", 0.0)
+
+    @pytest.mark.parametrize("which", ["-+", "+-"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected(self, params, which, bad):
+        with pytest.raises(ValidationError, match="omega_prime must be finite"):
+            qb.structure_factor(params, which, bad)
 
 
 class TestFdt:

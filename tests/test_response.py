@@ -256,7 +256,24 @@ class TestNearDegenerateBlocks:
         assert exact != 0
         assert rs.commutator_average(model, m_x, w - 0.9 * atol) == exact
         assert rs.commutator_average(model, m_x, w - 1.1 * atol) == 0
-        assert rs.commutator_average(model, m_x, math.nan) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_frequency_refused(self, bad):
+        model = self._model()
+        m_x = -sc.xi_operator(model.system, "x")
+        for call in (lambda: rs.commutator_average(model, m_x, bad),
+                     lambda: rs.chi_infinity(model, m_x, bad, +1),
+                     lambda: rs.chi_transient(model, m_x, bad, +1, 0.1)):
+            with pytest.raises(ValidationError, match="omega_o and X must be finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_operator_refused(self, bad):
+        model = self._model()
+        m_x = -sc.xi_operator(model.system, "x")
+        m_x[1, 0] = bad
+        with pytest.raises(ValidationError, match="omega_o and X must be finite"):
+            rs.commutator_average(model, m_x, float(model.ladder.omegas[0]))
 
     def test_commutator_average_reads_its_own_block(self):
         model = self._model()

@@ -64,6 +64,15 @@ class TestIndexCompression:
         with pytest.raises(ValidationError):
             sc.decompress(8, (0.5, 0.5, 0.5))
 
+    def test_fractional_occupation_or_index_raises(self):
+        # int() truncated these to 2 and (1, 0)
+        with pytest.raises(ValidationError, match="whole number"):
+            sc.compress((1.7, 0), (0.5, 0.5))
+        with pytest.raises(ValidationError, match="whole number"):
+            sc.decompress(2.9, (0.5, 0.5))
+        assert sc.compress(np.array([1, 0]), (0.5, 0.5)) == 2
+        assert sc.decompress(np.int64(2), (0.5, 0.5)) == (1, 0)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
                     min_size=1, max_size=5))
