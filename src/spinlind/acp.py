@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numutil
 from .errors import AccuracyError, ValidationError
-from .spincore import SpinSystem, boltzmann_state, build_x, level_data
+from .spincore import SpinSystem, _whole, boltzmann_state, build_x, level_data
 
 if TYPE_CHECKING:
     from .mastereq import MasterEquationModel, Trajectory
@@ -122,7 +122,7 @@ def _y_ladder(eps: np.ndarray, x: np.ndarray, order: int, beta: float) -> list:
 
 def y_nested(system: SpinSystem, b_o: float, n: int, beta: float) -> np.ndarray:
     """Matrix of Y^(n)(i beta), exact to rounding."""
-    if n < 0:
+    if _whole(n, "order") < 0:
         raise ValidationError("order must be nonnegative")
     return _y_ladder(_levels(system, b_o), build_x(system), n, beta)[n]
 
@@ -134,7 +134,7 @@ def y_moment(system: SpinSystem, b_o: float, n: int, beta: float) -> complex:
 
 def moments_up_to(system: SpinSystem, b_o: float, order: int,
                   beta: float) -> AcpMoments:
-    if order < 1:
+    if _whole(order, "order") < 1:
         raise ValidationError(f"moments are defined for order >= 1, got {order}")
     return _thermal_ladder(system, b_o, order, beta)[2]
 
@@ -158,7 +158,7 @@ def zeta_recursive(moments: AcpMoments) -> ZetaCoefficients:
 
 def zeta_determinant(moments: AcpMoments, n: int) -> complex:
     """zeta_n as (-1)^n times an upper Hessenberg (Toeplitz) determinant."""
-    if n < 1:
+    if _whole(n, "order") < 1:
         raise ValidationError("the determinant form applies for n >= 1")
     if n > moments.order:
         raise ValidationError(f"need {n} moments, have {moments.order}")
@@ -180,7 +180,7 @@ def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
     coefficients; Hermiticity is asserted (the residual is appended to
     ``herm_report`` when a list is supplied) and the Hermitian part returned.
     """
-    if n < 0:
+    if _whole(n, "order") < 0:
         raise ValidationError("order must be nonnegative")
     if n == 0:
         return boltzmann_state(_levels(system, b_o), beta)
@@ -215,7 +215,7 @@ def propagate_order_n(model: MasterEquationModel, n: int,
     """
     from .mastereq import _check_domain, _check_map_dim, _rk4  # the moment tables need no model
 
-    if n < 1:
+    if _whole(n, "order") < 1:
         raise ValidationError("use the order-0 propagator for n = 0")
     _check_map_dim(model)
     if rho_n0 is None:

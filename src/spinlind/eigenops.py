@@ -41,12 +41,6 @@ class LadderTable:
     gap_atol: float
     dim: int
 
-    def dense(self) -> np.ndarray:
-        """The (K, D, D) stack of the blocks xi^x(+1, omegas[k])."""
-        out = np.zeros((self.omegas.size, self.dim, self.dim), dtype=complex)
-        out[self.block, self.rows, self.cols] = self.values
-        return out
-
     def hermitian(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[..., k] xi^x(+1, omegas[k]) + h.c. as (..., D, D): two scatters."""
         out = np.zeros(weights.shape[:-1] + (self.dim, self.dim), dtype=complex)

@@ -28,9 +28,10 @@ diagonalise the same matrix one secular block at a time: the connected
 components of its nonzero pattern, for a generic system the D populations
 plus D^2 - D scalar coherences.  V and V^-1 stay block diagonal, and the
 audit's node sums run over the nonzeros of V^-1 only.  Both routes are
-capped at dimension MAP_DIM_CAP, where L has D^4 entries.  The dissipator
-alone is applied from the ladder entries, one pair of entries of a block at
-a time, at any dimension.
+capped at dimension MAP_DIM_CAP, where L has D^4 entries.  Every route reads
+xi^x from the ladder entries alone: L, the dissipator (at any dimension) and
+h_ls from pairs of entries of a block, H_LR(t) and the map's drive
+components from one scatter of the entries each.
 """
 
 from __future__ import annotations
@@ -130,8 +131,11 @@ class MasterEquationModel:
 
     @property
     def plus_mats(self) -> np.ndarray:
-        """``ladder.dense()``, built on each read; no code of the package reads it."""
-        return self.ladder.dense()
+        """The (K, D, D) stack of the xi^x(+1, w), built on each read; no package route uses it."""
+        ladder = self.ladder
+        out = np.zeros((ladder.omegas.size, self.dim, self.dim), dtype=complex)
+        out[ladder.block, ladder.rows, ladder.cols] = ladder.values
+        return out
 
 
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
@@ -378,18 +382,25 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
                       energies=model.levels.energies.copy())
 
 
-def _drive_components(model: MasterEquationModel, rho_init: np.ndarray):
+def _drive_components(model: MasterEquationModel, rho0: np.ndarray):
     """Components c_j (rows) and frequencies w_j of vec(-i [H_LR(t), rho0]).
 
     The drive term is Re[phi_f(t)] sum_j exp(-i w_j t) c_j with
     c = vec(-2 i B1 [xi_w, rho0]) at +w and vec(-2 i B1 [xi_w^dag, rho0]) at
-    -w, from one batched product over the dense ladder stack.
+    -w, for any rho0.  Entry (r_e, c_e, v_e) of block j adds u rho0[c_e, :]
+    to row r_e of [xi_w, rho0] and -u rho0[:, r_e] to column c_e, u = v_e;
+    the xi_w^dag half swaps rows and columns and takes u = conj(v_e).  The
+    scatters write the column-stacked [j, col, row] layout; the rows c_j view it.
     """
-    p = model.ladder.dense()
-    ops = np.concatenate([p, p.conj().transpose(0, 2, 1)])
-    comm = -2j * model.field.b_1 * (ops @ rho_init - rho_init @ ops)
-    comps = comm.transpose(0, 2, 1).reshape(len(ops), model.dim ** 2)
-    return comps, np.concatenate([model.ladder.omegas, -model.ladder.omegas])
+    ladder, d = model.ladder, model.dim
+    k, rows, cols = ladder.omegas.size, ladder.rows, ladder.cols
+    j = np.concatenate([ladder.block, ladder.block + k])
+    land, src = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    u = (-2j * model.field.b_1) * np.concatenate([ladder.values, ladder.values.conj()])[:, None]
+    out = np.zeros((2 * k, d, d), dtype=complex)
+    np.add.at(out, (j, slice(None), land), u * rho0[src, :])
+    np.add.at(out, (j, src), -u * rho0[:, land].T)
+    return out.reshape(2 * k, d * d), np.concatenate([ladder.omegas, -ladder.omegas])
 
 
 def liouvillian_matrix(model: MasterEquationModel) -> np.ndarray:
@@ -467,13 +478,6 @@ class BlockEigensystem(NamedTuple):
         for idx, v, v_inv in self.blocks:
             x[idx] = (v_inv if inverse else v) @ x[idx]
         return x
-
-    def inverse(self) -> np.ndarray:
-        """V^-1 as a dense (n, n) matrix, one scatter per block."""
-        out = np.eye(self.lam.size, dtype=complex)
-        for idx, _, v_inv in self.blocks:
-            out[idx[:, None], idx] = v_inv
-        return out
 
 
 def _components(mat: np.ndarray) -> np.ndarray:
@@ -558,9 +562,9 @@ def _apply_map(model: MasterEquationModel, eig: BlockEigensystem, times: np.ndar
     """(nt, D, D) states Lambda(t) rho0 at ``times`` from the block eigensystem of L.
 
     The semigroup part is V e^{lam t} V^-1 rho0.  The drive term is
-    Re[phi_f(s)] sum_j e^{-i w_j s} c_j with the components c_j of
-    :func:`_drive_components`; each adds V [(V^-1 c_j) * W(lam, w_j, t)],
-    W = int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w_j s} ds from one
+    Re[phi_f(s)] sum_j e^{-i w_j s} c_j with the components c_j scattered by
+    :func:`_drive_components`; each adds V [(V^-1 c_j) * W(lam, w_j, t)], W =
+    int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w_j s} ds from one
     :func:`lineshape.drive_weight` call per RK4_CHUNK times over the nonzero
     (j, k) of V^-1 c, scatter-added.  Shared by :func:`lambda_map` and
     :func:`kraus_audit`, so each call builds exactly one eigensystem of L.
@@ -622,7 +626,7 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     _check_domain(model, rho0, unsafe)
     d = model.dim
     eig = _block_eigensystem(liouvillian_matrix(model))
-    lam, v_inv = eig.lam, eig.inverse()
+    lam, v_inv = eig.lam, eig.apply(np.eye(d * d, dtype=complex), inverse=True)
     rows, cols = np.nonzero(v_inv != 0)
     table = rows, cols, v_inv[rows, cols]
     rho_init = np.array(rho0, dtype=complex)

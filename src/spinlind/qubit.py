@@ -136,8 +136,11 @@ def heisenberg_coefficients(params: QubitParams, t: float,
 
     Determined through the duality Tr[rho(t) X] = Tr[rho(0) X(t)] with
     rho(0) the Boltzmann state; singular at zero temperature where the
-    initial polarization is complete.
+    initial polarization is complete.  X must be a finite (2, 2) matrix.
     """
+    x_op = np.asarray(x_op)
+    if x_op.shape != (2, 2) or not np.all(np.isfinite(x_op)):
+        raise ValidationError(f"X must be a finite (2, 2) matrix, got shape {x_op.shape}")
     z0 = -params.thermal_polarization
     if abs(z0) >= 1.0:
         raise ValidationError("zero-temperature start makes the coefficient map singular")

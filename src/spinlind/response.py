@@ -48,9 +48,12 @@ def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
     lies within the ladder's ``gap_atol`` of it; the average is
     Tr(xi_w [rho0, X]), summed over the block's entries.  rho0 is diagonal,
     so [rho0, X][c, r] = (P_c - P_r) X[c, r] with P its populations.  A
-    non-finite ``omega_o`` or entry of X is a ValidationError.
+    non-finite ``omega_o`` or entry of X, or an X that is not (D, D), is a
+    ValidationError.
     """
     x_op = np.asarray(x_op)
+    if x_op.shape != (model.dim, model.dim):
+        raise ValidationError(f"X must have shape {(model.dim, model.dim)}, got {x_op.shape}")
     if not (math.isfinite(omega_o) and np.all(np.isfinite(x_op))):
         raise ValidationError(f"omega_o and X must be finite, got omega_o = {omega_o}")
     ladder = model.ladder

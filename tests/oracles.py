@@ -17,8 +17,9 @@ matrices scattered whole, the flip-flop couplings one pair at a time and with
 inline ladder values, the ladder table built one spin at a time, the
 per-block loops of the model's ladder sums and Pauli table, the scalar
 envelope integral with the map's drive term looped over times and nonzero
-pairs, and the dense ladder decomposition of any observable (one Python
-step per nonzero).  None of these is part of the
+pairs, the dense (K, D, D) ladder stack with the map's drive components
+as batched products over it, and the dense ladder decomposition of any
+observable (one Python step per nonzero).  None of these is part of the
 package: each is a reference for a closed form, a master-equation rate, a
 response kernel, the array route of :mod:`spinlind.spectrum`, the template
 CSV writer of :mod:`spinlind.artifact`, the vectorized stepper of
@@ -510,7 +511,7 @@ def write_csv_oracle(path, header, columns) -> None:
 def pauli_rates_oracle(model):
     """The Pauli table block by block: the nonzeros of each dense xi^x(+1, w), row-major."""
     entries = []
-    stack = model.ladder.dense()
+    stack = dense_ladder(model.ladder)
     for k in range(stack.shape[0]):
         w = float(model.ladder.omegas[k])
         gp, gm = float(model.rates_plus[k]), float(model.rates_minus[k])
@@ -737,7 +738,7 @@ def ladder_sums_oracle(model):
     gp, gm = [], []
     h_ls = np.zeros((d, d), dtype=complex)
     anti = np.zeros((d, d), dtype=complex)
-    for w, a in zip(model.ladder.omegas.tolist(), model.ladder.dense()):
+    for w, a in zip(model.ladder.omegas.tolist(), dense_ladder(model.ladder)):
         if b1 > 0:
             gp.append(ls.dissipator_weight(dist, w, b1, +1))
             gm.append(ls.dissipator_weight(dist, w, b1, -1))
@@ -755,7 +756,7 @@ def steady_magnetization_oracle(model, t: float, *, n_over_v: float = 1.0) -> fl
     dist = model.field.dist
     total = 0.0
     m_x = -n_over_v * sc.xi_operator(model.system, "x")
-    for w0, xi_w in zip(model.ladder.omegas.tolist(), model.ladder.dense()):
+    for w0, xi_w in zip(model.ladder.omegas.tolist(), dense_ladder(model.ladder)):
         comm = m_x @ xi_w - xi_w @ m_x
         g = complex(np.trace(comm @ model.boltzmann))
         plus, minus = (rs.ChiKernel(omega_o=w0, sign=s, commutator_avg=g) for s in (1, -1))
@@ -836,13 +837,34 @@ def drive_weight_oracle(dist, lam: complex, w: float, t: float) -> complex:
                                              log_scale=scale.conjugate()).conjugate())
 
 
+def dense_ladder(table: eo.LadderTable) -> np.ndarray:
+    """The (K, D, D) stack of the blocks xi^x(+1, omegas[k]) of a ladder table."""
+    out = np.zeros((table.omegas.size, table.dim, table.dim), dtype=complex)
+    out[table.block, table.rows, table.cols] = table.values
+    return out
+
+
+def dense_drive_components(model, rho_init: np.ndarray):
+    """Components c_j (rows) and frequencies w_j of vec(-i [H_LR(t), rho0]).
+
+    The drive term is Re[phi_f(t)] sum_j exp(-i w_j t) c_j with
+    c = vec(-2 i B1 [xi_w, rho0]) at +w and vec(-2 i B1 [xi_w^dag, rho0]) at
+    -w, from one batched product over the dense ladder stack.
+    """
+    p = dense_ladder(model.ladder)
+    ops = np.concatenate([p, p.conj().transpose(0, 2, 1)])
+    comm = -2j * model.field.b_1 * (ops @ rho_init - rho_init @ ops)
+    comps = comm.transpose(0, 2, 1).reshape(len(ops), model.dim ** 2)
+    return comps, np.concatenate([model.ladder.omegas, -model.ladder.omegas])
+
+
 def apply_map_oracle(model, eig, times: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     """``mastereq._apply_map`` with its drive term looped over times and nonzero pairs."""
     lam, v, v_inv = eig
     rho_init = np.array(rho0, dtype=complex)
     coef = np.exp(np.outer(times, lam)) * (v_inv @ numutil.vec(rho_init))
     if model.field.b_1 > 0:
-        comps, freqs = me._drive_components(model, rho_init)
+        comps, freqs = dense_drive_components(model, rho_init)
         c = comps @ v_inv.T
         rows, cols = np.nonzero(c)
         for n, t in enumerate(times.tolist()):
@@ -981,7 +1003,7 @@ def full_apply_map(model, eig, times: np.ndarray, rho0: np.ndarray,
     rho_init = np.array(rho0, dtype=complex)
     coef = np.exp(np.outer(times, lam)) * (v_inv @ numutil.vec(rho_init))
     if include_drive and model.field.b_1 > 0:
-        comps, freqs = me._drive_components(model, rho_init)
+        comps, freqs = dense_drive_components(model, rho_init)
         c = comps @ v_inv.T
         rows, cols = np.nonzero(c)
         weights = ls.drive_weight(model.field.dist, lam[cols], freqs[rows], times[:, None])

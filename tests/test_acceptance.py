@@ -23,7 +23,7 @@ from spinlind import spincore as sc
 from spinlind.config import load_config
 
 from conftest import random_system, resonant_qubit_setup
-from oracles import transition_rate_oracle, wavefunction_oracle
+from oracles import dense_ladder, transition_rate_oracle, wavefunction_oracle
 from test_spectrum import anthracene_groups, biphenyl_groups, naphthalene_groups
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -175,7 +175,7 @@ class TestAcceptance:
             lev = sc.level_data(system, b_o)
             xi = sc.xi_operator(system, "x")
             table = eo.ladder_table(system, lev)
-            stack = table.dense()
+            stack = dense_ladder(table)
             half = stack.sum(0)
             scale = max(np.max(np.abs(xi)), 1e-300)
             worst_complete = max(worst_complete,

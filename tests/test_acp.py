@@ -356,6 +356,38 @@ class TestOrderNPropagation:
             acp.propagate_order_n(model, 1, untouched, 0.01)
 
 
+def _order_routes():
+    system = two_spin_system()
+    field = me.FieldConfig(b_o=1.0, b_1=1e-3, dist=ls.lorentzian(2.2e2, 40.0))
+    model = me.build_model(system, field, 2e-3)
+    zero = np.zeros((4, 4), dtype=complex)
+    return {
+        "y_nested": lambda n: acp.y_nested(system, 1.0, n, 1e-3),
+        "y_moment": lambda n: acp.y_moment(system, 1.0, n, 1e-3),
+        "moments_up_to": lambda n: acp.moments_up_to(system, 1.0, n, 1e-3).values,
+        "initial_correction": lambda n: acp.initial_correction(system, 1.0, n, 2e-3),
+        "zeta_determinant": lambda n: acp.zeta_determinant(acp.AcpMoments([0.3, 0.1]), n),
+        "propagate_order_n": lambda n: acp.propagate_order_n(
+            model, n, lambda t: zero, 0.01, dt=1e-3, rho_n0=zero).states,
+    }
+
+
+ORDER_ROUTES = sorted(_order_routes())
+
+
+@pytest.mark.parametrize("order", [2.5, 1.0, "1", None])
+@pytest.mark.parametrize("route", ORDER_ROUTES)
+def test_order_must_be_a_whole_number(route, order):
+    with pytest.raises(ValidationError, match="order must be a whole number"):
+        _order_routes()[route](order)
+
+
+@pytest.mark.parametrize("route", ORDER_ROUTES)
+def test_numpy_integer_order_accepted(route):
+    call = _order_routes()[route]
+    assert np.array_equal(call(np.int64(1)), call(1))
+
+
 class TestExpm:
     """numutil.expm against scipy.linalg.expm as the oracle."""
 

@@ -15,7 +15,7 @@ from spinlind import spincore as sc
 from spinlind.config import load_config
 
 from conftest import random_system
-from oracles import decompose, per_spin_ladder_table
+from oracles import decompose, dense_ladder, per_spin_ladder_table
 from test_mastereq import operator_sum_model, radical_system
 from test_spectrum import biphenyl_groups
 
@@ -35,7 +35,7 @@ def assert_matches_oracle(system, levels):
     assert np.array_equal(np.stack([table.block, table.rows, table.cols]),
                           np.stack(np.nonzero(stack)))
     assert np.array_equal(table.values, stack[table.block, table.rows, table.cols])
-    assert np.array_equal(table.dense(), stack)
+    assert np.array_equal(dense_ladder(table), stack)
     # every field, in the same order, against the entries built one spin at a time
     want = per_spin_ladder_table(system, levels)
     for name in ("rows", "cols", "values", "block", "omegas"):
@@ -87,7 +87,7 @@ def test_model_reads_its_stack_from_the_table():
     model = operator_sum_model("three_equivalent_plus_one")
     # the dense stack is built on each read, not kept as a field
     assert "plus_mats" not in {f.name for f in dataclasses.fields(model)}
-    assert np.array_equal(model.plus_mats, model.ladder.dense())
+    assert np.array_equal(model.plus_mats, dense_ladder(model.ladder))
     # degenerate gaps: fewer blocks than entries
     assert model.ladder.omegas.size < model.ladder.values.size
 
@@ -126,12 +126,15 @@ def test_bins_anchor_on_their_first_gap():
 
 
 def test_table_routes_build_no_dense_stack(monkeypatch):
-    # every route but the exact map's drive components reads the entries
+    # every route reads the entries; the dense stack lives in the oracles
     def refuse(self):
         raise AssertionError("the dense ladder stack was built")
 
-    monkeypatch.setattr(eo.LadderTable, "dense", refuse)
+    assert not hasattr(eo.LadderTable, "dense")
+    monkeypatch.setattr(me.MasterEquationModel, "plus_mats", property(refuse))
     model = operator_sum_model("three_equivalent_plus_one")
+    me.lambda_map(model, np.linspace(0.0, 1.0, 3), model.boltzmann)
+    me.kraus_audit(model, 0.5, model.boltzmann, n_nodes=4)
     me.liouvillian_matrix(model)
     me.dissipator(model, np.eye(model.dim) / model.dim)
     t_end = 5 * me.default_dt(model)

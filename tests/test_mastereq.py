@@ -21,9 +21,9 @@ from spinlind.errors import (
 from spinlind.qubit import SIGMA
 
 from conftest import random_system
-from oracles import (a_term, apply_map_oracle, full_apply_map, full_eigensystem,
-                     full_kraus_audit, full_lambda_map, inline_pair_dissipator,
-                     inline_pair_liouvillian, kraus_audit_oracle,
+from oracles import (a_term, apply_map_oracle, dense_drive_components, dense_ladder,
+                     full_apply_map, full_eigensystem, full_kraus_audit, full_lambda_map,
+                     inline_pair_dissipator, inline_pair_liouvillian, kraus_audit_oracle,
                      ladder_sums_oracle, pauli_rates_oracle, rk4_oracle, sandwich_superop,
                      simpson_doubling, transition_rate_oracle, wavefunction_distribution,
                      wavefunction_oracle)
@@ -104,7 +104,7 @@ def van_loan_lambda_map(model, t, rho0, *, include_drive=True):
     rho0 = np.array(rho0, dtype=complex)
     cols, mus = [], []
     if include_drive and model.field.b_1 > 0:
-        for w, xi in zip(model.ladder.omegas, model.ladder.dense()):
+        for w, xi in zip(model.ladder.omegas, dense_ladder(model.ladder)):
             for freq, op in ((w, xi), (-w, xi.conj().T)):
                 c = -1j * model.field.b_1 * nu.vec(op @ rho0 - rho0 @ op)
                 for sign in (1.0, -1.0):
@@ -139,7 +139,7 @@ def einsum_dissipator(model, rho):
         raise ValidationError("density matrix dimension mismatch")
     out = -(model._anti @ rho + rho @ model._anti)
     g = model.rates_plus + model.rates_minus
-    p = model.ladder.dense()
+    p = dense_ladder(model.ladder)
     if p.shape[0]:
         out = out + np.einsum("k,kij,jl,kml->im", g, p, rho, p.conj())
         out = out + np.einsum("k,kji,jl,klm->im", g, p.conj(), rho, p)
@@ -360,7 +360,7 @@ def assert_close(got, want, rtol=1e-13):
 
 def sandwich_generator(model):
     """Oracle: L as Kronecker products of the dense stack, jumps through sandwich_superop."""
-    p = model.ladder.dense()
+    p = dense_ladder(model.ladder)
     g = model.rates_plus + model.rates_minus
     jumps = sandwich_superop(np.concatenate([p, p.conj().transpose(0, 2, 1)]),
                              np.concatenate([g, g]))
@@ -400,7 +400,7 @@ class TestLadderSums:
                             dim=real.dim)
         k = real.omegas.size
         a, b = rng.normal(size=k), rng.normal(size=k)
-        p = table.dense()
+        p = dense_ladder(table)
         p_dag = p.conj().transpose(0, 2, 1)
         want = (np.einsum("k,kab->ab", a, p @ p_dag), np.einsum("k,kab->ab", b, p_dag @ p))
         got = me._pair_sums(table, (a, 0 * b), (0 * a, b))
@@ -869,6 +869,34 @@ class TestMapDriveTerm:
         chunked = me._apply_map(model, eig, times, model.boltzmann)
         assert nu.max_abs(chunked - whole) <= 1e-15 * nu.max_abs(whole)
 
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h"])
+    def test_components_match_dense_stack(self, case, rng):
+        # the entry scatter against batched products over the dense stack, for
+        # the Boltzmann state, a Hermitian and a non-Hermitian (unsafe) rho0
+        model = radical_model((2, 2)) if case == "e_2_2h" else operator_sum_model(case)
+        a = rng.normal(size=(model.dim,) * 2) + 1j * rng.normal(size=(model.dim,) * 2)
+        for rho0 in (np.array(model.boltzmann, dtype=complex), a + a.conj().T, a):
+            got, freqs = me._drive_components(model, rho0)
+            want, want_freqs = dense_drive_components(model, rho0)
+            assert np.array_equal(freqs, want_freqs)
+            assert got.shape == want.shape == (2 * model.ladder.omegas.size, model.dim ** 2)
+            assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
+
+    def test_components_are_scattered_in_place(self):
+        # generic 6 spin-1/2 (D = 64, K = 192): the rows are a view of the
+        # scattered stack and each temporary holds one row of D per entry, so
+        # the peak stays near the (2K, D^2) output
+        model = operator_sum_model("generic6")
+        rho0 = np.array(model.boltzmann, dtype=complex)
+        tracemalloc.start()
+        try:
+            comps, _ = me._drive_components(model, rho0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert comps.shape == (2 * 192, 64 * 64)
+        assert peak <= 1.5 * comps.nbytes
+
 
 def drive_model(case, kind):
     """``operator_sum_model(case)`` under a drive of line shape ``kind``."""
@@ -918,7 +946,8 @@ class TestBlockEigensystem:
         # a block with no imaginary part is diagonalised as a real matrix
         assert [np.iscomplexobj(v) for idx, v, _ in eig.blocks] == [
             idx.size != 3 for idx, _, _ in eig.blocks]
-        v, v_inv = eig.apply(np.eye(n, dtype=complex)), eig.inverse()
+        v = eig.apply(np.eye(n, dtype=complex))
+        v_inv = eig.apply(np.eye(n, dtype=complex), inverse=True)
         assert nu.max_abs(v @ v_inv - np.eye(n)) <= 1e-12
         assert nu.max_abs((v * eig.lam) @ v_inv - mat) <= 1e-12 * nu.max_abs(mat)
         assert nu.max_abs(eig.apply(v.copy(), inverse=True) - np.eye(n)) <= 1e-12
@@ -1140,7 +1169,8 @@ class TestKrausAudit:
         model = operator_sum_model("generic3")
         t = 120 * me.default_dt(model)
         default = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
-        nnz = np.count_nonzero(me._block_eigensystem(me.liouvillian_matrix(model)).inverse())
+        eig = me._block_eigensystem(me.liouvillian_matrix(model))
+        nnz = np.count_nonzero(eig.apply(np.eye(model.dim ** 2, dtype=complex), inverse=True))
         assert nnz == 8 * 8 + (64 - 8)
         calls = []
         node_sum = me._node_sum
@@ -1334,7 +1364,7 @@ class TestPauliRates:
         model = operator_sum_model(case)
         table = me.pauli_rates(model)
         assert table == pauli_rates_oracle(model)
-        assert len(table) == 2 * np.count_nonzero(model.ladder.dense())
+        assert len(table) == 2 * np.count_nonzero(dense_ladder(model.ladder))
 
 
 class TestWavefunctionOracle:

@@ -266,6 +266,17 @@ class TestHeisenbergCoefficients:
         with pytest.raises(ValidationError):
             qb.heisenberg_coefficients(p, 0.1, qb.SIGMA[3])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", (1, 1), (3, 3), (4,)])
+    def test_operator_must_be_finite_two_by_two(self, params, bad):
+        # the coefficients are traces of X against the Pauli matrices
+        if isinstance(bad, str):
+            x_op = qb.SIGMA[1].copy()
+            x_op[0, 1] = float(bad)
+        else:
+            x_op = np.ones(bad, dtype=complex)
+        with pytest.raises(ValidationError, match=r"X must be a finite \(2, 2\) matrix"):
+            qb.heisenberg_coefficients(params, 0.1 / params.rate, x_op)
+
 
 class TestStructureFactor:
     def test_peak_location_and_hwhm(self, params):

@@ -10,8 +10,9 @@ from spinlind import spincore as sc
 from spinlind.errors import ValidationError
 
 from conftest import random_system
-from oracles import (absorbed_power_oracle, decompose, kramers_kronig_residual,
-                     steady_magnetization_oracle, transition_rate_oracle)
+from oracles import (absorbed_power_oracle, decompose, dense_ladder,
+                     kramers_kronig_residual, steady_magnetization_oracle,
+                     transition_rate_oracle)
 from test_mastereq import (OPERATOR_SUM_CASES, operator_sum_model, radical_model,
                            random_hermitian)
 
@@ -70,7 +71,7 @@ class TestChiInfinity:
             model = response_model(system, 1.2, 2e-4)
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
-            for w, block in zip(model.ladder.omegas[:3], model.ladder.dense()[:3]):
+            for w, block in zip(model.ladder.omegas[:3], dense_ladder(model.ladder)[:3]):
                 got = rs.commutator_average(model, x_op, w)
                 comm = x_op @ block - block @ x_op
                 oracle = complex(np.trace(comm @ model.boltzmann))
@@ -101,7 +102,7 @@ class TestChiInfinity:
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
             x_dec = decompose(x_op, model.levels)
-            for w, block in zip(model.ladder.omegas[:3], model.ladder.dense()[:3]):
+            for w, block in zip(model.ladder.omegas[:3], dense_ladder(model.ladder)[:3]):
                 full = rs.commutator_average(model, x_op, w)
                 try:
                     x_plus = x_dec.block(1, w)
@@ -245,7 +246,7 @@ class TestNearDegenerateBlocks:
 
     def per_block_averages(self, model, x_op):
         return [complex(np.trace((x_op @ b - b @ x_op) @ model.boltzmann))
-                for b in model.ladder.dense()]
+                for b in dense_ladder(model.ladder)]
 
     def test_commutator_average_window_is_the_gap_tolerance(self):
         model = self._model()
@@ -274,6 +275,17 @@ class TestNearDegenerateBlocks:
         m_x[1, 0] = bad
         with pytest.raises(ValidationError, match="omega_o and X must be finite"):
             rs.commutator_average(model, m_x, float(model.ladder.omegas[0]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2,), (2, 3)])
+    def test_operator_of_another_shape_refused(self, shape):
+        # X is read at the model's level indices, so only a (D, D) X is meaningful
+        model, w0, _ = qubit_transient_setup()
+        x_op = np.ones(shape, dtype=complex)
+        for call in (lambda: rs.commutator_average(model, x_op, w0),
+                     lambda: rs.chi_infinity(model, x_op, w0, +1),
+                     lambda: rs.chi_transient(model, x_op, w0, +1, 0.1)):
+            with pytest.raises(ValidationError, match=r"X must have shape \(2, 2\)"):
+                call()
 
     def test_commutator_average_reads_its_own_block(self):
         model = self._model()
