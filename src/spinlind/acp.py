@@ -12,8 +12,13 @@ Y^(n)(i beta) is evaluated along the imaginary axis, where it reduces to
 ``(-1)^n`` times the ordered simplex integral of products of
 ``X(iu) = exp(u Z0) X exp(-u Z0)`` over ``beta >= u_1 >= ... >= u_n >= 0``;
 summing ``exp(-beta Z0) Y^(n)`` over n reproduces the full Gibbs operator.
-All orders up to n come exactly from one matrix exponential of a
-block-bidiagonal matrix (Van Loan's construction), with no quadrature.
+All orders up to n come exactly from matrix exponentials of block-bidiagonal
+matrices (Van Loan's construction), with no quadrature.  Z0 is diagonal and
+X conserves total M, so Y^(n) has no element between two connected
+components of X's nonzero pattern, and each component takes its own
+exponential, of (n + 1) times its size.  One table (the moments, then the
+initial correction, at one system, field, order and beta) computes its ladder
+once: the last ladder is kept in a single slot, never handed to a caller.
 """
 
 from __future__ import annotations
@@ -53,7 +58,10 @@ class AcpMoments:
     values: tuple
 
     def __init__(self, values: Sequence[complex]):
-        object.__setattr__(self, "values", tuple(complex(v) for v in values))
+        values = tuple(complex(v) for v in values)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"moments must be finite, got {values}")
+        object.__setattr__(self, "values", values)
 
     @property
     def order(self) -> int:
@@ -88,43 +96,69 @@ def x_interaction(system: SpinSystem, b_o: float, s: complex) -> np.ndarray:
     """X(s) = exp(-i s Z0) X exp(i s Z0), exact via diagonal phases.
 
     Real ``s`` gives oscillating phases; imaginary ``s = i u`` gives the
-    real conjugation exp(u Z0) X exp(-u Z0).
+    real conjugation exp(u Z0) X exp(-u Z0).  ``s`` must be finite.
     """
+    s = complex(s)
+    if not np.isfinite(s):
+        raise ValidationError(f"s must be finite, got {s}")
     x = build_x(system)
     eps = _levels(system, b_o)
     gaps = eps[:, None] - eps[None, :]
-    return x * np.exp(-1j * complex(s) * gaps)
+    return x * np.exp(-1j * s * gaps)
+
+
+def _check_ladder(b_o: float, order: int, beta: float) -> None:
+    """Refuse a non-finite field or beta, or an order above MAX_ORDER."""
+    if order > MAX_ORDER:
+        raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
+    for name, value in (("b_o", b_o), ("beta", beta)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 def _y_ladder(eps: np.ndarray, x: np.ndarray, order: int, beta: float) -> list:
     """[Y^(0), ..., Y^(order)] at i beta, for Z0 = diag(eps) and the flip-flop X.
 
-    One exponential of the block-bidiagonal matrix with -beta Z0 in every
-    diagonal block and -beta X in every block above the diagonal; block
-    (0, n) of its exponential is exp(-beta Z0) Y^(n) (Van Loan, IEEE TAC 23
-    (1978) 395).  Z0 is shifted to the middle of its spectrum, which leaves
-    Y^(n) unchanged and keeps both exponentials in range.
+    Y^(n) vanishes between the connected components of X's nonzero pattern
+    (:func:`numutil._components`).  Each component takes one exponential of
+    the block-bidiagonal matrix with -beta Z0 in every diagonal block and
+    -beta X in every block above the diagonal, both restricted to the
+    component; block (0, n) of its exponential is exp(-beta Z0) Y^(n) there
+    (Van Loan, IEEE TAC 23 (1978) 395), scattered into the (D, D) Y^(n).  Z0
+    is shifted to the middle of the component's own spectrum, which leaves
+    Y^(n) unchanged and keeps both exponentials in range.  A component whose
+    X block is zero has Y^(n) = 0 for n >= 1 and takes no exponential.  A
+    real X block gives a real exponential.  No input is validated here.
     """
-    if order > MAX_ORDER:
-        raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
-    if not np.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta}")
-    eps = eps - 0.5 * (eps.max() + eps.min())
     dim, k = eps.size, order + 1
-    gen = np.zeros((k, dim, k, dim), dtype=complex)
+    ys = [np.eye(dim, dtype=complex)] + [np.zeros((dim, dim), dtype=complex)
+                                         for _ in range(order)]
+    label = numutil._components(x)
     blocks = np.arange(k)
-    gen[blocks, :, blocks, :] = np.diag(-beta * eps)
-    gen[blocks[:-1], :, blocks[1:], :] = -beta * x
-    top = np.exp(beta * eps)[:, None] * numutil.expm(gen.reshape(k * dim, k * dim))[:dim]
-    return [np.eye(dim, dtype=complex)] + [top[:, n * dim:(n + 1) * dim]
-                                           for n in range(1, k)]
+    for root in np.unique(label).tolist():
+        idx = np.flatnonzero(label == root)
+        at = np.ix_(idx, idx)
+        sub = x[at]
+        if not sub.any():
+            continue
+        sub = sub if sub.imag.any() else sub.real
+        e = eps[idx] - 0.5 * (eps[idx].max() + eps[idx].min())
+        m = idx.size
+        gen = np.zeros((k, m, k, m), dtype=sub.dtype)
+        gen[blocks, :, blocks, :] = np.diag(-beta * e)
+        gen[blocks[:-1], :, blocks[1:], :] = -beta * sub
+        top = np.exp(beta * e)[:, None] * numutil.expm(gen.reshape(k * m, k * m))[:m]
+        for n in range(1, k):
+            ys[n][at] = top[:, n * m:(n + 1) * m]
+    return ys
 
 
 def y_nested(system: SpinSystem, b_o: float, n: int, beta: float) -> np.ndarray:
-    """Matrix of Y^(n)(i beta), exact to rounding."""
+    """Matrix of Y^(n)(i beta), exact to rounding; computed afresh on every call."""
     if _whole(n, "order") < 0:
         raise ValidationError("order must be nonnegative")
-    return _y_ladder(_levels(system, b_o), build_x(system), n, beta)[n]
+    _check_ladder(b_o, n, beta)
+    return _y_ladder(level_data(system, b_o).energies, build_x(system), n, beta)[n]
 
 
 def y_moment(system: SpinSystem, b_o: float, n: int, beta: float) -> complex:
@@ -139,12 +173,31 @@ def moments_up_to(system: SpinSystem, b_o: float, order: int,
     return _thermal_ladder(system, b_o, order, beta)[2]
 
 
+# (system, (b_o, order, beta), ladder) of the last _thermal_ladder call; the
+# system is held, so its id cannot be reused by another object while it is here
+_last_ladder = None
+
+
 def _thermal_ladder(system: SpinSystem, b_o: float, order: int, beta: float):
-    """The Boltzmann state rho0, [Y^(0), ..., Y^(order)] at i beta and their moments."""
-    eps = _levels(system, b_o)
-    ys = _y_ladder(eps, build_x(system), order, beta)
-    rho0 = boltzmann_state(eps, beta)
-    return rho0, ys, AcpMoments([np.trace(rho0 @ y) for y in ys[1:]])
+    """The Boltzmann populations p, [Y^(0), ..., Y^(order)] at i beta and their moments.
+
+    <Y^(n)>_0 = sum_a p_a Y^(n)_aa, as rho0 = diag(p).  The inputs are
+    validated first; then a call with the same system object, b_o, order and
+    beta as the previous one returns the previous result, so a table's
+    moments and initial correction share one ladder.  One slot, not a cache:
+    the next table's ladder replaces it.  Callers only read the arrays.
+    """
+    global _last_ladder
+    _check_ladder(b_o, order, beta)
+    key = (b_o, order, beta)
+    slot = _last_ladder         # read once: another thread may replace it
+    if slot is None or slot[0] is not system or slot[1] != key:
+        eps = level_data(system, b_o).energies
+        ys = _y_ladder(eps, build_x(system), order, beta)
+        p = np.diagonal(boltzmann_state(eps, beta)).copy()
+        moments = AcpMoments([(p * np.diagonal(y)).sum() for y in ys[1:]])
+        slot = _last_ladder = (system, key, (p, ys, moments))
+    return slot[2]
 
 
 def zeta_recursive(moments: AcpMoments) -> ZetaCoefficients:
@@ -184,11 +237,11 @@ def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
         raise ValidationError("order must be nonnegative")
     if n == 0:
         return boltzmann_state(_levels(system, b_o), beta)
-    rho0, ys, moments = _thermal_ladder(system, b_o, n, beta)
+    p, ys, moments = _thermal_ladder(system, b_o, n, beta)
     zetas = zeta_recursive(moments).zetas
-    out = np.zeros_like(rho0)
+    out = np.zeros_like(ys[0])
     for n_prime in range(n + 1):
-        out = out + zetas[n_prime] * (rho0 @ ys[n - n_prime])
+        out = out + zetas[n_prime] * (p[:, None] * ys[n - n_prime])   # rho0 Y, rho0 diagonal
     residual = numutil.max_abs(out - out.conj().T)
     scale = max(numutil.max_abs(out), 1e-300)
     if herm_report is not None:

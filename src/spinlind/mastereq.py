@@ -23,15 +23,16 @@ Hamiltonian; propagation enforces this unless explicitly overridden.
 Since the drive term acts on rho(0) only, it is a known function of t, and
 the equation is affine in the column-stacked state: y' = L y + f(t).  The
 RK4 stepper builds the matrix of L once per run and tabulates f from
-H_LR(t) on its half-step grid.  ``Lambda(t)`` and the Kraus audit
-diagonalise the same matrix one secular block at a time: the connected
-components of its nonzero pattern, for a generic system the D populations
-plus D^2 - D scalar coherences.  V and V^-1 stay block diagonal, and the
-audit's node sums run over the nonzeros of V^-1 only.  Both routes are
-capped at dimension MAP_DIM_CAP, where L has D^4 entries.  Every route reads
-xi^x from the ladder entries alone: L, the dissipator (at any dimension) and
-h_ls from pairs of entries of a block, H_LR(t) and the map's drive
-components from one scatter of the entries each.
+H_LR(t) on its half-step grid.  ``Lambda(t)`` and the Kraus audit read one
+eigensystem of the same matrix, built once per model on first use and kept
+with it.  It is taken one secular block at a time: the connected components
+of its nonzero pattern (:func:`numutil._components`), for a generic system
+the D populations plus D^2 - D scalar coherences.  V and V^-1 stay block
+diagonal, and the audit's node sums run over the nonzeros of V^-1 only.
+Both routes are capped at dimension MAP_DIM_CAP, where L has D^4 entries.
+Every route reads xi^x from the ladder entries alone: L, the dissipator (at
+any dimension) and h_ls from pairs of entries of a block, H_LR(t) and the
+map's drive components from one scatter of the entries each.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -112,7 +114,8 @@ class FieldConfig:
 
 @dataclass
 class MasterEquationModel:
-    """Assembled superoperator data; treat as immutable after construction."""
+    """Assembled superoperator data; treat as immutable after construction, as
+    the first map or audit keeps the eigensystem of L built from it."""
 
     system: SpinSystem
     field: FieldConfig
@@ -136,6 +139,12 @@ class MasterEquationModel:
         out = np.zeros((ladder.omegas.size, self.dim, self.dim), dtype=complex)
         out[ladder.block, ladder.rows, ladder.cols] = ladder.values
         return out
+
+    @cached_property
+    def _generator_eig(self) -> BlockEigensystem:
+        """Block eigensystem of L, built on the first read by :func:`lambda_map` or
+        :func:`kraus_audit` and kept; an AccuracyError is not kept, so every read raises it."""
+        return _block_eigensystem(liouvillian_matrix(self))
 
 
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
@@ -480,25 +489,6 @@ class BlockEigensystem(NamedTuple):
         return x
 
 
-def _components(mat: np.ndarray) -> np.ndarray:
-    """Each index's connected component in the nonzero pattern of ``mat``, by its least index.
-
-    Labels start as the indices.  Each round lowers every label to the least
-    label across the nonzeros (i, j) of the symmetrized pattern, then jumps
-    it to its label's label, until every nonzero joins equal labels.  Labels
-    only fall and stay inside their component, so the last labels are the
-    components' least indices.
-    """
-    nz = mat != 0
-    i, j = np.nonzero(nz | nz.T)
-    label = np.arange(mat.shape[0])
-    while True:
-        np.minimum.at(label, i, label[j])
-        label = label[label]
-        if np.array_equal(label[i], label[j]):
-            return label
-
-
 def _block_eigensystem(mat: np.ndarray) -> BlockEigensystem:
     """:func:`_eigensystem` of each connected component of ``mat``'s nonzero pattern.
 
@@ -508,7 +498,7 @@ def _block_eigensystem(mat: np.ndarray) -> BlockEigensystem:
     A generic system's populations form a real symmetric block, since
     stimulated absorption and emission share their rate.
     """
-    label = _components(mat)
+    label = numutil._components(mat)
     lam = np.diagonal(mat).astype(complex)
     blocks = []
     for root in np.flatnonzero(np.bincount(label) > 1).tolist():
@@ -543,17 +533,17 @@ def lambda_map(model: MasterEquationModel, t: float | np.ndarray, rho0: np.ndarr
     """Evaluate Lambda(t) rho0 = e^{Lt} rho0 + int_0^t e^{L(t-s)} A(s) rho0 ds exactly.
 
     ``t`` is one time, giving the (D, D) state, or a 1-D array of times,
-    giving the (nt, D, D) states; either way the call makes one block
-    eigensystem L = V diag(lam) V^-1 of the vectorized generator
-    (:func:`_block_eigensystem`, applied by :func:`_apply_map`).  Every time
+    giving the (nt, D, D) states; either way the states come from the
+    model's block eigensystem L = V diag(lam) V^-1 of the vectorized
+    generator (:func:`_block_eigensystem`, built on the model's first map or
+    audit and kept; applied by :func:`_apply_map`).  Every time
     must be finite and nonnegative.  ``include_drive=False`` drops the
     inhomogeneous term, leaving the completely positive semigroup alone.  An
     AccuracyError means a block of L is defective or nearly so.
     """
     times = _map_times(t)
     _check_domain(model, rho0, unsafe)
-    eig = _block_eigensystem(liouvillian_matrix(model))
-    states = _apply_map(model, eig, np.atleast_1d(times), rho0, include_drive)
+    states = _apply_map(model, model._generator_eig, np.atleast_1d(times), rho0, include_drive)
     return states if times.ndim else states[0]
 
 
@@ -567,7 +557,7 @@ def _apply_map(model: MasterEquationModel, eig: BlockEigensystem, times: np.ndar
     int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w_j s} ds from one
     :func:`lineshape.drive_weight` call per RK4_CHUNK times over the nonzero
     (j, k) of V^-1 c, scatter-added.  Shared by :func:`lambda_map` and
-    :func:`kraus_audit`, so each call builds exactly one eigensystem of L.
+    :func:`kraus_audit`, which read the one eigensystem of L kept per model.
     """
     lam = eig.lam
     rho_init = np.array(rho0, dtype=complex)
@@ -606,8 +596,10 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     over ``n_nodes`` panels (bumped to even) on [0, t], Phi1 = e^{Lt} +
     sum_n w_n e^{L(t - s_n)} Ad_M(s_n) and Phi2 = sum_n w_n e^{L(t - s_n)}
     Ad_M^dag(s_n) as superoperator matrices, every e^{Ls} = V diag(e^{lam s})
-    V^-1 from one block eigensystem of L.  Since Ad_M = (1 + C + K) / 2 and
-    Ad_M^dag = (1 - C + K) / 2, with C = -i [H_LR, .] and K = H_LR . H_LR,
+    V^-1 from the model's one block eigensystem of L, built by the first map
+    or audit on the model and read by every later one.  Since Ad_M = (1 + C
+    + K) / 2 and Ad_M^dag = (1 - C + K) / 2, with C = -i [H_LR, .] and K =
+    H_LR . H_LR,
     the sums V^-1 Phi_i take one sandwich node sum (:func:`_node_sum`) and
     one commutator node sum (:func:`_commutator_sum`), both reading only the
     entries of V^-1 inside its blocks, over batches of nodes whose
@@ -625,7 +617,7 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
         raise ValidationError(f"n_nodes must be positive, got {n_nodes}")
     _check_domain(model, rho0, unsafe)
     d = model.dim
-    eig = _block_eigensystem(liouvillian_matrix(model))
+    eig = model._generator_eig
     lam, v_inv = eig.lam, eig.apply(np.eye(d * d, dtype=complex), inverse=True)
     rows, cols = np.nonzero(v_inv != 0)
     table = rows, cols, v_inv[rows, cols]
@@ -746,9 +738,9 @@ def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
             "the witness feeds a pure state to a map whose domain is the "
             "Boltzmann state; pass unsafe=True to acknowledge"
         )
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != model.dim:
-        raise ValidationError("state dimension mismatch")
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (model.dim,):
+        raise ValidationError(f"psi must have shape {(model.dim,)}, got {psi.shape}")
     if not np.all(np.isfinite(psi)):
         raise ValidationError("psi must be finite")
     nrm = np.linalg.norm(psi)

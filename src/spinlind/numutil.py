@@ -1,5 +1,8 @@
-"""Small numerical helpers: superoperator vectorization, the Choi matrix and the
-matrix exponential (numpy only, scaling and squaring with a Pade approximant).
+"""Small numerical helpers: superoperator vectorization, the Choi matrix, the
+matrix exponential (numpy only, scaling and squaring with a Pade approximant)
+and the partition of a matrix's nonzero pattern into connected components,
+shared by the thermal ladder of :mod:`spinlind.acp` and the block
+eigensystem of :mod:`spinlind.mastereq`.
 The number format and the CSV writer of every artifact live in
 :mod:`spinlind.artifact`, which loads no numpy.
 
@@ -62,6 +65,25 @@ def choi_matrix(s: np.ndarray, dim: int) -> np.ndarray:
     column stacking that entry is s[n d + m, j d + i], one reshuffle of ``s``.
     """
     return s.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(dim * dim, dim * dim)
+
+
+def _components(mat: np.ndarray) -> np.ndarray:
+    """Each index's connected component in the nonzero pattern of ``mat``, by its least index.
+
+    Labels start as the indices.  Each round lowers every label to the least
+    label across the nonzeros (i, j) of the symmetrized pattern, then jumps
+    it to its label's label, until every nonzero joins equal labels.  Labels
+    only fall and stay inside their component, so the last labels are the
+    components' least indices.
+    """
+    nz = mat != 0
+    i, j = np.nonzero(nz | nz.T)
+    label = np.arange(mat.shape[0])
+    while True:
+        np.minimum.at(label, i, label[j])
+        label = label[label]
+        if np.array_equal(label[i], label[j]):
+            return label
 
 
 def expm(a: np.ndarray) -> np.ndarray:

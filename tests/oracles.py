@@ -18,16 +18,18 @@ inline ladder values, the ladder table built one spin at a time, the
 per-block loops of the model's ladder sums and Pauli table, the scalar
 envelope integral with the map's drive term looped over times and nonzero
 pairs, the dense (K, D, D) ladder stack with the map's drive components
-as batched products over it, and the dense ladder decomposition of any
-observable (one Python step per nonzero).  None of these is part of the
-package: each is a reference for a closed form, a master-equation rate, a
-response kernel, the array route of :mod:`spinlind.spectrum`, the template
-CSV writer of :mod:`spinlind.artifact`, the vectorized stepper of
+as batched products over it, the dense ladder decomposition of any
+observable (one Python step per nonzero), and the thermal ladder Y^(n)(i
+beta) from one exponential of the whole block-bidiagonal matrix.  None of
+these is part of the package: each is a reference for a closed form, a
+master-equation rate, a response kernel, the array route of
+:mod:`spinlind.spectrum`, the template CSV writer of
+:mod:`spinlind.artifact`, the vectorized stepper of
 :mod:`spinlind.mastereq`, its per-block eigensystems or its superoperator
 audit, the occupation-table operators of :mod:`spinlind.spincore`, the
 batched ladder sums, the broadcasting envelope integral of
-:mod:`spinlind.lineshape`, or the sparse ladder table of
-:mod:`spinlind.eigenops`.
+:mod:`spinlind.lineshape`, the sparse ladder table of
+:mod:`spinlind.eigenops`, or the per-component ladder of :mod:`spinlind.acp`.
 """
 
 import cmath
@@ -39,6 +41,7 @@ from itertools import repeat
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 from spinlind import eigenops as eo
 from spinlind import lineshape as ls
@@ -1082,3 +1085,35 @@ def full_kraus_audit(model, t: float, rho0: np.ndarray, *, unsafe: bool = False,
         phi2_choi_min=phi2_choi_min,
         n_nodes=n_nodes,
     )
+
+
+# -- the whole-matrix thermal ladder -----------------------------------------------
+
+def van_loan_generator(eps: np.ndarray, x: np.ndarray, order: int, beta: float) -> np.ndarray:
+    """The (k D, k D) block-bidiagonal matrix of the whole ladder, k = order + 1.
+
+    -beta Z0 in every diagonal block and -beta X in every block above the
+    diagonal, with Z0 = diag(eps) shifted to the middle of its whole spectrum.
+    """
+    eps = eps - 0.5 * (eps.max() + eps.min())
+    dim, k = eps.size, order + 1
+    gen = np.zeros((k, dim, k, dim), dtype=complex)
+    blocks = np.arange(k)
+    gen[blocks, :, blocks, :] = np.diag(-beta * eps)
+    gen[blocks[:-1], :, blocks[1:], :] = -beta * x
+    return gen.reshape(k * dim, k * dim)
+
+
+def whole_matrix_ladder(eps: np.ndarray, x: np.ndarray, order: int, beta: float) -> list:
+    """[Y^(0), ..., Y^(order)] at i beta from one ``scipy.linalg.expm`` of the whole matrix.
+
+    Block (0, n) of exp(:func:`van_loan_generator`) is exp(-beta Z0) Y^(n),
+    with Z0 shifted as there (Van Loan, IEEE TAC 23 (1978) 395); no partition
+    of X's nonzero pattern.
+    """
+    dim = eps.size
+    shifted = eps - 0.5 * (eps.max() + eps.min())
+    top = np.exp(beta * shifted)[:, None] * scipy.linalg.expm(
+        van_loan_generator(eps, x, order, beta))[:dim]
+    return [np.eye(dim, dtype=complex)] + [top[:, n * dim:(n + 1) * dim]
+                                           for n in range(1, order + 1)]

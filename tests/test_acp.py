@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,8 @@ from spinlind import mastereq as me
 from spinlind import numutil as nu
 from spinlind import spincore as sc
 from spinlind.errors import ValidationError
+
+from oracles import van_loan_generator, whole_matrix_ladder
 
 
 def two_spin_system(t12=6.0, gammas=(-2.0e2, -3.0e2)):
@@ -70,6 +74,11 @@ class TestInteractionPicture:
             mask = np.abs(x0) > 0
             assert np.allclose(xs[mask], x0[mask])
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+    def test_non_finite_argument_refused(self, s):
+        with pytest.raises(ValidationError, match="s must be finite"):
+            acp.x_interaction(two_spin_system(), 1.0, s)
+
     def test_matches_dense_matrix_exponential(self):
         system = two_spin_system()
         zo = sc.build_zo(system, 1.0)
@@ -78,6 +87,42 @@ class TestInteractionPicture:
             oracle = scipy.linalg.expm(-1j * s * zo) @ x0 @ scipy.linalg.expm(1j * s * zo)
             got = acp.x_interaction(system, 1.0, s)
             assert np.max(np.abs(got - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+def _chain(n_spins):
+    couplings = np.diag([0.9, -0.7, 0.8, 0.6][:n_spins - 1], 1)
+    return sc.SpinSystem([0.5] * n_spins, -np.linspace(2.0, 3.0, n_spins),
+                         couplings + couplings.T)
+
+
+def _mixed():
+    # spins 1/2, 1, 3/2, 1/2: the spin-j ladder elements of X
+    couplings = np.array([[0.0, 0.8, 0.5, 0.24], [0.8, 0.0, 0.12, 0.0],
+                          [0.5, 0.12, 0.0, 0.06], [0.24, 0.0, 0.06, 0.0]])
+    return sc.SpinSystem([0.5, 1.0, 1.5, 0.5], [-2.0, -0.31, -0.19, -2.6], couplings)
+
+
+def _equivalent():
+    # one electron-like spin and three equivalent nuclei coupled to it alike
+    couplings = np.zeros((4, 4))
+    couplings[0, 1:] = couplings[1:, 0] = 0.7
+    return sc.SpinSystem([0.5] * 4, [-3.0, 0.4, 0.4, 0.4], couplings)
+
+
+def _with_uncoupled_spin():
+    couplings = np.array([[0.0, 0.9, 0.0], [0.9, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    return sc.SpinSystem([0.5] * 3, [-2.0, -2.5, -3.0], couplings)
+
+
+# case -> (system, b_o, beta, order); the simplex quadrature sets the orders.  The
+# beta * (eps_max - eps_min) >= 40 case is test_ladder_matches_simplex_oracle
+LADDER_CASES = {
+    "chain3": lambda: (_chain(3), 3.0, 0.4, 4),
+    "chain5": lambda: (_chain(5), 3.0, 0.4, 3),
+    "mixed_spins": lambda: (_mixed(), 1.0, 0.3, 3),
+    "equivalent_spins": lambda: (_equivalent(), 3.0, 0.3, 4),
+    "uncoupled_spin": lambda: (_with_uncoupled_spin(), 3.0, 0.4, 4),
+}
 
 
 class TestNestedIntegrals:
@@ -146,14 +191,55 @@ class TestNestedIntegrals:
         assert beta * (eps.max() - eps.min()) >= 40.0
         x0 = sc.build_x(system)
         ys = acp._y_ladder(eps, x0, 4, beta)
+        whole = whole_matrix_ladder(eps, x0, 4, beta)
         assert len(ys) == 5
         assert np.array_equal(ys[0], np.eye(8))
         for n in (1, 2, 3, 4):
             oracle = (-1.0) ** n * simplex_oracle(x0, eps, beta, n, 16)
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(ys[n] - oracle)) <= 1e-12 * scale
+            assert np.max(np.abs(ys[n] - whole[n])) <= 1e-12 * scale
             alone = acp.y_nested(system, b_o, n, beta)
             assert np.max(np.abs(alone - ys[n])) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("case", sorted(LADDER_CASES))
+    def test_ladder_matches_whole_matrix_and_simplex(self, case):
+        # one exponential per component of X against one of the whole (k D)^2
+        # matrix and against quadrature of the ordered simplex
+        system, b_o, beta, order = LADDER_CASES[case]()
+        eps = np.real(np.diag(sc.build_zo(system, b_o)))
+        x0 = sc.build_x(system)
+        ys = acp._y_ladder(eps, x0, order, beta)
+        whole = whole_matrix_ladder(eps, x0, order, beta)
+        assert len(ys) == order + 1 and np.array_equal(ys[0], np.eye(system.dim))
+        for n in range(1, order + 1):
+            oracle = (-1.0) ** n * simplex_oracle(x0, eps, beta, n, 16)
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(ys[n] - whole[n])) <= 1e-12 * scale
+            assert np.max(np.abs(ys[n] - oracle)) <= 1e-12 * scale
+
+    def test_single_index_component_is_not_skipped(self, monkeypatch):
+        # a 1 x 1 component with a nonzero X entry takes its exponential:
+        # Y^(n) there is (-beta x)^n / n!, Z0 commuting with it
+        eps = np.array([0.0, 1.0, 2.5])
+        x = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.3], [0.0, 0.3, 0.0]], dtype=complex)
+        sizes = []
+        expm = nu.expm
+        monkeypatch.setattr(nu, "expm", lambda a: sizes.append(a.shape[0]) or expm(a))
+        beta = 0.7
+        ys = acp._y_ladder(eps, x, 3, beta)
+        assert sorted(sizes) == [4 * 1, 4 * 2]
+        whole = whole_matrix_ladder(eps, x, 3, beta)
+        for n in (1, 2, 3):
+            assert ys[n][0, 0] == pytest.approx((-beta * 0.5) ** n / math.factorial(n),
+                                                rel=1e-14)
+            assert nu.max_abs(ys[n] - whole[n]) <= 1e-14 * nu.max_abs(whole[n])
+
+    def test_zero_x_takes_no_exponential(self, monkeypatch):
+        monkeypatch.setattr(nu, "expm", lambda a: pytest.fail("expm called"))
+        ys = acp._y_ladder(np.array([0.0, 1.0, 3.0]), np.zeros((3, 3), dtype=complex), 4, 2.0)
+        assert np.array_equal(ys[0], np.eye(3))
+        assert not any(y.any() for y in ys[1:])
 
     def test_moments_need_order_at_least_one(self):
         system = two_spin_system()
@@ -175,6 +261,79 @@ class TestNestedIntegrals:
         for call in calls:
             with pytest.raises(ValidationError, match="b_o"):
                 call()
+
+
+class TestLadderSharing:
+    """One ladder per table: the last _thermal_ladder result is kept in one slot."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.setattr(acp, "_last_ladder", None)
+        calls = []
+        y_ladder = acp._y_ladder
+
+        def spy(*args):
+            calls.append(args[2:])
+            return y_ladder(*args)
+
+        monkeypatch.setattr(acp, "_y_ladder", spy)
+        return calls
+
+    def test_moments_then_correction_take_one_ladder(self, calls):
+        system = two_spin_system()
+        moments = acp.moments_up_to(system, 1.0, 3, 2e-3)
+        rho3 = acp.initial_correction(system, 1.0, 3, 2e-3)
+        assert calls == [(3, 2e-3)]
+        # the shared ladder gives the same bits as a fresh one
+        acp._last_ladder = None
+        assert acp.initial_correction(system, 1.0, 3, 2e-3).tobytes() == rho3.tobytes()
+        acp._last_ladder = None
+        assert acp.moments_up_to(system, 1.0, 3, 2e-3) == moments
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("change", ["system", "b_o", "beta", "order"])
+    def test_any_other_input_recomputes(self, calls, change):
+        system = two_spin_system()
+        args = {"system": system, "b_o": 1.0, "order": 2, "beta": 2e-3}
+        acp.moments_up_to(**args)
+        args[change] = {"system": two_spin_system(), "b_o": 1.5, "beta": 3e-3,
+                        "order": 3}[change]     # an equal but distinct system object
+        got = acp.moments_up_to(**args)
+        assert len(calls) == 2
+        acp._last_ladder = None
+        assert acp.moments_up_to(**args) == got
+
+    def test_one_slot_only(self, calls):
+        # a table, another, the first again: the second replaced the first
+        first, second = two_spin_system(), two_spin_system(t12=3.0)
+        for system in (first, second, first):
+            acp.moments_up_to(system, 1.0, 2, 2e-3)
+        assert len(calls) == 3
+
+    def test_validation_runs_before_the_lookup(self, calls):
+        system = two_spin_system()
+        acp.moments_up_to(system, 1.0, 2, 2e-3)
+        with pytest.raises(ValidationError, match="beta"):
+            acp._thermal_ladder(system, 1.0, 2, np.nan)
+        with pytest.raises(ValidationError, match="b_o"):
+            acp._thermal_ladder(system, np.inf, 2, 2e-3)
+        with pytest.raises(ValidationError, match="capped"):
+            acp._thermal_ladder(system, 1.0, acp.MAX_ORDER + 1, 2e-3)
+        assert len(calls) == 1
+
+    def test_callers_get_fresh_arrays(self, calls):
+        system = two_spin_system()
+        first = acp.initial_correction(system, 1.0, 2, 2e-3)
+        kept = first.copy()
+        first[:] = np.nan
+        assert np.array_equal(acp.initial_correction(system, 1.0, 2, 2e-3), kept)
+        assert len(calls) == 1
+
+    def test_y_nested_is_not_kept(self, calls):
+        system = two_spin_system()
+        acp.y_nested(system, 1.0, 2, 2e-3)
+        acp.y_nested(system, 1.0, 2, 2e-3)
+        assert len(calls) == 2 and acp._last_ladder is None
 
 
 class TestZetaCoefficients:
@@ -213,6 +372,13 @@ class TestZetaCoefficients:
         assert abs(zetas[2]) < 1e-15
         assert abs(zetas[3]) < 1e-15
         assert acp.zeta_determinant(moments, 3) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)])
+    def test_non_finite_moments_refused(self, bad):
+        with pytest.raises(ValidationError, match="moments must be finite"):
+            acp.AcpMoments([bad, 1.0])
+        with pytest.raises(ValidationError, match="moments must be finite"):
+            acp.AcpMoments([0.5, bad])
 
     def test_determinant_validation(self):
         moments = acp.AcpMoments([1.0])
@@ -391,14 +557,19 @@ def test_numpy_integer_order_accepted(route):
 class TestExpm:
     """numutil.expm against scipy.linalg.expm as the oracle."""
 
-    @pytest.mark.parametrize("n_spins", [2, 3, 4])
-    def test_van_loan_blocks(self, n_spins, monkeypatch):
-        # the order-4 blocks of acp._y_ladder at D = 4, 8, 16
+    @staticmethod
+    def _random_system(n_spins):
         rng = np.random.default_rng(n_spins)
         couplings = rng.normal(scale=0.8, size=(n_spins, n_spins))
         couplings = couplings + couplings.T
         np.fill_diagonal(couplings, 0.0)
-        system = sc.SpinSystem([0.5] * n_spins, -rng.uniform(2.0, 3.0, n_spins), couplings)
+        return sc.SpinSystem([0.5] * n_spins, -rng.uniform(2.0, 3.0, n_spins), couplings)
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4])
+    def test_van_loan_blocks(self, n_spins, monkeypatch):
+        # every order-4 block acp._y_ladder exponentiates at D = 4, 8, 16: one
+        # per total-M sector, the fully polarised ones (X = 0 there) taking none
+        system = self._random_system(n_spins)
         blocks = []
         expm = nu.expm
 
@@ -408,10 +579,22 @@ class TestExpm:
 
         monkeypatch.setattr(nu, "expm", spy)
         acp._y_ladder(np.real(np.diag(sc.build_zo(system, 3.0))), sc.build_x(system), 4, 0.4)
-        (block,) = blocks
+        sectors = [math.comb(n_spins, k) for k in range(1, n_spins)]
+        assert sorted(b.shape[0] for b in blocks) == sorted(5 * m for m in sectors)
+        for block in blocks:
+            assert block.shape[0] == block.shape[1]
+            want = scipy.linalg.expm(block)
+            assert nu.max_abs(expm(block) - want) <= 1e-13 * nu.max_abs(want)
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4])
+    def test_whole_van_loan_matrix(self, n_spins):
+        # the order-4 block-bidiagonal matrix over all of D = 4, 8, 16 (5 D wide)
+        system = self._random_system(n_spins)
+        eps = np.real(np.diag(sc.build_zo(system, 3.0)))
+        block = van_loan_generator(eps, sc.build_x(system), 4, 0.4)
         assert block.shape == (5 * 2 ** n_spins,) * 2
         want = scipy.linalg.expm(block)
-        assert nu.max_abs(expm(block) - want) <= 1e-13 * nu.max_abs(want)
+        assert nu.max_abs(nu.expm(block) - want) <= 1e-13 * nu.max_abs(want)
 
     @pytest.mark.parametrize("norm, order, squarings", [
         (1e-3, 3, 0), (0.1, 5, 0), (0.5, 7, 0), (1.5, 9, 0), (4.0, 13, 0),

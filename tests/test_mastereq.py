@@ -920,7 +920,7 @@ class TestBlockEigensystem:
     def test_components_are_the_secular_blocks(self, case, nnz, components, largest):
         lmat = me.liouvillian_matrix(operator_sum_model(case))
         assert np.count_nonzero(lmat) == nnz
-        label = me._components(lmat)
+        label = nu._components(lmat)
         assert np.unique(label).size == components
         assert np.bincount(label).max() == largest
         # every nonzero joins one component, labelled by its least index
@@ -975,6 +975,23 @@ class TestBlockEigensystem:
             me.lambda_map(qubit_model, 0.01, qubit_model.boltzmann)
         with pytest.raises(AccuracyError, match="defective"):
             me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann, n_nodes=4)
+
+    def test_defective_generator_is_not_kept(self, qubit_model, monkeypatch):
+        # the model keeps no failed eigensystem: every map or audit rebuilds
+        # L, decomposes it and raises again
+        lmat = me.liouvillian_matrix(qubit_model)
+        lmat[0, 0] = lmat[3, 3] = -1.0
+        lmat[0, 3], lmat[3, 0] = 1.0, 0.0
+        calls = []
+        monkeypatch.setattr(me, "liouvillian_matrix",
+                            lambda model: calls.append(model) or lmat.copy())
+        for call in (lambda: me.lambda_map(qubit_model, 0.01, qubit_model.boltzmann),
+                     lambda: me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann,
+                                            n_nodes=4),
+                     lambda: me.lambda_map(qubit_model, 0.02, qubit_model.boltzmann)):
+            with pytest.raises(AccuracyError, match="defective"):
+                call()
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
     @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
@@ -1126,6 +1143,26 @@ class TestKrausAudit:
                        qubit_model.boltzmann, n_nodes=16)
         assert calls == {"liouvillian_matrix": 1, "_block_eigensystem": 1, "_eigensystem": 1}
 
+    @pytest.mark.parametrize("case", ["two_generic", "three_equivalent"])
+    def test_map_and_audit_share_one_eigensystem_per_model(self, monkeypatch, case):
+        # lambda_map then kraus_audit on one model build L and its block
+        # eigensystem once; the audit equals one on a freshly built model, bit for bit
+        model = map_model(case, ls.lorentzian)
+        t = 0.3 / decay_rate(model)
+        fresh = me.kraus_audit(map_model(case, ls.lorentzian), t, model.boltzmann, n_nodes=32)
+        calls = {"liouvillian_matrix": 0, "_block_eigensystem": 0}
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(me, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(me, name, spy)
+        me.lambda_map(model, t, model.boltzmann)
+        audit = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
+        me.lambda_map(model, 2.0 * t, model.boltzmann, include_drive=False)
+        assert calls == {"liouvillian_matrix": 1, "_block_eigensystem": 1}
+        assert [float(v).hex() for v in dataclasses.astuple(audit)] == [
+            float(v).hex() for v in dataclasses.astuple(fresh)]
+
     @pytest.mark.parametrize("case", ["driven", "undriven"])
     def test_shared_eigensystem_changes_no_field(self, resonant_qubit, monkeypatch, case):
         # the reference map from the audit's own eigensystem equals the one
@@ -1268,6 +1305,16 @@ class TestWitness:
             me.drive_integral(qubit_model, bad)
         with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
             me.noncp_witness(qubit_model, np.array([1.0, 0.0]), bad, unsafe=True)
+
+    def test_psi_must_be_one_dimensional(self, qubit_model):
+        # a (2, 2) array holds four numbers, as the state of a D = 4 model
+        # would, and a (2, 1) column two; neither is a state vector
+        model = drive_model("generic2", ls.lorentzian)
+        assert model.dim == 4
+        for m, psi in ((model, np.eye(2)), (qubit_model, np.array([[1.0], [0.0]])),
+                       (qubit_model, np.array([1.0, 0.0, 0.0]))):
+            with pytest.raises(ValidationError, match=r"psi must have shape \(%d,\)" % m.dim):
+                me.noncp_witness(m, psi, 0.1, unsafe=True)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_psi_rejected(self, qubit_model, bad):
