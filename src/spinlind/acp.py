@@ -16,9 +16,7 @@ All orders up to n come exactly from matrix exponentials of block-bidiagonal
 matrices (Van Loan's construction), with no quadrature.  Z0 is diagonal and
 X conserves total M, so Y^(n) has no element between two connected
 components of X's nonzero pattern, and each component takes its own
-exponential, of (n + 1) times its size.  One table (the moments, then the
-initial correction, at one system, field, order and beta) computes its ladder
-once: the last ladder is kept in a single slot, never handed to a caller.
+exponential, of (n + 1) times its size.
 """
 
 from __future__ import annotations
@@ -127,24 +125,25 @@ def _y_ladder(eps: np.ndarray, x: np.ndarray, order: int, beta: float) -> list:
     (Van Loan, IEEE TAC 23 (1978) 395), scattered into the (D, D) Y^(n).  Z0
     is shifted to the middle of the component's own spectrum, which leaves
     Y^(n) unchanged and keeps both exponentials in range.  A component whose
-    X block is zero has Y^(n) = 0 for n >= 1 and takes no exponential.  A
-    real X block gives a real exponential.  No input is validated here.
+    X block is zero has Y^(n) = 0 for n >= 1 and takes no exponential.  X
+    has real couplings (:func:`spincore.build_x`), so only its real part is
+    read and every exponential is real.  No input is validated here.
     """
+    x = x.real
     dim, k = eps.size, order + 1
     ys = [np.eye(dim, dtype=complex)] + [np.zeros((dim, dim), dtype=complex)
                                          for _ in range(order)]
     label = numutil._components(x)
     blocks = np.arange(k)
-    for root in np.unique(label).tolist():
+    for root in np.flatnonzero(label == np.arange(dim)).tolist():   # a component's least index
         idx = np.flatnonzero(label == root)
         at = np.ix_(idx, idx)
         sub = x[at]
         if not sub.any():
             continue
-        sub = sub if sub.imag.any() else sub.real
         e = eps[idx] - 0.5 * (eps[idx].max() + eps[idx].min())
         m = idx.size
-        gen = np.zeros((k, m, k, m), dtype=sub.dtype)
+        gen = np.zeros((k, m, k, m))
         gen[blocks, :, blocks, :] = np.diag(-beta * e)
         gen[blocks[:-1], :, blocks[1:], :] = -beta * sub
         top = np.exp(beta * e)[:, None] * numutil.expm(gen.reshape(k * m, k * m))[:m]
@@ -154,7 +153,7 @@ def _y_ladder(eps: np.ndarray, x: np.ndarray, order: int, beta: float) -> list:
 
 
 def y_nested(system: SpinSystem, b_o: float, n: int, beta: float) -> np.ndarray:
-    """Matrix of Y^(n)(i beta), exact to rounding; computed afresh on every call."""
+    """Matrix of Y^(n)(i beta), exact to rounding."""
     if _whole(n, "order") < 0:
         raise ValidationError("order must be nonnegative")
     _check_ladder(b_o, n, beta)
@@ -173,31 +172,15 @@ def moments_up_to(system: SpinSystem, b_o: float, order: int,
     return _thermal_ladder(system, b_o, order, beta)[2]
 
 
-# (system, (b_o, order, beta), ladder) of the last _thermal_ladder call; the
-# system is held, so its id cannot be reused by another object while it is here
-_last_ladder = None
-
-
 def _thermal_ladder(system: SpinSystem, b_o: float, order: int, beta: float):
     """The Boltzmann populations p, [Y^(0), ..., Y^(order)] at i beta and their moments.
 
-    <Y^(n)>_0 = sum_a p_a Y^(n)_aa, as rho0 = diag(p).  The inputs are
-    validated first; then a call with the same system object, b_o, order and
-    beta as the previous one returns the previous result, so a table's
-    moments and initial correction share one ladder.  One slot, not a cache:
-    the next table's ladder replaces it.  Callers only read the arrays.
-    """
-    global _last_ladder
+    <Y^(n)>_0 = sum_a p_a Y^(n)_aa, as rho0 = diag(p)."""
     _check_ladder(b_o, order, beta)
-    key = (b_o, order, beta)
-    slot = _last_ladder         # read once: another thread may replace it
-    if slot is None or slot[0] is not system or slot[1] != key:
-        eps = level_data(system, b_o).energies
-        ys = _y_ladder(eps, build_x(system), order, beta)
-        p = np.diagonal(boltzmann_state(eps, beta)).copy()
-        moments = AcpMoments([(p * np.diagonal(y)).sum() for y in ys[1:]])
-        slot = _last_ladder = (system, key, (p, ys, moments))
-    return slot[2]
+    eps = level_data(system, b_o).energies
+    ys = _y_ladder(eps, build_x(system), order, beta)
+    p = np.diagonal(boltzmann_state(eps, beta)).copy()
+    return p, ys, AcpMoments([(p * np.diagonal(y)).sum() for y in ys[1:]])
 
 
 def zeta_recursive(moments: AcpMoments) -> ZetaCoefficients:

@@ -112,10 +112,10 @@ class FieldConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MasterEquationModel:
-    """Assembled superoperator data; treat as immutable after construction, as
-    the first map or audit keeps the eigensystem of L built from it."""
+    """Assembled superoperator data, frozen: the first map or audit keeps the
+    eigensystem of L built from it, so the arrays must not be edited either."""
 
     system: SpinSystem
     field: FieldConfig
@@ -143,7 +143,8 @@ class MasterEquationModel:
     @cached_property
     def _generator_eig(self) -> BlockEigensystem:
         """Block eigensystem of L, built on the first read by :func:`lambda_map` or
-        :func:`kraus_audit` and kept; an AccuracyError is not kept, so every read raises it."""
+        :func:`kraus_audit` and kept (lambda and the V, V^-1 blocks) as long as the
+        model lives; an AccuracyError is not kept, so every read raises it."""
         return _block_eigensystem(liouvillian_matrix(self))
 
 

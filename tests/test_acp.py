@@ -263,79 +263,6 @@ class TestNestedIntegrals:
                 call()
 
 
-class TestLadderSharing:
-    """One ladder per table: the last _thermal_ladder result is kept in one slot."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        monkeypatch.setattr(acp, "_last_ladder", None)
-        calls = []
-        y_ladder = acp._y_ladder
-
-        def spy(*args):
-            calls.append(args[2:])
-            return y_ladder(*args)
-
-        monkeypatch.setattr(acp, "_y_ladder", spy)
-        return calls
-
-    def test_moments_then_correction_take_one_ladder(self, calls):
-        system = two_spin_system()
-        moments = acp.moments_up_to(system, 1.0, 3, 2e-3)
-        rho3 = acp.initial_correction(system, 1.0, 3, 2e-3)
-        assert calls == [(3, 2e-3)]
-        # the shared ladder gives the same bits as a fresh one
-        acp._last_ladder = None
-        assert acp.initial_correction(system, 1.0, 3, 2e-3).tobytes() == rho3.tobytes()
-        acp._last_ladder = None
-        assert acp.moments_up_to(system, 1.0, 3, 2e-3) == moments
-        assert len(calls) == 3
-
-    @pytest.mark.parametrize("change", ["system", "b_o", "beta", "order"])
-    def test_any_other_input_recomputes(self, calls, change):
-        system = two_spin_system()
-        args = {"system": system, "b_o": 1.0, "order": 2, "beta": 2e-3}
-        acp.moments_up_to(**args)
-        args[change] = {"system": two_spin_system(), "b_o": 1.5, "beta": 3e-3,
-                        "order": 3}[change]     # an equal but distinct system object
-        got = acp.moments_up_to(**args)
-        assert len(calls) == 2
-        acp._last_ladder = None
-        assert acp.moments_up_to(**args) == got
-
-    def test_one_slot_only(self, calls):
-        # a table, another, the first again: the second replaced the first
-        first, second = two_spin_system(), two_spin_system(t12=3.0)
-        for system in (first, second, first):
-            acp.moments_up_to(system, 1.0, 2, 2e-3)
-        assert len(calls) == 3
-
-    def test_validation_runs_before_the_lookup(self, calls):
-        system = two_spin_system()
-        acp.moments_up_to(system, 1.0, 2, 2e-3)
-        with pytest.raises(ValidationError, match="beta"):
-            acp._thermal_ladder(system, 1.0, 2, np.nan)
-        with pytest.raises(ValidationError, match="b_o"):
-            acp._thermal_ladder(system, np.inf, 2, 2e-3)
-        with pytest.raises(ValidationError, match="capped"):
-            acp._thermal_ladder(system, 1.0, acp.MAX_ORDER + 1, 2e-3)
-        assert len(calls) == 1
-
-    def test_callers_get_fresh_arrays(self, calls):
-        system = two_spin_system()
-        first = acp.initial_correction(system, 1.0, 2, 2e-3)
-        kept = first.copy()
-        first[:] = np.nan
-        assert np.array_equal(acp.initial_correction(system, 1.0, 2, 2e-3), kept)
-        assert len(calls) == 1
-
-    def test_y_nested_is_not_kept(self, calls):
-        system = two_spin_system()
-        acp.y_nested(system, 1.0, 2, 2e-3)
-        acp.y_nested(system, 1.0, 2, 2e-3)
-        assert len(calls) == 2 and acp._last_ladder is None
-
-
 class TestZetaCoefficients:
     def test_first_coefficient_forced_by_recursion(self):
         moments = acp.AcpMoments([0.3 + 0.1j])

@@ -806,7 +806,7 @@ class TestImportFootprint:
         assert "spinlind.cli" in loaded
         assert not [m for m in loaded if m.split(".")[-1] in unloaded]
 
-    @pytest.mark.parametrize("config", ["naphthalene", "two_spin", "qubit"])
+    @pytest.mark.parametrize("config", ["naphthalene", "two_spin", "qubit", "acp_two_spin"])
     def test_cli_run_loads_numpy_ma_only_with_numpy(self, tmp_path, config):
         # numpy 1.x imports numpy.ma with numpy itself; past that, none of
         # these runs needs it (np.unique, for one, imports it lazily)

@@ -1162,6 +1162,9 @@ class TestKrausAudit:
         assert calls == {"liouvillian_matrix": 1, "_block_eigensystem": 1}
         assert [float(v).hex() for v in dataclasses.astuple(audit)] == [
             float(v).hex() for v in dataclasses.astuple(fresh)]
+        # the kept eigensystem cannot go stale by a field reassignment
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.beta = 2.0 * model.beta
 
     @pytest.mark.parametrize("case", ["driven", "undriven"])
     def test_shared_eigensystem_changes_no_field(self, resonant_qubit, monkeypatch, case):
