@@ -12,11 +12,8 @@ Y^(n)(i beta) is evaluated along the imaginary axis, where it reduces to
 ``(-1)^n`` times the ordered simplex integral of products of
 ``X(iu) = exp(u Z0) X exp(-u Z0)`` over ``beta >= u_1 >= ... >= u_n >= 0``;
 summing ``exp(-beta Z0) Y^(n)`` over n reproduces the full Gibbs operator.
-All orders up to n come exactly from matrix exponentials of block-bidiagonal
-matrices (Van Loan's construction), with no quadrature.  Z0 is diagonal and
-X conserves total M, so Y^(n) has no element between two connected
-components of X's nonzero pattern, and each component takes its own
-exponential, of (n + 1) times its size.
+All orders up to n come exactly, with no quadrature, from one block-bidiagonal
+matrix exponential (Van Loan) per total-M sector, which X conserves.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 
 from . import numutil
 from .errors import AccuracyError, ValidationError
-from .spincore import SpinSystem, _whole, boltzmann_state, build_x, level_data
+from .spincore import SpinSystem, _flip_flop_sectors, _whole, boltzmann_state, build_x, level_data
 
 if TYPE_CHECKING:
     from .mastereq import MasterEquationModel, Trajectory
@@ -83,13 +80,6 @@ class ZetaCoefficients:
         return len(self.zetas) - 1
 
 
-def _levels(system: SpinSystem, b_o: float) -> np.ndarray:
-    """Diagonal of Z0, after rejecting a non-finite field."""
-    if not np.isfinite(b_o):
-        raise ValidationError(f"b_o must be finite, got {b_o}")
-    return level_data(system, b_o).energies
-
-
 def x_interaction(system: SpinSystem, b_o: float, s: complex) -> np.ndarray:
     """X(s) = exp(-i s Z0) X exp(i s Z0), exact via diagonal phases.
 
@@ -99,13 +89,13 @@ def x_interaction(system: SpinSystem, b_o: float, s: complex) -> np.ndarray:
     s = complex(s)
     if not np.isfinite(s):
         raise ValidationError(f"s must be finite, got {s}")
-    x = build_x(system)
-    eps = _levels(system, b_o)
+    _check_ladder(b_o)
+    x, eps = build_x(system), level_data(system, b_o).energies
     gaps = eps[:, None] - eps[None, :]
     return x * np.exp(-1j * s * gaps)
 
 
-def _check_ladder(b_o: float, order: int, beta: float) -> None:
+def _check_ladder(b_o: float, order: int = 0, beta: float = 0.0) -> None:
     """Refuse a non-finite field or beta, or an order above MAX_ORDER."""
     if order > MAX_ORDER:
         raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
@@ -114,50 +104,56 @@ def _check_ladder(b_o: float, order: int, beta: float) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
-def _y_ladder(eps: np.ndarray, x: np.ndarray, order: int, beta: float) -> list:
-    """[Y^(0), ..., Y^(order)] at i beta, for Z0 = diag(eps) and the flip-flop X.
+def _sector_ladder(eps: np.ndarray, sectors: list, order: int, beta: float) -> list:
+    """(idx, blocks) per total-M sector with X != 0, blocks[n] = exp(-beta (Z0 - c)) Y^(n)(i beta).
 
-    Y^(n) vanishes between the connected components of X's nonzero pattern
-    (:func:`numutil._components`).  Each component takes one exponential of
-    the block-bidiagonal matrix with -beta Z0 in every diagonal block and
-    -beta X in every block above the diagonal, both restricted to the
-    component; block (0, n) of its exponential is exp(-beta Z0) Y^(n) there
-    (Van Loan, IEEE TAC 23 (1978) 395), scattered into the (D, D) Y^(n).  Z0
-    is shifted to the middle of the component's own spectrum, which leaves
-    Y^(n) unchanged and keeps both exponentials in range.  A component whose
-    X block is zero has Y^(n) = 0 for n >= 1 and takes no exponential.  X
-    has real couplings (:func:`spincore.build_x`), so only its real part is
-    read and every exponential is real.  No input is validated here.
+    ``sectors`` come from :func:`spincore._flip_flop_sectors`.  blocks[n] is block (0, n)
+    of the exponential of the block-bidiagonal matrix with -beta (Z0 - c) on the diagonal
+    and -beta X above it (Van Loan, IEEE TAC 23 (1978) 395).  c is the sector's least
+    beta eps: no exponent is positive, and p_a Y^(n)_ab = p_c blocks[n]_ab for rho0 =
+    diag(p).  Sectors of one size share one stacked exponential; nothing is validated.
     """
-    x = x.real
-    dim, k = eps.size, order + 1
-    ys = [np.eye(dim, dtype=complex)] + [np.zeros((dim, dim), dtype=complex)
-                                         for _ in range(order)]
-    label = numutil._components(x)
-    blocks = np.arange(k)
-    for root in np.flatnonzero(label == np.arange(dim)).tolist():   # a component's least index
-        idx = np.flatnonzero(label == root)
-        at = np.ix_(idx, idx)
-        sub = x[at]
-        if not sub.any():
-            continue
-        e = eps[idx] - 0.5 * (eps[idx].max() + eps[idx].min())
-        m = idx.size
-        gen = np.zeros((k, m, k, m))
-        gen[blocks, :, blocks, :] = np.diag(-beta * e)
-        gen[blocks[:-1], :, blocks[1:], :] = -beta * sub
-        top = np.exp(beta * e)[:, None] * numutil.expm(gen.reshape(k * m, k * m))[:m]
-        for n in range(1, k):
-            ys[n][at] = top[:, n * m:(n + 1) * m]
-    return ys
+    k, out, steps = order + 1, [], np.arange(order + 1)
+    live = [sector for sector in sectors if sector[3].size]     # else Y^(n >= 1) = 0
+    for m in sorted({sector[0].size for sector in live}):
+        group = [sector for sector in live if sector[0].size == m]
+        gen = np.zeros((len(group), k, m, k, m))
+        for g, (idx, rows, cols, values) in zip(gen, group):
+            z, x = beta * eps[idx], np.zeros((m, m))
+            x[rows, cols] = x[cols, rows] = -beta * values
+            g[steps, :, steps, :] = np.diag(z.min() - z)
+            g[steps[:-1], :, steps[1:], :] = x
+        top = numutil.expm(gen.reshape(-1, k * m, k * m))[:, :m].reshape(-1, m, k, m)
+        out += zip((sector[0] for sector in group), top.transpose(0, 2, 1, 3).copy())
+    return out
+
+
+def _thermal_blocks(system: SpinSystem, b_o: float, order: int, beta: float):
+    """Boltzmann populations p, :func:`_sector_ladder` and the moments <Y^(n)>_0 =
+    sum_a p_a Y^(n)_aa, the blocks' traces weighted by p at their shift."""
+    _check_ladder(b_o, order, beta)
+    eps, sectors = _flip_flop_sectors(system, b_o)
+    p = np.exp(np.min(beta * eps) - beta * eps)
+    p, ladder = p / p.sum(), _sector_ladder(eps, sectors, order, beta)
+    traces = sum((p[idx].max() * np.trace(blocks, axis1=1, axis2=2) for idx, blocks in ladder),
+                 np.zeros(order + 1))
+    return p, ladder, AcpMoments(traces[1:])
 
 
 def y_nested(system: SpinSystem, b_o: float, n: int, beta: float) -> np.ndarray:
-    """Matrix of Y^(n)(i beta), exact to rounding."""
+    """Matrix of Y^(n)(i beta), exact to rounding; beyond the float range a ValidationError."""
     if _whole(n, "order") < 0:
         raise ValidationError("order must be nonnegative")
     _check_ladder(b_o, n, beta)
-    return _y_ladder(level_data(system, b_o).energies, build_x(system), n, beta)[n]
+    eps, sectors = _flip_flop_sectors(system, b_o)
+    y = np.eye(eps.size, dtype=complex) if n == 0 else np.zeros((eps.size, eps.size), complex)
+    with np.errstate(over="ignore", invalid="ignore"):      # exp(beta (Z0 - c)) blocks[n]
+        for idx, blocks in _sector_ladder(eps, sectors, n, beta) if n else ():
+            z = beta * eps[idx]
+            y[np.ix_(idx, idx)] = np.exp(z - z.min())[:, None] * blocks[n]
+    if not np.all(np.isfinite(y)):
+        raise ValidationError(f"Y^({n})(i beta) exceeds the float range at beta = {beta}")
+    return y
 
 
 def y_moment(system: SpinSystem, b_o: float, n: int, beta: float) -> complex:
@@ -169,18 +165,7 @@ def moments_up_to(system: SpinSystem, b_o: float, order: int,
                   beta: float) -> AcpMoments:
     if _whole(order, "order") < 1:
         raise ValidationError(f"moments are defined for order >= 1, got {order}")
-    return _thermal_ladder(system, b_o, order, beta)[2]
-
-
-def _thermal_ladder(system: SpinSystem, b_o: float, order: int, beta: float):
-    """The Boltzmann populations p, [Y^(0), ..., Y^(order)] at i beta and their moments.
-
-    <Y^(n)>_0 = sum_a p_a Y^(n)_aa, as rho0 = diag(p)."""
-    _check_ladder(b_o, order, beta)
-    eps = level_data(system, b_o).energies
-    ys = _y_ladder(eps, build_x(system), order, beta)
-    p = np.diagonal(boltzmann_state(eps, beta)).copy()
-    return p, ys, AcpMoments([(p * np.diagonal(y)).sum() for y in ys[1:]])
+    return _thermal_blocks(system, b_o, order, beta)[2]
 
 
 def zeta_recursive(moments: AcpMoments) -> ZetaCoefficients:
@@ -199,12 +184,9 @@ def zeta_determinant(moments: AcpMoments, n: int) -> complex:
     if n > moments.order:
         raise ValidationError(f"need {n} moments, have {moments.order}")
     y = moments.values
-    h = np.zeros((n, n), dtype=complex)
+    h = np.eye(n, k=-1, dtype=complex)
     for i in range(n):
-        if i > 0:
-            h[i, i - 1] = 1.0
-        for j in range(i, n):
-            h[i, j] = y[j - i]
+        h[i, i:] = y[:n - i]
     return complex((-1.0) ** n * np.linalg.det(h))
 
 
@@ -219,20 +201,21 @@ def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
     if _whole(n, "order") < 0:
         raise ValidationError("order must be nonnegative")
     if n == 0:
-        return boltzmann_state(_levels(system, b_o), beta)
-    p, ys, moments = _thermal_ladder(system, b_o, n, beta)
-    zetas = zeta_recursive(moments).zetas
-    out = np.zeros_like(ys[0])
-    for n_prime in range(n + 1):
-        out = out + zetas[n_prime] * (p[:, None] * ys[n - n_prime])   # rho0 Y, rho0 diagonal
+        _check_ladder(b_o, n, beta)
+        return boltzmann_state(level_data(system, b_o).energies, beta)
+    p, ladder, moments = _thermal_blocks(system, b_o, n, beta)
+    zetas = np.array(zeta_recursive(moments).zetas)
+    out = np.diag(zetas[n] * p)                     # zeta_n rho0 Y^(0)
+    for idx, blocks in ladder:                      # zeta_n' rho0 Y^(n - n'), n' < n
+        terms = zetas[n - 1::-1, None, None] * blocks[1:]
+        out[np.ix_(idx, idx)] += p[idx].max() * terms.sum(0)
     residual = numutil.max_abs(out - out.conj().T)
     scale = max(numutil.max_abs(out), 1e-300)
     if herm_report is not None:
         herm_report.append(residual / scale)
     if residual > 1e-6 * scale:
-        raise AccuracyError(
-            f"order-{n} correction lost Hermiticity (residual {residual / scale:.2e})"
-        )
+        raise AccuracyError(f"order-{n} correction lost Hermiticity "
+                            f"(residual {residual / scale:.2e})")
     return numutil.hermitize(out)
 
 

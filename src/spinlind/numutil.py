@@ -1,8 +1,8 @@
 """Small numerical helpers: superoperator vectorization, the Choi matrix, the
-matrix exponential (numpy only, scaling and squaring with a Pade approximant)
-and the partition of a matrix's nonzero pattern into connected components,
-shared by the thermal ladder of :mod:`spinlind.acp` and the block
-eigensystem of :mod:`spinlind.mastereq`.
+matrix exponential (numpy only, scaling and squaring with a Pade approximant,
+of one matrix or a stack) and the partition of a matrix's nonzero pattern
+into connected components, by which :mod:`spinlind.mastereq` splits its
+block eigensystem.
 The number format and the CSV writer of every artifact live in
 :mod:`spinlind.artifact`, which loads no numpy.
 
@@ -92,10 +92,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179: the order m in
     3, 5, 7, 9, 13 is the lowest whose bound theta_m covers ||a||_1, so the
     approximant's backward error stays below the unit roundoff; above
-    theta_13, a / 2^s is exponentiated at order 13 and squared s times.
+    theta_13, a / 2^s is exponentiated at order 13 and squared s times.  A
+    (..., n, n) stack takes the order and scaling of its largest 1-norm.
     """
     a = np.asarray(a)
-    norm = np.linalg.norm(a, 1)
+    norm = np.abs(a).sum(-2).max()
     for m in (3, 5, 7, 9):
         if norm <= _PADE_THETA[m]:
             return _pade(a, m)
@@ -109,7 +110,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _pade(a: np.ndarray, m: int) -> np.ndarray:
     """The [m/m] Pade approximant r_m(a) = (V - U)^-1 (V + U), U odd and V even in a."""
     b = _PADE_COEFFS[m]
-    eye = np.eye(a.shape[0], dtype=a.dtype)
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     if m == 13:
         a4 = a2 @ a2

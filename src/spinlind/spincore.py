@@ -40,7 +40,6 @@ __all__ = [
     "beta_from_kelvin",
     "compress",
     "decompress",
-    "single_spin_matrix",
     "xi_operator",
     "total_sz",
     "build_zo",
@@ -189,14 +188,6 @@ def decompress(index: int, spins: Sequence[float]) -> tuple:
     return tuple(out)
 
 
-def single_spin_matrix(j: float, axis: str) -> np.ndarray:
-    """Standard (2j+1)-dim spin matrix in occupation order (m = +j first).
-
-    ``axis`` is one of x, y, z, +, -.
-    """
-    return xi_operator(SpinSystem([j], [-1.0]), axis)
-
-
 def _spin_tables(system: SpinSystem):
     """(N, D) tables of Sz_i, S-_i and S+_i on column k of the occupation table.
 
@@ -239,25 +230,27 @@ def build_zo(system: SpinSystem, b_o: float) -> np.ndarray:
     return np.diag(level_data(system, b_o).energies.astype(complex))
 
 
-def _couplings(system: SpinSystem, zz: bool) -> np.ndarray:
-    """sum_{i>j} T_ij [(S+_i S-_j + S-_i S+_j) / 2 + (Sz_i Sz_j if ``zz``)].
-
-    S+_i S-_j takes column k to row k - W_i + W_j with the product of the
-    two ladder tables at (i, k) and (j, k), wherever that is nonzero; every
-    coupled pair is read off the tables in one pass.
-    """
-    d = system.dim
+def _flip_flops(system: SpinSystem, tables) -> tuple:
+    """(rows, cols, values) of 1/2 T_ij S+_i S-_j over the coupled pairs i > j, in one pass
+    over the ladder ``tables``: column k goes to row k - W_i + W_j; X adds the transposes."""
     first, second = np.nonzero(np.tril(system.couplings, -1))    # pairs i > j, in loop order
-    t = system.couplings[first, second]
     weights = np.array(system.weights)
-    sz, s_minus, s_plus = _spin_tables(system)
-    flip = s_plus[first] * s_minus[second]                        # S+_i S-_j at each (pair, k)
+    flip = tables[2][first] * tables[1][second]                   # S+_i S-_j at each (pair, k)
     pair, cols = np.nonzero(flip)
     rows = cols - (weights[first] - weights[second])[pair]
+    return rows, cols, 0.5 * system.couplings[first, second][pair] * flip[pair, cols]
+
+
+def _couplings(system: SpinSystem, zz: bool) -> np.ndarray:
+    """sum_{i>j} T_ij [(S+_i S-_j + S-_i S+_j) / 2 + (Sz_i Sz_j if ``zz``)]."""
+    d, tables = system.dim, _spin_tables(system)
+    rows, cols, values = _flip_flops(system, tables)
     out = np.zeros((d, d), dtype=complex)
-    out[rows, cols] = out[cols, rows] = 0.5 * t[pair] * flip[pair, cols]
+    out[rows, cols] = out[cols, rows] = values
     if zz:      # the pairs' Sz_i Sz_j added in pair order
-        out[np.arange(d), np.arange(d)] = np.add.reduce(t[:, None] * (sz[first] * sz[second]))
+        (first, second), sz = np.nonzero(np.tril(system.couplings, -1)), tables[0]
+        out[np.arange(d), np.arange(d)] = np.add.reduce(
+            system.couplings[first, second][:, None] * (sz[first] * sz[second]))
     return out
 
 
@@ -276,9 +269,8 @@ def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
     return spin_spin_hamiltonian(system) + b_o * xi_operator(system, "z")
 
 
-def level_data(system: SpinSystem, b_o: float) -> LevelData:
-    """Energies (the diagonal of Z0) and magnetizations of the basis states."""
-    sz = _spin_tables(system)[0]
+def _level_data(system: SpinSystem, sz: np.ndarray, b_o: float) -> LevelData:
+    """:func:`level_data` from the Sz table."""
     energies = -b_o * np.tensordot(np.asarray(system.gammas), sz, axes=(0, 0))
     t = system.couplings
     for i in range(system.n_spins):
@@ -286,6 +278,30 @@ def level_data(system: SpinSystem, b_o: float) -> LevelData:
             if t[i, j] != 0.0:
                 energies = energies + t[i, j] * sz[i] * sz[j]
     return LevelData(energies=energies, magnetizations=sz.sum(0))
+
+
+def level_data(system: SpinSystem, b_o: float) -> LevelData:
+    """Energies (the diagonal of Z0) and magnetizations of the basis states."""
+    return _level_data(system, _spin_tables(system)[0], b_o)
+
+
+def _flip_flop_sectors(system: SpinSystem, b_o: float) -> tuple:
+    """Z0's energies and the total-M sectors (idx, rows, cols, values), from one table pass:
+    ``idx`` cuts a stable argsort of M where M changes, and the entries of
+    :func:`_flip_flops` (X conserves M) sit at local (rows, cols)."""
+    tables = _spin_tables(system)
+    levels = _level_data(system, tables[0], b_o)
+    m = levels.magnetizations
+    order = np.argsort(m, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(m[order])) + 1).tolist(), system.dim]
+    rows, cols, values = _flip_flops(system, tables)
+    local, sectors = np.empty(system.dim, dtype=int), []
+    for a, b in zip(cuts, cuts[1:]):
+        idx = order[a:b]
+        local[idx] = np.arange(b - a)
+        at = m[cols] == m[idx[0]]
+        sectors.append((idx, local[rows[at]], local[cols[at]], values[at]))
+    return levels.energies, sectors
 
 
 def boltzmann_state(zo: np.ndarray, beta: float) -> np.ndarray:

@@ -574,6 +574,15 @@ def inline_pair_liouvillian(model) -> np.ndarray:
 
 # -- Kronecker-product spin operators ------------------------------------------
 
+def single_spin_matrix(j: float, axis: str) -> np.ndarray:
+    """The (2j+1)-dim spin matrix in occupation order (m = +j first), from the library.
+
+    ``spincore.xi_operator`` of a lone spin with gamma = -1; ``axis`` is one
+    of x, y, z, +, -.
+    """
+    return sc.xi_operator(sc.SpinSystem([j], [-1.0]), axis)
+
+
 def standard_spin_matrix(j: float, axis: str) -> np.ndarray:
     """The (2j+1)-dim spin matrix from the textbook S+ elements, m = +j first."""
     d = int(round(2 * j)) + 1
@@ -608,7 +617,7 @@ def _scatter(out: np.ndarray, system, site: int, s: np.ndarray, coeff: float = 1
 
 def embed_single_spin(system, site: int, axis: str) -> np.ndarray:
     """A single-spin operator at ``site``, identity elsewhere, from the occupation table."""
-    s = sc.single_spin_matrix(system.spins[site], axis)
+    s = single_spin_matrix(system.spins[site], axis)
     return _scatter(np.zeros((system.dim, system.dim), dtype=complex), system, site, s)
 
 
@@ -624,7 +633,7 @@ def kron_embed(system, site: int, axis: str) -> np.ndarray:
     """Kronecker-embed a single-spin operator at ``site``, identity elsewhere."""
     op = np.array([[1.0 + 0j]])
     for i, j in enumerate(system.spins):
-        factor = sc.single_spin_matrix(j, axis) if i == site else np.eye(int(round(2 * j)) + 1)
+        factor = single_spin_matrix(j, axis) if i == site else np.eye(int(round(2 * j)) + 1)
         op = np.kron(op, factor)
     return op
 
@@ -683,8 +692,8 @@ def per_pair_couplings(system, zz: bool) -> np.ndarray:
             if t[i, j] == 0.0:
                 continue
             cols = k[(occ[i] >= 1) & (occ[j] < system.dims[j] - 1)]
-            up = sc.single_spin_matrix(system.spins[i], "+")[occ[i, cols] - 1, occ[i, cols]]
-            down = sc.single_spin_matrix(system.spins[j], "-")[occ[j, cols] + 1, occ[j, cols]]
+            up = single_spin_matrix(system.spins[i], "+")[occ[i, cols] - 1, occ[i, cols]]
+            down = single_spin_matrix(system.spins[j], "-")[occ[j, cols] + 1, occ[j, cols]]
             rows = cols - w[i] + w[j]
             out[rows, cols] = out[cols, rows] = 0.5 * t[i, j] * (up * down)
             if zz:

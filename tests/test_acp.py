@@ -1,5 +1,6 @@
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,61 @@ LADDER_CASES = {
 }
 
 
+def sector_ys(eps, sectors, order, beta):
+    """[Y^(0), ..., Y^(order)] scattered from ``acp._sector_ladder`` on hand-made sectors."""
+    dim = eps.size
+    ys = [np.eye(dim)] + [np.zeros((dim, dim)) for _ in range(order)]
+    for idx, blocks in acp._sector_ladder(eps, sectors, order, beta):
+        z = beta * eps[idx]
+        for n in range(1, order + 1):
+            ys[n][np.ix_(idx, idx)] = np.exp(z - z.min())[:, None] * blocks[n]
+    return ys
+
+
+def assert_matches_whole_ladder(system, b_o, beta, order, nodes=16):
+    """y_nested, the moments and the corrections of every order against the
+    whole-matrix ladder and the simplex quadrature, at 1e-12 of their scale."""
+    eps = sc.level_data(system, b_o).energies
+    x0 = sc.build_x(system)
+    whole = whole_matrix_ladder(eps, x0, order, beta)
+    p = np.diagonal(sc.boltzmann_state(eps, beta)).real
+    moments = acp.moments_up_to(system, b_o, order, beta).values
+    assert np.array_equal(acp.y_nested(system, b_o, 0, beta), np.eye(system.dim))
+    for n in range(1, order + 1):
+        y = acp.y_nested(system, b_o, n, beta)
+        oracle = (-1.0) ** n * simplex_oracle(x0, eps, beta, n, nodes)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(y - whole[n])) <= 1e-12 * scale
+        assert np.max(np.abs(y - oracle)) <= 1e-12 * scale
+        terms = p * np.diagonal(whole[n])
+        assert abs(moments[n - 1] - terms.sum()) <= 1e-12 * max(np.abs(terms).sum(), 1e-300)
+    whole_moments = acp.AcpMoments([(p * np.diagonal(y)).sum() for y in whole[1:]])
+    zetas = acp.zeta_recursive(whole_moments).zetas
+    for n in range(1, order + 1):
+        want = nu.hermitize(sum(zetas[k] * (p[:, None] * whole[n - k]) for k in range(n + 1)))
+        got = acp.initial_correction(system, b_o, n, beta)
+        assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
+
+
+def overflow_pair():
+    # the ground state lies in the M = 0 sector, whose two levels are 0.1 apart
+    return two_spin_system(t12=5.0, gammas=(-2.0, -3.0)), 0.1
+
+
+def closed_form_second_moment(system, b_o, beta):
+    """<Y^(2)>_0 of two spin-1/2: beta^2 X_ab^2 sum (p_b - p_a - p_a z) / z^2 over both
+    orderings of the M = 0 pair, z = beta (eps_a - eps_b), each term at its own scale."""
+    eps = sc.level_data(system, b_o).energies
+    p = np.exp(-beta * (eps - eps.min()))
+    p /= p.sum()
+    x = 0.5 * system.couplings[0, 1]
+    total = 0.0
+    for a, b in ((1, 2), (2, 1)):
+        z = beta * (eps[a] - eps[b])
+        total += (p[b] - p[a] - p[a] * z) / z ** 2
+    return beta ** 2 * x ** 2 * total
+
+
 class TestNestedIntegrals:
     def test_uncoupled_system_has_zero_moments(self):
         system = sc.SpinSystem([0.5, 0.5], [-1.0, -2.0])
@@ -183,52 +239,34 @@ class TestNestedIntegrals:
 
     def test_ladder_matches_simplex_oracle(self):
         # three strongly coupled spins at beta * (eps_max - eps_min) = 45, where
-        # exp(+-beta Z0) spans twenty decades
+        # exp(-beta Z0) spans twenty decades
         couplings = np.array([[0.0, 0.9, -0.7], [0.9, 0.0, 0.8], [-0.7, 0.8, 0.0]])
         system = sc.SpinSystem([0.5] * 3, [-2.0, -2.5, -3.0], couplings)
         b_o, beta = 3.0, 2.0
-        eps = np.real(np.diag(sc.build_zo(system, b_o)))
+        eps = sc.level_data(system, b_o).energies
         assert beta * (eps.max() - eps.min()) >= 40.0
-        x0 = sc.build_x(system)
-        ys = acp._y_ladder(eps, x0, 4, beta)
-        whole = whole_matrix_ladder(eps, x0, 4, beta)
-        assert len(ys) == 5
-        assert np.array_equal(ys[0], np.eye(8))
-        for n in (1, 2, 3, 4):
-            oracle = (-1.0) ** n * simplex_oracle(x0, eps, beta, n, 16)
-            scale = np.max(np.abs(oracle))
-            assert np.max(np.abs(ys[n] - oracle)) <= 1e-12 * scale
-            assert np.max(np.abs(ys[n] - whole[n])) <= 1e-12 * scale
-            alone = acp.y_nested(system, b_o, n, beta)
-            assert np.max(np.abs(alone - ys[n])) <= 1e-14 * scale
+        assert_matches_whole_ladder(system, b_o, beta, 4)
 
     @pytest.mark.parametrize("case", sorted(LADDER_CASES))
     def test_ladder_matches_whole_matrix_and_simplex(self, case):
-        # one exponential per component of X against one of the whole (k D)^2
+        # one exponential per total-M sector against one of the whole (k D)^2
         # matrix and against quadrature of the ordered simplex
         system, b_o, beta, order = LADDER_CASES[case]()
-        eps = np.real(np.diag(sc.build_zo(system, b_o)))
-        x0 = sc.build_x(system)
-        ys = acp._y_ladder(eps, x0, order, beta)
-        whole = whole_matrix_ladder(eps, x0, order, beta)
-        assert len(ys) == order + 1 and np.array_equal(ys[0], np.eye(system.dim))
-        for n in range(1, order + 1):
-            oracle = (-1.0) ** n * simplex_oracle(x0, eps, beta, n, 16)
-            scale = np.max(np.abs(oracle))
-            assert np.max(np.abs(ys[n] - whole[n])) <= 1e-12 * scale
-            assert np.max(np.abs(ys[n] - oracle)) <= 1e-12 * scale
+        assert_matches_whole_ladder(system, b_o, beta, order)
 
     def test_single_index_component_is_not_skipped(self, monkeypatch):
-        # a 1 x 1 component with a nonzero X entry takes its exponential:
+        # a 1 x 1 sector with a nonzero X entry takes its exponential:
         # Y^(n) there is (-beta x)^n / n!, Z0 commuting with it
         eps = np.array([0.0, 1.0, 2.5])
         x = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.3], [0.0, 0.3, 0.0]], dtype=complex)
-        sizes = []
+        sectors = [(np.array([0]), np.array([0]), np.array([0]), np.array([0.5])),
+                   (np.array([1, 2]), np.array([1]), np.array([0]), np.array([0.3]))]
+        shapes = []
         expm = nu.expm
-        monkeypatch.setattr(nu, "expm", lambda a: sizes.append(a.shape[0]) or expm(a))
+        monkeypatch.setattr(nu, "expm", lambda a: shapes.append(a.shape) or expm(a))
         beta = 0.7
-        ys = acp._y_ladder(eps, x, 3, beta)
-        assert sorted(sizes) == [4 * 1, 4 * 2]
+        ys = sector_ys(eps, sectors, 3, beta)
+        assert sorted(shapes) == [(1, 4 * 1, 4 * 1), (1, 4 * 2, 4 * 2)]
         whole = whole_matrix_ladder(eps, x, 3, beta)
         for n in (1, 2, 3):
             assert ys[n][0, 0] == pytest.approx((-beta * 0.5) ** n / math.factorial(n),
@@ -237,9 +275,35 @@ class TestNestedIntegrals:
 
     def test_zero_x_takes_no_exponential(self, monkeypatch):
         monkeypatch.setattr(nu, "expm", lambda a: pytest.fail("expm called"))
-        ys = acp._y_ladder(np.array([0.0, 1.0, 3.0]), np.zeros((3, 3), dtype=complex), 4, 2.0)
-        assert np.array_equal(ys[0], np.eye(3))
-        assert not any(y.any() for y in ys[1:])
+        empty = np.array([], dtype=int)
+        sectors = [(np.array([0, 2]), empty, empty, np.array([])),
+                   (np.array([1]), empty, empty, np.array([]))]
+        assert acp._sector_ladder(np.array([0.0, 1.0, 3.0]), sectors, 4, 2.0) == []
+        system = sc.SpinSystem([0.5, 0.5], [-1.0, -2.0])
+        assert acp.moments_up_to(system, 1.0, 4, 2.0).values == (0.0,) * 4
+        assert not acp.y_nested(system, 1.0, 4, 2.0).any()
+
+    @pytest.mark.parametrize("beta", [1e4, 2e4, 5e4])
+    def test_moments_stay_finite_at_large_beta_spread(self, beta):
+        # beta * (the M = 0 sector's spread) = 1000 to 5000: a positive
+        # exponent of that size overflows, and none is formed
+        system, b_o = overflow_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            moments = acp.moments_up_to(system, b_o, 2, beta).values
+            correction = acp.initial_correction(system, b_o, 2, beta)
+        want = closed_form_second_moment(system, b_o, beta)
+        assert moments[0] == 0.0
+        assert abs(moments[1] - want) <= 1e-10 * abs(want)
+        assert np.all(np.isfinite(correction))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_y_beyond_the_float_range_refused(self, n):
+        system, b_o = overflow_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=rf"Y\^\({n}\).*float range"):
+                acp.y_nested(system, b_o, n, 1e4)
 
     def test_moments_need_order_at_least_one(self):
         system = two_spin_system()
@@ -261,6 +325,34 @@ class TestNestedIntegrals:
         for call in calls:
             with pytest.raises(ValidationError, match="b_o"):
                 call()
+
+
+class TestTableStructure:
+    """An ACP table (moments, then the correction) reads the spin tables once per
+    ladder and takes one stacked exponential per sector size, with no dense X."""
+
+    @pytest.mark.parametrize("n_spins, stacks", [
+        (3, [(2, 15, 15)]), (4, [(2, 20, 20), (1, 30, 30)])])
+    def test_one_table_pass_and_one_exponential_per_size(self, n_spins, stacks, monkeypatch):
+        system = TestExpm._random_system(n_spins)
+        passes, shapes = [], []
+        tables, expm = sc._spin_tables, nu.expm
+        monkeypatch.setattr(sc, "_spin_tables", lambda s: passes.append(s) or tables(s))
+        monkeypatch.setattr(nu, "expm", lambda a: shapes.append(a.shape) or expm(a))
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+
+        for module, name in ((sc, "build_x"), (acp, "build_x"), (sc, "_couplings"),
+                             (nu, "_components"), (sc, "boltzmann_state"),
+                             (acp, "boltzmann_state")):
+            monkeypatch.setattr(module, name, refuse(name))
+        acp.moments_up_to(system, 3.0, 4, 0.4)
+        assert len(passes) == 1 and shapes == stacks
+        acp.initial_correction(system, 3.0, 4, 0.4)
+        assert len(passes) == 2 and shapes == stacks * 2
 
 
 class TestZetaCoefficients:
@@ -494,24 +586,28 @@ class TestExpm:
 
     @pytest.mark.parametrize("n_spins", [2, 3, 4])
     def test_van_loan_blocks(self, n_spins, monkeypatch):
-        # every order-4 block acp._y_ladder exponentiates at D = 4, 8, 16: one
-        # per total-M sector, the fully polarised ones (X = 0 there) taking none
+        # every order-4 block an ACP table exponentiates at D = 4, 8, 16: one
+        # per total-M sector, stacked by size, the fully polarised ones (X = 0
+        # there) taking none
         system = self._random_system(n_spins)
-        blocks = []
+        stacks = []
         expm = nu.expm
 
         def spy(a):
-            blocks.append(a)
+            stacks.append(a)
             return expm(a)
 
         monkeypatch.setattr(nu, "expm", spy)
-        acp._y_ladder(np.real(np.diag(sc.build_zo(system, 3.0))), sc.build_x(system), 4, 0.4)
+        acp.moments_up_to(system, 3.0, 4, 0.4)
         sectors = [math.comb(n_spins, k) for k in range(1, n_spins)]
-        assert sorted(b.shape[0] for b in blocks) == sorted(5 * m for m in sectors)
-        for block in blocks:
-            assert block.shape[0] == block.shape[1]
-            want = scipy.linalg.expm(block)
-            assert nu.max_abs(expm(block) - want) <= 1e-13 * nu.max_abs(want)
+        assert sorted(b.shape[-1] for a in stacks for b in a) == sorted(5 * m for m in sectors)
+        assert len(stacks) == len(set(sectors))
+        for stack in stacks:
+            assert stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+            got = expm(stack)
+            for block, result in zip(stack, got):
+                want = scipy.linalg.expm(block)
+                assert nu.max_abs(result - want) <= 1e-13 * nu.max_abs(want)
 
     @pytest.mark.parametrize("n_spins", [2, 3, 4])
     def test_whole_van_loan_matrix(self, n_spins):
@@ -537,7 +633,7 @@ class TestExpm:
         pade = nu._pade
 
         def spy(b, m):
-            calls.append((m, np.linalg.norm(b, 1)))
+            calls.append((m, max(np.linalg.norm(matrix, 1) for matrix in b.reshape(-1, 6, 6))))
             return pade(b, m)
 
         monkeypatch.setattr(nu, "_pade", spy)
@@ -548,3 +644,28 @@ class TestExpm:
         want = scipy.linalg.expm(a)
         assert got.dtype == want.dtype
         assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
+        # a stack under a's norm takes a's branch, each matrix exponentiated on its own
+        stack = np.stack([a, 0.5 * a[::-1], 0.01 * a @ a / norm])
+        calls.clear()
+        got = nu.expm(stack)
+        ((m, scaled),) = calls
+        assert m == order and scaled * 2 ** squarings == pytest.approx(norm, rel=1e-14)
+        assert got.shape == stack.shape and got.dtype == want.dtype
+        for matrix, result in zip(stack, got):
+            want = scipy.linalg.expm(matrix)
+            assert nu.max_abs(result - want) <= 1e-12 * nu.max_abs(want)
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 30.0, 1e3])
+    def test_single_matrix_unchanged_bit_for_bit(self, norm):
+        # a 2-D input: the order and scaling of numpy's 1-norm, the approximant
+        # squared back up, bit for bit
+        rng = np.random.default_rng(int(norm * 1000))
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a *= norm / np.linalg.norm(a, 1)
+        one_norm = np.linalg.norm(a, 1)
+        m = next((m for m in (3, 5, 7, 9) if one_norm <= nu._PADE_THETA[m]), 13)
+        s = max(0, math.ceil(math.log2(one_norm / nu._PADE_THETA[13]))) if m == 13 else 0
+        want = nu._pade(a / 2.0 ** s, m)
+        for _ in range(s):
+            want = want @ want
+        assert np.array_equal(nu.expm(a), want)

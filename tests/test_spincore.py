@@ -12,7 +12,7 @@ from spinlind.errors import ValidationError
 from conftest import random_system
 from oracles import (embed_single_spin, kron_embed, kron_spin_spin, kron_total_sz, kron_x,
                      kron_xi, kron_zo, occupation_couplings, per_pair_couplings, scatter_xi,
-                     standard_spin_matrix)
+                     single_spin_matrix, standard_spin_matrix)
 
 ORACLE_SPINS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
 ORACLE_MAX_DIM = 64
@@ -128,7 +128,7 @@ class TestSpinOperators:
 
     def test_bad_axis(self):
         with pytest.raises(ValidationError):
-            sc.single_spin_matrix(0.5, "q")
+            sc.xi_operator(sc.SpinSystem([0.5], [-1.0]), "q")
 
 
 class TestKroneckerOracle:
@@ -142,7 +142,7 @@ class TestKroneckerOracle:
             # the ladder tables against each spin's whole textbook matrix scattered
             assert np.array_equal(sc.xi_operator(system, axis), scatter_xi(system, axis))
             for j in set(system.spins):
-                assert np.array_equal(sc.single_spin_matrix(j, axis),
+                assert np.array_equal(single_spin_matrix(j, axis),
                                       standard_spin_matrix(j, axis))
             for site in range(system.n_spins):
                 assert np.array_equal(embed_single_spin(system, site, axis),
@@ -155,6 +155,25 @@ class TestKroneckerOracle:
         for zz, got in ((False, sc.build_x(system)), (True, sc.spin_spin_hamiltonian(system))):
             assert np.array_equal(got, per_pair_couplings(system, zz))
             assert np.array_equal(got, occupation_couplings(system, zz))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_systems(), st.floats(0.1, 10.0))
+    def test_sectors_rebuild_the_levels_and_x(self, system, b_o):
+        # the one table pass of the thermal ladder: the energies of level_data
+        # bit for bit, the total-M sectors in increasing M, and X's entries
+        # inside them, which scatter back into build_x exactly
+        eps, sectors = sc._flip_flop_sectors(system, b_o)
+        levels = sc.level_data(system, b_o)
+        assert np.array_equal(eps, levels.energies)
+        idx = np.concatenate([sector[0] for sector in sectors])
+        assert np.array_equal(np.sort(idx), np.arange(system.dim))
+        m = [np.unique(levels.magnetizations[sector[0]]) for sector in sectors]
+        assert all(v.size == 1 for v in m) and np.all(np.diff(np.concatenate(m)) > 0)
+        assert all(np.all(np.diff(sector[0]) > 0) for sector in sectors)   # a stable sort
+        x = np.zeros((system.dim, system.dim), dtype=complex)
+        for at, rows, cols, values in sectors:
+            x[at[rows], at[cols]] = x[at[cols], at[rows]] = values
+        assert np.array_equal(x, sc.build_x(system))
 
     @pytest.mark.parametrize("spins", [(1.0, 1.0, 0.5), (0.5,) * 6, (1.5, 1.0, 2.0),
                                        (2.5, 0.0, 0.5, 1.5)])
