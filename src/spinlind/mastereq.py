@@ -21,18 +21,18 @@ inhomogeneous term.  Its domain is the Boltzmann state of the diagonal
 Hamiltonian; propagation enforces this unless explicitly overridden.
 
 Since the drive term acts on rho(0) only, it is a known function of t, and
-the equation is affine in the column-stacked state: y' = L y + f(t).  The
-RK4 stepper builds the matrix of L once per run and tabulates f from
-H_LR(t) on its half-step grid.  ``Lambda(t)`` and the Kraus audit read one
-eigensystem of the same matrix, built once per model on first use and kept
-with it.  It is taken one secular block at a time: the connected components
-of its nonzero pattern (:func:`numutil._components`), for a generic system
-the D populations plus D^2 - D scalar coherences.  V and V^-1 stay block
-diagonal, and the audit's node sums run over the nonzeros of V^-1 only.
-Both routes are capped at dimension MAP_DIM_CAP, where L has D^4 entries.
-Every route reads xi^x from the ladder entries alone: L, the dissipator (at
-any dimension) and h_ls from pairs of entries of a block, H_LR(t) and the
-map's drive components from one scatter of the entries each.
+the equation is affine in the column-stacked state: y' = L y + f(t).  L is
+one table of entries (:func:`_generator_entries`), which the RK4 stepper
+scatters into a matrix once per run; it tabulates f from H_LR(t) on its
+half-step grid.  ``Lambda(t)`` and the Kraus audit read one eigensystem of
+L, built once per model on first use and kept with it, one secular block at
+a time: the connected components of the nonzero entries, each assembled
+from its own entries; for a generic system the D populations plus D^2 - D
+scalar coherences.  V and V^-1 stay block diagonal, and the audit's node
+sums run over the nonzeros of V^-1 only.  Both routes are capped at
+dimension MAP_DIM_CAP.  Every route reads xi^x from the ladder entries
+alone: L, the dissipator (at any dimension) and h_ls from pairs of entries
+of a block, H_LR(t) and the map's drive components from one scatter each.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class FieldConfig:
 @dataclass(frozen=True)
 class MasterEquationModel:
     """Assembled superoperator data, frozen: the first map or audit keeps the
-    eigensystem of L built from it, so the arrays must not be edited either."""
+    eigensystem of L built from it, so :func:`build_model` makes the arrays read-only."""
 
     system: SpinSystem
     field: FieldConfig
@@ -142,10 +142,9 @@ class MasterEquationModel:
 
     @cached_property
     def _generator_eig(self) -> BlockEigensystem:
-        """Block eigensystem of L, built on the first read by :func:`lambda_map` or
-        :func:`kraus_audit` and kept (lambda and the V, V^-1 blocks) as long as the
-        model lives; an AccuracyError is not kept, so every read raises it."""
-        return _block_eigensystem(liouvillian_matrix(self))
+        """Block eigensystem of L, built by the first :func:`lambda_map` or :func:`kraus_audit`
+        and kept with the model; an AccuracyError is not kept, so every read raises it."""
+        return _block_eigensystem(*_generator_entries(self))
 
 
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
@@ -175,9 +174,14 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
 
     half_g = 0.5 * (gp + gm)
     h_ls, anti = _pair_sums(ladder, (lamb, -lamb), (half_g, half_g))
+    boltzmann = boltzmann_state(levels.energies, beta)
+    # read-only, so an in-place edit cannot leave the kept eigensystem of L stale
+    for a in (gp, gm, h_ls, anti, boltzmann, ladder.rows, ladder.cols, ladder.values,
+              ladder.block, ladder.omegas):
+        a.setflags(write=False)
     return MasterEquationModel(
         system=system, field=field_cfg, beta=beta, levels=levels, ladder=ladder, rates_plus=gp,
-        rates_minus=gm, h_ls=h_ls, boltzmann=boltzmann_state(levels.energies, beta), _anti=anti)
+        rates_minus=gm, h_ls=h_ls, boltzmann=boltzmann, _anti=anti)
 
 
 def _pairs(group: np.ndarray):
@@ -313,12 +317,9 @@ class Trajectory:
 def propagate(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
               dt: float | None = None, *, store_every: int | None = None,
               unsafe: bool = False) -> Trajectory:
-    """Fixed-step 4th-order integration of the inhomogeneous master equation.
+    """Classical RK4 (:func:`_rk4`) of the inhomogeneous master equation from ``rho0``.
 
-    Classical RK4 on the column-stacked state with the generator L built
-    once and the drive term tabulated over the grid (:func:`_rk4`); the
-    dimension shares the MAP_DIM_CAP of :func:`lambda_map` and is refused
-    before any step is taken.
+    D > MAP_DIM_CAP, the cap of :func:`lambda_map`, is refused before any step.
     """
     _check_domain(model, rho0, unsafe)
     return _rk4(model, rho0, t_end, dt, store_every)
@@ -357,13 +358,15 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
     """Classical RK4 for y' = L y + f(t) [+ vec extra(t)], y = vec(rho), from rho0.
 
     The one time stepper: :func:`propagate` runs it bare, ``acp.propagate_order_n``
-    with its order-n inhomogeneity as ``extra``.  L is built once (refused for D >
-    MAP_DIM_CAP), and f(t) = vec(-i [H_LR(t), rho0]) [+ vec extra(t)] is tabulated
-    RK4_CHUNK steps at a time on the half-step grid t_k = k dt / 2; step i reads rows
-    2i to 2i + 2.  Steps and stored frames follow :func:`_time_grid`.
+    with its order-n inhomogeneity as ``extra``.  L is scattered once from its entries
+    (refused for D > MAP_DIM_CAP), and f(t) = vec(-i [H_LR(t), rho0]) [+ vec extra(t)]
+    is tabulated RK4_CHUNK steps at a time on the half-step grid t_k = k dt / 2; step
+    i reads rows 2i to 2i + 2.  Steps and stored frames follow :func:`_time_grid`.
     """
     dt, steps = _time_grid(model, t_end, dt, store_every)
-    lmat = liouvillian_matrix(model)
+    diag, out, inn, val = _generator_entries(model)
+    lmat = np.diag(diag)        # a dense matvec is the cheapest step at these sizes
+    lmat[out, inn] = val
     d = model.dim
     rho_init = np.array(rho0, dtype=complex)
     y = numutil.vec(rho_init).copy()
@@ -413,34 +416,37 @@ def _drive_components(model: MasterEquationModel, rho0: np.ndarray):
     return out.reshape(2 * k, d * d), np.concatenate([ladder.omegas, -ladder.omegas])
 
 
-def liouvillian_matrix(model: MasterEquationModel) -> np.ndarray:
-    """Column-stacked matrix of the semigroup generator L.
+def _generator_entries(model: MasterEquationModel):
+    """Column-stacked L as its diagonal and off-diagonal (out, in, value) entries.
 
-    The jump part is scattered from the pairs of :func:`_jump_pairs`; no
-    element is written twice, as (row, col) names one entry and M_col -
-    M_row = 1.  M rho + rho N, M = -i h_ls - anti and N = i h_ls - anti, is
-    added through diagonal views.
+    L vec(rho) = vec(jumps + M rho + rho N), M = -i h_ls - anti, N = i h_ls - anti:
+    the pairs of :func:`_jump_pairs` both ways, the diagonal M_rr + N_cc at
+    c D + r and, for every c, each off-diagonal M_ab at (c D + a, c D + b) and
+    N_ab at (b D + c, a D + c).  No two entries share a place, as (row, col)
+    names one ladder entry.  D <= MAP_DIM_CAP.
     """
     _check_map_dim(model)
     d = model.dim
     row_e, row_f, col_e, col_f, forward, backward = _jump_pairs(model)
-    lmat = np.zeros((d * d, d * d), dtype=complex)
-    l4 = lmat.reshape(d, d, d, d)      # [out column, out row, in column, in row]
-    l4[row_f, row_e, col_f, col_e] = forward
-    l4[col_f, col_e, row_f, row_e] = backward
-    left = np.einsum("jajb->jab", l4)
-    left += -1j * model.h_ls - model._anti
-    right = np.einsum("jala->jal", l4)
-    right += (1j * model.h_ls - model._anti).T[:, None, :]
-    return lmat
+    # + 0.0 turns a -0.0 part into +0.0, whose sign would steer the reflections of eig
+    m = (-1j * model.h_ls - model._anti) + 0.0
+    n = (1j * model.h_ls - model._anti) + 0.0
+    out, val = [row_f * d + row_e, col_f * d + col_e], [forward, backward]
+    inn = out[::-1]                 # a backward jump swaps the places of a forward one
+    off = (model.h_ls != 0) | (model._anti != 0)
+    np.fill_diagonal(off, False)
+    if off.any():                   # none for a generic system
+        (a, b), c = np.nonzero(off), np.arange(d)[:, None]
+        out, inn = out + [c * d + a, b * d + c], inn + [c * d + b, a * d + c]
+        val += [np.tile(m[a, b], d), np.tile(n[a, b], d)]
+    return ((m.diagonal() + n.diagonal()[:, None]).reshape(-1), np.concatenate(out, None),
+            np.concatenate(inn, None), np.concatenate(val))
 
 
 def _check_map_dim(model: MasterEquationModel) -> None:
     if model.dim > MAP_DIM_CAP:
-        raise ValidationError(
-            f"map-level operations and propagation are capped at dimension "
-            f"MAP_DIM_CAP = {MAP_DIM_CAP}, got {model.dim}"
-        )
+        raise ValidationError(f"map-level operations and propagation are capped at dimension "
+                              f"MAP_DIM_CAP = {MAP_DIM_CAP}, got {model.dim}")
 
 
 def _eigensystem(mat: np.ndarray):
@@ -481,30 +487,31 @@ class BlockEigensystem(NamedTuple):
     blocks: tuple
 
     def apply(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """x <- V x, or V^-1 x if ``inverse``, over the first axis, in place.
-
-        ``x`` must be a complex array the caller owns; it is returned.
-        """
+        """x <- V x, or V^-1 x if ``inverse``, over the first axis of a complex ``x``, in place."""
         for idx, v, v_inv in self.blocks:
             x[idx] = (v_inv if inverse else v) @ x[idx]
         return x
 
 
-def _block_eigensystem(mat: np.ndarray) -> BlockEigensystem:
-    """:func:`_eigensystem` of each connected component of ``mat``'s nonzero pattern.
+def _block_eigensystem(diag, out, inn, val) -> BlockEigensystem:
+    """:func:`_eigensystem` of each connected component of :func:`_generator_entries`.
 
-    A 1 x 1 component is its own eigenvalue, with no ``eig`` call; every
-    larger one goes through :func:`_eigensystem`, whose condition cap then
-    holds block by block, as a real matrix where its imaginary part is zero.
-    A generic system's populations form a real symmetric block, since
-    stimulated absorption and emission share their rate.
+    Zero entries (no drive, or rates that underflow) are dropped, so the
+    components are those of the nonzero pattern, and each block is assembled
+    from its own entries.  A 1 x 1 component is its own eigenvalue, with no
+    ``eig`` call; every larger one goes through :func:`_eigensystem` and its
+    condition cap, as a real matrix where its imaginary part is zero: a generic
+    system's populations are real symmetric, as absorption and emission share a rate.
     """
-    label = numutil._components(mat)
-    lam = np.diagonal(mat).astype(complex)
-    blocks = []
+    keep = val != 0
+    out, inn, val = out[keep], inn[keep], val[keep]
+    label = numutil._components(out, inn, diag.size)
+    lam, entry_label, blocks = diag.astype(complex), label[out], []
     for root in np.flatnonzero(np.bincount(label) > 1).tolist():
         idx = np.flatnonzero(label == root)
-        sub = mat[idx[:, None], idx]
+        mine = entry_label == root
+        sub = np.diag(diag[idx])
+        sub[np.searchsorted(idx, out[mine]), np.searchsorted(idx, inn[mine])] = val[mine]
         lam[idx], v, v_inv = _eigensystem(sub if sub.imag.any() else sub.real)
         blocks.append((idx, v, v_inv))
     return BlockEigensystem(lam, tuple(blocks))
@@ -533,14 +540,13 @@ def lambda_map(model: MasterEquationModel, t: float | np.ndarray, rho0: np.ndarr
                unsafe: bool = False, include_drive: bool = True) -> np.ndarray:
     """Evaluate Lambda(t) rho0 = e^{Lt} rho0 + int_0^t e^{L(t-s)} A(s) rho0 ds exactly.
 
-    ``t`` is one time, giving the (D, D) state, or a 1-D array of times,
-    giving the (nt, D, D) states; either way the states come from the
-    model's block eigensystem L = V diag(lam) V^-1 of the vectorized
-    generator (:func:`_block_eigensystem`, built on the model's first map or
-    audit and kept; applied by :func:`_apply_map`).  Every time
-    must be finite and nonnegative.  ``include_drive=False`` drops the
-    inhomogeneous term, leaving the completely positive semigroup alone.  An
-    AccuracyError means a block of L is defective or nearly so.
+    ``t`` is one time, giving the (D, D) state, or a 1-D array of finite
+    nonnegative times, giving the (nt, D, D) states, from the model's block
+    eigensystem L = V diag(lam) V^-1 (:func:`_block_eigensystem`, built on
+    the model's first map or audit and kept; applied by :func:`_apply_map`).
+    ``include_drive=False`` drops the inhomogeneous term, leaving the
+    completely positive semigroup alone.  An AccuracyError means a block of L
+    is defective or nearly so.
     """
     times = _map_times(t)
     _check_domain(model, rho0, unsafe)
@@ -553,12 +559,10 @@ def _apply_map(model: MasterEquationModel, eig: BlockEigensystem, times: np.ndar
     """(nt, D, D) states Lambda(t) rho0 at ``times`` from the block eigensystem of L.
 
     The semigroup part is V e^{lam t} V^-1 rho0.  The drive term is
-    Re[phi_f(s)] sum_j e^{-i w_j s} c_j with the components c_j scattered by
-    :func:`_drive_components`; each adds V [(V^-1 c_j) * W(lam, w_j, t)], W =
-    int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w_j s} ds from one
-    :func:`lineshape.drive_weight` call per RK4_CHUNK times over the nonzero
-    (j, k) of V^-1 c, scatter-added.  Shared by :func:`lambda_map` and
-    :func:`kraus_audit`, which read the one eigensystem of L kept per model.
+    Re[phi_f(s)] sum_j e^{-i w_j s} c_j (:func:`_drive_components`); each c_j
+    adds V [(V^-1 c_j) * W(lam, w_j, t)], W = int_0^t e^{lam (t-s)} Re[phi_f(s)]
+    e^{-i w_j s} ds, from one :func:`lineshape.drive_weight` call per RK4_CHUNK
+    times over the nonzero (j, k) of V^-1 c, scatter-added.
     """
     lam = eig.lam
     rho_init = np.array(rho0, dtype=complex)
@@ -597,11 +601,9 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     over ``n_nodes`` panels (bumped to even) on [0, t], Phi1 = e^{Lt} +
     sum_n w_n e^{L(t - s_n)} Ad_M(s_n) and Phi2 = sum_n w_n e^{L(t - s_n)}
     Ad_M^dag(s_n) as superoperator matrices, every e^{Ls} = V diag(e^{lam s})
-    V^-1 from the model's one block eigensystem of L, built by the first map
-    or audit on the model and read by every later one.  Since Ad_M = (1 + C
-    + K) / 2 and Ad_M^dag = (1 - C + K) / 2, with C = -i [H_LR, .] and K =
-    H_LR . H_LR,
-    the sums V^-1 Phi_i take one sandwich node sum (:func:`_node_sum`) and
+    V^-1 from the model's one block eigensystem of L.  Since Ad_M = (1 + C +
+    K) / 2 and Ad_M^dag = (1 - C + K) / 2, with C = -i [H_LR, .] and
+    K = H_LR . H_LR, the sums V^-1 Phi_i take one sandwich node sum (:func:`_node_sum`) and
     one commutator node sum (:func:`_commutator_sum`), both reading only the
     entries of V^-1 inside its blocks, over batches of nodes whose
     temporaries hold at most AUDIT_CHUNK elements; V is applied block by

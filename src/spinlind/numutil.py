@@ -1,8 +1,7 @@
 """Small numerical helpers: superoperator vectorization, the Choi matrix, the
 matrix exponential (numpy only, scaling and squaring with a Pade approximant,
-of one matrix or a stack) and the partition of a matrix's nonzero pattern
-into connected components, by which :mod:`spinlind.mastereq` splits its
-block eigensystem.
+of one matrix or a stack) and the connected components of an edge list,
+by which :mod:`spinlind.mastereq` splits its block eigensystem.
 The number format and the CSV writer of every artifact live in
 :mod:`spinlind.artifact`, which loads no numpy.
 
@@ -67,18 +66,17 @@ def choi_matrix(s: np.ndarray, dim: int) -> np.ndarray:
     return s.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(dim * dim, dim * dim)
 
 
-def _components(mat: np.ndarray) -> np.ndarray:
-    """Each index's connected component in the nonzero pattern of ``mat``, by its least index.
+def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Each of ``n`` indices' connected component under the edges (i, j), by its least index.
 
     Labels start as the indices.  Each round lowers every label to the least
-    label across the nonzeros (i, j) of the symmetrized pattern, then jumps
-    it to its label's label, until every nonzero joins equal labels.  Labels
-    only fall and stay inside their component, so the last labels are the
-    components' least indices.
+    label across the edges, taken both ways, then jumps it to its label's
+    label, until every edge joins equal labels.  Labels only fall and stay
+    inside their component, so the last labels are the components' least
+    indices.
     """
-    nz = mat != 0
-    i, j = np.nonzero(nz | nz.T)
-    label = np.arange(mat.shape[0])
+    i, j = np.concatenate([i, j]), np.concatenate([j, i])
+    label = np.arange(n)
     while True:
         np.minimum.at(label, i, label[j])
         label = label[label]

@@ -1003,9 +1003,50 @@ def heisenberg_operator(params, t: float, x_op: np.ndarray) -> np.ndarray:
 
 # -- the full-L map routes -------------------------------------------------------
 
+def liouvillian_matrix(model) -> np.ndarray:
+    """Column-stacked matrix of the semigroup generator L.
+
+    The jump part is scattered from the pairs of :func:`_jump_pairs`; no
+    element is written twice, as (row, col) names one entry and M_col -
+    M_row = 1.  M rho + rho N, M = -i h_ls - anti and N = i h_ls - anti, is
+    added through diagonal views.
+    """
+    me._check_map_dim(model)
+    d = model.dim
+    row_e, row_f, col_e, col_f, forward, backward = me._jump_pairs(model)
+    lmat = np.zeros((d * d, d * d), dtype=complex)
+    l4 = lmat.reshape(d, d, d, d)      # [out column, out row, in column, in row]
+    l4[row_f, row_e, col_f, col_e] = forward
+    l4[col_f, col_e, row_f, row_e] = backward
+    left = np.einsum("jajb->jab", l4)
+    left += -1j * model.h_ls - model._anti
+    right = np.einsum("jala->jal", l4)
+    right += (1j * model.h_ls - model._anti).T[:, None, :]
+    return lmat
+
+
+def entries_of(mat: np.ndarray):
+    """A square matrix as (diagonal, out, in, value), its off-diagonal nonzeros in row order.
+
+    The form ``mastereq._generator_entries`` returns and
+    ``mastereq._block_eigensystem`` reads.
+    """
+    out, inn = np.nonzero(mat)
+    out, inn = out[out != inn], inn[out != inn]
+    return np.diagonal(mat).copy(), out, inn, mat[out, inn]
+
+
+def scattered_generator(entries) -> np.ndarray:
+    """The dense matrix of (diagonal, out, in, value) entries, as ``mastereq._rk4`` steps on it."""
+    diag, out, inn, val = entries
+    mat = np.diag(diag)
+    mat[out, inn] = val
+    return mat
+
+
 def full_eigensystem(model):
     """lam, V and V^-1 of the whole D^2 x D^2 generator from one ``eig`` call."""
-    return me._eigensystem(me.liouvillian_matrix(model))
+    return me._eigensystem(liouvillian_matrix(model))
 
 
 def full_apply_map(model, eig, times: np.ndarray, rho0: np.ndarray,

@@ -13,7 +13,7 @@ from spinlind import numutil as nu
 from spinlind import spincore as sc
 from spinlind.errors import ValidationError
 
-from oracles import van_loan_generator, whole_matrix_ladder
+from oracles import liouvillian_matrix, van_loan_generator, whole_matrix_ladder
 
 
 def two_spin_system(t12=6.0, gammas=(-2.0e2, -3.0e2)):
@@ -487,7 +487,7 @@ class TestOrderNPropagation:
         t_end = 0.05
         traj = acp.propagate_order_n(model0, 1, lambda t: g, t_end, dt=2e-5,
                                      rho_n0=zero)
-        lmat = me.liouvillian_matrix(model0)
+        lmat = liouvillian_matrix(model0)
         aug = np.zeros((17, 17), dtype=complex)
         aug[:16, :16] = lmat
         aug[:16, 16] = nu.vec(g)

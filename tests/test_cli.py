@@ -657,7 +657,7 @@ class TestMatrixModes:
 
     def test_qubit_mode_decomposes_the_generator_once(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
-        calls = {"liouvillian_matrix": 0, "_eigensystem": 0}
+        calls = {"_generator_entries": 0, "_eigensystem": 0}
         for name in calls:
             real = getattr(me, name)
 
@@ -667,7 +667,7 @@ class TestMatrixModes:
 
             monkeypatch.setattr(me, name, counted)
         assert run_cli(["--config", CONFIGS / "qubit.cfg", "--out", tmp_path]) == 0
-        assert calls == {"liouvillian_matrix": 1, "_eigensystem": 1}
+        assert calls == {"_generator_entries": 1, "_eigensystem": 1}
 
     def test_qubit_n_points_beyond_the_frames_takes_every_frame(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)

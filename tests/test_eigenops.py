@@ -135,7 +135,7 @@ def test_table_routes_build_no_dense_stack(monkeypatch):
     model = operator_sum_model("three_equivalent_plus_one")
     me.lambda_map(model, np.linspace(0.0, 1.0, 3), model.boltzmann)
     me.kraus_audit(model, 0.5, model.boltzmann, n_nodes=4)
-    me.liouvillian_matrix(model)
+    me._generator_entries(model)
     me.dissipator(model, np.eye(model.dim) / model.dim)
     t_end = 5 * me.default_dt(model)
     me.propagate(model, model.boltzmann, t_end)

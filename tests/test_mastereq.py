@@ -22,9 +22,10 @@ from spinlind.qubit import SIGMA
 
 from conftest import random_system
 from oracles import (a_term, apply_map_oracle, dense_drive_components, dense_ladder,
-                     full_apply_map, full_eigensystem, full_kraus_audit, full_lambda_map,
-                     inline_pair_dissipator, inline_pair_liouvillian, kraus_audit_oracle,
-                     ladder_sums_oracle, pauli_rates_oracle, rk4_oracle, sandwich_superop,
+                     entries_of, full_apply_map, full_eigensystem, full_kraus_audit,
+                     full_lambda_map, inline_pair_dissipator, inline_pair_liouvillian,
+                     kraus_audit_oracle, ladder_sums_oracle, liouvillian_matrix,
+                     pauli_rates_oracle, rk4_oracle, sandwich_superop, scattered_generator,
                      simpson_doubling, transition_rate_oracle, wavefunction_distribution,
                      wavefunction_oracle)
 from test_spectrum import naphthalene_groups
@@ -62,7 +63,7 @@ def quadrature_lambda_map(model, t, rho0, *, unsafe=False, include_drive=True,
     """
     me._check_domain(model, rho0, unsafe)
     d = model.dim
-    lmat = me.liouvillian_matrix(model)
+    lmat = liouvillian_matrix(model)
     rho_init = np.array(rho0, dtype=complex)
     out_vec = nu.expm(lmat * t) @ nu.vec(rho_init)
 
@@ -112,7 +113,7 @@ def van_loan_lambda_map(model, t, rho0, *, include_drive=True):
                     mus.append(1j * (sign * dist.center - freq) - 0.5 * dist.width)
     m = len(cols)
     aug = np.zeros((d2 + m, d2 + m), dtype=complex)
-    aug[:d2, :d2] = me.liouvillian_matrix(model)
+    aug[:d2, :d2] = liouvillian_matrix(model)
     if m:
         aug[:d2, d2:] = np.array(cols).T
         aug[d2:, d2:] = np.diag(mus)
@@ -253,7 +254,7 @@ def map_model(case, kind):
 
 def decay_rate(model):
     """Largest decay rate of the generator, the unit of time in the map tests."""
-    return float(np.max(-np.linalg.eigvals(me.liouvillian_matrix(model)).real))
+    return float(np.max(-np.linalg.eigvals(liouvillian_matrix(model)).real))
 
 
 MAP_CASES = ["qubit", "two_equivalent", "two_generic", "three_equivalent", "spin1_pair"]
@@ -412,7 +413,8 @@ class TestLadderSums:
         h_ls, anti = me._pair_sums(table, (a, -a), (0.5 * rates, 0.5 * rates))
         complex_model = dataclasses.replace(model, ladder=table, rates_plus=rates,
                                             rates_minus=0 * rates, h_ls=h_ls, _anti=anti)
-        assert_close(me.liouvillian_matrix(complex_model), sandwich_generator(complex_model))
+        assert_close(scattered_generator(me._generator_entries(complex_model)),
+                     sandwich_generator(complex_model))
 
     def test_naphthalene_size_build_is_sparse(self):
         radical_model((4, 4))       # imports and lineshape tables warmed up
@@ -531,7 +533,7 @@ class TestLiouvillianMatrix:
     @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["e_2_2h", "spin5/2_spin0_zero_gamma"])
     def test_matches_sandwich_oracle(self, case):
         model = radical_model((2, 2)) if case == "e_2_2h" else operator_sum_model(case)
-        lmat = me.liouvillian_matrix(model)
+        lmat = scattered_generator(me._generator_entries(model))
         assert_close(lmat, sandwich_generator(model))
         assert np.array_equal(lmat, inline_pair_liouvillian(model))
 
@@ -540,7 +542,7 @@ class TestLiouvillianMatrix:
         # L vec(rho) = vec(-i [h_ls, rho] + D[rho]) ties the superoperator
         # assembly to the operator-level generator that RK4 integrates
         model = operator_sum_model(case)
-        lmat = me.liouvillian_matrix(model)
+        lmat = scattered_generator(me._generator_entries(model))
         h = model.h_ls
         rho = random_hermitian(rng, model.dim)
         want = nu.vec(-1j * (h @ rho - rho @ h) + me.dissipator(model, rho))
@@ -611,7 +613,7 @@ class TestPropagate:
             assert abs(np.trace(schro) - 1.0) < 1e-8
 
     def test_one_generator_and_no_dissipator_call(self, qubit_model, monkeypatch):
-        calls = {"liouvillian_matrix": 0, "dissipator": 0}
+        calls = {"_generator_entries": 0, "dissipator": 0}
         for name in calls:
             def counted(*args, _fn=getattr(me, name), _name=name):
                 calls[_name] += 1
@@ -620,7 +622,7 @@ class TestPropagate:
         t_end = 0.5 / qubit_rate(qubit_model)
         traj = me.propagate(qubit_model, qubit_model.boltzmann, t_end)
         assert traj.times.size > 100
-        assert calls == {"liouvillian_matrix": 1, "dissipator": 0}
+        assert calls == {"_generator_entries": 1, "dissipator": 0}
 
     def test_dimension_above_the_map_cap_refused_before_stepping(self, monkeypatch):
         system = sc.SpinSystem([0.5] * 7, [-20.0 - k for k in range(7)])
@@ -735,7 +737,7 @@ class TestLambdaMap:
                             include_drive=False)
         assert abs(np.trace(out) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(nu.hermitize(out)).min() >= -1e-12
-        prop = nu.expm(me.liouvillian_matrix(qubit_model) * t)
+        prop = nu.expm(liouvillian_matrix(qubit_model) * t)
         choi = nu.choi_matrix(prop, qubit_model.dim)
         assert np.linalg.eigvalsh(nu.hermitize(choi)).min() >= -1e-10
 
@@ -780,7 +782,7 @@ class TestLambdaMap:
         rate = decay_rate(model)
         t1 = 7.5 * ls.relaxation_time(model.field.dist)
         settled = quadrature_lambda_map(model, t1, model.boltzmann)
-        lmat = me.liouvillian_matrix(model)
+        lmat = liouvillian_matrix(model)
         for t_gamma in (30.0, 200.0):
             t = max(t_gamma / rate, t1)
             got = me.lambda_map(model, t, model.boltzmann)
@@ -818,7 +820,7 @@ class TestLambdaMap:
 
     def test_time_grid_decomposes_the_generator_once(self, qubit_model, monkeypatch):
         # the qubit's L has one block of two populations and two scalar coherences
-        calls = {"liouvillian_matrix": 0, "_block_eigensystem": 0, "_eigensystem": 0}
+        calls = {"_generator_entries": 0, "_block_eigensystem": 0, "_eigensystem": 0}
         for name in calls:
             def spy(*args, _fn=getattr(me, name), _name=name):
                 calls[_name] += 1
@@ -826,7 +828,7 @@ class TestLambdaMap:
             monkeypatch.setattr(me, name, spy)
         times = np.linspace(0.0, 1.0, 40) / qubit_rate(qubit_model)
         me.lambda_map(qubit_model, times, qubit_model.boltzmann)
-        assert calls == {"liouvillian_matrix": 1, "_block_eigensystem": 1, "_eigensystem": 1}
+        assert calls == {"_generator_entries": 1, "_block_eigensystem": 1, "_eigensystem": 1}
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     @pytest.mark.parametrize("as_array", [False, True])
@@ -848,7 +850,7 @@ class TestMapDriveTerm:
         base = operator_sum_model(case)
         field = me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(22.0, 4.0))
         model = build(base.system, field, base.beta)
-        eig = me._block_eigensystem(me.liouvillian_matrix(model))
+        eig = me._block_eigensystem(*me._generator_entries(model))
         return model, eig, 1.0 / float(np.max(-eig.lam.real))
 
     @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
@@ -918,9 +920,12 @@ class TestBlockEigensystem:
         ("generic4", 320, 241, 16), ("generic5", 1184, 993, 32),
         ("three_equivalent_plus_one", 1280, 57, 40), ("spin1_pair", 129, 61, 9)])
     def test_components_are_the_secular_blocks(self, case, nnz, components, largest):
-        lmat = me.liouvillian_matrix(operator_sum_model(case))
+        model = operator_sum_model(case)
+        lmat = liouvillian_matrix(model)
         assert np.count_nonzero(lmat) == nnz
-        label = nu._components(lmat)
+        diag, out, inn, val = me._generator_entries(model)
+        assert np.count_nonzero(diag) + np.count_nonzero(val) == nnz
+        label = nu._components(out[val != 0], inn[val != 0], diag.size)
         assert np.unique(label).size == components
         assert np.bincount(label).max() == largest
         # every nonzero joins one component, labelled by its least index
@@ -941,7 +946,7 @@ class TestBlockEigensystem:
             start += m
         perm = rng.permutation(n)
         mat = mat[np.ix_(perm, perm)]
-        eig = me._block_eigensystem(mat)
+        eig = me._block_eigensystem(*entries_of(mat))
         assert sorted(idx.size for idx, _, _ in eig.blocks) == [2, 3, 5]
         # a block with no imaginary part is diagonalised as a real matrix
         assert [np.iscomplexobj(v) for idx, v, _ in eig.blocks] == [
@@ -957,20 +962,19 @@ class TestBlockEigensystem:
         # stimulated absorption and emission share their rate, so a generic
         # system's population block is real symmetric: V orthogonal, V^-1 = V^T
         model = operator_sum_model(case)
-        lmat = me.liouvillian_matrix(model)
-        (idx, v, v_inv), = me._block_eigensystem(lmat).blocks
+        (idx, v, v_inv), = me._block_eigensystem(*me._generator_entries(model)).blocks
         assert idx.tolist() == [a * model.dim + a for a in range(model.dim)]
         assert not np.iscomplexobj(v) and np.array_equal(v_inv, v.T)
         assert nu.max_abs(v.T @ v - np.eye(model.dim)) <= 1e-14
 
     def test_defective_block_raises(self, qubit_model, monkeypatch):
         # a Jordan block on the two populations; the coherences stay scalars
-        lmat = me.liouvillian_matrix(qubit_model)
+        lmat = liouvillian_matrix(qubit_model)
         lmat[0, 0] = lmat[3, 3] = -1.0
         lmat[0, 3], lmat[3, 0] = 1.0, 0.0
         with pytest.raises(AccuracyError, match="defective"):
-            me._block_eigensystem(lmat)
-        monkeypatch.setattr(me, "liouvillian_matrix", lambda model: lmat.copy())
+            me._block_eigensystem(*entries_of(lmat))
+        monkeypatch.setattr(me, "_generator_entries", lambda model: entries_of(lmat))
         with pytest.raises(AccuracyError, match="defective"):
             me.lambda_map(qubit_model, 0.01, qubit_model.boltzmann)
         with pytest.raises(AccuracyError, match="defective"):
@@ -979,12 +983,12 @@ class TestBlockEigensystem:
     def test_defective_generator_is_not_kept(self, qubit_model, monkeypatch):
         # the model keeps no failed eigensystem: every map or audit rebuilds
         # L, decomposes it and raises again
-        lmat = me.liouvillian_matrix(qubit_model)
+        lmat = liouvillian_matrix(qubit_model)
         lmat[0, 0] = lmat[3, 3] = -1.0
         lmat[0, 3], lmat[3, 0] = 1.0, 0.0
         calls = []
-        monkeypatch.setattr(me, "liouvillian_matrix",
-                            lambda model: calls.append(model) or lmat.copy())
+        monkeypatch.setattr(me, "_generator_entries",
+                            lambda model: calls.append(model) or entries_of(lmat))
         for call in (lambda: me.lambda_map(qubit_model, 0.01, qubit_model.boltzmann),
                      lambda: me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann,
                                             n_nodes=4),
@@ -1041,6 +1045,134 @@ class TestBlockEigensystem:
             me.lambda_map(model, times, model.boltzmann)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 0.04
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bits, signed zeros included; a contiguous array is not copied."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+
+
+def assert_scatters_to(entries, lmat):
+    """The scatter of (diagonal, out, in, value) ``entries`` is ``lmat``, bit for bit at
+    every entry and zero elsewhere, checked with no second dense matrix (268 MB at D = 64)."""
+    diag, out, inn, val = entries
+    assert not np.any(out == inn) and np.unique(out * len(lmat) + inn).size == out.size
+    assert same_bits(np.diagonal(lmat), diag)
+    assert same_bits(lmat[out, inn], val.astype(complex))     # real for a generic system
+    assert np.count_nonzero(lmat) == np.count_nonzero(diag) + np.count_nonzero(val)
+
+
+class TestGeneratorEntries:
+    """L's entry table against the dense L of the oracles, block by block and map by map."""
+
+    @staticmethod
+    def _assert_oracle_route(model, monkeypatch, n_steps=40):
+        # the dense oracle L, its scatter, its block eigensystem, and the maps
+        # and RK4 trajectory of a model that reads its entries off the oracle L
+        lmat = liouvillian_matrix(model)
+        assert_scatters_to(me._generator_entries(model), lmat)
+        if model.dim <= 16:
+            assert same_bits(scattered_generator(me._generator_entries(model)), lmat)
+        entries = entries_of(lmat)
+        del lmat
+        want = me._block_eigensystem(*entries)
+        got = model._generator_eig
+        assert same_bits(got.lam, want.lam)
+        assert len(got.blocks) == len(want.blocks)
+        for got_block, want_block in zip(got.blocks, want.blocks):
+            assert all(same_bits(g, w) for g, w in zip(got_block, want_block))
+
+        times = np.array([0.0, 0.05, 0.4, 3.0])
+        t_end = n_steps * me.default_dt(model)
+        maps = [me.lambda_map(model, times, model.boltzmann, include_drive=drive)
+                for drive in (True, False)]
+        traj = me.propagate(model, model.boltzmann, t_end)
+        oracle_model = dataclasses.replace(model)       # nothing kept yet
+        monkeypatch.setattr(me, "_generator_entries", lambda model: entries)
+        for drive, got_map in zip((True, False), maps):
+            assert same_bits(got_map, me.lambda_map(oracle_model, times, oracle_model.boltzmann,
+                                                    include_drive=drive))
+        assert same_bits(traj.states, me.propagate(oracle_model, model.boltzmann, t_end).states)
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["spin5/2_spin0_zero_gamma",
+                                                           "generic6"])
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_matches_the_dense_generator(self, case, kind, monkeypatch):
+        # at D = 64 the RK4 step on the dense 4096 x 4096 L is the slow part
+        model = drive_model(case, kind)
+        self._assert_oracle_route(model, monkeypatch, n_steps=4 if model.dim == 64 else 40)
+
+    @pytest.mark.parametrize("case", ["undriven", "narrow_gaussian", "narrow_lamb_shift"])
+    def test_zero_entries_join_no_block(self, case, monkeypatch):
+        # with every rate 0 (no drive, or a Gaussian too narrow to reach any
+        # gap) the jump entries are zeros: the populations stay 1 x 1 blocks, as
+        # in L's nonzero pattern, and no eig of a zero matrix is taken.  With
+        # three equivalent spins the Lamb shift keeps off-diagonal entries
+        # whose zero real parts must not carry a sign into eig
+        base = operator_sum_model("three_equivalent_plus_one" if case == "narrow_lamb_shift"
+                                  else "generic3")
+        b_1, dist = (0.0, ls.lorentzian(22.0, 4.0)) if case == "undriven" else (
+            0.05, ls.gaussian(22.0, 1e-3))
+        model = build(base.system, me.FieldConfig(b_o=1.0, b_1=b_1, dist=dist), base.beta)
+        assert not np.any(model.rates_plus) and not np.any(model.rates_minus)
+        _, out, inn, val = me._generator_entries(model)
+        d = model.dim
+        # an M entry keeps its column of rho, an N entry its row; a jump changes both
+        jumps = (out // d != inn // d) & (out % d != inn % d)
+        assert jumps.any() and not np.any(val[jumps])
+        blocks = model._generator_eig.blocks
+        if case == "narrow_lamb_shift":
+            assert sorted(idx.size for idx, _, _ in blocks)[-1] == 9
+        else:
+            assert blocks == ()
+        self._assert_oracle_route(model, monkeypatch)
+
+    def test_first_map_builds_no_dense_generator(self):
+        # generic 6 spin-1/2 (D = 64): the dense L alone is 268 MB; the
+        # entries, the 64 x 64 population block and the (2K, D^2) drive
+        # components stay near 25 MB
+        model = operator_sum_model("generic6")
+        me.lambda_map(operator_sum_model("generic6"), 0.3, model.boltzmann)    # warm-up
+        tracemalloc.start()
+        try:
+            me.lambda_map(model, 0.3, model.boltzmann)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_components_match_scipy(self, seed):
+        # random edge lists with isolated indices, self-loops and repeated edges
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 2 * n))
+        i, j = rng.integers(0, n, size=(2, m))
+        i = np.append(i, j[:3])                         # self-loops
+        j = np.append(j, j[:3])
+        label = nu._components(i, j, n)
+        count, scipy_label = connected_components(
+            coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)), directed=False)
+        least = np.full(count, n)
+        np.minimum.at(least, scipy_label, np.arange(n))
+        assert np.array_equal(label, least[scipy_label])
+
+    def test_model_arrays_are_read_only(self):
+        # the model keeps the eigensystem of L built from these arrays, so an
+        # in-place edit would leave every later map stale; it is refused
+        model = operator_sum_model("generic2")
+        me.lambda_map(model, 0.3, model.boltzmann)
+        ladder = model.ladder
+        for a in (model.h_ls, model._anti, model.boltzmann, model.rates_plus,
+                  model.rates_minus, ladder.rows, ladder.cols, ladder.values, ladder.block,
+                  ladder.omegas):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
 
 class TestChoiMatrix:
@@ -1130,7 +1262,7 @@ class TestKrausAudit:
         assert report.trace_residual < 1e-10
 
     def test_one_generator_eigendecomposition_per_call(self, qubit_model, monkeypatch):
-        calls = {"liouvillian_matrix": 0, "_block_eigensystem": 0, "_eigensystem": 0}
+        calls = {"_generator_entries": 0, "_block_eigensystem": 0, "_eigensystem": 0}
         for name in calls:
             original = getattr(me, name)
 
@@ -1141,7 +1273,7 @@ class TestKrausAudit:
             monkeypatch.setattr(me, name, spy)
         me.kraus_audit(qubit_model, 0.3 / qubit_rate(qubit_model),
                        qubit_model.boltzmann, n_nodes=16)
-        assert calls == {"liouvillian_matrix": 1, "_block_eigensystem": 1, "_eigensystem": 1}
+        assert calls == {"_generator_entries": 1, "_block_eigensystem": 1, "_eigensystem": 1}
 
     @pytest.mark.parametrize("case", ["two_generic", "three_equivalent"])
     def test_map_and_audit_share_one_eigensystem_per_model(self, monkeypatch, case):
@@ -1150,7 +1282,7 @@ class TestKrausAudit:
         model = map_model(case, ls.lorentzian)
         t = 0.3 / decay_rate(model)
         fresh = me.kraus_audit(map_model(case, ls.lorentzian), t, model.boltzmann, n_nodes=32)
-        calls = {"liouvillian_matrix": 0, "_block_eigensystem": 0}
+        calls = {"_generator_entries": 0, "_block_eigensystem": 0}
         for name in calls:
             def spy(*args, _name=name, _original=getattr(me, name)):
                 calls[_name] += 1
@@ -1159,7 +1291,7 @@ class TestKrausAudit:
         me.lambda_map(model, t, model.boltzmann)
         audit = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
         me.lambda_map(model, 2.0 * t, model.boltzmann, include_drive=False)
-        assert calls == {"liouvillian_matrix": 1, "_block_eigensystem": 1}
+        assert calls == {"_generator_entries": 1, "_block_eigensystem": 1}
         assert [float(v).hex() for v in dataclasses.astuple(audit)] == [
             float(v).hex() for v in dataclasses.astuple(fresh)]
         # the kept eigensystem cannot go stale by a field reassignment
@@ -1179,7 +1311,7 @@ class TestKrausAudit:
         apply_map = me._apply_map
 
         def fresh(model, eig, *args):
-            return apply_map(model, me._block_eigensystem(me.liouvillian_matrix(model)), *args)
+            return apply_map(model, me._block_eigensystem(*me._generator_entries(model)), *args)
 
         monkeypatch.setattr(me, "_apply_map", fresh)
         assert me.kraus_audit(model, t, model.boltzmann, n_nodes=64) == shared
@@ -1209,7 +1341,7 @@ class TestKrausAudit:
         model = operator_sum_model("generic3")
         t = 120 * me.default_dt(model)
         default = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
-        eig = me._block_eigensystem(me.liouvillian_matrix(model))
+        eig = me._block_eigensystem(*me._generator_entries(model))
         nnz = np.count_nonzero(eig.apply(np.eye(model.dim ** 2, dtype=complex), inverse=True))
         assert nnz == 8 * 8 + (64 - 8)
         calls = []
