@@ -81,6 +81,8 @@ RK4_CHUNK = 64
 # complex elements per (nnz, D, n) node-sum temporary of kraus_audit (16 MB), nnz the
 # entries of V^-1 inside its blocks; at least one node per batch
 AUDIT_CHUNK = 2 ** 20
+# bytes of the (frames, D, D) complex states a time grid may store (256 MiB)
+MAX_FRAME_BYTES = 2 ** 28
 EIGVEC_COND_CAP = 1e6
 DOMAIN_ATOL = 1e-10
 
@@ -162,9 +164,7 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     omegas = ladder.omegas
 
     b1, dist = field_cfg.b_1, field_cfg.dist
-    if b1 > 0 and omegas.size and dist.kind == "delta":
-        raise ValidationError("a delta-line drive has no finite dissipator rates")
-    if b1 > 0 and omegas.size:
+    if b1 > 0 and omegas.size:      # a delta line is refused by dissipator_weight
         gp = lineshape.dissipator_weight(dist, omegas, b1, +1)
         gm = lineshape.dissipator_weight(dist, omegas, b1, -1)
         lamb = (lineshape.lamb_weight(dist, omegas, b1, +1)
@@ -333,7 +333,9 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
     it divides ``t_end``; ``store_every``, a whole number, defaults to n_steps
     // 2000 (at least 1).  The stored steps are 0, every multiple of
     ``store_every`` and the last step, so the stored times are ``steps * dt``.
-    Built from the counts alone: O(frames), not O(steps).
+    Refused before anything is allocated: a step count that is not finite or
+    not below 2^63, and stored (D, D) complex states of more than
+    MAX_FRAME_BYTES.  Built from the counts alone: O(frames), not O(steps).
     """
     if dt is None:
         dt = default_dt(model)
@@ -344,9 +346,17 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
     if store_every is not None and _whole(store_every, "store_every") < 1:
         raise ValidationError(f"store_every must be at least 1, got {store_every}")
 
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
+    ratio = t_end / dt
+    if not ratio < 2.0 ** 63:
+        raise ValidationError(f"t_end / dt = {ratio:.3g} steps is not a representable step count")
+    n_steps = max(1, int(math.ceil(ratio - 1e-12)))
     if store_every is None:
         store_every = max(1, n_steps // 2000)
+    frames = -(-n_steps // store_every) + 1
+    if frames * model.dim ** 2 * 16 > MAX_FRAME_BYTES:
+        raise ValidationError(
+            f"{frames} stored frames of dimension {model.dim} exceed MAX_FRAME_BYTES = "
+            f"{MAX_FRAME_BYTES}; raise dt or store_every")
     steps = np.arange(0, n_steps + 1, store_every)
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
@@ -730,10 +740,13 @@ def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
                   unsafe: bool = False) -> WitnessResult:
     """Negativity witness for a pure input under the drive-only (L -> 0) map.
 
-    Builds rho(t) = rho0 - i [K(t), rho0] for rho0 = |psi><psi|, restricts to
-    the two-dimensional subspace spanned by K|psi> and its orthogonal
-    complement within span{psi, K psi}, and returns the restricted
-    determinant next to the closed-form prediction ``-x^2 (1 + x^2) |b|^2``.
+    Builds rho(t) = rho0 - i [K(t), rho0] for rho0 = |psi><psi|, restricts it
+    to span{K psi, psi - i K psi} through Q of one QR factorization of those
+    two columns (Golub & Van Loan, Matrix Computations, 4th ed., 5.2), and
+    returns det(Q^dag rho(t) Q) next to the closed-form prediction
+    ``-x^2 (1 + x^2) |b|^2``, x = ||K psi|| and |b| = |R_11| / ||psi - i K psi||.
+    When the columns align (psi an eigenvector of K), Householder QR still
+    gives an orthonormal Q, and rho(t) = rho0 has rank one, so det = b = 0.
     """
     t = _map_time(t)
     if not unsafe:
@@ -765,26 +778,11 @@ def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
     x = float(np.linalg.norm(v0))
     if x <= 1e-13 * k_scale:
         raise WitnessInapplicableError("K(t)|psi> vanishes; nothing to witness")
-    v0t = v0 / x
     v1 = psi - 1j * v0
-    v1t = v1 / np.linalg.norm(v1)
-    alpha = complex(np.vdot(v0t, v1t))
-    w = v1t - alpha * v0t
-    beta_abs = float(np.linalg.norm(w))
-    if beta_abs > 1e-12:
-        perp = w / beta_abs
-    else:
-        # degenerate direction: any unit vector orthogonal to v0t will do
-        basis = np.eye(model.dim, dtype=complex)
-        overlaps = basis - np.outer(v0t, v0t.conj() @ basis)
-        col = int(np.argmax(np.linalg.norm(overlaps, axis=0)))
-        perp = overlaps[:, col] / np.linalg.norm(overlaps[:, col])
+    q, r = np.linalg.qr(np.stack([v0, v1], axis=1))
+    beta_abs = float(abs(r[1, 1]) / np.linalg.norm(v1))
 
-    sub = np.array([
-        [np.vdot(v0t, rho_t @ v0t), np.vdot(v0t, rho_t @ perp)],
-        [np.vdot(perp, rho_t @ v0t), np.vdot(perp, rho_t @ perp)],
-    ])
-    det = np.linalg.det(sub)
+    det = np.linalg.det(q.conj().T @ rho_t @ q)
     if abs(det.imag) > 1e-10 * max(1.0, abs(det.real)):
         raise AccuracyError("restricted determinant is not numerically real")
     predicted = -x * x * (1.0 + x * x) * beta_abs * beta_abs

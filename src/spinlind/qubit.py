@@ -188,34 +188,27 @@ def _lorentz_profile(gamma: float, x: float) -> float:
 
 def structure_factor(params: QubitParams, which: str,
                      omega_prime: float) -> StructureFactorValue:
-    """Dynamic structure factor of sigma-+ ("-+") or sigma+- ("+-").
+    """Dynamic structure factor of sigma-+ ("-+", s = +1) or sigma+- ("+-", s = -1).
 
-    The "-+" spectrum is a half-weight delta at the Larmor frequency plus a
-    thermally weighted Lorentzian of half-width 2 Gamma centered there; the
-    "+-" spectrum mirrors it at the opposite frequency with the smooth part
-    entering with opposite sign.  ``omega_prime`` must be finite.
+    A half-weight delta at s w0 plus s th / 2 times a Lorentzian of
+    half-width 2 Gamma centered there: the "+-" spectrum mirrors the "-+"
+    one, its smooth part with opposite sign.  ``omega_prime`` must be
+    finite, ``which`` one of the two labels and the rate Gamma positive.
     """
     if not math.isfinite(omega_prime):
         raise ValidationError(f"omega_prime must be finite, got {omega_prime}")
-    th = params.thermal_polarization
+    s = {"-+": 1, "+-": -1}.get(which)
+    if s is None:
+        raise ValidationError(f"unknown structure factor label {which!r}")
     gamma = params.rate
-    if which == "-+":
-        if gamma <= 0:
-            raise ValidationError("the smooth part needs a finite rate")
-        return StructureFactorValue(
-            delta_weight=0.5,
-            delta_location=params.omega_o,
-            smooth=0.5 * th * _lorentz_profile(gamma, omega_prime - params.omega_o),
-        )
-    if which == "+-":
-        if gamma <= 0:
-            raise ValidationError("the smooth part needs a finite rate")
-        return StructureFactorValue(
-            delta_weight=0.5,
-            delta_location=-params.omega_o,
-            smooth=-0.5 * th * _lorentz_profile(gamma, omega_prime + params.omega_o),
-        )
-    raise ValidationError(f"unknown structure factor label {which!r}")
+    if gamma <= 0:
+        raise ValidationError("the smooth part needs a finite rate")
+    return StructureFactorValue(
+        delta_weight=0.5,
+        delta_location=s * params.omega_o,
+        smooth=s * 0.5 * params.thermal_polarization
+        * _lorentz_profile(gamma, omega_prime - s * params.omega_o),
+    )
 
 
 def fdt_check(params: QubitParams) -> dict:

@@ -75,13 +75,18 @@ class ChiKernel:
 
     The real/imaginary closed-form splits for Hermitian X follow from the
     complex weights (Re chi pairs Re g with the PV kernel and Im g with the
-    delta, Im chi the other way around with a sign).
+    delta, Im chi the other way around with a sign).  ``sign`` must be +1 or
+    -1; every kernel, steady or transient, is refused otherwise.
     """
 
     omega_o: float
     sign: int
     commutator_avg: complex
     transient_time: float | None = None
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValidationError(f"sign must be +1 or -1, got {self.sign!r}")
 
     @property
     def pv_weight(self) -> complex:
@@ -103,8 +108,6 @@ class ChiKernel:
 def chi_infinity(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
                  sign: int) -> ChiKernel:
     """Steady-state response kernel chi_{sign, w0, inf}."""
-    if sign not in (1, -1):
-        raise ValidationError("sign must be +1 or -1")
     g = commutator_average(model, x_op, omega_o)
     return ChiKernel(omega_o=omega_o, sign=sign, commutator_avg=g)
 
@@ -125,17 +128,13 @@ def steady_rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> compl
     """Frequency-density integral of a steady kernel (closed form).
 
     The PV piece becomes a Hilbert-transform evaluation and the delta piece a
-    density evaluation: g [ -pi rho^>(+-w0) * (+-1) - i pi rho_f(+-w0) ].
+    density evaluation: g [ -s pi rho^>(s w0) - i pi rho_f(s w0) ], s the sign.
     """
     if kernel.transient_time is not None:
         raise ValidationError("kernel is transient; use transient_rho_integral")
-    g = kernel.commutator_avg
-    w0 = kernel.omega_o
-    if kernel.sign == 1:
-        pv = -math.pi * hilbert(dist, w0)
-    else:
-        pv = math.pi * hilbert(dist, -w0)
-    return g * (pv - 1j * math.pi * float(density(dist, kernel.sign * w0)))
+    s, w0 = kernel.sign, kernel.omega_o
+    pv = -s * math.pi * hilbert(dist, s * w0)
+    return kernel.commutator_avg * (pv - 1j * math.pi * float(density(dist, s * w0)))
 
 
 def transient_rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> complex:

@@ -285,7 +285,9 @@ def intensity_scale(groups: Sequence[EquivalentGroup], label: str, *,
 
 def reference_field(groups: Sequence[EquivalentGroup], label: str,
                     omega_o: float) -> float:
-    """Line-position reference -w0/gamma - sum_g lambda_g J_g."""
+    """Line-position reference -w0/gamma - sum_g lambda_g J_g; ``omega_o`` must be finite."""
+    if not math.isfinite(omega_o):
+        raise ValidationError(f"omega_o must be finite, got {omega_o}")
     res = _group_map(groups)[label]
     if res.gamma == 0:
         raise ValidationError("reference field needs a nonzero gamma")
@@ -365,8 +367,13 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     intensities in that order.  Intensities are exact integer degeneracies
     unless ``scaled``; summing over several resonance groups always applies
     each group's absolute scale, since raw degeneracies of different groups
-    are not comparable; a group whose scale is zero (gamma = 0) is refused.
+    are not comparable; a group whose scale is zero (gamma = 0) is refused,
+    and so are a non-finite ``omega_o`` and a non-finite or negative ``merge_tol``.
     """
+    if not math.isfinite(omega_o):
+        raise ValidationError(f"omega_o must be finite, got {omega_o}")
+    if not (math.isfinite(merge_tol) and merge_tol >= 0):
+        raise ValidationError(f"merge_tol must be finite and nonnegative, got {merge_tol}")
     labels = ([resonance_label] if isinstance(resonance_label, str)
               else list(resonance_label))
     if not labels:

@@ -524,6 +524,18 @@ class TestOrderNPropagation:
             acp.propagate_order_n(model, 1, lambda t: zero, 0.01, dt=1e-3,
                                   store_every=2.5, rho_n0=zero)
 
+    def test_traceful_initial_correction_refused(self, model):
+        zero = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(ValidationError, match="initial corrections must be traceless"):
+            acp.propagate_order_n(model, 1, lambda t: zero, 0.01, dt=1e-3,
+                                  rho_n0=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4)])
+    def test_misshapen_inhomogeneity_refused(self, model, shape):
+        with pytest.raises(ValidationError, match="callback returned a wrong shape"):
+            acp.propagate_order_n(model, 1, lambda t: np.zeros(shape, dtype=complex), 0.01,
+                                  dt=1e-3, rho_n0=np.zeros((4, 4), dtype=complex))
+
     def test_order_zero_redirected(self, model):
         with pytest.raises(ValidationError):
             acp.propagate_order_n(model, 0, lambda t: None, 0.01)
@@ -669,3 +681,17 @@ class TestExpm:
         for _ in range(s):
             want = want @ want
         assert np.array_equal(nu.expm(a), want)
+
+
+class TestRefusals:
+    """Each refusal of the thermal routes, matched by its message."""
+
+    @pytest.mark.parametrize("zetas", [[], [0.5, 0.1], [1.0 + 1e-9j]])
+    def test_first_zeta_must_be_one(self, zetas):
+        with pytest.raises(ValidationError, match="zeta_0 must be 1"):
+            acp.ZetaCoefficients(zetas)
+
+    @pytest.mark.parametrize("route", ["y_nested", "initial_correction"])
+    def test_negative_order_refused(self, route):
+        with pytest.raises(ValidationError, match="order must be nonnegative"):
+            _order_routes()[route](-1)

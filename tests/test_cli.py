@@ -204,6 +204,66 @@ class TestConfigParsing:
         assert "line" in str(err.value)
 
 
+    @pytest.mark.parametrize("text, scaled", [("off", False), ("No", False), ("on", True),
+                                              ("1", True)])
+    def test_scaled_flag_spellings(self, tmp_path, text, scaled):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text((CONFIGS / "naphthalene.cfg").read_text().replace(
+            "resonance = e\n", f"resonance = e\nscaled = {text}\n"))
+        assert load_config(cfg).scaled is scaled
+
+    def test_scaled_flag_that_is_not_a_boolean_refused(self, tmp_path):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text((CONFIGS / "naphthalene.cfg").read_text().replace(
+            "resonance = e\n", "resonance = e\nscaled = maybe\n"))
+        with pytest.raises(ValidationError, match="expected a boolean, got 'maybe'"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("head", ["", "[run]\n", "[run]\nmodes = acp\n"])
+    def test_missing_run_mode_refused(self, tmp_path, head):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(head + "[spectrum]\nresonance = e\n")
+        with pytest.raises(ValidationError, match=r"config must declare \[run\] mode"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("drop, message", [
+        ("thermal", "mode 'propagate' requires a [thermal] section"),
+        ("field", "mode 'propagate' requires a [field] section"),
+        ("propagate", "mode 'propagate' requires t_end"),
+    ])
+    def test_propagate_requirements(self, tmp_path, drop, message):
+        text = (CONFIGS / "two_spin.cfg").read_text()
+        start = text.index(f"[{drop}]")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text[:start] + text[text.index("[", start + 1):])
+        with pytest.raises(ValidationError) as info:
+            load_config(cfg)
+        assert str(info.value) == message
+
+    def test_acp_needs_a_field(self, tmp_path):
+        text = (CONFIGS / "acp_two_spin.cfg").read_text()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text[:text.index("[field]")] + text[text.index("[thermal]"):])
+        with pytest.raises(ValidationError, match=r"mode 'acp' requires a \[field\] section"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("config, section", [("two_spin", "propagate"),
+                                                 ("qubit", "qubit")])
+    def test_time_section_needs_t_end(self, tmp_path, config, section):
+        text = (CONFIGS / f"{config}.cfg").read_text()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace("t_end = ", "t_stop = "))
+        with pytest.raises(ValidationError, match=rf"\[{section}\] requires t_end"):
+            load_config(cfg)
+
+    def test_spectrum_needs_a_resonance(self, tmp_path):
+        text = (CONFIGS / "naphthalene.cfg").read_text()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace("resonance = e", "scaled = no"))
+        with pytest.raises(ValidationError, match=r"requires \[spectrum\] resonance"):
+            load_config(cfg)
+
+
 class TestSpectrumMode:
     def test_naphthalene_run_and_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
@@ -712,6 +772,48 @@ class TestMatrixModes:
         times = [row.split(",")[0] for row in rows]
         assert len(times) == 120 and set(times) <= frames
         assert times[0] == "0" and times[-1] == fmt12(cfg.t_end)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("section", ["qubit", "propagate"])
+    def test_unrepresentable_step_count_is_validation_error(self, tmp_path, monkeypatch,
+                                                            capsys, section):
+        # t_end / dt overflows to inf, which no step count can hold
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "qubit.cfg").read_text()
+        text = text.replace("t_end = 0.284090909090909", "t_end = 1.0e200\ndt = 1.0e-200")
+        if section == "propagate":
+            text = text.replace("mode = qubit", "mode = propagate").replace(
+                "[qubit]", "[propagate]").replace("n_points = 120\ntolerance = 1e-6\n", "")
+        cfg = tmp_path / "over.cfg"
+        cfg.write_text(text)
+        assert load_config(cfg).t_end == 1.0e200
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error" in err and "representable step count" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
+    def test_qubit_tolerance_exceeded_is_accuracy_error(self, tmp_path, monkeypatch, capsys):
+        # the map misses the closed form by about 6e-15, above a zero tolerance
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        cfg = tmp_path / "strict.cfg"
+        cfg.write_text((CONFIGS / "qubit.cfg").read_text().replace("tolerance = 1e-6",
+                                                                   "tolerance = 0"))
+        assert run_cli(["--config", cfg, "--out", tmp_path]) == cli.EXIT_ACCURACY
+        assert "deviation exceeds tolerance" in capsys.readouterr().err
+        assert (tmp_path / "qubit_qubit_report.json").exists()
+
+    def test_output_directory_that_cannot_be_made_is_io_error(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run_cli(["--config", CONFIGS / "naphthalene.cfg", "--out", blocker / "out"])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and "Traceback" not in err
 
 
 class TestModeOverride:

@@ -281,6 +281,24 @@ class TestFieldConfig:
             me.FieldConfig(b_o=1.0, b_1=0.5, dist=dist)
 
 
+class TestBuildModelRefusals:
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_refused(self, beta):
+        field = me.FieldConfig(b_o=1.0, b_1=0.01, dist=ls.lorentzian(1.0, 0.1))
+        with pytest.raises(ValidationError, match="beta must be finite"):
+            build(sc.SpinSystem([0.5], [-1.0]), field, beta)
+
+    def test_driven_delta_line_refused_by_its_rates(self):
+        field = me.FieldConfig(b_o=1.0, b_1=0.01, dist=ls.delta_line(1.0))
+        with pytest.raises(ValidationError, match="use a finite-width kind"):
+            build(sc.SpinSystem([0.5], [-1.0]), field, 0.1)
+
+    def test_undriven_delta_line_accepted(self):
+        field = me.FieldConfig(b_o=1.0, b_1=0.0, dist=ls.delta_line(1.0))
+        model = build(sc.SpinSystem([0.5], [-1.0]), field, 0.1)
+        assert not model.rates_plus.any() and not model.h_ls.any()
+
+
 class TestLinearResponseHamiltonian:
     def test_qubit_form(self, qubit_model, resonant_qubit):
         system, field, beta = resonant_qubit
@@ -1234,6 +1252,57 @@ class TestTimeGrid:
         assert np.array_equal(plain.times, int64.times)
         assert np.array_equal(plain.states, int64.states)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+    def test_nonpositive_step_refused(self, qubit_model, dt):
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            me._time_grid(qubit_model, 0.01, dt, None)
+
+    @pytest.mark.parametrize("t_end", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_end_time_refused(self, qubit_model, t_end):
+        with pytest.raises(ValidationError, match="t_end must be finite and positive"):
+            me._time_grid(qubit_model, t_end, 1e-3, None)
+
+    def test_static_problem_has_no_default_step(self):
+        # spin 0 under an undriven delta line: no gap, no drive phase, no decay
+        system = sc.SpinSystem([0.0], [1.0])
+        model = build(system, me.FieldConfig(b_o=1.0, b_1=0.0, dist=ls.delta_line(0.0)), 1.0)
+        with pytest.raises(ValidationError, match="cannot pick a default step"):
+            me.propagate(model, model.boltzmann, 1.0)
+
+    @pytest.mark.parametrize("t_end, dt", [(1.0e200, 1.0e-200), (2.0 ** 64, 1.0),
+                                           (2.0 ** 63, 1.0)])
+    def test_unrepresentable_step_count_refused(self, qubit_model, t_end, dt):
+        # 1e200 / 1e-200 is inf; 2^63 and 2^64 are finite but no int64
+        with pytest.raises(ValidationError, match="not a representable step count"):
+            me._time_grid(qubit_model, t_end, dt, None)
+
+    @staticmethod
+    def _cap_model():
+        system = sc.SpinSystem([0.5] * 6, [-20.0 - k for k in range(6)])
+        model = build(system, me.FieldConfig(b_o=1.0, b_1=0.05, dist=ls.lorentzian(22.0, 4.0)),
+                      0.05)
+        assert model.dim == me.MAP_DIM_CAP
+        return model
+
+    def test_stored_frames_over_the_budget_refused(self):
+        # D = 64: a frame is 64 KiB, so 4096 frames fill MAX_FRAME_BYTES exactly
+        model = self._cap_model()
+        _, steps = me._time_grid(model, 4095.0, 1.0, 1)
+        assert steps.size * model.dim ** 2 * 16 == me.MAX_FRAME_BYTES
+        with pytest.raises(ValidationError, match="exceed MAX_FRAME_BYTES"):
+            me._time_grid(model, 4096.0, 1.0, 1)
+        with pytest.raises(ValidationError, match="exceed MAX_FRAME_BYTES"):
+            me._time_grid(model, 8191.5, 1.0, 2)      # 4096 strides plus the last step
+
+    @pytest.mark.parametrize("n_steps", [3999, 4000, 10 ** 12, 2 ** 62])
+    def test_default_store_every_fits_the_budget_at_the_map_cap(self, n_steps):
+        # n_steps = 3999 stores the most default frames, 4000; a merely long
+        # run is accepted
+        model = self._cap_model()
+        _, steps = me._time_grid(model, float(n_steps), 1.0, None)
+        assert steps.dtype == np.int64 and steps[-1] == n_steps
+        assert steps.size <= 4000
+
 
 class TestKrausAudit:
     @pytest.mark.parametrize("n_nodes", [0, -2, 2.5])
@@ -1455,6 +1524,44 @@ class TestWitness:
     def test_non_finite_psi_rejected(self, qubit_model, bad):
         with pytest.raises(ValidationError, match="psi must be finite"):
             me.noncp_witness(qubit_model, np.array([1.0, bad]), 0.1, unsafe=True)
+
+    def test_zero_psi_refused(self, qubit_model):
+        with pytest.raises(ValidationError, match="psi must be nonzero"):
+            me.noncp_witness(qubit_model, np.zeros(2), 0.1, unsafe=True)
+
+    def test_null_vector_of_the_drive_integral_inapplicable(self):
+        # a spin-1 K(t) is a rotated J_x, with one zero eigenvalue
+        system = sc.SpinSystem([1.0], [-10.0])
+        model = build(system, me.FieldConfig(b_o=1.0, b_1=0.05, dist=ls.lorentzian(10.0, 4.0)),
+                      0.01)
+        evals, evecs = np.linalg.eigh(me.drive_integral(model, 0.3))
+        assert abs(evals[1]) < 1e-15 < abs(evals[0])
+        with pytest.raises(WitnessInapplicableError, match=r"K\(t\)\|psi> vanishes"):
+            me.noncp_witness(model, evecs[:, 1], 0.3, unsafe=True)
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    def test_restriction_is_the_span_of_k_psi_and_psi_minus_i_k_psi(self, case):
+        # an independent route: Gram-Schmidt of K psi and psi - i K psi
+        model = operator_sum_model(case)
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            psi = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
+            t = float(rng.uniform(0.05, 2.0))
+            res = me.noncp_witness(model, psi, t, unsafe=True)
+            psi = psi / np.linalg.norm(psi)
+            k_op = me.drive_integral(model, t)
+            rho0 = np.outer(psi, psi.conj())
+            rho_t = rho0 - 1j * (k_op @ rho0 - rho0 @ k_op)
+            v0 = k_op @ psi
+            v1 = psi - 1j * v0
+            u0, u1 = v0 / np.linalg.norm(v0), v1 / np.linalg.norm(v1)
+            w = u1 - np.vdot(u0, u1) * u0
+            basis = np.stack([u0, w / np.linalg.norm(w)], axis=1)
+            want = np.linalg.det(basis.conj().T @ rho_t @ basis).real
+            assert res.det_value == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert res.beta_abs == pytest.approx(np.linalg.norm(w), rel=1e-14)
+            assert res.x == np.linalg.norm(v0)
+            assert res.det_value == pytest.approx(res.predicted, rel=1e-9)
 
     def test_drive_integral_vanishes_at_zero_time(self, qubit_model):
         assert not np.any(me.drive_integral(qubit_model, 0.0))

@@ -323,6 +323,23 @@ class TestStructureFactor:
         with pytest.raises(ValidationError, match="omega_prime must be finite"):
             qb.structure_factor(params, which, bad)
 
+    @pytest.mark.parametrize("which", ["-+", "+-"])
+    def test_smooth_part_needs_a_rate(self, which):
+        # an undriven spin (omega_1 = 0) has Gamma = 0
+        p = qb.QubitParams(omega_o=4.0, omega_1=0.0, beta=0.1, dist=ls.lorentzian(4.0, 1.0))
+        assert p.rate == 0.0
+        with pytest.raises(ValidationError, match="the smooth part needs a finite rate"):
+            qb.structure_factor(p, which, 4.0)
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_labels_mirror_each_other(self, kind):
+        # S_+-(w') is S_-+ mirrored: location -w0, smooth part negated at -w'
+        p = qb.QubitParams(omega_o=4.0, omega_1=0.3, beta=0.7, dist=kind(3.7, 1.3))
+        for wp in (-5.0, -4.0, 0.0, 2.5, 4.0):
+            s_mp, s_pm = qb.structure_factor(p, "-+", wp), qb.structure_factor(p, "+-", -wp)
+            assert (s_pm.delta_weight, s_pm.delta_location, s_pm.smooth) == (
+                s_mp.delta_weight, -s_mp.delta_location, -s_mp.smooth)
+
 
 class TestFdt:
     def test_detailed_balance_weight_ratio(self):

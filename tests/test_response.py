@@ -119,6 +119,35 @@ class TestChiInfinity:
         with pytest.raises(ValidationError):
             rs.chi_infinity(model, sc.xi_operator(model.system, "x"), 1.0, 0)
 
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_every_kernel_refuses_a_sign_outside_plus_minus_one(self, sign):
+        # a kernel is built in one place, ChiKernel, which checks the sign
+        model, w0, x_op = qubit_transient_setup()
+        with pytest.raises(ValidationError, match="sign must be \\+1 or -1"):
+            rs.chi_transient(model, x_op, w0, sign, 0.1)
+        with pytest.raises(ValidationError, match="sign must be \\+1 or -1"):
+            rs.chi_infinity(model, x_op, w0, sign)
+        with pytest.raises(ValidationError, match="sign must be \\+1 or -1"):
+            rs.ChiKernel(omega_o=w0, sign=sign, commutator_avg=1.0)
+
+    def test_transient_kernel_has_no_steady_integral(self):
+        model, w0, x_op = qubit_transient_setup()
+        with pytest.raises(ValidationError, match="kernel is transient"):
+            rs.steady_rho_integral(rs.chi_transient(model, x_op, w0, +1, 0.1),
+                                   ls.lorentzian(w0, 10.0))
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_steady_integral_of_each_sign(self, kind):
+        # g [-s pi rho^>(s w0) - i pi rho_f(s w0)], the two branches by hand
+        dist = kind(1.9e3, 300.0)
+        for w0 in (2.0e3, -2.0e3, 0.0):
+            plus = rs.steady_rho_integral(rs.ChiKernel(w0, +1, 0.3 - 0.2j), dist)
+            minus = rs.steady_rho_integral(rs.ChiKernel(w0, -1, 0.3 - 0.2j), dist)
+            assert plus == (0.3 - 0.2j) * (-math.pi * ls.hilbert(dist, w0)
+                                           - 1j * math.pi * float(ls.density(dist, w0)))
+            assert minus == (0.3 - 0.2j) * (math.pi * ls.hilbert(dist, -w0)
+                                            - 1j * math.pi * float(ls.density(dist, -w0)))
+
 
 class TestChiTransient:
     def test_zero_time_negates_steady_kernel(self):
@@ -186,6 +215,12 @@ class TestChiTransient:
         with pytest.raises(ValidationError):
             rs.transient_rho_integral(rs.chi_transient(model, x_op, w0, +1, 0.1),
                                       ls.delta_line(w0))
+
+    def test_steady_kernel_has_no_transient_integral(self):
+        model, w0, x_op = qubit_transient_setup()
+        with pytest.raises(ValidationError, match="kernel is not transient"):
+            rs.transient_rho_integral(rs.chi_infinity(model, x_op, w0, +1),
+                                      ls.lorentzian(w0, 10.0))
 
 
 class TestSteadyMagnetization:

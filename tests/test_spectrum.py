@@ -748,3 +748,81 @@ class TestMatrixPathOracle:
         poly_int = np.array([poly_by_pos[k] for k in poly_positions], dtype=float)
         poly_int /= poly_int.min()
         assert np.allclose(matrix_int, poly_int, rtol=1e-9)
+
+
+def _two_protons():
+    """e + two equivalent protons (5 G): lines at 0, 5 and 10 G, intensities 1, 2, 1."""
+    return (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"h": 5.0}),
+            sp.EquivalentGroup("h", 0.5, 2, 2.6752e4, {}))
+
+
+class TestRefusals:
+    """Each refusal of the spectrum layer, matched by its message."""
+
+    @pytest.mark.parametrize("omega_o", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_non_finite_larmor_frequency_refused(self, omega_o, absolute):
+        # a NaN reference would put every line at NaN, merged into one
+        with pytest.raises(ValidationError, match="omega_o must be finite"):
+            sp.stick_spectrum(_two_protons(), "e", omega_o, absolute=absolute)
+        with pytest.raises(ValidationError, match="omega_o must be finite"):
+            sp.reference_field(_two_protons(), "e", omega_o)
+
+    @pytest.mark.parametrize("merge_tol", [math.nan, math.inf])
+    def test_non_finite_merge_tolerance_refused(self, merge_tol):
+        # an infinite tolerance would merge every term into one line
+        with pytest.raises(ValidationError, match="merge_tol must be finite and nonnegative"):
+            sp.stick_spectrum(_two_protons(), "e", merge_tol=merge_tol)
+
+    def test_negative_merge_tolerance_refused(self):
+        # a negative tolerance would leave the coincident terms at 2 G unmerged
+        groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"a": 2.0, "b": 2.0}),
+                  sp.EquivalentGroup("a", 0.5, 1, 2.6752e4, {}),
+                  sp.EquivalentGroup("b", 0.5, 1, 2.6752e4, {}))
+        assert sp.stick_spectrum(groups, "e", merge_tol=0.0).delta_b == (0.0, 2.0, 4.0)
+        with pytest.raises(ValidationError, match="merge_tol must be finite and nonnegative"):
+            sp.stick_spectrum(groups, "e", merge_tol=-1.0)
+
+    def test_finite_arguments_keep_the_spectrum(self):
+        spec = sp.stick_spectrum(_two_protons(), "e", 2.0e10, absolute=True, merge_tol=0.0)
+        ref = sp.reference_field(_two_protons(), "e", 2.0e10)
+        assert spec.delta_b == (ref, ref + 5.0, ref + 10.0) and spec.intensity == (1, 2, 1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"count": 0}, "needs at least one spin"),
+        ({"j": 0.3}, "bad spin quantum number"),
+        ({"j": -0.5}, "bad spin quantum number"),
+        ({"abundance": 0.0}, r"abundance must be in \(0, 1\]"),
+        ({"abundance": 1.5}, r"abundance must be in \(0, 1\]"),
+    ])
+    def test_group_constants_refused(self, kwargs, message):
+        args = {"label": "h", "j": 0.5, "count": 2, "gamma": 2.6752e4, "lambdas": {},
+                **kwargs}
+        with pytest.raises(ValidationError, match=message):
+            sp.EquivalentGroup(**args)
+
+    def test_duplicate_group_label_refused(self):
+        groups = _two_protons() + (sp.EquivalentGroup("h", 0.5, 1, 2.6752e4, {}),)
+        with pytest.raises(ValidationError, match="duplicate group label 'h'"):
+            sp.stick_spectrum(groups, "e")
+
+    def test_reference_field_needs_a_gamma(self):
+        groups = (sp.EquivalentGroup("e", 0.5, 1, 0.0, {"h": 5.0}),) + _two_protons()[1:]
+        with pytest.raises(ValidationError, match="reference field needs a nonzero gamma"):
+            sp.reference_field(groups, "e", 1.0e10)
+
+    def test_empty_resonance_list_refused(self):
+        with pytest.raises(ValidationError, match="need at least one resonance group"):
+            sp.stick_spectrum(_two_protons(), [])
+
+    def test_svg_of_an_empty_spectrum_refused(self, tmp_path):
+        empty = sp.StickSpectrum((), (), (), 0.0, ())
+        with pytest.raises(ValidationError, match="empty spectrum"):
+            sp.export_svg(empty, tmp_path / "empty.svg")
+        assert not (tmp_path / "empty.svg").exists()
+
+    @pytest.mark.parametrize("exponents", [(3,), (-1,), (0, 0), ()])
+    def test_coefficient_outside_the_grid_is_zero(self, exponents):
+        poly = sp.generating_polynomial(_two_protons(), "e")
+        assert poly.radices == (3,) and poly.coefficients == (1, 2, 1)
+        assert poly.coefficient(exponents) == 0

@@ -313,3 +313,33 @@ class TestUnits:
         bad = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ValidationError):
             sc.check_density(bad, 1.0)
+
+
+class TestRefusals:
+    """Each refusal of the spin core, matched by its message."""
+
+    def test_empty_spin_list_refused(self):
+        with pytest.raises(ValidationError, match="needs at least one spin"):
+            sc.SpinSystem([], [])
+
+    def test_asymmetric_couplings_refused(self):
+        with pytest.raises(ValidationError, match="couplings must be symmetric"):
+            sc.SpinSystem([0.5, 0.5], [-1.0, -2.0], [[0.0, 1.0], [1.5, 0.0]])
+
+    def test_nonzero_coupling_diagonal_refused(self):
+        with pytest.raises(ValidationError, match="couplings must have zero diagonal"):
+            sc.SpinSystem([0.5, 0.5], [-1.0, -2.0], [[0.3, 1.0], [1.0, 0.0]])
+
+    def test_misaligned_level_data_refused(self):
+        with pytest.raises(ValidationError, match="energies and magnetizations must align"):
+            sc.LevelData(np.zeros(4), np.zeros(3))
+
+    @pytest.mark.parametrize("occupations", [(0,), (0, 1, 0)])
+    def test_compress_length_must_match(self, occupations):
+        with pytest.raises(ValidationError, match="occupation tuple length"):
+            sc.compress(occupations, [0.5, 1.0])
+
+    def test_boltzmann_state_needs_a_diagonal_hamiltonian(self):
+        zo = np.array([[1.0, 1e-3], [1e-3, -1.0]])
+        with pytest.raises(ValidationError, match="requires a diagonal Hamiltonian"):
+            sc.boltzmann_state(zo, 0.5)
