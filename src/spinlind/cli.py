@@ -8,7 +8,6 @@ included, so a run loads only those of its mode: a spectrum run loads no numpy.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from pathlib import Path
@@ -162,6 +161,8 @@ def _verify_checks(cfg: RunConfig):
 
     system = cfg.system
     b_o = cfg.field_b_o
+    # a model build_model refuses is a validation error (exit 1), as in propagate mode
+    model = mastereq.build_model(system, _field(cfg), cfg.beta)
     rng = np.random.default_rng(7)
 
     def bijection():
@@ -191,17 +192,14 @@ def _verify_checks(cfg: RunConfig):
         steps_ok = np.all(mags[ladder.cols] - mags[ladder.rows] == 1)
         return resid <= 1e-12 * max(np.max(np.abs(xi_x)), 1.0) and steps_ok
 
-    # built on first use, so a failed build fails each model check in turn
-    model = functools.cache(lambda: mastereq.build_model(system, _field(cfg), cfg.beta))
-
     def dissipator_traceless():
         a = rng.normal(size=(system.dim, system.dim)) \
             + 1j * rng.normal(size=(system.dim, system.dim))
         rho = a + a.conj().T
-        return abs(np.trace(mastereq.dissipator(model(), rho))) <= 1e-10 * np.max(np.abs(rho))
+        return abs(np.trace(mastereq.dissipator(model, rho))) <= 1e-10 * np.max(np.abs(rho))
 
     def lamb_shift_commutes():
-        h = model().h_ls
+        h = model.h_ls
         scale = max(np.max(np.abs(h)), 1e-300)
         comm = np.max(np.abs(h @ zo - zo @ h))
         return is_hermitian(h, 1e-10) and comm <= 1e-10 * max(scale * np.max(np.abs(zo)), 1.0)

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import lineshape, numutil
 from .artifact import write_csv
-from .eigenops import LadderTable, ladder_table
+from .eigenops import LadderTable, _ladder_table
 from .errors import (
     AccuracyError,
     DomainViolationError,
@@ -55,7 +55,8 @@ from .errors import (
     WitnessInapplicableError,
 )
 from .lineshape import FrequencyDistribution, characteristic, drive_weight, relaxation_time
-from .spincore import SpinSystem, _whole, boltzmann_state, level_data, xi_operator
+from .spincore import (SpinSystem, _level_data, _spin_tables, _whole, boltzmann_state,
+                       xi_operator)
 
 __all__ = [
     "FieldConfig",
@@ -83,6 +84,9 @@ RK4_CHUNK = 64
 AUDIT_CHUNK = 2 ** 20
 # bytes of the (frames, D, D) complex states a time grid may store (256 MiB)
 MAX_FRAME_BYTES = 2 ** 28
+# n_steps D^4, the dense RK4 stage work a time grid may take: about 10^4 times that of the
+# longest shipped or CI propagation (mixed spins 1/2, 1, 3/2, 1/2: 19 steps at D = 48, 1.0e8)
+MAX_STEP_WORK = 10 ** 12
 EIGVEC_COND_CAP = 1e6
 DOMAIN_ATOL = 1e-10
 
@@ -152,23 +156,28 @@ class MasterEquationModel:
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
     """Assemble the zeroth-order model for a system in the given field.
 
-    The ladder table comes from :func:`eigenops.ladder_table`; rates and Lamb
-    weights are evaluated over its block frequencies at once, and
-    h_ls = sum_w lamb_w [xi_w, xi_w^dag] and _anti = sum_w (g_w / 2)
-    {xi_w, xi_w^dag} are sums over pairs of its entries (:func:`_pair_sums`).
+    One pass of :func:`spincore._spin_tables` gives the levels (Sz, through
+    :func:`spincore._level_data`) and the ladder table (S-, through
+    :func:`eigenops._ladder_table`).  The rates and Lamb weights take one
+    density and one Hilbert-transform evaluation each, over the block
+    frequencies w and -w concatenated, and h_ls = sum_w lamb_w [xi_w,
+    xi_w^dag] and _anti = sum_w (g_w / 2) {xi_w, xi_w^dag} are sums over
+    pairs of the table's entries (:func:`_pair_sums`).
     """
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
-    levels = level_data(system, field_cfg.b_o)
-    ladder = ladder_table(system, levels)
+    sz, s_minus, _ = _spin_tables(system)
+    levels = _level_data(system, sz, field_cfg.b_o)
+    ladder = _ladder_table(system, levels, s_minus)
     omegas = ladder.omegas
 
     b1, dist = field_cfg.b_1, field_cfg.dist
     if b1 > 0 and omegas.size:      # a delta line is refused by dissipator_weight
-        gp = lineshape.dissipator_weight(dist, omegas, b1, +1)
-        gm = lineshape.dissipator_weight(dist, omegas, b1, -1)
-        lamb = (lineshape.lamb_weight(dist, omegas, b1, +1)
-                + lineshape.lamb_weight(dist, omegas, b1, -1))
+        both, k = np.concatenate([omegas, -omegas]), omegas.size
+        rates = lineshape.dissipator_weight(dist, both, b1, +1)
+        gp, gm = rates[:k], rates[k:]
+        lamb = lineshape.lamb_weight(dist, both, b1, +1)
+        lamb = lamb[:k] - lamb[k:]          # the weight at -w is minus the +1 weight there
     else:
         gp, gm, lamb = np.zeros((3, len(omegas)))
 
@@ -334,8 +343,9 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
     // 2000 (at least 1).  The stored steps are 0, every multiple of
     ``store_every`` and the last step, so the stored times are ``steps * dt``.
     Refused before anything is allocated: a step count that is not finite or
-    not below 2^63, and stored (D, D) complex states of more than
-    MAX_FRAME_BYTES.  Built from the counts alone: O(frames), not O(steps).
+    not below 2^63, stepping work n_steps D^4 (the dense matrix of each RK4
+    stage) above MAX_STEP_WORK, and stored (D, D) complex states of more
+    than MAX_FRAME_BYTES.  Built from the counts alone: O(frames), not O(steps).
     """
     if dt is None:
         dt = default_dt(model)
@@ -350,6 +360,10 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
     if not ratio < 2.0 ** 63:
         raise ValidationError(f"t_end / dt = {ratio:.3g} steps is not a representable step count")
     n_steps = max(1, int(math.ceil(ratio - 1e-12)))
+    if n_steps * model.dim ** 4 > MAX_STEP_WORK:
+        raise ValidationError(
+            f"{n_steps} steps at dimension {model.dim} exceed the stepping budget n_steps D^4 "
+            f"<= MAX_STEP_WORK = {MAX_STEP_WORK:.0e}; raise dt or shorten t_end")
     if store_every is None:
         store_every = max(1, n_steps // 2000)
     frames = -(-n_steps // store_every) + 1
@@ -383,21 +397,22 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
     states = np.empty((steps.size, d, d), dtype=complex)
     states[0] = rho_init
 
-    n_steps = int(steps[-1])
+    n_steps, stored = int(steps[-1]), steps.tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
     frame = 1
     for first in range(0, n_steps, RK4_CHUNK):
-        ts = np.arange(2 * first, 2 * min(first + RK4_CHUNK, n_steps) + 1) * (0.5 * dt)
+        ts = np.arange(2 * first, 2 * min(first + RK4_CHUNK, n_steps) + 1) * half
         h = linear_response_hamiltonian(model, ts)
         f = (-1j * (h @ rho_init - rho_init @ h)).transpose(0, 2, 1).reshape(-1, d * d)
         if extra is not None:
             f += [numutil.vec(extra(t)) for t in ts.tolist()]
         for step, (f_n, f_h, f_1) in enumerate(zip(f[:-1:2], f[1::2], f[2::2]), first + 1):
             k1 = lmat @ y + f_n
-            k2 = lmat @ (y + 0.5 * dt * k1) + f_h
-            k3 = lmat @ (y + 0.5 * dt * k2) + f_h
+            k2 = lmat @ (y + half * k1) + f_h
+            k3 = lmat @ (y + half * k2) + f_h
             k4 = lmat @ (y + dt * k3) + f_1
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if step == steps[frame]:
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if step == stored[frame]:
                 states[frame] = numutil.unvec(y, d)
                 frame += 1
 
@@ -512,16 +527,29 @@ def _block_eigensystem(diag, out, inn, val) -> BlockEigensystem:
     ``eig`` call; every larger one goes through :func:`_eigensystem` and its
     condition cap, as a real matrix where its imaginary part is zero: a generic
     system's populations are real symmetric, as absorption and emission share a rate.
+    One stable argsort of the labels groups the indices, one of the entries' labels
+    groups the entries, and each block reads its slice of both.
     """
     keep = val != 0
     out, inn, val = out[keep], inn[keep], val[keep]
-    label = numutil._components(out, inn, diag.size)
-    lam, entry_label, blocks = diag.astype(complex), label[out], []
-    for root in np.flatnonzero(np.bincount(label) > 1).tolist():
-        idx = np.flatnonzero(label == root)
-        mine = entry_label == root
+    n = diag.size
+    label = numutil._components(out, inn, n)
+    by_index = np.argsort(label, kind="stable")     # ascending within each component
+    size = np.bincount(label, minlength=n)
+    first = np.cumsum(size) - size
+    local = np.empty_like(by_index)                 # place of each index in its block
+    local[by_index] = np.arange(n) - first[label[by_index]]
+    entry_label = label[out]
+    by_entry = np.argsort(entry_label, kind="stable")
+    rows, cols, val = local[out[by_entry]], local[inn[by_entry]], val[by_entry]
+    count = np.bincount(entry_label, minlength=n)
+    stop = np.cumsum(count)
+    lam, blocks = diag.astype(complex), []
+    big = size > 1
+    for a, m, b, e in zip(*(x[big].tolist() for x in (first, size, stop - count, stop))):
+        idx = by_index[a:a + m]
         sub = np.diag(diag[idx])
-        sub[np.searchsorted(idx, out[mine]), np.searchsorted(idx, inn[mine])] = val[mine]
+        sub[rows[b:e], cols[b:e]] = val[b:e]
         lam[idx], v, v_inv = _eigensystem(sub if sub.imag.any() else sub.real)
         blocks.append((idx, v, v_inv))
     return BlockEigensystem(lam, tuple(blocks))

@@ -165,16 +165,18 @@ def steady_magnetization(model: MasterEquationModel, t: float, *,
 
     Assembles 2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi'']
     from the steady kernels of M_x = -(N/V) xi^x, whose density integrals are
-    Hilbert transforms and density values (:func:`steady_rho_integral`).  The
+    Hilbert transforms and density values (:func:`steady_rho_integral`), one
+    call of each over the block frequencies w0 and -w0 concatenated.  The
     commutator average of block w, g = Tr(xi_w [rho0, M_x]), is (N/V) times
     its population flow (:func:`_flows`), real by construction: rho0 is
     diagonal and M_x[b, a] = -(N/V) conj(xi_w[a, b]).
     """
     t = _map_time(t)
     g, w0, dist = _flows(model, n_over_v), model.ladder.omegas, model.field.dist
+    both, k = np.concatenate([w0, -w0]), w0.size
+    h, rho = hilbert(dist, both), density(dist, both)
     # the two steady branches summed: g [pi (rho^>(-w0) - rho^>(w0)) - i pi (rho_f(+-w0))]
-    branches = g * math.pi * ((hilbert(dist, -w0) - hilbert(dist, w0))
-                              - 1j * (density(dist, w0) + density(dist, -w0)))
+    branches = g * math.pi * ((h[k:] - h[:k]) - 1j * (rho[:k] + rho[k:]))
     chi_p, chi_pp = branches.real, -branches.imag   # rho_f integrals of chi', chi''
     return 2.0 * model.field.b_1 * float(np.sum(np.cos(w0 * t) * chi_p
                                                 + np.sin(w0 * t) * chi_pp))

@@ -270,8 +270,9 @@ def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
 
 
 def _level_data(system: SpinSystem, sz: np.ndarray, b_o: float) -> LevelData:
-    """:func:`level_data` from the Sz table."""
-    energies = -b_o * np.tensordot(np.asarray(system.gammas), sz, axes=(0, 0))
+    """:func:`level_data` from the Sz table of :func:`_spin_tables`, for a caller that
+    holds it; the Zeeman part is one (1, N) @ (N, D) product."""
+    energies = -b_o * np.dot(np.asarray(system.gammas)[None], sz)[0]
     t = system.couplings
     for i in range(system.n_spins):
         for j in range(i):

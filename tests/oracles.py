@@ -15,15 +15,17 @@ dense V^-1), the dissipator and generator with their jump-pair coefficients
 formed inline, the Kronecker-product spin operators, the textbook single-spin
 matrices scattered whole, the flip-flop couplings one pair at a time and with
 inline ladder values, the ladder table built one spin at a time, the
-per-block loops of the model's ladder sums and Pauli table, the scalar
+per-block loops of the model's ladder sums and Pauli table, the model
+arrays and steady magnetization by their two-pass formulas (spin tables
+built twice, the line shape at +w and at -w apart), the scalar
 envelope integral with the map's drive term looped over times and nonzero
 pairs, the dense (K, D, D) ladder stack with the map's drive components
 as batched products over it, the dense ladder decomposition of any
 observable (one Python step per nonzero), and the thermal ladder Y^(n)(i
 beta) from one exponential of the whole block-bidiagonal matrix.  None of
 these is part of the package: each is a reference for a closed form, a
-master-equation rate, a response kernel, the array route of
-:mod:`spinlind.spectrum`, the template CSV writer of
+master-equation rate, a response kernel, the one-pass model build, the
+array route of :mod:`spinlind.spectrum`, the template CSV writer of
 :mod:`spinlind.artifact`, the vectorized stepper of
 :mod:`spinlind.mastereq`, its per-block eigensystems or its superoperator
 audit, the occupation-table operators of :mod:`spinlind.spincore`, the
@@ -775,6 +777,46 @@ def steady_magnetization_oracle(model, t: float, *, n_over_v: float = 1.0) -> fl
         branches = rs.steady_rho_integral(plus, dist) + rs.steady_rho_integral(minus, dist)
         total += math.cos(w0 * t) * branches.real - math.sin(w0 * t) * branches.imag
     return 2.0 * model.field.b_1 * total
+
+
+# -- the two-pass model formulas ----------------------------------------------------
+
+def two_pass_model_arrays(system, field, beta: float):
+    """(levels, ladder, rates_plus, rates_minus, h_ls, _anti) by build_model's former route.
+
+    The spin tables built twice, once for the levels (the Zeeman part by
+    ``np.tensordot``) and once inside :func:`eigenops.ladder_table`, and the
+    line shape evaluated in four calls, at +w and at -w apart.
+    """
+    sz = sc._spin_tables(system)[0]
+    energies = -field.b_o * np.tensordot(np.asarray(system.gammas), sz, axes=(0, 0))
+    t = system.couplings
+    for i in range(system.n_spins):
+        for j in range(i):
+            if t[i, j] != 0.0:
+                energies = energies + t[i, j] * sz[i] * sz[j]
+    levels = sc.LevelData(energies=energies, magnetizations=sz.sum(0))
+    ladder = eo.ladder_table(system, levels)
+    omegas, b1, dist = ladder.omegas, field.b_1, field.dist
+    if b1 > 0 and omegas.size:
+        gp = ls.dissipator_weight(dist, omegas, b1, +1)
+        gm = ls.dissipator_weight(dist, omegas, b1, -1)
+        lamb = ls.lamb_weight(dist, omegas, b1, +1) + ls.lamb_weight(dist, omegas, b1, -1)
+    else:
+        gp, gm, lamb = np.zeros((3, len(omegas)))
+    half_g = 0.5 * (gp + gm)
+    h_ls, anti = me._pair_sums(ladder, (lamb, -lamb), (half_g, half_g))
+    return levels, ladder, gp, gm, h_ls, anti
+
+
+def two_pass_steady_magnetization(model, t: float, *, n_over_v: float = 1.0) -> float:
+    """steady_magnetization by its former formula: four line-shape calls, at +w0 and -w0 apart."""
+    g, w0, dist = rs._flows(model, n_over_v), model.ladder.omegas, model.field.dist
+    branches = g * math.pi * ((ls.hilbert(dist, -w0) - ls.hilbert(dist, w0))
+                              - 1j * (ls.density(dist, w0) + ls.density(dist, -w0)))
+    chi_p, chi_pp = branches.real, -branches.imag
+    return 2.0 * model.field.b_1 * float(np.sum(np.cos(w0 * t) * chi_p
+                                                + np.sin(w0 * t) * chi_pp))
 
 
 def absorbed_power_oracle(model, *, n_over_v: float = 1.0):

@@ -20,7 +20,7 @@ from spinlind import cli, eigenops
 from spinlind import mastereq as me
 from spinlind import spectrum as sp
 from spinlind.config import MODES, load_config
-from spinlind.errors import ValidationError
+from spinlind.errors import AccuracyError, ValidationError
 from spinlind.artifact import fmt12
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -714,6 +714,41 @@ class TestMatrixModes:
         assert run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,
                         "--mode", "verify"]) == cli.EXIT_ACCURACY
         assert "FAIL  ladder decomposition complete with steps +-1" in capsys.readouterr().out
+
+    def test_verify_mode_refuses_a_model_build_model_refuses(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # a driven delta line: a validation error on stderr and exit 1, as in
+        # propagate mode, not FAIL lines and exit 2; no report is written
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "two_spin.cfg").read_text()
+        assert "dist = lorentzian" in text and "width = 200.0" in text
+        bad = tmp_path / "delta.cfg"
+        bad.write_text(text.replace("dist = lorentzian", "dist = delta")
+                       .replace("width = 200.0", "width = 0.0"))
+        out = tmp_path / "out"
+        for mode in ("verify", "propagate"):
+            assert run_cli(["--config", bad, "--out", out, "--mode", mode]) == cli.EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert "validation error: a delta line gives no finite dissipator rates" in captured.err
+            assert "FAIL" not in captured.out and "PASS" not in captured.out
+        assert not list(out.glob("*"))
+
+    def test_verify_mode_fails_a_check_that_raises_an_accuracy_error(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+
+        def inaccurate(*args):
+            raise AccuracyError("stand-in accuracy failure")
+
+        monkeypatch.setattr(me, "dissipator", inaccurate)
+        assert run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,
+                        "--mode", "verify", "--verbose"]) == cli.EXIT_ACCURACY
+        out = capsys.readouterr().out
+        assert "dissipator output traceless: raised stand-in accuracy failure" in out
+        assert "FAIL  dissipator output traceless" in out
+        assert "PASS  Lamb shift Hermitian and conserved" in out
+        report = json.loads((tmp_path / "two_spin_verify.json").read_text())
+        assert report["dissipator output traceless"] is False
 
     def test_qubit_mode_decomposes_the_generator_once(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)

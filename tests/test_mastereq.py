@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinlind import acp
+from spinlind import eigenops as eo
 from spinlind import lineshape as ls
 from spinlind import mastereq as me
 from spinlind import numutil as nu
@@ -26,8 +27,8 @@ from oracles import (a_term, apply_map_oracle, dense_drive_components, dense_lad
                      full_lambda_map, inline_pair_dissipator, inline_pair_liouvillian,
                      kraus_audit_oracle, ladder_sums_oracle, liouvillian_matrix,
                      pauli_rates_oracle, rk4_oracle, sandwich_superop, scattered_generator,
-                     simpson_doubling, transition_rate_oracle, wavefunction_distribution,
-                     wavefunction_oracle)
+                     simpson_doubling, transition_rate_oracle, two_pass_model_arrays,
+                     wavefunction_distribution, wavefunction_oracle)
 from test_spectrum import naphthalene_groups
 
 
@@ -449,6 +450,62 @@ class TestLadderSums:
         # the dense (K, D, D) stack alone would be 122 MB
         assert elapsed < 0.25
         assert peak < 64e6
+
+
+def mixed_spin_system():
+    """Spins 1/2, 1, 3/2, 1/2 (D = 48), whose spin-j ladder elements no spin-1/2 system has."""
+    couplings = [[0.0, 40.0, 25.0, 12.0], [40.0, 0.0, 6.0, 0.0], [25.0, 6.0, 0.0, 3.0],
+                 [12.0, 0.0, 3.0, 0.0]]
+    return sc.SpinSystem([0.5, 1.0, 1.5, 0.5], [-2.0e3, -3.1e2, -1.9e2, -2.6e3], couplings)
+
+
+def one_pass_case(case, kind):
+    """(system, field, beta) of an operator-sum case or the mixed-spin system under ``kind``."""
+    if case == "mixed_spins":
+        return (mixed_spin_system(), me.FieldConfig(b_o=1.0, b_1=1e-3, dist=kind(2.0e3, 200.0)),
+                2.0e-4)
+    base = operator_sum_model(case)
+    return base.system, me.FieldConfig(b_o=1.0, b_1=0.05, dist=kind(22.0, 4.0)), base.beta
+
+
+class TestOnePassModel:
+    """build_model reads the spin tables once and each line shape once, with the bits of the
+    two-pass formulas."""
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["mixed_spins"])
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_arrays_equal_the_two_pass_formulas(self, case, kind):
+        system, field, beta = one_pass_case(case, kind)
+        model = build(system, field, beta)
+        levels, ladder, gp, gm, h_ls, anti = two_pass_model_arrays(system, field, beta)
+        assert same_bits(model.levels.energies, levels.energies)
+        assert same_bits(model.levels.magnetizations, levels.magnetizations)
+        for name in ("rows", "cols", "values", "block", "omegas"):
+            assert same_bits(getattr(model.ladder, name), getattr(ladder, name))
+        assert model.ladder.gap_atol == ladder.gap_atol
+        for got, want in ((model.rates_plus, gp), (model.rates_minus, gm),
+                          (model.h_ls, h_ls), (model._anti, anti)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("case", ["generic3", "mixed_spins"])
+    @pytest.mark.parametrize("b_1", [1e-3, 0.0])
+    def test_one_table_pass_and_one_call_per_line_shape(self, case, b_1, monkeypatch):
+        system, field, beta = one_pass_case(case, ls.gaussian)
+        field = dataclasses.replace(field, b_1=b_1)
+        calls = []
+
+        def spy(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        # every namespace that binds the spin tables, so no route escapes the count
+        tables = sc._spin_tables
+        for module in (sc, eo, me):
+            monkeypatch.setattr(module, "_spin_tables", spy("_spin_tables", tables))
+        for name in ("density", "hilbert"):
+            monkeypatch.setattr(ls, name, spy(name, getattr(ls, name)))
+        build(system, field, beta)
+        want = ["_spin_tables"] + (["density", "hilbert"] if b_1 else [])
+        assert calls == want
 
 
 class TestLambShift:
@@ -1296,12 +1353,50 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("n_steps", [3999, 4000, 10 ** 12, 2 ** 62])
     def test_default_store_every_fits_the_budget_at_the_map_cap(self, n_steps):
-        # n_steps = 3999 stores the most default frames, 4000; a merely long
-        # run is accepted
+        # n_steps = 3999 stores the most default frames, 4000, and so does the
+        # longest grid the stepping budget admits at D = 64; a longer one, whose
+        # default frames would fit too, is refused by that budget
         model = self._cap_model()
+        longest = me.MAX_STEP_WORK // model.dim ** 4
+        if n_steps > longest:
+            with pytest.raises(ValidationError, match="MAX_STEP_WORK"):
+                me._time_grid(model, float(n_steps), 1.0, None)
+            n_steps = longest
         _, steps = me._time_grid(model, float(n_steps), 1.0, None)
         assert steps.dtype == np.int64 and steps[-1] == n_steps
         assert steps.size <= 4000
+
+    @pytest.mark.parametrize("n_spins", [1, 6])
+    def test_stepping_work_over_the_budget_refused(self, n_spins):
+        # n_steps D^4 up to MAX_STEP_WORK is accepted, one step more is refused, and
+        # so is the grid of 10^18 steps the default store_every would have admitted
+        system = sc.SpinSystem([0.5] * n_spins, [-20.0 - k for k in range(n_spins)])
+        model = build(system, me.FieldConfig(b_o=1.0, b_1=0.05,
+                                             dist=ls.lorentzian(22.0, 4.0)), 0.05)
+        longest = me.MAX_STEP_WORK // model.dim ** 4
+        _, steps = me._time_grid(model, float(longest), 1.0, None)
+        assert steps[-1] == longest and steps[-1] * model.dim ** 4 <= me.MAX_STEP_WORK
+        for t_end, dt in ((float(longest + 1), 1.0), (1.0, 1e-18)):
+            with pytest.raises(ValidationError, match="MAX_STEP_WORK"):
+                me._time_grid(model, t_end, dt, None)
+
+    def test_long_grid_refused_before_a_step(self, qubit_model, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+        monkeypatch.setattr(me, "_generator_entries", no_step)
+        monkeypatch.setattr(me, "linear_response_hamiltonian", no_step)
+        with pytest.raises(ValidationError, match="MAX_STEP_WORK"):
+            me.propagate(qubit_model, qubit_model.boltzmann, 1.0, 1e-18)
+
+    def test_step_budget_far_above_the_longest_shipped_run(self):
+        # the mixed-spin CI propagation, 19 steps at D = 48, is the longest run
+        # the shipped and CI configs step; the budget leaves a factor of 100 and more
+        system = mixed_spin_system()
+        model = build(system, me.FieldConfig(b_o=1.0, b_1=1e-3,
+                                             dist=ls.lorentzian(2.0e3, 200.0)), 2.0e-4)
+        _, steps = me._time_grid(model, 5.0e-4, None, None)
+        assert steps[-1] == 19
+        assert 100 * steps[-1] * model.dim ** 4 <= me.MAX_STEP_WORK
 
 
 class TestKrausAudit:

@@ -12,9 +12,9 @@ from spinlind.errors import ValidationError
 from conftest import random_system
 from oracles import (absorbed_power_oracle, decompose, dense_ladder,
                      kramers_kronig_residual, steady_magnetization_oracle,
-                     transition_rate_oracle)
-from test_mastereq import (OPERATOR_SUM_CASES, operator_sum_model, radical_model,
-                           random_hermitian)
+                     transition_rate_oracle, two_pass_steady_magnetization)
+from test_mastereq import (OPERATOR_SUM_CASES, one_pass_case, operator_sum_model,
+                           radical_model, random_hermitian)
 
 
 def response_model(system, b_o, beta):
@@ -268,6 +268,24 @@ class TestSteadyMagnetization:
         model, w0 = self._model(4e-4)
         with pytest.raises(ValidationError, match="n_over_v must be finite"):
             rs.steady_magnetization(model, 0.3 / w0, n_over_v=bad)
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["mixed_spins"])
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_equals_the_two_pass_formula(self, case, kind):
+        model = me.build_model(*one_pass_case(case, kind))
+        tau = 1.0 / float(np.max(np.abs(model.ladder.omegas)))
+        for t in (0.0, 0.3 * tau, 7.1 * tau):
+            got = rs.steady_magnetization(model, t, n_over_v=2.5)
+            assert got.hex() == two_pass_steady_magnetization(model, t, n_over_v=2.5).hex()
+
+    def test_one_call_per_line_shape(self, monkeypatch):
+        model = me.build_model(*one_pass_case("mixed_spins", ls.gaussian))
+        calls = []
+        for name in ("density", "hilbert"):
+            real = getattr(rs, name)
+            monkeypatch.setattr(rs, name, lambda *a, _n=name, _r=real: calls.append(_n) or _r(*a))
+        rs.steady_magnetization(model, 1e-4)
+        assert sorted(calls) == ["density", "hilbert"]
 
 
 class TestNearDegenerateBlocks:
