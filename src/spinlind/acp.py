@@ -8,12 +8,12 @@ Hessenberg determinants), the initial-state corrections of each order, and the
 order-n equation of motion with a caller-supplied inhomogeneity, integrated
 by the shared RK4 stepper of :mod:`spinlind.mastereq`.
 
-Y^(n)(i beta) is evaluated along the imaginary axis, where it reduces to
-``(-1)^n`` times the ordered simplex integral of products of
+Y^(n)(i beta) is ``(-1)^n`` times the ordered simplex integral of products of
 ``X(iu) = exp(u Z0) X exp(-u Z0)`` over ``beta >= u_1 >= ... >= u_n >= 0``;
 summing ``exp(-beta Z0) Y^(n)`` over n reproduces the full Gibbs operator.
-All orders up to n come exactly, with no quadrature, from one block-bidiagonal
-matrix exponential (Van Loan) per total-M sector, which X conserves.
+Its one representation is the blocks exp(-beta (Z0 - c)) Y^(n) of each total-M
+sector, which X conserves (:func:`_sector_ladder`): all orders exact from one
+block-bidiagonal matrix exponential (Van Loan); no dense Y^(n) is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from . import numutil
 from .errors import AccuracyError, ValidationError
-from .spincore import SpinSystem, _flip_flop_sectors, _whole, boltzmann_state, build_x, level_data
+from .spincore import (SpinSystem, _flip_flop_sectors, _populations, _whole, boltzmann_state,
+                       level_data)
 
 if TYPE_CHECKING:
     from .mastereq import MasterEquationModel, Trajectory
@@ -33,9 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "AcpMoments",
     "ZetaCoefficients",
-    "x_interaction",
-    "y_nested",
-    "y_moment",
     "moments_up_to",
     "zeta_recursive",
     "zeta_determinant",
@@ -75,27 +73,8 @@ class ZetaCoefficients:
             raise ValidationError("zeta_0 must be 1")
         object.__setattr__(self, "zetas", zetas)
 
-    @property
-    def order(self) -> int:
-        return len(self.zetas) - 1
 
-
-def x_interaction(system: SpinSystem, b_o: float, s: complex) -> np.ndarray:
-    """X(s) = exp(-i s Z0) X exp(i s Z0), exact via diagonal phases.
-
-    Real ``s`` gives oscillating phases; imaginary ``s = i u`` gives the
-    real conjugation exp(u Z0) X exp(-u Z0).  ``s`` must be finite.
-    """
-    s = complex(s)
-    if not np.isfinite(s):
-        raise ValidationError(f"s must be finite, got {s}")
-    _check_ladder(b_o)
-    x, eps = build_x(system), level_data(system, b_o).energies
-    gaps = eps[:, None] - eps[None, :]
-    return x * np.exp(-1j * s * gaps)
-
-
-def _check_ladder(b_o: float, order: int = 0, beta: float = 0.0) -> None:
+def _check_ladder(b_o: float, order: int, beta: float) -> None:
     """Refuse a non-finite field or beta, or an order above MAX_ORDER."""
     if order > MAX_ORDER:
         raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
@@ -133,32 +112,10 @@ def _thermal_blocks(system: SpinSystem, b_o: float, order: int, beta: float):
     sum_a p_a Y^(n)_aa, the blocks' traces weighted by p at their shift."""
     _check_ladder(b_o, order, beta)
     eps, sectors = _flip_flop_sectors(system, b_o)
-    p = np.exp(np.min(beta * eps) - beta * eps)
-    p, ladder = p / p.sum(), _sector_ladder(eps, sectors, order, beta)
+    p, ladder = _populations(eps, beta), _sector_ladder(eps, sectors, order, beta)
     traces = sum((p[idx].max() * np.trace(blocks, axis1=1, axis2=2) for idx, blocks in ladder),
                  np.zeros(order + 1))
     return p, ladder, AcpMoments(traces[1:])
-
-
-def y_nested(system: SpinSystem, b_o: float, n: int, beta: float) -> np.ndarray:
-    """Matrix of Y^(n)(i beta), exact to rounding; beyond the float range a ValidationError."""
-    if _whole(n, "order") < 0:
-        raise ValidationError("order must be nonnegative")
-    _check_ladder(b_o, n, beta)
-    eps, sectors = _flip_flop_sectors(system, b_o)
-    y = np.eye(eps.size, dtype=complex) if n == 0 else np.zeros((eps.size, eps.size), complex)
-    with np.errstate(over="ignore", invalid="ignore"):      # exp(beta (Z0 - c)) blocks[n]
-        for idx, blocks in _sector_ladder(eps, sectors, n, beta) if n else ():
-            z = beta * eps[idx]
-            y[np.ix_(idx, idx)] = np.exp(z - z.min())[:, None] * blocks[n]
-    if not np.all(np.isfinite(y)):
-        raise ValidationError(f"Y^({n})(i beta) exceeds the float range at beta = {beta}")
-    return y
-
-
-def y_moment(system: SpinSystem, b_o: float, n: int, beta: float) -> complex:
-    """<Y^(n)(i beta)>_0, the thermal average against the order-0 state."""
-    return moments_up_to(system, b_o, n, beta).values[-1]
 
 
 def moments_up_to(system: SpinSystem, b_o: float, order: int,

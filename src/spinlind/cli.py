@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+        print(f"validation error in config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     out_dir = os.environ.get("SPINLIND_OUT") or args.out

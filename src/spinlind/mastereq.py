@@ -23,16 +23,17 @@ Hamiltonian; propagation enforces this unless explicitly overridden.
 Since the drive term acts on rho(0) only, it is a known function of t, and
 the equation is affine in the column-stacked state: y' = L y + f(t).  L is
 one table of entries (:func:`_generator_entries`), which the RK4 stepper
-scatters into a matrix once per run; it tabulates f from H_LR(t) on its
-half-step grid.  ``Lambda(t)`` and the Kraus audit read one eigensystem of
-L, built once per model on first use and kept with it, one secular block at
-a time: the connected components of the nonzero entries, each assembled
-from its own entries; for a generic system the D populations plus D^2 - D
-scalar coherences.  V and V^-1 stay block diagonal, and the audit's node
-sums run over the nonzeros of V^-1 only.  Both routes are capped at
-dimension MAP_DIM_CAP.  Every route reads xi^x from the ladder entries
-alone: L, the dissipator (at any dimension) and h_ls from pairs of entries
-of a block, H_LR(t) and the map's drive components from one scatter each.
+scatters into a matrix once per run; f(t) = Re[phi_f(t)] sum_j e^{-i w_j t} c_j
+has one set of components (:func:`_drive_components`), which the stepper
+tabulates and ``Lambda(t)`` integrates exactly.  ``Lambda(t)`` and the Kraus
+audit read one eigensystem of L, built once per model on first use and kept
+with it, one secular block at a time: the connected components of the nonzero
+entries, each assembled from its own entries; for a generic system the D
+populations plus D^2 - D scalar coherences.  V and V^-1 stay block diagonal,
+and the audit's node sums run over the nonzeros of V^-1 only.  Both routes are
+capped at dimension MAP_DIM_CAP.  Every route reads xi^x from the ladder
+entries alone: L, the dissipator (at any dimension) and h_ls from pairs of
+entries of a block, H_LR(t) and the drive components from one scatter each.
 """
 
 from __future__ import annotations
@@ -149,8 +150,12 @@ class MasterEquationModel:
     @cached_property
     def _generator_eig(self) -> BlockEigensystem:
         """Block eigensystem of L, built by the first :func:`lambda_map` or :func:`kraus_audit`
-        and kept with the model; an AccuracyError is not kept, so every read raises it."""
-        return _block_eigensystem(*_generator_entries(self))
+        and kept with the model; an AccuracyError is not kept, so every read raises it.
+        L generates a contraction semigroup: a rounding-positive Re lam (1e-18 on a zero
+        mode, unbounded in e^{lam t} at long times) is set to 0."""
+        eig = _block_eigensystem(*_generator_entries(self))
+        eig.lam.real[eig.lam.real > 0] = 0.0
+        return eig
 
 
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
@@ -383,9 +388,10 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
 
     The one time stepper: :func:`propagate` runs it bare, ``acp.propagate_order_n``
     with its order-n inhomogeneity as ``extra``.  L is scattered once from its entries
-    (refused for D > MAP_DIM_CAP), and f(t) = vec(-i [H_LR(t), rho0]) [+ vec extra(t)]
-    is tabulated RK4_CHUNK steps at a time on the half-step grid t_k = k dt / 2; step
-    i reads rows 2i to 2i + 2.  Steps and stored frames follow :func:`_time_grid`.
+    (refused for D > MAP_DIM_CAP), and f(t) = Re[phi_f(t)] sum_j e^{-i w_j t} c_j, from
+    the rows c_j of :func:`_drive_components` [+ vec extra(t)], is tabulated RK4_CHUNK
+    steps at a time on the half-step grid t_k = k dt / 2; step i reads rows 2i to 2i + 2.
+    Steps and stored frames follow :func:`_time_grid`.
     """
     dt, steps = _time_grid(model, t_end, dt, store_every)
     diag, out, inn, val = _generator_entries(model)
@@ -396,14 +402,15 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
     y = numutil.vec(rho_init).copy()
     states = np.empty((steps.size, d, d), dtype=complex)
     states[0] = rho_init
+    comps, freqs = _drive_components(model, rho_init)
 
     n_steps, stored = int(steps[-1]), steps.tolist()
     half, sixth = 0.5 * dt, dt / 6.0
     frame = 1
     for first in range(0, n_steps, RK4_CHUNK):
         ts = np.arange(2 * first, 2 * min(first + RK4_CHUNK, n_steps) + 1) * half
-        h = linear_response_hamiltonian(model, ts)
-        f = (-1j * (h @ rho_init - rho_init @ h)).transpose(0, 2, 1).reshape(-1, d * d)
+        env = np.real(characteristic(model.field.dist, ts))
+        f = (env[:, None] * np.exp(-1j * np.outer(ts, freqs))) @ comps
         if extra is not None:
             f += [numutil.vec(extra(t)) for t in ts.tolist()]
         for step, (f_n, f_h, f_1) in enumerate(zip(f[:-1:2], f[1::2], f[2::2]), first + 1):

@@ -100,8 +100,8 @@ class EquivalentGroup:
                     f"group {self.label!r} {key} must be finite, got {value}")
         if self.count < 1:
             raise ValidationError(f"group {self.label!r} needs at least one spin")
-        twice = round(2 * self.j)
-        if self.j < 0 or abs(2 * self.j - twice) > 1e-12:
+        twice = 2.0 * float(self.j)     # inf past j = 9e307, where round() would raise
+        if not (0 <= twice < math.inf) or abs(twice - round(twice)) > 1e-12:
             raise ValidationError(f"group {self.label!r} has a bad spin quantum number")
         if not 0.0 < self.abundance <= 1.0:
             raise ValidationError(f"group {self.label!r} abundance must be in (0, 1]")
@@ -252,13 +252,12 @@ def subspace_dimension(groups: Sequence[EquivalentGroup], label: str) -> int:
     return res.states * math.prod(g.states for g in _neighbors(groups, res))
 
 
-def _scale_ratio(groups: Sequence[EquivalentGroup], label: str,
-                 include_abundance: bool = True) -> tuple:
-    """(gamma^2 N binom(2j+2, 3) [abundance], D) as exact ints, gamma and abundance
+def _scale_ratio(groups: Sequence[EquivalentGroup], label: str) -> tuple:
+    """(gamma^2 N binom(2j+2, 3) abundance, D) as exact ints, gamma and abundance
     through their integer ratios, so that no float meets the subspace dimension D."""
     res = _group_map(groups)[label]
     g_num, g_den = res.gamma.as_integer_ratio()
-    a_num, a_den = res.abundance.as_integer_ratio() if include_abundance else (1, 1)
+    a_num, a_den = res.abundance.as_integer_ratio()
     num = g_num * g_num * res.count * tetrahedral_number(res.j) * a_num
     return num, g_den * g_den * a_den * subspace_dimension(groups, label)
 
@@ -272,15 +271,14 @@ def _quotient(num: int, den: int, label: str) -> float:
             f"a scaled intensity of resonance group {label!r} exceeds the float range") from None
 
 
-def intensity_scale(groups: Sequence[EquivalentGroup], label: str, *,
-                    include_abundance: bool = True) -> float:
-    """Absolute intensity scale (gamma^2 N / D) * binom(2j+2, 3) [* abundance].
+def intensity_scale(groups: Sequence[EquivalentGroup], label: str) -> float:
+    """Absolute intensity scale (gamma^2 N / D) * binom(2j+2, 3) * abundance.
 
     One exact int/int quotient, correctly rounded: the subspace dimension D
     may be far beyond the float range (a group of 1100 spin-1/2 has 2^1100
     states), and the scale still comes out finite, if subnormal or 0.
     """
-    return _quotient(*_scale_ratio(groups, label, include_abundance), label)
+    return _quotient(*_scale_ratio(groups, label), label)
 
 
 def reference_field(groups: Sequence[EquivalentGroup], label: str,

@@ -67,9 +67,10 @@ def beta_from_kelvin(temperature: float) -> float:
 
 
 def _validate_spin(j: float) -> float:
-    if not (0 <= j < math.inf) or abs(2 * j - round(2 * j)) > 1e-12:
+    twice = 2.0 * float(j)      # a Python float: inf past 1.8e308, not an overflow warning
+    if not (0 <= twice < math.inf) or abs(twice - round(twice)) > 1e-12:
         raise ValidationError(f"spin quantum number must be a nonnegative half-integer, got {j}")
-    return round(2 * j) / 2.0
+    return round(twice) / 2.0
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,6 @@ class LevelData:
                            np.asarray(self.magnetizations, dtype=float))
         if self.energies.shape != self.magnetizations.shape:
             raise ValidationError("energies and magnetizations must align")
-
-    @property
-    def dim(self) -> int:
-        return self.energies.size
 
 
 def _whole(value, name: str) -> int:
@@ -305,22 +302,21 @@ def _flip_flop_sectors(system: SpinSystem, b_o: float) -> tuple:
     return levels.energies, sectors
 
 
-def boltzmann_state(zo: np.ndarray, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta Z0)/Tr for a diagonal Z0."""
+def _populations(energies: np.ndarray, beta: float) -> np.ndarray:
+    """Boltzmann populations exp(min(beta eps) - beta eps) / sum: no exponent is positive."""
+    z = beta * energies
+    p = np.exp(z.min() - z)
+    return p / p.sum()
+
+
+def boltzmann_state(energies: np.ndarray, beta: float) -> np.ndarray:
+    """Thermal state exp(-beta Z0)/Tr from the energies of Z0 (:func:`level_data`)."""
     if not np.isfinite(beta):
         raise ValidationError(f"beta must be finite, got {beta}")
-    zo = np.asarray(zo)
-    if zo.ndim == 2:
-        off = zo - np.diag(np.diag(zo))
-        if np.max(np.abs(off), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(zo))):
-            raise ValidationError("boltzmann_state requires a diagonal Hamiltonian")
-        diag = np.real(np.diag(zo))
-    else:
-        diag = np.real(zo)
-    # subtract the minimum before exponentiating to avoid overflow
-    w = np.exp(-beta * (diag - diag.min() if beta >= 0 else diag - diag.max()))
-    w /= w.sum()
-    return np.diag(w.astype(complex))
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1:
+        raise ValidationError(f"boltzmann_state takes the 1-D energies of Z0, not {energies.shape}")
+    return np.diag(_populations(energies, beta).astype(complex))
 
 
 def is_hermitian(a: np.ndarray, rtol: float = 1e-12) -> bool:

@@ -203,6 +203,14 @@ def a_term(model, t: float, rho0: np.ndarray) -> np.ndarray:
     return -1j * (h @ rho0 - rho0 @ h)
 
 
+def commutator_drive_table(model, rho0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(nt, D^2) rows vec(-i [H_LR(t), rho0]) from one ``linear_response_hamiltonian`` call
+    over ``ts``: the half-step table the RK4 stepper built before it read the drive
+    components, two (D, D) products per time."""
+    h = me.linear_response_hamiltonian(model, ts)
+    return (-1j * (h @ rho0 - rho0 @ h)).transpose(0, 2, 1).reshape(len(ts), -1)
+
+
 def _l_term(model, rho: np.ndarray) -> np.ndarray:
     h = model.h_ls
     return -1j * (h @ rho - rho @ h) + me.dissipator(model, rho)

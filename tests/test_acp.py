@@ -61,35 +61,6 @@ def simplex_oracle(x_mat, eps, beta, n, m):
     return (beta ** n) * top
 
 
-class TestInteractionPicture:
-    def test_zero_argument_is_identity_rotation(self):
-        system = two_spin_system()
-        assert np.allclose(acp.x_interaction(system, 1.0, 0.0), sc.build_x(system))
-
-    def test_degenerate_elements_are_argument_independent(self):
-        # equal gammas: the flip-flop elements connect degenerate levels
-        system = two_spin_system(gammas=(-2.0e2, -2.0e2))
-        x0 = sc.build_x(system)
-        for s in (0.3, 1.0j, 0.2 - 0.4j):
-            xs = acp.x_interaction(system, 1.0, s)
-            mask = np.abs(x0) > 0
-            assert np.allclose(xs[mask], x0[mask])
-
-    @pytest.mark.parametrize("s", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
-    def test_non_finite_argument_refused(self, s):
-        with pytest.raises(ValidationError, match="s must be finite"):
-            acp.x_interaction(two_spin_system(), 1.0, s)
-
-    def test_matches_dense_matrix_exponential(self):
-        system = two_spin_system()
-        zo = sc.build_zo(system, 1.0)
-        x0 = sc.build_x(system)
-        for s in (0.7, 0.25j, 0.1 + 0.05j):
-            oracle = scipy.linalg.expm(-1j * s * zo) @ x0 @ scipy.linalg.expm(1j * s * zo)
-            got = acp.x_interaction(system, 1.0, s)
-            assert np.max(np.abs(got - oracle)) <= 1e-10 * np.max(np.abs(oracle))
-
-
 def _chain(n_spins):
     couplings = np.diag([0.9, -0.7, 0.8, 0.6][:n_spins - 1], 1)
     return sc.SpinSystem([0.5] * n_spins, -np.linspace(2.0, 3.0, n_spins),
@@ -137,17 +108,23 @@ def sector_ys(eps, sectors, order, beta):
     return ys
 
 
+def system_ys(system, b_o, order, beta):
+    """[Y^(0), ..., Y^(order)] of a system, scattered from its sector ladder."""
+    eps, sectors = sc._flip_flop_sectors(system, b_o)
+    return sector_ys(eps, sectors, order, beta)
+
+
 def assert_matches_whole_ladder(system, b_o, beta, order, nodes=16):
-    """y_nested, the moments and the corrections of every order against the
-    whole-matrix ladder and the simplex quadrature, at 1e-12 of their scale."""
+    """The sector ladder, the moments and the corrections of every order against
+    the whole-matrix ladder and the simplex quadrature, at 1e-12 of their scale."""
     eps = sc.level_data(system, b_o).energies
     x0 = sc.build_x(system)
     whole = whole_matrix_ladder(eps, x0, order, beta)
     p = np.diagonal(sc.boltzmann_state(eps, beta)).real
     moments = acp.moments_up_to(system, b_o, order, beta).values
-    assert np.array_equal(acp.y_nested(system, b_o, 0, beta), np.eye(system.dim))
+    ys = system_ys(system, b_o, order, beta)
     for n in range(1, order + 1):
-        y = acp.y_nested(system, b_o, n, beta)
+        y = ys[n]
         oracle = (-1.0) ** n * simplex_oracle(x0, eps, beta, n, nodes)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(y - whole[n])) <= 1e-12 * scale
@@ -184,13 +161,12 @@ def closed_form_second_moment(system, b_o, beta):
 class TestNestedIntegrals:
     def test_uncoupled_system_has_zero_moments(self):
         system = sc.SpinSystem([0.5, 0.5], [-1.0, -2.0])
-        for n in (1, 2, 3):
-            assert acp.y_moment(system, 1.0, n, 0.5) == 0.0
+        assert acp.moments_up_to(system, 1.0, 3, 0.5).values == (0.0,) * 3
 
     def test_first_order_matches_elementwise_closed_form(self):
         system = two_spin_system()
         b_o, beta = 1.0, 3e-3
-        y1 = acp.y_nested(system, b_o, 1, beta)
+        y1 = system_ys(system, b_o, 1, beta)[1]
         eps = np.real(np.diag(sc.build_zo(system, b_o)))
         x0 = sc.build_x(system)
         oracle = np.zeros_like(x0)
@@ -206,7 +182,7 @@ class TestNestedIntegrals:
 
     def test_flip_flop_first_moment_vanishes(self):
         system = two_spin_system()
-        assert abs(acp.y_moment(system, 1.0, 1, 2e-3)) < 1e-12
+        assert abs(acp.moments_up_to(system, 1.0, 1, 2e-3).values[0]) < 1e-12
 
     def test_moment_homogeneity_in_coupling(self):
         base = two_spin_system(t12=2.0)
@@ -228,14 +204,13 @@ class TestNestedIntegrals:
 
     def test_imaginary_argument_moments_real(self):
         system = two_spin_system()
-        for n in (1, 2):
-            m = acp.y_moment(system, 1.0, n, 4e-3)
+        for m in acp.moments_up_to(system, 1.0, 2, 4e-3).values:
             assert abs(m.imag) <= 1e-10 * max(abs(m), 1e-300)
 
     def test_order_cap(self):
         system = two_spin_system()
-        with pytest.raises(ValidationError):
-            acp.y_nested(system, 1.0, 5, 1e-3)
+        with pytest.raises(ValidationError, match="capped at order 4"):
+            acp.initial_correction(system, 1.0, 5, 1e-3)
 
     def test_ladder_matches_simplex_oracle(self):
         # three strongly coupled spins at beta * (eps_max - eps_min) = 45, where
@@ -281,7 +256,7 @@ class TestNestedIntegrals:
         assert acp._sector_ladder(np.array([0.0, 1.0, 3.0]), sectors, 4, 2.0) == []
         system = sc.SpinSystem([0.5, 0.5], [-1.0, -2.0])
         assert acp.moments_up_to(system, 1.0, 4, 2.0).values == (0.0,) * 4
-        assert not acp.y_nested(system, 1.0, 4, 2.0).any()
+        assert not acp.initial_correction(system, 1.0, 4, 2.0).any()
 
     @pytest.mark.parametrize("beta", [1e4, 2e4, 5e4])
     def test_moments_stay_finite_at_large_beta_spread(self, beta):
@@ -297,14 +272,6 @@ class TestNestedIntegrals:
         assert abs(moments[1] - want) <= 1e-10 * abs(want)
         assert np.all(np.isfinite(correction))
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_y_beyond_the_float_range_refused(self, n):
-        system, b_o = overflow_pair()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValidationError, match=rf"Y\^\({n}\).*float range"):
-                acp.y_nested(system, b_o, n, 1e4)
-
     def test_moments_need_order_at_least_one(self):
         system = two_spin_system()
         for order in (0, -1):
@@ -316,10 +283,7 @@ class TestNestedIntegrals:
     @pytest.mark.parametrize("b_o", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_rejected(self, b_o):
         system = two_spin_system()
-        calls = (lambda: acp.x_interaction(system, b_o, 0.5j),
-                 lambda: acp.y_nested(system, b_o, 2, 1e-3),
-                 lambda: acp.y_moment(system, b_o, 1, 1e-3),
-                 lambda: acp.moments_up_to(system, b_o, 2, 1e-3),
+        calls = (lambda: acp.moments_up_to(system, b_o, 2, 1e-3),
                  lambda: acp.initial_correction(system, b_o, 0, 1e-3),
                  lambda: acp.initial_correction(system, b_o, 2, 1e-3))
         for call in calls:
@@ -345,7 +309,7 @@ class TestTableStructure:
                 raise AssertionError(f"{name} called")
             return call
 
-        for module, name in ((sc, "build_x"), (acp, "build_x"), (sc, "_couplings"),
+        for module, name in ((sc, "build_x"), (sc, "_couplings"),
                              (nu, "_components"), (sc, "boltzmann_state"),
                              (acp, "boltzmann_state")):
             monkeypatch.setattr(module, name, refuse(name))
@@ -414,6 +378,14 @@ class TestInitialCorrections:
         rho = acp.initial_correction(system, b_o, 0, beta)
         eps = np.real(np.diag(sc.build_zo(system, b_o)))
         assert np.allclose(rho, sc.boltzmann_state(eps, beta))
+
+    @pytest.mark.parametrize("beta", [-2e-3, 2e-3])
+    def test_ladder_populations_are_the_boltzmann_state(self, beta):
+        # one Boltzmann formula: the ladder's weights are boltzmann_state's diagonal
+        system, b_o = _chain(3), 1.0
+        eps = sc.level_data(system, b_o).energies
+        p = acp._thermal_blocks(system, b_o, 2, beta)[0]
+        assert np.array_equal(p, np.diagonal(sc.boltzmann_state(eps, beta)).real)
 
     def test_higher_orders_traceless_hermitian(self):
         system = two_spin_system()
@@ -559,8 +531,6 @@ def _order_routes():
     model = me.build_model(system, field, 2e-3)
     zero = np.zeros((4, 4), dtype=complex)
     return {
-        "y_nested": lambda n: acp.y_nested(system, 1.0, n, 1e-3),
-        "y_moment": lambda n: acp.y_moment(system, 1.0, n, 1e-3),
         "moments_up_to": lambda n: acp.moments_up_to(system, 1.0, n, 1e-3).values,
         "initial_correction": lambda n: acp.initial_correction(system, 1.0, n, 2e-3),
         "zeta_determinant": lambda n: acp.zeta_determinant(acp.AcpMoments([0.3, 0.1]), n),
@@ -691,7 +661,7 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="zeta_0 must be 1"):
             acp.ZetaCoefficients(zetas)
 
-    @pytest.mark.parametrize("route", ["y_nested", "initial_correction"])
+    @pytest.mark.parametrize("route", ["initial_correction"])
     def test_negative_order_refused(self, route):
         with pytest.raises(ValidationError, match="order must be nonnegative"):
             _order_routes()[route](-1)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinlind
@@ -130,6 +130,11 @@ class TestConfigParsing:
 
     @settings(max_examples=300, deadline=None)
     @given(_config_texts())
+    # a finite spin quantum number whose 2j overflows: once an OverflowError in round()
+    @example("[run]\nmode = propagate\n[system]\nspins = 8.98846567431158e+307\n"
+             "gammas = 0\n[spectrum]\nresonance = e\n")
+    @example("[run]\nmode = spectrum\n[group:h]\nj = 9e307\ncount = 1\ngamma = 0\n"
+             "[spectrum]\nresonance = e\n")
     def test_numbers_load_finite_or_raise_validation_error(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "property.cfg"
         path.write_text(text, encoding="utf-8")
@@ -194,6 +199,25 @@ class TestConfigParsing:
         assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "[system] couplings" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[run]\nmode = propagate\n[system]\nspins = 8.98846567431158e+307\ngammas = 0\n"
+        "[spectrum]\nresonance = e\n",
+        "[run]\nmode = spectrum\n[group:h]\nj = 9e307\ncount = 1\ngamma = 0\n"
+        "[spectrum]\nresonance = h\n",
+    ], ids=["system", "group"])
+    def test_overflowing_spin_quantum_number_rejected(self, tmp_path, monkeypatch, capsys,
+                                                      text):
+        # 2j of a finite j overflows to inf; round() once raised OverflowError on it
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["--config", bad, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error in config" in err and "spin quantum number" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_parse_error_reports_line(self, tmp_path):

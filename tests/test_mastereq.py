@@ -2,6 +2,8 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from spinlind import lineshape as ls
 from spinlind import mastereq as me
 from spinlind import numutil as nu
 from spinlind import spincore as sc
+from spinlind.config import load_config
 from spinlind.eigenops import LadderTable
 from spinlind.errors import (
     AccuracyError,
@@ -22,8 +25,8 @@ from spinlind.errors import (
 from spinlind.qubit import SIGMA
 
 from conftest import random_system
-from oracles import (a_term, apply_map_oracle, dense_drive_components, dense_ladder,
-                     entries_of, full_apply_map, full_eigensystem, full_kraus_audit,
+from oracles import (a_term, apply_map_oracle, commutator_drive_table, dense_drive_components,
+                     dense_ladder, entries_of, full_apply_map, full_eigensystem, full_kraus_audit,
                      full_lambda_map, inline_pair_dissipator, inline_pair_liouvillian,
                      kraus_audit_oracle, ladder_sums_oracle, liouvillian_matrix,
                      pauli_rates_oracle, rk4_oracle, sandwich_superop, scattered_generator,
@@ -707,8 +710,8 @@ class TestPropagate:
 
         def no_step(*args):
             raise AssertionError("a step was taken")
-        # the first work of a step is the chunk's H_LR table
-        monkeypatch.setattr(me, "linear_response_hamiltonian", no_step)
+        # the first drive work of a run is its drive components
+        monkeypatch.setattr(me, "_drive_components", no_step)
         with pytest.raises(ValidationError, match="MAP_DIM_CAP = 64"):
             me.propagate(model, model.boltzmann, 0.1)
 
@@ -790,6 +793,85 @@ class TestStepperOracle:
         assert len(calls) == 2 * n_steps + 1 + 3
 
 
+class _RecordedProduct(np.ndarray):
+    """Drive components that keep each table ``phases @ components`` they produce."""
+
+    def __rmatmul__(self, other):
+        out = np.asarray(other) @ np.asarray(self)
+        self.tables.append(out)
+        return out
+
+
+class TestDriveTable:
+    """The stepper's half-step drive table, read off the drive components, against the
+    commutator table vec(-i [H_LR(t), rho0]) it replaced."""
+
+    @staticmethod
+    def _record_tables(monkeypatch):
+        # each chunk takes one characteristic call over its times, then one product
+        times, tables = [], []
+        components, characteristic = me._drive_components, me.characteristic
+
+        def recorded_components(model, rho0):
+            comps, freqs = components(model, rho0)
+            comps = comps.view(_RecordedProduct)
+            comps.tables = tables
+            return comps, freqs
+
+        monkeypatch.setattr(me, "_drive_components", recorded_components)
+        monkeypatch.setattr(me, "characteristic",
+                            lambda dist, ts: times.append(ts.copy()) or characteristic(dist, ts))
+        monkeypatch.setattr(me, "RK4_CHUNK", 3)     # 7 steps: chunks of 3, 3 and 1
+        return times, tables
+
+    @staticmethod
+    def _assert_rows(times, tables, want, n_steps=7):
+        assert [t.size for t in times] == [7, 7, 3]
+        assert len(tables) == len(times)
+        for ts, got in zip(times, tables):
+            rows = want(ts)
+            assert got.shape == rows.shape
+            assert nu.max_abs(got - rows) <= 1e-14 * nu.max_abs(rows)
+
+    @pytest.mark.parametrize("case", ["generic2", "generic3", "generic4", "mixed_spins"])
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_rows_match_the_commutator_table(self, case, kind, monkeypatch):
+        model = build(*one_pass_case(case, kind))
+        assert model.dim == {"generic2": 4, "generic3": 8, "generic4": 16, "mixed_spins": 48}[case]
+        rho0 = np.array(model.boltzmann)
+        times, tables = self._record_tables(monkeypatch)
+        me.propagate(model, rho0, 7 * me.default_dt(model))
+        self._assert_rows(times, tables, lambda ts: commutator_drive_table(model, rho0, ts))
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_order_n_rows_add_the_inhomogeneity(self, kind, monkeypatch):
+        model = build(*one_pass_case("generic3", kind))
+        rho1 = acp.initial_correction(model.system, model.field.b_o, 1, model.beta)
+        g0 = np.diag([1.0, -0.5, 0.25, -0.75, 0.5, 0.0, -0.25, -0.25]) + 0j
+        g0[0, 3], g0[3, 0] = 0.3j, -0.3j
+
+        def inhomogeneity(t):
+            return math.cos(17.0 * t) * 1e-3 * g0
+
+        times, tables = self._record_tables(monkeypatch)
+        acp.propagate_order_n(model, 1, inhomogeneity, 7 * me.default_dt(model))
+        self._assert_rows(times, tables, lambda ts: commutator_drive_table(model, rho1, ts)
+                          + [nu.vec(inhomogeneity(t)) for t in ts.tolist()])
+
+    def test_only_the_kraus_audit_builds_h_lr(self, qubit_model, monkeypatch):
+        calls = []
+        h_lr = me.linear_response_hamiltonian
+        monkeypatch.setattr(me, "linear_response_hamiltonian",
+                            lambda *args: calls.append(args) or h_lr(*args))
+        rho0, t_end = qubit_model.boltzmann, 20 * me.default_dt(qubit_model)
+        me.propagate(qubit_model, rho0, t_end)
+        zero = np.zeros((2, 2))
+        acp.propagate_order_n(qubit_model, 1, lambda t: zero, t_end, rho_n0=zero)
+        assert calls == []
+        me.kraus_audit(qubit_model, t_end, rho0, n_nodes=4)
+        assert calls
+
+
 class TestLambdaMap:
     def test_identity_at_zero_time(self, qubit_model):
         out = me.lambda_map(qubit_model, 0.0, qubit_model.boltzmann)
@@ -815,6 +897,20 @@ class TestLambdaMap:
         prop = nu.expm(liouvillian_matrix(qubit_model) * t)
         choi = nu.choi_matrix(prop, qubit_model.dim)
         assert np.linalg.eigvalsh(nu.hermitize(choi)).min() >= -1e-10
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_trace_holds_at_long_times(self, kind):
+        # rounding once left the zero mode of two_spin.cfg's L at Re lam = +2.1e-18
+        # (Lorentzian): the trace read 1 + 2.1e-6 at t = 1e12, 1.3e90 at 1e20, NaN at 1e100
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "two_spin.cfg")
+        field = me.FieldConfig(b_o=cfg.field_b_o, b_1=cfg.field_b_1,
+                               dist=kind(cfg.dist.center, cfg.dist.width))
+        model = build(cfg.system, field, cfg.beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            states = me.lambda_map(model, np.array([1e12, 1e20, 1e100]), model.boltzmann)
+        assert np.all(np.isfinite(states))
+        assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
 
     def test_matches_rk4_propagation(self, qubit_model):
         rate = qubit_rate(qubit_model)
@@ -1153,6 +1249,7 @@ class TestGeneratorEntries:
         entries = entries_of(lmat)
         del lmat
         want = me._block_eigensystem(*entries)
+        want.lam.real[want.lam.real > 0] = 0.0      # the model's clamp of rounding growth
         got = model._generator_eig
         assert same_bits(got.lam, want.lam)
         assert len(got.blocks) == len(want.blocks)
@@ -1384,7 +1481,7 @@ class TestTimeGrid:
         def no_step(*args):
             raise AssertionError("a step was taken")
         monkeypatch.setattr(me, "_generator_entries", no_step)
-        monkeypatch.setattr(me, "linear_response_hamiltonian", no_step)
+        monkeypatch.setattr(me, "_drive_components", no_step)
         with pytest.raises(ValidationError, match="MAX_STEP_WORK"):
             me.propagate(qubit_model, qubit_model.boltzmann, 1.0, 1e-18)
 

@@ -465,8 +465,8 @@ class TestIntensityScale:
         )
         assert sp.subspace_dimension(groups, "e") == 2 * 9
         with_ab = sp.intensity_scale(groups, "e")
-        without = sp.intensity_scale(groups, "e", include_abundance=False)
-        assert with_ab == pytest.approx(0.5 * without)
+        full = (dataclasses.replace(groups[0], abundance=1.0),) + groups[1:]
+        assert with_ab == pytest.approx(0.5 * sp.intensity_scale(full, "e"))
 
     def test_dimension_beyond_float_range(self):
         # D = 2^1101 is no float; gamma^2 / D = 2^80 / 2^1101 is, exactly
@@ -794,6 +794,9 @@ class TestRefusals:
         ({"j": -0.5}, "bad spin quantum number"),
         ({"abundance": 0.0}, r"abundance must be in \(0, 1\]"),
         ({"abundance": 1.5}, r"abundance must be in \(0, 1\]"),
+        # 2j overflows to inf, which round() cannot take
+        ({"j": 9e307}, "bad spin quantum number"),
+        ({"j": np.float64(9e307)}, "bad spin quantum number"),
     ])
     def test_group_constants_refused(self, kwargs, message):
         args = {"label": "h", "j": 0.5, "count": 2, "gamma": 2.6752e4, "lambdas": {},

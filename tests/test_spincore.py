@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,15 +248,14 @@ class TestStaticHamiltonians:
 class TestBoltzmann:
     def test_infinite_temperature_is_maximally_mixed(self):
         system = sc.SpinSystem([0.5, 1.0], [1.0, 2.0])
-        zo = sc.build_zo(system, 1.0)
-        rho = sc.boltzmann_state(zo, 0.0)
+        rho = sc.boltzmann_state(sc.level_data(system, 1.0).energies, 0.0)
         assert np.allclose(rho, np.eye(6) / 6.0)
 
     def test_qubit_polarization_is_tanh(self):
         gamma, b_o, beta = -2.0, 1.5, 0.3
         system = sc.SpinSystem([0.5], [gamma])
         w0 = -gamma * b_o
-        rho = sc.boltzmann_state(sc.build_zo(system, b_o), beta)
+        rho = sc.boltzmann_state(sc.level_data(system, b_o).energies, beta)
         sigma3 = np.diag([1.0, -1.0])
         assert np.isclose(np.trace(rho @ sigma3).real, -np.tanh(beta * w0 / 2.0))
 
@@ -268,11 +268,32 @@ class TestBoltzmann:
         order = np.argsort(energies)
         assert np.all(np.diff(pops[order]) <= 1e-15)
 
+    # beta times the level spread; one formula serves both signs of beta
+    @pytest.mark.parametrize("spread", [-5.0, -1e-2, 1e-2, 5.0])
+    def test_populations_match_the_dense_exponential(self, spread):
+        system = sc.SpinSystem([0.5, 1.0, 0.5], [-2.0, 3.0, -1.2], np.diag([0.7, -0.4], 1)
+                               + np.diag([0.7, -0.4], -1))
+        b_o = 1.3
+        energies = sc.level_data(system, b_o).energies
+        beta = spread / np.ptp(energies)
+        oracle = scipy.linalg.expm(-beta * sc.build_zo(system, b_o))
+        oracle /= np.trace(oracle)
+        rho = sc.boltzmann_state(energies, beta)
+        assert np.max(np.abs(rho - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_extreme_beta_fills_one_level(self, sign):
+        # beta times the spread 1e6: exp(-beta eps) alone would overflow either way
+        energies = np.array([-1.0, 0.25, 1.0, 0.5])
+        rho = sc.boltzmann_state(energies, sign * 5e5)
+        want = np.zeros(4)
+        want[0 if sign > 0 else 2] = 1.0
+        assert np.array_equal(np.diagonal(rho).real, want)
+
     def test_nonfinite_beta_rejected(self):
         system = sc.SpinSystem([0.5], [1.0])
-        zo = sc.build_zo(system, 1.0)
-        with pytest.raises(ValidationError):
-            sc.boltzmann_state(zo, np.inf)
+        with pytest.raises(ValidationError, match="beta must be finite"):
+            sc.boltzmann_state(sc.level_data(system, 1.0).energies, np.inf)
 
     def test_level_data_consistent_with_operators(self, rng):
         system = random_system(rng)
@@ -300,7 +321,9 @@ class TestUnits:
         with pytest.raises(ValidationError, match="temperature must be positive"):
             sc.beta_from_kelvin(kelvin)
 
-    @pytest.mark.parametrize("j", [math.nan, math.inf, -0.5])
+    # finite j whose 2j overflows to inf, which round() cannot take
+    @pytest.mark.parametrize("j", [math.nan, math.inf, -0.5, 8.98846567431158e+307,
+                                   np.float64(9e307)])
     def test_non_finite_or_negative_spin_rejected(self, j):
         with pytest.raises(ValidationError, match="spin quantum number"):
             sc.SpinSystem([j], [1.0])
@@ -339,7 +362,8 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="occupation tuple length"):
             sc.compress(occupations, [0.5, 1.0])
 
-    def test_boltzmann_state_needs_a_diagonal_hamiltonian(self):
-        zo = np.array([[1.0, 1e-3], [1e-3, -1.0]])
-        with pytest.raises(ValidationError, match="requires a diagonal Hamiltonian"):
+    def test_boltzmann_state_takes_energies_only(self):
+        # the dense diagonal Z0 was once accepted; its energies are the one input form
+        zo = np.diag(sc.level_data(sc.SpinSystem([0.5], [1.0]), 1.0).energies)
+        with pytest.raises(ValidationError, match="1-D energies"):
             sc.boltzmann_state(zo, 0.5)
