@@ -108,8 +108,8 @@ def _sector_ladder(eps: np.ndarray, sectors: list, order: int, beta: float) -> l
 
 
 def _thermal_blocks(system: SpinSystem, b_o: float, order: int, beta: float):
-    """Boltzmann populations p, :func:`_sector_ladder` and the moments <Y^(n)>_0 =
-    sum_a p_a Y^(n)_aa, the blocks' traces weighted by p at their shift."""
+    """Boltzmann populations p, :func:`_sector_ladder` on the sectors ``system`` keeps, and the
+    moments <Y^(n)>_0 = sum_a p_a Y^(n)_aa, the blocks' traces weighted by p at their shift."""
     _check_ladder(b_o, order, beta)
     eps, sectors = _flip_flop_sectors(system, b_o)
     p, ladder = _populations(eps, beta), _sector_ladder(eps, sectors, order, beta)

@@ -58,14 +58,9 @@ def ladder_table(system: SpinSystem, levels: LevelData) -> LadderTable:
     a new bin when it exceeds the bin's first gap (its anchor) by more than
     the tolerance, and takes the anchor as its frequency, signed after
     binning so that mirrored labels negate exactly; a bin whose anchor lies
-    within the tolerance of zero has frequency 0.  Builds the spin tables;
-    :func:`_ladder_table` takes the S- table from a caller that holds it.
+    within the tolerance of zero has frequency 0.  S- is the system's kept table.
     """
-    return _ladder_table(system, levels, _spin_tables(system)[1])
-
-
-def _ladder_table(system: SpinSystem, levels: LevelData, s_minus: np.ndarray) -> LadderTable:
-    """:func:`ladder_table` from the (N, D) S- table of :func:`spincore._spin_tables`."""
+    s_minus = _spin_tables(system)[1]
     eps = levels.energies
     tol = GAP_TOL * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
     site, cols = np.nonzero(s_minus)

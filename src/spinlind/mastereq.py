@@ -48,7 +48,7 @@ import numpy as np
 
 from . import lineshape, numutil
 from .artifact import write_csv
-from .eigenops import LadderTable, _ladder_table
+from .eigenops import LadderTable, ladder_table
 from .errors import (
     AccuracyError,
     DomainViolationError,
@@ -56,8 +56,7 @@ from .errors import (
     WitnessInapplicableError,
 )
 from .lineshape import FrequencyDistribution, characteristic, drive_weight, relaxation_time
-from .spincore import (SpinSystem, _level_data, _spin_tables, _whole, boltzmann_state,
-                       xi_operator)
+from .spincore import SpinSystem, _whole, boltzmann_state, level_data, xi_operator
 
 __all__ = [
     "FieldConfig",
@@ -83,7 +82,7 @@ RK4_CHUNK = 64
 # complex elements per (nnz, D, n) node-sum temporary of kraus_audit (16 MB), nnz the
 # entries of V^-1 inside its blocks; at least one node per batch
 AUDIT_CHUNK = 2 ** 20
-# bytes of the (frames, D, D) complex states a time grid may store (256 MiB)
+# bytes of a time grid's (frames, D, D) complex states, or of kraus_audit's nodes (256 MiB)
 MAX_FRAME_BYTES = 2 ** 28
 # n_steps D^4, the dense RK4 stage work a time grid may take: about 10^4 times that of the
 # longest shipped or CI propagation (mixed spins 1/2, 1, 3/2, 1/2: 19 steps at D = 48, 1.0e8)
@@ -161,9 +160,8 @@ class MasterEquationModel:
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
     """Assemble the zeroth-order model for a system in the given field.
 
-    One pass of :func:`spincore._spin_tables` gives the levels (Sz, through
-    :func:`spincore._level_data`) and the ladder table (S-, through
-    :func:`eigenops._ladder_table`).  The rates and Lamb weights take one
+    The levels and the ladder table read the spin tables that ``system`` keeps
+    (:func:`spincore._spin_tables`).  The rates and Lamb weights take one
     density and one Hilbert-transform evaluation each, over the block
     frequencies w and -w concatenated, and h_ls = sum_w lamb_w [xi_w,
     xi_w^dag] and _anti = sum_w (g_w / 2) {xi_w, xi_w^dag} are sums over
@@ -171,9 +169,8 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     """
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
-    sz, s_minus, _ = _spin_tables(system)
-    levels = _level_data(system, sz, field_cfg.b_o)
-    ladder = _ladder_table(system, levels, s_minus)
+    levels = level_data(system, field_cfg.b_o)
+    ladder = ladder_table(system, levels)
     omegas = ladder.omegas
 
     b1, dist = field_cfg.b_1, field_cfg.dist
@@ -657,12 +654,16 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     :func:`lambda_map` evaluated from the same eigensystem; the completeness
     residual max|(Phi1 - Phi2)^dag (I) - I|, i.e. of sum K^dag K over the two
     Kraus sets; and the minimum Choi eigenvalue of each Phi (Choi, Linear
-    Algebra Appl. 10 (1975) 285), nonnegative for a CP map.  ``t`` must be
-    one finite nonnegative time and ``n_nodes`` a positive whole number.
+    Algebra Appl. 10 (1975) 285), nonnegative for a CP map.  ``t`` must be one
+    finite nonnegative time and ``n_nodes`` a positive whole number whose nodes,
+    16 B each, fit in MAX_FRAME_BYTES: a refusal comes before any allocation.
     """
     t = _map_time(t)
     if _whole(n_nodes, "n_nodes") < 1:
         raise ValidationError(f"n_nodes must be positive, got {n_nodes}")
+    n_nodes = int(n_nodes) + int(n_nodes) % 2        # Simpson's rule takes an even count
+    if (n_nodes + 1) * 16 > MAX_FRAME_BYTES:
+        raise ValidationError(f"{n_nodes + 1} Simpson nodes exceed MAX_FRAME_BYTES; lower n_nodes")
     _check_domain(model, rho0, unsafe)
     d = model.dim
     eig = model._generator_eig
@@ -672,8 +673,6 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     rho_init = np.array(rho0, dtype=complex)
     eye = np.eye(d)
 
-    if n_nodes % 2:
-        n_nodes += 1
     ts = np.linspace(0.0, t, n_nodes + 1)
     weights = np.ones(n_nodes + 1)
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
@@ -701,9 +700,9 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     completeness = numutil.unvec(diff.conj().T @ numutil.vec(eye), d)
     trace_residual = abs(complex(np.trace(reconstructed)) - complex(np.trace(rho_init)))
 
-    choi = np.stack([numutil.choi_matrix(phi, d) for phi in (phi1_mat, phi2_mat)])
-    phi1_choi_min, phi2_choi_min = np.linalg.eigvalsh(
-        0.5 * (choi + choi.conj().transpose(0, 2, 1))).min(axis=1).tolist()
+    phi1_choi_min, phi2_choi_min = (    # one (D^2, D^2) Choi matrix alive at a time
+        float(np.linalg.eigvalsh(numutil.hermitize(numutil.choi_matrix(phi, d))).min())
+        for phi in (phi1_mat, phi2_mat))
 
     return KrausAudit(
         trace_residual=trace_residual,

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 Operators come from index arithmetic on the occupation table n_i(k) =
 (k // W_i) mod d_i, not Kronecker products: one function tabulates Sz_i = m =
 j_i - n_i(k) and the S-_i and S+_i elements sqrt(j (j + 1) - m (m -+ 1)) that
-take column k to rows k + W_i and k - W_i, and every operator here reads it.
+take column k to rows k + W_i and k - W_i; each SpinSystem keeps its tables.
 
 The static Hamiltonian splits into a part diagonal in this basis,
 ``Z0 = B_o xi^z + sum_{i>j} T_ij Sz_i Sz_j``, and the flip-flop remainder
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -133,6 +134,16 @@ class SpinSystem:
     def n_spins(self) -> int:
         return len(self.spins)
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """(Sz, S-, S+) of :func:`_tabulate`, built on first use and kept read-only."""
+        return _read_only(_tabulate(self))
+
+    @cached_property
+    def _sectors(self) -> tuple:
+        """The sectors of :func:`_tabulate_sectors`, built on first use and kept read-only."""
+        return tuple(map(_read_only, _tabulate_sectors(self)))
+
 
 @dataclass(frozen=True)
 class LevelData:
@@ -185,7 +196,14 @@ def decompress(index: int, spins: Sequence[float]) -> tuple:
     return tuple(out)
 
 
-def _spin_tables(system: SpinSystem):
+def _read_only(arrays) -> tuple:
+    """``arrays`` as a tuple, each made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return tuple(arrays)
+
+
+def _tabulate(system: SpinSystem) -> tuple:
     """(N, D) tables of Sz_i, S-_i and S+_i on column k of the occupation table.
 
     At m = j_i - n_i(k), S-_i takes column k to row k + W_i with
@@ -196,6 +214,11 @@ def _spin_tables(system: SpinSystem):
     j = np.array(system.spins)[:, None]
     m = j - k // np.array(system.weights)[:, None] % np.array(system.dims)[:, None]
     return m, np.sqrt(j * (j + 1) - m * (m - 1)), np.sqrt(j * (j + 1) - m * (m + 1))
+
+
+def _spin_tables(system: SpinSystem) -> tuple:
+    """The tables of :func:`_tabulate` that ``system`` keeps: one pass per system."""
+    return system._tables
 
 
 def xi_operator(system: SpinSystem, axis: str) -> np.ndarray:
@@ -227,25 +250,14 @@ def build_zo(system: SpinSystem, b_o: float) -> np.ndarray:
     return np.diag(level_data(system, b_o).energies.astype(complex))
 
 
-def _flip_flops(system: SpinSystem, tables) -> tuple:
-    """(rows, cols, values) of 1/2 T_ij S+_i S-_j over the coupled pairs i > j, in one pass
-    over the ladder ``tables``: column k goes to row k - W_i + W_j; X adds the transposes."""
-    first, second = np.nonzero(np.tril(system.couplings, -1))    # pairs i > j, in loop order
-    weights = np.array(system.weights)
-    flip = tables[2][first] * tables[1][second]                   # S+_i S-_j at each (pair, k)
-    pair, cols = np.nonzero(flip)
-    rows = cols - (weights[first] - weights[second])[pair]
-    return rows, cols, 0.5 * system.couplings[first, second][pair] * flip[pair, cols]
-
-
 def _couplings(system: SpinSystem, zz: bool) -> np.ndarray:
-    """sum_{i>j} T_ij [(S+_i S-_j + S-_i S+_j) / 2 + (Sz_i Sz_j if ``zz``)]."""
-    d, tables = system.dim, _spin_tables(system)
-    rows, cols, values = _flip_flops(system, tables)
+    """sum_{i>j} T_ij [(S+_i S-_j + S-_i S+_j) / 2 + (Sz_i Sz_j if ``zz``)], X from the sectors."""
+    d = system.dim
     out = np.zeros((d, d), dtype=complex)
-    out[rows, cols] = out[cols, rows] = values
+    for idx, rows, cols, values in system._sectors:
+        out[idx[rows], idx[cols]] = out[idx[cols], idx[rows]] = values
     if zz:      # the pairs' Sz_i Sz_j added in pair order
-        (first, second), sz = np.nonzero(np.tril(system.couplings, -1)), tables[0]
+        (first, second), sz = np.nonzero(np.tril(system.couplings, -1)), _spin_tables(system)[0]
         out[np.arange(d), np.arange(d)] = np.add.reduce(
             system.couplings[first, second][:, None] * (sz[first] * sz[second]))
     return out
@@ -266,9 +278,9 @@ def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
     return spin_spin_hamiltonian(system) + b_o * xi_operator(system, "z")
 
 
-def _level_data(system: SpinSystem, sz: np.ndarray, b_o: float) -> LevelData:
-    """:func:`level_data` from the Sz table of :func:`_spin_tables`, for a caller that
-    holds it; the Zeeman part is one (1, N) @ (N, D) product."""
+def level_data(system: SpinSystem, b_o: float) -> LevelData:
+    """Energies (the diagonal of Z0) and magnetizations of the basis states, from the kept Sz."""
+    sz = _spin_tables(system)[0]
     energies = -b_o * np.dot(np.asarray(system.gammas)[None], sz)[0]
     t = system.couplings
     for i in range(system.n_spins):
@@ -278,28 +290,32 @@ def _level_data(system: SpinSystem, sz: np.ndarray, b_o: float) -> LevelData:
     return LevelData(energies=energies, magnetizations=sz.sum(0))
 
 
-def level_data(system: SpinSystem, b_o: float) -> LevelData:
-    """Energies (the diagonal of Z0) and magnetizations of the basis states."""
-    return _level_data(system, _spin_tables(system)[0], b_o)
-
-
-def _flip_flop_sectors(system: SpinSystem, b_o: float) -> tuple:
-    """Z0's energies and the total-M sectors (idx, rows, cols, values), from one table pass:
-    ``idx`` cuts a stable argsort of M where M changes, and the entries of
-    :func:`_flip_flops` (X conserves M) sit at local (rows, cols)."""
-    tables = _spin_tables(system)
-    levels = _level_data(system, tables[0], b_o)
-    m = levels.magnetizations
+def _tabulate_sectors(system: SpinSystem) -> list:
+    """X's entries by total-M sector (idx, rows, cols, values), one pass over the pairs i > j:
+    1/2 T_ij S+_i S-_j takes column k to row k - W_i + W_j (X adds the transposes) at local
+    (rows, cols) of its sector, X conserving M; ``idx`` cuts a stable argsort of M."""
+    sz, s_minus, s_plus = _spin_tables(system)
+    first, second = np.nonzero(np.tril(system.couplings, -1))    # pairs i > j, in loop order
+    weights = np.array(system.weights)
+    flip = s_plus[first] * s_minus[second]                        # S+_i S-_j at each (pair, k)
+    pair, cols = np.nonzero(flip)
+    rows = cols - (weights[first] - weights[second])[pair]
+    values = 0.5 * system.couplings[first, second][pair] * flip[pair, cols]
+    m = sz.sum(0)
     order = np.argsort(m, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(m[order])) + 1).tolist(), system.dim]
-    rows, cols, values = _flip_flops(system, tables)
     local, sectors = np.empty(system.dim, dtype=int), []
     for a, b in zip(cuts, cuts[1:]):
         idx = order[a:b]
         local[idx] = np.arange(b - a)
         at = m[cols] == m[idx[0]]
         sectors.append((idx, local[rows[at]], local[cols[at]], values[at]))
-    return levels.energies, sectors
+    return sectors
+
+
+def _flip_flop_sectors(system: SpinSystem, b_o: float) -> tuple:
+    """Z0's energies (per call) and the sectors that ``system`` keeps: one pass per system."""
+    return level_data(system, b_o).energies, system._sectors
 
 
 def _populations(energies: np.ndarray, beta: float) -> np.ndarray:

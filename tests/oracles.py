@@ -361,6 +361,43 @@ def kraus_audit_oracle(model, t: float, rho0: np.ndarray, *,
     )
 
 
+def stacked_choi_minima(phi1_mat: np.ndarray, phi2_mat: np.ndarray, dim: int) -> tuple:
+    """The least Choi eigenvalue of each Phi, both Choi matrices stacked as one
+    (2, D^2, D^2) array, Hermitized together and given to one ``eigvalsh``."""
+    choi = np.stack([numutil.choi_matrix(phi, dim) for phi in (phi1_mat, phi2_mat)])
+    hermitian = 0.5 * (choi + choi.conj().transpose(0, 2, 1))
+    return tuple(np.linalg.eigvalsh(hermitian).min(axis=1).tolist())
+
+
+def per_call_sectors(system, b_o: float) -> tuple:
+    """``spincore._flip_flop_sectors`` rebuilt on every call from fresh spin tables:
+    Z0's energies and each total-M sector's (idx, rows, cols, values), nothing kept."""
+    tables = sc._tabulate(system)
+    sz = tables[0]
+    energies = -b_o * np.dot(np.asarray(system.gammas)[None], sz)[0]
+    t = system.couplings
+    for i in range(system.n_spins):
+        for j in range(i):
+            if t[i, j] != 0.0:
+                energies = energies + t[i, j] * sz[i] * sz[j]
+    first, second = np.nonzero(np.tril(system.couplings, -1))
+    weights = np.array(system.weights)
+    flip = tables[2][first] * tables[1][second]
+    pair, cols = np.nonzero(flip)
+    rows = cols - (weights[first] - weights[second])[pair]
+    values = 0.5 * system.couplings[first, second][pair] * flip[pair, cols]
+    m = sz.sum(0)
+    order = np.argsort(m, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(m[order])) + 1).tolist(), system.dim]
+    local, sectors = np.empty(system.dim, dtype=int), []
+    for a, b in zip(cuts, cuts[1:]):
+        idx = order[a:b]
+        local[idx] = np.arange(b - a)
+        at = m[cols] == m[idx[0]]
+        sectors.append((idx, local[rows[at]], local[cols[at]], values[at]))
+    return energies, sectors
+
+
 def convolution_degeneracies(j: float, count: int) -> list:
     """Coefficients of (1 + x + ... + x^{2j})^count as exact integers."""
     d = int(round(2 * j)) + 1

@@ -292,16 +292,19 @@ class TestNestedIntegrals:
 
 
 class TestTableStructure:
-    """An ACP table (moments, then the correction) reads the spin tables once per
-    ladder and takes one stacked exponential per sector size, with no dense X."""
+    """An ACP table (moments, then the correction) builds the spin tables and the
+    sectors once per system and takes one stacked exponential per sector size per
+    ladder, with no dense X."""
 
     @pytest.mark.parametrize("n_spins, stacks", [
         (3, [(2, 15, 15)]), (4, [(2, 20, 20), (1, 30, 30)])])
     def test_one_table_pass_and_one_exponential_per_size(self, n_spins, stacks, monkeypatch):
         system = TestExpm._random_system(n_spins)
         passes, shapes = [], []
-        tables, expm = sc._spin_tables, nu.expm
-        monkeypatch.setattr(sc, "_spin_tables", lambda s: passes.append(s) or tables(s))
+        tabulate, sectors, expm = sc._tabulate, sc._tabulate_sectors, nu.expm
+        monkeypatch.setattr(sc, "_tabulate", lambda s: passes.append("tables") or tabulate(s))
+        monkeypatch.setattr(sc, "_tabulate_sectors",
+                            lambda s: passes.append("sectors") or sectors(s))
         monkeypatch.setattr(nu, "expm", lambda a: shapes.append(a.shape) or expm(a))
 
         def refuse(name):
@@ -314,9 +317,9 @@ class TestTableStructure:
                              (acp, "boltzmann_state")):
             monkeypatch.setattr(module, name, refuse(name))
         acp.moments_up_to(system, 3.0, 4, 0.4)
-        assert len(passes) == 1 and shapes == stacks
+        assert passes == ["tables", "sectors"] and shapes == stacks
         acp.initial_correction(system, 3.0, 4, 0.4)
-        assert len(passes) == 2 and shapes == stacks * 2
+        assert passes == ["tables", "sectors"] and shapes == stacks * 2
 
 
 class TestZetaCoefficients:

@@ -30,7 +30,8 @@ from oracles import (a_term, apply_map_oracle, commutator_drive_table, dense_dri
                      full_lambda_map, inline_pair_dissipator, inline_pair_liouvillian,
                      kraus_audit_oracle, ladder_sums_oracle, liouvillian_matrix,
                      pauli_rates_oracle, rk4_oracle, sandwich_superop, scattered_generator,
-                     simpson_doubling, transition_rate_oracle, two_pass_model_arrays,
+                     simpson_doubling, stacked_choi_minima, transition_rate_oracle,
+                     two_pass_model_arrays,
                      wavefunction_distribution, wavefunction_oracle)
 from test_spectrum import naphthalene_groups
 
@@ -472,8 +473,8 @@ def one_pass_case(case, kind):
 
 
 class TestOnePassModel:
-    """build_model reads the spin tables once and each line shape once, with the bits of the
-    two-pass formulas."""
+    """build_model builds the spin tables once per system and reads each line shape once,
+    with the bits of the two-pass formulas."""
 
     @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["mixed_spins"])
     @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
@@ -494,21 +495,23 @@ class TestOnePassModel:
     @pytest.mark.parametrize("b_1", [1e-3, 0.0])
     def test_one_table_pass_and_one_call_per_line_shape(self, case, b_1, monkeypatch):
         system, field, beta = one_pass_case(case, ls.gaussian)
+        system = sc.SpinSystem(system.spins, system.gammas, system.couplings)   # nothing kept
         field = dataclasses.replace(field, b_1=b_1)
         calls = []
 
         def spy(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        # every namespace that binds the spin tables, so no route escapes the count
-        tables = sc._spin_tables
-        for module in (sc, eo, me):
-            monkeypatch.setattr(module, "_spin_tables", spy("_spin_tables", tables))
+        # the builder the system's kept tables come from; a second model of the
+        # same system builds no tables
+        monkeypatch.setattr(sc, "_tabulate", spy("_tabulate", sc._tabulate))
         for name in ("density", "hilbert"):
             monkeypatch.setattr(ls, name, spy(name, getattr(ls, name)))
         build(system, field, beta)
-        want = ["_spin_tables"] + (["density", "hilbert"] if b_1 else [])
+        want = ["_tabulate"] + (["density", "hilbert"] if b_1 else [])
         assert calls == want
+        build(system, field, beta)
+        assert calls == want + want[1:]
 
 
 class TestLambShift:
@@ -1501,6 +1504,56 @@ class TestKrausAudit:
     def test_node_count_not_a_positive_whole_number_refused(self, qubit_model, n_nodes):
         with pytest.raises(ValidationError, match="n_nodes"):
             me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann, n_nodes=n_nodes)
+
+    @pytest.mark.parametrize("n_nodes", [10 ** 12, np.int64(10 ** 12), 2 ** 62,
+                                         np.int64(2 ** 63 - 1)])
+    def test_node_count_past_the_byte_budget_refused_before_allocating(self, qubit_model,
+                                                                       n_nodes):
+        # 16 B of node times and weights a node: 10^12 nodes would ask for 16 TB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="exceed MAX_FRAME_BYTES"):
+                me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann, n_nodes=n_nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_node_budget_counts_the_even_bumped_nodes(self, qubit_model, monkeypatch):
+        # a budget of 9 nodes: 8 panels fit, 7 are bumped to 8, and 9 are bumped to 10
+        monkeypatch.setattr(me, "MAX_FRAME_BYTES", 9 * 16)
+        for n_nodes in (7, 8):
+            report = me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann, n_nodes=n_nodes)
+            assert report.n_nodes == 8
+        with pytest.raises(ValidationError, match="11 Simpson nodes exceed MAX_FRAME_BYTES"):
+            me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann, n_nodes=9)
+
+    @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
+    def test_choi_minima_equal_the_stacked_spectra(self, case, monkeypatch):
+        # each Phi's Choi spectrum taken alone has the bits of the two taken as one stack
+        model = operator_sum_model(case)
+        phis, choi = [], nu.choi_matrix
+        monkeypatch.setattr(nu, "choi_matrix", lambda s, d: phis.append(s) or choi(s, d))
+        report = me.kraus_audit(model, 120 * me.default_dt(model), model.boltzmann, n_nodes=4)
+        monkeypatch.undo()
+        assert len(phis) == 2
+        assert (report.phi1_choi_min, report.phi2_choi_min) == stacked_choi_minima(
+            *phis, model.dim)
+
+    def test_choi_spectra_taken_one_phi_at_a_time(self):
+        # generic 4 spin-1/2 (D = 16): with both (D^2, D^2) Choi matrices and their
+        # Hermitized copies alive together the peak was 12.2 such matrices, one at a
+        # time it is 9.2
+        model = operator_sum_model("generic4")
+        model._generator_eig                # built and kept outside the traced audit
+        t = 120 * me.default_dt(model)
+        tracemalloc.start()
+        try:
+            me.kraus_audit(model, t, model.boltzmann, n_nodes=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * model.dim ** 4 * 16
 
     def test_residuals_small(self, qubit_model):
         rate = qubit_rate(qubit_model)
