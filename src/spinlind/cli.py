@@ -146,14 +146,12 @@ def _verify_checks(cfg: RunConfig):
     import numpy as np
 
     from . import mastereq
-    from .eigenops import ladder_table
     from .spincore import (
         build_x,
         build_zo,
         compress,
         decompress,
         is_hermitian,
-        level_data,
         static_hamiltonian,
         total_sz,
         xi_operator,
@@ -185,8 +183,7 @@ def _verify_checks(cfg: RunConfig):
         return np.max(np.abs(sz @ zo - zo @ sz)) <= 1e-12 * max(np.max(np.abs(zo)), 1.0)
 
     def eigenops_complete():
-        levels = level_data(system, b_o)
-        ladder = ladder_table(system, levels)
+        levels, ladder = model.levels, model.ladder
         resid = np.max(np.abs(ladder.hermitian(np.ones(ladder.omegas.size)) - xi_x))
         mags = levels.magnetizations
         steps_ok = np.all(mags[ladder.cols] - mags[ladder.rows] == 1)

@@ -38,8 +38,6 @@ __all__ = [
     "relaxation_time",
     "envelope_integral",
     "drive_weight",
-    "dissipator_weight",
-    "lamb_weight",
 ]
 
 _KINDS = ("lorentzian", "gaussian", "delta")
@@ -82,6 +80,11 @@ def _gauss_sigma(dist: FrequencyDistribution) -> float:
     return dist.width / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
+def _half_square(u):
+    """u^2 / 2 with |u| held at 1e154, whose square is finite: e^{-u^2/2} is 0 long before."""
+    return 0.5 * np.minimum(np.abs(u), 1e154) ** 2
+
+
 def density(dist: FrequencyDistribution, omega_prime):
     """Probability density rho_f evaluated at omega_prime (vectorized)."""
     x = np.asarray(omega_prime, dtype=float)
@@ -104,7 +107,7 @@ def characteristic(dist: FrequencyDistribution, t):
         out = carrier * np.exp(-0.5 * dist.width * np.abs(tt))
     elif dist.kind == "gaussian":
         s = _gauss_sigma(dist)
-        out = carrier * np.exp(-0.5 * (s * tt) ** 2)
+        out = carrier * np.exp(-_half_square(s * tt))
     else:
         out = carrier
     return out if out.ndim else complex(out)
@@ -203,8 +206,8 @@ def envelope_integral(dist: FrequencyDistribution, kappa, t0, t1, *, log_scale=0
         w = wofz(np.where(upper, 1j * z, -1j * z))
         return upper, np.exp(exponent) * w
 
-    up0, e0 = end(t0, log_scale if from_zero else b * t0 - 0.5 * (s * t0) ** 2 + log_scale)
-    up1, e1 = end(t1, b * t1 - 0.5 * (s * t1) ** 2 + log_scale)
+    up0, e0 = end(t0, log_scale if from_zero else b * t0 - _half_square(s * t0) + log_scale)
+    up1, e1 = end(t1, b * t1 - _half_square(s * t1) + log_scale)
     if some_inf:
         up1, e1 = up1 | inf, np.where(inf, 0.0, e1)
     val = np.where(up0, e0 - e1, e1 - e0)
@@ -230,20 +233,3 @@ def drive_weight(dist: FrequencyDistribution, lam, w, t):
     pair = envelope_integral(dist, kappa, 0.0, t, log_scale=lam * t)
     out = 0.5 * (pair[..., 0] + pair[..., 1])
     return out if out.ndim else complex(out)
-
-
-def dissipator_weight(dist: FrequencyDistribution, omega_o, b_1: float, sign: int):
-    """Stimulated rate 2 pi B1^2 rho_f(sign * omega_o) after the frequency integral.
-
-    Vectorized over ``omega_o``, as is :func:`lamb_weight`.
-    """
-    if dist.kind == "delta":
-        raise ValidationError(
-            "a delta line gives no finite dissipator rates; use a finite-width kind"
-        )
-    return 2.0 * math.pi * b_1 * b_1 * density(dist, sign * omega_o)
-
-
-def lamb_weight(dist: FrequencyDistribution, omega_o, b_1: float, sign: int):
-    """Lamb-shift weight sign * pi B1^2 rho_f^>(sign * omega_o)."""
-    return sign * math.pi * b_1 * b_1 * hilbert(dist, sign * omega_o)

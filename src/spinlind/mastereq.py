@@ -161,9 +161,10 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     """Assemble the zeroth-order model for a system in the given field.
 
     The levels and the ladder table read the spin tables that ``system`` keeps
-    (:func:`spincore._spin_tables`).  The rates and Lamb weights take one
-    density and one Hilbert-transform evaluation each, over the block
-    frequencies w and -w concatenated, and h_ls = sum_w lamb_w [xi_w,
+    (:func:`spincore._spin_tables`).  The rates 2 pi B1^2 rho_f(+-w) and Lamb
+    weights pi B1^2 [rho^>(w) - rho^>(-w)] take one density and one Hilbert
+    call each, over the block frequencies w and -w concatenated (a driven
+    delta line, with no finite rates, is refused), and h_ls = sum_w lamb_w [xi_w,
     xi_w^dag] and _anti = sum_w (g_w / 2) {xi_w, xi_w^dag} are sums over
     pairs of the table's entries (:func:`_pair_sums`).
     """
@@ -174,12 +175,15 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     omegas = ladder.omegas
 
     b1, dist = field_cfg.b_1, field_cfg.dist
-    if b1 > 0 and omegas.size:      # a delta line is refused by dissipator_weight
+    if b1 > 0 and omegas.size:
+        if dist.kind == "delta":
+            raise ValidationError("a delta line gives no finite dissipator rates; "
+                                  "use a finite-width kind")
         both, k = np.concatenate([omegas, -omegas]), omegas.size
-        rates = lineshape.dissipator_weight(dist, both, b1, +1)
+        rates = 2.0 * math.pi * b1 * b1 * lineshape.density(dist, both)
         gp, gm = rates[:k], rates[k:]
-        lamb = lineshape.lamb_weight(dist, both, b1, +1)
-        lamb = lamb[:k] - lamb[k:]          # the weight at -w is minus the +1 weight there
+        lamb = math.pi * b1 * b1 * lineshape.hilbert(dist, both)
+        lamb = lamb[:k] - lamb[k:]          # pi B1^2 [rho^>(w) - rho^>(-w)]
     else:
         gp, gm, lamb = np.zeros((3, len(omegas)))
 
@@ -532,7 +536,9 @@ def _block_eigensystem(diag, out, inn, val) -> BlockEigensystem:
     condition cap, as a real matrix where its imaginary part is zero: a generic
     system's populations are real symmetric, as absorption and emission share a rate.
     One stable argsort of the labels groups the indices, one of the entries' labels
-    groups the entries, and each block reads its slice of both.
+    groups the entries, and each block reads its slice of both.  An eigenvalue of an
+    m x m block with |lam| <= m eps ||L_b||_1 is a zero mode lost in rounding, and is
+    set to exactly 0, so that e^{lam t} keeps the trace at any t.
     """
     keep = val != 0
     out, inn, val = out[keep], inn[keep], val[keep]
@@ -548,13 +554,15 @@ def _block_eigensystem(diag, out, inn, val) -> BlockEigensystem:
     rows, cols, val = local[out[by_entry]], local[inn[by_entry]], val[by_entry]
     count = np.bincount(entry_label, minlength=n)
     stop = np.cumsum(count)
-    lam, blocks = diag.astype(complex), []
+    lam, blocks, eps = diag.astype(complex), [], np.finfo(float).eps
     big = size > 1
     for a, m, b, e in zip(*(x[big].tolist() for x in (first, size, stop - count, stop))):
         idx = by_index[a:a + m]
         sub = np.diag(diag[idx])
         sub[rows[b:e], cols[b:e]] = val[b:e]
-        lam[idx], v, v_inv = _eigensystem(sub if sub.imag.any() else sub.real)
+        lam_b, v, v_inv = _eigensystem(sub if sub.imag.any() else sub.real)
+        lam_b[np.abs(lam_b) <= m * eps * np.abs(sub).sum(0).max()] = 0.0
+        lam[idx] = lam_b
         blocks.append((idx, v, v_inv))
     return BlockEigensystem(lam, tuple(blocks))
 

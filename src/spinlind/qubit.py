@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lineshape import FrequencyDistribution, characteristic, density, drive_weight, hilbert
+from .lineshape import (FrequencyDistribution, characteristic, density, drive_weight, hilbert,
+                        lorentzian)
 from .mastereq import _map_time, _map_times
 
 __all__ = [
@@ -89,7 +90,8 @@ class QubitParams:
 
     @property
     def thermal_polarization(self) -> float:
-        return math.tanh(0.5 * self.beta * self.omega_o)
+        """tanh(beta w0 / 2); 0 for a degenerate pair, maximally mixed at every beta."""
+        return math.tanh(0.5 * self.beta * self.omega_o) if self.omega_o else 0.0
 
 
 def sigma_plus_expectation(params: QubitParams, t):
@@ -181,17 +183,12 @@ class StructureFactorValue:
     smooth: float
 
 
-def _lorentz_profile(gamma: float, x: float) -> float:
-    two_g = 2.0 * gamma
-    return (1.0 / math.pi) * two_g / (two_g * two_g + x * x)
-
-
 def structure_factor(params: QubitParams, which: str,
                      omega_prime: float) -> StructureFactorValue:
     """Dynamic structure factor of sigma-+ ("-+", s = +1) or sigma+- ("+-", s = -1).
 
-    A half-weight delta at s w0 plus s th / 2 times a Lorentzian of
-    half-width 2 Gamma centered there: the "+-" spectrum mirrors the "-+"
+    A half-weight delta at s w0 plus s th / 2 times the Lorentzian density of
+    FWHM 4 Gamma centered there: the "+-" spectrum mirrors the "-+"
     one, its smooth part with opposite sign.  ``omega_prime`` must be
     finite, ``which`` one of the two labels and the rate Gamma positive.
     """
@@ -207,7 +204,7 @@ def structure_factor(params: QubitParams, which: str,
         delta_weight=0.5,
         delta_location=s * params.omega_o,
         smooth=s * 0.5 * params.thermal_polarization
-        * _lorentz_profile(gamma, omega_prime - s * params.omega_o),
+        * density(lorentzian(s * params.omega_o, 4.0 * gamma), omega_prime),
     )
 
 
@@ -222,7 +219,7 @@ def fdt_check(params: QubitParams) -> dict:
     th = params.thermal_polarization
     w_minus_plus = 0.5 * (1.0 + th)           # S^ad_{-+} weight at +w0
     w_plus_minus = 0.5 * (1.0 - th)           # S^ad_{+-} weight at -w0
-    boltz = math.exp(-params.beta * params.omega_o)
+    boltz = math.exp(-params.beta * params.omega_o) if params.omega_o else 1.0
     detailed_balance = abs(w_plus_minus - boltz * w_minus_plus)
 
     im_chi_weight = -math.pi * th             # Im chi_{-+}: -pi delta(w'-w0) th

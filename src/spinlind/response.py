@@ -8,10 +8,10 @@ built from a single thermal commutator average,
 
 through ``chi_{+-, w0, inf}(w') = g / ((+-w' - w0) + i 0+)``, i.e. a
 principal-value kernel plus a (-i pi g)-weighted delta.  Deltas and PV
-kernels are carried symbolically as weight/location records.  Density
-integrals are closed forms: a steady kernel gives a Hilbert transform and a
-density value, a transient kernel the tail
-i g int_t^inf phi_f(+-tau) e^{-i w0 tau} dtau of the envelope integral.
+kernels are carried symbolically as weight/location records.  One function,
+:func:`rho_integral`, takes the density integral of any kernel in closed form:
+a Hilbert transform and a density value for a steady one, the tail
+i g int_t^inf phi_f(+-tau) e^{-i w0 tau} dtau of the envelope integral for a transient one.
 Every block sum runs over the entries of the model's ``ladder`` table, with
 no dense block; the drive amplitude and density play no part in the kernels.
 """
@@ -32,8 +32,7 @@ __all__ = [
     "commutator_average",
     "chi_infinity",
     "chi_transient",
-    "steady_rho_integral",
-    "transient_rho_integral",
+    "rho_integral",
     "steady_magnetization",
     "absorbed_power",
     "PowerLine",
@@ -124,35 +123,24 @@ def chi_transient(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
                      transient_time=t)
 
 
-def steady_rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> complex:
-    """Frequency-density integral of a steady kernel (closed form).
+def rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> complex:
+    """Frequency-density integral of a kernel, in closed form.
 
-    The PV piece becomes a Hilbert-transform evaluation and the delta piece a
-    density evaluation: g [ -s pi rho^>(s w0) - i pi rho_f(s w0) ], s the sign.
+    A steady kernel's PV piece becomes a Hilbert-transform evaluation and its
+    delta piece a density evaluation: g [ -s pi rho^>(s w0) - i pi rho_f(s w0) ],
+    s the sign.  A transient kernel's integral -g [ PV int rho_f(w')
+    e^{i(s w' - w0)t}/(s w' - w0) dw' - i pi rho_f(s w0) ] equals the tail
+    i g int_t^inf phi_f(s tau) e^{-i w0 tau} dtau, an envelope integral that
+    decays with the field's relaxation time and carries no cancellation at
+    large t.  A delta line never decays, so it is refused for a transient kernel.
     """
-    if kernel.transient_time is not None:
-        raise ValidationError("kernel is transient; use transient_rho_integral")
-    s, w0 = kernel.sign, kernel.omega_o
-    pv = -s * math.pi * hilbert(dist, s * w0)
-    return kernel.commutator_avg * (pv - 1j * math.pi * float(density(dist, s * w0)))
-
-
-def transient_rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> complex:
-    """Frequency-density integral of a transient kernel, in closed form.
-
-    The density integral -g [ PV int rho_f(w') e^{i(sign w' - w0)t}/(sign w' - w0) dw'
-    - i pi rho_f(sign w0) ] equals the tail i g int_t^inf phi_f(sign tau)
-    e^{-i w0 tau} dtau, an envelope integral that decays with the field's
-    relaxation time and carries no cancellation at large t.  A delta line
-    never decays, so it is rejected.
-    """
-    if kernel.transient_time is None:
-        raise ValidationError("kernel is not transient")
+    s, w0, t = kernel.sign, kernel.omega_o, kernel.transient_time
+    if t is None:
+        pv = -s * math.pi * hilbert(dist, s * w0)
+        return kernel.commutator_avg * (pv - 1j * math.pi * float(density(dist, s * w0)))
     if dist.kind == "delta":
         raise ValidationError("a delta line has no decaying transient; use a finite-width kind")
-    t = kernel.transient_time
-    w0 = kernel.omega_o
-    if kernel.sign == 1:
+    if s == 1:
         tail = envelope_integral(dist, -1j * w0, t, math.inf)
     else:  # phi_f(-tau) = conj phi_f(tau) for a real density
         tail = envelope_integral(dist, 1j * w0, t, math.inf).conjugate()
@@ -165,7 +153,7 @@ def steady_magnetization(model: MasterEquationModel, t: float, *,
 
     Assembles 2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi'']
     from the steady kernels of M_x = -(N/V) xi^x, whose density integrals are
-    Hilbert transforms and density values (:func:`steady_rho_integral`), one
+    Hilbert transforms and density values (:func:`rho_integral`), one
     call of each over the block frequencies w0 and -w0 concatenated.  The
     commutator average of block w, g = Tr(xi_w [rho0, M_x]), is (N/V) times
     its population flow (:func:`_flows`), real by construction: rho0 is

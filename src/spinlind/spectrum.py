@@ -447,7 +447,7 @@ def _check_printable(imax) -> None:
     (0: no limit) cannot be written; checked before any file is opened.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and imax >= 10 ** limit:
+    if limit and isinstance(imax, int) and imax >= 10 ** limit:
         raise ValidationError(
             f"an exact intensity has more than {limit} digits, the limit of Python's "
             f"int-to-str conversion; set scaled = true in [spectrum] to write relative "
@@ -464,18 +464,26 @@ def export_csv(spectrum: StickSpectrum, path) -> None:
 def parse_csv(path) -> StickSpectrum:
     """Read an :func:`export_csv` file back, an integer cell as an exact int.
 
-    A malformed row or config cell fails here: the lines are parsed now.
+    A malformed row or config cell fails here: the lines are parsed now, and so
+    does a non-finite position or intensity.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["delta_B_gauss", "intensity", "config"]:
             raise ValidationError(f"unexpected spectrum CSV header {header}")
-        try:
-            rows = [(float(b), int(i) if i.removeprefix("-").isdecimal() else float(i), text)
-                    for b, i, text in reader]
-        except ValueError as exc:    # not 3 cells, a bad number, an int past the str limit
-            raise ValidationError(f"unreadable spectrum CSV row {reader.line_num}: {exc}") from exc
+        rows = []
+        for cells in reader:
+            try:
+                b, i, text = cells
+                row = float(b), int(i) if i.removeprefix("-").isdecimal() else float(i), text
+            except ValueError as exc:    # not 3 cells, a bad number, an int past the str limit
+                raise ValidationError(
+                    f"unreadable spectrum CSV row {reader.line_num}: {exc}") from exc
+            if not (math.isfinite(row[0]) and (type(row[1]) is int or math.isfinite(row[1]))):
+                raise ValidationError(f"spectrum CSV row {reader.line_num} has a non-finite "
+                                      f"position or intensity: {b}, {i}")
+            rows.append(row)
     delta_b, intensity, texts = zip(*rows) if rows else ((), (), ())
     spec = StickSpectrum(delta_b, intensity, texts, 0.0, ())
     spec.lines

@@ -790,8 +790,9 @@ def kron_spin_spin(system) -> np.ndarray:
 def ladder_sums_oracle(model):
     """(rates_plus, rates_minus, h_ls, _anti) of build_model, one block at a time.
 
-    Scalar rate and Lamb-weight calls per frequency, and the products
-    xi_w xi_w^dag and xi_w^dag xi_w accumulated block by block.
+    Scalar density and Hilbert-transform calls per frequency, scaled by
+    2 pi B1^2 and pi B1^2, and the products xi_w xi_w^dag and xi_w^dag xi_w
+    accumulated block by block.
     """
     dist, b1, d = model.field.dist, model.field.b_1, model.dim
     gp, gm = [], []
@@ -799,9 +800,10 @@ def ladder_sums_oracle(model):
     anti = np.zeros((d, d), dtype=complex)
     for w, a in zip(model.ladder.omegas.tolist(), dense_ladder(model.ladder)):
         if b1 > 0:
-            gp.append(ls.dissipator_weight(dist, w, b1, +1))
-            gm.append(ls.dissipator_weight(dist, w, b1, -1))
-            h_ls += (ls.lamb_weight(dist, w, b1, +1) + ls.lamb_weight(dist, w, b1, -1)) * (
+            gp.append(2.0 * math.pi * b1 * b1 * ls.density(dist, w))
+            gm.append(2.0 * math.pi * b1 * b1 * ls.density(dist, -w))
+            h_ls += (math.pi * b1 * b1 * ls.hilbert(dist, w)
+                     - math.pi * b1 * b1 * ls.hilbert(dist, -w)) * (
                 a @ a.conj().T - a.conj().T @ a)
         else:
             gp.append(0.0)
@@ -819,7 +821,7 @@ def steady_magnetization_oracle(model, t: float, *, n_over_v: float = 1.0) -> fl
         comm = m_x @ xi_w - xi_w @ m_x
         g = complex(np.trace(comm @ model.boltzmann))
         plus, minus = (rs.ChiKernel(omega_o=w0, sign=s, commutator_avg=g) for s in (1, -1))
-        branches = rs.steady_rho_integral(plus, dist) + rs.steady_rho_integral(minus, dist)
+        branches = rs.rho_integral(plus, dist) + rs.rho_integral(minus, dist)
         total += math.cos(w0 * t) * branches.real - math.sin(w0 * t) * branches.imag
     return 2.0 * model.field.b_1 * total
 
@@ -844,9 +846,10 @@ def two_pass_model_arrays(system, field, beta: float):
     ladder = eo.ladder_table(system, levels)
     omegas, b1, dist = ladder.omegas, field.b_1, field.dist
     if b1 > 0 and omegas.size:
-        gp = ls.dissipator_weight(dist, omegas, b1, +1)
-        gm = ls.dissipator_weight(dist, omegas, b1, -1)
-        lamb = ls.lamb_weight(dist, omegas, b1, +1) + ls.lamb_weight(dist, omegas, b1, -1)
+        gp = 2.0 * math.pi * b1 * b1 * ls.density(dist, omegas)
+        gm = 2.0 * math.pi * b1 * b1 * ls.density(dist, -omegas)
+        lamb = (math.pi * b1 * b1 * ls.hilbert(dist, omegas)
+                - math.pi * b1 * b1 * ls.hilbert(dist, -omegas))
     else:
         gp, gm, lamb = np.zeros((3, len(omegas)))
     half_g = 0.5 * (gp + gm)

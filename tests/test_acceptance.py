@@ -321,3 +321,31 @@ class TestAcceptance:
         rel = abs(measured - gamma_plus) / gamma_plus
         verdict(9, rel < 0.02,
                 f"rate {measured:.4e} vs table {gamma_plus:.4e} (rel {rel:.3%})")
+
+    def test_10_map_is_not_cp_then_cp(self):
+        # the abstract's claim 1 at map level: Lambda(t) of two_spin.cfg, built column by
+        # column from the D^2 basis inputs (the map is linear in its input), has a Choi
+        # matrix with a negative eigenvalue for t <= 3 tau_f and none from 10 tau_f on
+        cfg = load_config(CONFIGS / "two_spin.cfg")
+        model = me.build_model(cfg.system, me.FieldConfig(cfg.field_b_o, cfg.field_b_1, cfg.dist),
+                               cfg.beta)
+        d = model.dim
+        ratios = np.array([0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0])
+        times = ratios * ls.relaxation_time(cfg.dist)
+        supers = np.zeros((times.size, d * d, d * d), dtype=complex)
+        trace_res = 0.0
+        for j in range(d):
+            for i in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[i, j] = 1.0
+                out = me.lambda_map(model, times, unit, unsafe=True)
+                trace_res = max(trace_res, nu.max_abs(np.trace(out, axis1=1, axis2=2)
+                                                      - float(i == j)))
+                supers[:, :, j * d + i] = out.transpose(0, 2, 1).reshape(times.size, d * d)
+        minima = np.array([np.linalg.eigvalsh(nu.hermitize(nu.choi_matrix(s, d))).min()
+                           for s in supers])
+        early, late = minima[ratios <= 3.0], minima[ratios >= 10.0]
+        ok = bool(np.all(early < 0.0) and np.all(late > 0.0) and trace_res <= 1e-12)
+        verdict(10, ok, "Choi minimum at t/tau_f = "
+                + ", ".join(f"{r:g}: {m:.1e}" for r, m in zip(ratios, minima))
+                + f"; trace residual {trace_res:.1e}")

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinlind
-from spinlind import cli, eigenops
+from spinlind import cli
 from spinlind import mastereq as me
 from spinlind import spectrum as sp
 from spinlind.config import MODES, load_config
@@ -727,14 +727,14 @@ class TestMatrixModes:
 
     def test_verify_mode_fails_an_incomplete_ladder(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SPINLIND_OUT", raising=False)
-        real = eigenops.ladder_table
+        real = me.ladder_table
 
         def short(system, levels):
             table = real(system, levels)
             return dataclasses.replace(table, rows=table.rows[:-1], cols=table.cols[:-1],
                                        values=table.values[:-1], block=table.block[:-1])
 
-        monkeypatch.setattr(eigenops, "ladder_table", short)
+        monkeypatch.setattr(me, "ladder_table", short)
         assert run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path,
                         "--mode", "verify"]) == cli.EXIT_ACCURACY
         assert "FAIL  ladder decomposition complete with steps +-1" in capsys.readouterr().out
@@ -863,6 +863,21 @@ class TestExitCodes:
         assert run_cli(["--config", cfg, "--out", tmp_path]) == cli.EXIT_ACCURACY
         assert "deviation exceeds tolerance" in capsys.readouterr().err
         assert (tmp_path / "qubit_qubit_report.json").exists()
+
+    @pytest.mark.parametrize("exc, code, label", [
+        (AccuracyError("stand-in accuracy failure"), cli.EXIT_ACCURACY, "accuracy error"),
+        (OSError("stand-in disk failure"), cli.EXIT_IO, "I/O error")])
+    def test_runner_errors_map_to_exit_codes(self, tmp_path, monkeypatch, capsys, exc, code,
+                                             label):
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+
+        def failing(cfg, out, verbose):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_propagate", failing)
+        assert run_cli(["--config", CONFIGS / "two_spin.cfg", "--out", tmp_path]) == code
+        err = capsys.readouterr().err
+        assert f"{label}: {exc}" in err and "Traceback" not in err
 
     def test_output_directory_that_cannot_be_made_is_io_error(self, tmp_path, monkeypatch,
                                                                capsys):

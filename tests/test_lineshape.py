@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,11 @@ class TestDensity:
             for d in (0.1, 1.0, 4.2):
                 assert ls.density(dist, 3.0 + d) == pytest.approx(ls.density(dist, 3.0 - d))
 
+    def test_delta_line_is_a_symbolic_spike(self):
+        dist = ls.delta_line(2.0)
+        assert ls.density(dist, 2.0) == math.inf and ls.density(dist, 2.5) == 0.0
+        assert ls.density(dist, np.array([1.0, 2.0, 3.0])).tolist() == [0.0, math.inf, 0.0]
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ls.FrequencyDistribution("lorentzian", 0.0, 0.0)
@@ -102,6 +108,38 @@ class TestDensity:
             ls.FrequencyDistribution("delta", 0.0, 1.0)
         with pytest.raises(ValidationError):
             ls.FrequencyDistribution("boxcar", 0.0, 1.0)
+
+
+class TestGaussianFarTail:
+    """Past s t = 1.3e154 the square (s t)^2 overflows; e^{-(s t)^2 / 2} is 0 long before."""
+
+    TIMES = (1.5e154, 1e200, 1e300)
+
+    def test_characteristic_is_zero_with_no_overflow(self):
+        dist = ls.gaussian(1760.0, 14.08)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in self.TIMES:
+                assert ls.characteristic(dist, t) == 0.0
+                assert ls.characteristic(dist, -t) == 0.0
+            assert not ls.characteristic(dist, np.array([-1e300, 1e200, 1e154])).any()
+
+    @pytest.mark.parametrize("kappa", [0.3, -1j * 1760.0, 2.0 + 1.0j, -5.0])
+    def test_envelope_end_far_out_is_the_infinite_end(self, kappa):
+        dist = ls.gaussian(1760.0, 14.08)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = ls.envelope_integral(dist, kappa, 0.1, math.inf)
+            for t in self.TIMES:
+                assert ls.envelope_integral(dist, kappa, 0.1, t) == tail
+                assert ls.envelope_integral(dist, kappa, t, t) == 0.0
+
+    def test_values_short_of_the_cap_are_unchanged(self):
+        # the square is taken as before wherever it is finite
+        dist = ls.gaussian(0.0, 2.0)
+        s = dist.width / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        t = np.array([0.0, 0.3, 2.0, 37.0, 1e150 / s])
+        assert np.array_equal(ls.characteristic(dist, t), np.exp(-0.5 * (s * t) ** 2))
 
 
 class TestCharacteristic:
@@ -202,24 +240,6 @@ class TestHalfLineSplit:
             val = ls.envelope_integral(dist, -1j * x, 0.0, math.inf)
             assert val.real == pytest.approx(math.pi * ls.density(dist, x), abs=1e-14)
             assert val.imag == pytest.approx(-math.pi * ls.hilbert(dist, x), abs=1e-14)
-
-    def test_dissipator_weight_is_density_evaluation(self):
-        dist = ls.lorentzian(10.0, 2.0)
-        b1, w0 = 0.3, 10.0
-        assert ls.dissipator_weight(dist, w0, b1, +1) == pytest.approx(
-            2.0 * math.pi * b1 ** 2 * ls.density(dist, w0))
-        assert ls.dissipator_weight(dist, w0, b1, -1) == pytest.approx(
-            2.0 * math.pi * b1 ** 2 * ls.density(dist, -w0))
-        with pytest.raises(ValidationError):
-            ls.dissipator_weight(ls.delta_line(1.0), 1.0, 0.5, +1)
-
-    def test_lamb_weight_is_hilbert_evaluation(self):
-        dist = ls.lorentzian(10.0, 2.0)
-        b1, w0 = 0.3, 9.0
-        assert ls.lamb_weight(dist, w0, b1, +1) == pytest.approx(
-            math.pi * b1 ** 2 * ls.hilbert(dist, w0))
-        assert ls.lamb_weight(dist, w0, b1, -1) == pytest.approx(
-            -math.pi * b1 ** 2 * ls.hilbert(dist, -w0))
 
 
 class TestEnvelopeIntegral:

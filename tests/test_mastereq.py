@@ -1154,6 +1154,23 @@ class TestBlockEigensystem:
         with pytest.raises(AccuracyError, match="defective"):
             me.kraus_audit(qubit_model, 0.01, qubit_model.boltzmann, n_nodes=4)
 
+    def test_singular_eigenvectors_raise(self):
+        # a 3 x 3 nilpotent Jordan block: eig returns an exactly singular V
+        with pytest.raises(AccuracyError, match="condition number inf"):
+            me._eigensystem(np.diag([1.0, 1.0], 1))
+
+    def test_rounded_zero_mode_is_exactly_zero(self):
+        # acp_two_spin.cfg's system under a Gaussian line: its 4-state population block
+        # (scale 7.6e-8) rounds a zero mode to -1.2e-23, below 4 eps ||L_b||_1, and
+        # holds a true slow mode at -9.6e-16, above it
+        model = config_model("acp_two_spin", ls.gaussian)
+        eig = model._generator_eig
+        (idx, _, _), = [b for b in eig.blocks if b[0].size == model.dim]
+        lam = eig.lam[idx]
+        assert np.count_nonzero(lam == 0.0) == 1
+        slow = lam[(lam != 0.0) & (np.abs(lam) < 1e-12)]
+        assert slow.size == 1 and -1e-15 < slow[0].real < -9e-16
+
     def test_defective_generator_is_not_kept(self, qubit_model, monkeypatch):
         # the model keeps no failed eigensystem: every map or audit rebuilds
         # L, decomposes it and raises again
@@ -1236,6 +1253,49 @@ def assert_scatters_to(entries, lmat):
     assert same_bits(np.diagonal(lmat), diag)
     assert same_bits(lmat[out, inn], val.astype(complex))     # real for a generic system
     assert np.count_nonzero(lmat) == np.count_nonzero(diag) + np.count_nonzero(val)
+
+
+def config_model(name, kind):
+    """The model of configs/<name>.cfg with its line's center and width under ``kind``."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    dist = kind(cfg.dist.center, cfg.dist.width)
+    return build(cfg.system, me.FieldConfig(cfg.field_b_o, cfg.field_b_1, dist), cfg.beta)
+
+
+class TestLongTimes:
+    """Lambda(t) and the drive terms at times far past every relaxation time."""
+
+    TIMES = np.array([1e12, 1e20, 1e50, 1e100])
+
+    @pytest.mark.parametrize("name, kind, bound", [
+        ("acp_two_spin", ls.gaussian, 1e-8),
+        ("acp_two_spin", ls.lorentzian, 1e-12),
+        ("two_spin", ls.lorentzian, 1e-12), ("two_spin", ls.gaussian, 1e-12),
+        ("qubit", ls.lorentzian, 1e-12), ("qubit", ls.gaussian, 1e-12)])
+    @pytest.mark.parametrize("include_drive", [True, False])
+    def test_trace_is_kept(self, name, kind, bound, include_drive):
+        # a zero mode rounded to -1e-23 once decayed the trace to 0.99883 at t = 1e20 and to 0
+        # from 1e50 on (acp_two_spin, Gaussian); the remaining 6e-9 there is the overlap of
+        # the zero mode's eigenvector with the slow mode at -9.6e-16
+        model = config_model(name, kind)
+        states = me.lambda_map(model, self.TIMES, model.boltzmann, include_drive=include_drive)
+        residual = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+        assert residual.max() <= bound
+
+    @pytest.mark.parametrize("t", [1e200, 1e300])
+    def test_gaussian_drive_terms_far_out(self, t):
+        # (s t)^2 once overflowed past s t = 1.3e154: a RuntimeWarning, an error under CI's flags
+        model = config_model("qubit", ls.gaussian)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = me.lambda_map(model, t, model.boltzmann)
+            h_lr = me.linear_response_hamiltonian(model, t)
+            drive = me.drive_integral(model, t)
+            settled = me.lambda_map(model, 1e100, model.boltzmann)
+            assert np.array_equal(drive, me.drive_integral(model, 1e100))
+        assert not h_lr.any()
+        assert nu.max_abs(state - settled) <= 1e-15
+        assert abs(np.trace(state) - 1.0) <= 1e-15
 
 
 class TestGeneratorEntries:

@@ -25,6 +25,18 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
+def test_one_definition_per_line_shape_quantity():
+    # rates and Lamb weights are density and Hilbert calls, one integral takes every kernel,
+    # the qubit's Lorentzian is lineshape.density's and verify reads the model's ladder
+    lineshape, response, qubit, cli = (importlib.import_module(f"spinlind.{m}")
+                                       for m in ("lineshape", "response", "qubit", "cli"))
+    assert not {"dissipator_weight", "lamb_weight"} & set(dir(lineshape))
+    assert "rho_integral" in response.__all__
+    assert not {"steady_rho_integral", "transient_rho_integral"} & set(dir(response))
+    assert not hasattr(qubit, "_lorentz_profile")
+    assert "ladder_table" not in Path(cli.__file__).read_text(encoding="utf-8")
+
+
 class TestLazyExports:
     def test_each_name_is_its_submodules_object(self):
         for name in set(spinlind.__all__) - {"__version__"}:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,18 @@ class TestParams:
             qb.QubitParams(**values)
 
 
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_degenerate_pair_at_zero_temperature(self, kind):
+        # tanh(0 * inf) is NaN; a degenerate pair's Gibbs state is maximally mixed at any beta
+        p = qb.QubitParams(omega_o=0.0, omega_1=0.1, beta=math.inf, dist=kind(0.0, 0.5))
+        assert p.thermal_polarization == 0.0
+        for t in (0.0, 0.7, 30.0):
+            assert qb.trajectory(p, t) == (0.0, 0.0, 0.0)
+        assert np.array_equal(qb.trajectory(p, np.array([0.0, 0.7])), np.zeros((3, 2)))
+        # exp(-inf * 0) is NaN too; the pair's Boltzmann factor is 1
+        assert qb.fdt_check(p) == {"adiabatic_detailed_balance": 0.0, "fdt": 0.0}
+
+
 class TestTimeArrays:
     def test_array_matches_scalar_calls(self, params):
         times = np.linspace(0.0, 4.0 / params.rate, 9)
@@ -226,6 +239,24 @@ class TestStationary:
         st = qb.stationary_sigma_plus(p, t)
         assert abs(st) > 1e-2  # non-vacuous comparison
         assert abs(sp - st) < 1e-4
+
+
+class TestGaussianFarOut:
+    """qubit.cfg's spin under a Gaussian line past s t = 1.3e154, where (s t)^2 overflowed."""
+
+    @pytest.mark.parametrize("t", [1e200, 1e300])
+    def test_closed_forms_settle_with_no_overflow(self, t):
+        p = qubit_cfg_params(ls.gaussian(1760.0, 14.080000000000002))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bloch = qb.trajectory(p, t)
+            stationary = qb.stationary_sigma_plus(p, t)
+            coeffs = qb.heisenberg_coefficients(p, t, qb.SIGMA[1])
+        assert bloch == (0.0, 0.0, 0.0) and stationary == 0.0
+        # Tr[rho0 X(t)] = <sigma_1(t)> = 0 for the settled state
+        rho0 = 0.5 * (qb.SIGMA[0] - p.thermal_polarization * qb.SIGMA[3])
+        x_t = sum(c * qb.SIGMA[i] for i, c in enumerate(coeffs))
+        assert abs(np.trace(rho0 @ x_t)) <= 1e-12
 
 
 class TestHeisenbergCoefficients:

@@ -647,6 +647,12 @@ class TestIntStrLimit:
         with pytest.raises(ValidationError, match="unreadable spectrum CSV row"):
             sp.parse_csv(path)
 
+    @pytest.mark.parametrize("imax", [math.inf, 1e308])
+    def test_float_intensity_takes_no_digit_check(self, monkeypatch, imax):
+        # only an exact int has digits to count; a float, even inf, passes here
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
+        sp._check_printable(imax)
+
     def test_no_limit(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
         sp._check_printable(10 ** 10_000)
@@ -672,6 +678,20 @@ class TestParseCsvRejects:
         path = self._write(tmp_path, "delta_B_gauss,intensity,config\r\n" + rows)
         with pytest.raises(ValidationError, match=r"unreadable spectrum CSV row \d"):
             sp.parse_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,inf,h=1", "nan,1,h=1", "inf,1,h=1", "0.5,inf,h=1",
+                                     "0.5,-inf,h=1", "0.5,nan,h=1"])
+    def test_non_finite_cell(self, tmp_path, row):
+        path = self._write(tmp_path, f"delta_B_gauss,intensity,config\r\n0.25,1,h=0\r\n{row}\r\n")
+        with pytest.raises(ValidationError, match="row 3 has a non-finite position or intensity"):
+            sp.parse_csv(path)
+
+    def test_non_finite_row_never_reaches_the_plot(self, tmp_path):
+        # once read back as inf, the SVG writer refused it as "more than 4300 digits"
+        path = self._write(tmp_path, "delta_B_gauss,intensity,config\r\nnan,inf,h=1\r\n")
+        with pytest.raises(ValidationError, match="row 2 has a non-finite"):
+            sp.export_svg(sp.parse_csv(path), tmp_path / "spec.svg")
+        assert not (tmp_path / "spec.svg").exists()
 
     @pytest.mark.parametrize("cell", ["h=x", "h", "h=1;;g=2", "=|h=1"])
     def test_bad_config_cell(self, tmp_path, cell):

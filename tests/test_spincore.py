@@ -345,6 +345,11 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="needs at least one spin"):
             sc.SpinSystem([], [])
 
+    @pytest.mark.parametrize("couplings", [[[0.0, 1.0]], [0.0, 1.0], np.zeros((3, 3))])
+    def test_couplings_of_the_wrong_shape_refused(self, couplings):
+        with pytest.raises(ValidationError, match="couplings must be 2x2, got"):
+            sc.SpinSystem([0.5, 0.5], [-1.0, -2.0], couplings)
+
     def test_asymmetric_couplings_refused(self):
         with pytest.raises(ValidationError, match="couplings must be symmetric"):
             sc.SpinSystem([0.5, 0.5], [-1.0, -2.0], [[0.0, 1.0], [1.5, 0.0]])
