@@ -25,8 +25,7 @@ import numpy as np
 
 from . import numutil
 from .errors import AccuracyError, ValidationError
-from .spincore import (SpinSystem, _flip_flop_sectors, _populations, _whole, boltzmann_state,
-                       level_data)
+from .spincore import SpinSystem, _populations, _whole, boltzmann_state, level_data
 
 if TYPE_CHECKING:
     from .mastereq import MasterEquationModel, Trajectory
@@ -86,7 +85,7 @@ def _check_ladder(b_o: float, order: int, beta: float) -> None:
 def _sector_ladder(eps: np.ndarray, sectors: list, order: int, beta: float) -> list:
     """(idx, blocks) per total-M sector with X != 0, blocks[n] = exp(-beta (Z0 - c)) Y^(n)(i beta).
 
-    ``sectors`` come from :func:`spincore._flip_flop_sectors`.  blocks[n] is block (0, n)
+    ``sectors`` are the ones a system keeps, ``SpinSystem._sectors``.  blocks[n] is block (0, n)
     of the exponential of the block-bidiagonal matrix with -beta (Z0 - c) on the diagonal
     and -beta X above it (Van Loan, IEEE TAC 23 (1978) 395).  c is the sector's least
     beta eps: no exponent is positive, and p_a Y^(n)_ab = p_c blocks[n]_ab for rho0 =
@@ -111,8 +110,8 @@ def _thermal_blocks(system: SpinSystem, b_o: float, order: int, beta: float):
     """Boltzmann populations p, :func:`_sector_ladder` on the sectors ``system`` keeps, and the
     moments <Y^(n)>_0 = sum_a p_a Y^(n)_aa, the blocks' traces weighted by p at their shift."""
     _check_ladder(b_o, order, beta)
-    eps, sectors = _flip_flop_sectors(system, b_o)
-    p, ladder = _populations(eps, beta), _sector_ladder(eps, sectors, order, beta)
+    eps = level_data(system, b_o).energies
+    p, ladder = _populations(eps, beta), _sector_ladder(eps, system._sectors, order, beta)
     traces = sum((p[idx].max() * np.trace(blocks, axis1=1, axis2=2) for idx, blocks in ladder),
                  np.zeros(order + 1))
     return p, ladder, AcpMoments(traces[1:])

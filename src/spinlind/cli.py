@@ -38,8 +38,8 @@ def run_spectrum(cfg: RunConfig, out: Path, verbose: bool) -> int:
     spec = spectrum.stick_spectrum(cfg.groups, labels, scaled=cfg.scaled)
     csv_path = out / f"{cfg.basename}_spectrum.csv"
     svg_path = out / f"{cfg.basename}_spectrum.svg"
+    spectrum.export_svg(spec, svg_path)     # its checks cover the CSV's: a refusal opens no file
     spectrum.export_csv(spec, csv_path)
-    spectrum.export_svg(spec, svg_path)
     if verbose:
         print(f"{len(spec.delta_b)} lines, total intensity {spec.total_intensity}")
     print(f"wrote {csv_path}")

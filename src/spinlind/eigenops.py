@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import LevelData, SpinSystem, _spin_tables
+from .spincore import LevelData, SpinSystem
 
 __all__ = ["LadderTable", "ladder_table"]
 
@@ -60,7 +60,7 @@ def ladder_table(system: SpinSystem, levels: LevelData) -> LadderTable:
     binning so that mirrored labels negate exactly; a bin whose anchor lies
     within the tolerance of zero has frequency 0.  S- is the system's kept table.
     """
-    s_minus = _spin_tables(system)[1]
+    s_minus = system._tables[1]
     eps = levels.energies
     tol = GAP_TOL * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
     site, cols = np.nonzero(s_minus)

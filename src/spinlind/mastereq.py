@@ -62,7 +62,6 @@ __all__ = [
     "FieldConfig",
     "MasterEquationModel",
     "Trajectory",
-    "PauliRate",
     "KrausAudit",
     "WitnessResult",
     "build_model",
@@ -72,7 +71,6 @@ __all__ = [
     "lambda_map",
     "kraus_audit",
     "noncp_witness",
-    "pauli_rates",
     "export_trajectory_csv",
 ]
 
@@ -161,7 +159,7 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     """Assemble the zeroth-order model for a system in the given field.
 
     The levels and the ladder table read the spin tables that ``system`` keeps
-    (:func:`spincore._spin_tables`).  The rates 2 pi B1^2 rho_f(+-w) and Lamb
+    (``SpinSystem._tables``).  The rates 2 pi B1^2 rho_f(+-w) and Lamb
     weights pi B1^2 [rho^>(w) - rho^>(-w)] take one density and one Hilbert
     call each, over the block frequencies w and -w concatenated (a driven
     delta line, with no finite rates, is refused), and h_ls = sum_w lamb_w [xi_w,
@@ -538,7 +536,8 @@ def _block_eigensystem(diag, out, inn, val) -> BlockEigensystem:
     One stable argsort of the labels groups the indices, one of the entries' labels
     groups the entries, and each block reads its slice of both.  An eigenvalue of an
     m x m block with |lam| <= m eps ||L_b||_1 is a zero mode lost in rounding, and is
-    set to exactly 0, so that e^{lam t} keeps the trace at any t.
+    set to exactly 0, so that e^{lam t} keeps the trace at any t.  A block of populations c D + c
+    with one zero mode z has every other mode made exactly traceless, however rounding mixed them.
     """
     keep = val != 0
     out, inn, val = out[keep], inn[keep], val[keep]
@@ -554,7 +553,7 @@ def _block_eigensystem(diag, out, inn, val) -> BlockEigensystem:
     rows, cols, val = local[out[by_entry]], local[inn[by_entry]], val[by_entry]
     count = np.bincount(entry_label, minlength=n)
     stop = np.cumsum(count)
-    lam, blocks, eps = diag.astype(complex), [], np.finfo(float).eps
+    lam, blocks, eps, d = diag.astype(complex), [], np.finfo(float).eps, math.isqrt(n)
     big = size > 1
     for a, m, b, e in zip(*(x[big].tolist() for x in (first, size, stop - count, stop))):
         idx = by_index[a:a + m]
@@ -562,6 +561,18 @@ def _block_eigensystem(diag, out, inn, val) -> BlockEigensystem:
         sub[rows[b:e], cols[b:e]] = val[b:e]
         lam_b, v, v_inv = _eigensystem(sub if sub.imag.any() else sub.real)
         lam_b[np.abs(lam_b) <= m * eps * np.abs(sub).sum(0).max()] = 0.0
+        zero, pop = np.flatnonzero(lam_b == 0), idx % (d + 1) == 0
+        if zero.size == 1 and pop.any():    # t: the trace functional, normalized
+            z, t = zero[0], pop / math.sqrt(np.count_nonzero(pop))
+            if np.array_equal(v_inv, v.T):  # orthogonal V: projected off t, and t at z
+                v = v - np.outer(t, t @ v)
+                v[:, z] = t
+                v_inv = v.T
+            else:   # V <- V - V_z c^T, c = t V / (t V_z), c_z = 0; keeps V V^-1 = 1
+                c = (t @ v) / (t @ v[:, z])
+                c[z] = 0.0
+                v_inv[z] += c @ v_inv
+                v = v - np.outer(v[:, z], c)
         lam[idx] = lam_b
         blocks.append((idx, v, v_inv))
     return BlockEigensystem(lam, tuple(blocks))
@@ -830,47 +841,6 @@ def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
     predicted = -x * x * (1.0 + x * x) * beta_abs * beta_abs
     return WitnessResult(det_value=float(det.real), predicted=float(predicted),
                          x=x, beta_abs=beta_abs)
-
-
-@dataclass(frozen=True)
-class PauliRate:
-    """One directed transition entry of the Pauli rate table."""
-
-    n_from: int       # column state (higher magnetization for omega > 0 entries)
-    n_to: int
-    omega: float
-    gamma_plus: float
-    gamma_minus: float
-    element: complex
-    canonical: bool = True   # False for the mirrored orientation of a pair
-
-    @property
-    def total(self) -> float:
-        return self.gamma_plus + self.gamma_minus
-
-
-def pauli_rates(model: MasterEquationModel):
-    """Stimulated transition rates between basis states.
-
-    Entries come in mirror pairs: the reverse transition carries the
-    opposite-sign frequency with the plus/minus rates swapped, so the total
-    rate is symmetric under exchanging the two states.  One pass over the
-    ladder table, canonical entry first, in its (block, row, col) order.
-    """
-    ladder = model.ladder
-    omegas, gps, gms = (a.tolist() for a in (ladder.omegas, model.rates_plus, model.rates_minus))
-    entries = []
-    for k, a, b, el in zip(ladder.block.tolist(), ladder.rows.tolist(), ladder.cols.tolist(),
-                           ladder.values.tolist()):
-        w, gp, gm = omegas[k], gps[k], gms[k]
-        weight = abs(el) ** 2
-        entries.append(PauliRate(n_from=b, n_to=a, omega=w,
-                                 gamma_plus=gp * weight, gamma_minus=gm * weight,
-                                 element=el, canonical=True))
-        entries.append(PauliRate(n_from=a, n_to=b, omega=-w,
-                                 gamma_plus=gm * weight, gamma_minus=gp * weight,
-                                 element=el.conjugate(), canonical=False))
-    return tuple(entries)
 
 
 def _xi_moments(system: SpinSystem, states: np.ndarray) -> np.ndarray:

@@ -147,20 +147,17 @@ def rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> complex:
     return 1j * kernel.commutator_avg * tail
 
 
-def steady_magnetization(model: MasterEquationModel, t: float, *,
-                         n_over_v: float = 1.0) -> float:
-    """Steady-limit transverse magnetization under the drive (relaxation-free).
+def steady_magnetization(model: MasterEquationModel, t: float) -> float:
+    """Steady-limit transverse magnetization under the drive (relaxation-free), per unit N/V.
 
-    Assembles 2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi'']
-    from the steady kernels of M_x = -(N/V) xi^x, whose density integrals are
-    Hilbert transforms and density values (:func:`rho_integral`), one
-    call of each over the block frequencies w0 and -w0 concatenated.  The
-    commutator average of block w, g = Tr(xi_w [rho0, M_x]), is (N/V) times
-    its population flow (:func:`_flows`), real by construction: rho0 is
-    diagonal and M_x[b, a] = -(N/V) conj(xi_w[a, b]).
+    Assembles 2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi''] from the steady
+    kernels of M_x = -xi^x, whose density integrals are Hilbert transforms and density values
+    (:func:`rho_integral`), one call of each over the block frequencies w0 and -w0 concatenated.
+    The commutator average of block w, g = Tr(xi_w [rho0, M_x]), is its population flow
+    (:func:`_flows`), real by construction: rho0 is diagonal and M_x[b, a] = -conj(xi_w[a, b]).
     """
     t = _map_time(t)
-    g, w0, dist = _flows(model, n_over_v), model.ladder.omegas, model.field.dist
+    g, w0, dist = _flows(model), model.ladder.omegas, model.field.dist
     both, k = np.concatenate([w0, -w0]), w0.size
     h, rho = hilbert(dist, both), density(dist, both)
     # the two steady branches summed: g [pi (rho^>(-w0) - rho^>(w0)) - i pi (rho_f(+-w0))]
@@ -176,24 +173,22 @@ class PowerLine:
     power: float
 
 
-def absorbed_power(model: MasterEquationModel, *, n_over_v: float = 1.0):
-    """Absorbed power per unit volume and its per-frequency decomposition.
+def absorbed_power(model: MasterEquationModel):
+    """Absorbed power per unit N/V and its per-frequency decomposition.
 
-    P = (N/V) sum_w0 w0 sum_{n,n'} (P_n - P_n') Gamma_{n,n'}(w0) over the
+    P = sum_w0 w0 sum_{n,n'} (P_n - P_n') Gamma_{n,n'}(w0) over the
     canonical (+1)-step transition entries: per block, w0 (g+ + g-) times
     sum_ab |xi_w0[a, b]|^2 (P_a - P_b).  The total is the sum of the lines.
     """
     omegas = model.ladder.omegas
-    powers = omegas * (model.rates_plus + model.rates_minus) * _flows(model, n_over_v)
+    powers = omegas * (model.rates_plus + model.rates_minus) * _flows(model)
     lines = tuple(map(PowerLine, omegas.tolist(), powers.tolist()))
     return sum((line.power for line in lines), 0.0), lines
 
 
-def _flows(model: MasterEquationModel, n_over_v: float) -> np.ndarray:
-    """(N/V) sum_ab |xi_w[a, b]|^2 (P_a - P_b) per block, one bincount over the entries."""
-    if not math.isfinite(n_over_v):
-        raise ValidationError(f"n_over_v must be finite, got {n_over_v}")
+def _flows(model: MasterEquationModel) -> np.ndarray:
+    """sum_ab |xi_w[a, b]|^2 (P_a - P_b) per block, one bincount over the entries."""
     ladder = model.ladder
     pops = np.real(np.diag(model.boltzmann))
     flow = np.abs(ladder.values) ** 2 * (pops[ladder.rows] - pops[ladder.cols])
-    return n_over_v * np.bincount(ladder.block, flow, ladder.omegas.size)
+    return np.bincount(ladder.block, flow, ladder.omegas.size)

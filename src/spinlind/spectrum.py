@@ -164,11 +164,6 @@ class GeneratingPolynomial:
         """The exponent tuple of every term, in term order."""
         return tuple(itertools.product(*map(range, self.radices)))
 
-    @property
-    def terms(self) -> dict:
-        """Exponent tuple -> integer coefficient, in term order."""
-        return dict(zip(self.exponents, self.coefficients))
-
     def coefficient(self, exponents: Sequence[int]) -> int:
         expo, radices = [int(e) for e in exponents], self.radices
         if len(expo) != len(radices) or not all(0 <= e < r for e, r in zip(expo, radices)):
@@ -365,8 +360,8 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     intensities in that order.  Intensities are exact integer degeneracies
     unless ``scaled``; summing over several resonance groups always applies
     each group's absolute scale, since raw degeneracies of different groups
-    are not comparable; a group whose scale is zero (gamma = 0) is refused,
-    and so are a non-finite ``omega_o`` and a non-finite or negative ``merge_tol``.
+    are not comparable; a group whose scale is zero (gamma = 0) is refused, as are positions
+    past the float range, a non-finite ``omega_o`` and a non-finite or negative ``merge_tol``.
     """
     if not math.isfinite(omega_o):
         raise ValidationError(f"omega_o must be finite, got {omega_o}")
@@ -382,14 +377,19 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     by_label = _group_map(groups)
     scaled = scaled or len(labels) > 1
     ratios = [_scale_ratio(groups, lab) if scaled else (1, 1) for lab in labels]
-    for lab, (num, _) in zip(labels, ratios):
+    refs = [reference_field(groups, lab, omega_o) if absolute else 0.0 for lab in labels]
+    for lab, (num, _), ref in zip(labels, ratios, refs):
         if num == 0:
             raise ValidationError(
                 f"resonance group {lab!r} has gamma = {by_label[lab].gamma}, so its "
                 "scaled intensities are all 0")
+        res = by_label[lab]     # every position lies within |ref| + sum_g |lambda_g| n_max,g
+        if not math.isfinite(abs(ref) + sum(abs(res.lambdas[g.label]) * g.max_bosons
+                                            for g in _neighbors(groups, res))):
+            raise ValidationError(f"line positions of group {lab!r} exceed the float range")
 
     positions, weights, texts, configs = [], [], [], []
-    for lab, (num, den) in zip(labels, ratios):
+    for lab, (num, den), ref in zip(labels, ratios, refs):
         res, poly = by_label[lab], generating_polynomial(groups, lab)
         # outer products one neighbor group at a time, in the grid order of
         # the coefficients: each position sums lambda * n left to right
@@ -400,7 +400,6 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
             pieces = [f"{';' if k else ''}{v}={n}" for n in range(radix)]
             text = [t + piece for t in text for piece in pieces]
         if absolute:
-            ref = reference_field(groups, lab, omega_o)
             delta = [d + ref for d in delta]
         positions += delta
         # each scaled weight is one exact quotient c num / den, correctly rounded
@@ -428,9 +427,8 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
             if e - s > 1:
                 sums[line] = reduce(operator.add, map(weights.__getitem__, order[s:e]))
                 config_text[line] = "|".join(map(texts.__getitem__, order[s:e]))
-    ref = reference_field(groups, labels[0], omega_o) if absolute else 0.0
     return StickSpectrum(tuple(map(positions.__getitem__, firsts)), tuple(sums),
-                         tuple(config_text), ref, tuple(labels))
+                         tuple(config_text), refs[0], tuple(labels))
 
 
 def _exact(intensities: list) -> list:
@@ -438,6 +436,17 @@ def _exact(intensities: list) -> list:
     if set(map(type, intensities)) <= {int}:
         return intensities
     return [i if type(i) is int else int(i) if float(i).is_integer() else i for i in intensities]
+
+
+def _check_finite(spectrum: StickSpectrum) -> None:
+    """A ValidationError for a non-finite position or intensity, before any file is opened."""
+    for col in (spectrum.delta_b, spectrum.intensity):
+        try:    # a finite sum clears a column in one pass
+            fast = math.isfinite(sum(col))
+        except OverflowError:       # an int past the float range
+            fast = False
+        if not (fast or all(type(v) is int or math.isfinite(v) for v in col)):
+            raise ValidationError("a spectrum line has a non-finite position or intensity")
 
 
 def _check_printable(imax) -> None:
@@ -456,6 +465,7 @@ def _check_printable(imax) -> None:
 
 def export_csv(spectrum: StickSpectrum, path) -> None:
     """Write ``delta_B_gauss,intensity,config``; integral intensities exactly."""
+    _check_finite(spectrum)
     _check_printable(max(spectrum.intensity, default=0))
     write_csv(path, ["delta_B_gauss", "intensity", "config"],
               [spectrum.delta_b, _exact(spectrum.intensity), spectrum.config_text])
@@ -496,6 +506,7 @@ def export_svg(spectrum: StickSpectrum, path) -> None:
     bs, intensities = spectrum.delta_b, spectrum.intensity
     if not bs:
         raise ValidationError("empty spectrum")
+    _check_finite(spectrum)
     imax = max(intensities)
     _check_printable(imax)
     if not imax > 0:
@@ -504,6 +515,8 @@ def export_svg(spectrum: StickSpectrum, path) -> None:
     b_lo, b_hi = min(bs), max(bs)
     pad = 0.05 * (b_hi - b_lo) if b_hi > b_lo else 1.0
     b_lo, b_hi = b_lo - pad, b_hi + pad
+    if not math.isfinite(b_hi - b_lo):
+        raise ValidationError(f"positions {min(bs)} to {max(bs)} span past the float range")
     margin, base, plot_h = 50, height - 60, height - 100
 
     def x_of(b):

@@ -216,11 +216,6 @@ def _tabulate(system: SpinSystem) -> tuple:
     return m, np.sqrt(j * (j + 1) - m * (m - 1)), np.sqrt(j * (j + 1) - m * (m + 1))
 
 
-def _spin_tables(system: SpinSystem) -> tuple:
-    """The tables of :func:`_tabulate` that ``system`` keeps: one pass per system."""
-    return system._tables
-
-
 def xi_operator(system: SpinSystem, axis: str) -> np.ndarray:
     """Negative total magnetic moment along ``axis``: -sum_i gamma_i S_i^axis."""
     try:        # the coefficients of Sz, S- and S+ in S^axis
@@ -228,7 +223,7 @@ def xi_operator(system: SpinSystem, axis: str) -> np.ndarray:
                                 "x": (0, 0.5, 0.5), "y": (0, 0.5j, -0.5j)}[axis]
     except KeyError:
         raise ValidationError(f"unknown axis {axis!r}") from None
-    sz, s_minus, s_plus = _spin_tables(system)
+    sz, s_minus, s_plus = system._tables
     coeff, k = -np.array(system.gammas)[:, None], np.arange(system.dim)
     out = np.zeros((k.size, k.size), dtype=complex)
     if c_z:     # the spins' terms added in spin order
@@ -242,7 +237,7 @@ def xi_operator(system: SpinSystem, axis: str) -> np.ndarray:
 
 
 def total_sz(system: SpinSystem) -> np.ndarray:
-    return np.diag(_spin_tables(system)[0].sum(0).astype(complex))
+    return np.diag(system._tables[0].sum(0).astype(complex))
 
 
 def build_zo(system: SpinSystem, b_o: float) -> np.ndarray:
@@ -257,7 +252,7 @@ def _couplings(system: SpinSystem, zz: bool) -> np.ndarray:
     for idx, rows, cols, values in system._sectors:
         out[idx[rows], idx[cols]] = out[idx[cols], idx[rows]] = values
     if zz:      # the pairs' Sz_i Sz_j added in pair order
-        (first, second), sz = np.nonzero(np.tril(system.couplings, -1)), _spin_tables(system)[0]
+        (first, second), sz = np.nonzero(np.tril(system.couplings, -1)), system._tables[0]
         out[np.arange(d), np.arange(d)] = np.add.reduce(
             system.couplings[first, second][:, None] * (sz[first] * sz[second]))
     return out
@@ -280,7 +275,7 @@ def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
 
 def level_data(system: SpinSystem, b_o: float) -> LevelData:
     """Energies (the diagonal of Z0) and magnetizations of the basis states, from the kept Sz."""
-    sz = _spin_tables(system)[0]
+    sz = system._tables[0]
     energies = -b_o * np.dot(np.asarray(system.gammas)[None], sz)[0]
     t = system.couplings
     for i in range(system.n_spins):
@@ -294,7 +289,7 @@ def _tabulate_sectors(system: SpinSystem) -> list:
     """X's entries by total-M sector (idx, rows, cols, values), one pass over the pairs i > j:
     1/2 T_ij S+_i S-_j takes column k to row k - W_i + W_j (X adds the transposes) at local
     (rows, cols) of its sector, X conserving M; ``idx`` cuts a stable argsort of M."""
-    sz, s_minus, s_plus = _spin_tables(system)
+    sz, s_minus, s_plus = system._tables
     first, second = np.nonzero(np.tril(system.couplings, -1))    # pairs i > j, in loop order
     weights = np.array(system.weights)
     flip = s_plus[first] * s_minus[second]                        # S+_i S-_j at each (pair, k)
@@ -311,11 +306,6 @@ def _tabulate_sectors(system: SpinSystem) -> list:
         at = m[cols] == m[idx[0]]
         sectors.append((idx, local[rows[at]], local[cols[at]], values[at]))
     return sectors
-
-
-def _flip_flop_sectors(system: SpinSystem, b_o: float) -> tuple:
-    """Z0's energies (per call) and the sectors that ``system`` keeps: one pass per system."""
-    return level_data(system, b_o).energies, system._sectors
 
 
 def _populations(energies: np.ndarray, beta: float) -> np.ndarray:

@@ -370,8 +370,9 @@ def stacked_choi_minima(phi1_mat: np.ndarray, phi2_mat: np.ndarray, dim: int) ->
 
 
 def per_call_sectors(system, b_o: float) -> tuple:
-    """``spincore._flip_flop_sectors`` rebuilt on every call from fresh spin tables:
-    Z0's energies and each total-M sector's (idx, rows, cols, values), nothing kept."""
+    """:func:`spincore.level_data`'s energies and ``SpinSystem._sectors``, rebuilt on every call
+    from fresh spin tables: Z0's energies and each total-M sector's (idx, rows, cols, values),
+    nothing kept."""
     tables = sc._tabulate(system)
     sz = tables[0]
     energies = -b_o * np.dot(np.asarray(system.gammas)[None], sz)[0]
@@ -558,8 +559,27 @@ def write_csv_oracle(path, header, columns) -> None:
         writer.writerows(zip(*cells))
 
 
+@dataclass(frozen=True)
+class PauliRate:
+    """One directed transition entry of the Pauli rate table."""
+
+    n_from: int       # column state (higher magnetization for omega > 0 entries)
+    n_to: int
+    omega: float
+    gamma_plus: float
+    gamma_minus: float
+    element: complex
+    canonical: bool = True   # False for the mirrored orientation of a pair
+
+    @property
+    def total(self) -> float:
+        return self.gamma_plus + self.gamma_minus
+
+
 def pauli_rates_oracle(model):
-    """The Pauli table block by block: the nonzeros of each dense xi^x(+1, w), row-major."""
+    """The stimulated rates rates_+-[block] |xi_w[a, b]|^2 as a per-entry table, block by block:
+    the nonzeros of each dense xi^x(+1, w), row-major, each with its mirrored entry (the
+    reverse transition, opposite-sign frequency, plus and minus rates swapped)."""
     entries = []
     stack = dense_ladder(model.ladder)
     for k in range(stack.shape[0]):
@@ -569,18 +589,18 @@ def pauli_rates_oracle(model):
         for a, b in zip(*np.nonzero(mat)):
             el = complex(mat[a, b])
             weight = abs(el) ** 2
-            entries.append(me.PauliRate(n_from=int(b), n_to=int(a), omega=w,
-                                        gamma_plus=gp * weight, gamma_minus=gm * weight,
-                                        element=el, canonical=True))
-            entries.append(me.PauliRate(n_from=int(a), n_to=int(b), omega=-w,
-                                        gamma_plus=gm * weight, gamma_minus=gp * weight,
-                                        element=np.conj(el), canonical=False))
+            entries.append(PauliRate(n_from=int(b), n_to=int(a), omega=w,
+                                     gamma_plus=gp * weight, gamma_minus=gm * weight,
+                                     element=el, canonical=True))
+            entries.append(PauliRate(n_from=int(a), n_to=int(b), omega=-w,
+                                     gamma_plus=gm * weight, gamma_minus=gp * weight,
+                                     element=np.conj(el), canonical=False))
     return tuple(entries)
 
 
 def transition_rate_oracle(model, n_from: int, n_to: int) -> float:
-    """The first matching entry of the whole :func:`mastereq.pauli_rates` table."""
-    for entry in me.pauli_rates(model):
+    """The first matching entry of the whole :func:`pauli_rates_oracle` table."""
+    for entry in pauli_rates_oracle(model):
         if entry.n_from == n_from and entry.n_to == n_to:
             return entry.total
     return 0.0
@@ -812,11 +832,11 @@ def ladder_sums_oracle(model):
     return np.array(gp), np.array(gm), h_ls, anti
 
 
-def steady_magnetization_oracle(model, t: float, *, n_over_v: float = 1.0) -> float:
+def steady_magnetization_oracle(model, t: float) -> float:
     """Per-block loop: xi^x rebuilt, one commutator average and two kernels per block."""
     dist = model.field.dist
     total = 0.0
-    m_x = -n_over_v * sc.xi_operator(model.system, "x")
+    m_x = -sc.xi_operator(model.system, "x")
     for w0, xi_w in zip(model.ladder.omegas.tolist(), dense_ladder(model.ladder)):
         comm = m_x @ xi_w - xi_w @ m_x
         g = complex(np.trace(comm @ model.boltzmann))
@@ -835,7 +855,7 @@ def two_pass_model_arrays(system, field, beta: float):
     ``np.tensordot``) and once inside :func:`eigenops.ladder_table`, and the
     line shape evaluated in four calls, at +w and at -w apart.
     """
-    sz = sc._spin_tables(system)[0]
+    sz = system._tables[0]
     energies = -field.b_o * np.tensordot(np.asarray(system.gammas), sz, axes=(0, 0))
     t = system.couplings
     for i in range(system.n_spins):
@@ -857,9 +877,9 @@ def two_pass_model_arrays(system, field, beta: float):
     return levels, ladder, gp, gm, h_ls, anti
 
 
-def two_pass_steady_magnetization(model, t: float, *, n_over_v: float = 1.0) -> float:
+def two_pass_steady_magnetization(model, t: float) -> float:
     """steady_magnetization by its former formula: four line-shape calls, at +w0 and -w0 apart."""
-    g, w0, dist = rs._flows(model, n_over_v), model.ladder.omegas, model.field.dist
+    g, w0, dist = rs._flows(model), model.ladder.omegas, model.field.dist
     branches = g * math.pi * ((ls.hilbert(dist, -w0) - ls.hilbert(dist, w0))
                               - 1j * (ls.density(dist, w0) + ls.density(dist, -w0)))
     chi_p, chi_pp = branches.real, -branches.imag
@@ -867,14 +887,13 @@ def two_pass_steady_magnetization(model, t: float, *, n_over_v: float = 1.0) -> 
                                                 + np.sin(w0 * t) * chi_pp))
 
 
-def absorbed_power_oracle(model, *, n_over_v: float = 1.0):
+def absorbed_power_oracle(model):
     """Total and per-frequency absorbed power summed over the canonical Pauli entries."""
     pops = np.real(np.diag(model.boltzmann))
     per_line = {}
-    for entry in me.pauli_rates(model):
+    for entry in pauli_rates_oracle(model):
         if entry.canonical:
-            contrib = (n_over_v * entry.omega * (pops[entry.n_to] - pops[entry.n_from])
-                       * entry.total)
+            contrib = entry.omega * (pops[entry.n_to] - pops[entry.n_from]) * entry.total
             per_line[entry.omega] = per_line.get(entry.omega, 0.0) + contrib
     return sum(per_line.values()), sorted(per_line.items())
 

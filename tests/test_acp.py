@@ -110,8 +110,7 @@ def sector_ys(eps, sectors, order, beta):
 
 def system_ys(system, b_o, order, beta):
     """[Y^(0), ..., Y^(order)] of a system, scattered from its sector ladder."""
-    eps, sectors = sc._flip_flop_sectors(system, b_o)
-    return sector_ys(eps, sectors, order, beta)
+    return sector_ys(sc.level_data(system, b_o).energies, system._sectors, order, beta)
 
 
 def assert_matches_whole_ladder(system, b_o, beta, order, nodes=16):

@@ -387,6 +387,21 @@ class TestSpectrumMode:
         assert peak < 5_000_000
         assert not list(out.glob("*"))
 
+    def test_positions_past_the_float_range_refused(self, tmp_path, monkeypatch, capsys):
+        # a finite splitting of 1.5e308 G per proton once wrote "inf" to the CSV, which
+        # parse_csv refuses, and x1="nan" to the SVG, and exited 0
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        cfg = tmp_path / "huge_lambda.cfg"
+        cfg.write_text("[run]\nmode = spectrum\n"
+                       "[group:e]\nj = 0.5\ncount = 1\ngamma = -1.7608e7\nlambda.h = 1.5e308\n"
+                       "[group:h]\nj = 0.5\ncount = 2\ngamma = 2.6752e4\n"
+                       "[spectrum]\nresonance = e\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error" in err and "exceed the float range" in err
+        assert "Traceback" not in err and not list(out.glob("*"))
+
     def test_scaled_zero_gamma_is_validation_error(self, tmp_path, monkeypatch, capsys):
         # all-zero scaled intensities used to reach the SVG as a ZeroDivisionError
         monkeypatch.delenv("SPINLIND_OUT", raising=False)

