@@ -207,7 +207,8 @@ def propagate_order_n(model: MasterEquationModel, n: int,
         g = np.asarray(g_callback(t))
         if g.shape != (d, d):
             raise ValidationError("inhomogeneity callback returned a wrong shape")
-        if not abs(complex(np.trace(g))) <= 1e-9 * max(numutil.max_abs(g), scale):
+        if not (np.isfinite(g).all()
+                and abs(complex(np.trace(g))) <= 1e-9 * max(numutil.max_abs(g), scale)):
             raise ValidationError("inhomogeneity callback output must be finite and traceless")
         return g
 

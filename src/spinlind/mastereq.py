@@ -662,10 +662,8 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     over ``n_nodes`` panels (bumped to even) on [0, t], Phi1 = e^{Lt} +
     sum_n w_n e^{L(t - s_n)} Ad_M(s_n) and Phi2 = sum_n w_n e^{L(t - s_n)}
     Ad_M^dag(s_n) as superoperator matrices, every e^{Ls} = V diag(e^{lam s})
-    V^-1 from the model's one block eigensystem of L.  Since Ad_M = (1 + C +
-    K) / 2 and Ad_M^dag = (1 - C + K) / 2, with C = -i [H_LR, .] and
-    K = H_LR . H_LR, the sums V^-1 Phi_i take one sandwich node sum (:func:`_node_sum`) and
-    one commutator node sum (:func:`_commutator_sum`), both reading only the
+    V^-1 from the model's one block eigensystem of L.  The sums V^-1 Phi_i take
+    one node sum (:func:`_node_sum`) of M and one of M^dag, both reading only the
     entries of V^-1 inside its blocks, over batches of nodes whose
     temporaries hold at most AUDIT_CHUNK elements; V is applied block by
     block at the end.  The report holds the trace and reconstruction
@@ -695,23 +693,19 @@ def kraus_audit(model: MasterEquationModel, t: float, rho0: np.ndarray, *,
     ts = np.linspace(0.0, t, n_nodes + 1)
     weights = np.ones(n_nodes + 1)
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
-    weights *= t / n_nodes / 6.0        # Simpson's weights, halved for Ad_M = (1 + C + K) / 2
+    weights *= t / n_nodes / 3.0
 
-    # sum_n w_n e^{lam (t - s_n)} / 2, and V^-1 times the K / 2 and C / 2 node
-    # sums, a batch of nodes at a time; V applied once at the end
-    plain = np.zeros(lam.size, dtype=complex)
-    sandwich, comm = np.zeros_like(v_inv), np.zeros_like(v_inv)
+    # V^-1 Phi1 and V^-1 Phi2, a batch of nodes at a time; V applied once at the end
+    phi1_mat, phi2_mat = np.exp(lam * t)[:, None] * v_inv, np.zeros_like(v_inv)
     step = max(1, AUDIT_CHUNK // (rows.size * d))
     for first in range(0, ts.size, step):
         tau, weight = ts[first:first + step], weights[first:first + step]
-        h_lr = linear_response_hamiltonian(model, tau)
+        m_ops = (eye - 1j * linear_response_hamiltonian(model, tau)) / math.sqrt(2.0)
         scale = weight[:, None] * np.exp(np.outer(t - tau, lam))
-        plain += scale.sum(0)
-        sandwich += _node_sum(table, scale, h_lr)
-        comm += _commutator_sum(table, scale, h_lr)
-    sandwich += plain[:, None] * v_inv
-    phi1_mat = eig.apply(np.exp(lam * t)[:, None] * v_inv + sandwich + comm)
-    phi2_mat = eig.apply(sandwich - comm)
+        phi1_mat += _node_sum(table, scale, m_ops)
+        phi2_mat += _node_sum(table, scale, m_ops.conj().transpose(0, 2, 1))
+    eig.apply(phi1_mat)
+    eig.apply(phi2_mat)
 
     diff = phi1_mat - phi2_mat
     reconstructed = numutil.unvec(diff @ numutil.vec(rho_init), d)
@@ -749,26 +743,6 @@ def _node_sum(table, scale: np.ndarray, ops: np.ndarray) -> np.ndarray:
     right *= (scale[:, rows] * x).T[:, :, None]
     terms = (left @ right).reshape(rows.size, d * d)
     return np.add.reduceat(terms, np.flatnonzero(np.diff(rows, prepend=-1)))
-
-
-def _commutator_sum(table, scale: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """sum_n diag(scale_n) V^-1 vec(-i [H_n, .]) for a (n, D, D) stack ``ops`` of H_n.
-
-    Row r of V^-1, read as the D x D matrix R_r (R_r[i, j] at c = j D + i),
-    maps to the row -i [G_r, R_r] (column-stacked) with G_r = sum_n
-    scale[n, r] conj(H_n): one (D^2, n) @ (n, D^2) product for every G_r.
-    Entry (r, c, x) of V^-1 then adds -i x G_r[:, i] to column j and i x
-    G_r[j, :] to row i of that D x D row.
-    """
-    rows, cols, x = table
-    n, d = ops.shape[0], ops.shape[-1]
-    j, i = cols // d, cols % d
-    g = (scale.T @ ops.conj().reshape(n, d * d)).reshape(-1, d, d)     # [r, a, b] = G_r[a, b]
-    ix = 1j * x[:, None]
-    out = np.zeros((d * d, d, d), dtype=complex)                        # [r, l, k]: column l D + k
-    np.add.at(out, (rows, j), -ix * g[rows, :, i])
-    np.add.at(out, (rows, slice(None), i), ix * g[rows, j])
-    return out.reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

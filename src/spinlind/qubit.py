@@ -214,14 +214,15 @@ def fdt_check(params: QubitParams) -> dict:
     In the adiabatic limit both spectra collapse to pure delta lines with
     weights (1 +- th)/2; the residuals are evaluated on those weights, so
     they vanish to machine precision by construction of the implemented
-    forms.
+    forms.  They are taken on the pair ordered by weight, heavy (1 + |th|)/2
+    and light (1 - |th|)/2 = e^{-x} heavy with x = |beta w0|, so the factor
+    e^{-x} <= 1 stays finite for w0 < 0 (a proton) and at beta = inf.
     """
-    th = params.thermal_polarization
-    w_minus_plus = 0.5 * (1.0 + th)           # S^ad_{-+} weight at +w0
-    w_plus_minus = 0.5 * (1.0 - th)           # S^ad_{+-} weight at -w0
-    boltz = math.exp(-params.beta * params.omega_o) if params.omega_o else 1.0
-    detailed_balance = abs(w_plus_minus - boltz * w_minus_plus)
+    th = abs(params.thermal_polarization)
+    heavy, light = 0.5 * (1.0 + th), 0.5 * (1.0 - th)
+    boltz = math.exp(-abs(params.beta * params.omega_o)) if params.omega_o else 1.0
+    detailed_balance = abs(light - boltz * heavy)
 
-    im_chi_weight = -math.pi * th             # Im chi_{-+}: -pi delta(w'-w0) th
-    fdt = abs(im_chi_weight - (-math.pi * (1.0 - boltz) * w_minus_plus))
+    im_chi_weight = math.pi * th              # |Im chi_{-+}|: pi delta(w'-w0) |th|
+    fdt = abs(im_chi_weight - math.pi * (1.0 - boltz) * heavy)
     return {"adiabatic_detailed_balance": detailed_balance, "fdt": fdt}

@@ -278,7 +278,10 @@ def intensity_scale(groups: Sequence[EquivalentGroup], label: str) -> float:
 
 def reference_field(groups: Sequence[EquivalentGroup], label: str,
                     omega_o: float) -> float:
-    """Line-position reference -w0/gamma - sum_g lambda_g J_g; ``omega_o`` must be finite."""
+    """Line-position reference -w0/gamma - sum_g lambda_g J_g; ``omega_o`` must be finite.
+
+    A reference past the float range is a ValidationError, as in :func:`stick_spectrum`.
+    """
     if not math.isfinite(omega_o):
         raise ValidationError(f"omega_o must be finite, got {omega_o}")
     res = _group_map(groups)[label]
@@ -287,6 +290,9 @@ def reference_field(groups: Sequence[EquivalentGroup], label: str,
     out = -omega_o / res.gamma
     for g in _neighbors(groups, res):
         out -= res.lambdas[g.label] * g.total_spin
+    if not math.isfinite(out):
+        raise ValidationError(f"line positions of group {label!r} exceed the float range: "
+                              f"the reference field is {out}")
     return out
 
 

@@ -487,10 +487,13 @@ class TestOrderNPropagation:
             acp.propagate_order_n(model, 1, lambda t: zero, 0.01, dt=1e-3, rho_n0=bad)
 
     def test_non_finite_inhomogeneity_rejected(self, model):
-        bad = np.full((4, 4), np.nan, dtype=complex)
-        with pytest.raises(ValidationError, match="finite and traceless"):
-            acp.propagate_order_n(model, 1, lambda t: bad, 0.01, dt=1e-3,
-                                  rho_n0=np.zeros((4, 4), dtype=complex))
+        # an inf off the diagonal is traceless, and 0 <= 1e-9 * inf passes a trace test alone
+        inf_off_diagonal = np.zeros((4, 4), dtype=complex)
+        inf_off_diagonal[0, 1] = np.inf
+        for bad in (np.full((4, 4), np.nan, dtype=complex), inf_off_diagonal):
+            with pytest.raises(ValidationError, match="finite and traceless"):
+                acp.propagate_order_n(model, 1, lambda t: bad, 0.01, dt=1e-3,
+                                      rho_n0=np.zeros((4, 4), dtype=complex))
 
     def test_store_every_not_a_whole_number_refused(self, model):
         zero = np.zeros((4, 4), dtype=complex)

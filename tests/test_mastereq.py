@@ -1747,14 +1747,17 @@ class TestKrausAudit:
         node_sum = me._node_sum
 
         def spy(table, scale, ops):
-            calls.append(len(ops))
+            calls.append(ops)
             return node_sum(table, scale, ops)
 
         monkeypatch.setattr(me, "_node_sum", spy)
         nodes = 1 if chunk == "one_node" else 33
         monkeypatch.setattr(me, "AUDIT_CHUNK", nnz * model.dim * nodes)
         got = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
-        assert calls == ([1] * 33 if chunk == "one_node" else [33])
+        # one sum of M and one of M^dag per batch
+        assert [len(ops) for ops in calls] == ([1, 1] * 33 if chunk == "one_node" else [33, 33])
+        for m, m_dag in zip(calls[::2], calls[1::2]):
+            assert np.array_equal(m_dag, m.conj().transpose(0, 2, 1))
         assert got.n_nodes == default.n_nodes == 32
         for name in ("trace_residual", "reconstruction_residual", "completeness_residual",
                      "phi1_choi_min", "phi2_choi_min"):
@@ -1779,6 +1782,8 @@ class TestKrausAudit:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("pattern", ["dense", "sparse"])
     def test_commutator_sum_matches_kron_form(self, count, dim, pattern, rng):
+        # kraus_audit's two node sums of M = (I - iH)/sqrt(2) and of M^dag differ by
+        # the commutator sum -i [H, .], the drive term of Lambda = Phi1 - Phi2
         shape = (count, dim, dim)
         ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         ops = ops + ops.conj().transpose(0, 2, 1)           # Hermitian H_n
@@ -1790,8 +1795,12 @@ class TestKrausAudit:
         want = sum(s[:, None] * v_inv @ (-1j * (np.kron(eye, h) - np.kron(h.T, eye)))
                    for s, h in zip(scale, ops))
         rows, cols = np.nonzero(v_inv)
-        got = me._commutator_sum((rows, cols, v_inv[rows, cols]), scale, ops)
-        assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
+        table = rows, cols, v_inv[rows, cols]
+        m_ops = (eye - 1j * ops) / math.sqrt(2.0)
+        phi1 = me._node_sum(table, scale, m_ops)
+        got = phi1 - me._node_sum(table, scale, m_ops.conj().transpose(0, 2, 1))
+        # rounding is relative to the two sums that cancel: at D = 1 the commutator is 0
+        assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(phi1)
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_bad_time_rejected(self, qubit_model, bad):

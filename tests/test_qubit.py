@@ -391,6 +391,15 @@ class TestFdt:
         res = qb.fdt_check(p)
         assert res["fdt"] < 1e-14
 
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_negative_larmor_frequency(self, beta):
+        # w0 = -gamma B0 < 0 for a proton: e^{-beta w0} overflows at beta w0 < -709, and
+        # is inf at beta = inf; the heavy/light pair keeps the factor e^{-|beta w0|} <= 1
+        p = qb.QubitParams(omega_o=-1e3, omega_1=1.0, beta=beta, dist=ls.lorentzian(-1e3, 0.5))
+        res = qb.fdt_check(p)
+        assert res["adiabatic_detailed_balance"] < 1e-14
+        assert res["fdt"] < 1e-14
+
     def test_random_inverse_temperatures(self, rng):
         dist = ls.lorentzian(2.0, 0.3)
         for _ in range(20):

@@ -840,6 +840,16 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="line positions of group 'e' exceed"):
             sp.stick_spectrum(groups, "e", 1e300, absolute=True)
 
+    def test_reference_past_the_float_range_refused(self):
+        # -w0 / gamma = -1e310, then a sum lambda_g J_g = 1.5e308 * 2 = 3e308
+        e, h = _two_protons()
+        groups = (dataclasses.replace(e, gamma=1e-10), h)
+        with pytest.raises(ValidationError, match="line positions of group 'e' exceed"):
+            sp.reference_field(groups, "e", 1e300)
+        groups = (dataclasses.replace(e, lambdas={"h": 1.5e308}), dataclasses.replace(h, count=4))
+        with pytest.raises(ValidationError, match="line positions of group 'e' exceed"):
+            sp.reference_field(groups, "e", 2.0e10)
+
     @pytest.mark.parametrize("export", [sp.export_csv, sp.export_svg])
     @pytest.mark.parametrize("delta_b, intensity", [
         ((0.0, math.inf), (1, 1)), ((math.nan, 1.0), (1, 1)),
