@@ -114,7 +114,7 @@ def run_qubit(cfg: RunConfig, out: Path, verbose: bool) -> int:
     print(f"wrote {csv_path}")
     print(f"wrote {report_path}")
     print(f"max |numeric - analytic| = {max_dev:.3e}")
-    if cfg.tolerance is not None and max_dev > cfg.tolerance:
+    if cfg.tolerance is not None and not max_dev <= cfg.tolerance:     # NaN fails too
         print(f"deviation exceeds tolerance {cfg.tolerance:.3e}", file=sys.stderr)
         return EXIT_ACCURACY
     return EXIT_OK

@@ -7,11 +7,13 @@ module provides the density itself, its characteristic function phi_f(t)
 feeds the Lamb shift) and the envelope integral
 int_{t0}^{t1} phi_f(tau) exp(kappa tau) dtau, all in closed form and
 broadcasting over arrays.  The envelope integral is the one primitive behind
-the transient response kernels and the damped drive weight
+the transient linear response (the tails int_t^inf phi_f(tau) e^{-+i w tau}
+dtau) and the damped drive weight
 int_0^t e^{lam (t-s)} Re[phi_f(s)] e^{-i w s} ds, which in turn gives the
 map's drive term, the time-integrated drive and the qubit coherence; on the
 half line with kappa = -i x it gives pi rho_f(x) - i pi rho^>(x), the pair
-behind the dissipator rates and the Lamb shift.
+behind the dissipator rates and the Lamb shift.  Past the float range of a
+phase, a decayed term is 0 and any other a ValidationError.
 
 Note on the Lorentzian: the normalized Cauchy density
 ``(1/pi) (w/2) / ((w/2)^2 + (omega - x)^2)`` (w = FWHM) is used, which is the
@@ -80,9 +82,9 @@ def _gauss_sigma(dist: FrequencyDistribution) -> float:
     return dist.width / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
-def _half_square(u):
-    """u^2 / 2 with |u| held at 1e154, whose square is finite: e^{-u^2/2} is 0 long before."""
-    return 0.5 * np.minimum(np.abs(u), 1e154) ** 2
+def _half_square(s, t):
+    """(s t)^2 / 2, s > 0, with |s t| held near 1e154: e^{-(s t)^2 / 2} is 0 long before."""
+    return 0.5 * (s * np.minimum(np.abs(t), 1e154 / s)) ** 2
 
 
 def density(dist: FrequencyDistribution, omega_prime):
@@ -100,17 +102,41 @@ def density(dist: FrequencyDistribution, omega_prime):
 
 
 def characteristic(dist: FrequencyDistribution, t):
-    """Characteristic function phi_f(t) = int rho_f(w') exp(i w' t) dw'."""
-    tt = np.asarray(t, dtype=float)
-    carrier = np.exp(1j * dist.center * tt)
-    if dist.kind == "lorentzian":
-        out = carrier * np.exp(-0.5 * dist.width * np.abs(tt))
+    """Characteristic function phi_f(t) = int rho_f(w') exp(i w' t) dw' (0 where the
+    carrier phase c t passes the float range, refused there for a delta line)."""
+    tt, envelope = np.asarray(t, dtype=float), None     # a delta line has none
+    if dist.kind == "lorentzian":   # |t| capped at 1e308 / w, where e^{-w |t| / 2} is 0 already
+        envelope = np.exp(-0.5 * dist.width * np.minimum(np.abs(tt), 1e308 / dist.width))
     elif dist.kind == "gaussian":
-        s = _gauss_sigma(dist)
-        out = carrier * np.exp(-_half_square(s * tt))
-    else:
-        out = carrier
+        envelope = np.exp(-_half_square(_gauss_sigma(dist), tt))
+    out = _cexp(1j * dist.center, tt, envelope)
     return out if out.ndim else complex(out)
+
+
+def _far(rate, t) -> bool:
+    """Whether some phase rate * t may pass the float range: max |rate| * max |t| = inf."""
+    big = [float(x.max() if x.ndim else x) for x in map(np.abs, (rate, t)) if x.size]
+    return len(big) == 2 and math.isinf(big[0] * big[1])
+
+
+def _cexp(rate, t, factor=None):
+    """exp(rate t) times ``factor`` (1 if None), broadcasting; where :func:`_far` fires, an
+    entry whose phase passes the float range must have decayed to 0 (:func:`_settled`)."""
+    if _far(rate, t):   # an entry whose phase passes the float range keeps its modulus e^{Re x}
+        with np.errstate(over="ignore"):
+            x = rate * t
+        lost = ~np.isfinite(np.imag(x))
+        x = np.where(lost, np.real(x), x)
+    else:
+        x, lost = rate * t, False
+    return _settled(np.exp(x) if factor is None else np.exp(x) * factor, lost)
+
+
+def _settled(values, lost):
+    """``values``, which must be 0 wherever ``lost``: the term has decayed there."""
+    if lost is not False and np.any(np.where(lost, values, 0.0) != 0.0):
+        raise ValidationError("an undecayed term's phase passes the float range at this t")
+    return values
 
 
 def relaxation_time(dist: FrequencyDistribution) -> float:
@@ -167,17 +193,24 @@ def envelope_integral(dist: FrequencyDistribution, kappa, t0, t1, *, log_scale=0
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     if not ((t0 >= 0.0).all() and (t1 >= t0).all() and np.isfinite(t0).all()):
         raise ValidationError("envelope integral needs 0 <= t0 <= t1 with t0 finite")
+    gauss = dist.kind == "gaussian"     # a is b for a Gaussian
+    a = np.asarray(kappa) + (1j * dist.center - (0.0 if gauss else 0.5 * dist.width))
     inf = np.isinf(t1)
     some_inf = inf.any()
+    if some_inf and not gauss and not ((a.real < 0.0) | ~inf).all():
+        raise ValidationError("the envelope does not decay; the integral diverges")
     if some_inf:
         t1 = np.where(inf, t0, t1)      # an infinite end contributes 0 (set below)
+    if _far(a, t1) or gauss and _far(_gauss_sigma(dist) ** 2, t1):
+        # a lost end has decayed (:func:`_lost_end`): 0, as an infinite end; at t0, all is 0
+        gone, late = (_lost_end(dist, a, tau, log_scale) for tau in (t0, t1))
+        t0, log_scale = np.where(gone, 0.0, t0), np.where(gone, -np.inf, log_scale)
+        inf = inf | late | gone
+        t1, some_inf = np.where(inf, t0, t1), inf.any()
     # from t0 = 0 the start term's exponential is exp(log_scale) alone, taken
     # once per element of log_scale rather than of kappa
     from_zero = not t0.any()
-    if dist.kind != "gaussian":
-        a = np.asarray(kappa) + (1j * dist.center - 0.5 * dist.width)
-        if some_inf and not ((a.real < 0.0) | ~inf).all():
-            raise ValidationError("the envelope does not decay; the integral diverges")
+    if not gauss:
         length = t1 - t0
         span = a * length
         e0 = np.exp(log_scale if from_zero else a * t0 + log_scale)
@@ -197,26 +230,35 @@ def envelope_integral(dist: FrequencyDistribution, kappa, t0, t1, *, log_scale=0
 
     s = _gauss_sigma(dist)
     root2s = math.sqrt(2.0) * s
-    b = np.asarray(kappa) + 1j * dist.center
 
     def end(tau, exponent):
         """(Re z >= 0, E(tau) w(+-iz)) at each element of one end, E(tau) = exp(exponent)."""
-        z = (s * s * tau - b) / root2s
+        z = (s * s * tau - a) / root2s
         upper = z.real >= 0.0
         w = wofz(np.where(upper, 1j * z, -1j * z))
         return upper, np.exp(exponent) * w
 
-    up0, e0 = end(t0, log_scale if from_zero else b * t0 - _half_square(s * t0) + log_scale)
-    up1, e1 = end(t1, b * t1 - _half_square(s * t1) + log_scale)
+    up0, e0 = end(t0, log_scale if from_zero else a * t0 - _half_square(s, t0) + log_scale)
+    up1, e1 = end(t1, a * t1 - _half_square(s, t1) + log_scale)
     if some_inf:
         up1, e1 = up1 | inf, np.where(inf, 0.0, e1)
     val = np.where(up0, e0 - e1, e1 - e0)
     straddle = up1 & ~up0
     if straddle.any():
-        c = np.exp(np.where(straddle, b * b / (2.0 * s * s) + log_scale, 0.0))
+        c = np.exp(np.where(straddle, a * a / (2.0 * s * s) + log_scale, 0.0))
         val = np.where(straddle, 2.0 * c - e0 - e1, val)
     out = math.sqrt(0.5 * math.pi) / s * val
     return out if out.ndim else complex(out)
+
+
+def _lost_end(dist: FrequencyDistribution, a, tau, log_scale):
+    """Where the end term at ``tau``, or a Gaussian's z(tau), passes the float range."""
+    gauss, s = dist.kind == "gaussian", _gauss_sigma(dist)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = a * tau + log_scale - (_half_square(s, tau) if gauss else 0.0)
+        lost = ~np.isfinite(x) | gauss & np.isinf(s * s * tau)
+        _settled(np.exp(x.real), lost)
+    return lost
 
 
 def drive_weight(dist: FrequencyDistribution, lam, w, t):
@@ -230,6 +272,12 @@ def drive_weight(dist: FrequencyDistribution, lam, w, t):
     """
     t, lam = np.asarray(t, dtype=float)[..., None], np.asarray(lam)[..., None]
     kappa = -1j * np.asarray(w)[..., None] - lam - np.array([0.0, 2j * dist.center])
-    pair = envelope_integral(dist, kappa, 0.0, t, log_scale=lam * t)
+    with np.errstate(over="ignore"):    # it overflows only where _far fires: settled below
+        log_scale = lam * t
+    if _far(lam, t):    # where lam t passes the float range, e^{lam t} and phi_f(t) decayed: 0
+        lost = ~np.isfinite(log_scale)
+        _settled(np.exp(log_scale.real) + np.abs(characteristic(dist, t)), lost)
+        t, log_scale = np.where(lost, 0.0, t), np.where(lost, -np.inf, log_scale)
+    pair = envelope_integral(dist, kappa, 0.0, t, log_scale=log_scale)
     out = 0.5 * (pair[..., 0] + pair[..., 1])
     return out if out.ndim else complex(out)

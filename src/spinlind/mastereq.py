@@ -55,7 +55,8 @@ from .errors import (
     ValidationError,
     WitnessInapplicableError,
 )
-from .lineshape import FrequencyDistribution, characteristic, drive_weight, relaxation_time
+from .lineshape import (FrequencyDistribution, _cexp, characteristic, drive_weight,
+                        relaxation_time)
 from .spincore import SpinSystem, _whole, boltzmann_state, level_data, xi_operator
 
 __all__ = [
@@ -236,12 +237,13 @@ def linear_response_hamiltonian(model: MasterEquationModel, t) -> np.ndarray:
     ``t`` is one time, giving (D, D), or a 1-D array of times, giving
     (nt, D, D): one :func:`characteristic` call, one (nt, K) phase table and
     one scatter of the ladder entries (:meth:`LadderTable.hermitian`).
-    Every time must be finite and nonnegative.
+    Every time must be finite and nonnegative; where a phase w t passes the
+    float range the envelope must have decayed, and H_LR is 0 there.
     """
     times = _map_times(t)
     ts = np.atleast_1d(times)
     env = 2.0 * model.field.b_1 * np.real(characteristic(model.field.dist, ts))
-    out = model.ladder.hermitian(env[:, None] * np.exp(-1j * np.outer(ts, model.ladder.omegas)))
+    out = model.ladder.hermitian(_cexp(-1j * model.ladder.omegas, ts[:, None], env[:, None]))
     return out if times.ndim else out[0]
 
 
@@ -317,10 +319,10 @@ class Trajectory:
     energies: np.ndarray
 
     def schrodinger_states(self) -> np.ndarray:
-        """Conjugate with exp(-i t Z0): rho_ab(t) = e^{-i t (eps_a - eps_b)} state_ab."""
+        """Conjugate with exp(-i t Z0): rho_ab(t) = e^{-i t (eps_a - eps_b)} state_ab, a
+        coherence whose phase passes the float range having decayed to 0."""
         gaps = self.energies[:, None] - self.energies[None, :]
-        phases = np.exp(-1j * self.times[:, None, None] * gaps[None, :, :])
-        return phases * self.states
+        return _cexp(-1j * gaps, self.times[:, None, None], self.states)
 
     @property
     def final(self) -> np.ndarray:
@@ -627,7 +629,7 @@ def _apply_map(model: MasterEquationModel, eig: BlockEigensystem, times: np.ndar
     """
     lam = eig.lam
     rho_init = np.array(rho0, dtype=complex)
-    coef = np.exp(np.outer(times, lam)) * eig.apply(numutil.vec(rho_init).copy(), inverse=True)
+    coef = _cexp(lam, times[:, None], eig.apply(numutil.vec(rho_init).copy(), inverse=True))
 
     if include_drive and model.field.b_1 > 0:
         comps, freqs = _drive_components(model, rho_init)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lineshape import (FrequencyDistribution, characteristic, density, drive_weight, hilbert,
-                        lorentzian)
+from .lineshape import (FrequencyDistribution, _cexp, characteristic, density, drive_weight,
+                        hilbert, lorentzian)
 from .mastereq import _map_time, _map_times
 
 __all__ = [
@@ -109,7 +109,7 @@ def sigma_plus_expectation(params: QubitParams, t):
 def trajectory(params: QubitParams, t):
     """Bloch vector (<sigma_1>, <sigma_2>, <sigma_3>): floats, or arrays over 1-D times."""
     times = _map_times(t)
-    s3 = -params.thermal_polarization * np.exp(-2.0 * params.rate * times)
+    s3 = -params.thermal_polarization * _cexp(-2.0 * params.rate, times)
     sp = sigma_plus_expectation(params, times)
     out = 2.0 * np.real(sp), 2.0 * np.imag(sp), s3
     return out if times.ndim else tuple(map(float, out))

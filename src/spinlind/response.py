@@ -1,19 +1,13 @@
 """Linear response of a general multispin system in the relaxation-free limit.
 
-With the semigroup part switched off and an equilibrium start, the change of
-any observable X under the drive is governed by frequency response kernels
-built from a single thermal commutator average,
-
-    g = <[X, xi^x(+1, w0)]>_0 = <[X^dag(+1, w0), xi^x(+1, w0)]>_0,
-
-through ``chi_{+-, w0, inf}(w') = g / ((+-w' - w0) + i 0+)``, i.e. a
-principal-value kernel plus a (-i pi g)-weighted delta.  Deltas and PV
-kernels are carried symbolically as weight/location records.  One function,
-:func:`rho_integral`, takes the density integral of any kernel in closed form:
-a Hilbert transform and a density value for a steady one, the tail
-i g int_t^inf phi_f(+-tau) e^{-i w0 tau} dtau of the envelope integral for a transient one.
-Every block sum runs over the entries of the model's ``ladder`` table, with
-no dense block; the drive amplitude and density play no part in the kernels.
+With the semigroup part off and an equilibrium start, the drive moves an
+observable X through one thermal commutator average per ladder block w,
+g_w = <[X, xi^x(+1, w)]>_0 = Tr(xi_w [rho0, X]), in the steady kernels
+g_w / ((+-w' - w) + i 0+) (principal value plus a (-i pi g_w)-weighted delta)
+and the transient kernels that cancel them at t = 0 and decay with the
+field.  Their density integrals are Hilbert transforms and density values,
+and the envelope-integral tails i g_w int_t^inf phi_f(+-tau) e^{-i w tau} dtau.
+For M_x = -xi^x, g_w is block w's population flow (:func:`_flows`).
 """
 
 from __future__ import annotations
@@ -24,147 +18,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lineshape import FrequencyDistribution, density, envelope_integral, hilbert
-from .mastereq import MasterEquationModel, _map_time
+from .lineshape import _far, density, envelope_integral, hilbert
+from .mastereq import MasterEquationModel, _map_times
 
-__all__ = [
-    "ChiKernel",
-    "commutator_average",
-    "chi_infinity",
-    "chi_transient",
-    "rho_integral",
-    "steady_magnetization",
-    "absorbed_power",
-    "PowerLine",
-]
+__all__ = ["magnetization", "steady_magnetization", "absorbed_power", "PowerLine"]
 
 
-def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
-                       omega_o: float) -> complex:
-    """Thermal average <[X, xi^x(+1, w0)]>_0 (zero when no such block exists).
+def magnetization(model: MasterEquationModel, t):
+    """Transverse magnetization under the drive in linear response (relaxation-free), per unit N/V.
 
-    The block is the one whose frequency is nearest ``omega_o``, provided it
-    lies within the ladder's ``gap_atol`` of it; the average is
-    Tr(xi_w [rho0, X]), summed over the block's entries.  rho0 is diagonal,
-    so [rho0, X][c, r] = (P_c - P_r) X[c, r] with P its populations.  A
-    non-finite ``omega_o`` or entry of X, or an X that is not (D, D), is a
-    ValidationError.
+    ``t`` is one finite time >= 0 (a float) or a 1-D array of them (an array).  To
+    :func:`steady_magnetization` it adds the transient kernels, 2 B1 sum_w Re[e^{iwt} i g_w
+    (T+ + conj T-)] with T+- = int_t^inf phi_f(tau) e^{-+i w tau} dtau from one envelope
+    integral over the (times x 2K) table: 0 at t = 0, refused for a delta line.
     """
-    x_op = np.asarray(x_op)
-    if x_op.shape != (model.dim, model.dim):
-        raise ValidationError(f"X must have shape {(model.dim, model.dim)}, got {x_op.shape}")
-    if not (math.isfinite(omega_o) and np.all(np.isfinite(x_op))):
-        raise ValidationError(f"omega_o and X must be finite, got omega_o = {omega_o}")
-    ladder = model.ladder
-    near = np.abs(ladder.omegas - omega_o)
-    if not (near.size and near.min() <= ladder.gap_atol):
-        return 0.0 + 0.0j
-    lo, hi = np.searchsorted(ladder.block, int(np.argmin(near)) + np.arange(2))
-    rows, cols = ladder.rows[lo:hi], ladder.cols[lo:hi]
-    pops = np.real(np.diagonal(model.boltzmann))
-    comm = (pops[cols] - pops[rows]) * x_op[cols, rows]
-    return complex(np.sum(ladder.values[lo:hi] * comm))
+    steady, times = steady_magnetization(model, t), _map_times(t)
+    g, w0 = _flows(model), model.ladder.omegas
+    plus, minus = np.split(envelope_integral(model.field.dist, 1j * np.concatenate([-w0, w0]),
+                                             times[..., None], math.inf), 2, axis=-1)
+    transient = np.exp(1j * w0 * times[..., None]) * 1j * g * (plus + minus.conj())
+    out = steady + 2.0 * model.field.b_1 * np.sum(transient.real, axis=-1)
+    return out if times.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ChiKernel:
-    """Symbolic response value: PV kernel weight plus delta weight/location.
-
-    chi(w') = pv_weight * PV(1/(sign*w' - w0)) + delta_weight * delta(w' - delta_location)
-
-    The real/imaginary closed-form splits for Hermitian X follow from the
-    complex weights (Re chi pairs Re g with the PV kernel and Im g with the
-    delta, Im chi the other way around with a sign).  ``sign`` must be +1 or
-    -1; every kernel, steady or transient, is refused otherwise.
-    """
-
-    omega_o: float
-    sign: int
-    commutator_avg: complex
-    transient_time: float | None = None
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValidationError(f"sign must be +1 or -1, got {self.sign!r}")
-
-    @property
-    def pv_weight(self) -> complex:
-        g = self.commutator_avg
-        return -g if self.transient_time is not None else g
-
-    @property
-    def delta_weight(self) -> complex:
-        g = self.commutator_avg
-        w = -1j * math.pi * g
-        return -w if self.transient_time is not None else w
-
-    @property
-    def delta_location(self) -> float:
-        # sign * w' = w0  =>  w' = sign * w0
-        return self.sign * self.omega_o
-
-
-def chi_infinity(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
-                 sign: int) -> ChiKernel:
-    """Steady-state response kernel chi_{sign, w0, inf}."""
-    g = commutator_average(model, x_op, omega_o)
-    return ChiKernel(omega_o=omega_o, sign=sign, commutator_avg=g)
-
-
-def chi_transient(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
-                  sign: int, t: float) -> ChiKernel:
-    """Transient kernel: minus the steady kernel with phase exp(i(sign*w'-w0)t).
-
-    At t = 0 the pieces are the exact negatives of :func:`chi_infinity`.
-    """
-    t = _map_time(t)
-    g = commutator_average(model, x_op, omega_o)
-    return ChiKernel(omega_o=omega_o, sign=sign, commutator_avg=g,
-                     transient_time=t)
-
-
-def rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> complex:
-    """Frequency-density integral of a kernel, in closed form.
-
-    A steady kernel's PV piece becomes a Hilbert-transform evaluation and its
-    delta piece a density evaluation: g [ -s pi rho^>(s w0) - i pi rho_f(s w0) ],
-    s the sign.  A transient kernel's integral -g [ PV int rho_f(w')
-    e^{i(s w' - w0)t}/(s w' - w0) dw' - i pi rho_f(s w0) ] equals the tail
-    i g int_t^inf phi_f(s tau) e^{-i w0 tau} dtau, an envelope integral that
-    decays with the field's relaxation time and carries no cancellation at
-    large t.  A delta line never decays, so it is refused for a transient kernel.
-    """
-    s, w0, t = kernel.sign, kernel.omega_o, kernel.transient_time
-    if t is None:
-        pv = -s * math.pi * hilbert(dist, s * w0)
-        return kernel.commutator_avg * (pv - 1j * math.pi * float(density(dist, s * w0)))
-    if dist.kind == "delta":
-        raise ValidationError("a delta line has no decaying transient; use a finite-width kind")
-    if s == 1:
-        tail = envelope_integral(dist, -1j * w0, t, math.inf)
-    else:  # phi_f(-tau) = conj phi_f(tau) for a real density
-        tail = envelope_integral(dist, 1j * w0, t, math.inf).conjugate()
-    return 1j * kernel.commutator_avg * tail
-
-
-def steady_magnetization(model: MasterEquationModel, t: float) -> float:
+def steady_magnetization(model: MasterEquationModel, t):
     """Steady-limit transverse magnetization under the drive (relaxation-free), per unit N/V.
 
-    Assembles 2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi''] from the steady
-    kernels of M_x = -xi^x, whose density integrals are Hilbert transforms and density values
-    (:func:`rho_integral`), one call of each over the block frequencies w0 and -w0 concatenated.
-    The commutator average of block w, g = Tr(xi_w [rho0, M_x]), is its population flow
-    (:func:`_flows`), real by construction: rho0 is diagonal and M_x[b, a] = -conj(xi_w[a, b]).
+    2 B1 int dw' rho_f(w') sum_w0 [cos(w0 t) chi' + sin(w0 t) chi''] from the steady kernels
+    of M_x, one Hilbert and one density call over w0 and -w0; g = Tr(xi_w [rho0, M_x]) is real
+    as rho0 is diagonal and M_x[b, a] = -conj(xi_w[a, b]).  ``t`` as for :func:`magnetization`;
+    a phase w0 t past the float range, which never decays, is a ValidationError.
     """
-    t = _map_time(t)
+    times = _map_times(t)
     g, w0, dist = _flows(model), model.ladder.omegas, model.field.dist
+    if _far(w0, times):
+        raise ValidationError("a steady phase w0 t passes the float range, and it never decays")
     both, k = np.concatenate([w0, -w0]), w0.size
     h, rho = hilbert(dist, both), density(dist, both)
     # the two steady branches summed: g [pi (rho^>(-w0) - rho^>(w0)) - i pi (rho_f(+-w0))]
     branches = g * math.pi * ((h[k:] - h[:k]) - 1j * (rho[:k] + rho[k:]))
     chi_p, chi_pp = branches.real, -branches.imag   # rho_f integrals of chi', chi''
-    return 2.0 * model.field.b_1 * float(np.sum(np.cos(w0 * t) * chi_p
-                                                + np.sin(w0 * t) * chi_pp))
+    wt = w0 * times[..., None]
+    out = 2.0 * model.field.b_1 * np.sum(np.cos(wt) * chi_p + np.sin(wt) * chi_pp, axis=-1)
+    return out if times.ndim else float(out)
 
 
 @dataclass(frozen=True)

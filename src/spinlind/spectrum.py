@@ -389,9 +389,12 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
             raise ValidationError(
                 f"resonance group {lab!r} has gamma = {by_label[lab].gamma}, so its "
                 "scaled intensities are all 0")
-        res = by_label[lab]     # every position lies within |ref| + sum_g |lambda_g| n_max,g
-        if not math.isfinite(abs(ref) + sum(abs(res.lambdas[g.label]) * g.max_bosons
-                                            for g in _neighbors(groups, res))):
+        # float sums are monotone: each position's partial sums lie within these extremes
+        res, low, high = by_label[lab], 0.0, 0.0
+        for g in _neighbors(groups, res):
+            far = res.lambdas[g.label] * g.max_bosons
+            low, high = low + min(far, 0.0), high + max(far, 0.0)
+        if not (math.isfinite(low + ref) and math.isfinite(high + ref)):
             raise ValidationError(f"line positions of group {lab!r} exceed the float range")
 
     positions, weights, texts, configs = [], [], [], []

@@ -15,8 +15,10 @@ dense V^-1), the dissipator and generator with their jump-pair coefficients
 formed inline, the Kronecker-product spin operators, the textbook single-spin
 matrices scattered whole, the flip-flop couplings one pair at a time and with
 inline ladder values, the ladder table built one spin at a time, the
-per-block loops of the model's ladder sums and Pauli table, the model
-arrays and steady magnetization by their two-pass formulas (spin tables
+per-block loops of the model's ladder sums and Pauli table, the scalar
+linear-response route (one commutator average, ``ChiKernel`` and
+``rho_integral`` per block and sign), the model arrays and steady
+magnetization by their two-pass formulas (spin tables
 built twice, the line shape at +w and at -w apart), the scalar
 envelope integral with the map's drive term looped over times and nonzero
 pairs, the dense (K, D, D) ladder stack with the map's drive components
@@ -24,8 +26,9 @@ as batched products over it, the dense ladder decomposition of any
 observable (one Python step per nonzero), and the thermal ladder Y^(n)(i
 beta) from one exponential of the whole block-bidiagonal matrix.  None of
 these is part of the package: each is a reference for a closed form, a
-master-equation rate, a response kernel, the one-pass model build, the
-array route of :mod:`spinlind.spectrum`, the template CSV writer of
+master-equation rate, the block-at-once sums of :mod:`spinlind.response`,
+the one-pass model build, the array route of :mod:`spinlind.spectrum`, the
+template CSV writer of
 :mod:`spinlind.artifact`, the vectorized stepper of
 :mod:`spinlind.mastereq`, its per-block eigensystems or its superoperator
 audit, the occupation-table operators of :mod:`spinlind.spincore`, the
@@ -39,7 +42,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 import scipy.integrate
@@ -52,6 +55,8 @@ from spinlind import response as rs
 from spinlind import spectrum as sp
 from spinlind import spincore as sc
 from spinlind.errors import AccuracyError, ValidationError
+from spinlind.lineshape import FrequencyDistribution, density, envelope_integral, hilbert
+from spinlind.mastereq import MasterEquationModel, _map_time
 from spinlind import artifact, numutil
 from spinlind import qubit as qb
 from spinlind.artifact import fmt12
@@ -832,6 +837,116 @@ def ladder_sums_oracle(model):
     return np.array(gp), np.array(gm), h_ls, anti
 
 
+# -- the scalar linear-response route: one kernel per block and sign ---------------
+
+def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
+                       omega_o: float) -> complex:
+    """Thermal average <[X, xi^x(+1, w0)]>_0 (zero when no such block exists).
+
+    The block is the one whose frequency is nearest ``omega_o``, provided it
+    lies within the ladder's ``gap_atol`` of it; the average is
+    Tr(xi_w [rho0, X]), summed over the block's entries.  rho0 is diagonal,
+    so [rho0, X][c, r] = (P_c - P_r) X[c, r] with P its populations.  A
+    non-finite ``omega_o`` or entry of X, or an X that is not (D, D), is a
+    ValidationError.
+    """
+    x_op = np.asarray(x_op)
+    if x_op.shape != (model.dim, model.dim):
+        raise ValidationError(f"X must have shape {(model.dim, model.dim)}, got {x_op.shape}")
+    if not (math.isfinite(omega_o) and np.all(np.isfinite(x_op))):
+        raise ValidationError(f"omega_o and X must be finite, got omega_o = {omega_o}")
+    ladder = model.ladder
+    near = np.abs(ladder.omegas - omega_o)
+    if not (near.size and near.min() <= ladder.gap_atol):
+        return 0.0 + 0.0j
+    lo, hi = np.searchsorted(ladder.block, int(np.argmin(near)) + np.arange(2))
+    rows, cols = ladder.rows[lo:hi], ladder.cols[lo:hi]
+    pops = np.real(np.diagonal(model.boltzmann))
+    comm = (pops[cols] - pops[rows]) * x_op[cols, rows]
+    return complex(np.sum(ladder.values[lo:hi] * comm))
+
+
+@dataclass(frozen=True)
+class ChiKernel:
+    """Symbolic response value: PV kernel weight plus delta weight/location.
+
+    chi(w') = pv_weight * PV(1/(sign*w' - w0)) + delta_weight * delta(w' - delta_location)
+
+    The real/imaginary closed-form splits for Hermitian X follow from the
+    complex weights (Re chi pairs Re g with the PV kernel and Im g with the
+    delta, Im chi the other way around with a sign).  ``sign`` must be +1 or
+    -1; every kernel, steady or transient, is refused otherwise.
+    """
+
+    omega_o: float
+    sign: int
+    commutator_avg: complex
+    transient_time: float | None = None
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValidationError(f"sign must be +1 or -1, got {self.sign!r}")
+
+    @property
+    def pv_weight(self) -> complex:
+        g = self.commutator_avg
+        return -g if self.transient_time is not None else g
+
+    @property
+    def delta_weight(self) -> complex:
+        g = self.commutator_avg
+        w = -1j * math.pi * g
+        return -w if self.transient_time is not None else w
+
+    @property
+    def delta_location(self) -> float:
+        # sign * w' = w0  =>  w' = sign * w0
+        return self.sign * self.omega_o
+
+
+def chi_infinity(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
+                 sign: int) -> ChiKernel:
+    """Steady-state response kernel chi_{sign, w0, inf}."""
+    g = commutator_average(model, x_op, omega_o)
+    return ChiKernel(omega_o=omega_o, sign=sign, commutator_avg=g)
+
+
+def chi_transient(model: MasterEquationModel, x_op: np.ndarray, omega_o: float,
+                  sign: int, t: float) -> ChiKernel:
+    """Transient kernel: minus the steady kernel with phase exp(i(sign*w'-w0)t).
+
+    At t = 0 the pieces are the exact negatives of :func:`chi_infinity`.
+    """
+    t = _map_time(t)
+    g = commutator_average(model, x_op, omega_o)
+    return ChiKernel(omega_o=omega_o, sign=sign, commutator_avg=g,
+                     transient_time=t)
+
+
+def rho_integral(kernel: ChiKernel, dist: FrequencyDistribution) -> complex:
+    """Frequency-density integral of a kernel, in closed form.
+
+    A steady kernel's PV piece becomes a Hilbert-transform evaluation and its
+    delta piece a density evaluation: g [ -s pi rho^>(s w0) - i pi rho_f(s w0) ],
+    s the sign.  A transient kernel's integral -g [ PV int rho_f(w')
+    e^{i(s w' - w0)t}/(s w' - w0) dw' - i pi rho_f(s w0) ] equals the tail
+    i g int_t^inf phi_f(s tau) e^{-i w0 tau} dtau, an envelope integral that
+    decays with the field's relaxation time and carries no cancellation at
+    large t.  A delta line never decays, so it is refused for a transient kernel.
+    """
+    s, w0, t = kernel.sign, kernel.omega_o, kernel.transient_time
+    if t is None:
+        pv = -s * math.pi * hilbert(dist, s * w0)
+        return kernel.commutator_avg * (pv - 1j * math.pi * float(density(dist, s * w0)))
+    if dist.kind == "delta":
+        raise ValidationError("a delta line has no decaying transient; use a finite-width kind")
+    if s == 1:
+        tail = envelope_integral(dist, -1j * w0, t, math.inf)
+    else:  # phi_f(-tau) = conj phi_f(tau) for a real density
+        tail = envelope_integral(dist, 1j * w0, t, math.inf).conjugate()
+    return 1j * kernel.commutator_avg * tail
+
+
 def steady_magnetization_oracle(model, t: float) -> float:
     """Per-block loop: xi^x rebuilt, one commutator average and two kernels per block."""
     dist = model.field.dist
@@ -840,10 +955,22 @@ def steady_magnetization_oracle(model, t: float) -> float:
     for w0, xi_w in zip(model.ladder.omegas.tolist(), dense_ladder(model.ladder)):
         comm = m_x @ xi_w - xi_w @ m_x
         g = complex(np.trace(comm @ model.boltzmann))
-        plus, minus = (rs.ChiKernel(omega_o=w0, sign=s, commutator_avg=g) for s in (1, -1))
-        branches = rs.rho_integral(plus, dist) + rs.rho_integral(minus, dist)
+        plus, minus = (ChiKernel(omega_o=w0, sign=s, commutator_avg=g) for s in (1, -1))
+        branches = rho_integral(plus, dist) + rho_integral(minus, dist)
         total += math.cos(w0 * t) * branches.real - math.sin(w0 * t) * branches.imag
     return 2.0 * model.field.b_1 * total
+
+
+def magnetization_terms(model, t: float):
+    """(steady, transient): the terms 2 B1 Re[e^{iwt} I] of the linear response at one time,
+    one per block w and sign, I the rho_f integral of chi_inf or of chi_transient for M_x."""
+    dist, m_x = model.field.dist, -sc.xi_operator(model.system, "x")
+    steady, transient = [], []
+    for w, s in product(model.ladder.omegas.tolist(), (1, -1)):
+        phase = 2.0 * model.field.b_1 * cmath.exp(1j * w * t)
+        steady.append((phase * rho_integral(chi_infinity(model, m_x, w, s), dist)).real)
+        transient.append((phase * rho_integral(chi_transient(model, m_x, w, s, t), dist)).real)
+    return np.array(steady), np.array(transient)
 
 
 # -- the two-pass model formulas ----------------------------------------------------

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred to calibration.
 """
 
-import itertools
 import math
 import time
 from collections import Counter
@@ -355,9 +354,10 @@ class TestAcceptance:
     def test_11_kubo_link(self):
         # the abstract's claim 2: under a weak drive the exact map's transverse magnetization
         # Re Tr(rho_S(t) M_x), M_x = -xi^x, is the relaxation-free linear response
-        # 2 B1 sum_w sum_s [cos(wt) Re I - sin(wt) Im I], I the rho_f integral of the steady
-        # plus the transient kernel, up to a relative O(B1^2); the steady kernels alone miss
-        # while the field remembers its start (3 tau_f for a Lorentzian, 0.5 for a Gaussian)
+        # rs.magnetization, 2 B1 sum_w sum_s [cos(wt) Re I - sin(wt) Im I] with I the rho_f
+        # integral of the steady plus the transient kernel, up to a relative O(B1^2); the
+        # steady kernels alone (rs.steady_magnetization) miss while the field remembers its
+        # start (3 tau_f for a Lorentzian, 0.5 for a Gaussian)
         cfg = load_config(CONFIGS / "two_spin.cfg")
         m_x = -sc.xi_operator(cfg.system, "x")
         ratios = np.array([0.05, 0.5, 3.0, 30.0])
@@ -369,13 +369,7 @@ class TestAcceptance:
             states = me.Trajectory(times, me.lambda_map(model, times, model.boltzmann),
                                    model.levels.energies).schrodinger_states()
             exact = np.einsum("nab,ba->n", states, m_x).real
-            full, steady = np.zeros((2, times.size))
-            for k, t in enumerate(times):
-                for w, s in itertools.product(model.ladder.omegas.tolist(), (1, -1)):
-                    i_inf = rs.rho_integral(rs.chi_infinity(model, m_x, w, s), dist)
-                    i_all = i_inf + rs.rho_integral(rs.chi_transient(model, m_x, w, s, t), dist)
-                    full[k] += 2.0 * b1 * (np.exp(1j * w * t) * i_all).real
-                    steady[k] += 2.0 * b1 * (np.exp(1j * w * t) * i_inf).real
+            full, steady = rs.magnetization(model, times), rs.steady_magnetization(model, times)
             return np.abs(exact - full) / np.abs(full), np.abs(exact - steady) / np.abs(full)
 
         ok, details = True, []

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -878,6 +879,35 @@ class TestExitCodes:
         assert run_cli(["--config", cfg, "--out", tmp_path]) == cli.EXIT_ACCURACY
         assert "deviation exceeds tolerance" in capsys.readouterr().err
         assert (tmp_path / "qubit_qubit_report.json").exists()
+
+    def test_qubit_nan_deviation_is_accuracy_error(self, tmp_path, monkeypatch, capsys):
+        # NaN > tolerance is False, so a NaN deviation once passed with exit 0
+        from spinlind import qubit
+
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        monkeypatch.setattr(qubit, "trajectory", lambda params, t: np.full((3, np.size(t)),
+                                                                           np.nan))
+        assert run_cli(["--config", CONFIGS / "qubit.cfg", "--out", tmp_path]) == cli.EXIT_ACCURACY
+        assert "deviation exceeds tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_qubit_past_the_float_range_of_phases_is_finite(self, tmp_path, monkeypatch, kind):
+        # w0 t overflowed past t = 1e306: NaN columns, a NaN report and exit 0; every term has
+        # decayed there, so each column holds its converged value
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / "qubit.cfg").read_text().replace(
+            "t_end = 0.284090909090909", "t_end = 1.0e306\ndt = 1.0e304").replace(
+            "dist = lorentzian", f"dist = {kind}")
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "qubit_qubit_report.json").read_text())
+        assert report["max_abs_deviation"] <= 1e-6
+        with open(tmp_path / "qubit_qubit.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 101 and all(math.isfinite(float(v)) for row in rows for v in row)
 
     @pytest.mark.parametrize("exc, code, label", [
         (AccuracyError("stand-in accuracy failure"), cli.EXIT_ACCURACY, "accuracy error"),

@@ -142,6 +142,49 @@ class TestGaussianFarTail:
         assert np.array_equal(ls.characteristic(dist, t), np.exp(-0.5 * (s * t) ** 2))
 
 
+class TestPhasesPastTheFloatRange:
+    """Past t = 1e306 a kHz phase w t overflowed to NaN with a RuntimeWarning.  A decayed
+    term is now 0 there, its value at t = 1e300; an undecayed one is a ValidationError."""
+
+    LATE = (1e306, 1.7e308)
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_decayed_terms_take_their_converged_values(self, kind):
+        dist = kind(2.0e3, 200.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in self.LATE:
+                assert ls.characteristic(dist, t) == ls.characteristic(dist, 1e300) == 0.0
+                for kappa in (-1.0e3j, 2.0e3j):
+                    assert (ls.envelope_integral(dist, kappa, 0.0, t)
+                            == ls.envelope_integral(dist, kappa, 0.0, math.inf))
+                    assert ls.envelope_integral(dist, kappa, t, math.inf) == 0.0
+                for lam in (0.0, -0.5 + 3.0j, -40.0 + 2.0e3j):
+                    assert (ls.drive_weight(dist, lam, 1.0e3, t)
+                            == ls.drive_weight(dist, lam, 1.0e3, 1e300))
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_earlier_times_keep_their_bits(self, kind):
+        # one scalar check sends a call down the late route; there only the lost entries change
+        dist, times = kind(2.0e3, 200.0), np.array([0.0, 1e-3, 0.02, 1e306])
+        for route in (lambda t: ls.characteristic(dist, t),
+                      lambda t: ls.envelope_integral(dist, -1.0e3j, 0.0, t),
+                      lambda t: ls.drive_weight(dist, -40.0 + 2.0e3j, 1.0e3, t)):
+            assert np.array_equal(route(times)[:3], route(times[:3]))
+
+    @pytest.mark.parametrize("call", [
+        lambda: ls.characteristic(ls.delta_line(2.0e3), 1e306),
+        # an envelope e^{-5} that has not decayed where its carrier phase is lost
+        lambda: ls.characteristic(ls.lorentzian(2.0e3, 1e-305), 1e306),
+        lambda: ls.envelope_integral(ls.delta_line(2.0e3), -1.0e3j, 0.0, 1e306),
+        # a mode e^{lam t} that never decays
+        lambda: ls.drive_weight(ls.lorentzian(2.0e3, 200.0), 5.0e3j, 1.0e3, 1e306),
+    ])
+    def test_undecayed_terms_refused(self, call):
+        with pytest.raises(ValidationError, match="phase passes the float range"):
+            call()
+
+
 class TestCharacteristic:
     def test_value_at_zero(self):
         for dist in (ls.lorentzian(2.0, 1.0), ls.gaussian(2.0, 1.0), ls.delta_line(2.0)):

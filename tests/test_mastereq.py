@@ -1322,6 +1322,29 @@ class TestLongTimes:
         assert nu.max_abs(state - settled) <= 1e-15
         assert abs(np.trace(state) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("name", ["two_spin", "qubit"])
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_phases_past_the_float_range(self, name, kind):
+        # w t overflowed from t = 1e306 on: NaN states, H_LR and drive integral, and a
+        # RuntimeWarning; each has settled to its t = 1e300 value by then
+        model = config_model(name, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            early, settled = me.lambda_map(model, np.array([0.01, 1e300]), model.boltzmann)
+            for t in (1e306, 1.7e308):
+                times = np.array([0.01, t])
+                states = me.lambda_map(model, times, model.boltzmann)
+                assert np.array_equal(states[0], early) and np.array_equal(states[1], settled)
+                assert not np.any(states[1] - np.diag(np.diag(states[1])))  # coherences exactly 0
+                pictures = me.Trajectory(times, states, model.levels.energies).schrodinger_states()
+                assert np.array_equal(pictures[1], settled)
+                assert not me.linear_response_hamiltonian(model, t).any()
+                assert np.array_equal(me.drive_integral(model, t), me.drive_integral(model, 1e300))
+        # a coherence left where its phase is lost has no value there
+        with pytest.raises(ValidationError, match="phase passes the float range"):
+            me.Trajectory(np.array([1e306]), np.ones((1, model.dim, model.dim)),
+                          model.levels.energies).schrodinger_states()
+
 
 class TestGeneratorEntries:
     """L's entry table against the dense L of the oracles, block by block and map by map."""

@@ -26,13 +26,17 @@ def test_every_exported_name_resolves(name):
 
 
 def test_one_definition_per_line_shape_quantity():
-    # rates and Lamb weights are density and Hilbert calls, one integral takes every kernel,
-    # the qubit's Lorentzian is lineshape.density's and verify reads the model's ladder
+    # rates and Lamb weights are density and Hilbert calls, the linear response is one
+    # block-at-once route (its scalar kernels are the test oracle), the qubit's Lorentzian
+    # is lineshape.density's and verify reads the model's ladder
     lineshape, response, qubit, cli = (importlib.import_module(f"spinlind.{m}")
                                        for m in ("lineshape", "response", "qubit", "cli"))
     assert not {"dissipator_weight", "lamb_weight"} & set(dir(lineshape))
-    assert "rho_integral" in response.__all__
-    assert not {"steady_rho_integral", "transient_rho_integral"} & set(dir(response))
+    assert response.__all__ == ["magnetization", "steady_magnetization", "absorbed_power",
+                                "PowerLine"]
+    assert not {"ChiKernel", "chi_infinity", "chi_transient", "rho_integral",
+                "commutator_average", "steady_rho_integral",
+                "transient_rho_integral"} & set(dir(response))
     assert not hasattr(qubit, "_lorentz_profile")
     assert "ladder_table" not in Path(cli.__file__).read_text(encoding="utf-8")
 

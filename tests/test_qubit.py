@@ -259,6 +259,21 @@ class TestGaussianFarOut:
         assert abs(np.trace(rho0 @ x_t)) <= 1e-12
 
 
+class TestPhasesPastTheFloatRange:
+    """qubit.cfg's spin past t = 1e306, where w0 t overflowed to NaN with a RuntimeWarning."""
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    @pytest.mark.parametrize("t", [1e306, 1.7e308])
+    def test_closed_forms_take_their_settled_values(self, kind, t):
+        p = qubit_cfg_params(kind(1760.0, 14.080000000000002))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qb.trajectory(p, t) == qb.trajectory(p, 1e300) == (0.0, 0.0, 0.0)
+            assert qb.stationary_sigma_plus(p, t) == 0.0
+            both = np.array(qb.trajectory(p, np.array([0.01, t])))
+        assert np.array_equal(both, np.array(qb.trajectory(p, np.array([0.01, 1e300]))))
+
+
 class TestHeisenbergCoefficients:
     def test_sigma3_at_time_zero(self, params):
         c = qb.heisenberg_coefficients(params, 0.0, qb.SIGMA[3])

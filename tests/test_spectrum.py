@@ -840,6 +840,19 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="line positions of group 'e' exceed"):
             sp.stick_spectrum(groups, "e", 1e300, absolute=True)
 
+    def test_absolute_positions_within_the_float_range_kept(self):
+        # the reference -sum_g lambda_g J_g = -0.8e308 G takes the partial sums 0, 0.8e308 and
+        # 1.6e308 to -0.8e308, 0 and 0.8e308; |ref| + sum_g |lambda_g| n_max,g = 2.4e308 refused it
+        e, h = _two_protons()
+        groups = (dataclasses.replace(e, lambdas={"h": 0.8e308}), h)
+        spec = sp.stick_spectrum(groups, "e", 0.0, absolute=True)
+        assert spec.delta_b == (-0.8e308, 0.0, 0.8e308) and spec.intensity == (1, 2, 1)
+        _assert_matches_oracle(groups, "e", omega_o=0.0, absolute=True)
+        # three protons: every position is finite, but the partial sum 2.4e308 is not
+        groups = (groups[0], dataclasses.replace(h, count=3))
+        with pytest.raises(ValidationError, match="line positions of group 'e' exceed"):
+            sp.stick_spectrum(groups, "e", 0.0, absolute=True)
+
     def test_reference_past_the_float_range_refused(self):
         # -w0 / gamma = -1e310, then a sum lambda_g J_g = 1.5e308 * 2 = 3e308
         e, h = _two_protons()
