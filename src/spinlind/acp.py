@@ -110,7 +110,7 @@ def _thermal_blocks(system: SpinSystem, b_o: float, order: int, beta: float):
     """Boltzmann populations p, :func:`_sector_ladder` on the sectors ``system`` keeps, and the
     moments <Y^(n)>_0 = sum_a p_a Y^(n)_aa, the blocks' traces weighted by p at their shift."""
     _check_ladder(b_o, order, beta)
-    eps = level_data(system, b_o).energies
+    eps = level_data(system, b_o)
     p, ladder = _populations(eps, beta), _sector_ladder(eps, system._sectors, order, beta)
     traces = sum((p[idx].max() * np.trace(blocks, axis1=1, axis2=2) for idx, blocks in ladder),
                  np.zeros(order + 1))
@@ -158,7 +158,7 @@ def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
         raise ValidationError("order must be nonnegative")
     if n == 0:
         _check_ladder(b_o, n, beta)
-        return boltzmann_state(level_data(system, b_o).energies, beta)
+        return boltzmann_state(level_data(system, b_o), beta)
     p, ladder, moments = _thermal_blocks(system, b_o, n, beta)
     zetas = np.array(zeta_recursive(moments).zetas)
     out = np.diag(zetas[n] * p)                     # zeta_n rho0 Y^(0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import LevelData, SpinSystem
+from .spincore import SpinSystem
 
 __all__ = ["LadderTable", "ladder_table"]
 
@@ -29,8 +29,7 @@ class LadderTable:
     """The +1-step entries of xi^x, sorted by (block, row, col).
 
     Entry e is xi^x[rows[e], cols[e]] = values[e] (real in this basis), in
-    the block of frequency ``omegas[block[e]]``; ``omegas`` is ascending and
-    ``gap_atol`` is the absolute tolerance the gaps were binned with.
+    the block of frequency ``omegas[block[e]]``; ``omegas`` is ascending.
     """
 
     rows: np.ndarray
@@ -38,7 +37,6 @@ class LadderTable:
     values: np.ndarray
     block: np.ndarray
     omegas: np.ndarray
-    gap_atol: float
     dim: int
 
     def hermitian(self, weights: np.ndarray) -> np.ndarray:
@@ -49,8 +47,8 @@ class LadderTable:
         return out
 
 
-def ladder_table(system: SpinSystem, levels: LevelData) -> LadderTable:
-    """The +1-step ladder table of xi^x = -sum_i gamma_i S_i^x at these levels.
+def ladder_table(system: SpinSystem, energies: np.ndarray) -> LadderTable:
+    """The +1-step ladder table of xi^x = -sum_i gamma_i S_i^x at the energies of Z0.
 
     Entries take the values -gamma_i S-_i / 2 of the S- ladder table of
     :mod:`spincore`, at the nonzeros of that table in (spin, column) order.
@@ -61,15 +59,14 @@ def ladder_table(system: SpinSystem, levels: LevelData) -> LadderTable:
     within the tolerance of zero has frequency 0.  S- is the system's kept table.
     """
     s_minus = system._tables[1]
-    eps = levels.energies
-    tol = GAP_TOL * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
+    tol = GAP_TOL * max(1.0, float(np.max(np.abs(energies), initial=0.0)))
     site, cols = np.nonzero(s_minus)
     rows = cols + np.array(system.weights)[site]
     values = -0.5 * np.array(system.gammas)[site] * s_minus[site, cols]
     keep = values != 0          # gamma_i = 0 leaves no entry
     rows, cols, values = rows[keep], cols[keep], values[keep]
 
-    gaps = eps[cols] - eps[rows]
+    gaps = energies[cols] - energies[rows]
     order = np.argsort(np.abs(gaps))
     ascending = np.abs(gaps[order]).tolist()
     reps = np.empty(len(ascending))
@@ -87,4 +84,4 @@ def ladder_table(system: SpinSystem, levels: LevelData) -> LadderTable:
     omegas, block = np.unique(signed, return_inverse=True)
     entry = np.lexsort((cols, rows, block))
     return LadderTable(rows=rows[entry], cols=cols[entry], values=values[entry],
-                       block=block[entry], omegas=omegas, gap_atol=tol, dim=system.dim)
+                       block=block[entry], omegas=omegas, dim=system.dim)

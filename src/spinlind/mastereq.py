@@ -83,9 +83,13 @@ RK4_CHUNK = 64
 AUDIT_CHUNK = 2 ** 20
 # bytes of a time grid's (frames, D, D) complex states, or of kraus_audit's nodes (256 MiB)
 MAX_FRAME_BYTES = 2 ** 28
-# n_steps D^4, the dense RK4 stage work a time grid may take: about 10^4 times that of the
+# n_steps D^4, the dense RK4 stage work a propagation may take: about 10^4 times that of the
 # longest shipped or CI propagation (mixed spins 1/2, 1, 3/2, 1/2: 19 steps at D = 48, 1.0e8)
 MAX_STEP_WORK = 10 ** 12
+# the largest left half-disk |z| <= r, Re z <= 0, inside |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1
+# has r = 2.61559 (rounded down here): a step with dt ||L||_1 <= r keeps every mode bounded,
+# as ||L||_1 >= |lam| and Re lam <= 0
+RK4_STABLE_RADIUS = 2.6155
 EIGVEC_COND_CAP = 1e6
 DOMAIN_ATOL = 1e-10
 
@@ -125,10 +129,9 @@ class MasterEquationModel:
     system: SpinSystem
     field: FieldConfig
     beta: float
-    levels: object
+    energies: np.ndarray        # eps_n, the diagonal of Z0
     ladder: LadderTable         # the +1-step entries of xi^x and the K block frequencies
-    rates_plus: np.ndarray      # 2 pi B1^2 rho_f(+w), per block
-    rates_minus: np.ndarray     # 2 pi B1^2 rho_f(-w), per block
+    rates: np.ndarray           # 2 pi B1^2 [rho_f(w) + rho_f(-w)], per block
     h_ls: np.ndarray
     boltzmann: np.ndarray
     _anti: np.ndarray = field(repr=False, default=None)
@@ -159,8 +162,8 @@ class MasterEquationModel:
 def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> MasterEquationModel:
     """Assemble the zeroth-order model for a system in the given field.
 
-    The levels and the ladder table read the spin tables that ``system`` keeps
-    (``SpinSystem._tables``).  The rates 2 pi B1^2 rho_f(+-w) and Lamb
+    The energies and the ladder table read the spin tables that ``system`` keeps
+    (``SpinSystem._tables``).  The rates 2 pi B1^2 [rho_f(w) + rho_f(-w)] and Lamb
     weights pi B1^2 [rho^>(w) - rho^>(-w)] take one density and one Hilbert
     call each, over the block frequencies w and -w concatenated (a driven
     delta line, with no finite rates, is refused), and h_ls = sum_w lamb_w [xi_w,
@@ -169,8 +172,8 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     """
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
-    levels = level_data(system, field_cfg.b_o)
-    ladder = ladder_table(system, levels)
+    energies = level_data(system, field_cfg.b_o)
+    ladder = ladder_table(system, energies)
     omegas = ladder.omegas
 
     b1, dist = field_cfg.b_1, field_cfg.dist
@@ -180,22 +183,22 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
                                   "use a finite-width kind")
         both, k = np.concatenate([omegas, -omegas]), omegas.size
         rates = 2.0 * math.pi * b1 * b1 * lineshape.density(dist, both)
-        gp, gm = rates[:k], rates[k:]
+        rates = rates[:k] + rates[k:]
         lamb = math.pi * b1 * b1 * lineshape.hilbert(dist, both)
         lamb = lamb[:k] - lamb[k:]          # pi B1^2 [rho^>(w) - rho^>(-w)]
     else:
-        gp, gm, lamb = np.zeros((3, len(omegas)))
+        rates, lamb = np.zeros((2, len(omegas)))
 
-    half_g = 0.5 * (gp + gm)
+    half_g = 0.5 * rates
     h_ls, anti = _pair_sums(ladder, (lamb, -lamb), (half_g, half_g))
-    boltzmann = boltzmann_state(levels.energies, beta)
+    boltzmann = boltzmann_state(energies, beta)
     # read-only, so an in-place edit cannot leave the kept eigensystem of L stale
-    for a in (gp, gm, h_ls, anti, boltzmann, ladder.rows, ladder.cols, ladder.values,
+    for a in (energies, rates, h_ls, anti, boltzmann, ladder.rows, ladder.cols, ladder.values,
               ladder.block, ladder.omegas):
         a.setflags(write=False)
     return MasterEquationModel(
-        system=system, field=field_cfg, beta=beta, levels=levels, ladder=ladder, rates_plus=gp,
-        rates_minus=gm, h_ls=h_ls, boltzmann=boltzmann, _anti=anti)
+        system=system, field=field_cfg, beta=beta, energies=energies, ladder=ladder,
+        rates=rates, h_ls=h_ls, boltzmann=boltzmann, _anti=anti)
 
 
 def _pairs(group: np.ndarray):
@@ -270,13 +273,13 @@ def dissipator(model: MasterEquationModel, rho: np.ndarray) -> np.ndarray:
 def _jump_pairs(model: MasterEquationModel):
     """Rows and columns of the pairs (e, f) of entries of one block, and their coefficients.
 
-    With g = g_w^+ + g_w^-, g v_e conj(v_f) takes rho[col_e, col_f] to [row_e,
+    With g = g_w, the block's rate, g v_e conj(v_f) takes rho[col_e, col_f] to [row_e,
     row_f] (xi_w rho xi_w^dag) and g conj(v_e) v_f takes rho[row_e, row_f] to
     [col_e, col_f] (xi_w^dag rho xi_w).
     """
     ladder, v = model.ladder, model.ladder.values
     e, f = _pairs(ladder.block)
-    g = (model.rates_plus + model.rates_minus)[ladder.block[e]]
+    g = model.rates[ladder.block[e]]
     return (ladder.rows[e], ladder.rows[f], ladder.cols[e], ladder.cols[f],
             g * v[e] * v[f].conj(), g * v[e].conj() * v[f])
 
@@ -349,9 +352,8 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
     // 2000 (at least 1).  The stored steps are 0, every multiple of
     ``store_every`` and the last step, so the stored times are ``steps * dt``.
     Refused before anything is allocated: a step count that is not finite or
-    not below 2^63, stepping work n_steps D^4 (the dense matrix of each RK4
-    stage) above MAX_STEP_WORK, and stored (D, D) complex states of more
-    than MAX_FRAME_BYTES.  Built from the counts alone: O(frames), not O(steps).
+    not below 2^63, and stored (D, D) complex states of more than
+    MAX_FRAME_BYTES.  Built from the counts alone: O(frames), not O(steps).
     """
     if dt is None:
         dt = default_dt(model)
@@ -366,10 +368,6 @@ def _time_grid(model: MasterEquationModel, t_end: float, dt: float | None,
     if not ratio < 2.0 ** 63:
         raise ValidationError(f"t_end / dt = {ratio:.3g} steps is not a representable step count")
     n_steps = max(1, int(math.ceil(ratio - 1e-12)))
-    if n_steps * model.dim ** 4 > MAX_STEP_WORK:
-        raise ValidationError(
-            f"{n_steps} steps at dimension {model.dim} exceed the stepping budget n_steps D^4 "
-            f"<= MAX_STEP_WORK = {MAX_STEP_WORK:.0e}; raise dt or shorten t_end")
     if store_every is None:
         store_every = max(1, n_steps // 2000)
     frames = -(-n_steps // store_every) + 1
@@ -392,20 +390,32 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
     (refused for D > MAP_DIM_CAP), and f(t) = Re[phi_f(t)] sum_j e^{-i w_j t} c_j, from
     the rows c_j of :func:`_drive_components` [+ vec extra(t)], is tabulated RK4_CHUNK
     steps at a time on the half-step grid t_k = k dt / 2; step i reads rows 2i to 2i + 2.
-    Steps and stored frames follow :func:`_time_grid`.
+    Steps and stored frames follow :func:`_time_grid`.  Refused before any step:
+    stepping work n_steps D^4 (the dense matrix of each stage) above MAX_STEP_WORK,
+    and a step dt with dt ||L||_1 above RK4_STABLE_RADIUS, ||L||_1 the largest
+    column sum of |L| from its entries.
     """
     dt, steps = _time_grid(model, t_end, dt, store_every)
+    n_steps, d = int(steps[-1]), model.dim
+    if n_steps * d ** 4 > MAX_STEP_WORK:
+        raise ValidationError(
+            f"{n_steps} steps at dimension {d} exceed the stepping budget n_steps D^4 "
+            f"<= MAX_STEP_WORK = {MAX_STEP_WORK:.0e}; raise dt or shorten t_end")
     diag, out, inn, val = _generator_entries(model)
+    norm = float(np.max(np.abs(diag) + np.bincount(inn, np.abs(val), diag.size)))
+    if dt * norm > RK4_STABLE_RADIUS:
+        raise ValidationError(
+            f"dt ||L||_1 = {dt * norm:.3g} exceeds RK4_STABLE_RADIUS = {RK4_STABLE_RADIUS}, "
+            "past which an RK4 step may grow; lower dt")
     lmat = np.diag(diag)        # a dense matvec is the cheapest step at these sizes
     lmat[out, inn] = val
-    d = model.dim
     rho_init = np.array(rho0, dtype=complex)
     y = numutil.vec(rho_init).copy()
     states = np.empty((steps.size, d, d), dtype=complex)
     states[0] = rho_init
     comps, freqs = _drive_components(model, rho_init)
 
-    n_steps, stored = int(steps[-1]), steps.tolist()
+    stored = steps.tolist()
     half, sixth = 0.5 * dt, dt / 6.0
     frame = 1
     for first in range(0, n_steps, RK4_CHUNK):
@@ -424,8 +434,7 @@ def _rk4(model: MasterEquationModel, rho0: np.ndarray, t_end: float,
                 states[frame] = numutil.unvec(y, d)
                 frame += 1
 
-    return Trajectory(times=steps * dt, states=states,
-                      energies=model.levels.energies.copy())
+    return Trajectory(times=steps * dt, states=states, energies=model.energies.copy())
 
 
 def _drive_components(model: MasterEquationModel, rho0: np.ndarray):
@@ -600,25 +609,23 @@ def _map_time(t) -> float:
 
 
 def lambda_map(model: MasterEquationModel, t: float | np.ndarray, rho0: np.ndarray, *,
-               unsafe: bool = False, include_drive: bool = True) -> np.ndarray:
+               unsafe: bool = False) -> np.ndarray:
     """Evaluate Lambda(t) rho0 = e^{Lt} rho0 + int_0^t e^{L(t-s)} A(s) rho0 ds exactly.
 
     ``t`` is one time, giving the (D, D) state, or a 1-D array of finite
     nonnegative times, giving the (nt, D, D) states, from the model's block
     eigensystem L = V diag(lam) V^-1 (:func:`_block_eigensystem`, built on
     the model's first map or audit and kept; applied by :func:`_apply_map`).
-    ``include_drive=False`` drops the inhomogeneous term, leaving the
-    completely positive semigroup alone.  An AccuracyError means a block of L
-    is defective or nearly so.
+    An AccuracyError means a block of L is defective or nearly so.
     """
     times = _map_times(t)
     _check_domain(model, rho0, unsafe)
-    states = _apply_map(model, model._generator_eig, np.atleast_1d(times), rho0, include_drive)
+    states = _apply_map(model, model._generator_eig, np.atleast_1d(times), rho0)
     return states if times.ndim else states[0]
 
 
 def _apply_map(model: MasterEquationModel, eig: BlockEigensystem, times: np.ndarray,
-               rho0: np.ndarray, include_drive: bool = True) -> np.ndarray:
+               rho0: np.ndarray) -> np.ndarray:
     """(nt, D, D) states Lambda(t) rho0 at ``times`` from the block eigensystem of L.
 
     The semigroup part is V e^{lam t} V^-1 rho0.  The drive term is
@@ -631,7 +638,7 @@ def _apply_map(model: MasterEquationModel, eig: BlockEigensystem, times: np.ndar
     rho_init = np.array(rho0, dtype=complex)
     coef = _cexp(lam, times[:, None], eig.apply(numutil.vec(rho_init).copy(), inverse=True))
 
-    if include_drive and model.field.b_1 > 0:
+    if model.field.b_1 > 0:
         comps, freqs = _drive_components(model, rho_init)
         c = eig.apply(comps.T, inverse=True).T
         rows, cols = np.nonzero(c)

@@ -126,29 +126,32 @@ def stationary_sigma_plus(params: QubitParams, t: float) -> complex:
     return -params.omega_1 * params.thermal_polarization * re_phi / denom
 
 
-def _interaction_picture(values, omega_o, t):
-    s1, s2, s3 = values
-    c, s = math.cos(omega_o * t), math.sin(omega_o * t)
-    return c * s1 + s * s2, -s * s1 + c * s2, s3
-
-
 def heisenberg_coefficients(params: QubitParams, t: float,
                             x_op: np.ndarray) -> np.ndarray:
     """Coefficients c_i(t) with X(t) = sum_i c_i(t) sigma_i, for the thermal start.
 
     Determined through the duality Tr[rho(t) X] = Tr[rho(0) X(t)] with
     rho(0) the Boltzmann state; singular at zero temperature where the
-    initial polarization is complete.  X must be a finite (2, 2) matrix.
+    initial polarization is complete.  ``t`` must be one finite time >= 0 and X a
+    finite (2, 2) matrix.  The
+    transverse parts of the Bloch vector and of X turn by w0 t, one phase each
+    (:func:`lineshape._cexp`); X's never decays, so where w0 t passes the float
+    range an X with a transverse part is a ValidationError.
     """
-    x_op = np.asarray(x_op)
+    t, x_op = _map_time(t), np.asarray(x_op)
     if x_op.shape != (2, 2) or not np.all(np.isfinite(x_op)):
         raise ValidationError(f"X must be a finite (2, 2) matrix, got shape {x_op.shape}")
     z0 = -params.thermal_polarization
     if abs(z0) >= 1.0:
         raise ValidationError("zero-temperature start makes the coefficient map singular")
 
-    s1, s2, s3 = trajectory(params, t)
-    s1p, s2p, s3p = _interaction_picture((s1, s2, s3), params.omega_o, t)
+    s1, s2, s3p = trajectory(params, t)
+    c0 = np.array([0.5 * np.trace(x_op @ SIGMA[i]) for i in range(4)])
+    # s1 + i s2 and X's (c1 + i c2) / 2 turn by e^{-i w0 t}, its (c1 - i c2) / 2 by e^{i w0 t}
+    turned, up, down = _cexp(np.array([-1j, -1j, 1j]) * params.omega_o, t, np.array(
+        [s1 + 1j * s2, 0.5 * (c0[1] + 1j * c0[2]), 0.5 * (c0[1] - 1j * c0[2])]))
+    s1p, s2p = turned.real, turned.imag
+    c0[1], c0[2] = up + down, 1j * (down - up)
 
     denom = 1.0 - z0 * z0
     kappa0 = (1.0 - z0 * s3p) / denom
@@ -162,16 +165,7 @@ def heisenberg_coefficients(params: QubitParams, t: float,
         [kappa3, -1j * kappa2, 1j * kappa1, kappa0],
     ])
 
-    c0 = np.array([0.5 * np.trace(x_op @ SIGMA[i]) for i in range(4)])
-    theta = params.omega_o * t
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, c, s, 0.0],
-        [0.0, -s, c, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    return kappa @ (rot @ c0)
+    return kappa @ c0
 
 
 @dataclass(frozen=True)

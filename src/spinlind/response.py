@@ -73,11 +73,11 @@ def absorbed_power(model: MasterEquationModel):
     """Absorbed power per unit N/V and its per-frequency decomposition.
 
     P = sum_w0 w0 sum_{n,n'} (P_n - P_n') Gamma_{n,n'}(w0) over the
-    canonical (+1)-step transition entries: per block, w0 (g+ + g-) times
+    canonical (+1)-step transition entries: per block, w0 g_w0 (the block's rate) times
     sum_ab |xi_w0[a, b]|^2 (P_a - P_b).  The total is the sum of the lines.
     """
     omegas = model.ladder.omegas
-    powers = omegas * (model.rates_plus + model.rates_minus) * _flows(model)
+    powers = omegas * model.rates * _flows(model)
     lines = tuple(map(PowerLine, omegas.tolist(), powers.tolist()))
     return sum((line.power for line in lines), 0.0), lines
 

@@ -55,6 +55,7 @@ __all__ = [
     "export_svg",
 ]
 
+# a line absorbs the following terms within this many Gauss of its first position
 MERGE_TOL_GAUSS = 1e-9
 # about 0.34 kB of peak RSS per term, in stick_spectrum (measured at the cap,
 # generic positions, through export_csv and export_svg; CPython 3.11, x86-64):
@@ -319,8 +320,6 @@ class StickSpectrum:
     delta_b: tuple
     intensity: tuple
     config_text: tuple
-    reference: float
-    resonance: tuple
 
     @cached_property
     def lines(self) -> tuple:
@@ -354,25 +353,22 @@ def _parse_configs(texts: Sequence[str]) -> list:
 
 def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
                    omega_o: float = 0.0, *, scaled: bool = False,
-                   absolute: bool = False,
-                   merge_tol: float = MERGE_TOL_GAUSS) -> StickSpectrum:
+                   absolute: bool = False) -> StickSpectrum:
     """Stick spectrum of one resonance group, or the sum over several.
 
     Positions are offsets from the per-group reference field by default
     (``absolute=True`` adds the reference, which needs ``omega_o``).  Lines
     are ordered by position, then by configuration, ((label, n), ...)
     compared as tuples.  A line absorbs the following terms while they lie
-    within ``merge_tol`` Gauss of its first position, adding their
+    within MERGE_TOL_GAUSS of its first position, adding their
     intensities in that order.  Intensities are exact integer degeneracies
     unless ``scaled``; summing over several resonance groups always applies
     each group's absolute scale, since raw degeneracies of different groups
     are not comparable; a group whose scale is zero (gamma = 0) is refused, as are positions
-    past the float range, a non-finite ``omega_o`` and a non-finite or negative ``merge_tol``.
+    past the float range and a non-finite ``omega_o``.
     """
     if not math.isfinite(omega_o):
         raise ValidationError(f"omega_o must be finite, got {omega_o}")
-    if not (math.isfinite(merge_tol) and merge_tol >= 0):
-        raise ValidationError(f"merge_tol must be finite and nonnegative, got {merge_tol}")
     labels = ([resonance_label] if isinstance(resonance_label, str)
               else list(resonance_label))
     if not labels:
@@ -421,11 +417,11 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
            else lambda k: (positions[k], configs[k]))
     order = sorted(range(len(positions)), key=key)
 
-    # a line absorbs the following terms within merge_tol of its first
+    # a line absorbs the following terms within MERGE_TOL_GAUSS of its first
     sorted_positions = map(positions.__getitem__, order)
     starts, anchor = [0], next(sorted_positions)
     for i, p in enumerate(sorted_positions, 1):
-        if p - anchor > merge_tol:
+        if p - anchor > MERGE_TOL_GAUSS:
             starts.append(i)
             anchor = p
     firsts = [order[s] for s in starts]
@@ -437,7 +433,7 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
                 sums[line] = reduce(operator.add, map(weights.__getitem__, order[s:e]))
                 config_text[line] = "|".join(map(texts.__getitem__, order[s:e]))
     return StickSpectrum(tuple(map(positions.__getitem__, firsts)), tuple(sums),
-                         tuple(config_text), refs[0], tuple(labels))
+                         tuple(config_text))
 
 
 def _exact(intensities: list) -> list:
@@ -504,7 +500,7 @@ def parse_csv(path) -> StickSpectrum:
                                       f"position or intensity: {b}, {i}")
             rows.append(row)
     delta_b, intensity, texts = zip(*rows) if rows else ((), (), ())
-    spec = StickSpectrum(delta_b, intensity, texts, 0.0, ())
+    spec = StickSpectrum(delta_b, intensity, texts)
     spec.lines
     return spec
 

@@ -37,7 +37,6 @@ __all__ = [
     "K_BOLTZMANN",
     "MAX_DIM",
     "SpinSystem",
-    "LevelData",
     "beta_from_kelvin",
     "compress",
     "decompress",
@@ -145,21 +144,6 @@ class SpinSystem:
         return tuple(map(_read_only, _tabulate_sectors(self)))
 
 
-@dataclass(frozen=True)
-class LevelData:
-    """Diagonal data of the Z0 eigenbasis: energies and total magnetizations."""
-
-    energies: np.ndarray        # eps_n, rad/s
-    magnetizations: np.ndarray  # M_n, dimensionless
-
-    def __post_init__(self):
-        object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-        object.__setattr__(self, "magnetizations",
-                           np.asarray(self.magnetizations, dtype=float))
-        if self.energies.shape != self.magnetizations.shape:
-            raise ValidationError("energies and magnetizations must align")
-
-
 def _whole(value, name: str) -> int:
     """``value`` as an int if it is a Python or numpy integer, else a ValidationError."""
     if not isinstance(value, (int, np.integer)):
@@ -242,30 +226,20 @@ def total_sz(system: SpinSystem) -> np.ndarray:
 
 def build_zo(system: SpinSystem, b_o: float) -> np.ndarray:
     """Diagonal leading Hamiltonian B_o xi^z + sum_{i>j} T_ij Sz_i Sz_j."""
-    return np.diag(level_data(system, b_o).energies.astype(complex))
-
-
-def _couplings(system: SpinSystem, zz: bool) -> np.ndarray:
-    """sum_{i>j} T_ij [(S+_i S-_j + S-_i S+_j) / 2 + (Sz_i Sz_j if ``zz``)], X from the sectors."""
-    d = system.dim
-    out = np.zeros((d, d), dtype=complex)
-    for idx, rows, cols, values in system._sectors:
-        out[idx[rows], idx[cols]] = out[idx[cols], idx[rows]] = values
-    if zz:      # the pairs' Sz_i Sz_j added in pair order
-        (first, second), sz = np.nonzero(np.tril(system.couplings, -1)), system._tables[0]
-        out[np.arange(d), np.arange(d)] = np.add.reduce(
-            system.couplings[first, second][:, None] * (sz[first] * sz[second]))
-    return out
+    return np.diag(level_data(system, b_o).astype(complex))
 
 
 def build_x(system: SpinSystem) -> np.ndarray:
-    """Flip-flop perturbation 1/2 sum_{i>j} T_ij (S+_i S-_j + S-_i S+_j)."""
-    return _couplings(system, zz=False)
+    """Flip-flop perturbation 1/2 sum_{i>j} T_ij (S+_i S-_j + S-_i S+_j), from the sectors."""
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    for idx, rows, cols, values in system._sectors:
+        out[idx[rows], idx[cols]] = out[idx[cols], idx[rows]] = values
+    return out
 
 
 def spin_spin_hamiltonian(system: SpinSystem) -> np.ndarray:
-    """Isotropic coupling sum_{i>j} T_ij S_i . S_j: flip-flop plus Sz_i Sz_j."""
-    return _couplings(system, zz=True)
+    """Isotropic coupling sum_{i>j} T_ij S_i . S_j: X plus Z0's Sz_i Sz_j diagonal (B_o = 0)."""
+    return build_x(system) + np.diag(level_data(system, 0.0))
 
 
 def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
@@ -273,8 +247,8 @@ def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
     return spin_spin_hamiltonian(system) + b_o * xi_operator(system, "z")
 
 
-def level_data(system: SpinSystem, b_o: float) -> LevelData:
-    """Energies (the diagonal of Z0) and magnetizations of the basis states, from the kept Sz."""
+def level_data(system: SpinSystem, b_o: float) -> np.ndarray:
+    """The energies eps_n of the basis states, the diagonal of Z0, from the kept Sz."""
     sz = system._tables[0]
     energies = -b_o * np.dot(np.asarray(system.gammas)[None], sz)[0]
     t = system.couplings
@@ -282,7 +256,7 @@ def level_data(system: SpinSystem, b_o: float) -> LevelData:
         for j in range(i):
             if t[i, j] != 0.0:
                 energies = energies + t[i, j] * sz[i] * sz[j]
-    return LevelData(energies=energies, magnetizations=sz.sum(0))
+    return energies
 
 
 def _tabulate_sectors(system: SpinSystem) -> list:

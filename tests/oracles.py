@@ -252,7 +252,7 @@ def rk4_oracle(model, rho0: np.ndarray, t_end: float, dt, store_every, extra=Non
             frame += 1
 
     return me.Trajectory(times=steps * dt, states=states,
-                         energies=model.levels.energies.copy())
+                         energies=model.energies.copy())
 
 
 # Choi eigenvalues below -CHOI_TOL * max(1, lam_max) mean the map is not CP
@@ -449,11 +449,11 @@ def _lines_for_group(groups, label, omega_o, scaled):
 
 
 def stick_spectrum_oracle(groups, resonance_label, omega_o=0.0, *, scaled=False,
-                          absolute=False, merge_tol=sp.MERGE_TOL_GAUSS):
+                          absolute=False):
     """:func:`spinlind.spectrum.stick_spectrum` one term at a time.
 
     Terms are sorted as (position, config) tuples; a line absorbs each next
-    term within ``merge_tol`` of its first position.  Returns the spectrum
+    term within ``MERGE_TOL_GAUSS`` of its first position.  Returns the spectrum
     and its lines, built here from the merged terms rather than parsed from
     the config text as ``StickSpectrum.lines`` is.
     """
@@ -469,7 +469,7 @@ def stick_spectrum_oracle(groups, resonance_label, omega_o=0.0, *, scaled=False,
     raw.sort(key=lambda item: (item[0], item[2]))
     merged = []
     for delta_b, intensity, config in raw:
-        if merged and abs(delta_b - merged[-1][0]) <= merge_tol:
+        if merged and abs(delta_b - merged[-1][0]) <= sp.MERGE_TOL_GAUSS:
             prev_b, prev_i, prev_cfgs = merged[-1]
             merged[-1] = (prev_b, prev_i + intensity, prev_cfgs + (config,))
         else:
@@ -484,11 +484,9 @@ def stick_spectrum_oracle(groups, resonance_label, omega_o=0.0, *, scaled=False,
             text += "|" if k else ""
             text += ";".join(f"{lab}={n}" for lab, n in cfg)
         config_text.append(text)
-    ref = sp.reference_field(groups, labels[0], omega_o) if absolute else 0.0
     spectrum = sp.StickSpectrum(delta_b=tuple(b for b, _, _ in merged),
                                 intensity=tuple(i for _, i, _ in merged),
-                                config_text=tuple(config_text), reference=ref,
-                                resonance=tuple(labels))
+                                config_text=tuple(config_text))
     return spectrum, lines
 
 
@@ -582,14 +580,18 @@ class PauliRate:
 
 
 def pauli_rates_oracle(model):
-    """The stimulated rates rates_+-[block] |xi_w[a, b]|^2 as a per-entry table, block by block:
-    the nonzeros of each dense xi^x(+1, w), row-major, each with its mirrored entry (the
-    reverse transition, opposite-sign frequency, plus and minus rates swapped)."""
+    """The stimulated rates 2 pi B1^2 rho_f(+-w) |xi_w[a, b]|^2 as a per-entry table, block by
+    block, rho_f from scalar density calls: the nonzeros of each dense xi^x(+1, w), row-major,
+    each with its mirrored entry (the reverse transition, opposite-sign frequency, plus and
+    minus rates swapped)."""
     entries = []
     stack = dense_ladder(model.ladder)
+    b1, dist = model.field.b_1, model.field.dist
     for k in range(stack.shape[0]):
         w = float(model.ladder.omegas[k])
-        gp, gm = float(model.rates_plus[k]), float(model.rates_minus[k])
+        # an undriven model, whose line may be a delta, has no rates
+        gp, gm = (2.0 * math.pi * b1 * b1 * float(density(dist, x)) if b1 > 0 else 0.0
+                  for x in (w, -w))
         mat = stack[k]
         for a, b in zip(*np.nonzero(mat)):
             el = complex(mat[a, b])
@@ -615,7 +617,7 @@ def _inline_jump_pairs(model):
     """Entries v, the pairs (e, f) of one block, and the block's total rate g per pair."""
     ladder = model.ladder
     e, f = me._pairs(ladder.block)
-    return ladder.values, e, f, (model.rates_plus + model.rates_minus)[ladder.block[e]]
+    return ladder.values, e, f, model.rates[ladder.block[e]]
 
 
 def inline_pair_dissipator(model, rho: np.ndarray) -> np.ndarray:
@@ -749,11 +751,12 @@ def kron_x(system) -> np.ndarray:
 
 
 def per_pair_couplings(system, zz: bool) -> np.ndarray:
-    """``spincore._couplings`` one coupled pair at a time, from the dense S+ and S-.
+    """``spincore.build_x`` (or with ``zz`` ``spin_spin_hamiltonian``) one coupled pair at a
+    time, from the dense S+ and S-.
 
     For each pair i > j with T_ij != 0: a mask of the columns where S+_i S-_j
     acts, the two ladder values read from ``single_spin_matrix``, and the
-    Sz_i Sz_j diagonal added in the same loop.
+    Sz_i Sz_j diagonal added in the same loop, (T_ij Sz_i) Sz_j as Z0 takes it.
     """
     t, w, d = system.couplings, system.weights, system.dim
     out = np.zeros((d, d), dtype=complex)
@@ -769,12 +772,12 @@ def per_pair_couplings(system, zz: bool) -> np.ndarray:
             rows = cols - w[i] + w[j]
             out[rows, cols] = out[cols, rows] = 0.5 * t[i, j] * (up * down)
             if zz:
-                out[k, k] += t[i, j] * (sz[i] * sz[j])
+                out[k, k] += t[i, j] * sz[i] * sz[j]
     return out
 
 
 def occupation_couplings(system, zz: bool) -> np.ndarray:
-    """``spincore._couplings`` with the ladder values evaluated inline on the occupations.
+    """``per_pair_couplings`` with the ladder values evaluated inline on the occupations.
 
     Every coupled pair in one pass: S+ at m = j - n gives sqrt(j (j + 1) -
     m (m + 1)) and S- gives sqrt(j (j + 1) - (m - 1) m), masked where
@@ -794,7 +797,7 @@ def occupation_couplings(system, zz: bool) -> np.ndarray:
     out = np.zeros((d, d), dtype=complex)
     out[rows, cols] = out[cols, rows] = 0.5 * t[pair] * (up[pair, cols] * down[pair, cols])
     if zz:
-        out[np.arange(d), np.arange(d)] = np.add.reduce(t[:, None] * (m[first] * m[second]))
+        out[np.arange(d), np.arange(d)] = np.add.reduce(t[:, None] * m[first] * m[second])
     return out
 
 
@@ -804,16 +807,18 @@ def kron_spin_spin(system) -> np.ndarray:
     for i in range(system.n_spins):
         for j in range(i):
             if t[i, j] != 0.0:
-                for axis in ("x", "y", "z"):
+                for axis in ("x", "y"):
                     out += t[i, j] * (kron_embed(system, i, axis)
                                       @ kron_embed(system, j, axis))
+                # (T_ij Sz_i) Sz_j, as Z0 takes it
+                out += (t[i, j] * kron_embed(system, i, "z")) @ kron_embed(system, j, "z")
     return out
 
 
 # -- per-block ladder sums -------------------------------------------------------
 
 def ladder_sums_oracle(model):
-    """(rates_plus, rates_minus, h_ls, _anti) of build_model, one block at a time.
+    """(rates, h_ls, _anti) of build_model, one block at a time.
 
     Scalar density and Hilbert-transform calls per frequency, scaled by
     2 pi B1^2 and pi B1^2, and the products xi_w xi_w^dag and xi_w^dag xi_w
@@ -834,7 +839,7 @@ def ladder_sums_oracle(model):
             gp.append(0.0)
             gm.append(0.0)
         anti += 0.5 * (gp[-1] + gm[-1]) * (a.conj().T @ a + a @ a.conj().T)
-    return np.array(gp), np.array(gm), h_ls, anti
+    return np.array(gp) + np.array(gm), h_ls, anti
 
 
 # -- the scalar linear-response route: one kernel per block and sign ---------------
@@ -844,7 +849,7 @@ def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
     """Thermal average <[X, xi^x(+1, w0)]>_0 (zero when no such block exists).
 
     The block is the one whose frequency is nearest ``omega_o``, provided it
-    lies within the ladder's ``gap_atol`` of it; the average is
+    lies within the binning tolerance of ``eigenops.ladder_table`` of it; the average is
     Tr(xi_w [rho0, X]), summed over the block's entries.  rho0 is diagonal,
     so [rho0, X][c, r] = (P_c - P_r) X[c, r] with P its populations.  A
     non-finite ``omega_o`` or entry of X, or an X that is not (D, D), is a
@@ -857,7 +862,8 @@ def commutator_average(model: MasterEquationModel, x_op: np.ndarray,
         raise ValidationError(f"omega_o and X must be finite, got omega_o = {omega_o}")
     ladder = model.ladder
     near = np.abs(ladder.omegas - omega_o)
-    if not (near.size and near.min() <= ladder.gap_atol):
+    tol = eo.GAP_TOL * max(1.0, float(np.max(np.abs(model.energies), initial=0.0)))
+    if not (near.size and near.min() <= tol):
         return 0.0 + 0.0j
     lo, hi = np.searchsorted(ladder.block, int(np.argmin(near)) + np.arange(2))
     rows, cols = ladder.rows[lo:hi], ladder.cols[lo:hi]
@@ -976,9 +982,9 @@ def magnetization_terms(model, t: float):
 # -- the two-pass model formulas ----------------------------------------------------
 
 def two_pass_model_arrays(system, field, beta: float):
-    """(levels, ladder, rates_plus, rates_minus, h_ls, _anti) by build_model's former route.
+    """(energies, ladder, rates, h_ls, _anti) by build_model's former route.
 
-    The spin tables built twice, once for the levels (the Zeeman part by
+    The spin tables built twice, once for the energies (the Zeeman part by
     ``np.tensordot``) and once inside :func:`eigenops.ladder_table`, and the
     line shape evaluated in four calls, at +w and at -w apart.
     """
@@ -989,8 +995,7 @@ def two_pass_model_arrays(system, field, beta: float):
         for j in range(i):
             if t[i, j] != 0.0:
                 energies = energies + t[i, j] * sz[i] * sz[j]
-    levels = sc.LevelData(energies=energies, magnetizations=sz.sum(0))
-    ladder = eo.ladder_table(system, levels)
+    ladder = eo.ladder_table(system, energies)
     omegas, b1, dist = ladder.omegas, field.b_1, field.dist
     if b1 > 0 and omegas.size:
         gp = 2.0 * math.pi * b1 * b1 * ls.density(dist, omegas)
@@ -1001,7 +1006,7 @@ def two_pass_model_arrays(system, field, beta: float):
         gp, gm, lamb = np.zeros((3, len(omegas)))
     half_g = 0.5 * (gp + gm)
     h_ls, anti = me._pair_sums(ladder, (lamb, -lamb), (half_g, half_g))
-    return levels, ladder, gp, gm, h_ls, anti
+    return energies, ladder, gp + gm, h_ls, anti
 
 
 def two_pass_steady_magnetization(model, t: float) -> float:
@@ -1161,9 +1166,11 @@ class Decomposition:
         return np.array([b.omega for b in plus], dtype=float), mats
 
 
-def decompose(a: np.ndarray, levels, gap_tol: float = 1e-9) -> Decomposition:
+def decompose(a: np.ndarray, eps: np.ndarray, mag: np.ndarray,
+              gap_tol: float = 1e-9) -> Decomposition:
     """Split a Hermitian operator into its (step, frequency) ladder blocks, densely.
 
+    The basis states have energies ``eps`` and total magnetizations ``mag``.
     Every nonzero of ``a`` is visited: its |gap| is binned in ascending order
     against the first gap of the current bin (the anchor), within ``gap_tol``
     times max(1, max |eps|), and signed after binning; a bin anchored within
@@ -1172,7 +1179,6 @@ def decompose(a: np.ndarray, levels, gap_tol: float = 1e-9) -> Decomposition:
     any other observable.
     """
     a = np.asarray(a)
-    eps, mag = levels.energies, levels.magnetizations
     tol = gap_tol * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
     rows, cols = np.nonzero(a)
     gaps = eps[cols] - eps[rows]
@@ -1203,14 +1209,13 @@ def _signed_bins(gaps: np.ndarray, tol: float) -> np.ndarray:
     return np.where(reps <= tol, 0.0, np.sign(gaps) * reps)
 
 
-def per_spin_ladder_table(system, levels) -> eo.LadderTable:
+def per_spin_ladder_table(system, eps: np.ndarray) -> eo.LadderTable:
     """``eigenops.ladder_table`` with its entries built one spin at a time.
 
     Spin i lowers m_i from column k to row k + W_i wherever n_i(k) < d_i - 1,
     with -gamma_i sqrt(j (j + 1) - m (m + 1)) / 2 at m = j - n - 1 evaluated
     inline; the gaps are binned by the loop of :func:`decompose`.
     """
-    eps = levels.energies
     tol = eo.GAP_TOL * max(1.0, float(np.max(np.abs(eps), initial=0.0)))
     k = np.arange(system.dim)
     rows, cols, values = [], [], []
@@ -1226,7 +1231,7 @@ def per_spin_ladder_table(system, levels) -> eo.LadderTable:
     omegas, block = np.unique(_signed_bins(eps[cols] - eps[rows], tol), return_inverse=True)
     entry = np.lexsort((cols, rows, block))
     return eo.LadderTable(rows=rows[entry], cols=cols[entry], values=values[entry],
-                          block=block[entry], omegas=omegas, gap_atol=tol, dim=system.dim)
+                          block=block[entry], omegas=omegas, dim=system.dim)
 
 
 # -- qubit Heisenberg picture ------------------------------------------------------
@@ -1235,6 +1240,25 @@ def heisenberg_operator(params, t: float, x_op: np.ndarray) -> np.ndarray:
     """The qubit's Heisenberg-picture X(t) = sum_i c_i(t) sigma_i from its coefficients."""
     c = qb.heisenberg_coefficients(params, t, x_op)
     return sum(c[i] * qb.SIGMA[i] for i in range(4))
+
+
+def rotated_heisenberg_coefficients(params, t: float, x_op: np.ndarray) -> np.ndarray:
+    """``qubit.heisenberg_coefficients`` by its former route: the Bloch vector and X's
+    coefficients each turned by w0 t with a rotation matrix of ``math.cos`` and ``math.sin``,
+    which raise ValueError for a w0 t past the float range."""
+    z0 = -params.thermal_polarization
+    s1, s2, s3 = qb.trajectory(params, t)
+    c, s = math.cos(params.omega_o * t), math.sin(params.omega_o * t)
+    s1p, s2p = c * s1 + s * s2, -s * s1 + c * s2
+    denom = 1.0 - z0 * z0
+    k0, k3 = (1.0 - z0 * s3) / denom, (s3 - z0) / denom
+    k1 = 1j * (s2p * z0 - 1j * s1p) / denom
+    k2 = -1j * (s1p * z0 + 1j * s2p) / denom
+    kappa = np.array([[k0, k1, k2, k3], [k1, k0, -1j * k3, 1j * k2],
+                      [k2, 1j * k3, k0, -1j * k1], [k3, -1j * k2, 1j * k1, k0]])
+    rot = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, c, s, 0.0], [0.0, -s, c, 0.0],
+                    [0.0, 0.0, 0.0, 1.0]])
+    return kappa @ (rot @ np.array([0.5 * np.trace(x_op @ qb.SIGMA[i]) for i in range(4)]))
 
 
 # -- the full-L map routes -------------------------------------------------------
@@ -1311,6 +1335,20 @@ def full_lambda_map(model, t, rho0: np.ndarray, *, unsafe: bool = False,
     me._check_domain(model, rho0, unsafe)
     states = full_apply_map(model, full_eigensystem(model) if eig is None else eig,
                             np.atleast_1d(times), rho0, include_drive)
+    return states if times.ndim else states[0]
+
+
+def semigroup_map(model, t, rho0: np.ndarray) -> np.ndarray:
+    """e^{Lt} rho0, ``mastereq.lambda_map`` without its drive term, at one time or a 1-D array.
+
+    The semigroup part of ``mastereq._apply_map``, V e^{lam t} V^-1 rho0 from the
+    model's kept block eigensystem of L; ``rho0`` is not checked against the domain.
+    """
+    times = me._map_times(t)
+    eig, d = model._generator_eig, model.dim
+    coef = eig.apply(numutil.vec(np.array(rho0, dtype=complex)).copy(), inverse=True)
+    coef = ls._cexp(eig.lam, np.atleast_1d(times)[:, None], coef)
+    states = eig.apply(coef.T).T.reshape(-1, d, d).transpose(0, 2, 1)
     return states if times.ndim else states[0]
 
 

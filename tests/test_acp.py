@@ -110,13 +110,13 @@ def sector_ys(eps, sectors, order, beta):
 
 def system_ys(system, b_o, order, beta):
     """[Y^(0), ..., Y^(order)] of a system, scattered from its sector ladder."""
-    return sector_ys(sc.level_data(system, b_o).energies, system._sectors, order, beta)
+    return sector_ys(sc.level_data(system, b_o), system._sectors, order, beta)
 
 
 def assert_matches_whole_ladder(system, b_o, beta, order, nodes=16):
     """The sector ladder, the moments and the corrections of every order against
     the whole-matrix ladder and the simplex quadrature, at 1e-12 of their scale."""
-    eps = sc.level_data(system, b_o).energies
+    eps = sc.level_data(system, b_o)
     x0 = sc.build_x(system)
     whole = whole_matrix_ladder(eps, x0, order, beta)
     p = np.diagonal(sc.boltzmann_state(eps, beta)).real
@@ -146,7 +146,7 @@ def overflow_pair():
 def closed_form_second_moment(system, b_o, beta):
     """<Y^(2)>_0 of two spin-1/2: beta^2 X_ab^2 sum (p_b - p_a - p_a z) / z^2 over both
     orderings of the M = 0 pair, z = beta (eps_a - eps_b), each term at its own scale."""
-    eps = sc.level_data(system, b_o).energies
+    eps = sc.level_data(system, b_o)
     p = np.exp(-beta * (eps - eps.min()))
     p /= p.sum()
     x = 0.5 * system.couplings[0, 1]
@@ -217,7 +217,7 @@ class TestNestedIntegrals:
         couplings = np.array([[0.0, 0.9, -0.7], [0.9, 0.0, 0.8], [-0.7, 0.8, 0.0]])
         system = sc.SpinSystem([0.5] * 3, [-2.0, -2.5, -3.0], couplings)
         b_o, beta = 3.0, 2.0
-        eps = sc.level_data(system, b_o).energies
+        eps = sc.level_data(system, b_o)
         assert beta * (eps.max() - eps.min()) >= 40.0
         assert_matches_whole_ladder(system, b_o, beta, 4)
 
@@ -311,7 +311,7 @@ class TestTableStructure:
                 raise AssertionError(f"{name} called")
             return call
 
-        for module, name in ((sc, "build_x"), (sc, "_couplings"),
+        for module, name in ((sc, "build_x"), (sc, "spin_spin_hamiltonian"),
                              (nu, "_components"), (sc, "boltzmann_state"),
                              (acp, "boltzmann_state")):
             monkeypatch.setattr(module, name, refuse(name))
@@ -385,7 +385,7 @@ class TestInitialCorrections:
     def test_ladder_populations_are_the_boltzmann_state(self, beta):
         # one Boltzmann formula: the ladder's weights are boltzmann_state's diagonal
         system, b_o = _chain(3), 1.0
-        eps = sc.level_data(system, b_o).energies
+        eps = sc.level_data(system, b_o)
         p = acp._thermal_blocks(system, b_o, 2, beta)[0]
         assert np.array_equal(p, np.diagonal(sc.boltzmann_state(eps, beta)).real)
 

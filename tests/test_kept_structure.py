@@ -101,23 +101,18 @@ def readers(field, beta) -> list:
 
     def model(system):
         m = me.build_model(system, field, beta)
-        return [m.levels.energies, m.levels.magnetizations, m.rates_plus, m.rates_minus,
-                m.h_ls, m._anti, m.boltzmann, *(getattr(m.ladder, n) for n in LADDER_FIELDS)]
+        return [m.energies, m.rates, m.h_ls, m._anti, m.boltzmann, *(getattr(m.ladder, n) for n in LADDER_FIELDS)]
 
     def ladder(system):
         table = eo.ladder_table(system, sc.level_data(system, b_o))
-        return [*(getattr(table, n) for n in LADDER_FIELDS), np.array(table.gap_atol)]
+        return [getattr(table, n) for n in LADDER_FIELDS]
 
     def moments(system):
         values = acp.moments_up_to(system, b_o, ORDER, beta)
         return [np.array(values.values), np.array(acp.zeta_recursive(values).zetas)]
 
-    def levels(system):
-        data = sc.level_data(system, b_o)
-        return [data.energies, data.magnetizations]
-
     return [
-        levels, ladder, model, lambda s: [sc.build_x(s)], moments,
+        lambda s: [sc.level_data(s, b_o)], ladder, model, lambda s: [sc.build_x(s)], moments,
         lambda s: [acp.initial_correction(s, b_o, n, beta) for n in range(ORDER + 1)],
     ]
 
@@ -130,7 +125,7 @@ def test_kept_structure_gives_the_bits_of_fresh_builds(case):
     acp.moments_up_to(warm, 2.0 * field.b_o, 2, 2.0 * beta)
     for got, want in zip(warm._tables, sc._tabulate(fresh(case)[0])):
         assert same_bits(got, want)
-    eps, sectors = sc.level_data(warm, field.b_o).energies, warm._sectors
+    eps, sectors = sc.level_data(warm, field.b_o), warm._sectors
     want_eps, want_sectors = per_call_sectors(fresh(case)[0], field.b_o)
     assert same_bits(eps, want_eps) and len(sectors) == len(want_sectors)
     for got, want in zip(sectors, want_sectors):

@@ -30,7 +30,7 @@ from oracles import (a_term, apply_map_oracle, commutator_drive_table, dense_dri
                      full_lambda_map, inline_pair_dissipator, inline_pair_liouvillian,
                      kraus_audit_oracle, ladder_sums_oracle, liouvillian_matrix,
                      pauli_rates_oracle, rk4_oracle, sandwich_superop, scattered_generator,
-                     simpson_doubling, stacked_choi_minima, transition_rate_oracle,
+                     semigroup_map, simpson_doubling, stacked_choi_minima, transition_rate_oracle,
                      two_pass_model_arrays,
                      wavefunction_distribution, wavefunction_oracle)
 from test_spectrum import naphthalene_groups
@@ -38,6 +38,11 @@ from test_spectrum import naphthalene_groups
 
 def build(system, field, beta):
     return me.build_model(system, field, beta)
+
+
+def mapped(model, t, rho0, drive, *, unsafe=False):
+    """Lambda(t) rho0, or without ``drive`` its semigroup part e^{Lt} rho0, from the model."""
+    return me.lambda_map(model, t, rho0, unsafe=unsafe) if drive else semigroup_map(model, t, rho0)
 
 
 @pytest.fixture
@@ -144,7 +149,7 @@ def einsum_dissipator(model, rho):
     if rho.shape != (model.dim, model.dim):
         raise ValidationError("density matrix dimension mismatch")
     out = -(model._anti @ rho + rho @ model._anti)
-    g = model.rates_plus + model.rates_minus
+    g = model.rates
     p = dense_ladder(model.ladder)
     if p.shape[0]:
         out = out + np.einsum("k,kij,jl,kml->im", g, p, rho, p.conj())
@@ -301,7 +306,7 @@ class TestBuildModelRefusals:
     def test_undriven_delta_line_accepted(self):
         field = me.FieldConfig(b_o=1.0, b_1=0.0, dist=ls.delta_line(1.0))
         model = build(sc.SpinSystem([0.5], [-1.0]), field, 0.1)
-        assert not model.rates_plus.any() and not model.h_ls.any()
+        assert not model.rates.any() and not model.h_ls.any()
 
 
 class TestLinearResponseHamiltonian:
@@ -385,7 +390,7 @@ def assert_close(got, want, rtol=1e-13):
 def sandwich_generator(model):
     """Oracle: L as Kronecker products of the dense stack, jumps through sandwich_superop."""
     p = dense_ladder(model.ladder)
-    g = model.rates_plus + model.rates_minus
+    g = model.rates
     jumps = sandwich_superop(np.concatenate([p, p.conj().transpose(0, 2, 1)]),
                              np.concatenate([g, g]))
     eye = np.eye(model.dim)
@@ -409,7 +414,7 @@ class TestLadderSums:
                                dist=kind(center, width))
         model = build(base.system, field, base.beta)
         want = ladder_sums_oracle(model)
-        got = (model.rates_plus, model.rates_minus, model.h_ls, model._anti)
+        got = (model.rates, model.h_ls, model._anti)
         for g, w in zip(got, want):
             assert_close(g, w)
 
@@ -420,8 +425,7 @@ class TestLadderSums:
         real = model.ladder
         phases = np.exp(2j * np.pi * rng.random(real.values.size))
         table = LadderTable(rows=real.rows, cols=real.cols, values=real.values * phases,
-                            block=real.block, omegas=real.omegas, gap_atol=real.gap_atol,
-                            dim=real.dim)
+                            block=real.block, omegas=real.omegas, dim=real.dim)
         k = real.omegas.size
         a, b = rng.normal(size=k), rng.normal(size=k)
         p = dense_ladder(table)
@@ -434,8 +438,8 @@ class TestLadderSums:
         # L's jump part against the dense sandwich, h_ls and _anti checked above
         rates = np.abs(rng.normal(size=k))
         h_ls, anti = me._pair_sums(table, (a, -a), (0.5 * rates, 0.5 * rates))
-        complex_model = dataclasses.replace(model, ladder=table, rates_plus=rates,
-                                            rates_minus=0 * rates, h_ls=h_ls, _anti=anti)
+        complex_model = dataclasses.replace(model, ladder=table, rates=rates, h_ls=h_ls,
+                                            _anti=anti)
         assert_close(scattered_generator(me._generator_entries(complex_model)),
                      sandwich_generator(complex_model))
 
@@ -481,14 +485,11 @@ class TestOnePassModel:
     def test_arrays_equal_the_two_pass_formulas(self, case, kind):
         system, field, beta = one_pass_case(case, kind)
         model = build(system, field, beta)
-        levels, ladder, gp, gm, h_ls, anti = two_pass_model_arrays(system, field, beta)
-        assert same_bits(model.levels.energies, levels.energies)
-        assert same_bits(model.levels.magnetizations, levels.magnetizations)
+        energies, ladder, rates, h_ls, anti = two_pass_model_arrays(system, field, beta)
+        assert same_bits(model.energies, energies)
         for name in ("rows", "cols", "values", "block", "omegas"):
             assert same_bits(getattr(model.ladder, name), getattr(ladder, name))
-        assert model.ladder.gap_atol == ladder.gap_atol
-        for got, want in ((model.rates_plus, gp), (model.rates_minus, gm),
-                          (model.h_ls, h_ls), (model._anti, anti)):
+        for got, want in ((model.rates, rates), (model.h_ls, h_ls), (model._anti, anti)):
             assert same_bits(got, want)
 
     @pytest.mark.parametrize("case", ["generic3", "mixed_spins"])
@@ -579,7 +580,7 @@ class TestDissipator:
     def test_matches_einsum_oracle(self, case, rng):
         # the entry pairs of each block against the dense (K, D, D) stack
         model = radical_model((2, 2)) if case == "e_2_2h" else operator_sum_model(case)
-        assert np.all(model.rates_plus + model.rates_minus > 0)
+        assert np.all(model.rates > 0)
         rho = random_hermitian(rng, model.dim)
         want = einsum_dissipator(model, rho)
         got = me.dissipator(model, rho)
@@ -893,8 +894,7 @@ class TestLambdaMap:
         # nontrivial rates: trace preserved, Choi positive semidefinite
         rate = qubit_rate(qubit_model)
         t = 0.8 / rate
-        out = me.lambda_map(qubit_model, t, qubit_model.boltzmann,
-                            include_drive=False)
+        out = semigroup_map(qubit_model, t, qubit_model.boltzmann)
         assert abs(np.trace(out) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(nu.hermitize(out)).min() >= -1e-12
         prop = nu.expm(liouvillian_matrix(qubit_model) * t)
@@ -932,7 +932,7 @@ class TestLambdaMap:
         for t_gamma in (0.0, 0.3, 1.0, 5.0) if small else (0.3, 1.0):
             t = t_gamma / rate
             for drive in (True, False):
-                got = me.lambda_map(model, t, model.boltzmann, include_drive=drive)
+                got = mapped(model, t, model.boltzmann, drive)
                 want = quadrature_lambda_map(model, t, model.boltzmann,
                                              include_drive=drive)
                 assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
@@ -944,7 +944,7 @@ class TestLambdaMap:
         for t_gamma in (0.0, 0.3, 1.0, 5.0, 30.0, 200.0):
             t = t_gamma / rate
             for drive in (True, False):
-                got = me.lambda_map(model, t, model.boltzmann, include_drive=drive)
+                got = mapped(model, t, model.boltzmann, drive)
                 want = van_loan_lambda_map(model, t, model.boltzmann, include_drive=drive)
                 assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
 
@@ -985,9 +985,8 @@ class TestLambdaMap:
         model = map_model(case, kind)
         times = np.linspace(0.0, 1.0, 7) / decay_rate(model)
         for drive in (True, False):
-            got = me.lambda_map(model, times, model.boltzmann, include_drive=drive)
-            want = np.array([me.lambda_map(model, t, model.boltzmann, include_drive=drive)
-                             for t in times])
+            got = mapped(model, times, model.boltzmann, drive)
+            want = np.array([mapped(model, t, model.boltzmann, drive) for t in times])
             assert got.shape == (times.size, model.dim, model.dim)
             assert want.shape == got.shape        # a scalar t gives one (D, D) state
             assert nu.max_abs(got - want) <= 1e-14 * nu.max_abs(want)
@@ -1223,9 +1222,9 @@ class TestBlockEigensystem:
         for drive in (True, False):
             for rho0, unsafe in ((model.boltzmann, False), (rho, True)):
                 want = full_apply_map(model, eig, times, rho0, drive)
-                got = me.lambda_map(model, times, rho0, unsafe=unsafe, include_drive=drive)
+                got = mapped(model, times, rho0, drive, unsafe=unsafe)
                 assert nu.max_abs(got - want) <= 1e-12 * nu.max_abs(want)
-                one = me.lambda_map(model, times[2], rho0, unsafe=unsafe, include_drive=drive)
+                one = mapped(model, times[2], rho0, drive, unsafe=unsafe)
                 want = full_lambda_map(model, times[2], rho0, unsafe=unsafe,
                                        include_drive=drive, eig=eig)
                 assert one.shape == want.shape == (model.dim, model.dim)
@@ -1297,13 +1296,13 @@ class TestLongTimes:
         ("acp_two_spin", ls.lorentzian, 1e-12),
         ("two_spin", ls.lorentzian, 1e-12), ("two_spin", ls.gaussian, 1e-12),
         ("qubit", ls.lorentzian, 1e-12), ("qubit", ls.gaussian, 1e-12)])
-    @pytest.mark.parametrize("include_drive", [True, False])
-    def test_trace_is_kept(self, name, kind, bound, include_drive):
+    @pytest.mark.parametrize("drive", [True, False])
+    def test_trace_is_kept(self, name, kind, bound, drive):
         # a zero mode rounded to -1e-23 once decayed the trace to 0.99883 at t = 1e20 and to 0
         # from 1e50 on (acp_two_spin, Gaussian); the overlap of the zero mode's eigenvector
         # with the slow mode at -9.6e-16 then still lost 6e-9 there
         model = config_model(name, kind)
-        states = me.lambda_map(model, self.TIMES, model.boltzmann, include_drive=include_drive)
+        states = mapped(model, self.TIMES, model.boltzmann, drive)
         residual = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
         assert residual.max() <= bound
 
@@ -1336,14 +1335,14 @@ class TestLongTimes:
                 states = me.lambda_map(model, times, model.boltzmann)
                 assert np.array_equal(states[0], early) and np.array_equal(states[1], settled)
                 assert not np.any(states[1] - np.diag(np.diag(states[1])))  # coherences exactly 0
-                pictures = me.Trajectory(times, states, model.levels.energies).schrodinger_states()
+                pictures = me.Trajectory(times, states, model.energies).schrodinger_states()
                 assert np.array_equal(pictures[1], settled)
                 assert not me.linear_response_hamiltonian(model, t).any()
                 assert np.array_equal(me.drive_integral(model, t), me.drive_integral(model, 1e300))
         # a coherence left where its phase is lost has no value there
         with pytest.raises(ValidationError, match="phase passes the float range"):
             me.Trajectory(np.array([1e306]), np.ones((1, model.dim, model.dim)),
-                          model.levels.energies).schrodinger_states()
+                          model.energies).schrodinger_states()
 
 
 class TestGeneratorEntries:
@@ -1369,14 +1368,12 @@ class TestGeneratorEntries:
 
         times = np.array([0.0, 0.05, 0.4, 3.0])
         t_end = n_steps * me.default_dt(model)
-        maps = [me.lambda_map(model, times, model.boltzmann, include_drive=drive)
-                for drive in (True, False)]
+        maps = [mapped(model, times, model.boltzmann, drive) for drive in (True, False)]
         traj = me.propagate(model, model.boltzmann, t_end)
         oracle_model = dataclasses.replace(model)       # nothing kept yet
         monkeypatch.setattr(me, "_generator_entries", lambda model: entries)
         for drive, got_map in zip((True, False), maps):
-            assert same_bits(got_map, me.lambda_map(oracle_model, times, oracle_model.boltzmann,
-                                                    include_drive=drive))
+            assert same_bits(got_map, mapped(oracle_model, times, oracle_model.boltzmann, drive))
         assert same_bits(traj.states, me.propagate(oracle_model, model.boltzmann, t_end).states)
 
     @pytest.mark.parametrize("case", OPERATOR_SUM_CASES + ["spin5/2_spin0_zero_gamma",
@@ -1399,7 +1396,7 @@ class TestGeneratorEntries:
         b_1, dist = (0.0, ls.lorentzian(22.0, 4.0)) if case == "undriven" else (
             0.05, ls.gaussian(22.0, 1e-3))
         model = build(base.system, me.FieldConfig(b_o=1.0, b_1=b_1, dist=dist), base.beta)
-        assert not np.any(model.rates_plus) and not np.any(model.rates_minus)
+        assert not np.any(model.rates)
         _, out, inn, val = me._generator_entries(model)
         d = model.dim
         # an M entry keeps its column of rho, an N entry its row; a jump changes both
@@ -1451,8 +1448,8 @@ class TestGeneratorEntries:
         model = operator_sum_model("generic2")
         me.lambda_map(model, 0.3, model.boltzmann)
         ladder = model.ladder
-        for a in (model.h_ls, model._anti, model.boltzmann, model.rates_plus,
-                  model.rates_minus, ladder.rows, ladder.cols, ladder.values, ladder.block,
+        for a in (model.h_ls, model._anti, model.boltzmann, model.energies, model.rates,
+                  ladder.rows, ladder.cols, ladder.values, ladder.block,
                   ladder.omegas):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -1561,18 +1558,16 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("n_steps", [3999, 4000, 10 ** 12, 2 ** 62])
     def test_default_store_every_fits_the_budget_at_the_map_cap(self, n_steps):
-        # n_steps = 3999 stores the most default frames, 4000, and so does the
-        # longest grid the stepping budget admits at D = 64; a longer one, whose
-        # default frames would fit too, is refused by that budget
+        # n_steps = 3999 stores the most default frames, 4000, and so does any longer
+        # grid; one past the longest the stepping budget admits at D = 64 is refused
+        # when stepped
         model = self._cap_model()
-        longest = me.MAX_STEP_WORK // model.dim ** 4
-        if n_steps > longest:
-            with pytest.raises(ValidationError, match="MAX_STEP_WORK"):
-                me._time_grid(model, float(n_steps), 1.0, None)
-            n_steps = longest
         _, steps = me._time_grid(model, float(n_steps), 1.0, None)
         assert steps.dtype == np.int64 and steps[-1] == n_steps
         assert steps.size <= 4000
+        if n_steps > me.MAX_STEP_WORK // model.dim ** 4:
+            with pytest.raises(ValidationError, match="MAX_STEP_WORK"):
+                me.propagate(model, model.boltzmann, float(n_steps), 1.0)
 
     @pytest.mark.parametrize("n_spins", [1, 6])
     def test_stepping_work_over_the_budget_refused(self, n_spins):
@@ -1586,7 +1581,10 @@ class TestTimeGrid:
         assert steps[-1] == longest and steps[-1] * model.dim ** 4 <= me.MAX_STEP_WORK
         for t_end, dt in ((float(longest + 1), 1.0), (1.0, 1e-18)):
             with pytest.raises(ValidationError, match="MAX_STEP_WORK"):
-                me._time_grid(model, t_end, dt, None)
+                me.propagate(model, model.boltzmann, t_end, dt)
+            # the grid alone, which --mode qubit reads without a step, is not refused
+            _, steps = me._time_grid(model, t_end, dt, None)
+            assert int(steps[-1]) * model.dim ** 4 > me.MAX_STEP_WORK
 
     def test_long_grid_refused_before_a_step(self, qubit_model, monkeypatch):
         def no_step(*args):
@@ -1605,6 +1603,44 @@ class TestTimeGrid:
         _, steps = me._time_grid(model, 5.0e-4, None, None)
         assert steps[-1] == 19
         assert 100 * steps[-1] * model.dim ** 4 <= me.MAX_STEP_WORK
+
+
+class TestStableStep:
+    """RK4 refuses a step dt with dt ||L||_1 above RK4_STABLE_RADIUS before it steps."""
+
+    def test_radius_bounds_the_stability_region(self):
+        # |R(z)| <= 1, R the RK4 polynomial, on the boundary of the left half-disk of
+        # radius RK4_STABLE_RADIUS (its arc and its stretch of the imaginary axis), and
+        # above 1 on the arc of a radius 1e-4 larger
+        def worst(r):
+            z = r * np.exp(1j * np.linspace(0.5 * np.pi, 1.5 * np.pi, 200001))
+            z = np.concatenate([z, 1j * np.linspace(-r, r, 2001)])
+            return np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max()
+        assert worst(me.RK4_STABLE_RADIUS) <= 1.0
+        assert worst(me.RK4_STABLE_RADIUS + 1e-4) > 1.0
+
+    @pytest.mark.parametrize("name", ["two_spin", "qubit"])
+    def test_step_past_the_radius_refused_before_a_step(self, name, monkeypatch):
+        # two_spin.cfg out to t = 1e20 with dt = 1e18 (dt ||L||_1 = 4e16) once overflowed
+        # in the first stages, a RuntimeWarning; the norm is L's largest column sum
+        model = config_model(name, ls.lorentzian)
+        norm = np.abs(liouvillian_matrix(model)).sum(0).max()
+        dt = me.RK4_STABLE_RADIUS / norm
+        traj = me.propagate(model, model.boltzmann, 40 * dt, dt)
+        assert np.all(np.isfinite(traj.states))
+        assert abs(np.trace(traj.final) - 1.0) <= 1e-12
+
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+        monkeypatch.setattr(me, "_drive_components", no_step)
+        for t_end, step in ((1.0e20, 1.0e18), (1.01 * dt, 1.01 * dt)):
+            with pytest.raises(ValidationError, match="RK4_STABLE_RADIUS"):
+                me.propagate(model, model.boltzmann, t_end, step)
+
+    def test_default_step_is_far_inside_the_radius(self):
+        model = config_model("two_spin", ls.lorentzian)
+        norm = np.abs(liouvillian_matrix(model)).sum(0).max()
+        assert me.default_dt(model) * norm <= 1e-5 * me.RK4_STABLE_RADIUS
 
 
 class TestKrausAudit:
@@ -1712,7 +1748,7 @@ class TestKrausAudit:
             monkeypatch.setattr(me, name, spy)
         me.lambda_map(model, t, model.boltzmann)
         audit = me.kraus_audit(model, t, model.boltzmann, n_nodes=32)
-        me.lambda_map(model, 2.0 * t, model.boltzmann, include_drive=False)
+        me.lambda_map(model, 2.0 * t, model.boltzmann)
         assert calls == {"_generator_entries": 1, "_block_eigensystem": 1}
         assert [float(v).hex() for v in dataclasses.astuple(audit)] == [
             float(v).hex() for v in dataclasses.astuple(fresh)]

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -39,6 +41,33 @@ def test_one_definition_per_line_shape_quantity():
                 "transient_rho_integral"} & set(dir(response))
     assert not hasattr(qubit, "_lorentz_profile")
     assert "ladder_table" not in Path(cli.__file__).read_text(encoding="utf-8")
+
+
+def test_one_view_per_quantity_and_no_option_without_a_caller():
+    # one rate per block, Z0's energies as an array, stick spectra of positions and
+    # intensities alone; lambda_map always drives, stick_spectrum merges by
+    # MERGE_TOL_GAUSS, and Z0's coupling diagonal has one definition
+    from spinlind import eigenops, mastereq, qubit, spectrum, spincore
+
+    model_fields = {f.name for f in dataclasses.fields(mastereq.MasterEquationModel)}
+    assert "rates" in model_fields and "energies" in model_fields
+    assert not {"rates_plus", "rates_minus", "levels"} & model_fields
+    assert not hasattr(spincore, "LevelData") and "LevelData" not in spincore.__all__
+    assert "gap_atol" not in {f.name for f in dataclasses.fields(eigenops.LadderTable)}
+    assert [f.name for f in dataclasses.fields(spectrum.StickSpectrum)] == [
+        "delta_b", "intensity", "config_text"]
+    for fn in (mastereq.lambda_map, mastereq._apply_map):
+        assert "include_drive" not in inspect.signature(fn).parameters
+    assert "merge_tol" not in inspect.signature(spectrum.stick_spectrum).parameters
+    assert not hasattr(qubit, "_interaction_picture")
+    assert not hasattr(spincore, "_couplings")
+    assert not any("zz" in inspect.signature(fn).parameters
+                   for fn in vars(spincore).values()
+                   if inspect.isfunction(fn) and fn.__module__ == spincore.__name__)
+    src = Path(spincore.__file__).parent
+    for name in ("rates_plus", "rates_minus", "LevelData", "gap_atol", "include_drive",
+                 "merge_tol", "_interaction_picture"):
+        assert not [p.name for p in src.glob("*.py") if name in p.read_text(encoding="utf-8")]
 
 
 class TestLazyExports:

@@ -11,7 +11,7 @@ from spinlind import qubit as qb
 from spinlind.errors import ValidationError
 
 from conftest import resonant_qubit_setup
-from oracles import heisenberg_operator, simpson_doubling
+from oracles import heisenberg_operator, rotated_heisenberg_coefficients, simpson_doubling
 
 
 
@@ -305,6 +305,42 @@ class TestHeisenbergCoefficients:
             lhs = complex(np.trace(rho_t @ x_op))
             rhs = complex(np.trace(rho0 @ x_t))
             assert abs(lhs - rhs) < 1e-8
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    def test_matches_the_rotation_matrix_route(self, kind, rng):
+        # one phase per transverse part, through lineshape._cexp, against the former
+        # rotations by math.cos and math.sin, out to t = 1e300
+        p = qubit_cfg_params(kind(1760.0, 14.080000000000002))
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for x_op in (qb.SIGMA[0], qb.SIGMA[1], qb.SIGMA[2], qb.SIGMA[3], a):
+            for t in (0.0, 1e-3, 0.01, 0.1, 3.7, 1e3, 1e10, 1e100, 1e300):
+                got = qb.heisenberg_coefficients(p, t, x_op)
+                want = rotated_heisenberg_coefficients(p, t, x_op)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", [ls.lorentzian, ls.gaussian])
+    @pytest.mark.parametrize("t", [1e306, 1.7e308])
+    def test_phase_past_the_float_range(self, kind, t):
+        # w0 t passes the float range from t = 1e306 on, where math.cos once raised
+        # "math domain error": sigma_3 has no transverse part and keeps its settled
+        # t = 1e300 value; sigma_1's and sigma_2's never decay, so they are refused
+        p = qubit_cfg_params(kind(1760.0, 14.080000000000002))
+        with pytest.raises(ValueError, match="math domain error"):
+            rotated_heisenberg_coefficients(p, t, qb.SIGMA[3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(qb.heisenberg_coefficients(p, t, qb.SIGMA[3]),
+                                  qb.heisenberg_coefficients(p, 1e300, qb.SIGMA[3]))
+            for x_op in (qb.SIGMA[1], qb.SIGMA[2], qb.SIGMA[1] + qb.SIGMA[3]):
+                with pytest.raises(ValidationError, match="phase passes the float range"):
+                    qb.heisenberg_coefficients(p, t, x_op)
+
+    @pytest.mark.parametrize("t, match", [(np.array([0.1, 0.2]), "one time"),
+                                          (-0.1, "nonnegative"), (math.nan, "finite")])
+    def test_time_must_be_one_finite_nonnegative_time(self, params, t, match):
+        # an array of times once raised a bare numpy error from the rotation
+        with pytest.raises(ValidationError, match=match):
+            qb.heisenberg_coefficients(params, t, qb.SIGMA[3])
 
     def test_zero_temperature_singular(self):
         p = qb.QubitParams(omega_o=5.0, omega_1=0.1, beta=math.inf,

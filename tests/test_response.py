@@ -108,7 +108,7 @@ class TestChiInfinity:
             model = response_model(system, 0.9, 3e-4)
             a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
             x_op = a + a.conj().T
-            x_dec = decompose(x_op, model.levels)
+            x_dec = decompose(x_op, model.energies, sc.total_sz(system).diagonal().real)
             for w, block in zip(model.ladder.omegas[:3], dense_ladder(model.ladder)[:3]):
                 full = commutator_average(model, x_op, w)
                 try:
@@ -439,7 +439,7 @@ class TestKuboLinkAtEveryMapSize:
         model = me.build_model(base.system, field, base.beta)
         times = np.array([0.05, 0.5, 3.0, 30.0]) * ls.relaxation_time(field.dist)
         states = me.Trajectory(times, me.lambda_map(model, times, model.boltzmann),
-                               model.levels.energies).schrodinger_states()
+                               model.energies).schrodinger_states()
         exact = np.einsum("nab,ba->n", states, -sc.xi_operator(model.system, "x")).real
         response = rs.magnetization(model, times)
         return np.abs(exact - response) / np.abs(response)

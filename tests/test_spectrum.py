@@ -269,7 +269,7 @@ def molecules(draw):
     """Groups r0..r2 (resonance candidates) and n0..n3 (neighbors only).
 
     Splitting constants lie on the 0.5 G lattice (coincident lines), near it
-    (chains of gaps within merge_tol) or anywhere.  Each label has one
+    (chains of gaps within MERGE_TOL_GAUSS) or anywhere.  Each label has one
     constant, shared by every resonance group it splits, so groups coupled
     to the same neighbors tie position for position and configuration for
     configuration; resonance groups may also split one another.
@@ -318,16 +318,21 @@ class TestArrayRouteOracle:
         assert [l.intensity for l in spec.lines] == [2, 1]
         assert [len(l.configs) for l in spec.lines] == [2, 1]
 
+    def test_anchor_chain_splits_a_spin_half_pair(self):
+        # two protons 0.6e-9 G apart: the terms at 0, 0.6e-9 (twice) and 1.2e-9 G
+        # make two lines, the last beyond the tolerance from the anchor at 0
+        groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"h": 0.6e-9}),
+                  sp.EquivalentGroup("h", 0.5, 2, 1.0, {}))
+        spec = _assert_matches_oracle(groups, "e")
+        assert spec.delta_b == (0.0, 1.2e-9) and spec.intensity == (3, 1)
+        assert spec.config_text == ("h=0|h=1", "h=2")
+
     def test_exact_intensities_beyond_int64(self):
         groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"h": 0.5}),
                   sp.EquivalentGroup("h", 0.5, 70, 1.0, {}))
         assert math.comb(70, 35) > 2 ** 63
         spec = _assert_matches_oracle(groups, "e")
         assert [l.intensity for l in spec.lines] == [math.comb(70, n) for n in range(71)]
-        merged = _assert_matches_oracle(groups, "e", merge_tol=10.0)
-        assert [l.intensity for l in merged.lines] == [
-            sum(math.comb(70, n) for n in range(k, min(k + 21, 71)))
-            for k in range(0, 71, 21)]
 
 
 def _workload_radical(terms, constants):
@@ -433,7 +438,7 @@ class TestZeroIntensity:
         assert sp.stick_spectrum(groups, "e").total_intensity == 256
 
     def test_svg_refuses_a_largest_intensity_that_is_not_positive(self, tmp_path):
-        spec = sp.StickSpectrum((0.0, 1.0), (0.0, 0.0), ("h=0", "h=1"), 0.0, ("e",))
+        spec = sp.StickSpectrum((0.0, 1.0), (0.0, 0.0), ("h=0", "h=1"))
         with pytest.raises(ValidationError, match="largest intensity is 0.0, not positive"):
             sp.export_svg(spec, tmp_path / "spec.svg")
         assert not list(tmp_path.iterdir())
@@ -518,9 +523,9 @@ class TestColumns:
         assert back == spec and "lines" not in back.__dict__
         assert back.lines == spec.lines
 
-    def test_five_columns(self):
+    def test_three_columns(self):
         assert [f.name for f in dataclasses.fields(sp.StickSpectrum)] == [
-            "delta_b", "intensity", "config_text", "reference", "resonance"]
+            "delta_b", "intensity", "config_text"]
 
     def test_lines_follow_replaced_config_text(self):
         spec = sp.stick_spectrum(_proton_radical(2), "e")
@@ -728,15 +733,15 @@ class TestMatrixPathOracle:
 
         # matrix path: per-transition resonance field from the level gaps
         def gap_of(b_o, a, b):
-            lev = sc.level_data(system, b_o)
-            return lev.energies[b] - lev.energies[a]
+            eps = sc.level_data(system, b_o)
+            return eps[b] - eps[a]
 
-        lev1 = sc.level_data(system, 1.0)
+        mags = sc.total_sz(system).diagonal().real
         pairs = []
         xi_x = sc.xi_operator(system, "x")
         for a in range(system.dim):
             for b in range(system.dim):
-                if abs(lev1.magnetizations[b] - lev1.magnetizations[a] - 1.0) < 1e-9 \
+                if abs(mags[b] - mags[a] - 1.0) < 1e-9 \
                         and xi_x[a, b] != 0:
                     pairs.append((a, b))
         lines = {}
@@ -788,23 +793,8 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="omega_o must be finite"):
             sp.reference_field(_two_protons(), "e", omega_o)
 
-    @pytest.mark.parametrize("merge_tol", [math.nan, math.inf])
-    def test_non_finite_merge_tolerance_refused(self, merge_tol):
-        # an infinite tolerance would merge every term into one line
-        with pytest.raises(ValidationError, match="merge_tol must be finite and nonnegative"):
-            sp.stick_spectrum(_two_protons(), "e", merge_tol=merge_tol)
-
-    def test_negative_merge_tolerance_refused(self):
-        # a negative tolerance would leave the coincident terms at 2 G unmerged
-        groups = (sp.EquivalentGroup("e", 0.5, 1, GAMMA_E, {"a": 2.0, "b": 2.0}),
-                  sp.EquivalentGroup("a", 0.5, 1, 2.6752e4, {}),
-                  sp.EquivalentGroup("b", 0.5, 1, 2.6752e4, {}))
-        assert sp.stick_spectrum(groups, "e", merge_tol=0.0).delta_b == (0.0, 2.0, 4.0)
-        with pytest.raises(ValidationError, match="merge_tol must be finite and nonnegative"):
-            sp.stick_spectrum(groups, "e", merge_tol=-1.0)
-
     def test_finite_arguments_keep_the_spectrum(self):
-        spec = sp.stick_spectrum(_two_protons(), "e", 2.0e10, absolute=True, merge_tol=0.0)
+        spec = sp.stick_spectrum(_two_protons(), "e", 2.0e10, absolute=True)
         ref = sp.reference_field(_two_protons(), "e", 2.0e10)
         assert spec.delta_b == (ref, ref + 5.0, ref + 10.0) and spec.intensity == (1, 2, 1)
 
@@ -870,7 +860,7 @@ class TestRefusals:
         ((0.0, 1.0), (10 ** 400, math.inf)), ((0.0, 1.0), (10 ** 400, 1))])
     def test_non_finite_columns_refused_before_writing(self, tmp_path, export, delta_b,
                                                        intensity):
-        spec = sp.StickSpectrum(delta_b, intensity, ("h=0", "h=1"), 0.0, ("e",))
+        spec = sp.StickSpectrum(delta_b, intensity, ("h=0", "h=1"))
         finite = all(type(v) is int or math.isfinite(v) for v in delta_b + intensity)
         if finite:      # an exact int past the float range is finite
             export(spec, tmp_path / "spec")
@@ -881,7 +871,7 @@ class TestRefusals:
         assert not list(tmp_path.iterdir())
 
     def test_svg_refuses_a_span_past_the_float_range(self, tmp_path):
-        spec = sp.StickSpectrum((-1e308, 1e308), (1, 1), ("h=0", "h=1"), 0.0, ("e",))
+        spec = sp.StickSpectrum((-1e308, 1e308), (1, 1), ("h=0", "h=1"))
         with pytest.raises(ValidationError, match="span past the float range"):
             sp.export_svg(spec, tmp_path / "spec.svg")
         assert not list(tmp_path.iterdir())
@@ -903,7 +893,7 @@ class TestRefusals:
             sp.stick_spectrum(_two_protons(), [])
 
     def test_svg_of_an_empty_spectrum_refused(self, tmp_path):
-        empty = sp.StickSpectrum((), (), (), 0.0, ())
+        empty = sp.StickSpectrum((), (), ())
         with pytest.raises(ValidationError, match="empty spectrum"):
             sp.export_svg(empty, tmp_path / "empty.svg")
         assert not (tmp_path / "empty.svg").exists()
