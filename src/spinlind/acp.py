@@ -73,15 +73,6 @@ class ZetaCoefficients:
         object.__setattr__(self, "zetas", zetas)
 
 
-def _check_ladder(b_o: float, order: int, beta: float) -> None:
-    """Refuse a non-finite field or beta, or an order above MAX_ORDER."""
-    if order > MAX_ORDER:
-        raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
-    for name, value in (("b_o", b_o), ("beta", beta)):
-        if not np.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
-
-
 def _sector_ladder(eps: np.ndarray, sectors: list, order: int, beta: float) -> list:
     """(idx, blocks) per total-M sector with X != 0, blocks[n] = exp(-beta (Z0 - c)) Y^(n)(i beta).
 
@@ -108,8 +99,10 @@ def _sector_ladder(eps: np.ndarray, sectors: list, order: int, beta: float) -> l
 
 def _thermal_blocks(system: SpinSystem, b_o: float, order: int, beta: float):
     """Boltzmann populations p, :func:`_sector_ladder` on the sectors ``system`` keeps, and the
-    moments <Y^(n)>_0 = sum_a p_a Y^(n)_aa, the blocks' traces weighted by p at their shift."""
-    _check_ladder(b_o, order, beta)
+    moments <Y^(n)>_0 = sum_a p_a Y^(n)_aa, the blocks' traces weighted by p at their shift.
+    ``level_data`` refuses a non-finite B0 and ``_populations`` a non-finite beta."""
+    if order > MAX_ORDER:
+        raise ValidationError(f"nested integrals are capped at order {MAX_ORDER}")
     eps = level_data(system, b_o)
     p, ladder = _populations(eps, beta), _sector_ladder(eps, system._sectors, order, beta)
     traces = sum((p[idx].max() * np.trace(blocks, axis1=1, axis2=2) for idx, blocks in ladder),
@@ -157,7 +150,6 @@ def initial_correction(system: SpinSystem, b_o: float, n: int, beta: float, *,
     if _whole(n, "order") < 0:
         raise ValidationError("order must be nonnegative")
     if n == 0:
-        _check_ladder(b_o, n, beta)
         return boltzmann_state(level_data(system, b_o), beta)
     p, ladder, moments = _thermal_blocks(system, b_o, n, beta)
     zetas = np.array(zeta_recursive(moments).zetas)

@@ -34,8 +34,7 @@ def _field(cfg: RunConfig) -> FieldConfig:
 def run_spectrum(cfg: RunConfig, out: Path, verbose: bool) -> int:
     from . import spectrum
 
-    labels = cfg.resonance if len(cfg.resonance) > 1 else cfg.resonance[0]
-    spec = spectrum.stick_spectrum(cfg.groups, labels, scaled=cfg.scaled)
+    spec = spectrum.stick_spectrum(cfg.groups, cfg.resonance, scaled=cfg.scaled)
     csv_path = out / f"{cfg.basename}_spectrum.csv"
     svg_path = out / f"{cfg.basename}_spectrum.svg"
     spectrum.export_svg(spec, svg_path)     # its checks cover the CSV's: a refusal opens no file

@@ -15,14 +15,17 @@ Grammar (see README for a full description):
                         tolerance >= 0 (optional); every number finite.
                         dt spaces the propagate grid on [0, t_end] that the
                         n_points compared times are drawn from; the states
-                        there come from the exact map, not from steps of dt
+                        there come from the exact map, not from steps of dt;
+                        [propagate] and [qubit] both set t_end and dt, so
+                        a config holds at most one of them
     [acp]               order
     [output]            basename (optional): a file name prefix, not a path
 
 Validation failures name the violated invariant, and a value that is not a
 finite number names its ``[section] key``; parse failures carry the line
-information from the underlying parser.  The per-mode requirements are
-checked again when the CLI's ``--mode`` replaces the configured mode.
+information from the underlying parser.  The per-mode requirements, one
+row per mode of ``_NEEDS``, are checked again when the CLI's ``--mode``
+replaces the configured mode.
 The modules behind the parsed values load only when a config needs them.
 """
 
@@ -42,7 +45,14 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "load_config"]
 
-MODES = ("spectrum", "propagate", "qubit", "acp", "verify")
+# mode -> the RunConfig fields it requires, in checking order, and what supplies each
+_MATRIX = (("system", "an explicit [system] spin list"), ("beta", "a [thermal] section"),
+           ("field_b_o", "a [field] section"))
+_NEEDS = {"spectrum": (("groups", "at least one [group:...] section"),
+                       ("resonance", "[spectrum] resonance = <label>")),
+          "propagate": _MATRIX + (("t_end", "t_end"),), "qubit": _MATRIX + (("t_end", "t_end"),),
+          "acp": _MATRIX, "verify": _MATRIX}
+MODES = tuple(_NEEDS)
 
 
 @dataclass
@@ -211,6 +221,9 @@ def load_config(path) -> RunConfig:
             cfg.resonance = tuple(sec["resonance"].split())
         if "scaled" in sec:
             cfg.scaled = _bool(sec["scaled"])
+    if "propagate" in parser and "qubit" in parser:
+        raise ValidationError("[propagate] and [qubit] each set t_end and dt: "
+                              "a config holds at most one of them")
     for name in ("propagate", "qubit"):
         if name not in parser:
             continue
@@ -253,30 +266,14 @@ def _validate_mode(cfg: RunConfig) -> None:
     :func:`load_config` runs this for the configured mode; the CLI runs it
     again after ``--mode`` replaces the mode.
     """
-    if cfg.mode not in MODES:
+    if cfg.mode not in _NEEDS:
         raise ValidationError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    needs_matrix = cfg.mode in ("propagate", "qubit", "acp", "verify")
-    if needs_matrix:
-        if cfg.system is None:
-            raise ValidationError(f"mode {cfg.mode!r} requires an explicit [system] spin list")
-        if cfg.beta is None:
-            raise ValidationError(f"mode {cfg.mode!r} requires a [thermal] section")
-    if cfg.mode in ("propagate", "qubit", "verify"):
-        if cfg.field_b_o is None:
-            raise ValidationError(f"mode {cfg.mode!r} requires a [field] section")
-    if cfg.mode == "acp" and cfg.field_b_o is None:
-        raise ValidationError("mode 'acp' requires a [field] section for b_o")
-    if cfg.mode in ("propagate", "qubit") and cfg.t_end is None:
-        raise ValidationError(f"mode {cfg.mode!r} requires t_end")
-    if cfg.mode == "qubit":
-        if cfg.system is not None and (cfg.system.n_spins != 1
-                                       or cfg.system.spins[0] != 0.5):
-            raise ValidationError("mode 'qubit' requires a single spin-1/2 system")
+    for name, source in _NEEDS[cfg.mode]:
+        if getattr(cfg, name) in (None, ()):
+            raise ValidationError(f"mode {cfg.mode!r} requires {source}")
+    if cfg.mode == "qubit" and (cfg.system.n_spins != 1 or cfg.system.spins[0] != 0.5):
+        raise ValidationError("mode 'qubit' requires a single spin-1/2 system")
     if cfg.mode == "spectrum":
-        if not cfg.groups:
-            raise ValidationError("mode 'spectrum' requires at least one [group:...] section")
-        if not cfg.resonance:
-            raise ValidationError("mode 'spectrum' requires [spectrum] resonance = <label>")
         labels = {g.label for g in cfg.groups}
         for lab in cfg.resonance:
             if lab not in labels:

@@ -170,8 +170,6 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
     xi_w^dag] and _anti = sum_w (g_w / 2) {xi_w, xi_w^dag} are sums over
     pairs of the table's entries (:func:`_pair_sums`).
     """
-    if not np.isfinite(beta):
-        raise ValidationError("beta must be finite")
     energies = level_data(system, field_cfg.b_o)
     ladder = ladder_table(system, energies)
     omegas = ladder.omegas
@@ -182,10 +180,15 @@ def build_model(system: SpinSystem, field_cfg: FieldConfig, beta: float) -> Mast
             raise ValidationError("a delta line gives no finite dissipator rates; "
                                   "use a finite-width kind")
         both, k = np.concatenate([omegas, -omegas]), omegas.size
-        rates = 2.0 * math.pi * b1 * b1 * lineshape.density(dist, both)
-        rates = rates[:k] + rates[k:]
-        lamb = math.pi * b1 * b1 * lineshape.hilbert(dist, both)
-        lamb = lamb[:k] - lamb[k:]          # pi B1^2 [rho^>(w) - rho^>(-w)]
+        density, hilbert = lineshape.density(dist, both), lineshape.hilbert(dist, both)
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is refused
+            rates = 2.0 * math.pi * b1 * b1 * density
+            rates = rates[:k] + rates[k:]
+            lamb = math.pi * b1 * b1 * hilbert
+            lamb = lamb[:k] - lamb[k:]      # pi B1^2 [rho^>(w) - rho^>(-w)]
+        if not (np.isfinite(rates).all() and np.isfinite(lamb).all()):
+            raise ValidationError(f"b_1 = {b1} gives a dissipator rate or Lamb weight "
+                                  "past the float range")
     else:
         rates, lamb = np.zeros((2, len(omegas)))
 
@@ -772,8 +775,7 @@ def drive_integral(model: MasterEquationModel, t: float) -> np.ndarray:
     return model.ladder.hermitian(2.0 * model.field.b_1 * weights)
 
 
-def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
-                  unsafe: bool = False) -> WitnessResult:
+def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float) -> WitnessResult:
     """Negativity witness for a pure input under the drive-only (L -> 0) map.
 
     Builds rho(t) = rho0 - i [K(t), rho0] for rho0 = |psi><psi|, restricts it
@@ -785,11 +787,6 @@ def noncp_witness(model: MasterEquationModel, psi: np.ndarray, t: float, *,
     gives an orthonormal Q, and rho(t) = rho0 has rank one, so det = b = 0.
     """
     t = _map_time(t)
-    if not unsafe:
-        raise DomainViolationError(
-            "the witness feeds a pure state to a map whose domain is the "
-            "Boltzmann state; pass unsafe=True to acknowledge"
-        )
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (model.dim,):
         raise ValidationError(f"psi must have shape {(model.dim,)}, got {psi.shape}")

@@ -42,7 +42,6 @@ __all__ = [
     "GeneratingPolynomial",
     "SpectrumLine",
     "StickSpectrum",
-    "splitting_constant",
     "boson_count_degeneracies",
     "generating_polynomial",
     "tetrahedral_number",
@@ -64,13 +63,6 @@ MAX_TERMS = 500_000
 # exact coefficients beyond small ints, estimated from the group sizes alone
 MAX_COEFFICIENT_BYTES = 260_000_000
 SVG_WIDTH, SVG_HEIGHT = 900, 420     # pixels
-
-
-def splitting_constant(t_coupling: float, gamma: float) -> float:
-    """Splitting constant in Gauss from a coupling (rad/s) and gamma (rad/s/G)."""
-    if gamma == 0:
-        raise ValidationError("gamma must be nonzero")
-    return -t_coupling / gamma
 
 
 @dataclass(frozen=True)
@@ -107,11 +99,6 @@ class EquivalentGroup:
         if not 0.0 < self.abundance <= 1.0:
             raise ValidationError(f"group {self.label!r} abundance must be in (0, 1]")
         object.__setattr__(self, "lambdas", dict(self.lambdas))
-
-    @property
-    def total_spin(self) -> float:
-        """J = j * N, the maximal total projection of the group."""
-        return self.j * self.count
 
     @property
     def max_bosons(self) -> int:
@@ -174,24 +161,23 @@ class GeneratingPolynomial:
             index = index * r + e
         return self.coefficients[index]
 
-    def total(self) -> int:
-        return sum(self.coefficients)
 
+def _resonance(groups: Sequence[EquivalentGroup], label: str) -> tuple:
+    """(group, neighbors) of resonance group ``label``, the neighbors being the
+    groups that split its resonance (a nonzero lambda toward them), in input order.
 
-def _group_map(groups: Sequence[EquivalentGroup]) -> dict:
-    out = {}
+    A label that no group has, or that two groups share, is a ValidationError.
+    """
+    by_label = {}
     for g in groups:
-        if g.label in out:
+        if g.label in by_label:
             raise ValidationError(f"duplicate group label {g.label!r}")
-        out[g.label] = g
-    return out
-
-
-def _neighbors(groups: Sequence[EquivalentGroup], resonance: EquivalentGroup):
-    """Groups that actually split the resonance (nonzero lambda toward them)."""
-    return [g for g in groups
-            if g.label != resonance.label
-            and resonance.lambdas.get(g.label, 0.0) != 0.0]
+        by_label[g.label] = g
+    if label not in by_label:
+        raise ValidationError(f"unknown resonance group {label!r}")
+    res = by_label[label]
+    return res, [g for g in groups
+                 if g.label != label and res.lambdas.get(g.label, 0.0) != 0.0]
 
 
 def _check_size(groups: Sequence[EquivalentGroup], labels: Sequence[str]) -> None:
@@ -203,12 +189,9 @@ def _check_size(groups: Sequence[EquivalentGroup], labels: Sequence[str]) -> Non
     bits, so terms * bits / 8 bounds a group's coefficient bytes:
     MAX_COEFFICIENT_BYTES in all.
     """
-    by_label = _group_map(groups)
     counts, nbytes = [], 0.0
     for lab in labels:
-        if lab not in by_label:
-            raise ValidationError(f"unknown resonance group {lab!r}")
-        neighbors = _neighbors(groups, by_label[lab])
+        neighbors = _resonance(groups, lab)[1]
         counts.append(math.prod(g.max_bosons + 1 for g in neighbors))
         bits = sum(g.count * math.log2(round(2 * g.j) + 1) for g in neighbors)
         nbytes += counts[-1] * bits / 8
@@ -227,7 +210,7 @@ def generating_polynomial(groups: Sequence[EquivalentGroup],
                           resonance_label: str) -> GeneratingPolynomial:
     """Expand the intensity generating polynomial for one resonance group."""
     _check_size(groups, [resonance_label])
-    neighbors = _neighbors(groups, _group_map(groups)[resonance_label])
+    neighbors = _resonance(groups, resonance_label)[1]
     coefficients = [1]
     for g in neighbors:
         factor = boson_count_degeneracies(g.j, g.count)
@@ -244,14 +227,14 @@ def tetrahedral_number(j: float) -> int:
 
 def subspace_dimension(groups: Sequence[EquivalentGroup], label: str) -> int:
     """Dimension of the subspace of the resonance group and its coupled neighbors."""
-    res = _group_map(groups)[label]
-    return res.states * math.prod(g.states for g in _neighbors(groups, res))
+    res, neighbors = _resonance(groups, label)
+    return res.states * math.prod(g.states for g in neighbors)
 
 
 def _scale_ratio(groups: Sequence[EquivalentGroup], label: str) -> tuple:
     """(gamma^2 N binom(2j+2, 3) abundance, D) as exact ints, gamma and abundance
     through their integer ratios, so that no float meets the subspace dimension D."""
-    res = _group_map(groups)[label]
+    res = _resonance(groups, label)[0]
     g_num, g_den = res.gamma.as_integer_ratio()
     a_num, a_den = res.abundance.as_integer_ratio()
     num = g_num * g_num * res.count * tetrahedral_number(res.j) * a_num
@@ -285,12 +268,12 @@ def reference_field(groups: Sequence[EquivalentGroup], label: str,
     """
     if not math.isfinite(omega_o):
         raise ValidationError(f"omega_o must be finite, got {omega_o}")
-    res = _group_map(groups)[label]
+    res, neighbors = _resonance(groups, label)
     if res.gamma == 0:
         raise ValidationError("reference field needs a nonzero gamma")
     out = -omega_o / res.gamma
-    for g in _neighbors(groups, res):
-        out -= res.lambdas[g.label] * g.total_spin
+    for g in neighbors:
+        out -= res.lambdas[g.label] * (g.j * g.count)     # lambda_g J_g
     if not math.isfinite(out):
         raise ValidationError(f"line positions of group {label!r} exceed the float range: "
                               f"the reference field is {out}")
@@ -376,26 +359,26 @@ def stick_spectrum(groups: Sequence[EquivalentGroup], resonance_label,
     if len(set(labels)) < len(labels):
         raise ValidationError(f"resonance groups {', '.join(map(repr, labels))} repeat a label")
     _check_size(groups, labels)
-    by_label = _group_map(groups)
+    resonances = [_resonance(groups, lab) for lab in labels]
     scaled = scaled or len(labels) > 1
     ratios = [_scale_ratio(groups, lab) if scaled else (1, 1) for lab in labels]
     refs = [reference_field(groups, lab, omega_o) if absolute else 0.0 for lab in labels]
-    for lab, (num, _), ref in zip(labels, ratios, refs):
+    for lab, (res, neighbors), (num, _), ref in zip(labels, resonances, ratios, refs):
         if num == 0:
             raise ValidationError(
-                f"resonance group {lab!r} has gamma = {by_label[lab].gamma}, so its "
+                f"resonance group {lab!r} has gamma = {res.gamma}, so its "
                 "scaled intensities are all 0")
         # float sums are monotone: each position's partial sums lie within these extremes
-        res, low, high = by_label[lab], 0.0, 0.0
-        for g in _neighbors(groups, res):
+        low, high = 0.0, 0.0
+        for g in neighbors:
             far = res.lambdas[g.label] * g.max_bosons
             low, high = low + min(far, 0.0), high + max(far, 0.0)
         if not (math.isfinite(low + ref) and math.isfinite(high + ref)):
             raise ValidationError(f"line positions of group {lab!r} exceed the float range")
 
     positions, weights, texts, configs = [], [], [], []
-    for lab, (num, den), ref in zip(labels, ratios, refs):
-        res, poly = by_label[lab], generating_polynomial(groups, lab)
+    for lab, (res, _), (num, den), ref in zip(labels, resonances, ratios, refs):
+        poly = generating_polynomial(groups, lab)
         # outer products one neighbor group at a time, in the grid order of
         # the coefficients: each position sums lambda * n left to right
         delta, text = [0.0], [""]

@@ -247,6 +247,7 @@ def static_hamiltonian(system: SpinSystem, b_o: float) -> np.ndarray:
     return spin_spin_hamiltonian(system) + b_o * xi_operator(system, "z")
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a non-finite energy is refused below
 def level_data(system: SpinSystem, b_o: float) -> np.ndarray:
     """The energies eps_n of the basis states, the diagonal of Z0, from the kept Sz."""
     sz = system._tables[0]
@@ -256,6 +257,9 @@ def level_data(system: SpinSystem, b_o: float) -> np.ndarray:
         for j in range(i):
             if t[i, j] != 0.0:
                 energies = energies + t[i, j] * sz[i] * sz[j]
+    if not np.isfinite(energies).all():
+        raise ValidationError(f"b_o must be finite, and so must each level energy of Z0; "
+                              f"got b_o = {b_o}")
     return energies
 
 
@@ -282,17 +286,21 @@ def _tabulate_sectors(system: SpinSystem) -> list:
     return sectors
 
 
+# a non-finite beta eps is refused below; an exponent min - z past the float range is 0
+@np.errstate(over="ignore", invalid="ignore")
 def _populations(energies: np.ndarray, beta: float) -> np.ndarray:
     """Boltzmann populations exp(min(beta eps) - beta eps) / sum: no exponent is positive."""
     z = beta * energies
-    p = np.exp(z.min() - z)
+    low = z.min()
+    if not (math.isfinite(low) and math.isfinite(z.max())):
+        raise ValidationError(f"beta must be finite, and so must beta times each level "
+                              f"energy; got beta = {beta}")
+    p = np.exp(low - z)
     return p / p.sum()
 
 
 def boltzmann_state(energies: np.ndarray, beta: float) -> np.ndarray:
     """Thermal state exp(-beta Z0)/Tr from the energies of Z0 (:func:`level_data`)."""
-    if not np.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta}")
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1:
         raise ValidationError(f"boltzmann_state takes the 1-D energies of Z0, not {energies.shape}")

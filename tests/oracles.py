@@ -419,8 +419,7 @@ def convolution_degeneracies(j: float, count: int) -> list:
 
 def _polynomial_terms(groups, resonance_label):
     """Generating-polynomial terms as a dict, exponent tuple -> int coefficient."""
-    by_label = sp._group_map(groups)
-    neighbors = sp._neighbors(groups, by_label[resonance_label])
+    neighbors = sp._resonance(groups, resonance_label)[1]
     terms = {(): 1}
     for g in neighbors:
         coeffs = convolution_degeneracies(g.j, g.count)
@@ -433,8 +432,7 @@ def _polynomial_terms(groups, resonance_label):
 
 
 def _lines_for_group(groups, label, omega_o, scaled):
-    by_label = sp._group_map(groups)
-    res = by_label[label]
+    res = sp._resonance(groups, label)[0]
     variables, terms = _polynomial_terms(groups, label)
     lambdas = [res.lambdas[lab] for lab in variables]
     # the exact rational scale gamma^2 N binom(2j+2, 3) abundance / D

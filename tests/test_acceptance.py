@@ -214,7 +214,7 @@ class TestAcceptance:
         audit = me.kraus_audit(model, t, model.boltzmann, n_nodes=1024)
 
         w0 = float(model.ladder.omegas[0])
-        wit = me.noncp_witness(model, np.array([1.0, 0.0]), 0.25 / w0, unsafe=True)
+        wit = me.noncp_witness(model, np.array([1.0, 0.0]), 0.25 / w0)
         wit_ok = wit.det_value < 0 and abs(wit.det_value - wit.predicted) < 1e-8
 
         min_eig = np.inf

@@ -666,6 +666,14 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="zeta_0 must be 1"):
             acp.ZetaCoefficients(zetas)
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_beta_past_the_float_range_refused(self, order):
+        # the order-0 state and the sector tables both read spincore._populations
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"beta must be finite.*got beta = 1e\+306"):
+                acp.initial_correction(two_spin_system(), 1.0, order, 1.0e306)
+
     @pytest.mark.parametrize("route", ["initial_correction"])
     def test_negative_order_refused(self, route):
         with pytest.raises(ValidationError, match="order must be nonnegative"):

@@ -870,6 +870,33 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("config, old, new, mode, named", [
+        ("two_spin", "b_o = 1.0\n", "b_o = 1.0e306\n", None, "b_o = 1e+306"),
+        ("two_spin", "beta = 2.0e-4", "beta = 1.0e306", None, "beta = 1e+306"),
+        ("two_spin", "beta = 2.0e-4", "beta = 1.0e306", "acp", "beta = 1e+306"),
+        ("qubit", "b_1 = 0.012649085342629323", "b_1 = 1.0e200", None, "b_1 = 1e+200"),
+        ("two_spin", "[output]", "[qubit]\nt_end = 5.0\ndt = 1.0\n\n[output]", None,
+         "[propagate] and [qubit]"),
+    ], ids=["huge_field", "frozen_beta", "frozen_beta_acp", "huge_drive", "two_grids"])
+    def test_refused_input_leaves_no_artifact(self, tmp_path, monkeypatch, capsys, config,
+                                              old, new, mode, named):
+        # a field, beta or drive past the float range once overflowed in the model (a
+        # traceback under warnings-as-errors), and [qubit] once overrode [propagate]'s grid
+        monkeypatch.delenv("SPINLIND_OUT", raising=False)
+        text = (CONFIGS / f"{config}.cfg").read_text()
+        assert old in text
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)     # B1/B0 above the weak-field regime
+            code = run_cli(["--config", cfg, "--out", out, *(["--mode", mode] if mode else [])])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert "validation error" in err and named in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_qubit_tolerance_exceeded_is_accuracy_error(self, tmp_path, monkeypatch, capsys):
         # the map misses the closed form by about 6e-15, above a zero tolerance
         monkeypatch.delenv("SPINLIND_OUT", raising=False)

@@ -138,7 +138,7 @@ def test_table_routes_build_no_dense_stack(monkeypatch):
     acp.propagate_order_n(model, 1, lambda t: np.zeros((model.dim, model.dim)), t_end)
     me.linear_response_hamiltonian(model, np.linspace(0.0, 1.0, 5))
     me.drive_integral(model, 0.5)
-    me.noncp_witness(model, np.arange(1.0, model.dim + 1.0), 0.5, unsafe=True)
+    me.noncp_witness(model, np.arange(1.0, model.dim + 1.0), 0.5)
     assert me.default_dt(model) > 0
     rs.magnetization(model, np.linspace(0.0, 1.0, 3))
     rs.absorbed_power(model)

@@ -303,6 +303,15 @@ class TestBuildModelRefusals:
         with pytest.raises(ValidationError, match="use a finite-width kind"):
             build(sc.SpinSystem([0.5], [-1.0]), field, 0.1)
 
+    def test_drive_past_the_float_range_refused(self):
+        # pi B1^2 is inf at B1 = 1e200, and inf times a zero Hilbert value was NaN
+        with pytest.warns(UserWarning, match="weak-field regime"):
+            field = me.FieldConfig(b_o=1.0, b_1=1.0e200, dist=ls.lorentzian(1760.0, 14.08))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"b_1 = 1e\+200 gives a dissipator rate"):
+                build(sc.SpinSystem([0.5], [-1760.0]), field, 5.7e-4)
+
     def test_undriven_delta_line_accepted(self):
         field = me.FieldConfig(b_o=1.0, b_1=0.0, dist=ls.delta_line(1.0))
         model = build(sc.SpinSystem([0.5], [-1.0]), field, 0.1)
@@ -1872,21 +1881,16 @@ class TestKrausAudit:
 
 
 class TestWitness:
-    def test_requires_unsafe(self, qubit_model):
-        with pytest.raises(DomainViolationError):
-            me.noncp_witness(qubit_model, np.array([1.0, 0.0]), 0.1)
-
     def test_spin_zero_system_inapplicable(self):
         system = sc.SpinSystem([0.0, 0.0], [1.0, 1.0])
         field = me.FieldConfig(b_o=1.0, b_1=1e-3, dist=ls.lorentzian(1.0, 0.1))
         model = build(system, field, 1e-3)
         with pytest.raises(WitnessInapplicableError):
-            me.noncp_witness(model, np.array([1.0]), 0.5, unsafe=True)
+            me.noncp_witness(model, np.array([1.0]), 0.5)
 
     def test_qubit_pure_input_goes_negative(self, qubit_model):
         w0 = qubit_model.ladder.omegas[0]
-        res = me.noncp_witness(qubit_model, np.array([1.0, 0.0]), 0.25 / w0,
-                               unsafe=True)
+        res = me.noncp_witness(qubit_model, np.array([1.0, 0.0]), 0.25 / w0)
         assert res.det_value < 0.0
         assert res.det_value == pytest.approx(res.predicted, abs=1e-8)
 
@@ -1895,7 +1899,7 @@ class TestWitness:
         k_op = me.drive_integral(qubit_model, t)
         evals, evecs = np.linalg.eigh(k_op)
         psi = evecs[:, int(np.argmax(np.abs(evals)))]
-        res = me.noncp_witness(qubit_model, psi, t, unsafe=True)
+        res = me.noncp_witness(qubit_model, psi, t)
         assert res.beta_abs < 1e-10
         assert abs(res.det_value) < 1e-12
         assert abs(res.predicted) < 1e-12
@@ -1906,7 +1910,7 @@ class TestWitness:
         with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
             me.drive_integral(qubit_model, bad)
         with pytest.raises(ValidationError, match="t must be finite and nonnegative"):
-            me.noncp_witness(qubit_model, np.array([1.0, 0.0]), bad, unsafe=True)
+            me.noncp_witness(qubit_model, np.array([1.0, 0.0]), bad)
 
     def test_psi_must_be_one_dimensional(self, qubit_model):
         # a (2, 2) array holds four numbers, as the state of a D = 4 model
@@ -1916,16 +1920,16 @@ class TestWitness:
         for m, psi in ((model, np.eye(2)), (qubit_model, np.array([[1.0], [0.0]])),
                        (qubit_model, np.array([1.0, 0.0, 0.0]))):
             with pytest.raises(ValidationError, match=r"psi must have shape \(%d,\)" % m.dim):
-                me.noncp_witness(m, psi, 0.1, unsafe=True)
+                me.noncp_witness(m, psi, 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_psi_rejected(self, qubit_model, bad):
         with pytest.raises(ValidationError, match="psi must be finite"):
-            me.noncp_witness(qubit_model, np.array([1.0, bad]), 0.1, unsafe=True)
+            me.noncp_witness(qubit_model, np.array([1.0, bad]), 0.1)
 
     def test_zero_psi_refused(self, qubit_model):
         with pytest.raises(ValidationError, match="psi must be nonzero"):
-            me.noncp_witness(qubit_model, np.zeros(2), 0.1, unsafe=True)
+            me.noncp_witness(qubit_model, np.zeros(2), 0.1)
 
     def test_null_vector_of_the_drive_integral_inapplicable(self):
         # a spin-1 K(t) is a rotated J_x, with one zero eigenvalue
@@ -1935,7 +1939,7 @@ class TestWitness:
         evals, evecs = np.linalg.eigh(me.drive_integral(model, 0.3))
         assert abs(evals[1]) < 1e-15 < abs(evals[0])
         with pytest.raises(WitnessInapplicableError, match=r"K\(t\)\|psi> vanishes"):
-            me.noncp_witness(model, evecs[:, 1], 0.3, unsafe=True)
+            me.noncp_witness(model, evecs[:, 1], 0.3)
 
     @pytest.mark.parametrize("case", OPERATOR_SUM_CASES)
     def test_restriction_is_the_span_of_k_psi_and_psi_minus_i_k_psi(self, case):
@@ -1945,7 +1949,7 @@ class TestWitness:
         for _ in range(5):
             psi = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
             t = float(rng.uniform(0.05, 2.0))
-            res = me.noncp_witness(model, psi, t, unsafe=True)
+            res = me.noncp_witness(model, psi, t)
             psi = psi / np.linalg.norm(psi)
             k_op = me.drive_integral(model, t)
             rho0 = np.outer(psi, psi.conj())

@@ -70,6 +70,23 @@ def test_one_view_per_quantity_and_no_option_without_a_caller():
         assert not [p.name for p in src.glob("*.py") if name in p.read_text(encoding="utf-8")]
 
 
+def test_one_home_per_rule_and_no_name_without_a_reader():
+    # one lookup resolves a resonance group and its neighbors, one table holds each
+    # mode's requirements; the splitting constant, J = jN and the coefficient total
+    # had only test readers, and the witness, which always feeds a pure state, has
+    # no unsafe flag to set
+    from spinlind import config, mastereq, spectrum
+
+    assert not {"_neighbors", "_group_map", "splitting_constant"} & set(dir(spectrum))
+    assert not hasattr(spectrum.EquivalentGroup, "total_spin")
+    assert not hasattr(spectrum.GeneratingPolynomial, "total")
+    assert "unsafe" not in inspect.signature(mastereq.noncp_witness).parameters
+    assert config.MODES == tuple(config._NEEDS)
+    src = Path(spectrum.__file__).parent
+    for name in ("_neighbors", "_group_map", "splitting_constant", "total_spin"):
+        assert not [p.name for p in src.glob("*.py") if name in p.read_text(encoding="utf-8")]
+
+
 class TestLazyExports:
     def test_each_name_is_its_submodules_object(self):
         for name in set(spinlind.__all__) - {"__version__"}:

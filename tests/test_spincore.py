@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -289,10 +291,39 @@ class TestBoltzmann:
         want[0 if sign > 0 else 2] = 1.0
         assert np.array_equal(np.diagonal(rho).real, want)
 
-    def test_nonfinite_beta_rejected(self):
-        system = sc.SpinSystem([0.5], [1.0])
+    def test_field_past_the_float_range_refused(self):
+        # b_o = 1e306 overflowed Z0's Zeeman part: a RuntimeWarning, or without the
+        # warning filter "rho0 must be finite" further on
+        system = sc.SpinSystem([0.5, 0.5], [-2.0e3, -3.0e3], [[0.0, 40.0], [40.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"b_o must be finite.*got b_o = 1e\+306"):
+                sc.level_data(system, 1.0e306)
+
+    @pytest.mark.parametrize("beta", [1.0e306, -1.0e306])
+    def test_beta_past_the_float_range_refused(self, beta):
+        # beta eps overflowed in _populations, which every thermal route reads
+        system = sc.SpinSystem([0.5, 0.5], [-2.0e3, -3.0e3], [[0.0, 40.0], [40.0, 0.0]])
+        energies = sc.level_data(system, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=re.escape(f"got beta = {beta}")):
+                sc.boltzmann_state(energies, beta)
+
+    def test_exponent_past_the_float_range_is_a_zero_population(self):
+        # beta eps = -1e308 and 1e308 are finite; their difference -2e308 is not, and
+        # exp of it is the population 0, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rho = sc.boltzmann_state(np.array([-1.0, 1.0]), 1.0e308)
+        assert np.array_equal(np.diagonal(rho).real, [1.0, 0.0])
+
+    @pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_beta_rejected(self, beta):
+        # spin 1 has a level at energy 0, where an infinite beta gives beta eps = NaN
+        system = sc.SpinSystem([1.0], [1.0])
         with pytest.raises(ValidationError, match="beta must be finite"):
-            sc.boltzmann_state(sc.level_data(system, 1.0), np.inf)
+            sc.boltzmann_state(sc.level_data(system, 1.0), beta)
 
     def test_level_data_consistent_with_operators(self, rng):
         system = random_system(rng)
